@@ -15,8 +15,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --offline --release
 
+# --no-fail-fast: one red crate must not hide every crate after it.
 echo "== cargo test"
-cargo test --offline -q
+cargo test --offline -q --no-fail-fast
 
 # Concurrency stress tests run in release mode: the optimized build
 # shrinks the compile window enough to actually exercise the
@@ -226,5 +227,12 @@ cargo run --offline --release -q -p ks-apps --example sdc_drill -- \
     --warm-start "$SCRUB_DIR" \
     | grep -q "warm start: scanned=2 quarantined=0 disk_hits=2 store_errors=0"
 rm -rf "$SCRUB_DIR" "$SCRUB_OUT"
+
+# The benchmark package sits outside the workspace, so nothing above
+# compiles it: its own fmt / clippy -D warnings / unit tests, and
+# ks-ledger --check (every workload at 1/20 size against the crate API
+# it links, exact metrics identical between two runs of one seed).
+echo "== benchmark/check.sh"
+benchmark/check.sh
 
 echo "== ci.sh: all green"

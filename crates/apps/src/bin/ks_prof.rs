@@ -299,6 +299,19 @@ fn run(
         other => return Err(format!("unknown kernel {other:?}").into()),
     };
 
+    // Where the launches' host time went (stderr: host time is not part
+    // of the exported, reproducible profile).
+    let host =
+        |field: fn(&ks_sim::LaunchReport) -> f64| -> f64 { run.reports.iter().map(field).sum() };
+    eprintln!(
+        "ks-prof: launch host time: plan {:.0} us, timing sample {:.0} us, \
+         functional {:.0} us ({} launches)",
+        host(|r| r.host_plan_us),
+        host(|r| r.host_sample_us),
+        host(|r| r.host_functional_us),
+        run.reports.len()
+    );
+
     let stats = compiler.cache_stats();
     let exec = ExecCounters {
         launches: run.reports.len() as u64,

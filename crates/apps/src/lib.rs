@@ -110,6 +110,9 @@ mod tests {
                 ..Default::default()
             },
             bound: ks_sim::Bound::Compute,
+            host_plan_us: 0.0,
+            host_sample_us: 0.0,
+            host_functional_us: 0.0,
         }
     }
 

@@ -605,6 +605,7 @@ mod tests {
             diagnostics: Vec::new(),
             metrics: crate::CompileMetrics::default(),
             verification: Vec::new(),
+            plans: Vec::new(),
         })
     }
 

@@ -45,9 +45,9 @@
 
 pub use ks_analysis::{AnalysisConfig, Diagnostic};
 use ks_codegen::CodegenOptions;
-use ks_sim::{DeviceConfig, RegAlloc};
+use ks_sim::{DeviceConfig, LaunchPlan, RegAlloc};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 mod background;
@@ -235,9 +235,35 @@ pub struct Binary {
     /// default) error findings abort the compile, so only warnings —
     /// KSV101 inconclusive outcomes — appear here.
     pub verification: Vec<ks_verify::Finding>,
+    /// Decoded launch plans, one slot per `module.functions` entry,
+    /// filled by [`Binary::plan`]. Derived from `module` + `regalloc`,
+    /// so never stored or compared.
+    plans: Vec<OnceLock<LaunchPlan>>,
+}
+
+/// Empty plan slots for a binary holding `module`.
+fn plan_slots(module: &ks_ir::Module) -> Vec<OnceLock<LaunchPlan>> {
+    module.functions.iter().map(|_| OnceLock::new()).collect()
 }
 
 impl Binary {
+    /// The decode-once launch plan of `kernel` (`None` if the module has
+    /// no such kernel), built on the first call — a binary that is
+    /// resolved but never launched pays nothing. Launch through it with
+    /// [`ks_sim::launch_planned`] and `module.textures`.
+    pub fn plan(&self, kernel: &str) -> Option<&LaunchPlan> {
+        let (f, slot) = self
+            .module
+            .functions
+            .iter()
+            .zip(&self.plans)
+            .find(|(f, _)| f.name == kernel)?;
+        Some(slot.get_or_init(|| match self.regalloc.get(kernel) {
+            Some(regalloc) => LaunchPlan::new(f, regalloc),
+            None => LaunchPlan::from_function(f),
+        }))
+    }
+
     /// Physical registers per thread for a kernel.
     pub fn regs_per_thread(&self, kernel: &str) -> u32 {
         self.regalloc
@@ -1164,7 +1190,6 @@ impl Compiler {
         let ptx = ks_ir::printer::print_module(&module);
         drop(sp);
         Ok(Binary {
-            module,
             ptx,
             regalloc,
             defines: defines.clone(),
@@ -1173,6 +1198,8 @@ impl Compiler {
             metrics,
             diagnostics,
             verification: vreport.findings,
+            plans: plan_slots(&module),
+            module,
         })
     }
 

@@ -855,6 +855,7 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
     }
     r.expect_end()?;
     Ok(Binary {
+        plans: crate::plan_slots(&module),
         module,
         ptx,
         regalloc,

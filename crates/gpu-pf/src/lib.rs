@@ -66,7 +66,9 @@ pub mod log;
 pub mod param;
 
 use ks_core::{Binary, CompileTicket, Compiler, Defines};
-use ks_sim::{launch_keyed, DeviceState, KArg, LaunchDims, LaunchOptions, LaunchReport, SimError};
+use ks_sim::{
+    launch_planned, DeviceState, KArg, LaunchDims, LaunchOptions, LaunchReport, SimError,
+};
 use param::{ParamValue, StepParam};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -2111,18 +2113,23 @@ impl Pipeline {
         defines: &str,
         label: &str,
     ) -> Result<LaunchReport, PfError> {
+        // Decoded once per binary, on its first launch.
+        let plan = bin.plan(kernel).ok_or_else(|| {
+            PfError::Sim(SimError(format!("kernel {kernel} not found in module")))
+        })?;
         let mut attempt = 0u32;
         loop {
-            match launch_keyed(
+            let launched = launch_planned(
                 &mut self.state,
-                &bin.module,
-                kernel,
+                &bin.module.textures,
+                plan,
                 dims,
                 kargs,
                 self.launch_options,
                 key,
                 defines,
-            ) {
+            );
+            match launched {
                 Ok(r) => return Ok(r),
                 Err(e) if e.is_transient() && attempt < self.launch_retries => {
                     attempt += 1;

@@ -114,69 +114,53 @@ impl DeviceConfig {
         vec![DeviceConfig::tesla_c1060(), DeviceConfig::tesla_c2070()]
     }
 
-    /// Cycles the scheduler is occupied issuing one instruction for a full
-    /// warp (per scheduler).
-    pub fn issue_cycles(&self, inst: &Inst) -> u64 {
+    /// Cycles the scheduler is occupied issuing one instruction of `class`
+    /// for a full warp (per scheduler).
+    pub fn issue_cycles(&self, class: IssueClass) -> u64 {
         let base = (self.warp_size / self.cores_per_sm / self.schedulers_per_sm).max(1) as u64;
-        let mult = match inst {
-            Inst::Bin { op, ty, .. } => match (op, ty) {
-                // 32-bit integer multiply: multi-instruction on CC 1.x.
-                (BinOp::Mul, Ty::S32 | Ty::U32) if self.cc_major == 1 => 4,
-                (BinOp::Mul24, _) if !self.fast_mul24 => 4, // emulated on Fermi
-                (BinOp::Div | BinOp::Rem, Ty::S32 | Ty::U32) => 16,
-                (BinOp::Div, Ty::F32) => 8,
-                _ => 1,
-            },
-            Inst::Un {
-                op: UnOp::Sqrt | UnOp::Rsqrt,
-                ..
-            } => 8,
+        let mult = match class {
+            // 32-bit integer multiply: multi-instruction on CC 1.x.
+            IssueClass::IntMul if self.cc_major == 1 => 4,
+            IssueClass::Mul24 if !self.fast_mul24 => 4, // emulated on Fermi
+            IssueClass::IntDiv => 16,
+            IssueClass::FloatDivSqrt => 8,
             _ => 1,
         };
         base * mult
     }
 
     /// Result latency (producer → consumer) in cycles.
-    pub fn dep_latency(&self, inst: &Inst) -> u64 {
+    pub fn dep_latency(&self, class: LatencyClass) -> u64 {
         let alu = if self.cc_major == 1 { 24 } else { 18 };
-        match inst {
-            Inst::Ld { space, .. } => match space {
-                Space::Global => self.mem_latency,
-                // Non-scalarized local arrays live in local memory: raw
-                // DRAM latency on CC 1.x; Fermi's L1 caches spills (§2.4's
-                // changed memory hierarchy), so the round trip is cheaper
-                // but still far from a register.
-                Space::Local => {
-                    if self.cc_major == 1 {
-                        self.mem_latency
-                    } else {
-                        2 * alu + 4
-                    }
+        match class {
+            LatencyClass::LoadGlobal => self.mem_latency,
+            // Non-scalarized local arrays live in local memory: raw
+            // DRAM latency on CC 1.x; Fermi's L1 caches spills (§2.4's
+            // changed memory hierarchy), so the round trip is cheaper
+            // but still far from a register.
+            LatencyClass::LoadLocal => {
+                if self.cc_major == 1 {
+                    self.mem_latency
+                } else {
+                    2 * alu + 4
                 }
-                Space::Shared => {
-                    if self.cc_major == 1 {
-                        alu
-                    } else {
-                        // Fermi shared throughput dropped relative to the
-                        // register file (§2.4).
-                        alu + 12
-                    }
+            }
+            LatencyClass::LoadShared => {
+                if self.cc_major == 1 {
+                    alu
+                } else {
+                    // Fermi shared throughput dropped relative to the
+                    // register file (§2.4).
+                    alu + 12
                 }
-                Space::Const => 8, // constant cache hit
-                Space::Param => 8, // param space is cached like const
-            },
-            Inst::Bin { op, ty, .. } => match (op, ty) {
-                (BinOp::Div | BinOp::Rem, Ty::S32 | Ty::U32) => 4 * alu,
-                (BinOp::Div, Ty::F32) => 2 * alu,
-                _ => alu,
-            },
-            Inst::Un {
-                op: UnOp::Sqrt | UnOp::Rsqrt,
-                ..
-            } => 2 * alu,
+            }
+            // Constant cache hit; param space is cached like const.
+            LatencyClass::LoadCached => 8,
+            LatencyClass::IntDiv => 4 * alu,
+            LatencyClass::FloatDivSqrt => 2 * alu,
             // Texture fetches are cached but still long-latency.
-            Inst::Tex { .. } => self.mem_latency * 3 / 4,
-            _ => alu,
+            LatencyClass::Tex => self.mem_latency * 3 / 4,
+            LatencyClass::Alu => alu,
         }
     }
 
@@ -191,10 +175,121 @@ impl DeviceConfig {
     }
 }
 
+/// What an instruction costs the issue port, independent of the device:
+/// [`DeviceConfig::issue_cycles`] turns a class into cycles, so a
+/// decoded kernel (`LaunchPlan`) classifies once and serves every device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IssueClass {
+    Plain,
+    /// 32-bit integer `*`.
+    IntMul,
+    Mul24,
+    /// 32-bit integer `/` and `%`.
+    IntDiv,
+    /// `div.f32`, `sqrt`, `rsqrt`.
+    FloatDivSqrt,
+}
+
+impl IssueClass {
+    /// Every class, in discriminant order (`ALL[c as usize] == c`).
+    pub const ALL: [IssueClass; 5] = [
+        IssueClass::Plain,
+        IssueClass::IntMul,
+        IssueClass::Mul24,
+        IssueClass::IntDiv,
+        IssueClass::FloatDivSqrt,
+    ];
+
+    pub fn of(inst: &Inst) -> IssueClass {
+        match inst {
+            Inst::Bin { op, ty, .. } => match (op, ty) {
+                (BinOp::Mul, Ty::S32 | Ty::U32) => IssueClass::IntMul,
+                (BinOp::Mul24, _) => IssueClass::Mul24,
+                (BinOp::Div | BinOp::Rem, Ty::S32 | Ty::U32) => IssueClass::IntDiv,
+                (BinOp::Div, Ty::F32) => IssueClass::FloatDivSqrt,
+                _ => IssueClass::Plain,
+            },
+            Inst::Un {
+                op: UnOp::Sqrt | UnOp::Rsqrt,
+                ..
+            } => IssueClass::FloatDivSqrt,
+            _ => IssueClass::Plain,
+        }
+    }
+}
+
+/// Device-independent producer → consumer latency class of an
+/// instruction; see [`DeviceConfig::dep_latency`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LatencyClass {
+    Alu,
+    /// 32-bit integer `/` and `%`.
+    IntDiv,
+    /// `div.f32`, `sqrt`, `rsqrt`.
+    FloatDivSqrt,
+    LoadGlobal,
+    LoadLocal,
+    LoadShared,
+    /// Constant and parameter space.
+    LoadCached,
+    Tex,
+}
+
+impl LatencyClass {
+    /// Every class, in discriminant order (`ALL[c as usize] == c`).
+    pub const ALL: [LatencyClass; 8] = [
+        LatencyClass::Alu,
+        LatencyClass::IntDiv,
+        LatencyClass::FloatDivSqrt,
+        LatencyClass::LoadGlobal,
+        LatencyClass::LoadLocal,
+        LatencyClass::LoadShared,
+        LatencyClass::LoadCached,
+        LatencyClass::Tex,
+    ];
+
+    /// The class of a load from `space`.
+    pub fn load(space: Space) -> LatencyClass {
+        match space {
+            Space::Global => LatencyClass::LoadGlobal,
+            Space::Local => LatencyClass::LoadLocal,
+            Space::Shared => LatencyClass::LoadShared,
+            Space::Const | Space::Param => LatencyClass::LoadCached,
+        }
+    }
+
+    pub fn of(inst: &Inst) -> LatencyClass {
+        match inst {
+            Inst::Ld { space, .. } => LatencyClass::load(*space),
+            Inst::Bin { op, ty, .. } => match (op, ty) {
+                (BinOp::Div | BinOp::Rem, Ty::S32 | Ty::U32) => LatencyClass::IntDiv,
+                (BinOp::Div, Ty::F32) => LatencyClass::FloatDivSqrt,
+                _ => LatencyClass::Alu,
+            },
+            Inst::Un {
+                op: UnOp::Sqrt | UnOp::Rsqrt,
+                ..
+            } => LatencyClass::FloatDivSqrt,
+            Inst::Tex { .. } => LatencyClass::Tex,
+            _ => LatencyClass::Alu,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ks_ir::{Address, Operand, VReg};
+
+    #[test]
+    fn class_tables_are_in_discriminant_order() {
+        for (i, c) in IssueClass::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i);
+        }
+        for (i, c) in LatencyClass::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i);
+        }
+    }
 
     #[test]
     fn preset_sanity() {
@@ -230,8 +325,9 @@ mod tests {
             a: Operand::ImmI(1),
             b: Operand::ImmI(1),
         };
-        assert!(c1060.issue_cycles(&mul) > c1060.issue_cycles(&mul24));
-        assert!(c2070.issue_cycles(&mul) < c2070.issue_cycles(&mul24));
+        let (mul, mul24) = (IssueClass::of(&mul), IssueClass::of(&mul24));
+        assert!(c1060.issue_cycles(mul) > c1060.issue_cycles(mul24));
+        assert!(c2070.issue_cycles(mul) < c2070.issue_cycles(mul24));
     }
 
     #[test]
@@ -249,7 +345,8 @@ mod tests {
             dst: VReg(0),
             addr: Address::abs(0),
         };
-        assert!(d.dep_latency(&local) > 10 * d.dep_latency(&shared));
+        let (local, shared) = (LatencyClass::of(&local), LatencyClass::of(&shared));
+        assert!(d.dep_latency(local) > 10 * d.dep_latency(shared));
     }
 
     #[test]
@@ -269,6 +366,7 @@ mod tests {
             a: Operand::ImmI(1),
             b: Operand::ImmI(1),
         };
-        assert!(d.issue_cycles(&div) >= 8 * d.issue_cycles(&add));
+        let (div, add) = (IssueClass::of(&div), IssueClass::of(&add));
+        assert!(d.issue_cycles(div) >= 8 * d.issue_cycles(add));
     }
 }

@@ -9,11 +9,8 @@
 //! therefore emerges from the schedule instead of from a max() formula.
 
 use crate::device::DeviceConfig;
-use crate::interp::{
-    warp_step, BlockCtx, BlockState, ExecStats, GlobalView, SimError, StepOutcome, Warp,
-};
-use ks_ir::cfg::{ipdoms, Cfg};
-use ks_ir::{BlockId, Function};
+use crate::interp::{run_warp, BlockScratch, Costs, ExecStats, GlobalView, LaunchEnv, SimError};
+use crate::plan::LaunchPlan;
 
 /// Result of simulating one SM round.
 #[derive(Debug, Clone)]
@@ -25,9 +22,7 @@ pub struct SmRound {
 }
 
 struct ResidentBlock {
-    warps: Vec<Warp>,
-    shared: Vec<u8>,
-    bstate: BlockState,
+    scratch: BlockScratch,
     block_idx: (u32, u32, u32),
 }
 
@@ -35,7 +30,7 @@ struct ResidentBlock {
 #[allow(clippy::too_many_arguments)]
 pub fn run_sm_round(
     dev: &DeviceConfig,
-    func: &Function,
+    plan: &LaunchPlan,
     global: GlobalView,
     const_mem: &[u8],
     params: &[u8],
@@ -45,25 +40,26 @@ pub fn run_sm_round(
     dynamic_shared: u32,
     tex_bindings: &[u64],
 ) -> Result<SmRound, SimError> {
-    let cfg = Cfg::build(func);
-    let pdom: Vec<Option<BlockId>> = ipdoms(func, &cfg);
-    let threads = block_dim.0 * block_dim.1 * block_dim.2;
-    let warp_count = threads.div_ceil(32);
-    let nv = func.num_vregs();
-    let shared_bytes = (func.shared_bytes() + dynamic_shared) as usize;
-
+    let env = LaunchEnv {
+        dev,
+        plan,
+        global,
+        const_mem,
+        params,
+        tex_bindings,
+        block_dim,
+        grid_dim,
+        dynamic_shared,
+        trace: false,
+        racecheck: false,
+        strict_barriers: false,
+        costs: Costs::new(dev),
+    };
     let mut blocks: Vec<ResidentBlock> = block_indices
         .iter()
-        .map(|&bi| ResidentBlock {
-            warps: (0..warp_count)
-                .map(|w| {
-                    let base = w * 32;
-                    Warp::new(base, (threads - base).min(32), nv, func.local_bytes, true)
-                })
-                .collect(),
-            shared: vec![0u8; shared_bytes],
-            bstate: BlockState::new(),
-            block_idx: bi,
+        .map(|&block_idx| ResidentBlock {
+            scratch: BlockScratch::new(&env),
+            block_idx,
         })
         .collect();
 
@@ -74,7 +70,7 @@ pub fn run_sm_round(
         // Find the runnable warp with the smallest clock.
         let mut pick: Option<(usize, usize, u64)> = None;
         for (bi, b) in blocks.iter().enumerate() {
-            for (wi, w) in b.warps.iter().enumerate() {
+            for (wi, w) in b.scratch.warps.iter().enumerate() {
                 if !w.done && !w.at_barrier && pick.is_none_or(|(_, _, c)| w.clock < c) {
                     pick = Some((bi, wi, w.clock));
                 }
@@ -85,18 +81,18 @@ pub fn run_sm_round(
             // wait at barriers.
             let mut any_released = false;
             for b in blocks.iter_mut() {
-                let alive = b.warps.iter().filter(|w| !w.done).count();
-                let waiting = b.warps.iter().filter(|w| w.at_barrier).count();
+                let warps = &mut b.scratch.warps;
+                let alive = warps.iter().filter(|w| !w.done).count();
+                let waiting = warps.iter().filter(|w| w.at_barrier).count();
                 if alive > 0 && waiting == alive {
                     const BARRIER_COST: u64 = 40;
-                    let release = b
-                        .warps
+                    let release = warps
                         .iter()
                         .filter(|w| w.at_barrier)
                         .map(|w| w.clock)
                         .max()
                         .unwrap();
-                    for w in b.warps.iter_mut().filter(|w| w.at_barrier) {
+                    for w in warps.iter_mut().filter(|w| w.at_barrier) {
                         w.at_barrier = false;
                         w.clock = w.clock.max(release) + BARRIER_COST;
                     }
@@ -117,38 +113,27 @@ pub fn run_sm_round(
             .min_by_key(|(_, &t)| t)
             .map(|(i, _)| i)
             .unwrap();
-        {
-            let b = &mut blocks[bi];
-            let w = &mut b.warps[wi];
-            w.clock = w.clock.max(ports[port_i]);
-            let ctx = BlockCtx {
-                dev,
-                func,
-                global,
-                const_mem,
-                params,
-                block_dim,
-                grid_dim,
-                block_idx: b.block_idx,
-                dynamic_shared,
-                timing: true,
-                trace: false,
-                tex_bindings,
-                racecheck: false,
-                strict_barriers: false,
-            };
-            match warp_step(&ctx, w, &pdom, &mut b.shared, &mut b.bstate)? {
-                StepOutcome::Continue | StepOutcome::Barrier | StepOutcome::Done => (),
-            };
-            let (t_issue, issue) = w.last_issue;
-            ports[port_i] = ports[port_i].max(t_issue) + issue.max(1);
-        }
+        let b = &mut blocks[bi];
+        let w = &mut b.scratch.warps[wi];
+        w.clock = w.clock.max(ports[port_i]);
+        // One instruction; whether the warp went on, parked or retired
+        // shows in its flags.
+        run_warp::<true>(
+            &env,
+            b.block_idx,
+            w,
+            &mut b.scratch.shared,
+            &mut b.scratch.state,
+            1,
+        )?;
+        let (t_issue, issue) = w.last_issue;
+        ports[port_i] = ports[port_i].max(t_issue) + issue.max(1);
     }
 
     let mut stats = ExecStats::default();
     let mut cycles = 0u64;
     for b in &blocks {
-        for w in &b.warps {
+        for w in &b.scratch.warps {
             stats.accumulate(&w.stats);
             cycles = cycles.max(w.clock);
         }

@@ -1,27 +1,34 @@
-//! Functional SIMT interpreter with integrated scoreboard timing.
+//! Functional SIMT executor with integrated scoreboard timing.
 //!
-//! Warps execute in lockstep using the classic post-dominator
-//! reconvergence stack (the same mechanism real NVIDIA hardware and
-//! GPGPU-Sim use): a divergent branch pushes per-path frames whose masks
-//! partition the warp; a frame pops when it reaches its reconvergence
-//! block (the branch's immediate post-dominator).
+//! Warps execute a decoded [`LaunchPlan`] in lockstep using the classic
+//! post-dominator reconvergence stack (the same mechanism real NVIDIA
+//! hardware and GPGPU-Sim use): a divergent branch pushes per-path frames
+//! whose masks partition the warp; a frame pops when it reaches its
+//! reconvergence pc (the branch's immediate post-dominator).
 //!
-//! Timing is collected per warp with a register scoreboard: each virtual
+//! There is one executor body, [`run_warp`], compiled twice. With
+//! `TIMING = true` it keeps a per-warp register scoreboard — each
 //! register carries a ready-time, so independent instructions issue
-//! back-to-back (ILP — this is what makes register blocking pay off) while
-//! dependent chains stall for the producer's latency.
+//! back-to-back (ILP — this is what makes register blocking pay off)
+//! while dependent chains stall for the producer's latency — plus the
+//! coalescing, bank-conflict and line-reuse models and every `ExecStats`
+//! counter. With `TIMING = false` all of that compiles out and only the
+//! architectural effects remain: register and memory contents, control
+//! flow, and every trap. Arithmetic runs over whole 32-lane rows with the
+//! op matched once per warp-instruction; inactive lanes are computed and
+//! not written back, so only ops that can trap look at lanes one by one.
 
 // Lockstep lane loops index fixed 32-wide arrays by lane id on purpose;
 // iterator adapters would obscure the SIMT structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::device::DeviceConfig;
-use crate::mem::{bank_conflict_degree, coalesce_transactions, GLOBAL_BASE};
-use ks_ir::cfg::{ipdoms, Cfg};
-use ks_ir::{
-    Address, BinOp, BlockId, CmpOp, Function, Inst, Operand, Space, SpecialReg, Terminator, Ty,
-    UnOp,
+use crate::device::{DeviceConfig, IssueClass, LatencyClass};
+use crate::mem::{bank_conflict_degree, coalesce_transactions, line_of, LineSet, GLOBAL_BASE};
+use crate::plan::{
+    BinKind, Branch, CmpDomain, CvtKind, Kind, LaunchPlan, MadKind, Op, Row, UnKind, Unit, NONE,
 };
+use crate::racecheck::ShmemTracker;
+use ks_ir::{CmpOp, Space, SpecialReg};
 
 /// A simulation trap (the analogue of a CUDA launch error).
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +105,7 @@ impl GlobalView {
     #[inline]
     fn write_u32(&self, addr: u64, v: u32) -> Result<(), SimError> {
         let off = self.check(addr)?;
+        // SAFETY: as for `read_u32`.
         unsafe {
             let p = self.base.add(off) as *mut u32;
             p.write_unaligned(v);
@@ -169,33 +177,31 @@ impl ExecStats {
 }
 
 /// A reconvergence-stack frame.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Frame {
-    block: BlockId,
-    inst: usize,
-    reconv: Option<BlockId>,
+    pc: u32,
+    /// Pc at which this frame pops ([`NONE`] for the bottom frame).
+    reconv: u32,
     mask: u32,
 }
 
-/// Why a warp stopped executing.
+/// Why [`run_warp`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WarpStop {
-    Done,
-    Barrier,
-}
-
-/// Outcome of a single-instruction step (event-driven scheduling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StepOutcome {
-    Continue,
+    /// The instruction budget ran out; the warp can go on.
+    Budget,
     Barrier,
     Done,
 }
 
+/// One warp's architectural and scoreboard state. Lives in a
+/// [`BlockScratch`] and is reset, not rebuilt, for every block.
 pub(crate) struct Warp {
     /// First linear thread id covered by this warp.
     base_tid: u32,
-    regs: Vec<u64>,
+    /// Lanes that exist (a block's last warp may be partial).
+    lanes_mask: u32,
+    regs: Vec<Row>,
     stack: Vec<Frame>,
     pub(crate) done: bool,
     pub(crate) at_barrier: bool,
@@ -213,56 +219,119 @@ pub(crate) struct Warp {
 }
 
 impl Warp {
-    pub(crate) fn new(
-        base_tid: u32,
-        lanes: u32,
-        nv: usize,
-        local_bytes: u32,
-        timing: bool,
-    ) -> Warp {
-        let full_mask = if lanes == 32 {
-            u32::MAX
-        } else {
-            (1u32 << lanes) - 1
+    /// Back to "about to execute pc 0 of a fresh block". Registers keep
+    /// their contents except where the plan says a read can come first.
+    fn reset(&mut self, plan: &LaunchPlan) {
+        for &r in &plan.entry_live {
+            self.regs[r as usize] = [0; 32];
+        }
+        self.stack.clear();
+        self.stack.push(Frame {
+            pc: 0,
+            reconv: NONE,
+            mask: self.lanes_mask,
+        });
+        self.done = false;
+        self.at_barrier = false;
+        self.clock = 0;
+        self.reg_ready.fill(0);
+        self.store_ready = [0; 3];
+        self.stats = ExecStats::default();
+        self.local.fill(0);
+        self.last_issue = (0, 0);
+    }
+}
+
+/// Per-block memory-model state.
+pub(crate) struct BlockState {
+    /// Lines already fetched by this block (the read-cache model).
+    seen_lines: LineSet,
+    /// Shared-memory race tracker, present when the launch asked for
+    /// racecheck instrumentation.
+    shmem: Option<ShmemTracker>,
+}
+
+/// Everything mutable one thread block executes on: warps, shared memory
+/// and the block-level models. A launch worker owns one and runs its
+/// blocks through it one after another.
+pub(crate) struct BlockScratch {
+    pub(crate) warps: Vec<Warp>,
+    pub(crate) shared: Vec<u8>,
+    pub(crate) state: BlockState,
+}
+
+impl BlockScratch {
+    /// Scratch for blocks of `env`'s geometry, ready to run one, timed or
+    /// not.
+    pub(crate) fn new(env: &LaunchEnv<'_>) -> BlockScratch {
+        let plan = env.plan;
+        let (bx, by, bz) = env.block_dim;
+        let threads = bx * by * bz;
+        let warps = (0..threads.div_ceil(32))
+            .map(|w| {
+                let base_tid = w * 32;
+                let lanes = (threads - base_tid).min(32);
+                Warp {
+                    base_tid,
+                    lanes_mask: if lanes == 32 {
+                        u32::MAX
+                    } else {
+                        (1u32 << lanes) - 1
+                    },
+                    regs: vec![[0; 32]; plan.num_vregs],
+                    stack: Vec::new(),
+                    done: false,
+                    at_barrier: false,
+                    clock: 0,
+                    reg_ready: vec![0; plan.num_vregs],
+                    store_ready: [0; 3],
+                    stats: ExecStats::default(),
+                    local: vec![0; plan.local_bytes as usize * 32],
+                    last_issue: (0, 0),
+                }
+            })
+            .collect();
+        let mut scratch = BlockScratch {
+            warps,
+            shared: vec![0; (plan.shared_bytes + env.dynamic_shared) as usize],
+            state: BlockState {
+                seen_lines: LineSet::default(),
+                shmem: env.racecheck.then(ShmemTracker::new),
+            },
         };
-        Warp {
-            base_tid,
-            regs: vec![0u64; nv * 32],
-            stack: vec![Frame {
-                block: BlockId(0),
-                inst: 0,
-                reconv: None,
-                mask: full_mask,
-            }],
-            done: false,
-            at_barrier: false,
-            clock: 0,
-            reg_ready: vec![0u64; if timing { nv } else { 0 }],
-            store_ready: [0; 3],
-            stats: ExecStats::default(),
-            local: vec![0u8; (local_bytes as usize) * 32],
-            last_issue: (0, 0),
+        scratch.reset(plan);
+        scratch
+    }
+
+    /// Make the scratch indistinguishable from a new one, as far as a
+    /// block can observe.
+    pub(crate) fn reset(&mut self, plan: &LaunchPlan) {
+        for w in &mut self.warps {
+            w.reset(plan);
+        }
+        self.shared.fill(0);
+        self.state.seen_lines.clear();
+        if let Some(tr) = self.state.shmem.as_mut() {
+            tr.barrier();
         }
     }
 }
 
-/// Everything needed to run one thread block.
-pub struct BlockCtx<'a> {
+/// What every block of a launch shares.
+pub(crate) struct LaunchEnv<'a> {
     pub dev: &'a DeviceConfig,
-    pub func: &'a Function,
+    pub plan: &'a LaunchPlan,
     pub global: GlobalView,
     pub const_mem: &'a [u8],
     pub params: &'a [u8],
     /// Device base address bound to each module texture reference
-    /// (indexed by `Inst::Tex.tex`).
+    /// (indexed by a `Kind::Tex` op's `imm`; 0 = unbound).
     pub tex_bindings: &'a [u64],
     pub block_dim: (u32, u32, u32),
     pub grid_dim: (u32, u32, u32),
-    pub block_idx: (u32, u32, u32),
     pub dynamic_shared: u32,
-    /// Collect scoreboard timing (slightly slower).
-    pub timing: bool,
-    /// Print a per-instruction issue trace for warp 0 (debugging).
+    /// Print a per-instruction issue trace for warp 0 of timed blocks
+    /// (debugging).
     pub trace: bool,
     /// Track per-word shared-memory access sets between barriers and fail
     /// on cross-warp hazards (`LaunchOptions::racecheck`).
@@ -271,81 +340,51 @@ pub struct BlockCtx<'a> {
     /// returned while others wait — instead of releasing the stragglers
     /// (`LaunchOptions::strict_barriers`).
     pub strict_barriers: bool,
+    pub costs: Costs,
 }
 
-fn sext32(v: u32) -> u64 {
-    v as i32 as i64 as u64
+/// The device's cycles per cost class, looked up once per launch.
+pub(crate) struct Costs {
+    issue: [u64; IssueClass::ALL.len()],
+    latency: [u64; LatencyClass::ALL.len()],
 }
 
-/// Execute one thread block to completion. Returns aggregated stats.
-pub fn run_block(ctx: &BlockCtx<'_>) -> Result<ExecStats, SimError> {
-    let f = ctx.func;
-    let cfg = Cfg::build(f);
-    let pdom = ipdoms(f, &cfg);
-    run_block_with(ctx, &cfg, &pdom)
-}
-
-/// Execute one block with precomputed CFG analyses (hot path for launches).
-pub struct BlockState {
-    seen_lines: std::collections::HashSet<u64>,
-    /// Shared-memory race tracker, present when the launch asked for
-    /// racecheck instrumentation.
-    pub(crate) shmem: Option<crate::racecheck::ShmemTracker>,
-}
-
-impl BlockState {
-    pub fn new() -> BlockState {
-        BlockState {
-            seen_lines: std::collections::HashSet::new(),
-            shmem: None,
-        }
-    }
-
-    pub fn for_ctx(ctx: &BlockCtx<'_>) -> BlockState {
-        BlockState {
-            seen_lines: std::collections::HashSet::new(),
-            shmem: ctx.racecheck.then(crate::racecheck::ShmemTracker::new),
+impl Costs {
+    pub(crate) fn new(dev: &DeviceConfig) -> Costs {
+        Costs {
+            issue: IssueClass::ALL.map(|c| dev.issue_cycles(c)),
+            latency: LatencyClass::ALL.map(|c| dev.dep_latency(c)),
         }
     }
 }
 
-impl Default for BlockState {
-    fn default() -> Self {
-        BlockState::new()
-    }
-}
+/// Dynamic instructions one warp may execute between two barriers.
+const STEP_LIMIT: u64 = 2_000_000_000;
 
-/// Execute one block with precomputed CFG analyses (hot path for launches).
-pub fn run_block_with(
-    ctx: &BlockCtx<'_>,
-    _cfg: &Cfg,
-    pdom: &[Option<BlockId>],
+/// Execute one thread block to completion on `scratch`. Returns the
+/// block's stats — all zero unless `TIMING`.
+pub(crate) fn run_block<const TIMING: bool>(
+    env: &LaunchEnv<'_>,
+    block_idx: (u32, u32, u32),
+    scratch: &mut BlockScratch,
 ) -> Result<ExecStats, SimError> {
-    let f = ctx.func;
-    let (bx, by, bz) = ctx.block_dim;
+    let (bx, by, bz) = env.block_dim;
     let threads = bx * by * bz;
     if threads == 0 {
         return Err(SimError("empty thread block".into()));
     }
-    if threads > ctx.dev.max_threads_per_block {
+    if threads > env.dev.max_threads_per_block {
         return Err(SimError(format!(
             "block of {threads} threads exceeds device limit {}",
-            ctx.dev.max_threads_per_block
+            env.dev.max_threads_per_block
         )));
     }
-    let nv = f.num_vregs();
-    let shared_bytes = f.shared_bytes() + ctx.dynamic_shared;
-    let mut shared = vec![0u8; shared_bytes as usize];
-
-    let mut bstate = BlockState::for_ctx(ctx);
-    let warp_count = threads.div_ceil(32);
-    let mut warps: Vec<Warp> = (0..warp_count)
-        .map(|w| {
-            let base_tid = w * 32;
-            let lanes = (threads - base_tid).min(32);
-            Warp::new(base_tid, lanes, nv, f.local_bytes, ctx.timing)
-        })
-        .collect();
+    scratch.reset(env.plan);
+    let BlockScratch {
+        warps,
+        shared,
+        state,
+    } = scratch;
 
     // Round-robin warps between barriers.
     loop {
@@ -358,9 +397,9 @@ pub fn run_block_with(
             }
             all_done = false;
             any_progress = true;
-            match exec_warp(ctx, w, pdom, &mut shared, &mut bstate)? {
-                WarpStop::Done => w.done = true,
-                WarpStop::Barrier => w.at_barrier = true,
+            if run_warp::<TIMING>(env, block_idx, w, shared, state, STEP_LIMIT)? == WarpStop::Budget
+            {
+                return Err(SimError("kernel exceeded dynamic instruction limit".into()));
             }
         }
         if all_done {
@@ -370,7 +409,7 @@ pub fn run_block_with(
             // Everyone alive is at a barrier: release it. Beyond syncing
             // the clocks, a barrier costs a drain/notify latency on real
             // hardware (~tens of cycles).
-            if ctx.strict_barriers && warps.iter().any(|w| w.done) {
+            if env.strict_barriers && warps.iter().any(|w| w.done) {
                 let waiting = warps.iter().filter(|w| w.at_barrier).count();
                 let exited = warps.iter().filter(|w| w.done).count();
                 return Err(SimError(format!(
@@ -379,7 +418,7 @@ pub fn run_block_with(
                 )));
             }
             // A full barrier orders all shared-memory accesses before it.
-            if let Some(tr) = bstate.shmem.as_mut() {
+            if let Some(tr) = state.shmem.as_mut() {
                 tr.barrier();
             }
             const BARRIER_COST: u64 = 40;
@@ -393,8 +432,9 @@ pub fn run_block_with(
             for w in warps.iter_mut() {
                 if w.at_barrier {
                     w.at_barrier = false;
-                    w.clock =
-                        w.clock.max(release_clock) + if ctx.timing { BARRIER_COST } else { 0 };
+                    if TIMING {
+                        w.clock = w.clock.max(release_clock) + BARRIER_COST;
+                    }
                     any = true;
                 }
             }
@@ -405,220 +445,413 @@ pub fn run_block_with(
     }
 
     let mut total = ExecStats::default();
-    for w in &warps {
-        total.accumulate(&w.stats);
+    if TIMING {
+        for w in warps.iter() {
+            total.accumulate(&w.stats);
+        }
     }
     Ok(total)
 }
 
-/// Execute a warp until it finishes or reaches a barrier.
-fn exec_warp(
-    ctx: &BlockCtx<'_>,
+/// Execute a warp until it finishes, parks at a barrier, or has issued
+/// `budget` instructions (terminators count, reconvergence pops do not).
+/// The event scheduler interleaves warps with a budget of one.
+pub(crate) fn run_warp<const TIMING: bool>(
+    env: &LaunchEnv<'_>,
+    block_idx: (u32, u32, u32),
     w: &mut Warp,
-    pdom: &[Option<BlockId>],
     shared: &mut [u8],
-    bstate: &mut BlockState,
+    state: &mut BlockState,
+    mut budget: u64,
 ) -> Result<WarpStop, SimError> {
-    let mut steps: u64 = 0;
-    const STEP_LIMIT: u64 = 2_000_000_000;
+    let ops = &env.plan.ops[..];
     loop {
-        steps += 1;
-        if steps > STEP_LIMIT {
-            return Err(SimError("kernel exceeded dynamic instruction limit".into()));
+        if budget == 0 {
+            return Ok(WarpStop::Budget);
         }
-        match warp_step(ctx, w, pdom, shared, bstate)? {
-            StepOutcome::Continue => {}
-            StepOutcome::Barrier => return Ok(WarpStop::Barrier),
-            StepOutcome::Done => return Ok(WarpStop::Done),
-        }
-    }
-}
-
-/// Execute at most one instruction (or one terminator / reconvergence pop)
-/// of a warp. The event scheduler interleaves warps at this granularity.
-pub(crate) fn warp_step(
-    ctx: &BlockCtx<'_>,
-    w: &mut Warp,
-    pdom: &[Option<BlockId>],
-    shared: &mut [u8],
-    bstate: &mut BlockState,
-) -> Result<StepOutcome, SimError> {
-    let f = ctx.func;
-    // Pop any frames already sitting at their reconvergence point, then
-    // execute exactly one instruction or terminator.
-    loop {
-        let Some(frame) = w.stack.last() else {
+        let Some(&Frame {
+            mut pc,
+            reconv,
+            mask,
+        }) = w.stack.last()
+        else {
             w.done = true;
-            return Ok(StepOutcome::Done);
+            return Ok(WarpStop::Done);
         };
         // Pop frames that reached their reconvergence point.
-        if frame.inst == 0 && Some(frame.block) == frame.reconv {
+        if pc == reconv {
             w.stack.pop();
             continue;
         }
-        let (block, inst_idx, mask) = (frame.block, frame.inst, frame.mask);
-        let bb = f.block(block);
-        if inst_idx < bb.insts.len() {
-            let inst = &bb.insts[inst_idx];
-            w.stack.last_mut().unwrap().inst += 1;
-            if let Inst::Bar = inst {
-                w.stats.barriers += 1;
-                w.stats.dyn_insts += 1;
-                if ctx.timing {
-                    // Pipeline bubble while the warp parks at the barrier.
-                    w.clock += 8;
-                    w.stats.issue_cycles += 8;
+        // Straight-line ops of this frame. Only a branch can land on a
+        // reconvergence pc, so the frame is re-examined after each.
+        loop {
+            let op = &ops[pc as usize];
+            pc += 1;
+            budget -= 1;
+            match op.kind {
+                Kind::Bar => {
+                    w.stack.last_mut().expect("frame").pc = pc;
+                    if TIMING {
+                        w.stats.barriers += 1;
+                        w.stats.dyn_insts += 1;
+                        // Pipeline bubble while the warp parks at the barrier.
+                        w.clock += 8;
+                        w.stats.issue_cycles += 8;
+                    }
+                    if w.stack.len() > 1 {
+                        return Err(SimError("__syncthreads() in divergent control flow".into()));
+                    }
+                    w.at_barrier = true;
+                    return Ok(WarpStop::Barrier);
                 }
-                if w.stack.len() > 1 {
-                    return Err(SimError("__syncthreads() in divergent control flow".into()));
+                Kind::Ret => {
+                    if w.stack.len() > 1 {
+                        return Err(SimError(
+                            "divergent return (should reconverge first)".into(),
+                        ));
+                    }
+                    if TIMING {
+                        w.stats.isolated_cycles = w.clock;
+                    }
+                    w.done = true;
+                    return Ok(WarpStop::Done);
                 }
-                w.at_barrier = true;
-                return Ok(StepOutcome::Barrier);
-            }
-            exec_inst(ctx, w, inst, mask, shared, bstate)?;
-            return Ok(StepOutcome::Continue);
-        }
-        // Terminator.
-        w.stack.last_mut().unwrap().inst = usize::MAX; // consumed; reset on branch
-        match &bb.term {
-            Terminator::Ret => {
-                if w.stack.len() > 1 {
-                    return Err(SimError(
-                        "divergent return (should reconverge first)".into(),
-                    ));
+                Kind::Br => {
+                    if TIMING {
+                        w.stats.branches += 1;
+                        w.stats.dyn_insts += 1;
+                        w.last_issue = (w.clock, 1);
+                        w.clock += 1;
+                    }
+                    w.stack.last_mut().expect("frame").pc = op.imm as u32;
+                    break;
                 }
-                if ctx.timing {
-                    w.stats.isolated_cycles = w.clock;
-                }
-                w.done = true;
-                return Ok(StepOutcome::Done);
-            }
-            Terminator::Br { target } => {
-                w.stats.branches += 1;
-                w.stats.dyn_insts += 1;
-                if ctx.timing {
-                    w.last_issue = (w.clock, 1);
-                    w.clock += 1;
-                }
-                let fr = w.stack.last_mut().unwrap();
-                fr.block = *target;
-                fr.inst = 0;
-                return Ok(StepOutcome::Continue);
-            }
-            Terminator::CondBr {
-                pred,
-                negate,
-                then_t,
-                else_t,
-            } => {
-                w.stats.branches += 1;
-                w.stats.dyn_insts += 1;
-                if ctx.timing {
-                    let ready = w.reg_ready[pred.0 as usize];
-                    let t = w.clock.max(ready);
-                    w.last_issue = (t, 1);
-                    w.clock = t + 1;
-                }
-                let mut taken = 0u32;
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let v = w.regs[pred.0 as usize * 32 + lane] != 0;
-                        if v ^ negate {
-                            taken |= 1 << lane;
+                Kind::CondBr { negate } => {
+                    let Branch {
+                        then_pc,
+                        else_pc,
+                        reconv: join,
+                    } = env.plan.branches[op.imm as usize];
+                    if TIMING {
+                        w.stats.branches += 1;
+                        w.stats.dyn_insts += 1;
+                        let t = w.clock.max(w.reg_ready[op.a as usize]);
+                        w.last_issue = (t, 1);
+                        w.clock = t + 1;
+                    }
+                    let pred = &w.regs[op.a as usize];
+                    let mut taken = 0u32;
+                    for lane in 0..32 {
+                        taken |= u32::from((pred[lane] != 0) ^ negate) << lane;
+                    }
+                    taken &= mask;
+                    let not_taken = mask & !taken;
+                    let fr = w.stack.last_mut().expect("frame");
+                    if not_taken == 0 {
+                        fr.pc = then_pc;
+                    } else if taken == 0 {
+                        fr.pc = else_pc;
+                    } else {
+                        // Divergence: current frame becomes the reconvergence
+                        // continuation; push else then then (then runs first).
+                        if TIMING {
+                            w.stats.divergent_branches += 1;
                         }
+                        if join == NONE {
+                            return Err(SimError(format!(
+                                "divergent branch in {} without a reconvergence point",
+                                env.plan.block_of(pc - 1)
+                            )));
+                        }
+                        fr.pc = join;
+                        w.stack.push(Frame {
+                            pc: else_pc,
+                            reconv: join,
+                            mask: not_taken,
+                        });
+                        w.stack.push(Frame {
+                            pc: then_pc,
+                            reconv: join,
+                            mask: taken,
+                        });
+                    }
+                    break;
+                }
+                _ => {
+                    exec_op::<TIMING>(env, block_idx, w, op, pc - 1, mask, shared, state)?;
+                    if budget == 0 {
+                        w.stack.last_mut().expect("frame").pc = pc;
+                        return Ok(WarpStop::Budget);
                     }
                 }
-                let not_taken = mask & !taken;
-                let fr = w.stack.last_mut().unwrap();
-                if not_taken == 0 {
-                    fr.block = *then_t;
-                    fr.inst = 0;
-                } else if taken == 0 {
-                    fr.block = *else_t;
-                    fr.inst = 0;
-                } else {
-                    // Divergence: current frame becomes the reconvergence
-                    // continuation; push else then then (then runs first).
-                    w.stats.divergent_branches += 1;
-                    let reconv = pdom[block.0 as usize];
-                    let Some(r) = reconv else {
-                        return Err(SimError(format!(
-                            "divergent branch in {} without a reconvergence point",
-                            block
-                        )));
-                    };
-                    fr.block = r;
-                    fr.inst = 0;
-                    let parent_reconv = fr.reconv;
-                    // If the reconvergence point of the parent equals r the
-                    // parent frame will pop right after.
-                    let _ = parent_reconv;
-                    w.stack.push(Frame {
-                        block: *else_t,
-                        inst: 0,
-                        reconv: Some(r),
-                        mask: not_taken,
-                    });
-                    w.stack.push(Frame {
-                        block: *then_t,
-                        inst: 0,
-                        reconv: Some(r),
-                        mask: taken,
-                    });
-                }
-                return Ok(StepOutcome::Continue);
             }
         }
     }
 }
 
-#[inline]
-fn operand_bits(w: &Warp, o: &Operand, lane: usize) -> u64 {
-    match o {
-        Operand::Reg(r) => w.regs[r.0 as usize * 32 + lane],
-        Operand::ImmI(v) => *v as u64,
-        Operand::ImmF(v) => v.to_bits() as u64,
+/// Store-to-load forwarding slot of a space (`Warp::store_ready`).
+fn store_slot(space: Space) -> Option<usize> {
+    match space {
+        Space::Global => Some(0),
+        Space::Shared => Some(1),
+        Space::Local => Some(2),
+        Space::Const | Space::Param => None,
     }
 }
 
-#[inline]
-fn src_ready(w: &Warp, o: &Operand) -> u64 {
-    match o {
-        Operand::Reg(r) => w.reg_ready[r.0 as usize],
-        _ => 0,
+/// Indices of the set bits of `mask`, ascending.
+#[inline(always)]
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+#[inline(always)]
+fn map1(out: &mut Row, a: &Row, f: impl Fn(u64) -> u64) {
+    for lane in 0..32 {
+        out[lane] = f(a[lane]);
     }
 }
 
-fn exec_inst(
-    ctx: &BlockCtx<'_>,
+#[inline(always)]
+fn map2(out: &mut Row, a: &Row, b: &Row, f: impl Fn(u64, u64) -> u64) {
+    for lane in 0..32 {
+        out[lane] = f(a[lane], b[lane]);
+    }
+}
+
+#[inline(always)]
+fn map3(out: &mut Row, a: &Row, b: &Row, c: &Row, f: impl Fn(u64, u64, u64) -> u64) {
+    for lane in 0..32 {
+        out[lane] = f(a[lane], b[lane], c[lane]);
+    }
+}
+
+/// 32-bit integer division or remainder over the active lanes; a zero
+/// divisor in an active lane traps, inactive lanes are not looked at.
+#[inline(always)]
+fn div_rows(
+    out: &mut Row,
+    a: &Row,
+    b: &Row,
+    mask: u32,
+    what: &str,
+    f: impl Fn(u32, u32) -> u64,
+) -> Result<(), SimError> {
+    for lane in lanes(mask) {
+        let (x, y) = (a[lane] as u32, b[lane] as u32);
+        if y == 0 {
+            return Err(SimError(format!("{what} by zero")));
+        }
+        out[lane] = f(x, y);
+    }
+    Ok(())
+}
+
+#[inline(always)]
+fn f32_of(x: u64) -> f32 {
+    f32::from_bits(x as u32)
+}
+
+#[inline(always)]
+fn of_f32(v: f32) -> u64 {
+    v.to_bits() as u64
+}
+
+#[inline(always)]
+fn sext32(v: u32) -> u64 {
+    v as i32 as i64 as u64
+}
+
+/// Extend a 32-bit integer result into its 64-bit lane.
+#[inline(always)]
+fn ext32(v: u32, signed: bool) -> u64 {
+    if signed {
+        sext32(v)
+    } else {
+        v as u64
+    }
+}
+
+/// A 32-bit register value added to a pointer is sign-extended; a full
+/// 64-bit immediate passes through.
+#[inline(always)]
+fn sext_operand(v: u64) -> u64 {
+    if v <= u32::MAX as u64 {
+        sext32(v as u32)
+    } else {
+        v
+    }
+}
+
+fn bin_rows(out: &mut Row, kind: BinKind, a: &Row, b: &Row, mask: u32) -> Result<(), SimError> {
+    use BinKind::*;
+    let u = |x: u64| x as u32;
+    let s = |x: u64| x as u32 as i32;
+    match kind {
+        FAdd => map2(out, a, b, |x, y| of_f32(f32_of(x) + f32_of(y))),
+        FSub => map2(out, a, b, |x, y| of_f32(f32_of(x) - f32_of(y))),
+        FMul => map2(out, a, b, |x, y| of_f32(f32_of(x) * f32_of(y))),
+        FDiv => map2(out, a, b, |x, y| of_f32(f32_of(x) / f32_of(y))),
+        FMin => map2(out, a, b, |x, y| of_f32(f32_of(x).min(f32_of(y)))),
+        FMax => map2(out, a, b, |x, y| of_f32(f32_of(x).max(f32_of(y)))),
+        UAdd => map2(out, a, b, |x, y| u(x).wrapping_add(u(y)) as u64),
+        USub => map2(out, a, b, |x, y| u(x).wrapping_sub(u(y)) as u64),
+        UMul => map2(out, a, b, |x, y| u(x).wrapping_mul(u(y)) as u64),
+        UMul24 => map2(out, a, b, |x, y| {
+            (u(x) & 0xFF_FFFF).wrapping_mul(u(y) & 0xFF_FFFF) as u64
+        }),
+        UDiv => div_rows(out, a, b, mask, "division", |x, y| (x / y) as u64)?,
+        URem => div_rows(out, a, b, mask, "remainder", |x, y| (x % y) as u64)?,
+        UMin => map2(out, a, b, |x, y| u(x).min(u(y)) as u64),
+        UMax => map2(out, a, b, |x, y| u(x).max(u(y)) as u64),
+        UAnd => map2(out, a, b, |x, y| (u(x) & u(y)) as u64),
+        UOr => map2(out, a, b, |x, y| (u(x) | u(y)) as u64),
+        UXor => map2(out, a, b, |x, y| (u(x) ^ u(y)) as u64),
+        UShl => map2(out, a, b, |x, y| u(x).wrapping_shl(u(y) & 31) as u64),
+        UShr => map2(out, a, b, |x, y| u(x).wrapping_shr(u(y) & 31) as u64),
+        SAdd => map2(out, a, b, |x, y| sext32(u(x).wrapping_add(u(y)))),
+        SSub => map2(out, a, b, |x, y| sext32(u(x).wrapping_sub(u(y)))),
+        SMul => map2(out, a, b, |x, y| sext32(u(x).wrapping_mul(u(y)))),
+        SMul24 => map2(out, a, b, |x, y| {
+            sext32((u(x) & 0xFF_FFFF).wrapping_mul(u(y) & 0xFF_FFFF))
+        }),
+        SDiv => div_rows(out, a, b, mask, "division", |x, y| {
+            sext32((x as i32).wrapping_div(y as i32) as u32)
+        })?,
+        SRem => div_rows(out, a, b, mask, "remainder", |x, y| {
+            sext32((x as i32).wrapping_rem(y as i32) as u32)
+        })?,
+        SMin => map2(out, a, b, |x, y| sext32(s(x).min(s(y)) as u32)),
+        SMax => map2(out, a, b, |x, y| sext32(s(x).max(s(y)) as u32)),
+        SAnd => map2(out, a, b, |x, y| sext32(u(x) & u(y))),
+        SOr => map2(out, a, b, |x, y| sext32(u(x) | u(y))),
+        SXor => map2(out, a, b, |x, y| sext32(u(x) ^ u(y))),
+        SShl => map2(out, a, b, |x, y| sext32(u(x).wrapping_shl(u(y) & 31))),
+        SShr => map2(
+            out,
+            a,
+            b,
+            |x, y| sext32(s(x).wrapping_shr(u(y) & 31) as u32),
+        ),
+        PtrAdd => map2(out, a, b, |x, y| x.wrapping_add(sext_operand(y))),
+        PtrSub => map2(out, a, b, |x, y| x.wrapping_sub(sext_operand(y))),
+        PredAnd => map2(out, a, b, |x, y| u64::from((x != 0) && (y != 0))),
+        PredOr => map2(out, a, b, |x, y| u64::from((x != 0) || (y != 0))),
+        PredXor => map2(out, a, b, |x, y| u64::from((x != 0) ^ (y != 0))),
+    }
+    Ok(())
+}
+
+fn un_rows(out: &mut Row, kind: UnKind, a: &Row) {
+    let s = |x: u64| x as u32 as i32;
+    match kind {
+        UnKind::FNeg => map1(out, a, |x| of_f32(-f32_of(x))),
+        UnKind::FAbs => map1(out, a, |x| of_f32(f32_of(x).abs())),
+        UnKind::FSqrt => map1(out, a, |x| of_f32(f32_of(x).sqrt())),
+        UnKind::FRsqrt => map1(out, a, |x| of_f32(1.0 / f32_of(x).sqrt())),
+        UnKind::FFloor => map1(out, a, |x| of_f32(f32_of(x).floor())),
+        UnKind::FNot => map1(out, a, |x| !(x as u32) as u64),
+        UnKind::PredNot => map1(out, a, |x| u64::from(x == 0)),
+        UnKind::PredZero => *out = [0; 32],
+        UnKind::INeg { signed } => map1(out, a, |x| ext32(s(x).wrapping_neg() as u32, signed)),
+        UnKind::INot { signed } => map1(out, a, |x| ext32(!(x as u32), signed)),
+        UnKind::IAbs { signed } => map1(out, a, |x| ext32(s(x).wrapping_abs() as u32, signed)),
+        UnKind::ILow { signed } => map1(out, a, |x| ext32(x as u32, signed)),
+    }
+}
+
+fn cmp_rows<T: PartialOrd>(out: &mut Row, cmp: CmpOp, a: &Row, b: &Row, conv: impl Fn(u64) -> T) {
+    match cmp {
+        CmpOp::Eq => map2(out, a, b, |x, y| u64::from(conv(x) == conv(y))),
+        CmpOp::Ne => map2(out, a, b, |x, y| u64::from(conv(x) != conv(y))),
+        CmpOp::Lt => map2(out, a, b, |x, y| u64::from(conv(x) < conv(y))),
+        CmpOp::Le => map2(out, a, b, |x, y| u64::from(conv(x) <= conv(y))),
+        CmpOp::Gt => map2(out, a, b, |x, y| u64::from(conv(x) > conv(y))),
+        CmpOp::Ge => map2(out, a, b, |x, y| u64::from(conv(x) >= conv(y))),
+    }
+}
+
+fn cvt_rows(out: &mut Row, kind: CvtKind, a: &Row) {
+    match kind {
+        CvtKind::SToF => map1(out, a, |x| of_f32((x as u32 as i32) as f32)),
+        CvtKind::UToF => map1(out, a, |x| of_f32((x as u32) as f32)),
+        CvtKind::FToS => map1(out, a, |x| sext32((f32_of(x) as i32) as u32)),
+        CvtKind::FToU => map1(out, a, |x| (f32_of(x) as u32) as u64),
+        CvtKind::Sext => map1(out, a, |x| sext32(x as u32)),
+        CvtKind::Zext => map1(out, a, |x| (x as u32) as u64),
+        CvtKind::Copy => *out = *a,
+    }
+}
+
+/// The row an operand names: a register, or past them an immediate.
+#[inline(always)]
+fn source_row<'a>(regs: &'a [Row], imm_rows: &'a [Row], src: u32) -> &'a Row {
+    let i = src as usize;
+    match regs.get(i) {
+        Some(r) => r,
+        None => &imm_rows[i - regs.len()],
+    }
+}
+
+/// Write `out` to the active lanes of `dst`.
+#[inline(always)]
+fn write_row(dst: &mut Row, mask: u32, out: &Row) {
+    if mask == u32::MAX {
+        *dst = *out;
+    } else {
+        for lane in 0..32 {
+            if mask & (1 << lane) != 0 {
+                dst[lane] = out[lane];
+            }
+        }
+    }
+}
+
+/// Execute one non-control op for the lanes in `mask`.
+#[allow(clippy::too_many_arguments)]
+fn exec_op<const TIMING: bool>(
+    env: &LaunchEnv<'_>,
+    block_idx: (u32, u32, u32),
     w: &mut Warp,
-    inst: &Inst,
+    op: &Op,
+    pc: u32,
     mask: u32,
     shared: &mut [u8],
-    bstate: &mut BlockState,
+    state: &mut BlockState,
 ) -> Result<(), SimError> {
-    w.stats.dyn_insts += 1;
+    let plan = env.plan;
+    let dev = env.dev;
     // ---- timing: issue + dependencies ----
     let mut issue_extra: u64 = 0; // bank-conflict replays
     let mut latency_extra: u64 = 0; // uncoalesced serialization
     let pre_clock = w.clock;
-    if ctx.timing {
+    if TIMING {
+        w.stats.dyn_insts += 1;
+        match op.unit {
+            Unit::Alu => w.stats.alu += 1,
+            Unit::Mul => w.stats.mul += 1,
+            Unit::DivSqrt => w.stats.div_sqrt += 1,
+            Unit::Other => {}
+        }
         let mut ready = w.clock;
-        inst.for_each_use(|r| {
-            ready = ready.max(w.reg_ready[r.0 as usize]);
-        });
+        for src in [op.a, op.b, op.c] {
+            if let Some(&t) = w.reg_ready.get(src as usize) {
+                ready = ready.max(t);
+            }
+        }
         // Store-to-load forwarding: a load cannot complete before earlier
         // stores to the same space are visible. This is what makes
         // run-time-evaluated register blocking (accumulators spilled to
         // local memory) pay the full memory round-trip per update.
-        if let Inst::Ld { space, .. } = inst {
-            let idx = match space {
-                Space::Global => Some(0),
-                Space::Shared => Some(1),
-                Space::Local => Some(2),
-                _ => None,
-            };
-            if let Some(i) = idx {
+        if let Kind::Ld { space, .. } = op.kind {
+            if let Some(i) = store_slot(space) {
                 ready = ready.max(w.store_ready[i]);
             }
         }
@@ -626,238 +859,170 @@ fn exec_inst(
     }
 
     // ---- functional execution ----
-    match inst {
-        Inst::Mov { dst, src, .. } => {
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    w.regs[dst.0 as usize * 32 + lane] = operand_bits(w, src, lane);
+    let regs = &w.regs[..];
+    let row = |src: u32| source_row(regs, &plan.imm_rows, src);
+    let mut out: Row = [0; 32];
+    match op.kind {
+        Kind::Mov => out = *row(op.a),
+        Kind::Special(reg) => {
+            let (bxd, byd, bzd) = env.block_dim;
+            let (gx, gy, gz) = env.grid_dim;
+            let (cx, cy, cz) = block_idx;
+            let mut by_lane = |f: &dyn Fn(u32) -> u32| {
+                for lane in 0..32 {
+                    out[lane] = f(w.base_tid + lane as u32) as u64;
                 }
-            }
-            w.stats.alu += 1;
-        }
-        Inst::Special { dst, reg } => {
-            let (bxd, byd, _bzd) = ctx.block_dim;
-            let (gx, gy, gz) = ctx.grid_dim;
-            let (cx, cy, cz) = ctx.block_idx;
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let tid = w.base_tid + lane as u32;
-                    let tx = tid % bxd;
-                    let ty = (tid / bxd) % byd;
-                    let tz = tid / (bxd * byd);
-                    let v = match reg {
-                        SpecialReg::TidX => tx,
-                        SpecialReg::TidY => ty,
-                        SpecialReg::TidZ => tz,
-                        SpecialReg::CtaIdX => cx,
-                        SpecialReg::CtaIdY => cy,
-                        SpecialReg::CtaIdZ => cz,
-                        SpecialReg::NtidX => bxd,
-                        SpecialReg::NtidY => byd,
-                        SpecialReg::NtidZ => ctx.block_dim.2,
-                        SpecialReg::NctaIdX => gx,
-                        SpecialReg::NctaIdY => gy,
-                        SpecialReg::NctaIdZ => gz,
-                    };
-                    w.regs[dst.0 as usize * 32 + lane] = v as u64;
-                }
-            }
-            w.stats.alu += 1;
-        }
-        Inst::Bin { op, ty, dst, a, b } => {
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let x = operand_bits(w, a, lane);
-                    let y = operand_bits(w, b, lane);
-                    let r = eval_bin(*op, *ty, x, y)?;
-                    w.regs[dst.0 as usize * 32 + lane] = r;
-                }
-            }
-            match (op, ty) {
-                (BinOp::Div | BinOp::Rem, _) => w.stats.div_sqrt += 1,
-                (BinOp::Mul | BinOp::Mul24, _) => w.stats.mul += 1,
-                _ => w.stats.alu += 1,
+            };
+            match reg {
+                SpecialReg::TidX => by_lane(&|t| t % bxd),
+                SpecialReg::TidY => by_lane(&|t| (t / bxd) % byd),
+                SpecialReg::TidZ => by_lane(&|t| t / (bxd * byd)),
+                SpecialReg::CtaIdX => out = [cx as u64; 32],
+                SpecialReg::CtaIdY => out = [cy as u64; 32],
+                SpecialReg::CtaIdZ => out = [cz as u64; 32],
+                SpecialReg::NtidX => out = [bxd as u64; 32],
+                SpecialReg::NtidY => out = [byd as u64; 32],
+                SpecialReg::NtidZ => out = [bzd as u64; 32],
+                SpecialReg::NctaIdX => out = [gx as u64; 32],
+                SpecialReg::NctaIdY => out = [gy as u64; 32],
+                SpecialReg::NctaIdZ => out = [gz as u64; 32],
             }
         }
-        Inst::Un { op, ty, dst, a } => {
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let x = operand_bits(w, a, lane);
-                    let r = eval_un(*op, *ty, x);
-                    w.regs[dst.0 as usize * 32 + lane] = r;
-                }
-            }
-            match op {
-                UnOp::Sqrt | UnOp::Rsqrt => w.stats.div_sqrt += 1,
-                _ => w.stats.alu += 1,
+        Kind::Bin(kind) => bin_rows(&mut out, kind, row(op.a), row(op.b), mask)?,
+        Kind::Un(kind) => un_rows(&mut out, kind, row(op.a)),
+        // Multiply, round, add, round: never a fused `mul_add`.
+        Kind::Mad(kind) => {
+            let (a, b, c) = (row(op.a), row(op.b), row(op.c));
+            match kind {
+                MadKind::F32 => map3(&mut out, a, b, c, |x, y, z| {
+                    of_f32(f32_of(x) * f32_of(y) + f32_of(z))
+                }),
+                MadKind::U32 => map3(&mut out, a, b, c, |x, y, z| {
+                    (x as u32).wrapping_mul(y as u32).wrapping_add(z as u32) as u64
+                }),
+                MadKind::S32 => map3(&mut out, a, b, c, |x, y, z| {
+                    sext32((x as u32).wrapping_mul(y as u32).wrapping_add(z as u32))
+                }),
             }
         }
-        Inst::Mad { ty, dst, a, b, c } => {
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let x = operand_bits(w, a, lane);
-                    let y = operand_bits(w, b, lane);
-                    let z = operand_bits(w, c, lane);
-                    let xy = eval_bin(BinOp::Mul, *ty, x, y)?;
-                    let r = eval_bin(BinOp::Add, *ty, xy, z)?;
-                    w.regs[dst.0 as usize * 32 + lane] = r;
-                }
+        Kind::Setp(cmp, domain) => {
+            let (a, b) = (row(op.a), row(op.b));
+            match domain {
+                CmpDomain::F32 => cmp_rows(&mut out, cmp, a, b, f32_of),
+                CmpDomain::U32 => cmp_rows(&mut out, cmp, a, b, |x| x as u32),
+                CmpDomain::S32 => cmp_rows(&mut out, cmp, a, b, |x| x as u32 as i32),
+                CmpDomain::U64 => cmp_rows(&mut out, cmp, a, b, |x| x),
             }
-            w.stats.mul += 1;
         }
-        Inst::Setp { cmp, ty, dst, a, b } => {
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let x = operand_bits(w, a, lane);
-                    let y = operand_bits(w, b, lane);
-                    let r = eval_cmp(*cmp, *ty, x, y);
-                    w.regs[dst.0 as usize * 32 + lane] = u64::from(r);
-                }
+        Kind::Selp => map3(&mut out, row(op.a), row(op.b), row(op.c), |x, y, p| {
+            if p != 0 {
+                x
+            } else {
+                y
             }
-            w.stats.alu += 1;
-        }
-        Inst::Selp {
-            dst, a, b, pred, ..
-        } => {
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let p = w.regs[pred.0 as usize * 32 + lane] != 0;
-                    let v = if p {
-                        operand_bits(w, a, lane)
-                    } else {
-                        operand_bits(w, b, lane)
-                    };
-                    w.regs[dst.0 as usize * 32 + lane] = v;
-                }
-            }
-            w.stats.alu += 1;
-        }
-        Inst::Cvt {
-            dst_ty,
-            src_ty,
-            dst,
-            src,
-        } => {
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let x = operand_bits(w, src, lane);
-                    w.regs[dst.0 as usize * 32 + lane] = eval_cvt(*dst_ty, *src_ty, x);
-                }
-            }
-            w.stats.alu += 1;
-        }
-        Inst::Ld {
-            space,
-            ty,
-            dst,
-            addr,
-        } => {
-            let addrs = lane_addresses(w, addr, mask);
+        }),
+        Kind::Cvt(kind) => cvt_rows(&mut out, kind, row(op.a)),
+        Kind::Ld { space, sext, wide } => {
+            let addrs = lane_addresses(regs, op, mask);
             match space {
                 Space::Global => {
-                    let t = coalesce_transactions(ctx.dev, &addrs, mask) as u64;
-                    w.stats.global_loads += 1;
-                    w.stats.global_transactions += t;
-                    // DRAM bandwidth is charged once per line per block;
-                    // re-reads hit the read cache (texture / L1).
-                    let mut fresh = 0u64;
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let line = addrs[lane] / ctx.dev.mem_segment;
-                            if bstate.seen_lines.insert(line) {
-                                fresh += 1;
-                            }
-                        }
+                    if TIMING {
+                        let t = coalesce_transactions(dev, &addrs, mask) as u64;
+                        w.stats.global_loads += 1;
+                        w.stats.global_transactions += t;
+                        // DRAM bandwidth is charged once per line per block;
+                        // re-reads hit the read cache (texture / L1).
+                        let fresh = fresh_lines(&mut state.seen_lines, dev, &addrs, mask);
+                        w.stats.global_bytes += fresh * dev.mem_segment;
+                        latency_extra = t.saturating_sub(1) * 24;
                     }
-                    w.stats.global_bytes += fresh * ctx.dev.mem_segment;
-                    latency_extra = t.saturating_sub(1) * 24;
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let v = ctx.global.read_u32(addrs[lane])?;
-                            w.regs[dst.0 as usize * 32 + lane] = load_extend(*ty, v);
-                        }
+                    for lane in lanes(mask) {
+                        out[lane] = ext32(env.global.read_u32(addrs[lane])?, sext);
                     }
                 }
                 Space::Shared => {
-                    let d = bank_conflict_degree(ctx.dev, &addrs, mask) as u64;
-                    w.stats.shared_accesses += 1;
-                    w.stats.bank_conflict_extra += d - 1;
-                    issue_extra = d - 1;
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            if let Some(tr) = bstate.shmem.as_mut() {
-                                if let Some(h) = tr.read(w.base_tid / 32, addrs[lane] & !3) {
-                                    return Err(SimError(format!("racecheck: {h}")));
-                                }
+                    if TIMING {
+                        let d = bank_conflict_degree(dev, &addrs, mask) as u64;
+                        w.stats.shared_accesses += 1;
+                        w.stats.bank_conflict_extra += d - 1;
+                        issue_extra = d - 1;
+                    }
+                    for lane in lanes(mask) {
+                        if let Some(tr) = state.shmem.as_mut() {
+                            if let Some(h) = tr.read(w.base_tid / 32, addrs[lane] & !3) {
+                                return Err(SimError(format!("racecheck: {h}")));
                             }
-                            let v = read_buf(shared, addrs[lane], "shared")?;
-                            w.regs[dst.0 as usize * 32 + lane] = load_extend(*ty, v);
                         }
+                        out[lane] = ext32(read_buf(shared, addrs[lane], "shared")?, sext);
                     }
                 }
                 Space::Local => {
-                    w.stats.local_accesses += 1;
-                    let lb = ctx.func.local_bytes as u64;
-                    charge_local_traffic(ctx, w, bstate, &addrs, mask, lb);
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let a = addrs[lane] + lane as u64 * lb;
-                            let v = read_buf(&w.local, a, "local")?;
-                            w.regs[dst.0 as usize * 32 + lane] = load_extend(*ty, v);
-                        }
+                    let lb = plan.local_bytes as u64;
+                    if TIMING {
+                        w.stats.local_accesses += 1;
+                        charge_local_traffic(
+                            dev,
+                            w.base_tid,
+                            &mut w.stats,
+                            state,
+                            &addrs,
+                            mask,
+                            lb,
+                        );
+                    }
+                    for lane in lanes(mask) {
+                        let a = addrs[lane] + lane as u64 * lb;
+                        out[lane] = ext32(read_buf(&w.local, a, "local")?, sext);
                     }
                 }
                 Space::Const => {
-                    w.stats.const_loads += 1;
                     // The constant cache broadcasts one address per cycle:
                     // lanes reading distinct addresses serialize.
-                    let mut distinct: Vec<u64> = Vec::with_capacity(4);
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let a = addrs[lane];
-                            if !distinct.contains(&a) {
-                                distinct.push(a);
-                            }
-                            let v = read_buf(ctx.const_mem, a, "const")?;
-                            w.regs[dst.0 as usize * 32 + lane] = load_extend(*ty, v);
+                    let mut distinct = [0u64; 32];
+                    let mut n = 0;
+                    for lane in lanes(mask) {
+                        let a = addrs[lane];
+                        if TIMING && !distinct[..n].contains(&a) {
+                            distinct[n] = a;
+                            n += 1;
                         }
+                        out[lane] = ext32(read_buf(env.const_mem, a, "const")?, sext);
                     }
-                    issue_extra = (distinct.len() as u64).saturating_sub(1);
+                    if TIMING {
+                        w.stats.const_loads += 1;
+                        issue_extra = (n as u64).saturating_sub(1);
+                    }
                 }
                 Space::Param => {
-                    w.stats.param_loads += 1;
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let a = addrs[lane];
-                            let v: u64 =
-                                if *ty == Ty::Ptr(Space::Global) || matches!(ty, Ty::Ptr(_)) {
-                                    read_buf64(ctx.params, a)?
-                                } else {
-                                    load_extend(*ty, read_buf(ctx.params, a, "param")?)
-                                };
-                            w.regs[dst.0 as usize * 32 + lane] = v;
-                        }
+                    if TIMING {
+                        w.stats.param_loads += 1;
+                    }
+                    for lane in lanes(mask) {
+                        let a = addrs[lane];
+                        out[lane] = if wide {
+                            read_buf64(env.params, a)?
+                        } else {
+                            ext32(read_buf(env.params, a, "param")?, sext)
+                        };
                     }
                 }
             }
         }
-        Inst::St {
-            space,
-            ty,
-            addr,
-            src,
-        } => {
-            let addrs = lane_addresses(w, addr, mask);
+        Kind::St { space } => {
+            let addrs = lane_addresses(regs, op, mask);
+            // Stores keep the low 32 bits of the register.
+            let src = row(op.b);
             match space {
                 Space::Global => {
-                    let t = coalesce_transactions(ctx.dev, &addrs, mask) as u64;
-                    w.stats.global_stores += 1;
-                    w.stats.global_transactions += t;
-                    w.stats.global_bytes += t * ctx.dev.mem_segment;
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let v = store_bits(*ty, operand_bits(w, src, lane));
-                            ctx.global.write_u32(addrs[lane], v)?;
+                    if TIMING {
+                        let t = coalesce_transactions(dev, &addrs, mask) as u64;
+                        w.stats.global_stores += 1;
+                        w.stats.global_transactions += t;
+                        w.stats.global_bytes += t * dev.mem_segment;
+                    }
+                    for lane in lanes(mask) {
+                        env.global.write_u32(addrs[lane], src[lane] as u32)?;
+                        if TIMING {
                             if w.stats.first_store_addr == 0 {
                                 w.stats.first_store_addr = addrs[lane];
                             }
@@ -866,135 +1031,130 @@ fn exec_inst(
                     }
                 }
                 Space::Shared => {
-                    let d = bank_conflict_degree(ctx.dev, &addrs, mask) as u64;
-                    w.stats.shared_accesses += 1;
-                    w.stats.bank_conflict_extra += d - 1;
-                    issue_extra = d - 1;
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            if let Some(tr) = bstate.shmem.as_mut() {
-                                if let Some(h) = tr.write(w.base_tid / 32, addrs[lane] & !3) {
-                                    return Err(SimError(format!("racecheck: {h}")));
-                                }
+                    if TIMING {
+                        let d = bank_conflict_degree(dev, &addrs, mask) as u64;
+                        w.stats.shared_accesses += 1;
+                        w.stats.bank_conflict_extra += d - 1;
+                        issue_extra = d - 1;
+                    }
+                    for lane in lanes(mask) {
+                        if let Some(tr) = state.shmem.as_mut() {
+                            if let Some(h) = tr.write(w.base_tid / 32, addrs[lane] & !3) {
+                                return Err(SimError(format!("racecheck: {h}")));
                             }
-                            let v = store_bits(*ty, operand_bits(w, src, lane));
-                            write_buf(shared, addrs[lane], v, "shared")?;
                         }
+                        write_buf(shared, addrs[lane], src[lane] as u32, "shared")?;
                     }
                 }
                 Space::Local => {
-                    w.stats.local_accesses += 1;
-                    let lb = ctx.func.local_bytes as u64;
-                    charge_local_traffic(ctx, w, bstate, &addrs, mask, lb);
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let a = addrs[lane] + lane as u64 * lb;
-                            let v = store_bits(*ty, operand_bits(w, src, lane));
-                            write_buf(&mut w.local, a, v, "local")?;
-                        }
+                    let lb = plan.local_bytes as u64;
+                    if TIMING {
+                        w.stats.local_accesses += 1;
+                        charge_local_traffic(
+                            dev,
+                            w.base_tid,
+                            &mut w.stats,
+                            state,
+                            &addrs,
+                            mask,
+                            lb,
+                        );
+                    }
+                    for lane in lanes(mask) {
+                        let a = addrs[lane] + lane as u64 * lb;
+                        write_buf(&mut w.local, a, src[lane] as u32, "local")?;
                     }
                 }
-                Space::Const | Space::Param => {
-                    return Err(SimError("store to read-only space".into()));
-                }
+                Space::Const | Space::Param => unreachable!("decoded as a trap"),
             }
         }
-        Inst::Tex { ty, dst, tex, idx } => {
-            let base = *ctx
+        Kind::Tex { sext } => {
+            let tex = op.imm;
+            let base = *env
                 .tex_bindings
-                .get(*tex as usize)
+                .get(tex as usize)
                 .ok_or_else(|| SimError(format!("texture {tex} not bound")))?;
             if base == 0 {
                 return Err(SimError(format!("texture {tex} not bound")));
             }
             // Element addresses per lane; fetches run through the texture
             // cache (the per-block reuse set) like any cached global read.
+            let idx = row(op.a);
             let mut addrs = [0u64; 32];
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let i = operand_bits(w, idx, lane) as u32 as i32;
-                    if i < 0 {
-                        return Err(SimError("negative texture index".into()));
-                    }
-                    addrs[lane] = base + i as u64 * 4;
+            for lane in lanes(mask) {
+                let i = idx[lane] as u32 as i32;
+                if i < 0 {
+                    return Err(SimError("negative texture index".into()));
                 }
+                addrs[lane] = base + i as u64 * 4;
             }
-            let t = coalesce_transactions(ctx.dev, &addrs, mask) as u64;
-            w.stats.global_loads += 1;
-            w.stats.global_transactions += t;
-            let mut fresh = 0u64;
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let line = addrs[lane] / ctx.dev.mem_segment;
-                    if bstate.seen_lines.insert(line) {
-                        fresh += 1;
-                    }
-                }
+            if TIMING {
+                let t = coalesce_transactions(dev, &addrs, mask) as u64;
+                w.stats.global_loads += 1;
+                w.stats.global_transactions += t;
+                let fresh = fresh_lines(&mut state.seen_lines, dev, &addrs, mask);
+                w.stats.global_bytes += fresh * dev.mem_segment;
+                latency_extra = t.saturating_sub(1) * 24;
             }
-            w.stats.global_bytes += fresh * ctx.dev.mem_segment;
-            latency_extra = t.saturating_sub(1) * 24;
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let v = ctx.global.read_u32(addrs[lane])?;
-                    w.regs[dst.0 as usize * 32 + lane] = load_extend(*ty, v);
-                }
+            for lane in lanes(mask) {
+                out[lane] = ext32(env.global.read_u32(addrs[lane])?, sext);
             }
         }
-        Inst::Bar => unreachable!("handled by the warp loop"),
+        Kind::Trap => return Err(SimError(plan.traps[op.imm as usize].clone())),
+        Kind::Bar | Kind::Br | Kind::CondBr { .. } | Kind::Ret => {
+            unreachable!("handled by the warp loop")
+        }
+    }
+    if op.dst != NONE {
+        write_row(&mut w.regs[op.dst as usize], mask, &out);
     }
 
     // ---- timing: charge issue + set destination ready time ----
-    if ctx.timing {
-        let issue = ctx.dev.issue_cycles(inst) * (1 + issue_extra);
+    if TIMING {
+        let issue = env.costs.issue[op.issue as usize] * (1 + issue_extra);
         let t_issue = w.clock;
         w.last_issue = (t_issue, issue);
-        if ctx.trace && w.base_tid == 0 {
+        if env.trace && w.base_tid == 0 {
             eprintln!(
                 "[trace] t={:6} stall={:5} {}",
                 t_issue,
                 t_issue.saturating_sub(pre_clock),
-                ks_ir::printer::print_inst(inst)
+                plan.trace_text[pc as usize]
             );
         }
         w.clock = t_issue + issue;
         w.stats.issue_cycles += issue;
-        if let Some(d) = inst.def() {
-            let lat = ctx.dev.dep_latency(inst) + latency_extra;
-            w.reg_ready[d.0 as usize] = t_issue + lat;
+        let latency = env.costs.latency[op.latency as usize];
+        if op.dst != NONE {
+            w.reg_ready[op.dst as usize] = t_issue + latency + latency_extra;
         }
-        if let Inst::St {
-            space,
-            ty,
-            addr,
-            src,
-        } = inst
-        {
+        if let Kind::St { space } = op.kind {
             // A later load sees this store once it completes; forward
             // latency mirrors a load from the same space.
-            let probe = Inst::Ld {
-                space: *space,
-                ty: *ty,
-                dst: ks_ir::VReg(0),
-                addr: *addr,
-            };
-            let lat = ctx.dev.dep_latency(&probe);
-            let idx = match space {
-                Space::Global => Some(0),
-                Space::Shared => Some(1),
-                Space::Local => Some(2),
-                _ => None,
-            };
-            if let Some(i) = idx {
-                w.store_ready[i] = w.store_ready[i].max(t_issue + lat);
+            if let Some(i) = store_slot(space) {
+                w.store_ready[i] = w.store_ready[i].max(t_issue + latency);
             }
-            let _ = src;
         }
-        // Stores must have source operands ready (already folded into
-        // w.clock by the dependency max at entry).
-        let _ = src_ready;
         w.stats.isolated_cycles = w.stats.isolated_cycles.max(w.clock);
     }
     Ok(())
+}
+
+/// Count the lines of a warp access this block has not fetched before,
+/// marking them fetched.
+fn fresh_lines(seen: &mut LineSet, dev: &DeviceConfig, addrs: &Row, mask: u32) -> u64 {
+    let line_of = line_of(dev);
+    let mut fresh = 0u64;
+    // Neighbouring lanes mostly share a line; skip the repeat lookups.
+    let mut prev = None;
+    for lane in lanes(mask) {
+        let line = line_of(addrs[lane]);
+        if prev != Some(line) {
+            fresh += u64::from(seen.insert(line));
+            prev = Some(line);
+        }
+    }
+    fresh
 }
 
 /// Local memory lives in DRAM. A warp access to the same local offset is
@@ -1003,10 +1163,11 @@ fn exec_inst(
 /// (modeled with the per-block reuse set, namespaced away from global
 /// lines).
 fn charge_local_traffic(
-    ctx: &BlockCtx<'_>,
-    w: &mut Warp,
-    bstate: &mut BlockState,
-    addrs: &[u64; 32],
+    dev: &DeviceConfig,
+    base_tid: u32,
+    stats: &mut ExecStats,
+    state: &mut BlockState,
+    addrs: &Row,
     mask: u32,
     lane_stride: u64,
 ) {
@@ -1018,41 +1179,38 @@ fn charge_local_traffic(
     // Interleaved layout: a full-warp access to one 4-byte slot moves
     // lanes*4 bytes of DRAM traffic.
     let bytes = lanes * 4;
-    let segs = bytes.div_ceil(ctx.dev.mem_segment).max(1);
-    if ctx.dev.cc_major >= 2 {
+    let segs = bytes.div_ceil(dev.mem_segment).max(1);
+    if dev.cc_major >= 2 {
         // L1-cached: first touch per (warp, offset-line) only.
         let line = LOCAL_NS
-            + (w.base_tid as u64) * (1 << 40)
-            + (addrs.iter().max().copied().unwrap_or(0) + lane_stride) / ctx.dev.mem_segment;
-        if bstate.seen_lines.insert(line) {
-            w.stats.global_bytes += segs * ctx.dev.mem_segment;
-            w.stats.global_transactions += segs;
+            + (base_tid as u64) * (1 << 40)
+            + (addrs.iter().max().copied().unwrap_or(0) + lane_stride) / dev.mem_segment;
+        if state.seen_lines.insert(line) {
+            stats.global_bytes += segs * dev.mem_segment;
+            stats.global_transactions += segs;
         }
     } else {
-        w.stats.global_bytes += segs * ctx.dev.mem_segment;
-        w.stats.global_transactions += segs;
+        stats.global_bytes += segs * dev.mem_segment;
+        stats.global_transactions += segs;
     }
 }
 
+/// Byte address each active lane accesses; inactive lanes read 0 (or the
+/// absolute offset when there is no base register).
 #[inline]
-fn lane_addresses(w: &Warp, addr: &Address, mask: u32) -> [u64; 32] {
-    let mut out = [0u64; 32];
-    match addr.base {
-        None => {
-            for v in out.iter_mut() {
-                *v = addr.offset as u64;
-            }
-        }
+fn lane_addresses(regs: &[Row], op: &Op, mask: u32) -> Row {
+    match regs.get(op.a as usize) {
+        None => [op.imm as u64; 32],
         Some(base) => {
+            let mut out = [0u64; 32];
             for lane in 0..32 {
                 if mask & (1 << lane) != 0 {
-                    out[lane] =
-                        w.regs[base.0 as usize * 32 + lane].wrapping_add(addr.offset as u64);
+                    out[lane] = base[lane].wrapping_add(op.imm as u64);
                 }
             }
+            out
         }
     }
-    out
 }
 
 #[inline]
@@ -1087,213 +1245,4 @@ fn write_buf(buf: &mut [u8], addr: u64, v: u32, space: &'static str) -> Result<(
     }
     buf[a..a + 4].copy_from_slice(&v.to_le_bytes());
     Ok(())
-}
-
-/// Zero/sign-extend a loaded 32-bit value into the 64-bit register slot.
-#[inline]
-fn load_extend(ty: Ty, v: u32) -> u64 {
-    match ty {
-        Ty::S32 => sext32(v),
-        _ => v as u64,
-    }
-}
-
-/// Truncate a register value to its stored 32-bit form.
-#[inline]
-fn store_bits(_ty: Ty, v: u64) -> u32 {
-    v as u32
-}
-
-fn eval_bin(op: BinOp, ty: Ty, x: u64, y: u64) -> Result<u64, SimError> {
-    Ok(match ty {
-        Ty::F32 => {
-            let a = f32::from_bits(x as u32);
-            let b = f32::from_bits(y as u32);
-            let r = match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a / b,
-                BinOp::Min => a.min(b),
-                BinOp::Max => a.max(b),
-                _ => return Err(SimError(format!("float op {op:?} unsupported"))),
-            };
-            r.to_bits() as u64
-        }
-        Ty::U32 => {
-            let (a, b) = (x as u32, y as u32);
-            let r = match op {
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Mul24 => (a & 0xFF_FFFF).wrapping_mul(b & 0xFF_FFFF),
-                BinOp::Div => a
-                    .checked_div(b)
-                    .ok_or(SimError("division by zero".into()))?,
-                BinOp::Rem => a
-                    .checked_rem(b)
-                    .ok_or(SimError("remainder by zero".into()))?,
-                BinOp::Min => a.min(b),
-                BinOp::Max => a.max(b),
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.wrapping_shl(b & 31),
-                BinOp::Shr => a.wrapping_shr(b & 31),
-            };
-            r as u64
-        }
-        Ty::S32 => {
-            let (a, b) = (x as u32 as i32, y as u32 as i32);
-            let r: i32 = match op {
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Mul24 => {
-                    (((a as u32) & 0xFF_FFFF).wrapping_mul((b as u32) & 0xFF_FFFF)) as i32
-                }
-                BinOp::Div => {
-                    if b == 0 {
-                        return Err(SimError("division by zero".into()));
-                    }
-                    a.wrapping_div(b)
-                }
-                BinOp::Rem => {
-                    if b == 0 {
-                        return Err(SimError("remainder by zero".into()));
-                    }
-                    a.wrapping_rem(b)
-                }
-                BinOp::Min => a.min(b),
-                BinOp::Max => a.max(b),
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.wrapping_shl(b as u32 & 31),
-                BinOp::Shr => a.wrapping_shr(b as u32 & 31),
-            };
-            sext32(r as u32)
-        }
-        Ty::Ptr(_) => match op {
-            BinOp::Add => x.wrapping_add(sext_operand(y)),
-            BinOp::Sub => x.wrapping_sub(sext_operand(y)),
-            _ => return Err(SimError(format!("pointer op {op:?} unsupported"))),
-        },
-        Ty::Pred => {
-            let (a, b) = (x != 0, y != 0);
-            let r = match op {
-                BinOp::And => a && b,
-                BinOp::Or => a || b,
-                BinOp::Xor => a ^ b,
-                _ => return Err(SimError("arithmetic on predicate".into())),
-            };
-            u64::from(r)
-        }
-    })
-}
-
-/// A 32-bit register value added to a pointer is sign-extended; a full
-/// 64-bit immediate passes through.
-#[inline]
-fn sext_operand(v: u64) -> u64 {
-    if v <= u32::MAX as u64 {
-        sext32(v as u32)
-    } else {
-        v
-    }
-}
-
-fn eval_un(op: UnOp, ty: Ty, x: u64) -> u64 {
-    match ty {
-        Ty::F32 => {
-            let a = f32::from_bits(x as u32);
-            let r = match op {
-                UnOp::Neg => -a,
-                UnOp::Abs => a.abs(),
-                UnOp::Sqrt => a.sqrt(),
-                UnOp::Rsqrt => 1.0 / a.sqrt(),
-                UnOp::Floor => a.floor(),
-                UnOp::Not => f32::from_bits(!(x as u32)),
-            };
-            r.to_bits() as u64
-        }
-        Ty::Pred => match op {
-            UnOp::Not => u64::from(x == 0),
-            _ => 0,
-        },
-        _ => {
-            let a = x as u32 as i32;
-            let r: i32 = match op {
-                UnOp::Neg => a.wrapping_neg(),
-                UnOp::Not => !a,
-                UnOp::Abs => a.wrapping_abs(),
-                UnOp::Sqrt | UnOp::Rsqrt | UnOp::Floor => a,
-            };
-            if ty == Ty::S32 {
-                sext32(r as u32)
-            } else {
-                (r as u32) as u64
-            }
-        }
-    }
-}
-
-fn eval_cmp(cmp: CmpOp, ty: Ty, x: u64, y: u64) -> bool {
-    match ty {
-        Ty::F32 => {
-            let (a, b) = (f32::from_bits(x as u32), f32::from_bits(y as u32));
-            match cmp {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            }
-        }
-        Ty::U32 => {
-            let (a, b) = (x as u32, y as u32);
-            match cmp {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            }
-        }
-        Ty::Ptr(_) => match cmp {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        },
-        _ => {
-            let (a, b) = (x as u32 as i32, y as u32 as i32);
-            match cmp {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            }
-        }
-    }
-}
-
-fn eval_cvt(dst: Ty, src: Ty, x: u64) -> u64 {
-    match (src, dst) {
-        (Ty::S32, Ty::F32) => ((x as u32 as i32) as f32).to_bits() as u64,
-        (Ty::U32, Ty::F32) => ((x as u32) as f32).to_bits() as u64,
-        (Ty::F32, Ty::S32) => sext32((f32::from_bits(x as u32) as i32) as u32),
-        (Ty::F32, Ty::U32) => (f32::from_bits(x as u32) as u32) as u64,
-        (Ty::S32, Ty::Ptr(_)) => sext32(x as u32),
-        (Ty::U32, Ty::Ptr(_)) => (x as u32) as u64,
-        (Ty::Ptr(_), Ty::S32) => sext32(x as u32),
-        (Ty::Ptr(_), Ty::U32) => (x as u32) as u64,
-        _ => x,
-    }
 }

@@ -5,12 +5,14 @@
 //! simulated kernel time.
 
 use crate::device::DeviceConfig;
-use crate::interp::{run_block_with, BlockCtx, ExecStats, GlobalView, SimError};
+use crate::interp::{run_block, BlockScratch, Costs, ExecStats, GlobalView, LaunchEnv, SimError};
 use crate::occupancy::{occupancy, Limiter, Occupancy};
-use crate::regalloc::{allocate, RegAlloc};
-use ks_ir::cfg::{ipdoms, Cfg};
-use ks_ir::{Function, Module, Space, Ty};
+use crate::plan::LaunchPlan;
+use ks_ir::{Module, Space, Ty};
 use rayon::prelude::*;
+use std::borrow::Borrow;
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// A kernel launch argument.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,6 +103,15 @@ pub struct LaunchReport {
     pub stats: ExecStats,
     /// What bounded the SM round time.
     pub bound: Bound,
+    /// Host wall-clock of this launch, in microseconds, split three ways:
+    /// getting ready (plan lookup or build, argument marshalling,
+    /// occupancy), …
+    pub host_plan_us: f64,
+    /// … the timing model (scoreboard-timed sample blocks, and the
+    /// event-driven round when asked for), …
+    pub host_sample_us: f64,
+    /// … and the functional execution of every other block.
+    pub host_functional_us: f64,
 }
 
 /// The binding resource in the SM timing model.
@@ -156,17 +167,17 @@ impl DeviceState {
 }
 
 /// Serialize launch arguments into the kernel's param space layout.
-fn marshal_params(f: &Function, args: &[KArg]) -> Result<Vec<u8>, SimError> {
-    if args.len() != f.params.len() {
+fn marshal_params(plan: &LaunchPlan, args: &[KArg]) -> Result<Vec<u8>, SimError> {
+    if args.len() != plan.params.len() {
         return Err(SimError(format!(
             "kernel {} expects {} arguments, got {}",
-            f.name,
-            f.params.len(),
+            plan.kernel,
+            plan.params.len(),
             args.len()
         )));
     }
-    let mut buf = vec![0u8; f.param_bytes() as usize];
-    for (p, a) in f.params.iter().zip(args) {
+    let mut buf = vec![0u8; plan.param_bytes as usize];
+    for (p, a) in plan.params.iter().zip(args) {
         let off = p.offset as usize;
         match (p.ty, a) {
             (Ty::S32, KArg::I32(v)) => buf[off..off + 4].copy_from_slice(&v.to_le_bytes()),
@@ -228,7 +239,18 @@ fn trace_metrics() -> &'static TraceMetrics {
     })
 }
 
+/// Whether `KS_SIM_TRACE` asks for the per-instruction issue trace of
+/// warp 0 of the timed blocks. Read once per process.
+pub(crate) fn trace_enabled() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("KS_SIM_TRACE").is_some())
+}
+
 /// Launch a kernel on the simulated device.
+///
+/// Decodes the kernel into a throw-away [`LaunchPlan`] first; callers
+/// that launch one kernel repeatedly keep the plan and use
+/// [`launch_planned`].
 pub fn launch(
     state: &mut DeviceState,
     module: &Module,
@@ -256,6 +278,70 @@ pub fn launch_keyed(
     key: u64,
     defines: &str,
 ) -> Result<LaunchReport, SimError> {
+    let textures = &module.textures;
+    launch_with(
+        state,
+        textures,
+        kernel,
+        dims,
+        args,
+        opts,
+        key,
+        defines,
+        || {
+            let f = module
+                .function(kernel)
+                .ok_or_else(|| SimError(format!("kernel {kernel} not found in module")))?;
+            Ok(LaunchPlan::from_function(f))
+        },
+    )
+}
+
+/// [`launch_keyed`] through a plan built earlier (by `ks_core::Binary`,
+/// once per kernel). `textures` is the texture-reference table of the
+/// module the plan's kernel came from.
+#[allow(clippy::too_many_arguments)]
+pub fn launch_planned(
+    state: &mut DeviceState,
+    textures: &[String],
+    plan: &LaunchPlan,
+    dims: LaunchDims,
+    args: &[KArg],
+    opts: LaunchOptions,
+    key: u64,
+    defines: &str,
+) -> Result<LaunchReport, SimError> {
+    let kernel = plan.kernel();
+    launch_with(
+        state,
+        textures,
+        kernel,
+        dims,
+        args,
+        opts,
+        key,
+        defines,
+        || Ok(plan),
+    )
+}
+
+/// The launch proper: span, fault injection, `get_plan`, execution,
+/// telemetry. The plan is fetched after the fault check so an injected
+/// fault costs nothing, and inside the span and the host-time clock so a
+/// throw-away plan's decode is accounted to the launch that paid it.
+#[allow(clippy::too_many_arguments)]
+fn launch_with<P: Borrow<LaunchPlan>>(
+    state: &mut DeviceState,
+    textures: &[String],
+    kernel: &str,
+    dims: LaunchDims,
+    args: &[KArg],
+    opts: LaunchOptions,
+    key: u64,
+    defines: &str,
+    get_plan: impl FnOnce() -> Result<P, SimError>,
+) -> Result<LaunchReport, SimError> {
+    let started = Instant::now();
     let _span = ks_trace::span_fields("launch", || {
         vec![
             ("kernel".to_string(), kernel.to_string()),
@@ -280,7 +366,8 @@ pub fn launch_keyed(
             }
         }
     }
-    let report = launch_inner(state, module, kernel, dims, args, opts)?;
+    let plan = get_plan()?;
+    let report = launch_inner(state, textures, plan.borrow(), dims, args, opts, started)?;
     if let Some(fault) = pending_flip {
         if apply_silent_flip(state, &report, fault.entropy) {
             ks_trace::registry()
@@ -323,32 +410,105 @@ fn apply_silent_flip(state: &mut DeviceState, report: &LaunchReport, entropy: u6
     }
 }
 
+/// Fewest warp-instructions a launch hands a worker thread of its own.
+/// The workers are threads spawned for the one launch, and a spawned
+/// thread starts on its parent's core: until the kernel's balancer moves
+/// it (at once, or seconds later, on the 2-vCPU box the ledger runs on)
+/// it time-slices with the caller instead of running beside it. Launches
+/// of a millisecond or two gained nothing on some calls and twofold on
+/// others — the same round of the ledger's `stream` took 10 or 19 ms —
+/// so they run on the calling thread and repeat; half a million
+/// warp-instructions is ≈ 15 ms of one core.
+const WORKER_GRAIN_WARP_INSTS: u64 = 1 << 19;
+
+/// How many blocks of `warp_insts_per_block` make up the worker grain.
+fn blocks_per_worker(warp_insts_per_block: u64) -> usize {
+    WORKER_GRAIN_WARP_INSTS.div_ceil(warp_insts_per_block.max(1)) as usize
+}
+
+/// A launch's block scratches that no worker is using. A worker takes
+/// one (building it if there is none) and its [`Lent`] puts it back, so
+/// the calling thread — the only worker of a short launch — fills one
+/// register file per launch, not one per call to [`run_blocks`].
+type IdleScratches = Mutex<Vec<BlockScratch>>;
+
+struct Lent<'a> {
+    scratch: Option<BlockScratch>,
+    idle: &'a IdleScratches,
+}
+
+impl<'a> Lent<'a> {
+    fn new(env: &LaunchEnv<'_>, idle: &'a IdleScratches) -> Lent<'a> {
+        let spare = idle.lock().expect("workers do not panic").pop();
+        Lent {
+            scratch: Some(spare.unwrap_or_else(|| BlockScratch::new(env))),
+            idle,
+        }
+    }
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        if let (Some(scratch), Ok(mut idle)) = (self.scratch.take(), self.idle.lock()) {
+            idle.push(scratch);
+        }
+    }
+}
+
+/// Run `blocks` through the parallel iterator, no worker taking fewer
+/// than `min_blocks`, each worker running all of its blocks on one
+/// scratch. Returns the per-block stats in `blocks` order when `TIMING`,
+/// nothing otherwise (there are none to keep).
+fn run_blocks<const TIMING: bool>(
+    env: &LaunchEnv<'_>,
+    idle: &IdleScratches,
+    blocks: &[u64],
+    min_blocks: usize,
+) -> Result<Vec<ExecStats>, SimError> {
+    let borrow = || Lent::new(env, idle);
+    let run = |lent: &mut Lent<'_>, &b: &u64| {
+        let scratch = lent.scratch.as_mut().expect("held until drop");
+        run_block::<TIMING>(env, block_index(b, env.grid_dim), scratch)
+    };
+    let blocks = blocks.par_iter().with_min_len(min_blocks);
+    if TIMING {
+        blocks.map_init(borrow, run).collect()
+    } else {
+        blocks.try_for_each_init(borrow, |s, b| run(s, b).map(drop))?;
+        Ok(Vec::new())
+    }
+}
+
 fn launch_inner(
     state: &mut DeviceState,
-    module: &Module,
-    kernel: &str,
+    textures: &[String],
+    plan: &LaunchPlan,
     dims: LaunchDims,
     args: &[KArg],
     opts: LaunchOptions,
+    started: Instant,
 ) -> Result<LaunchReport, SimError> {
-    let f = module
-        .function(kernel)
-        .ok_or_else(|| SimError(format!("kernel {kernel} not found in module")))?;
-    let params = marshal_params(f, args)?;
-    let ra: RegAlloc = allocate(f);
-    let shared_per_block = f.shared_bytes() + dims.dynamic_shared;
+    let DeviceState {
+        dev,
+        global,
+        const_mem,
+        tex_bindings,
+    } = state;
+    let dev: &DeviceConfig = dev;
+    let params = marshal_params(plan, args)?;
+    let shared_per_block = plan.shared_bytes + dims.dynamic_shared;
     let occ = occupancy(
-        &state.dev,
+        dev,
         dims.block_threads(),
-        ra.gpr_count.max(2), // architectural baseline registers
+        plan.gpr_count.max(2), // architectural baseline registers
         shared_per_block,
     );
     if occ.limiter == Limiter::Infeasible {
         return Err(SimError(format!(
             "launch infeasible on {}: {} threads, {} regs/thread, {} B shared",
-            state.dev.name,
+            dev.name,
             dims.block_threads(),
-            ra.gpr_count,
+            plan.gpr_count,
             shared_per_block
         )));
     }
@@ -357,69 +517,59 @@ fn launch_inner(
         return Err(SimError("empty grid".into()));
     }
 
-    let cfg = Cfg::build(f);
-    let pdom = ipdoms(f, &cfg);
-    let dev = state.dev.clone();
-    let const_mem = state.const_mem.clone();
     // Resolve texture bindings in module order (0 = unbound → trap on use).
-    let tex_bindings: Vec<u64> = module
-        .textures
+    let tex_bindings: Vec<u64> = textures
         .iter()
-        .map(|name| state.tex_bindings.get(name).copied().unwrap_or(0))
+        .map(|name| tex_bindings.get(name).copied().unwrap_or(0))
         .collect();
-    let view = GlobalView::new(state.global.raw_mut());
+    let view = GlobalView::new(global.raw_mut());
+    let env = LaunchEnv {
+        dev,
+        plan,
+        global: view,
+        const_mem,
+        params: &params,
+        tex_bindings: &tex_bindings,
+        block_dim: dims.block,
+        grid_dim: dims.grid,
+        dynamic_shared: dims.dynamic_shared,
+        trace: trace_enabled(),
+        racecheck: opts.racecheck,
+        strict_barriers: opts.strict_barriers,
+        costs: Costs::new(dev),
+    };
+    let planned = Instant::now();
 
-    // --- timing sample ---
+    // --- timing sample: every `stride`-th block, scoreboard-timed ---
     let sample_n = (opts.timing_sample_blocks as u64).min(nblocks).max(1);
     let stride = nblocks / sample_n;
     let sample_ids: Vec<u64> = (0..sample_n).map(|i| i * stride).collect();
+    let idle = IdleScratches::default();
+    // The first block runs alone; its instruction count says whether the
+    // others are worth a worker thread.
+    let mut per_block_samples = run_blocks::<true>(&env, &idle, &sample_ids[..1], 1)?;
+    let min_blocks = blocks_per_worker(per_block_samples[0].dyn_insts);
+    per_block_samples.extend(run_blocks::<true>(
+        &env,
+        &idle,
+        &sample_ids[1..],
+        min_blocks,
+    )?);
     let mut sample_stats = ExecStats::default();
-    let mut per_block_samples: Vec<ExecStats> = Vec::with_capacity(sample_ids.len());
-    for &b in &sample_ids {
-        let ctx = BlockCtx {
-            dev: &dev,
-            func: f,
-            global: view,
-            const_mem: &const_mem,
-            params: &params,
-            block_dim: dims.block,
-            grid_dim: dims.grid,
-            block_idx: block_index(b, dims.grid),
-            dynamic_shared: dims.dynamic_shared,
-            timing: true,
-            trace: std::env::var("KS_SIM_TRACE").is_ok(),
-            tex_bindings: &tex_bindings,
-            racecheck: opts.racecheck,
-            strict_barriers: opts.strict_barriers,
-        };
-        let s = run_block_with(&ctx, &cfg, &pdom)?;
-        per_block_samples.push(s);
-        sample_stats.accumulate(&s);
+    for s in &per_block_samples {
+        sample_stats.accumulate(s);
     }
+    let sampled = Instant::now();
+    let mut sample_time = sampled - planned;
 
-    // --- functional execution of the remaining blocks (parallel) ---
+    // --- functional execution of the remaining blocks ---
     if opts.functional {
-        let rest: Vec<u64> = (0..nblocks).filter(|b| !sample_ids.contains(b)).collect();
-        rest.par_iter().try_for_each(|&b| {
-            let ctx = BlockCtx {
-                dev: &dev,
-                func: f,
-                global: view,
-                const_mem: &const_mem,
-                params: &params,
-                block_dim: dims.block,
-                grid_dim: dims.grid,
-                block_idx: block_index(b, dims.grid),
-                dynamic_shared: dims.dynamic_shared,
-                timing: false,
-                trace: false,
-                tex_bindings: &tex_bindings,
-                racecheck: opts.racecheck,
-                strict_barriers: opts.strict_barriers,
-            };
-            run_block_with(&ctx, &cfg, &pdom).map(|_| ())
-        })?;
+        let is_sample = |b: u64| b.is_multiple_of(stride) && b / stride < sample_n;
+        let rest: Vec<u64> = (0..nblocks).filter(|&b| !is_sample(b)).collect();
+        let min_blocks = blocks_per_worker(sample_stats.dyn_insts / sample_n);
+        run_blocks::<false>(&env, &idle, &rest, min_blocks)?;
     }
+    let functional_time = sampled.elapsed();
 
     // --- SM-level timing model ---
     // Average per-block figures from the sample.
@@ -450,11 +600,12 @@ fn launch_inner(
         let indices: Vec<(u32, u32, u32)> = (0..resident)
             .map(|i| block_index(sample_ids[i % sample_ids.len()], dims.grid))
             .collect();
+        let round_started = Instant::now();
         let round = crate::event::run_sm_round(
-            &dev,
-            f,
+            dev,
+            plan,
             view,
-            &const_mem,
+            const_mem,
             &params,
             dims.block,
             dims.grid,
@@ -462,6 +613,7 @@ fn launch_inner(
             dims.dynamic_shared,
             &tex_bindings,
         )?;
+        sample_time += round_started.elapsed();
         let mem_round = round.stats.global_bytes as f64 / dev.bytes_per_cycle_per_sm();
         let round_cycles = (round.cycles as f64).max(mem_round);
         total_cycles = round_cycles * waves;
@@ -504,18 +656,22 @@ fn launch_inner(
     stats.barriers = s(stats.barriers);
     stats.issue_cycles = s(stats.issue_cycles);
 
+    let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
     Ok(LaunchReport {
-        kernel: kernel.to_string(),
+        kernel: plan.kernel.clone(),
         device: dev.name.clone(),
         time_ms,
         cycles: total_cycles as u64,
         occupancy: occ,
-        regs_per_thread: ra.gpr_count.max(2),
-        pred_regs: ra.pred_count,
+        regs_per_thread: plan.gpr_count.max(2),
+        pred_regs: plan.pred_count,
         shared_per_block,
-        local_bytes_per_thread: f.local_bytes,
-        static_insts: f.static_inst_count(),
+        local_bytes_per_thread: plan.local_bytes,
+        static_insts: plan.static_insts,
         stats,
         bound,
+        host_plan_us: us(planned - started),
+        host_sample_us: us(sample_time),
+        host_functional_us: us(functional_time),
     })
 }

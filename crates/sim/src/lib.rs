@@ -44,17 +44,20 @@ pub mod interp;
 pub mod launch;
 pub mod mem;
 pub mod occupancy;
+pub mod plan;
 pub mod racecheck;
 pub mod regalloc;
 pub mod report;
 
-pub use device::DeviceConfig;
+pub use device::{DeviceConfig, IssueClass, LatencyClass};
 pub use event::{run_sm_round, SmRound};
 pub use interp::{ExecStats, SimError};
 pub use launch::{
-    launch, launch_keyed, Bound, DeviceState, KArg, LaunchDims, LaunchOptions, LaunchReport,
+    launch, launch_keyed, launch_planned, Bound, DeviceState, KArg, LaunchDims, LaunchOptions,
+    LaunchReport,
 };
 pub use mem::{GlobalMem, MemError, GLOBAL_BASE};
 pub use occupancy::{occupancy, Limiter, Occupancy};
+pub use plan::LaunchPlan;
 pub use regalloc::{allocate, RegAlloc};
 pub use report::summarize;

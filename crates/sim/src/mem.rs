@@ -162,29 +162,62 @@ impl GlobalMem {
     }
 }
 
+/// Lane ranges evaluated together: half-warps or the whole warp.
+fn lane_groups(halves: bool) -> &'static [std::ops::Range<usize>] {
+    if halves {
+        &[0..16, 16..32]
+    } else {
+        &[0..32]
+    }
+}
+
+/// `x / d` for a divisor fixed over a lane loop. Segment sizes and bank
+/// counts are powers of two on every real device, and a 64-bit divide
+/// per lane would dominate the transaction models.
+#[inline(always)]
+fn div_by(d: u64) -> impl Fn(u64) -> u64 {
+    let shift = d.is_power_of_two().then(|| d.trailing_zeros());
+    move |x| match shift {
+        Some(s) => x >> s,
+        None => x / d,
+    }
+}
+
+/// `x % d`, as [`div_by`].
+#[inline(always)]
+fn rem_by(d: u64) -> impl Fn(u64) -> u64 {
+    let pow2 = d.is_power_of_two();
+    move |x| if pow2 { x & (d - 1) } else { x % d }
+}
+
+/// The memory line (`mem_segment`-sized) an address falls in.
+#[inline(always)]
+pub(crate) fn line_of(dev: &DeviceConfig) -> impl Fn(u64) -> u64 {
+    div_by(dev.mem_segment)
+}
+
 /// Count the global-memory transactions a warp access generates.
 ///
 /// `addrs` are the per-lane byte addresses; `mask` selects active lanes.
 /// CC 1.x coalesces per half-warp into `mem_segment`-byte segments;
 /// CC 2.x uses 128-byte cache lines across the whole warp.
 pub fn coalesce_transactions(dev: &DeviceConfig, addrs: &[u64; 32], mask: u32) -> u32 {
+    let line = line_of(dev);
     let mut total = 0u32;
-    let groups: &[std::ops::Range<usize>] = if dev.half_warp_coalescing {
-        &[0..16, 16..32]
-    } else {
-        &[0..32]
-    };
-    for g in groups {
-        let mut segs: Vec<u64> = Vec::with_capacity(8);
+    for g in lane_groups(dev.half_warp_coalescing) {
+        // Distinct segments of this group, in first-touch order.
+        let mut segs = [0u64; 32];
+        let mut n = 0;
         for lane in g.clone() {
             if mask & (1 << lane) != 0 {
-                let seg = addrs[lane] / dev.mem_segment;
-                if !segs.contains(&seg) {
-                    segs.push(seg);
+                let seg = line(addrs[lane]);
+                if !segs[..n].contains(&seg) {
+                    segs[n] = seg;
+                    n += 1;
                 }
             }
         }
-        total += segs.len() as u32;
+        total += n as u32;
     }
     total
 }
@@ -194,41 +227,167 @@ pub fn coalesce_transactions(dev: &DeviceConfig, addrs: &[u64; 32], mask: u32) -
 /// full warp on CC 2.x). Broadcasts (same word) don't conflict. Returns ≥1
 /// whenever any lane is active.
 pub fn bank_conflict_degree(dev: &DeviceConfig, addrs: &[u64; 32], mask: u32) -> u32 {
-    let groups: &[std::ops::Range<usize>] = if dev.cc_major == 1 {
-        &[0..16, 16..32]
-    } else {
-        &[0..32]
-    };
-    let mut worst = 0u32;
-    for g in groups {
-        let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); dev.shared_banks as usize];
-        let mut any = false;
-        for lane in g.clone() {
+    let bank_of = rem_by(dev.shared_banks as u64);
+    // With at most 64 banks a bit mask tells which were touched: a word
+    // in an untouched bank is neither a broadcast nor a conflict, which
+    // spares the (common) conflict-free access every scan.
+    let track_touched = dev.shared_banks <= 64;
+    let mut worst = 1u32;
+    for g in lane_groups(dev.cc_major == 1) {
+        // Distinct words of this group and their banks. A bank's word
+        // count is complete when its last distinct word arrives, so the
+        // running maximum of "earlier words in my bank + 1" is the degree.
+        let mut words = [0u64; 32];
+        let mut banks = [0u64; 32];
+        let mut n = 0;
+        let mut touched = 0u64;
+        'lanes: for lane in g.clone() {
             if mask & (1 << lane) != 0 {
-                any = true;
                 let word = addrs[lane] / 4;
-                let bank = (word % dev.shared_banks as u64) as usize;
-                if !per_bank[bank].contains(&word) {
-                    per_bank[bank].push(word);
+                let bank = bank_of(word);
+                let mut scan = n;
+                if track_touched {
+                    if touched & (1 << bank) == 0 {
+                        scan = 0;
+                    }
+                    touched |= 1 << bank;
                 }
+                let mut in_bank = 0;
+                for j in 0..scan {
+                    if banks[j] == bank {
+                        if words[j] == word {
+                            continue 'lanes; // broadcast
+                        }
+                        in_bank += 1;
+                    }
+                }
+                worst = worst.max(in_bank + 1);
+                words[n] = word;
+                banks[n] = bank;
+                n += 1;
             }
         }
-        if any {
-            let m = per_bank
-                .iter()
-                .map(|v| v.len() as u32)
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            worst = worst.max(m);
+    }
+    worst
+}
+
+/// An insert-only set of memory-line numbers (the per-block "this line
+/// was already fetched" model): open addressing, cleared per block
+/// without giving its capacity back.
+#[derive(Debug, Default)]
+pub(crate) struct LineSet {
+    /// Power-of-two table; `None` is an empty slot.
+    slots: Vec<Option<u64>>,
+    len: usize,
+}
+
+impl LineSet {
+    /// Add `line`; true when it was not yet present (`HashSet::insert`).
+    pub(crate) fn insert(&mut self, line: u64) -> bool {
+        if self.len * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let fresh = Self::place(&mut self.slots, line);
+        self.len += fresh as usize;
+        fresh
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill(None);
+        self.len = 0;
+    }
+
+    fn place(slots: &mut [Option<u64>], line: u64) -> bool {
+        let mask = slots.len() - 1;
+        // Fibonacci hashing: consecutive lines spread over the table.
+        let mut i = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            match slots[i] {
+                None => {
+                    slots[i] = Some(line);
+                    return true;
+                }
+                Some(l) if l == line => return false,
+                Some(_) => i = (i + 1) & mask,
+            }
         }
     }
-    worst.max(1)
+
+    fn grow(&mut self) {
+        let mut bigger = vec![None; (self.slots.len() * 2).max(64)];
+        for line in self.slots.iter().flatten() {
+            Self::place(&mut bigger, *line);
+        }
+        self.slots = bigger;
+    }
+}
+
+/// The allocating definitions the fixed-array versions above replaced,
+/// kept as the reference the property tests compare against.
+#[cfg(test)]
+mod reference {
+    use super::DeviceConfig;
+
+    pub fn coalesce_transactions(dev: &DeviceConfig, addrs: &[u64; 32], mask: u32) -> u32 {
+        let mut total = 0u32;
+        let groups: &[std::ops::Range<usize>] = if dev.half_warp_coalescing {
+            &[0..16, 16..32]
+        } else {
+            &[0..32]
+        };
+        for g in groups {
+            let mut segs: Vec<u64> = Vec::with_capacity(8);
+            for lane in g.clone() {
+                if mask & (1 << lane) != 0 {
+                    let seg = addrs[lane] / dev.mem_segment;
+                    if !segs.contains(&seg) {
+                        segs.push(seg);
+                    }
+                }
+            }
+            total += segs.len() as u32;
+        }
+        total
+    }
+
+    pub fn bank_conflict_degree(dev: &DeviceConfig, addrs: &[u64; 32], mask: u32) -> u32 {
+        let groups: &[std::ops::Range<usize>] = if dev.cc_major == 1 {
+            &[0..16, 16..32]
+        } else {
+            &[0..32]
+        };
+        let mut worst = 0u32;
+        for g in groups {
+            let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); dev.shared_banks as usize];
+            let mut any = false;
+            for lane in g.clone() {
+                if mask & (1 << lane) != 0 {
+                    any = true;
+                    let word = addrs[lane] / 4;
+                    let bank = (word % dev.shared_banks as u64) as usize;
+                    if !per_bank[bank].contains(&word) {
+                        per_bank[bank].push(word);
+                    }
+                }
+            }
+            if any {
+                let m = per_bank
+                    .iter()
+                    .map(|v| v.len() as u32)
+                    .max()
+                    .unwrap_or(1)
+                    .max(1);
+                worst = worst.max(m);
+            }
+        }
+        worst.max(1)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_and_roundtrip() {
@@ -321,5 +480,65 @@ mod tests {
             32
         );
         assert_eq!(bank_conflict_degree(&c2070, &seq_addrs(0, 4), u32::MAX), 1);
+    }
+
+    /// Addresses that collide often: a few bases, small strides, and the
+    /// occasional wild pointer.
+    fn lane_addrs() -> impl Strategy<Value = [u64; 32]> {
+        let lane = prop_oneof![
+            (0u64..4, 0u64..64).prop_map(|(base, i)| base * 0x1000 + i * 4),
+            (0u64..2048).prop_map(|i| i * 4),
+            (0u64..u64::MAX).prop_map(|a| a),
+        ];
+        prop::collection::vec(lane, 32).prop_map(|v| {
+            let mut a = [0u64; 32];
+            a.copy_from_slice(&v);
+            a
+        })
+    }
+
+    fn lane_mask() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            Just(u32::MAX),
+            Just(0u32),
+            0u32..=u32::MAX,
+            (1u32..32).prop_map(|n| (1u32 << n) - 1),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn transaction_models_match_their_reference(addrs in lane_addrs(), mask in lane_mask()) {
+            for dev in DeviceConfig::presets() {
+                prop_assert_eq!(
+                    coalesce_transactions(&dev, &addrs, mask),
+                    reference::coalesce_transactions(&dev, &addrs, mask),
+                    "coalescing on {} mask {:#x} {:?}", dev.name, mask, addrs
+                );
+                prop_assert_eq!(
+                    bank_conflict_degree(&dev, &addrs, mask),
+                    reference::bank_conflict_degree(&dev, &addrs, mask),
+                    "bank conflicts on {} mask {:#x} {:?}", dev.name, mask, addrs
+                );
+            }
+        }
+
+        #[test]
+        fn line_set_matches_hash_set(
+            lines in prop::collection::vec(prop_oneof![0u64..40, 0u64..=u64::MAX], 0..400),
+            clear_at in 0usize..400,
+        ) {
+            let mut ours = LineSet::default();
+            let mut std_set = std::collections::HashSet::new();
+            for (i, &l) in lines.iter().enumerate() {
+                if i == clear_at {
+                    ours.clear();
+                    std_set.clear();
+                }
+                prop_assert_eq!(ours.insert(l), std_set.insert(l), "line {:#x}", l);
+            }
+        }
     }
 }

@@ -12,7 +12,6 @@
 
 use ks_ir::cfg::Cfg;
 use ks_ir::{Function, Ty, VReg};
-use std::collections::HashSet;
 
 /// Result of register allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,62 +25,99 @@ pub struct RegAlloc {
     pub assignment: Vec<u32>,
 }
 
-/// Per-block liveness sets (only live-out is consumed by the segment
-/// builder; live-in is implied by the backward walk).
-struct Liveness {
-    live_out: Vec<HashSet<VReg>>,
+/// Per-block liveness: one bit row per block, one bit per vreg.
+pub(crate) struct Liveness {
+    /// `u64` words per row.
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
 }
 
-fn compute_liveness(f: &Function, cfg: &Cfg) -> Liveness {
+impl Liveness {
+    /// Registers live on entry to `block`: read on some path from its
+    /// start before being written. Ascending.
+    pub(crate) fn live_in(&self, block: usize) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.live_in[block * self.words..][..self.words])
+    }
+
+    fn live_out(&self, block: usize) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.live_out[block * self.words..][..self.words])
+    }
+}
+
+fn set_bits(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    row.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                w as u32 * 64 + bit
+            })
+        })
+    })
+}
+
+/// Classic backward liveness dataflow over the CFG (reachable blocks).
+pub(crate) fn compute_liveness(f: &Function, cfg: &Cfg) -> Liveness {
     let n = f.blocks.len();
+    let words = f.num_vregs().div_ceil(64);
+    let has = |row: &[u64], r: VReg| row[r.0 as usize / 64] & (1 << (r.0 % 64)) != 0;
+    let set = |row: &mut [u64], r: VReg| row[r.0 as usize / 64] |= 1 << (r.0 % 64);
     // use[b] = vars read before any write in b; def[b] = vars written.
-    let mut use_s = vec![HashSet::new(); n];
-    let mut def_s = vec![HashSet::new(); n];
+    let mut use_s = vec![0u64; n * words];
+    let mut def_s = vec![0u64; n * words];
     for (bi, b) in f.blocks.iter().enumerate() {
+        let uses = &mut use_s[bi * words..][..words];
+        let defs = &mut def_s[bi * words..][..words];
         for i in &b.insts {
             i.for_each_use(|r| {
-                if !def_s[bi].contains(&r) {
-                    use_s[bi].insert(r);
+                if !has(defs, r) {
+                    set(uses, r);
                 }
             });
             if let Some(d) = i.def() {
-                def_s[bi].insert(d);
+                set(defs, d);
             }
         }
         if let Some(p) = b.term.use_reg() {
-            if !def_s[bi].contains(&p) {
-                use_s[bi].insert(p);
+            if !has(defs, p) {
+                set(uses, p);
             }
         }
     }
-    let mut live_in = vec![HashSet::new(); n];
-    let mut live_out = vec![HashSet::new(); n];
+    let mut live_in = vec![0u64; n * words];
+    let mut live_out = vec![0u64; n * words];
+    let mut out = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         // Iterate in reverse RPO for fast convergence.
         for &bid in cfg.rpo.iter().rev() {
             let b = bid.0 as usize;
-            let mut out = HashSet::new();
+            out.fill(0);
             for s in &cfg.succs[b] {
-                for r in &live_in[s.0 as usize] {
-                    out.insert(*r);
+                for (o, i) in out
+                    .iter_mut()
+                    .zip(&live_in[s.0 as usize * words..][..words])
+                {
+                    *o |= i;
                 }
             }
-            let mut inp = use_s[b].clone();
-            for r in &out {
-                if !def_s[b].contains(r) {
-                    inp.insert(*r);
-                }
-            }
-            if out != live_out[b] || inp != live_in[b] {
-                live_out[b] = out;
-                live_in[b] = inp;
-                changed = true;
+            let row = b * words;
+            for w in 0..words {
+                let inp = use_s[row + w] | (out[w] & !def_s[row + w]);
+                changed |= inp != live_in[row + w] || out[w] != live_out[row + w];
+                live_in[row + w] = inp;
+                live_out[row + w] = out[w];
             }
         }
     }
-    Liveness { live_out }
+    Liveness {
+        words,
+        live_in,
+        live_out,
+    }
 }
 
 /// Compute live intervals over a linearization and run a linear scan.
@@ -131,8 +167,8 @@ pub fn allocate(f: &Function) -> RegAlloc {
             *v = None;
         }
         // Everything live-out survives to the block end.
-        for r in &live.live_out[bi] {
-            open_end[r.0 as usize] = Some(bend);
+        for r in live.live_out(bi) {
+            open_end[r as usize] = Some(bend);
         }
         // Terminator use.
         let term_pos = bend - 2;

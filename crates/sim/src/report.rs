@@ -82,6 +82,9 @@ mod tests {
                 ..Default::default()
             },
             bound: Bound::Compute,
+            host_plan_us: 0.0,
+            host_sample_us: 0.0,
+            host_functional_us: 0.0,
         };
         let s = summarize(&r);
         assert!(s.contains("numerator"));

@@ -3,7 +3,7 @@
 use ks_codegen::{compile, CodegenOptions};
 use ks_lang::frontend;
 use ks_sim::interp::GlobalView;
-use ks_sim::{run_sm_round, DeviceConfig, GLOBAL_BASE};
+use ks_sim::{run_sm_round, DeviceConfig, LaunchPlan, GLOBAL_BASE};
 
 fn module(src: &str, defs: &[(&str, &str)]) -> ks_ir::Module {
     let defs: Vec<(String, String)> = defs
@@ -44,7 +44,7 @@ fn event_round_executes_functionally_and_counts_cycles() {
     let blocks: Vec<(u32, u32, u32)> = (0..4).map(|b| (b, 0, 0)).collect();
     let round = run_sm_round(
         &DeviceConfig::tesla_c1060(),
-        f,
+        &LaunchPlan::from_function(f),
         view,
         &[],
         &params,
@@ -83,6 +83,7 @@ fn more_resident_blocks_hide_latency() {
     let m = module(src, &[]);
     let f = m.function("touch").unwrap();
     let dev = DeviceConfig::tesla_c1060();
+    let plan = LaunchPlan::from_function(f);
     let mut cycles = Vec::new();
     for nblocks in [1u32, 8] {
         let mut heap = vec![0u8; 1 << 20];
@@ -91,7 +92,7 @@ fn more_resident_blocks_hide_latency() {
         let blocks: Vec<(u32, u32, u32)> = (0..nblocks).map(|b| (b, 0, 0)).collect();
         let round = run_sm_round(
             &dev,
-            f,
+            &plan,
             view,
             &[],
             &params,
@@ -134,7 +135,7 @@ fn barrier_release_across_interleaved_warps() {
     let blocks: Vec<(u32, u32, u32)> = (0..2).map(|b| (b, 0, 0)).collect();
     run_sm_round(
         &DeviceConfig::tesla_c2070(),
-        f,
+        &LaunchPlan::from_function(f),
         view,
         &[],
         &params,

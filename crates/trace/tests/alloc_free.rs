@@ -4,19 +4,34 @@
 //! atomics only, so "always-on counters" cannot become an allocation
 //! tax on the compile or pipeline hot paths.
 //!
-//! This lives in its own integration-test binary so the process-wide
-//! allocator counter sees only this test's traffic.
+//! The allocator counts only on a thread that asked it to: the test
+//! harness runs this binary's tests on parallel threads (and prints from
+//! its own), and none of that traffic belongs in the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set by the measuring thread around its window. `const`-initialised
+    /// and without a destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -54,12 +69,14 @@ fn publishing_through_warm_handles_is_allocation_free() {
     // Steady state: counters, gauges, histograms (three-level scoped
     // chains included) and disabled spans are allocation-free.
     let before = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     for i in 0..OPS {
         counter.inc();
         gauge.set(i as f64);
         hist.record(1 + (i % 10_000));
         let _span = ks_trace::span("disabled-hot-path");
     }
+    COUNTING.set(false);
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(
         delta, 0,
