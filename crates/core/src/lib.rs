@@ -1027,42 +1027,34 @@ impl Compiler {
         metrics.sema = t.elapsed();
         drop(sp);
 
+        // Translation validation follows every kernel from its first
+        // lowering through each HIR transform stage ("codegen.unroll" =
+        // unroll's output vs its input) and on through each IR pass,
+        // summarizing every snapshot once. Time spent in it is `verify`
+        // time, carved out of the phase it interleaves with.
+        let envs = ks_verify::default_envs();
+        let mut stages = self
+            .validation
+            .map(|v| ks_verify::ModuleChain::new(&envs, v.limits));
+        let mut vreport = ks_verify::VerifyReport::default();
+        let mut verify_time = Duration::ZERO;
+
         let sp = ks_trace::span("lower");
         let t = Instant::now();
-        // With validation on, capture a lowered snapshot after every HIR
-        // transform stage so consecutive stages can be compared.
-        let mut hir_snaps: Vec<(&'static str, ks_ir::Module)> = Vec::new();
-        let mut module = if self.validation.is_some() {
-            ks_codegen::compile_observed(&program, &self.options, &mut |stage, m| {
-                hir_snaps.push((stage, m.clone()));
-            })
-            .map_err(&err)?
-        } else {
-            ks_codegen::compile(&program, &self.options).map_err(&err)?
-        };
-        metrics.lower = t.elapsed();
-        drop(sp);
-
-        // Translation validation, part 1: each HIR stage against its
-        // predecessor ("codegen.unroll" = unroll's output vs its input).
-        let mut vreport = ks_verify::VerifyReport::default();
-        if let Some(vcfg) = &self.validation {
-            let sp = ks_trace::span("verify-codegen");
-            let t = Instant::now();
-            let envs = ks_verify::default_envs();
-            for w in hir_snaps.windows(2) {
-                vreport.merge(ks_verify::check_modules(
-                    &w[0].1,
-                    &w[1].1,
-                    &envs,
-                    vcfg.limits,
-                    &format!("codegen.{}", w[1].0),
-                ));
+        let mut module = match &mut stages {
+            Some(stages) => {
+                ks_codegen::compile_observed(&program, &self.options, &mut |stage, m| {
+                    let _sp = ks_trace::span("verify-codegen");
+                    let tv = Instant::now();
+                    vreport.merge(stages.step(m, &format!("codegen.{stage}")));
+                    verify_time += tv.elapsed();
+                })
             }
-            metrics.verify = t.elapsed();
-            drop(sp);
+            None => ks_codegen::compile(&program, &self.options),
         }
-        drop(hir_snaps);
+        .map_err(&err)?;
+        metrics.lower = t.elapsed().saturating_sub(verify_time);
+        drop(sp);
 
         // Sanitizer: verify the IR after lowering and after every pass
         // application, attributing any breakage to the pass that caused
@@ -1072,28 +1064,31 @@ impl Compiler {
         let sanitize = cfg!(debug_assertions) || self.analysis.is_some();
         let sp = ks_trace::span("opt");
         let t = Instant::now();
-        let mut verify_in_opt = Duration::ZERO;
-        if sanitize || self.validation.is_some() {
+        let verify_before_opt = verify_time;
+        if sanitize || stages.is_some() {
             if let Some(e) = ks_ir::verify_module(&module).first() {
                 return Err(err(format!("verification failed after lowering: {e}")));
             }
-            // Translation validation, part 2: each IR pass against the
-            // function it received. Summarization only needs the module
-            // for const/texture naming, so a functions-less clone serves
-            // as context while the real functions are mutated in place.
-            let envs = self.validation.as_ref().map(|_| ks_verify::default_envs());
-            let vctx = self.validation.as_ref().map(|_| ks_ir::Module {
+            // Summarization only needs the module for const/texture
+            // naming, so a functions-less clone serves as context while
+            // the real functions are mutated in place.
+            let vctx = ks_ir::Module {
                 functions: vec![],
                 consts: module.consts.clone(),
                 textures: module.textures.clone(),
-            });
+            };
             let mut broken: Option<(&'static str, String)> = None;
             for f in module.functions.iter_mut() {
+                let mut chain = stages.as_mut().map(|stages| {
+                    let tv = Instant::now();
+                    let chain = stages.detach(f, &vctx);
+                    verify_time += tv.elapsed();
+                    chain
+                });
                 // `last` tracks the start of the current pass window:
                 // everything since the previous observed pass (including
                 // that pass's verification) attributes to this pass.
                 let mut last = Instant::now();
-                let mut prev_fn = self.validation.as_ref().map(|_| f.clone());
                 ks_opt::optimize_with_observer(f, &self.opt_config, &mut |pass, f| {
                     if ks_trace::enabled() {
                         ks_trace::complete_span(&format!("opt-pass.{pass}"), last);
@@ -1103,21 +1098,10 @@ impl Compiler {
                             broken = Some((pass, e.to_string()));
                         }
                     }
-                    if let (Some(vcfg), Some(prev), Some(envs), Some(ctx)) =
-                        (&self.validation, &mut prev_fn, &envs, &vctx)
-                    {
+                    if let Some(chain) = &mut chain {
                         let tv = Instant::now();
-                        vreport.merge(ks_verify::check_function_pair(
-                            prev,
-                            ctx,
-                            f,
-                            ctx,
-                            envs,
-                            vcfg.limits,
-                            &format!("opt.{pass}"),
-                        ));
-                        *prev = f.clone();
-                        verify_in_opt += tv.elapsed();
+                        vreport.merge(chain.step(f, &vctx, &format!("opt.{pass}")));
+                        verify_time += tv.elapsed();
                     }
                     last = Instant::now();
                 });
@@ -1139,8 +1123,8 @@ impl Compiler {
         } else {
             ks_opt::optimize_module_with(&mut module, &self.opt_config);
         }
-        metrics.opt = t.elapsed().saturating_sub(verify_in_opt);
-        metrics.verify += verify_in_opt;
+        metrics.opt = t.elapsed().saturating_sub(verify_time - verify_before_opt);
+        metrics.verify = verify_time;
         drop(sp);
 
         // Finalize translation validation: publish counters, then fail the

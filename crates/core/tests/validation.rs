@@ -89,3 +89,27 @@ fn validation_config_participates_in_cache_key() {
     assert_eq!(stats.misses, 1);
     assert_eq!(stats.hits, 1);
 }
+
+#[test]
+fn passes_are_validated_when_no_codegen_stage_is_observed() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    // A "-O0" frontend reports no HIR stage at all, so no chain exists
+    // when the optimizer starts: each function's chain must begin at
+    // its lowered form and still cover every IR pass.
+    let options = ks_codegen::CodegenOptions {
+        optimize: false,
+        ..Default::default()
+    };
+    let compiler = Compiler::with_options(DeviceConfig::tesla_c1060(), options)
+        .with_validation(ValidationConfig::default());
+    let reg = ks_trace::registry();
+    let before = reg.counter_value(ks_trace::names::VERIFY_CHECKS);
+    let bin = compiler
+        .compile(SRC, Defines::new().def("GAIN", 3).def("N", 1024))
+        .unwrap();
+    assert!(bin.verification.is_empty(), "{:?}", bin.verification);
+    let checks = reg.counter_value(ks_trace::names::VERIFY_CHECKS) - before;
+    let envs = ks_verify::default_envs().len() as u64;
+    assert!(checks >= envs, "some pass must have been checked");
+    assert_eq!(checks % envs, 0, "one check per env per pass: {checks}");
+}

@@ -3,12 +3,17 @@
 //! specialized kernels and in rolled loops alike — collapses to a single
 //! computation. Loads participate too, invalidated by stores/barriers to
 //! the same state space.
+//!
+//! Complexity: linear in the block. A value is only reused within
+//! [`REUSE_WINDOW`] instructions of its definition, so available
+//! expressions are expired by position and the map never holds more than
+//! a window's worth; every invalidation sweep is O(window), not O(block).
 
 use ks_ir::{Function, Inst, Operand, Space, VReg};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A hashable key describing a pure computation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Bin(ks_ir::BinOp, ks_ir::Ty, OpKey, OpKey),
     Un(ks_ir::UnOp, ks_ir::Ty, OpKey),
@@ -103,7 +108,21 @@ pub fn run(f: &mut Function) -> usize {
     for b in &mut f.blocks {
         // value key -> (register holding it, instruction position defined)
         let mut avail: HashMap<Key, (VReg, usize)> = HashMap::new();
+        // Insertion log in position order: what to expire, and when.
+        let mut window: VecDeque<(usize, Key)> = VecDeque::new();
         for (pos, i) in b.insts.iter_mut().enumerate() {
+            // An entry past the reuse window can only ever be overwritten,
+            // never hit: drop it (unless a later insert already took its
+            // slot), so `avail` stays at most a window long.
+            while let Some(&(at, key)) = window.front() {
+                if pos - at <= REUSE_WINDOW {
+                    break;
+                }
+                window.pop_front();
+                if avail.get(&key).is_some_and(|&(_, a)| a == at) {
+                    avail.remove(&key);
+                }
+            }
             // Invalidate loads when memory may change.
             match i {
                 Inst::St { space, .. } => {
@@ -125,41 +144,106 @@ pub fn run(f: &mut Function) -> usize {
                 }
                 _ => {}
             }
+            let Some(dst) = i.def() else { continue };
             let key = key_of(i);
-            let def = i.def();
-            if let (Some(key), Some(dst)) = (key, def) {
-                match avail.get(&key) {
-                    Some(&(prev, at)) if pos - at <= REUSE_WINDOW => {
-                        let ty = f.vreg_types[dst.0 as usize];
-                        *i = Inst::Mov {
-                            ty,
-                            dst,
-                            src: Operand::Reg(prev),
-                        };
-                        replaced += 1;
-                    }
-                    _ => {
-                        avail.insert(key, (dst, pos));
-                    }
-                }
+            let hit = key.and_then(|k| avail.get(&k)).map(|&(prev, _)| prev);
+            if let Some(prev) = hit {
+                let ty = f.vreg_types[dst.0 as usize];
+                *i = Inst::Mov {
+                    ty,
+                    dst,
+                    src: Operand::Reg(prev),
+                };
+                replaced += 1;
             }
             // Redefinition kills every expression that used the old value,
             // and any expression currently cached in this register.
-            if let Some(dst) = i.def() {
-                avail.retain(|k, (v, _)| {
-                    if *v == dst {
-                        // keep only if this very instruction produced it
-                        key_of(i).as_ref() == Some(k)
-                    } else {
-                        let mut uses_dst = false;
-                        key_uses(k, |r| uses_dst |= r == dst);
-                        !uses_dst
-                    }
-                });
+            avail.retain(|k, (v, _)| {
+                let mut stale = *v == dst;
+                key_uses(k, |r| stale |= r == dst);
+                !stale
+            });
+            // ... except the one this very instruction produced (even when
+            // it reads its own destination, as `r = r + 1` does).
+            if let (Some(key), None) = (key, hit) {
+                avail.insert(key, (dst, pos));
+                window.push_back((pos, key));
             }
         }
     }
     replaced
+}
+
+/// The pass as it stood before available expressions expired by position
+/// (whole-map sweeps on every definition): kept verbatim as the model the
+/// windowed pass is tested against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn run(f: &mut Function) -> usize {
+        let mut replaced = 0;
+        for b in &mut f.blocks {
+            // value key -> (register holding it, instruction position defined)
+            let mut avail: HashMap<Key, (VReg, usize)> = HashMap::new();
+            for (pos, i) in b.insts.iter_mut().enumerate() {
+                // Invalidate loads when memory may change.
+                match i {
+                    Inst::St { space, .. } => {
+                        let s = *space;
+                        avail.retain(|k, _| {
+                            // Texture fetches read global memory: a global
+                            // store may alias them (the simulator is
+                            // coherent, unlike real texture caches).
+                            !(matches!(k, Key::Ld(sp, ..) if *sp == s)
+                                || (s == Space::Global && matches!(k, Key::Tex(..))))
+                        });
+                    }
+                    Inst::Bar => {
+                        // A barrier publishes other threads' shared *and*
+                        // global (and thus texture-visible) writes.
+                        avail.retain(|k, _| {
+                            !matches!(k, Key::Ld(Space::Shared | Space::Global, ..) | Key::Tex(..))
+                        });
+                    }
+                    _ => {}
+                }
+                let key = key_of(i);
+                let def = i.def();
+                if let (Some(key), Some(dst)) = (key, def) {
+                    match avail.get(&key) {
+                        Some(&(prev, at)) if pos - at <= REUSE_WINDOW => {
+                            let ty = f.vreg_types[dst.0 as usize];
+                            *i = Inst::Mov {
+                                ty,
+                                dst,
+                                src: Operand::Reg(prev),
+                            };
+                            replaced += 1;
+                        }
+                        _ => {
+                            avail.insert(key, (dst, pos));
+                        }
+                    }
+                }
+                // Redefinition kills every expression that used the old value,
+                // and any expression currently cached in this register.
+                if let Some(dst) = i.def() {
+                    avail.retain(|k, (v, _)| {
+                        if *v == dst {
+                            // keep only if this very instruction produced it
+                            key_of(i).as_ref() == Some(k)
+                        } else {
+                            let mut uses_dst = false;
+                            key_uses(k, |r| uses_dst |= r == dst);
+                            !uses_dst
+                        }
+                    });
+                }
+            }
+        }
+        replaced
+    }
 }
 
 #[cfg(test)]
@@ -314,5 +398,82 @@ mod tests {
         ];
         let mut f = mk(insts, vec![Ty::U32, Ty::U32]);
         assert_eq!(run(&mut f), 1);
+    }
+
+    /// `r1 = r0*4`, then `gap` unrelated moves, then `r2 = r0*4`: the
+    /// recomputation sits `gap + 1` positions after the definition.
+    fn recompute_after(gap: usize) -> Function {
+        let mul = |dst| Inst::Bin {
+            op: BinOp::Mul,
+            ty: Ty::S32,
+            dst: VReg(dst),
+            a: VReg(0).into(),
+            b: Operand::ImmI(4),
+        };
+        let filler = Inst::Mov {
+            ty: Ty::S32,
+            dst: VReg(3),
+            src: Operand::ImmI(7),
+        };
+        let mut insts = vec![mul(1)];
+        insts.extend(std::iter::repeat_n(filler, gap));
+        insts.push(mul(2));
+        mk(insts, vec![Ty::S32; 4])
+    }
+
+    #[test]
+    fn reuse_window_edge_is_inclusive() {
+        let mut at_window = recompute_after(REUSE_WINDOW - 1);
+        assert_eq!(run(&mut at_window), 1, "distance 24 still reuses");
+        assert!(matches!(
+            at_window.blocks[0].insts[REUSE_WINDOW],
+            Inst::Mov {
+                src: Operand::Reg(VReg(1)),
+                ..
+            }
+        ));
+        let mut past_window = recompute_after(REUSE_WINDOW);
+        assert_eq!(run(&mut past_window), 0, "distance 25 recomputes");
+    }
+
+    #[test]
+    fn expired_value_is_available_again_from_its_recomputation() {
+        // r1 = r0*4 … (25 apart) … r2 = r0*4; r3 = r0*4: the middle one
+        // recomputes and becomes the value the last one reuses.
+        let mut f = recompute_after(REUSE_WINDOW);
+        f.blocks[0].insts.push(Inst::Bin {
+            op: BinOp::Mul,
+            ty: Ty::S32,
+            dst: VReg(3),
+            a: VReg(0).into(),
+            b: Operand::ImmI(4),
+        });
+        assert_eq!(run(&mut f), 1);
+        assert!(matches!(
+            f.blocks[0].insts.last(),
+            Some(Inst::Mov {
+                src: Operand::Reg(VReg(2)),
+                ..
+            })
+        ));
+    }
+
+    mod against_reference {
+        use super::super::{reference, run};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+            #[test]
+            fn windowed_pass_is_the_reference_pass(
+                f in prop_oneof![crate::testgen::function(6), crate::testgen::function(48)],
+            ) {
+                let (mut new, mut old) = (f.clone(), f);
+                let (n, o) = (run(&mut new), reference::run(&mut old));
+                prop_assert_eq!(n, o, "replaced count");
+                prop_assert_eq!(new, old);
+            }
+        }
     }
 }

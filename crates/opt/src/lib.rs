@@ -13,6 +13,8 @@ pub mod cse;
 pub mod dce;
 pub mod eval;
 pub mod strength;
+#[cfg(test)]
+mod testgen;
 
 use ks_ir::Function;
 

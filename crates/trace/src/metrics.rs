@@ -16,7 +16,10 @@ struct CounterInner {
     value: AtomicU64,
     /// Scoped metrics chain to their parent (the next-outer label set,
     /// ending at the unlabeled global), so one publish lands in every
-    /// aggregate and roll-up parity holds by construction.
+    /// aggregate: roll-up parity is exact at quiescence, and in flight a
+    /// cell never reads ahead of an aggregate it chains into — publishes
+    /// go root-first with `Release`, [`Registry::snapshot`] reads cells
+    /// before aggregates with `Acquire`.
     parent: Option<Counter>,
 }
 
@@ -37,18 +40,21 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        let mut cur = self;
-        loop {
-            cur.0.value.fetch_add(n, Ordering::Relaxed);
-            match &cur.0.parent {
-                Some(p) => cur = p,
-                None => break,
-            }
+        // Aggregates first (the chain is a few levels at most), so that
+        // whoever sees this cell's increment also sees its aggregates'.
+        if let Some(p) = &self.0.parent {
+            p.add(n);
         }
+        self.0.value.fetch_add(n, Ordering::Release);
     }
 
     pub fn get(&self) -> u64 {
-        self.0.value.load(Ordering::Relaxed)
+        self.0.value.load(Ordering::Acquire)
+    }
+
+    /// Number of aggregates this counter chains into.
+    fn depth(&self) -> usize {
+        self.0.parent.as_ref().map_or(0, |p| 1 + p.depth())
     }
 }
 
@@ -145,20 +151,26 @@ impl Histogram {
     }
 
     pub fn record(&self, v: u64) {
-        let bucket = Self::bucket_index(v);
-        let mut cur = self;
-        loop {
-            let inner = &cur.0;
-            inner.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-            inner.count.fetch_add(1, Ordering::Relaxed);
-            inner.sum.fetch_add(v, Ordering::Relaxed);
-            inner.min.fetch_min(v, Ordering::Relaxed);
-            inner.max.fetch_max(v, Ordering::Relaxed);
-            match &inner.parent {
-                Some(p) => cur = p,
-                None => break,
-            }
+        self.record_in(Self::bucket_index(v), v);
+    }
+
+    /// Aggregates first, like [`Counter::add`]; every field is its own
+    /// `Release` publish, so each one reads cell ≤ aggregate (min: ≥).
+    fn record_in(&self, bucket: usize, v: u64) {
+        let inner = &self.0;
+        if let Some(p) = &inner.parent {
+            p.record_in(bucket, v);
         }
+        inner.buckets[bucket].fetch_add(1, Ordering::Release);
+        inner.count.fetch_add(1, Ordering::Release);
+        inner.sum.fetch_add(v, Ordering::Release);
+        inner.min.fetch_min(v, Ordering::Release);
+        inner.max.fetch_max(v, Ordering::Release);
+    }
+
+    /// Number of aggregates this histogram chains into.
+    fn depth(&self) -> usize {
+        self.0.parent.as_ref().map_or(0, |p| 1 + p.depth())
     }
 
     /// Record a `Duration` in whole microseconds.
@@ -167,11 +179,11 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.count.load(Ordering::Acquire)
     }
 
     pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
+        self.0.sum.load(Ordering::Acquire)
     }
 
     /// Nearest-rank quantile (`q` in `[0, 1]`), answered from the
@@ -185,14 +197,14 @@ impl Histogram {
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
         for (i, b) in self.0.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+            seen += b.load(Ordering::Acquire);
             if seen >= rank {
                 return Some(Self::bucket_value(i));
             }
         }
         // Counts are bumped after the bucket cell under concurrency;
         // fall back to the recorded max.
-        Some(self.0.max.load(Ordering::Relaxed))
+        Some(self.0.max.load(Ordering::Acquire))
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -203,9 +215,9 @@ impl Histogram {
             min: if count == 0 {
                 0
             } else {
-                self.0.min.load(Ordering::Relaxed)
+                self.0.min.load(Ordering::Acquire)
             },
-            max: self.0.max.load(Ordering::Relaxed),
+            max: self.0.max.load(Ordering::Acquire),
             p50: self.quantile(0.50).unwrap_or(0),
             p95: self.quantile(0.95).unwrap_or(0),
             p99: self.quantile(0.99).unwrap_or(0),
@@ -222,7 +234,7 @@ impl Histogram {
             .iter()
             .enumerate()
             .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
+                let n = b.load(Ordering::Acquire);
                 (n != 0).then_some((i as u32, n))
             })
             .collect();
@@ -364,36 +376,53 @@ impl Registry {
     /// Sparse bucket-level copy of every registered histogram — the
     /// input [`crate::window::History::tick_at`] diffs per tick.
     pub fn cells_snapshot(&self) -> BTreeMap<String, HistogramCells> {
-        self.histograms
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.cells()))
-            .collect()
+        let map = self.histograms.lock();
+        read_cells_first(&map, Histogram::depth, Histogram::cells)
     }
 
-    /// Consistent point-in-time copy of every registered metric.
+    /// Point-in-time copy of every registered metric. Publishers are not
+    /// stopped, so the copy is exact only at quiescence; in flight it
+    /// still never shows a labeled cell ahead of an aggregate it chains
+    /// into.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
+            counters: read_cells_first(&self.counters.lock(), Counter::depth, Counter::get),
             gauges: self
                 .gauges
                 .lock()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            histograms: read_cells_first(
+                &self.histograms.lock(),
+                Histogram::depth,
+                Histogram::snapshot,
+            ),
         }
     }
+}
+
+/// Read every metric of `map`, deepest label level first: a cell is read
+/// (`Acquire`) before the aggregates its publishes reached first
+/// (`Release`), so no cell can read ahead of its aggregate.
+fn read_cells_first<T, V>(
+    map: &BTreeMap<String, T>,
+    depth: impl Fn(&T) -> usize,
+    read: impl Fn(&T) -> V,
+) -> BTreeMap<String, V> {
+    let depths: Vec<usize> = map.values().map(depth).collect();
+    let mut values: Vec<Option<V>> = map.values().map(|_| None).collect();
+    for level in (0..=depths.iter().copied().max().unwrap_or(0)).rev() {
+        for ((metric, d), slot) in map.values().zip(&depths).zip(&mut values) {
+            if *d == level {
+                *slot = Some(read(metric));
+            }
+        }
+    }
+    map.keys()
+        .cloned()
+        .zip(values.into_iter().flatten())
+        .collect()
 }
 
 /// Point-in-time copy of the registry, ready for export or diffing.

@@ -5,9 +5,13 @@
 //! `name{k=v,...}` (label keys sorted) and its handle chains to the
 //! parent scope's handle and ultimately to the plain, unlabeled global
 //! metric. Every publish walks that chain, so **the sum of the child
-//! scopes equals the global aggregate exactly, by construction**, under
-//! any interleaving — the same discipline the `ks_core.*` counters keep
-//! against their subsystem stats.
+//! scopes equals the global aggregate exactly once publishers are
+//! quiescent** — the same discipline the `ks_core.*` counters keep
+//! against their subsystem stats. While publishes are in flight a
+//! snapshot is not a cut, but it is ordered: a publish reaches its
+//! aggregates before its cell, and [`Registry::snapshot`] reads cells
+//! before aggregates, so no cell (or sum of sibling cells) ever reads
+//! ahead of an aggregate it chains into.
 //!
 //! ```
 //! use ks_trace::Registry;

@@ -1,9 +1,11 @@
 //! Concurrency herd over labeled scopes: N publisher threads hammer
 //! per-thread scopes while reader threads race snapshots and rolling-
 //! window rotations against them. The scoped roll-up must be **exact**
-//! at every level once the herd joins — parent-chained handles mean a
-//! publish lands atomically in its cell and every enclosing aggregate,
-//! so no interleaving can lose or double-count an increment.
+//! at every level once the herd joins — a publish lands in its cell and
+//! every enclosing aggregate, so no interleaving can lose or
+//! double-count an increment — and while the herd runs no snapshot may
+//! show a cell ahead of an aggregate it chains into (publishes go
+//! aggregate-first, snapshots read cells first).
 
 use ks_trace::{scoped_counter_sum, History, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};

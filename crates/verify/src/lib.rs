@@ -15,9 +15,12 @@
 //!    parameter reads become parameter bindings, defines that replace
 //!    `blockDim.x` reads become `ntid` bindings ([`bindings`]).
 //!
-//! Both checkers share one hash-consed expression arena per comparison, so
-//! summary equality is plain `ExprId` equality. Findings carry `KSV`
-//! diagnostic codes in the same shape as ks-ir's `KSI` verifier errors and
+//! Both sides of a comparison are summarized into one hash-consed
+//! expression arena, so summary equality is plain `ExprId` equality; a
+//! function followed through a sequence of transforms keeps one arena
+//! per environment for the whole sequence ([`SnapshotChain`]) and is
+//! summarized once per snapshot, not twice per comparison. Findings carry
+//! `KSV` diagnostic codes in the same shape as ks-ir's `KSI` verifier errors and
 //! the analyzer's `KSA` lints:
 //!
 //! * `KSV001` — an optimization/codegen stage changed observable behavior;
@@ -164,8 +167,140 @@ pub fn spec_envs(ntid: [Option<i64>; 3]) -> Vec<Env> {
     envs
 }
 
-/// Compare one function before/after a transform under `envs`. Every
-/// comparison builds both summaries in a fresh shared arena.
+/// One function followed through a sequence of transforms: every
+/// snapshot is summarized once per environment, compared with the
+/// snapshot before it, and carried forward as the next comparison's
+/// "pre" — N transforms cost N+1 summaries per environment, not 2N.
+///
+/// Each environment keeps one [`Arena`] for the whole chain. That cannot
+/// change a verdict: canonical forms and `ExprId` equality depend only on
+/// which expressions are equal, not on what else the arena holds;
+/// [`Limits`] bound paths, steps and forks, never arena size; and an
+/// inconclusive message renders no expression.
+pub struct SnapshotChain<'e> {
+    envs: &'e [Env],
+    limits: Limits,
+    function: String,
+    /// Per environment: its arena and the latest snapshot's summary.
+    latest: Vec<(Arena, FnSummary)>,
+}
+
+impl<'e> SnapshotChain<'e> {
+    /// Start a chain at `f` (module `ctx` names its consts and textures).
+    pub fn new(f: &Function, ctx: &Module, envs: &'e [Env], limits: Limits) -> Self {
+        let latest = envs
+            .iter()
+            .map(|env| {
+                let mut arena = Arena::new();
+                let first = Summarizer::new(&mut arena, limits).summarize(f, ctx, env);
+                (arena, first)
+            })
+            .collect();
+        SnapshotChain {
+            envs,
+            limits,
+            function: f.name.clone(),
+            latest,
+        }
+    }
+
+    /// Name of the function this chain follows.
+    pub fn function(&self) -> &str {
+        &self.function
+    }
+
+    /// Compare `f`, the function after the transform `context` names,
+    /// with the previous snapshot under every environment; `f` becomes
+    /// the previous snapshot.
+    pub fn step(&mut self, f: &Function, ctx: &Module, context: &str) -> VerifyReport {
+        let mut report = VerifyReport::default();
+        for (env, (arena, pre)) in self.envs.iter().zip(&mut self.latest) {
+            report.checks += 1;
+            let post = Summarizer::new(arena, self.limits).summarize(f, ctx, env);
+            let finding = |code, message| Finding {
+                code,
+                context: context.to_string(),
+                env: env.label.clone(),
+                function: self.function.clone(),
+                message,
+            };
+            match diff::compare(arena, pre, &post) {
+                Outcome::Equal => {}
+                Outcome::Inconclusive(msg) => report.findings.push(finding("KSV101", msg)),
+                // One diff per (function, env) is enough: later envs often
+                // repeat the same first divergence.
+                Outcome::Diff(d) => report
+                    .findings
+                    .push(finding("KSV001", format!("{:?}: {}", d.kind, d.detail))),
+            }
+            *pre = post;
+        }
+        report
+    }
+}
+
+/// A module followed through a sequence of whole-module transforms (the
+/// codegen stages): one [`SnapshotChain`] per function.
+pub struct ModuleChain<'e> {
+    envs: &'e [Env],
+    limits: Limits,
+    /// `None` until the first snapshot arrives.
+    functions: Option<Vec<SnapshotChain<'e>>>,
+}
+
+impl<'e> ModuleChain<'e> {
+    pub fn new(envs: &'e [Env], limits: Limits) -> Self {
+        ModuleChain {
+            envs,
+            limits,
+            functions: None,
+        }
+    }
+
+    /// Take the next snapshot. The first one only starts the chains;
+    /// every later one compares each function of the snapshot before it
+    /// with its namesake in `m` (`context` names the transform between).
+    pub fn step(&mut self, m: &Module, context: &str) -> VerifyReport {
+        let mut report = VerifyReport::default();
+        let Some(chains) = &mut self.functions else {
+            let start = |f| SnapshotChain::new(f, m, self.envs, self.limits);
+            self.functions = Some(m.functions.iter().map(start).collect());
+            return report;
+        };
+        chains.retain_mut(|chain| match m.function(chain.function()) {
+            Some(f) => {
+                report.merge(chain.step(f, m, context));
+                true
+            }
+            None => {
+                report.findings.push(Finding {
+                    code: "KSV003",
+                    context: context.to_string(),
+                    env: String::new(),
+                    function: chain.function().to_string(),
+                    message: "function missing after transform".into(),
+                });
+                false
+            }
+        });
+        report
+    }
+
+    /// Hand over the chain of `f`, which must be the function as the
+    /// latest snapshot held it — to follow it through per-function
+    /// transforms (the optimizer passes). Starts one if no snapshot held
+    /// a function of that name.
+    pub fn detach(&mut self, f: &Function, ctx: &Module) -> SnapshotChain<'e> {
+        let held = self.functions.as_mut().and_then(|chains| {
+            let i = chains.iter().position(|c| c.function() == f.name)?;
+            Some(chains.swap_remove(i))
+        });
+        held.unwrap_or_else(|| SnapshotChain::new(f, ctx, self.envs, self.limits))
+    }
+}
+
+/// Compare one function before/after a transform under `envs`: the
+/// two-snapshot [`SnapshotChain`].
 pub fn check_function_pair(
     pre_f: &Function,
     pre_m: &Module,
@@ -175,39 +310,11 @@ pub fn check_function_pair(
     limits: Limits,
     context: &str,
 ) -> VerifyReport {
-    let mut report = VerifyReport::default();
-    for env in envs {
-        report.checks += 1;
-        let mut arena = Arena::new();
-        let mut s = Summarizer::new(&mut arena, limits);
-        let pre = s.summarize(pre_f, pre_m, env);
-        let post = s.summarize(post_f, post_m, env);
-        match diff::compare(&arena, &pre, &post) {
-            Outcome::Equal => {}
-            Outcome::Inconclusive(msg) => report.findings.push(Finding {
-                code: "KSV101",
-                context: context.to_string(),
-                env: env.label.clone(),
-                function: pre_f.name.clone(),
-                message: msg,
-            }),
-            Outcome::Diff(d) => {
-                report.findings.push(Finding {
-                    code: "KSV001",
-                    context: context.to_string(),
-                    env: env.label.clone(),
-                    function: pre_f.name.clone(),
-                    message: format!("{:?}: {}", d.kind, d.detail),
-                });
-                // One diff per (function, env) is enough: later envs often
-                // repeat the same first divergence.
-            }
-        }
-    }
-    report
+    SnapshotChain::new(pre_f, pre_m, envs, limits).step(post_f, post_m, context)
 }
 
-/// Compare whole modules before/after a transform.
+/// Compare whole modules before/after a transform: the two-snapshot
+/// [`ModuleChain`].
 pub fn check_modules(
     pre: &Module,
     post: &Module,
@@ -215,24 +322,9 @@ pub fn check_modules(
     limits: Limits,
     context: &str,
 ) -> VerifyReport {
-    let mut report = VerifyReport::default();
-    for pf in &pre.functions {
-        match post.functions.iter().find(|f| f.name == pf.name) {
-            Some(qf) => {
-                report.merge(check_function_pair(
-                    pf, pre, qf, post, envs, limits, context,
-                ));
-            }
-            None => report.findings.push(Finding {
-                code: "KSV003",
-                context: context.to_string(),
-                env: String::new(),
-                function: pf.name.clone(),
-                message: "function missing after transform".into(),
-            }),
-        }
-    }
-    report
+    let mut chain = ModuleChain::new(envs, limits);
+    chain.step(pre, context);
+    chain.step(post, context)
 }
 
 /// Check RE→SK specialization equivalence: the SK module (compiled with

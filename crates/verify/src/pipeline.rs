@@ -4,7 +4,7 @@
 //! CLI and the ci.sh verification tier; the ks-core `Compiler` performs
 //! the same checks inline when built `with_validation`.
 
-use crate::{check_function_pair, check_modules, default_envs, Limits, VerifyReport};
+use crate::{default_envs, Limits, ModuleChain, VerifyReport};
 use ks_ir::Module;
 use ks_opt::OptConfig;
 
@@ -20,58 +20,30 @@ pub fn validate_pipeline(
     let envs = default_envs();
     let mut report = VerifyReport::default();
 
-    // HIR stages: compare consecutive lowered snapshots.
+    // HIR stages: each lowered snapshot against the one before it.
     let prog = ks_lang::frontend(source, defines).map_err(|e| e.to_string())?;
-    let mut prev: Option<Module> = None;
-    let mut stage_reports = Vec::new();
-    let module = ks_codegen::compile_observed(
+    let mut stages = ModuleChain::new(&envs, limits);
+    let mut opt = ks_codegen::compile_observed(
         &prog,
         &ks_codegen::CodegenOptions::default(),
-        &mut |stage, m| {
-            if let Some(p) = &prev {
-                stage_reports.push(check_modules(
-                    p,
-                    m,
-                    &envs,
-                    limits,
-                    &format!("codegen.{stage}"),
-                ));
-            }
-            prev = Some(m.clone());
-        },
+        &mut |stage, m| report.merge(stages.step(m, &format!("codegen.{stage}"))),
     )
     .map_err(|e| e.to_string())?;
-    for r in stage_reports {
-        report.merge(r);
-    }
 
-    // IR passes: observe each pass on each function. Summarization needs
-    // the module only for const/texture naming, so a functions-less clone
-    // serves as context while we mutate the real functions.
-    let mut opt = module;
+    // IR passes: each function's chain continues through every pass
+    // applied to it. Summarization needs the module only for const/texture
+    // naming, so a functions-less clone serves as context while we mutate
+    // the real functions.
     let ctx = Module {
         functions: vec![],
         consts: opt.consts.clone(),
         textures: opt.textures.clone(),
     };
     for f in &mut opt.functions {
-        let mut pass_reports = Vec::new();
-        let mut prev_fn = f.clone();
+        let mut chain = stages.detach(f, &ctx);
         ks_opt::optimize_with_observer(f, &OptConfig::default(), &mut |pass, cur| {
-            pass_reports.push(check_function_pair(
-                &prev_fn,
-                &ctx,
-                cur,
-                &ctx,
-                &envs,
-                limits,
-                &format!("opt.{pass}"),
-            ));
-            prev_fn = cur.clone();
+            report.merge(chain.step(cur, &ctx, &format!("opt.{pass}")));
         });
-        for r in pass_reports {
-            report.merge(r);
-        }
     }
     Ok(report)
 }
