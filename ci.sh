@@ -29,11 +29,17 @@ done
 echo "== cargo test --release (cache concurrency stress)"
 cargo test --offline --release -q -p ks-core --test concurrency
 cargo test --offline --release -q -p ks-tune --test parallel_compile
+# The executor's row kernels against the scalar definition in
+# ks_ir::eval, every (op, type) lane by lane: the vectorised lane loops
+# the benchmark runs only exist at opt-level 3.
+echo "== cargo test --release (row kernels == ks_ir::eval)"
+cargo test --offline --release -q -p ks-sim --test rows_vs_eval
 
 # Profile one kernel end to end with the JSONL exporter; --selfcheck
 # validates the export schema (span nesting, phase sums vs the compile
-# span, cache counters == CacheStats, sim counters == launch reports)
-# and exits non-zero on any mismatch.
+# span), hits + misses == requests, sim counters == launch reports, the
+# async balance, scope roll-up and the seeded-flip integrity counts, and
+# exits non-zero on any mismatch.
 echo "== ks-prof --kernel template_match --export jsonl --selfcheck"
 cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
     --kernel template_match --device c2070 --export jsonl --quick \
@@ -85,7 +91,7 @@ rm -f "$STORE_OUT"
 # Cross-process cold start: run the full table_6_13 suite twice against
 # one store directory. The second run is a real process restart and
 # must perform zero compiles, serving every specialization from disk
-# (asserted in-process via CacheStats/registry parity).
+# (asserted in-process on the ks_core.* registry counters).
 echo "== table_6_13 cold-start (process restart on a warm store)"
 STORE_DIR=$(mktemp -d) BENCH_DIR=$(mktemp -d)
 KS_BENCH_DIR="$BENCH_DIR" KS_BENCH_QUICK=1 KS_BENCH_STORE="$STORE_DIR" \
@@ -96,9 +102,9 @@ cargo run --offline --release -q -p ks-bench --bin table_6_13 \
     | grep -q "warm start verified: 0 compiles"
 rm -rf "$STORE_DIR" "$BENCH_DIR"
 
-# The profiler selfcheck must still reconcile exactly — CacheStats ==
-# exported profile == registry counters, including the resilience
-# columns — while compile faults are being injected and retried.
+# The profiler selfcheck's invariants must hold just the same while
+# compile faults are being injected and retried: failed attempts never
+# enter hits + misses == requests, every ticket still resolves once.
 echo "== ks-prof --selfcheck under injected compile faults"
 KS_FAULT_SEED=77 KS_FAULT_COMPILE_PPM=100000 \
 cargo run --offline --release -q -p ks-apps --bin ks-prof -- \

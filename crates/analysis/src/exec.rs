@@ -2,11 +2,14 @@
 //!
 //! The executor runs one thread block the same way `ks_sim::interp` does —
 //! lockstep warps, post-dominator reconvergence stacks, round-robin
-//! scheduling between barriers — but over an abstract value domain:
+//! scheduling between barriers — but walking `ks_ir::Inst` directly, over
+//! an abstract value domain:
 //!
-//! * `Con(bits)` — a concrete 64-bit register value, evaluated with the
-//!   *identical* arithmetic the interpreter uses (wrapping 32-bit ops,
-//!   `mul24` masking, pointer sign-extension rules, the full `cvt` matrix);
+//! * `Con(bits)` — a concrete 64-bit register value. What an operation
+//!   computes on one is not defined here: it is [`ks_ir::eval`], the
+//!   scalar definition the simulator's row kernels are tested against
+//!   (wrapping 32-bit ops, `mul24` masking, pointer sign-extension rules,
+//!   the `cvt` matrix);
 //! * `Based(sym, off)` — an unresolved pointer parameter or texture base
 //!   plus a concrete byte offset. Enough to decide coalescing, since
 //!   transaction counts depend only on offsets relative to an aligned base;
@@ -20,16 +23,14 @@
 //! same kernel compiled run-time-evaluated is unanalyzable precisely
 //! because the values specialization would bake in are missing.
 
-#![allow(clippy::needless_range_loop)] // lane loops deliberately mirror ks_sim::interp
-
 use crate::bounds::{BoundsChecker, BoundsFinding};
 use crate::diag::{AnalysisConfig, MemPrediction, ParamValue};
 use crate::memlint::{AccessKind, MemFinding, MemLint};
 use crate::race::{RaceFinding, RaceTracker, Site};
 use ks_ir::cfg::{ipdoms, Cfg};
 use ks_ir::{
-    Address, BinOp, BlockId, CmpOp, Function, Inst, Module, Operand, Space, SpecialReg, Terminator,
-    Ty, UnOp,
+    eval, Address, BinOp, BlockId, CmpOp, Function, Inst, Module, Operand, Space, SpecialReg,
+    Terminator, Ty,
 };
 use ks_sim::device::DeviceConfig;
 use std::collections::HashMap;
@@ -175,7 +176,7 @@ pub fn exec_function(
                 // Scalar loads go through `load_extend`; pointers load the
                 // full 64-bit value.
                 Ty::Ptr(_) => Val::Con(v as u64),
-                _ => Val::Con(load_extend(p.ty, v as u32)),
+                _ => Val::Con(eval::load_extend(p.ty, v as u32)),
             },
             Some(ParamValue::F32(v)) => Val::Con(v.to_bits() as u64),
             None => match p.ty {
@@ -373,22 +374,20 @@ impl Exec<'_> {
                     else_t,
                 } => {
                     let mut taken = 0u32;
-                    for lane in 0..32 {
-                        if mask & (1 << lane) != 0 {
-                            let v = match w.regs[pred.0 as usize * 32 + lane] {
-                                Val::Con(bits) => bits != 0,
-                                _ => {
-                                    return Err(Abort::Inconclusive(format!(
-                                        "branch in {block} depends on a value unavailable at \
-                                         analysis time (an unassumed run-time parameter or \
-                                         loaded data); a specialized kernel or a -A/param \
-                                         assumption makes this decidable"
-                                    )))
-                                }
-                            };
-                            if v ^ negate {
-                                taken |= 1 << lane;
+                    for lane in lanes(mask) {
+                        let v = match w.regs[pred.0 as usize * 32 + lane] {
+                            Val::Con(bits) => bits != 0,
+                            _ => {
+                                return Err(Abort::Inconclusive(format!(
+                                    "branch in {block} depends on a value unavailable at \
+                                     analysis time (an unassumed run-time parameter or \
+                                     loaded data); a specialized kernel or a -A/param \
+                                     assumption makes this decidable"
+                                )))
                             }
+                        };
+                        if v ^ negate {
+                            taken |= 1 << lane;
                         }
                     }
                     let not_taken = mask & !taken;
@@ -429,8 +428,7 @@ impl Exec<'_> {
     fn operand_val(&self, w: &AWarp, o: &Operand, lane: usize) -> Val {
         match o {
             Operand::Reg(r) => w.regs[r.0 as usize * 32 + lane],
-            Operand::ImmI(v) => Val::Con(*v as u64),
-            Operand::ImmF(v) => Val::Con(v.to_bits() as u64),
+            imm => Val::Con(eval::imm_bits(imm).expect("not a register")),
         }
     }
 
@@ -443,17 +441,15 @@ impl Exec<'_> {
                 }
             }
             Some(base) => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        out[lane] = match w.regs[base.0 as usize * 32 + lane] {
-                            Val::Con(b) => Val::Con(b.wrapping_add(addr.offset as u64)),
-                            Val::Based { sym, off } => Val::Based {
-                                sym,
-                                off: off.wrapping_add(addr.offset),
-                            },
-                            Val::Unk => Val::Unk,
-                        };
-                    }
+                for lane in lanes(mask) {
+                    out[lane] = match w.regs[base.0 as usize * 32 + lane] {
+                        Val::Con(b) => Val::Con(b.wrapping_add(addr.offset as u64)),
+                        Val::Based { sym, off } => Val::Based {
+                            sym,
+                            off: off.wrapping_add(addr.offset),
+                        },
+                        Val::Unk => Val::Unk,
+                    };
                 }
             }
         }
@@ -480,10 +476,8 @@ impl Exec<'_> {
     /// Resolve all active lanes or report the access as unresolved.
     fn resolve_lanes(&mut self, vals: &[Val; 32], mask: u32) -> Option<[u64; 32]> {
         let mut out = [0u64; 32];
-        for lane in 0..32 {
-            if mask & (1 << lane) != 0 {
-                out[lane] = self.resolve_addr(vals[lane])?;
-            }
+        for lane in lanes(mask) {
+            out[lane] = self.resolve_addr(vals[lane])?;
         }
         Some(out)
     }
@@ -503,107 +497,93 @@ impl Exec<'_> {
     ) -> Result<(), Abort> {
         match inst {
             Inst::Mov { dst, src, .. } => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        w.regs[dst.0 as usize * 32 + lane] = self.operand_val(w, src, lane);
-                    }
+                for lane in lanes(mask) {
+                    w.regs[dst.0 as usize * 32 + lane] = self.operand_val(w, src, lane);
                 }
             }
             Inst::Special { dst, reg } => {
                 let (bxd, byd, bzd) = self.block_dim;
                 let (gx, gy, gz) = self.cfg.grid_dim;
                 let (cx, cy, cz) = self.cfg.block_idx;
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let tid = w.base_tid + lane as u32;
-                        let tx = tid % bxd;
-                        let ty = (tid / bxd) % byd;
-                        let tz = tid / (bxd * byd);
-                        let v = match reg {
-                            SpecialReg::TidX => tx,
-                            SpecialReg::TidY => ty,
-                            SpecialReg::TidZ => tz,
-                            SpecialReg::CtaIdX => cx,
-                            SpecialReg::CtaIdY => cy,
-                            SpecialReg::CtaIdZ => cz,
-                            SpecialReg::NtidX => bxd,
-                            SpecialReg::NtidY => byd,
-                            SpecialReg::NtidZ => bzd,
-                            SpecialReg::NctaIdX => gx,
-                            SpecialReg::NctaIdY => gy,
-                            SpecialReg::NctaIdZ => gz,
-                        };
-                        w.regs[dst.0 as usize * 32 + lane] = Val::Con(v as u64);
-                    }
+                for lane in lanes(mask) {
+                    let tid = w.base_tid + lane as u32;
+                    let tx = tid % bxd;
+                    let ty = (tid / bxd) % byd;
+                    let tz = tid / (bxd * byd);
+                    let v = match reg {
+                        SpecialReg::TidX => tx,
+                        SpecialReg::TidY => ty,
+                        SpecialReg::TidZ => tz,
+                        SpecialReg::CtaIdX => cx,
+                        SpecialReg::CtaIdY => cy,
+                        SpecialReg::CtaIdZ => cz,
+                        SpecialReg::NtidX => bxd,
+                        SpecialReg::NtidY => byd,
+                        SpecialReg::NtidZ => bzd,
+                        SpecialReg::NctaIdX => gx,
+                        SpecialReg::NctaIdY => gy,
+                        SpecialReg::NctaIdZ => gz,
+                    };
+                    w.regs[dst.0 as usize * 32 + lane] = Val::Con(v as u64);
                 }
             }
             Inst::Bin { op, ty, dst, a, b } => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let x = self.operand_val(w, a, lane);
-                        let y = self.operand_val(w, b, lane);
-                        w.regs[dst.0 as usize * 32 + lane] = bin_val(*op, *ty, x, y);
-                    }
+                for lane in lanes(mask) {
+                    let x = self.operand_val(w, a, lane);
+                    let y = self.operand_val(w, b, lane);
+                    w.regs[dst.0 as usize * 32 + lane] = bin_val(*op, *ty, x, y);
                 }
             }
             Inst::Un { op, ty, dst, a } => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let x = self.operand_val(w, a, lane);
-                        w.regs[dst.0 as usize * 32 + lane] = match x {
-                            Val::Con(bits) => Val::Con(eval_un(*op, *ty, bits)),
-                            _ => Val::Unk,
-                        };
-                    }
+                for lane in lanes(mask) {
+                    let x = self.operand_val(w, a, lane);
+                    w.regs[dst.0 as usize * 32 + lane] = match x {
+                        Val::Con(bits) => Val::Con(eval::un(*op, *ty, bits)),
+                        _ => Val::Unk,
+                    };
                 }
             }
             Inst::Mad { ty, dst, a, b, c } => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let x = self.operand_val(w, a, lane);
-                        let y = self.operand_val(w, b, lane);
-                        let z = self.operand_val(w, c, lane);
-                        let xy = bin_val(BinOp::Mul, *ty, x, y);
-                        w.regs[dst.0 as usize * 32 + lane] = bin_val(BinOp::Add, *ty, xy, z);
-                    }
+                for lane in lanes(mask) {
+                    let x = self.operand_val(w, a, lane);
+                    let y = self.operand_val(w, b, lane);
+                    let z = self.operand_val(w, c, lane);
+                    let xy = bin_val(BinOp::Mul, *ty, x, y);
+                    w.regs[dst.0 as usize * 32 + lane] = bin_val(BinOp::Add, *ty, xy, z);
                 }
             }
             Inst::Setp { cmp, ty, dst, a, b } => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let x = self.operand_val(w, a, lane);
-                        let y = self.operand_val(w, b, lane);
-                        w.regs[dst.0 as usize * 32 + lane] = self.cmp_val(*cmp, *ty, x, y);
-                    }
+                for lane in lanes(mask) {
+                    let x = self.operand_val(w, a, lane);
+                    let y = self.operand_val(w, b, lane);
+                    w.regs[dst.0 as usize * 32 + lane] = self.cmp_val(*cmp, *ty, x, y);
                 }
             }
             Inst::Selp {
                 dst, a, b, pred, ..
             } => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let p = w.regs[pred.0 as usize * 32 + lane];
-                        let av = self.operand_val(w, a, lane);
-                        let bv = self.operand_val(w, b, lane);
-                        w.regs[dst.0 as usize * 32 + lane] = match p {
-                            Val::Con(bits) => {
-                                if bits != 0 {
-                                    av
-                                } else {
-                                    bv
-                                }
+                for lane in lanes(mask) {
+                    let p = w.regs[pred.0 as usize * 32 + lane];
+                    let av = self.operand_val(w, a, lane);
+                    let bv = self.operand_val(w, b, lane);
+                    w.regs[dst.0 as usize * 32 + lane] = match p {
+                        Val::Con(bits) => {
+                            if bits != 0 {
+                                av
+                            } else {
+                                bv
                             }
-                            // Unknown selector: sound only when both arms
-                            // agree.
-                            _ => {
-                                if av == bv {
-                                    av
-                                } else {
-                                    Val::Unk
-                                }
+                        }
+                        // Unknown selector: sound only when both arms
+                        // agree.
+                        _ => {
+                            if av == bv {
+                                av
+                            } else {
+                                Val::Unk
                             }
-                        };
-                    }
+                        }
+                    };
                 }
             }
             Inst::Cvt {
@@ -612,21 +592,22 @@ impl Exec<'_> {
                 dst,
                 src,
             } => {
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let x = self.operand_val(w, src, lane);
-                        w.regs[dst.0 as usize * 32 + lane] = match x {
-                            Val::Con(bits) => Val::Con(eval_cvt(*dst_ty, *src_ty, bits)),
-                            // The cvt matrix passes pointer→pointer bits
-                            // through untouched, so a base survives.
-                            Val::Based { .. }
-                                if matches!(src_ty, Ty::Ptr(_)) && matches!(dst_ty, Ty::Ptr(_)) =>
-                            {
-                                x
-                            }
-                            _ => Val::Unk,
-                        };
-                    }
+                for lane in lanes(mask) {
+                    let x = self.operand_val(w, src, lane);
+                    w.regs[dst.0 as usize * 32 + lane] = match x {
+                        // Not a conversion: the bits pass through.
+                        Val::Con(bits) => {
+                            Val::Con(eval::cvt(*dst_ty, *src_ty, bits).unwrap_or(bits))
+                        }
+                        // Pointer→pointer is such a copy, so a base
+                        // survives it.
+                        Val::Based { .. }
+                            if matches!(src_ty, Ty::Ptr(_)) && matches!(dst_ty, Ty::Ptr(_)) =>
+                        {
+                            x
+                        }
+                        _ => Val::Unk,
+                    };
                 }
             }
             Inst::Ld {
@@ -644,11 +625,9 @@ impl Exec<'_> {
                     },
                     Space::Shared => match self.resolve_lanes(&vals, mask) {
                         Some(addrs) => {
-                            for lane in 0..32 {
-                                if mask & (1 << lane) != 0 {
-                                    self.bounds.check_shared(addrs[lane], site);
-                                    self.race.read(w.warp_id(), addrs[lane], site);
-                                }
+                            for lane in lanes(mask) {
+                                self.bounds.check_shared(addrs[lane], site);
+                                self.race.read(w.warp_id(), addrs[lane], site);
                             }
                             self.mem.shared(AccessKind::SharedLoad, &addrs, mask, site);
                         }
@@ -662,24 +641,19 @@ impl Exec<'_> {
                         }
                     },
                     Space::Local => {
-                        for lane in 0..32 {
-                            if mask & (1 << lane) != 0 {
-                                match vals[lane] {
-                                    Val::Con(a) => self.bounds.check_local(a, site),
-                                    _ => self
-                                        .note_once("local access with unresolved address".into()),
-                                }
+                        for lane in lanes(mask) {
+                            match vals[lane] {
+                                Val::Con(a) => self.bounds.check_local(a, site),
+                                _ => self.note_once("local access with unresolved address".into()),
                             }
                         }
                     }
                     Space::Const => {
-                        for lane in 0..32 {
-                            if mask & (1 << lane) != 0 {
-                                match vals[lane] {
-                                    Val::Con(a) => self.bounds.check_const(a, site),
-                                    _ => self.note_once(
-                                        "constant access with unresolved address".into(),
-                                    ),
+                        for lane in lanes(mask) {
+                            match vals[lane] {
+                                Val::Con(a) => self.bounds.check_const(a, site),
+                                _ => {
+                                    self.note_once("constant access with unresolved address".into())
                                 }
                             }
                         }
@@ -702,10 +676,8 @@ impl Exec<'_> {
                 // Loaded data is opaque except for parameters, whose
                 // values the config may pin down.
                 let _ = ty;
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        w.regs[dst.0 as usize * 32 + lane] = loaded[lane];
-                    }
+                for lane in lanes(mask) {
+                    w.regs[dst.0 as usize * 32 + lane] = loaded[lane];
                 }
             }
             Inst::St {
@@ -727,17 +699,15 @@ impl Exec<'_> {
                             // is a race unless they provably write the same
                             // value (which lane wins is undefined).
                             let mut by_word: HashMap<u64, Val> = HashMap::new();
-                            for lane in 0..32 {
-                                if mask & (1 << lane) != 0 {
-                                    self.bounds.check_shared(addrs[lane], site);
-                                    self.race.write(w.warp_id(), addrs[lane], site);
-                                    let v = self.operand_val(w, src, lane);
-                                    match by_word.get(&(addrs[lane] / 4)) {
-                                        Some(prev) if *prev == v && matches!(v, Val::Con(_)) => {}
-                                        Some(_) => self.race.intra_warp_conflict(addrs[lane], site),
-                                        None => {
-                                            by_word.insert(addrs[lane] / 4, v);
-                                        }
+                            for lane in lanes(mask) {
+                                self.bounds.check_shared(addrs[lane], site);
+                                self.race.write(w.warp_id(), addrs[lane], site);
+                                let v = self.operand_val(w, src, lane);
+                                match by_word.get(&(addrs[lane] / 4)) {
+                                    Some(prev) if *prev == v && matches!(v, Val::Con(_)) => {}
+                                    Some(_) => self.race.intra_warp_conflict(addrs[lane], site),
+                                    None => {
+                                        by_word.insert(addrs[lane] / 4, v);
                                     }
                                 }
                             }
@@ -753,13 +723,10 @@ impl Exec<'_> {
                         }
                     },
                     Space::Local => {
-                        for lane in 0..32 {
-                            if mask & (1 << lane) != 0 {
-                                match vals[lane] {
-                                    Val::Con(a) => self.bounds.check_local(a, site),
-                                    _ => self
-                                        .note_once("local access with unresolved address".into()),
-                                }
+                        for lane in lanes(mask) {
+                            match vals[lane] {
+                                Val::Con(a) => self.bounds.check_local(a, site),
+                                _ => self.note_once("local access with unresolved address".into()),
                             }
                         }
                     }
@@ -770,27 +737,25 @@ impl Exec<'_> {
             Inst::Tex { dst, tex, idx, .. } => {
                 let mut vals = [Val::Con(0); 32];
                 let mut ok = true;
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        vals[lane] = match self.operand_val(w, idx, lane) {
-                            Val::Con(bits) => {
-                                let i = bits as u32 as i32;
-                                if i < 0 {
-                                    ok = false;
-                                    Val::Unk
-                                } else {
-                                    Val::Based {
-                                        sym: TEX_SYM + tex,
-                                        off: i as i64 * 4,
-                                    }
-                                }
-                            }
-                            _ => {
+                for lane in lanes(mask) {
+                    vals[lane] = match self.operand_val(w, idx, lane) {
+                        Val::Con(bits) => {
+                            let i = bits as u32 as i32;
+                            if i < 0 {
                                 ok = false;
                                 Val::Unk
+                            } else {
+                                Val::Based {
+                                    sym: TEX_SYM + tex,
+                                    off: i as i64 * 4,
+                                }
                             }
-                        };
-                    }
+                        }
+                        _ => {
+                            ok = false;
+                            Val::Unk
+                        }
+                    };
                 }
                 if ok {
                     if let Some(addrs) = self.resolve_lanes(&vals, mask) {
@@ -801,10 +766,8 @@ impl Exec<'_> {
                 } else {
                     self.mem.unresolved();
                 }
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        w.regs[dst.0 as usize * 32 + lane] = Val::Unk;
-                    }
+                for lane in lanes(mask) {
+                    w.regs[dst.0 as usize * 32 + lane] = Val::Unk;
                 }
             }
             Inst::Bar => unreachable!("handled by the warp loop"),
@@ -814,67 +777,48 @@ impl Exec<'_> {
 
     fn cmp_val(&mut self, cmp: CmpOp, ty: Ty, x: Val, y: Val) -> Val {
         match (x, y) {
-            (Val::Con(a), Val::Con(b)) => Val::Con(u64::from(eval_cmp(cmp, ty, a, b))),
+            (Val::Con(a), Val::Con(b)) => Val::Con(u64::from(eval::cmp(cmp, ty, a, b))),
             // Same-base pointers order by offset regardless of where the
             // base actually lands.
             (Val::Based { sym: sa, .. }, Val::Based { sym: sb, .. }) if sa == sb => {
                 let a = self.resolve_addr(x).unwrap();
                 let b = self.resolve_addr(y).unwrap();
-                Val::Con(u64::from(eval_cmp(cmp, ty, a, b)))
+                Val::Con(u64::from(eval::cmp(cmp, ty, a, b)))
             }
             _ => Val::Unk,
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Concrete arithmetic, mirroring ks_sim::interp exactly. Divergences here
-// would make the cross-validation tests fail, so the property suite runs
-// random kernels through both engines.
-// ---------------------------------------------------------------------------
-
-fn sext32(v: u32) -> u64 {
-    v as i32 as i64 as u64
+/// Indices of the set bits of `mask`, ascending.
+fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    (0..32).filter(move |lane| mask & (1 << lane) != 0)
 }
 
-#[inline]
-fn sext_operand(v: u64) -> u64 {
-    if v <= u32::MAX as u64 {
-        sext32(v as u32)
-    } else {
-        v
-    }
-}
-
-fn load_extend(ty: Ty, v: u32) -> u64 {
-    match ty {
-        Ty::S32 => sext32(v),
-        _ => v as u64,
-    }
-}
-
+/// `x op y` over the abstract domain: concrete operands go through
+/// [`ks_ir::eval`], a pointer base survives a concrete displacement.
 fn bin_val(op: BinOp, ty: Ty, x: Val, y: Val) -> Val {
     match (x, y) {
-        (Val::Con(a), Val::Con(b)) => match eval_bin(op, ty, a, b) {
-            Some(r) => Val::Con(r),
-            None => Val::Unk, // division by zero: the simulator traps
-        },
+        // `None`: the simulator traps (division by zero, no such op).
+        (Val::Con(a), Val::Con(b)) => eval::bin(op, ty, a, b).map_or(Val::Unk, Val::Con),
         // Pointer displacement keeps the base symbolic.
         (Val::Based { sym, off }, Val::Con(c)) if matches!(ty, Ty::Ptr(_)) => match op {
             BinOp::Add => Val::Based {
                 sym,
-                off: off.wrapping_add(sext_operand(c) as i64),
+                off: off.wrapping_add(eval::sext_operand(c) as i64),
             },
             BinOp::Sub => Val::Based {
                 sym,
-                off: off.wrapping_sub(sext_operand(c) as i64),
+                off: off.wrapping_sub(eval::sext_operand(c) as i64),
             },
             _ => Val::Unk,
         },
+        // Only the second operand is a displacement; the first is taken
+        // at full width.
         (Val::Con(c), Val::Based { sym, off }) if matches!(ty, Ty::Ptr(_)) && op == BinOp::Add => {
             Val::Based {
                 sym,
-                off: off.wrapping_add(sext_operand(c) as i64),
+                off: off.wrapping_add(c as i64),
             }
         }
         (Val::Based { sym: sa, off: oa }, Val::Based { sym: sb, off: ob })
@@ -883,185 +827,6 @@ fn bin_val(op: BinOp, ty: Ty, x: Val, y: Val) -> Val {
             Val::Con((oa as u64).wrapping_sub(ob as u64))
         }
         _ => Val::Unk,
-    }
-}
-
-fn eval_bin(op: BinOp, ty: Ty, x: u64, y: u64) -> Option<u64> {
-    Some(match ty {
-        Ty::F32 => {
-            let a = f32::from_bits(x as u32);
-            let b = f32::from_bits(y as u32);
-            let r = match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Div => a / b,
-                BinOp::Min => a.min(b),
-                BinOp::Max => a.max(b),
-                _ => return None,
-            };
-            r.to_bits() as u64
-        }
-        Ty::U32 => {
-            let (a, b) = (x as u32, y as u32);
-            let r = match op {
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Mul24 => (a & 0xFF_FFFF).wrapping_mul(b & 0xFF_FFFF),
-                BinOp::Div => a.checked_div(b)?,
-                BinOp::Rem => a.checked_rem(b)?,
-                BinOp::Min => a.min(b),
-                BinOp::Max => a.max(b),
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.wrapping_shl(b & 31),
-                BinOp::Shr => a.wrapping_shr(b & 31),
-            };
-            r as u64
-        }
-        Ty::S32 => {
-            let (a, b) = (x as u32 as i32, y as u32 as i32);
-            let r: i32 = match op {
-                BinOp::Add => a.wrapping_add(b),
-                BinOp::Sub => a.wrapping_sub(b),
-                BinOp::Mul => a.wrapping_mul(b),
-                BinOp::Mul24 => {
-                    (((a as u32) & 0xFF_FFFF).wrapping_mul((b as u32) & 0xFF_FFFF)) as i32
-                }
-                BinOp::Div => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a.wrapping_div(b)
-                }
-                BinOp::Rem => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a.wrapping_rem(b)
-                }
-                BinOp::Min => a.min(b),
-                BinOp::Max => a.max(b),
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                BinOp::Shl => a.wrapping_shl(b as u32 & 31),
-                BinOp::Shr => a.wrapping_shr(b as u32 & 31),
-            };
-            return Some(sext32(r as u32));
-        }
-        Ty::Ptr(_) => match op {
-            BinOp::Add => x.wrapping_add(sext_operand(y)),
-            BinOp::Sub => x.wrapping_sub(sext_operand(y)),
-            _ => return None,
-        },
-        Ty::Pred => {
-            let (a, b) = (x != 0, y != 0);
-            let r = match op {
-                BinOp::And => a && b,
-                BinOp::Or => a || b,
-                BinOp::Xor => a ^ b,
-                _ => return None,
-            };
-            u64::from(r)
-        }
-    })
-}
-
-fn eval_un(op: UnOp, ty: Ty, x: u64) -> u64 {
-    match ty {
-        Ty::F32 => {
-            let a = f32::from_bits(x as u32);
-            let r = match op {
-                UnOp::Neg => -a,
-                UnOp::Abs => a.abs(),
-                UnOp::Sqrt => a.sqrt(),
-                UnOp::Rsqrt => 1.0 / a.sqrt(),
-                UnOp::Floor => a.floor(),
-                UnOp::Not => f32::from_bits(!(x as u32)),
-            };
-            r.to_bits() as u64
-        }
-        Ty::Pred => match op {
-            UnOp::Not => u64::from(x == 0),
-            _ => 0,
-        },
-        _ => {
-            let a = x as u32 as i32;
-            let r: i32 = match op {
-                UnOp::Neg => a.wrapping_neg(),
-                UnOp::Not => !a,
-                UnOp::Abs => a.wrapping_abs(),
-                UnOp::Sqrt | UnOp::Rsqrt | UnOp::Floor => a,
-            };
-            if ty == Ty::S32 {
-                sext32(r as u32)
-            } else {
-                (r as u32) as u64
-            }
-        }
-    }
-}
-
-fn eval_cmp(cmp: CmpOp, ty: Ty, x: u64, y: u64) -> bool {
-    match ty {
-        Ty::F32 => {
-            let (a, b) = (f32::from_bits(x as u32), f32::from_bits(y as u32));
-            match cmp {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            }
-        }
-        Ty::U32 => {
-            let (a, b) = (x as u32, y as u32);
-            match cmp {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            }
-        }
-        Ty::Ptr(_) => match cmp {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-        },
-        _ => {
-            let (a, b) = (x as u32 as i32, y as u32 as i32);
-            match cmp {
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-            }
-        }
-    }
-}
-
-fn eval_cvt(dst: Ty, src: Ty, x: u64) -> u64 {
-    match (src, dst) {
-        (Ty::S32, Ty::F32) => ((x as u32 as i32) as f32).to_bits() as u64,
-        (Ty::U32, Ty::F32) => ((x as u32) as f32).to_bits() as u64,
-        (Ty::F32, Ty::S32) => sext32((f32::from_bits(x as u32) as i32) as u32),
-        (Ty::F32, Ty::U32) => (f32::from_bits(x as u32) as u32) as u64,
-        (Ty::S32, Ty::Ptr(_)) => sext32(x as u32),
-        (Ty::U32, Ty::Ptr(_)) => (x as u32) as u64,
-        (Ty::Ptr(_), Ty::S32) => sext32(x as u32),
-        (Ty::Ptr(_), Ty::U32) => (x as u32) as u64,
-        _ => x,
     }
 }
 

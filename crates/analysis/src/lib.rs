@@ -12,8 +12,9 @@
 //! | KSA005 | uncoalesced global access| warn     |
 //!
 //! The precise engine is an abstract SIMT executor ([`exec`]) that runs
-//! one thread block exactly like `ks_sim::interp` but over a
-//! concrete/symbolic value domain. Specialization is what makes it
+//! one thread block with `ks_sim::interp`'s scheduling and — through
+//! [`ks_ir::eval`] — its arithmetic, but over a concrete/symbolic value
+//! domain. Specialization is what makes it
 //! decisive: a kernel whose parameters were compiled in (SK) — or are
 //! supplied as analysis assumptions — has concrete branch predicates and
 //! addresses, so races, bounds, and per-instruction transaction counts

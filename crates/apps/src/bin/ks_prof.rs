@@ -14,22 +14,23 @@
 //! ```
 //!
 //! `--selfcheck` validates the JSONL schema (span nesting, phase sums,
-//! counter consistency) and asserts the exported cache/exec counters
-//! match the compiler's `CacheStats` and the summed launch reports
-//! exactly; it then drives the background compile tier (tickets over
-//! one key, a cancellation, and a tiered gpu-pf promotion) and asserts
-//! `spawned == completed + failed + cancelled` with exact registry
-//! parity on the `ks_core.async.*` and `gpu_pf.promotions*` counters.
-//! Finally it round-trips a probe kernel through a throwaway persistent
-//! store (cold publish, warm disk hit, byte-identical reload) and
-//! asserts `ks_core.store.*` registry parity against `CacheStats`.
-//! It exits non-zero on any mismatch.
+//! counter consistency) and asserts `hits + misses == requests` and that
+//! the exported sim counters equal the summed launch reports; it then
+//! drives the background compile tier (tickets over one key, a
+//! cancellation, and a tiered gpu-pf promotion) and asserts
+//! `spawned == completed + failed + cancelled`, round-trips a probe
+//! kernel through a throwaway persistent store (cold publish, warm disk
+//! hit with zero compiles, byte-identical reload), checks the roll-up of
+//! labeled scopes and the exact accounting of a seeded integrity
+//! violation. The per-instance stats (`CacheStats`, `AsyncStats`, …) are
+//! views of the cells the registry sums, so there is no second copy to
+//! reconcile. It exits non-zero on any mismatch.
 
 use ks_apps::template_match::{MatchImpl, MatchProblem};
 use ks_apps::{backproj, piv, synth, template_match, GpuRunResult, Variant};
 use ks_core::{Compiler, Defines};
 use ks_sim::DeviceConfig;
-use ks_trace::{CacheCounters, CompileProfile, ExecCounters, ExportFormat, KernelProfile};
+use ks_trace::{CompileProfile, ExportFormat, KernelProfile};
 use std::io::Write;
 
 fn usage() -> ! {
@@ -112,7 +113,7 @@ fn main() {
     }
     let compiler = std::sync::Arc::new(compiler);
 
-    let profile = match run(&compiler, &kernel, variant, quick) {
+    let (profile, launched) = match run(&compiler, &kernel, variant, quick) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("ks-prof: {e}");
@@ -121,11 +122,8 @@ fn main() {
     };
 
     if selfcheck {
-        // Order matters: `check` compares the profile snapshot against
-        // the live counters, so it must run before the async/promotion
-        // probes add their own traffic to the same compiler.
         let checks = [
-            ("profile", check(&compiler, &profile)),
+            ("profile", check(&profile, &launched)),
             ("async tier", async_check(&compiler)),
             ("promotion", promotion_check(&compiler)),
             ("store", store_check(compiler.device())),
@@ -146,7 +144,7 @@ fn main() {
              async+promotion+store+scope+integrity+watchdog+prom+sink parity)",
             profile.compiles.len(),
             profile.spans.len(),
-            profile.exec.launches
+            launched.reports.len()
         );
     }
 
@@ -165,13 +163,14 @@ fn main() {
 }
 
 /// Compile (capturing per-module profiles) and run the selected kernel,
-/// then join everything the subsystems observed into one report.
+/// then join everything the subsystems observed into one report (the
+/// run's own launch reports ride along for the selfcheck).
 fn run(
     compiler: &Compiler,
     kernel: &str,
     variant: Variant,
     quick: bool,
-) -> Result<KernelProfile, Box<dyn std::error::Error>> {
+) -> Result<(KernelProfile, GpuRunResult), Box<dyn std::error::Error>> {
     let mut compiles = Vec::new();
     let mut diagnostics = Vec::new();
     let mut profile_defines: Vec<(String, String)> = Vec::new();
@@ -312,118 +311,44 @@ fn run(
         run.reports.len()
     );
 
-    let stats = compiler.cache_stats();
-    let exec = ExecCounters {
-        launches: run.reports.len() as u64,
-        dyn_insts: run.reports.iter().map(|r| r.stats.dyn_insts).sum(),
-        global_bytes: run.reports.iter().map(|r| r.stats.global_bytes).sum(),
-        divergent_branches: run.reports.iter().map(|r| r.stats.divergent_branches).sum(),
-        barriers: run.reports.iter().map(|r| r.stats.barriers).sum(),
-        sim_time_us: (run.sim_ms * 1e3) as u64,
-        occupancy: run
-            .reports
-            .last()
-            .map(|r| r.occupancy.occupancy)
-            .unwrap_or(0.0),
-    };
-    Ok(KernelProfile {
+    let profile = KernelProfile {
         kernel: kernel.to_string(),
         device: compiler.device().name.clone(),
         variant: variant.to_string(),
         defines: profile_defines,
         compiles,
-        cache: CacheCounters {
-            hits: stats.hits,
-            misses: stats.misses,
-            dedup_waits: stats.dedup_waits,
-            evictions: stats.evictions,
-            failures: stats.failures,
-            quarantined: stats.quarantined,
-            retries: stats.retries,
-            breaker_opens: stats.breaker_opens,
-        },
-        exec,
+        sim_time_us: (run.sim_ms * 1e3) as u64,
         diagnostics,
         spans: ks_trace::drain_spans(),
         metrics: ks_trace::registry().snapshot(),
-    })
+    };
+    Ok((profile, run))
 }
 
-/// Cross-validate the profile against every independent source of the
-/// same numbers: the JSONL schema validator, the compiler's own
-/// `CacheStats`, and the registry counters published by ks-core/ks-sim.
-fn check(compiler: &Compiler, p: &KernelProfile) -> Result<(), String> {
+/// Validate the profile's JSONL schema, the request invariant on the
+/// registry snapshot it carries, and that every launch of the run was
+/// published exactly once (registry sim counters == summed reports).
+fn check(p: &KernelProfile, launched: &GpuRunResult) -> Result<(), String> {
     ks_trace::validate_profile_jsonl(&p.to_jsonl())?;
 
-    let stats = compiler.cache_stats();
-    if (
-        p.cache.hits,
-        p.cache.misses,
-        p.cache.dedup_waits,
-        p.cache.evictions,
-        p.cache.failures,
-        p.cache.quarantined,
-        p.cache.retries,
-        p.cache.breaker_opens,
-    ) != (
-        stats.hits,
-        stats.misses,
-        stats.dedup_waits,
-        stats.evictions,
-        stats.failures,
-        stats.quarantined,
-        stats.retries,
-        stats.breaker_opens,
-    ) {
-        return Err(format!(
-            "cache counters {:?} disagree with CacheStats {stats}",
-            p.cache
-        ));
-    }
-    let reg = ks_trace::registry();
-    let reg_cache = (
-        reg.counter_value(ks_trace::names::CACHE_HITS),
-        reg.counter_value(ks_trace::names::CACHE_MISSES),
-        reg.counter_value(ks_trace::names::CACHE_DEDUP_WAITS),
-        reg.counter_value(ks_trace::names::CACHE_EVICTIONS),
-        reg.counter_value(ks_trace::names::CACHE_FAILURES),
-        reg.counter_value(ks_trace::names::CACHE_QUARANTINED),
-        reg.counter_value(ks_trace::names::COMPILE_RETRIES),
-        reg.counter_value(ks_trace::names::BREAKER_OPEN),
-    );
-    if reg_cache
-        != (
-            stats.hits,
-            stats.misses,
-            stats.dedup_waits,
-            stats.evictions,
-            stats.failures,
-            stats.quarantined,
-            stats.retries,
-            stats.breaker_opens,
-        )
-    {
-        return Err(format!(
-            "registry cache counters {reg_cache:?} disagree with CacheStats {stats}"
-        ));
-    }
-    if reg.counter_value(ks_trace::names::COMPILE_REQUESTS) != stats.hits + stats.misses {
+    let [(_, hits), (_, misses), ..] = p.cache_rows();
+    if p.metrics.counter(ks_trace::names::COMPILE_REQUESTS) != hits + misses {
         return Err("hits + misses != compile requests".into());
     }
-    for (name, want) in [
-        (ks_trace::names::SIM_LAUNCHES, p.exec.launches),
-        (ks_trace::names::SIM_DYN_INSTS, p.exec.dyn_insts),
-        (ks_trace::names::SIM_GLOBAL_BYTES, p.exec.global_bytes),
-        (
-            ks_trace::names::SIM_DIVERGENT_BRANCHES,
-            p.exec.divergent_branches,
-        ),
-        (ks_trace::names::SIM_BARRIERS, p.exec.barriers),
-    ] {
-        let got = reg.counter_value(name);
+    let sum = |field: fn(&ks_sim::ExecStats) -> u64| -> u64 {
+        launched.reports.iter().map(|r| field(&r.stats)).sum()
+    };
+    let want = [
+        launched.reports.len() as u64,
+        sum(|s| s.dyn_insts),
+        sum(|s| s.global_bytes),
+        sum(|s| s.divergent_branches),
+        sum(|s| s.barriers),
+    ];
+    for ((name, got), want) in p.exec_rows().into_iter().zip(want) {
         if got != want {
             return Err(format!(
-                "registry {name} = {got}, launch reports say {want}"
+                "registry ks_sim.{name} = {got}, launch reports say {want}"
             ));
         }
     }
@@ -440,25 +365,13 @@ const PROBE_KERNEL: &str = r#"
     }
 "#;
 
-fn async_registry() -> (u64, u64, u64, u64) {
-    let r = ks_trace::registry();
-    (
-        r.counter_value(ks_trace::names::ASYNC_SPAWNED),
-        r.counter_value(ks_trace::names::ASYNC_COMPLETED),
-        r.counter_value(ks_trace::names::ASYNC_FAILED),
-        r.counter_value(ks_trace::names::ASYNC_CANCELLED),
-    )
-}
-
 /// Drive the background compile tier and prove its accounting: three
 /// tickets over one key plus one cancelled ticket, then assert
 /// `spawned == completed + failed + cancelled` on the compiler's
-/// `AsyncStats` with exact delta parity on the `ks_core.async.*`
-/// registry counters. Runs under whatever fault plan is installed —
-/// the balance must hold whether tickets complete or fail.
+/// `AsyncStats`. Runs under whatever fault plan is installed — the
+/// balance must hold whether tickets complete or fail.
 fn async_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
     let s0 = compiler.async_stats();
-    let r0 = async_registry();
     let tickets: Vec<_> = (0..3)
         .map(|_| compiler.spawn_compile(PROBE_KERNEL, Defines::new().def("N", 128)))
         .collect();
@@ -485,42 +398,16 @@ fn async_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
             s1.cancelled - s0.cancelled
         ));
     }
-    let r1 = async_registry();
-    let reg_delta = (r1.0 - r0.0, r1.1 - r0.1, r1.2 - r0.2, r1.3 - r0.3);
-    let stats_delta = (
-        spawned,
-        s1.completed - s0.completed,
-        s1.failed - s0.failed,
-        s1.cancelled - s0.cancelled,
-    );
-    if reg_delta != stats_delta {
-        return Err(format!(
-            "ks_core.async.* registry deltas {reg_delta:?} disagree with AsyncStats deltas \
-             {stats_delta:?}"
-        ));
-    }
     Ok(())
 }
 
-fn store_registry() -> (u64, u64, u64) {
-    let r = ks_trace::registry();
-    (
-        r.counter_value(ks_trace::names::STORE_DISK_HITS),
-        r.counter_value(ks_trace::names::STORE_DISK_MISSES),
-        r.counter_value(ks_trace::names::STORE_ERRORS),
-    )
-}
-
 /// Prove the persistent-store tier's accounting: a cold compiler
-/// publishes a record, a warm compiler on the same directory serves it
-/// from disk without compiling (byte-identical), and the
-/// `ks_core.store.*` registry deltas match both compilers' `CacheStats`
-/// exactly.
+/// publishes a record, and a warm compiler on the same directory serves
+/// it from disk without compiling (byte-identical).
 fn store_check(device: &DeviceConfig) -> Result<(), String> {
     let mut dir = std::env::temp_dir();
     dir.push(format!("ks-prof-selfcheck-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let r0 = store_registry();
     let defs = Defines::new().def("N", 640);
 
     let cold = Compiler::new(device.clone())
@@ -555,29 +442,14 @@ fn store_check(device: &DeviceConfig) -> Result<(), String> {
         return Err("reloaded binary is not byte-identical to the compiled one".into());
     }
 
-    let r1 = store_registry();
-    let reg_delta = (r1.0 - r0.0, r1.1 - r0.1, r1.2 - r0.2);
-    let stats_delta = (
-        cs.disk_hits + ws.disk_hits,
-        cs.disk_misses + ws.disk_misses,
-        cs.store_errors + ws.store_errors,
-    );
-    if reg_delta != stats_delta {
-        return Err(format!(
-            "ks_core.store.* registry deltas {reg_delta:?} disagree with CacheStats deltas \
-             {stats_delta:?}"
-        ));
-    }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }
 
 /// Drive one tiered gpu-pf refresh end to end: the module must serve
-/// immediately, promote to its specialized binary, and account the
-/// promotion on both `PromotionStats` and `gpu_pf.promotions`.
+/// immediately, promote to its specialized binary, and account exactly
+/// one promotion with none left pending.
 fn promotion_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
-    let reg = ks_trace::registry();
-    let p0 = reg.counter_value(ks_trace::names::PF_PROMOTIONS);
     let mut p = gpu_pf::Pipeline::new(compiler.clone(), 1 << 20);
     p.set_refresh_mode(gpu_pf::RefreshMode::Tiered);
     let n = p.int_param("N", 256);
@@ -594,13 +466,6 @@ fn promotion_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
     }
     if stats.promoted != 1 || stats.pending != 0 {
         return Err(format!("promotion accounting off: {stats:?}"));
-    }
-    let p1 = reg.counter_value(ks_trace::names::PF_PROMOTIONS);
-    if p1 - p0 != 1 {
-        return Err(format!(
-            "gpu_pf.promotions delta {} != PromotionStats.promoted 1",
-            p1 - p0
-        ));
     }
     Ok(())
 }
@@ -641,24 +506,10 @@ fn scope_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
     Ok(())
 }
 
-/// Prove integrity-counter parity: a seeded silent flip against a
-/// dedicated probe pipeline must be detected, adjudicated transient,
-/// and recovered — and the global `gpu_pf.integrity.*` counter deltas
-/// must equal the pipeline's own `IntegrityStats`, field for field.
+/// Prove the integrity accounting under an injected fault: a seeded
+/// silent flip against a dedicated probe pipeline must be detected,
+/// adjudicated transient, and recovered, each counted exactly once.
 fn integrity_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
-    let reg = ks_trace::registry();
-    let read = || -> [u64; 7] {
-        [
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_CHECKS),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_WITNESS),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_VIOLATIONS),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_TRANSIENT),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_CORRUPT),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_RECOVERED),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_REEXECS),
-        ]
-    };
-
     let mut p = gpu_pf::Pipeline::new(compiler.clone(), 1 << 20);
     p.set_integrity(Some(gpu_pf::IntegrityConfig {
         witness_period: 1,
@@ -712,7 +563,6 @@ fn integrity_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
         ),
     );
     ks_fault::install(plan.clone());
-    let before = read();
     let run = p.run(2);
     match prior {
         Some(prev) => ks_fault::install(prev),
@@ -735,13 +585,6 @@ fn integrity_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
     ];
     if want != [2, 2, 1, 1, 0, 1, 4] {
         return Err(format!("unexpected IntegrityStats: {stats:?}"));
-    }
-    let after = read();
-    let deltas: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-    if deltas != want {
-        return Err(format!(
-            "gpu_pf.integrity.* registry deltas {deltas:?} != IntegrityStats {want:?}"
-        ));
     }
     // Two iterations, flip scrubbed by recovery: every element advanced
     // by exactly 2.0 — the corruption never reached host memory.

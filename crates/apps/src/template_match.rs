@@ -41,11 +41,6 @@ impl MatchProblem {
     pub fn num_offsets(&self) -> usize {
         self.shift_w * self.shift_h
     }
-
-    /// corr2() calls per frame-set, as Table 5.1 counts them.
-    pub fn corr2_calls(&self) -> usize {
-        self.num_offsets() * self.frames
-    }
 }
 
 /// The four patient data sets of Table 5.1. Template sizes follow the

@@ -18,44 +18,27 @@
 //!
 //! Accounting is exact, in the house style: every ticket resolves as
 //! completed, failed, or cancelled, and at quiescence
-//! `spawned == completed + failed + cancelled` both on the per-compiler
-//! [`AsyncStats`] and on the `ks_core.async.*` registry counters
-//! (asserted by `ks-prof --selfcheck`).
+//! `spawned == completed + failed + cancelled` (asserted by
+//! `ks-prof --selfcheck`). Each outcome is counted once, in a
+//! per-compiler cell under the `ks_core.async.*` registry counter of the
+//! same name; [`AsyncStats`] is a snapshot of the cells.
 
 use crate::{Binary, CompileError, Compiler, Defines};
 use ks_store::Fingerprint;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
-/// Pre-resolved `ks_core.async.*` registry handles.
-struct AsyncTrace {
-    spawned: ks_trace::Counter,
-    completed: ks_trace::Counter,
-    failed: ks_trace::Counter,
-    cancelled: ks_trace::Counter,
-    queue_wait_us: ks_trace::Histogram,
-}
-
-fn async_trace() -> &'static AsyncTrace {
-    static TC: OnceLock<AsyncTrace> = OnceLock::new();
-    TC.get_or_init(|| {
-        let r = ks_trace::registry();
-        AsyncTrace {
-            spawned: r.counter(ks_trace::names::ASYNC_SPAWNED),
-            completed: r.counter(ks_trace::names::ASYNC_COMPLETED),
-            failed: r.counter(ks_trace::names::ASYNC_FAILED),
-            cancelled: r.counter(ks_trace::names::ASYNC_CANCELLED),
-            queue_wait_us: r.histogram(ks_trace::names::ASYNC_QUEUE_WAIT_US),
-        }
-    })
+/// Queue-wait latency of every background job in the process (µs).
+fn queue_wait_us() -> &'static ks_trace::Histogram {
+    static H: OnceLock<ks_trace::Histogram> = OnceLock::new();
+    H.get_or_init(|| ks_trace::registry().histogram(ks_trace::names::ASYNC_QUEUE_WAIT_US))
 }
 
 /// Per-compiler async-tier counters. At quiescence
-/// `spawned == completed + failed + cancelled`; the same deltas appear
-/// on the `ks_core.async.*` registry counters.
+/// `spawned == completed + failed + cancelled`; the `ks_core.async.*`
+/// registry counters are the sums over all compilers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AsyncStats {
     /// Tickets created by [`Compiler::spawn_compile`].
@@ -79,23 +62,35 @@ impl std::fmt::Display for AsyncStats {
     }
 }
 
-/// Owned by each [`Compiler`], shared with its in-flight jobs so
-/// accounting stays exact even if the compiler is dropped mid-flight.
-#[derive(Default)]
-pub(crate) struct AsyncStatsCell {
-    spawned: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
+/// One unregistered cell per ticket event, each under the registry
+/// counter of the same name. Owned by each [`Compiler`], shared with its
+/// in-flight jobs so accounting stays exact even if the compiler is
+/// dropped mid-flight.
+pub(crate) struct AsyncCells {
+    spawned: ks_trace::Counter,
+    completed: ks_trace::Counter,
+    failed: ks_trace::Counter,
+    cancelled: ks_trace::Counter,
 }
 
-impl AsyncStatsCell {
+impl AsyncCells {
+    pub(crate) fn new() -> AsyncCells {
+        use ks_trace::names;
+        let cell = |name| ks_trace::registry().counter(name).cell();
+        AsyncCells {
+            spawned: cell(names::ASYNC_SPAWNED),
+            completed: cell(names::ASYNC_COMPLETED),
+            failed: cell(names::ASYNC_FAILED),
+            cancelled: cell(names::ASYNC_CANCELLED),
+        }
+    }
+
     pub(crate) fn snapshot(&self) -> AsyncStats {
         AsyncStats {
-            spawned: self.spawned.load(Ordering::Acquire),
-            completed: self.completed.load(Ordering::Acquire),
-            failed: self.failed.load(Ordering::Acquire),
-            cancelled: self.cancelled.load(Ordering::Acquire),
+            spawned: self.spawned.get(),
+            completed: self.completed.get(),
+            failed: self.failed.get(),
+            cancelled: self.cancelled.get(),
         }
     }
 }
@@ -122,7 +117,7 @@ impl TicketInner {
     /// was the one that resolved it.
     fn fulfill(
         &self,
-        stats: &AsyncStatsCell,
+        stats: &AsyncCells,
         outcome: TicketOutcome,
         result: Result<Arc<Binary>, CompileError>,
     ) -> bool {
@@ -132,20 +127,10 @@ impl TicketInner {
         }
         st.result = Some(result);
         drop(st);
-        let t = async_trace();
         match outcome {
-            TicketOutcome::Completed => {
-                stats.completed.fetch_add(1, Ordering::AcqRel);
-                t.completed.inc();
-            }
-            TicketOutcome::Failed => {
-                stats.failed.fetch_add(1, Ordering::AcqRel);
-                t.failed.inc();
-            }
-            TicketOutcome::Cancelled => {
-                stats.cancelled.fetch_add(1, Ordering::AcqRel);
-                t.cancelled.inc();
-            }
+            TicketOutcome::Completed => stats.completed.inc(),
+            TicketOutcome::Failed => stats.failed.inc(),
+            TicketOutcome::Cancelled => stats.cancelled.inc(),
         }
         self.ready.notify_all();
         true
@@ -157,7 +142,7 @@ impl TicketInner {
 #[derive(Clone)]
 pub struct CompileTicket {
     inner: Arc<TicketInner>,
-    stats: Arc<AsyncStatsCell>,
+    stats: Arc<AsyncCells>,
 }
 
 impl CompileTicket {
@@ -216,7 +201,7 @@ struct Job {
     /// Weak: a queued job must not keep a dropped compiler (and its
     /// cache) alive. Stats are held strongly so accounting survives.
     compiler: Weak<Compiler>,
-    stats: Arc<AsyncStatsCell>,
+    stats: Arc<AsyncCells>,
     source: String,
     defines: Defines,
     identity: String,
@@ -284,9 +269,7 @@ fn worker_loop(pool: &'static Pool) {
 }
 
 fn run_job(job: Job) {
-    async_trace()
-        .queue_wait_us
-        .record_duration_us(job.enqueued.elapsed());
+    queue_wait_us().record_duration_us(job.enqueued.elapsed());
     // A cancelled (or otherwise already-resolved) ticket's job is
     // dropped here without compiling; cancel() did the accounting.
     if job.ticket.state.lock().result.is_some() {
@@ -353,7 +336,7 @@ fn run_job(job: Job) {
 /// [`Compiler::spawn_compile`].
 pub(crate) fn spawn(
     compiler: &Arc<Compiler>,
-    stats: Arc<AsyncStatsCell>,
+    stats: Arc<AsyncCells>,
     key: Fingerprint,
     source: &str,
     defines: &Defines,
@@ -363,8 +346,7 @@ pub(crate) fn spawn(
         state: Mutex::new(TicketState { result: None }),
         ready: Condvar::new(),
     });
-    stats.spawned.fetch_add(1, Ordering::AcqRel);
-    async_trace().spawned.inc();
+    stats.spawned.inc();
     // Invalid defines resolve immediately: they would never reach the
     // cache on the blocking path either.
     if let Some(msg) = defines.invalid() {

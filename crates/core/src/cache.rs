@@ -15,10 +15,12 @@
 //! * **Bounded capacity** — an optional LRU bound with eviction
 //!   accounting, for long-running services that sweep huge define spaces.
 //!
-//! Statistics are atomics, updated exactly once per `compile()` call, so
-//! `hits + misses` equals the number of successful calls under arbitrary
-//! interleavings (the seed kept stats under a separate mutex from the
-//! cache map, which let the two disagree).
+//! Every event is counted once, in a per-cache ks-trace cell
+//! ([`ks_trace::Counter::cell`]) that chains into the registry counters of
+//! the compiler's metric scope: [`CacheStats`] is a snapshot of the cells,
+//! the exported metrics are their aggregates, and the two cannot disagree.
+//! A call moves its counters exactly once, so `hits + misses` equals the
+//! number of successful calls under arbitrary interleavings.
 
 use crate::store::StoreTier;
 use crate::{Binary, CacheStats, CompileError, ResilienceConfig};
@@ -29,14 +31,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Pre-resolved handles into the ks-trace registry. Every increment
-/// below pairs a local [`Counters`] atomic with the matching registry
-/// counter, so `CacheStats` and the exported metrics agree exactly (for
-/// a single compiler; the registry aggregates across compilers). Built
-/// from a [`ks_trace::Scope`] so a labeled compiler's cache traffic is
-/// published under its label set too — scoped handles chain into the
-/// unlabeled globals, keeping the registry-wide invariants exact.
-struct TraceCounters {
+/// One unregistered cell per cache event, each under the registry
+/// counter of the same event in the compiler's [`ks_trace::Scope`] (and so
+/// under the unlabeled global too): an increment lands in this cache's
+/// [`CacheStats`] and in every exported aggregate in one publish.
+struct Cells {
     hits: ks_trace::Counter,
     misses: ks_trace::Counter,
     evictions: ks_trace::Counter,
@@ -50,20 +49,22 @@ struct TraceCounters {
     store_errors: ks_trace::Counter,
 }
 
-impl TraceCounters {
-    fn from_scope(scope: &ks_trace::Scope<'_>) -> TraceCounters {
-        TraceCounters {
-            hits: scope.counter(ks_trace::names::CACHE_HITS),
-            misses: scope.counter(ks_trace::names::CACHE_MISSES),
-            evictions: scope.counter(ks_trace::names::CACHE_EVICTIONS),
-            dedup_waits: scope.counter(ks_trace::names::CACHE_DEDUP_WAITS),
-            failures: scope.counter(ks_trace::names::CACHE_FAILURES),
-            quarantined: scope.counter(ks_trace::names::CACHE_QUARANTINED),
-            retries: scope.counter(ks_trace::names::COMPILE_RETRIES),
-            breaker_opens: scope.counter(ks_trace::names::BREAKER_OPEN),
-            disk_hits: scope.counter(ks_trace::names::STORE_DISK_HITS),
-            disk_misses: scope.counter(ks_trace::names::STORE_DISK_MISSES),
-            store_errors: scope.counter(ks_trace::names::STORE_ERRORS),
+impl Cells {
+    fn from_scope(scope: &ks_trace::Scope<'_>) -> Cells {
+        use ks_trace::names;
+        let cell = |name| scope.counter(name).cell();
+        Cells {
+            hits: cell(names::CACHE_HITS),
+            misses: cell(names::CACHE_MISSES),
+            evictions: cell(names::CACHE_EVICTIONS),
+            dedup_waits: cell(names::CACHE_DEDUP_WAITS),
+            failures: cell(names::CACHE_FAILURES),
+            quarantined: cell(names::CACHE_QUARANTINED),
+            retries: cell(names::COMPILE_RETRIES),
+            breaker_opens: cell(names::BREAKER_OPEN),
+            disk_hits: cell(names::STORE_DISK_HITS),
+            disk_misses: cell(names::STORE_DISK_MISSES),
+            store_errors: cell(names::STORE_ERRORS),
         }
     }
 }
@@ -152,28 +153,15 @@ impl Shard {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    dedup_waits: AtomicU64,
-    compile_micros: AtomicU64,
-    dedup_wait_micros: AtomicU64,
-    failures: AtomicU64,
-    quarantined: AtomicU64,
-    retries: AtomicU64,
-    breaker_opens: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    store_errors: AtomicU64,
-}
-
 pub(crate) struct BinaryCache {
     shards: Box<[Mutex<Shard>]>,
+    /// LRU clock.
     tick: AtomicU64,
-    counters: Counters,
-    trace: TraceCounters,
+    cells: Cells,
+    /// The two time sums of [`CacheStats`]; no registry metric carries
+    /// them, so they are plain atomics.
+    compile_micros: AtomicU64,
+    dedup_wait_micros: AtomicU64,
 }
 
 /// What the probe decided this call is.
@@ -208,16 +196,18 @@ impl BinaryCache {
         BinaryCache {
             shards,
             tick: AtomicU64::new(0),
-            counters: Counters::default(),
-            trace: TraceCounters::from_scope(&ks_trace::registry().scoped(&[])),
+            cells: Cells::from_scope(&ks_trace::registry().scoped(&[])),
+            compile_micros: AtomicU64::new(0),
+            dedup_wait_micros: AtomicU64::new(0),
         }
     }
 
-    /// Re-point the registry handles at a labeled scope
+    /// Count under a labeled scope from now on
     /// ([`crate::Compiler::with_metric_labels`]). Configure before
-    /// compiling; already-published increments stay where they landed.
+    /// compiling: the registry keeps what was already published where it
+    /// landed, this cache's own [`CacheStats`] start over.
     pub(crate) fn set_metric_scope(&mut self, scope: &ks_trace::Scope<'_>) {
-        self.trace = TraceCounters::from_scope(scope);
+        self.cells = Cells::from_scope(scope);
     }
 
     fn shard(&self, key: Fingerprint) -> &Mutex<Shard> {
@@ -234,36 +224,22 @@ impl BinaryCache {
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
+        let c = &self.cells;
         CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            dedup_waits: self.counters.dedup_waits.load(Ordering::Relaxed),
-            total_compile_micros: self.counters.compile_micros.load(Ordering::Relaxed),
-            total_dedup_wait_micros: self.counters.dedup_wait_micros.load(Ordering::Relaxed),
-            failures: self.counters.failures.load(Ordering::Relaxed),
-            quarantined: self.counters.quarantined.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
-            breaker_opens: self.counters.breaker_opens.load(Ordering::Relaxed),
-            disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.counters.disk_misses.load(Ordering::Relaxed),
-            store_errors: self.counters.store_errors.load(Ordering::Relaxed),
+            hits: c.hits.get(),
+            misses: c.misses.get(),
+            evictions: c.evictions.get(),
+            dedup_waits: c.dedup_waits.get(),
+            total_compile_micros: self.compile_micros.load(Ordering::Relaxed),
+            total_dedup_wait_micros: self.dedup_wait_micros.load(Ordering::Relaxed),
+            failures: c.failures.get(),
+            quarantined: c.quarantined.get(),
+            retries: c.retries.get(),
+            breaker_opens: c.breaker_opens.get(),
+            disk_hits: c.disk_hits.get(),
+            disk_misses: c.disk_misses.get(),
+            store_errors: c.store_errors.get(),
         }
-    }
-
-    fn count_hit(&self) {
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        self.trace.hits.inc();
-    }
-
-    fn count_disk_hit(&self) {
-        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.trace.disk_hits.inc();
-    }
-
-    fn count_store_error(&self) {
-        self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
-        self.trace.store_errors.inc();
     }
 
     /// Insert a committed binary and enforce the LRU bound. Caller holds
@@ -286,8 +262,7 @@ impl BinaryCache {
                     .map(|(k, _)| *k)
                     .expect("nonempty over capacity");
                 shard.entries.remove(&lru);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                self.trace.evictions.inc();
+                self.cells.evictions.inc();
             }
         }
     }
@@ -310,7 +285,7 @@ impl BinaryCache {
                 e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                 let bin = e.bin.clone();
                 drop(shard);
-                self.count_hit();
+                self.cells.hits.inc();
                 return Some(bin);
             }
             if shard.inflight.contains_key(&key) || shard.failed.contains_key(&key) {
@@ -328,19 +303,19 @@ impl BinaryCache {
                     e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                     let cached = e.bin.clone();
                     drop(shard);
-                    self.count_hit();
+                    self.cells.hits.inc();
                     return Some(cached);
                 }
                 shard.failed.remove(&key);
                 self.insert_entry_locked(&mut shard, key, bin.clone());
                 drop(shard);
-                self.count_hit();
-                self.count_disk_hit();
+                self.cells.hits.inc();
+                self.cells.disk_hits.inc();
                 Some(bin)
             }
             Ok(None) => None,
             Err(_) => {
-                self.count_store_error();
+                self.cells.store_errors.inc();
                 None
             }
         }
@@ -390,32 +365,27 @@ impl BinaryCache {
         };
         match claim {
             Claim::Hit(bin) => {
-                self.count_hit();
+                self.cells.hits.inc();
                 Ok(bin)
             }
             Claim::FastFail(err) => {
-                self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                self.trace.failures.inc();
-                self.trace.quarantined.inc();
+                self.cells.failures.inc();
+                self.cells.quarantined.inc();
                 Err(err)
             }
             Claim::Follow(flight) => {
                 let t0 = Instant::now();
                 let result = flight.wait();
-                self.counters.dedup_waits.fetch_add(1, Ordering::Relaxed);
-                self.trace.dedup_waits.inc();
-                self.counters
-                    .dedup_wait_micros
+                self.cells.dedup_waits.inc();
+                self.dedup_wait_micros
                     .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                 // Duplicate-compile suppression is a hit, not a miss: the
                 // §4.3 overhead was paid once, by the leader. A failed
                 // flight fails every follower, itemized per caller.
                 if result.is_ok() {
-                    self.count_hit();
+                    self.cells.hits.inc();
                 } else {
-                    self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                    self.trace.failures.inc();
+                    self.cells.failures.inc();
                 }
                 result
             }
@@ -438,12 +408,11 @@ impl BinaryCache {
                         Ok(bin)
                     }
                     Some(Ok(None)) => {
-                        self.counters.disk_misses.fetch_add(1, Ordering::Relaxed);
-                        self.trace.disk_misses.inc();
+                        self.cells.disk_misses.inc();
                         run_attempt(&compile, res)
                     }
                     Some(Err(_)) => {
-                        self.count_store_error();
+                        self.cells.store_errors.inc();
                         run_attempt(&compile, res)
                     }
                     None => run_attempt(&compile, res),
@@ -461,8 +430,7 @@ impl BinaryCache {
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
                     }
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    self.trace.retries.inc();
+                    self.cells.retries.inc();
                     result = run_attempt(&compile, res);
                 }
                 std::mem::forget(guard);
@@ -476,12 +444,11 @@ impl BinaryCache {
                                 // The §4.3 overhead was avoided: a disk
                                 // hit is a hit, not a miss, and adds no
                                 // compile time.
-                                self.count_hit();
-                                self.count_disk_hit();
+                                self.cells.hits.inc();
+                                self.cells.disk_hits.inc();
                             } else {
-                                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                                self.trace.misses.inc();
-                                self.counters.compile_micros.fetch_add(
+                                self.cells.misses.inc();
+                                self.compile_micros.fetch_add(
                                     bin.compile_time.as_micros() as u64,
                                     Ordering::Relaxed,
                                 );
@@ -489,8 +456,7 @@ impl BinaryCache {
                             self.insert_entry_locked(&mut shard, key, bin.clone());
                         }
                         Err(e) => {
-                            self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                            self.trace.failures.inc();
+                            self.cells.failures.inc();
                             self.record_failure_locked(&mut shard, key, e, res);
                         }
                     }
@@ -502,7 +468,7 @@ impl BinaryCache {
                 if !from_disk {
                     if let (Ok(bin), Some(s)) = (&result, store) {
                         if s.save(key, bin).is_err() {
-                            self.count_store_error();
+                            self.cells.store_errors.inc();
                         }
                     }
                 }
@@ -532,8 +498,7 @@ impl BinaryCache {
         let breaker = res.breaker_threshold > 0 && fe.consecutive >= res.breaker_threshold;
         if breaker {
             fe.until = now + res.breaker_cooldown;
-            self.counters.breaker_opens.fetch_add(1, Ordering::Relaxed);
-            self.trace.breaker_opens.inc();
+            self.cells.breaker_opens.inc();
         } else {
             fe.until = now + res.quarantine_ttl;
         }
@@ -581,8 +546,7 @@ impl Drop for FlightGuard<'_> {
         {
             let mut shard = self.cache.shard(self.key).lock();
             shard.inflight.remove(&self.key);
-            self.cache.counters.failures.fetch_add(1, Ordering::Relaxed);
-            self.cache.trace.failures.inc();
+            self.cache.cells.failures.inc();
             self.cache
                 .record_failure_locked(&mut shard, self.key, &err, self.res);
         }

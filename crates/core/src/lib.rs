@@ -312,9 +312,11 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Cache statistics (hits mean the §4.3 overhead was avoided entirely).
+/// Cache statistics (hits mean the §4.3 overhead was avoided entirely):
+/// a snapshot of this compiler's cells under the `ks_core.*` registry
+/// counters, which sum them over all compilers of a label and globally.
 ///
-/// Counters are maintained atomically in the same operation that probes
+/// A call moves its counters once, in the same operation that probes
 /// or fills the cache, so at quiescence `hits + misses` equals the number
 /// of successful [`Compiler::compile`] calls under arbitrary thread
 /// interleavings. Requests deduplicated by single-flight count as hits
@@ -552,10 +554,10 @@ pub struct Compiler {
     store: Option<store::StoreTier>,
     resilience: ResilienceConfig,
     fault_plan: Option<Arc<ks_fault::FaultPlan>>,
-    /// Async-tier accounting, shared with in-flight background jobs so
+    /// Async-tier cells, shared with in-flight background jobs so
     /// `spawned == completed + failed + cancelled` holds at quiescence
     /// even if the compiler is dropped mid-flight.
-    async_stats: Arc<background::AsyncStatsCell>,
+    async_stats: Arc<background::AsyncCells>,
     /// Label set for scoped metric publication
     /// ([`Compiler::with_metric_labels`]); empty = unlabeled globals.
     metric_labels: Vec<(String, String)>,
@@ -574,7 +576,7 @@ impl Compiler {
             store: None,
             resilience: ResilienceConfig::default(),
             fault_plan: None,
-            async_stats: Arc::new(background::AsyncStatsCell::default()),
+            async_stats: Arc::new(background::AsyncCells::new()),
             metric_labels: Vec::new(),
             metrics: TraceMetrics::from_scope(&ks_trace::registry().scoped(&[])),
         }
@@ -584,8 +586,9 @@ impl Compiler {
     /// `[("service", "pf")]` registers `ks_core.compile.requests{service=pf}`
     /// alongside the unlabeled global (scoped handles chain into the
     /// globals, so aggregates and invariants are unchanged). Configure
-    /// before compiling; increments already published stay where they
-    /// landed.
+    /// before compiling: increments already published stay in the
+    /// registry where they landed, and [`Compiler::cache_stats`] starts
+    /// over under the new scope.
     pub fn with_metric_labels(mut self, labels: &[(&str, &str)]) -> Compiler {
         self.metric_labels = labels
             .iter()
@@ -1325,7 +1328,7 @@ mod tests {
             .snapshot();
         assert_eq!(svc.count, 2);
         assert_eq!(svc.sum, generic.sum + spec.sum);
-        // Scoped cells mirror the compiler's own stats exactly.
+        // The compiler's own stats are its leaves under those cells.
         let stats = c.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);

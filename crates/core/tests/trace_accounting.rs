@@ -1,8 +1,10 @@
 //! Metric-accounting invariants under concurrency: the registry
 //! counters ks-core publishes must stay consistent with each other
-//! (`hits + misses == compile requests`) and with the compiler's own
-//! `CacheStats`, whatever mix of thundering herds, distinct keys, and
-//! repeats the callers produce.
+//! (`hits + misses == compile requests`), whatever mix of thundering
+//! herds, distinct keys, and repeats the callers produce. A compiler's
+//! own `CacheStats` are its cells under those counters, so they agree
+//! with the registry by construction; what is checked here is that each
+//! event is counted, once, in the right place.
 //!
 //! These tests share the process-wide registry, so each works on
 //! before/after deltas and they are serialized by a file-local lock.
@@ -77,12 +79,6 @@ fn thundering_herd_accounts_every_request() {
     // a fast leader can finish before any follower arrives, so only the
     // upper bound is deterministic).
     assert!(d.dedup_waits < threads);
-
-    // The registry mirrors the compiler's own stats exactly (fresh
-    // compiler: its stats ARE this test's delta).
-    let stats = compiler.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (d.hits, d.misses));
-    assert_eq!(stats.dedup_waits, d.dedup_waits);
 }
 
 #[test]
@@ -128,14 +124,11 @@ fn mixed_workload_invariant_holds() {
     assert_eq!(d.requests, threads * per_thread);
     assert_eq!(d.hits + d.misses, d.requests);
     assert_eq!(d.misses, 3, "one compile per distinct key");
-    let stats = compiler.cache_stats();
-    assert_eq!(stats.hits + stats.misses, d.requests);
 }
 
-/// The resilience counters keep exact parity too: local `CacheStats`
-/// and the registry agree on failures, quarantines, retries, and
-/// breaker trips, and failed calls never leak into `hits + misses ==
-/// requests`.
+/// The resilience counters are exact under injected faults: every
+/// failure, quarantine fast-fail, retry and breaker trip is counted
+/// once, and failed calls never leak into `hits + misses == requests`.
 #[test]
 fn failures_keep_exact_registry_parity() {
     use ks_fault::{FaultKind, FaultPlan, FaultRule, Target};
@@ -154,12 +147,12 @@ fn failures_keep_exact_registry_parity() {
         });
     let reg = ks_trace::registry();
     let resilience_counters = || {
-        (
+        [
             reg.counter_value(ks_trace::names::CACHE_FAILURES),
             reg.counter_value(ks_trace::names::CACHE_QUARANTINED),
             reg.counter_value(ks_trace::names::COMPILE_RETRIES),
             reg.counter_value(ks_trace::names::BREAKER_OPEN),
-        )
+        ]
     };
     let before = resilience_counters();
     let d = delta(|| {
@@ -175,21 +168,12 @@ fn failures_keep_exact_registry_parity() {
     });
     let after = resilience_counters();
     let stats = compiler.cache_stats();
-    // Fresh compiler + serialized registry: the delta IS its stats.
+    // What the exports show is what happened: one real failure + one
+    // fast-fail, one quarantine hit, one retry wave of two, one trip.
     assert_eq!(
-        (
-            after.0 - before.0,
-            after.1 - before.1,
-            after.2 - before.2,
-            after.3 - before.3,
-        ),
-        (
-            stats.failures,
-            stats.quarantined,
-            stats.retries,
-            stats.breaker_opens,
-        ),
-        "registry must mirror CacheStats exactly: {stats}"
+        [0, 1, 2, 3].map(|i| after[i] - before[i]),
+        [2, 1, 2, 1],
+        "{stats}"
     );
     assert_eq!(
         stats.failures, 2,
@@ -214,6 +198,35 @@ fn evictions_reach_the_registry() {
             .unwrap();
     }
     let evicted = ks_trace::registry().counter_value(ks_trace::names::CACHE_EVICTIONS) - before;
-    assert_eq!(evicted, compiler.cache_stats().evictions);
     assert_eq!(evicted, 3, "capacity 2, 5 inserts");
+}
+
+/// Two compilers publishing under one label: each keeps its own
+/// `CacheStats` (its cells), the labeled registry counter is their exact
+/// sum, and the cells add nothing to the registry's name space.
+#[test]
+fn two_compilers_on_one_label_keep_separate_cells_and_one_aggregate() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let labels = [("service", "cells-test")];
+    let a = Compiler::new(DeviceConfig::tesla_c1060()).with_metric_labels(&labels);
+    let names_before = ks_trace::registry().snapshot().counters.len();
+    let b = Compiler::new(DeviceConfig::tesla_c1060()).with_metric_labels(&labels);
+    assert_eq!(
+        ks_trace::registry().snapshot().counters.len(),
+        names_before,
+        "a second compiler on the label registers nothing"
+    );
+    for g in 0..3 {
+        a.compile(SRC, Defines::new().def("GAIN", g)).unwrap();
+    }
+    a.compile(SRC, Defines::new().def("GAIN", 0)).unwrap();
+    b.compile(SRC, Defines::new().def("GAIN", 0)).unwrap();
+    let (sa, sb) = (a.cache_stats(), b.cache_stats());
+    assert_eq!((sa.hits, sa.misses), (1, 3));
+    assert_eq!((sb.hits, sb.misses), (0, 1));
+    let reg = ks_trace::registry();
+    let labeled = |base: &str| reg.counter_value(&format!("{base}{{service=cells-test}}"));
+    assert_eq!(labeled(ks_trace::names::CACHE_MISSES), 4);
+    assert_eq!(labeled(ks_trace::names::CACHE_HITS), 1);
+    assert_eq!(labeled(ks_trace::names::COMPILE_REQUESTS), 5);
 }

@@ -72,11 +72,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// True for kinds checked at the compile site.
-    pub fn is_compile(self) -> bool {
-        self.site() == Site::Compile
-    }
-
     /// Which instrumentation site checks this kind.
     fn site(self) -> Site {
         match self {

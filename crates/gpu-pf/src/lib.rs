@@ -79,7 +79,11 @@ use std::time::Instant;
 /// to the global `gpu_pf.*` metrics; labeled ones
 /// ([`Pipeline::set_label`]) publish through a
 /// `{pipeline=<label>}` scope whose cells roll up exactly into the same
-/// globals, so fleet-wide aggregates are unchanged by labeling.
+/// globals, so fleet-wide aggregates are unchanged by labeling. The
+/// promotion and integrity events are this pipeline's own unregistered
+/// leaves under those counters ([`ks_trace::Counter::cell`]): each event
+/// is counted once, and [`PromotionStats`] / [`IntegrityStats`] read the
+/// leaves back.
 struct PfMetrics {
     iterations: ks_trace::Counter,
     refreshes: ks_trace::Counter,
@@ -106,24 +110,26 @@ struct PfMetrics {
 
 impl PfMetrics {
     fn from_scope(s: &ks_trace::Scope<'static>) -> PfMetrics {
+        use ks_trace::names;
+        let cell = |name| s.counter(name).cell();
         PfMetrics {
-            iterations: s.counter(ks_trace::names::PF_ITERATIONS),
-            refreshes: s.counter(ks_trace::names::PF_REFRESHES),
-            fallback_generic: s.counter(ks_trace::names::PF_FALLBACK_GENERIC),
-            fallback_last_good: s.counter(ks_trace::names::PF_FALLBACK_LAST_GOOD),
-            launch_retries: s.counter(ks_trace::names::PF_LAUNCH_RETRIES),
-            promotions: s.counter(ks_trace::names::PF_PROMOTIONS),
-            promotions_failed: s.counter(ks_trace::names::PF_PROMOTIONS_FAILED),
-            promotions_superseded: s.counter(ks_trace::names::PF_PROMOTIONS_SUPERSEDED),
-            promotion_latency_us: s.histogram(ks_trace::names::PF_PROMOTION_LATENCY_US),
-            iteration_us: s.histogram(ks_trace::names::PF_ITERATION_US),
-            integrity_checks: s.counter(ks_trace::names::PF_INTEGRITY_CHECKS),
-            integrity_witness: s.counter(ks_trace::names::PF_INTEGRITY_WITNESS),
-            integrity_violations: s.counter(ks_trace::names::PF_INTEGRITY_VIOLATIONS),
-            integrity_transient: s.counter(ks_trace::names::PF_INTEGRITY_TRANSIENT),
-            integrity_corrupt: s.counter(ks_trace::names::PF_INTEGRITY_CORRUPT),
-            integrity_recovered: s.counter(ks_trace::names::PF_INTEGRITY_RECOVERED),
-            integrity_reexecs: s.counter(ks_trace::names::PF_INTEGRITY_REEXECS),
+            iterations: s.counter(names::PF_ITERATIONS),
+            refreshes: s.counter(names::PF_REFRESHES),
+            fallback_generic: s.counter(names::PF_FALLBACK_GENERIC),
+            fallback_last_good: s.counter(names::PF_FALLBACK_LAST_GOOD),
+            launch_retries: s.counter(names::PF_LAUNCH_RETRIES),
+            promotions: cell(names::PF_PROMOTIONS),
+            promotions_failed: cell(names::PF_PROMOTIONS_FAILED),
+            promotions_superseded: cell(names::PF_PROMOTIONS_SUPERSEDED),
+            promotion_latency_us: s.histogram(names::PF_PROMOTION_LATENCY_US),
+            iteration_us: s.histogram(names::PF_ITERATION_US),
+            integrity_checks: cell(names::PF_INTEGRITY_CHECKS),
+            integrity_witness: cell(names::PF_INTEGRITY_WITNESS),
+            integrity_violations: cell(names::PF_INTEGRITY_VIOLATIONS),
+            integrity_transient: cell(names::PF_INTEGRITY_TRANSIENT),
+            integrity_corrupt: cell(names::PF_INTEGRITY_CORRUPT),
+            integrity_recovered: cell(names::PF_INTEGRITY_RECOVERED),
+            integrity_reexecs: cell(names::PF_INTEGRITY_REEXECS),
         }
     }
 }
@@ -349,9 +355,9 @@ pub struct IntegrityViolation {
     pub recovered: bool,
 }
 
-/// Per-pipeline integrity accounting. The same events appear on the
-/// `gpu_pf.integrity.*` registry counters (globally and under the
-/// pipeline's label scope).
+/// Per-pipeline integrity accounting: this pipeline's share of the
+/// `gpu_pf.integrity.*` registry counters (which sum it globally and
+/// under the pipeline's label scope).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrityStats {
     /// Executions that ran with integrity checking active.
@@ -406,8 +412,8 @@ pub enum Tier {
     Failed,
 }
 
-/// Per-pipeline promotion accounting (tiered mode). The same events
-/// appear on the `gpu_pf.promotions*` registry counters.
+/// Per-pipeline promotion accounting (tiered mode): this pipeline's
+/// share of the `gpu_pf.promotions*` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PromotionStats {
     /// Modules hot-swapped to their specialized binary.
@@ -581,12 +587,10 @@ pub struct Pipeline {
     pub reports: Vec<LaunchReport>,
     degradations: Vec<Degradation>,
     refresh_mode: RefreshMode,
-    promotion_stats: PromotionStats,
     /// Output-integrity checking, off by default ([`Pipeline::set_integrity`]).
     integrity: Option<IntegrityConfig>,
     /// Integrity-checked executions so far — the witness-period clock.
     integrity_seq: u64,
-    integrity_stats: IntegrityStats,
     violations: Vec<IntegrityViolation>,
     /// Pinned golden checksums by exec label ([`Pipeline::expect_checksum`]).
     golden: BTreeMap<String, String>,
@@ -619,10 +623,8 @@ impl Pipeline {
             reports: Vec::new(),
             degradations: Vec::new(),
             refresh_mode: RefreshMode::Blocking,
-            promotion_stats: PromotionStats::default(),
             integrity: None,
             integrity_seq: 0,
-            integrity_stats: IntegrityStats::default(),
             violations: Vec::new(),
             golden: BTreeMap::new(),
             observed_checksums: BTreeMap::new(),
@@ -637,7 +639,9 @@ impl Pipeline {
     /// the global `gpu_pf.*` aggregates, so labeling changes nothing
     /// for fleet-wide readers; per-pipeline windows and dwell
     /// histograms become separable. Call before `refresh()` — metrics
-    /// already published stay on the previous scope.
+    /// already published stay on the previous scope, and
+    /// [`Pipeline::promotion_stats`] / [`Pipeline::integrity_stats`]
+    /// start over.
     pub fn set_label(&mut self, label: &str) {
         self.scope = ks_trace::registry().scoped(&[("pipeline", label)]);
         self.metrics = PfMetrics::from_scope(&self.scope);
@@ -732,10 +736,18 @@ impl Pipeline {
         self.integrity
     }
 
-    /// Per-pipeline integrity accounting (mirrors the
-    /// `gpu_pf.integrity.*` counters under this pipeline's scope).
+    /// Per-pipeline integrity accounting.
     pub fn integrity_stats(&self) -> IntegrityStats {
-        self.integrity_stats
+        let m = &self.metrics;
+        IntegrityStats {
+            checks: m.integrity_checks.get(),
+            witness_launches: m.integrity_witness.get(),
+            violations: m.integrity_violations.get(),
+            transient_flips: m.integrity_transient.get(),
+            corrupt_binaries: m.integrity_corrupt.get(),
+            recovered: m.integrity_recovered.get(),
+            reexecutions: m.integrity_reexecs.get(),
+        }
     }
 
     /// Every detected integrity violation (oldest first).
@@ -805,8 +817,10 @@ impl Pipeline {
             })
             .count() as u64;
         PromotionStats {
+            promoted: self.metrics.promotions.get(),
+            failed: self.metrics.promotions_failed.get(),
+            superseded: self.metrics.promotions_superseded.get(),
             pending,
-            ..self.promotion_stats
         }
     }
 
@@ -850,10 +864,6 @@ impl Pipeline {
 
     pub fn triplet_param(&mut self, name: &str, v: [u32; 3]) -> ParamId {
         self.add_param(name, ParamValue::Triplet(v))
-    }
-
-    pub fn pair_param(&mut self, name: &str, v: [u32; 2]) -> ParamId {
-        self.add_param(name, ParamValue::Pair(v))
     }
 
     /// Geometry (up to 3D) and element size of a memory reference.
@@ -917,13 +927,6 @@ impl Pipeline {
     pub fn set_triplet(&mut self, id: ParamId, v: [u32; 3]) {
         let slot = &mut self.params[id.0];
         slot.value = ParamValue::Triplet(v);
-        slot.dirty = true;
-        self.refreshed = false;
-    }
-
-    pub fn set_pointer(&mut self, id: ParamId, v: u64) {
-        let slot = &mut self.params[id.0];
-        slot.value = ParamValue::Ptr(v);
         slot.dirty = true;
         self.refreshed = false;
     }
@@ -1465,7 +1468,6 @@ impl Pipeline {
         if let Some(stale) = pending.take() {
             stale.ticket.cancel();
             self.metrics.promotions_superseded.inc();
-            self.promotion_stats.superseded += 1;
             self.log.line_with(|| {
                 format!("module[{i}]: superseded in-flight promotion (parameters re-dirtied)")
             });
@@ -1553,7 +1555,6 @@ impl Pipeline {
                     self.metrics
                         .promotion_latency_us
                         .record_duration_us(p.started.elapsed());
-                    self.promotion_stats.promoted += 1;
                     // Span covering spawn → hot-swap: the window the
                     // module served its interim tier.
                     ks_trace::complete_span("tier_swap", p.started);
@@ -1572,7 +1573,6 @@ impl Pipeline {
                     *degraded = true;
                     self.record_tier_transition(i, Tier::Failed);
                     self.metrics.promotions_failed.inc();
-                    self.promotion_stats.failed += 1;
                     match p.fallback {
                         FallbackKind::Generic => self.metrics.fallback_generic.inc(),
                         FallbackKind::LastKnownGood => self.metrics.fallback_last_good.inc(),
@@ -1686,7 +1686,6 @@ impl Pipeline {
             ParamValue::Ptr(v) => Ok(format!("{v:#x}")),
             ParamValue::Step(s) => Ok(s.current.to_string()),
             ParamValue::Triplet(v) => Ok(v[0].to_string()), // .x by convention
-            ParamValue::Pair(v) => Ok(v[0].to_string()),
             v => Err(PfError::Bind(format!(
                 "parameter {} ({v:?}) cannot be rendered as a macro value",
                 self.params[id.0].name
@@ -2171,7 +2170,6 @@ impl Pipeline {
         report: LaunchReport,
     ) -> Result<LaunchReport, PfError> {
         self.metrics.integrity_checks.inc();
-        self.integrity_stats.checks += 1;
         self.integrity_seq += 1;
         let post = self.read_bufs(bufs)?;
         let checksum = checksum_hex(&post);
@@ -2201,7 +2199,6 @@ impl Pipeline {
         };
         let gkey = self.variant_key(source, &generic.defines);
         self.metrics.integrity_witness.inc();
-        self.integrity_stats.witness_launches += 1;
         self.write_bufs(bufs, pre)?;
         self.launch_with_retry(
             &generic,
@@ -2233,7 +2230,6 @@ impl Pipeline {
         // the inputs and re-run the *same* specialized binary; runs that
         // agree with the witness exonerate the binary.
         self.metrics.integrity_violations.inc();
-        self.integrity_stats.violations += 1;
         let kind = if golden_mismatch {
             ViolationKind::GoldenMismatch
         } else {
@@ -2244,7 +2240,6 @@ impl Pipeline {
             self.write_bufs(bufs, pre)?;
             self.launch_with_retry(bin, kernel, dims, kargs, bound.lo64, &bound.defines, label)?;
             self.metrics.integrity_reexecs.inc();
-            self.integrity_stats.reexecutions += 1;
             if self.read_bufs(bufs)? == witness {
                 votes_agree += 1;
             }
@@ -2257,7 +2252,6 @@ impl Pipeline {
         match verdict {
             Verdict::TransientFlip => {
                 self.metrics.integrity_transient.inc();
-                self.integrity_stats.transient_flips += 1;
             }
             Verdict::CorruptBinary => {
                 // Quarantine the variant through the degradation ladder:
@@ -2265,7 +2259,6 @@ impl Pipeline {
                 // degraded (the next refresh retries the specialization),
                 // and the degradation record names the convicted variant.
                 self.metrics.integrity_corrupt.inc();
-                self.integrity_stats.corrupt_binaries += 1;
                 self.metrics.fallback_generic.inc();
                 let Resource::Module {
                     binary, degraded, ..
@@ -2302,12 +2295,10 @@ impl Pipeline {
         let final_report =
             self.launch_with_retry(&rbin, kernel, dims, kargs, rkey.lo64, &rkey.defines, label)?;
         self.metrics.integrity_reexecs.inc();
-        self.integrity_stats.reexecutions += 1;
         let final_out = self.read_bufs(bufs)?;
         let recovered = final_out == witness;
         if recovered {
             self.metrics.integrity_recovered.inc();
-            self.integrity_stats.recovered += 1;
         }
         self.observed_checksums
             .insert(label.to_string(), checksum_hex(&final_out));

@@ -50,7 +50,6 @@ pub enum ParamValue {
     Ptr(u64),
     /// Three integers — commonly grid/block dimensions.
     Triplet([u32; 3]),
-    Pair([u32; 2]),
     Bool(bool),
     /// Self-updating range iterator.
     Step(StepParam),

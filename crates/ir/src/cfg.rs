@@ -61,10 +61,6 @@ impl Cfg {
         }
     }
 
-    pub fn num_blocks(&self) -> usize {
-        self.succs.len()
-    }
-
     pub fn is_reachable(&self, b: BlockId) -> bool {
         self.rpo_pos[b.0 as usize] != usize::MAX
     }

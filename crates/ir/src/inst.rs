@@ -29,27 +29,6 @@ pub enum Operand {
     ImmF(f32),
 }
 
-impl Operand {
-    pub fn as_reg(&self) -> Option<VReg> {
-        match self {
-            Operand::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    pub fn is_imm(&self) -> bool {
-        !matches!(self, Operand::Reg(_))
-    }
-
-    /// Integer immediate value, if this operand is one.
-    pub fn imm_i(&self) -> Option<i64> {
-        match self {
-            Operand::ImmI(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
 impl From<VReg> for Operand {
     fn from(r: VReg) -> Self {
         Operand::Reg(r)

@@ -19,6 +19,7 @@
 //!   no control flow at all (cf. Appendix D).
 
 pub mod cfg;
+pub mod eval;
 pub mod inst;
 pub mod module;
 pub mod printer;

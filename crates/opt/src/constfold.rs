@@ -7,9 +7,33 @@
 //! with the immediate. Copy propagation handles single-def `mov a, b`
 //! where `b` is also single-def.
 
-use crate::eval::{cmp_int, cvt_imm, eval_bin, eval_bin_f};
-use ks_ir::{BinOp, Function, Inst, Operand, Ty, UnOp, VReg};
+use ks_ir::{eval, BinOp, Function, Inst, Operand, Ty, UnOp, VReg};
 use std::collections::HashMap;
+
+/// Register bits of `o` when it is an immediate of `ty`'s kind (the IR
+/// verifier allows float immediates under `f32` only, integer ones under
+/// the integer and pointer types; predicates have no immediates).
+fn bits(ty: Ty, o: &Operand) -> Option<u64> {
+    match (ty, o) {
+        (Ty::F32, Operand::ImmF(_)) | (Ty::S32 | Ty::U32 | Ty::Ptr(_), Operand::ImmI(_)) => {
+            eval::imm_bits(o)
+        }
+        _ => None,
+    }
+}
+
+/// The immediate that puts `bits` into a register of type `ty`.
+fn imm(ty: Ty, bits: u64) -> Operand {
+    match ty {
+        Ty::F32 => Operand::ImmF(f32::from_bits(bits as u32)),
+        _ => Operand::ImmI(bits as i64),
+    }
+}
+
+/// `op.ty a, b` over two immediates, computed as the executor would.
+fn fold_bin(op: BinOp, ty: Ty, a: &Operand, b: &Operand) -> Option<Operand> {
+    Some(imm(ty, eval::bin(op, ty, bits(ty, a)?, bits(ty, b)?)?))
+}
 
 /// Count definitions of every vreg.
 fn def_counts(f: &Function) -> Vec<u32> {
@@ -40,43 +64,20 @@ pub fn run(f: &mut Function) -> usize {
             }
             match i {
                 Inst::Mov {
-                    src: Operand::ImmI(v),
-                    ..
-                } => {
-                    known.insert(d, Operand::ImmI(*v));
-                }
-                Inst::Mov {
-                    src: Operand::ImmF(v),
-                    ..
-                } => {
-                    known.insert(d, Operand::ImmF(*v));
-                }
-                Inst::Mov {
                     src: Operand::Reg(s),
                     ..
                 } if counts[s.0 as usize] == 1 => {
                     copies.insert(d, *s);
                 }
-                Inst::Bin {
-                    op,
-                    ty,
-                    a: Operand::ImmI(x),
-                    b: Operand::ImmI(y),
+                Inst::Mov {
+                    src: src @ (Operand::ImmI(_) | Operand::ImmF(_)),
                     ..
                 } => {
-                    if let Some(v) = eval_bin(*op, *ty, *x, *y) {
-                        known.insert(d, Operand::ImmI(v));
-                    }
+                    known.insert(d, *src);
                 }
-                Inst::Bin {
-                    op,
-                    ty: Ty::F32,
-                    a: Operand::ImmF(x),
-                    b: Operand::ImmF(y),
-                    ..
-                } => {
-                    if let Some(v) = eval_bin_f(*op, *x, *y) {
-                        known.insert(d, Operand::ImmF(v));
+                Inst::Bin { op, ty, a, b, .. } => {
+                    if let Some(v) = fold_bin(*op, *ty, a, b) {
+                        known.insert(d, v);
                     }
                 }
                 Inst::Setp {
@@ -86,11 +87,7 @@ pub fn run(f: &mut Function) -> usize {
                     b: Operand::ImmI(y),
                     ..
                 } => {
-                    let r = if *ty == Ty::U32 {
-                        cmp_int(*cmp, (*x as u32) as i64, (*y as u32) as i64)
-                    } else {
-                        cmp_int(*cmp, (*x as i32) as i64, (*y as i32) as i64)
-                    };
+                    let r = eval::cmp(*cmp, *ty, *x as u64, *y as u64);
                     // Predicates have no immediates; record as ImmI for
                     // terminator simplification only.
                     known.insert(d, Operand::ImmI(i64::from(r)));
@@ -147,140 +144,49 @@ pub fn run(f: &mut Function) -> usize {
         }
     }
 
-    // Simplify instructions whose operands are now immediates (fold binop →
-    // mov), and algebraic identities.
+    // Simplify instructions whose operands are now immediates (fold → mov),
+    // and algebraic identities. Which instructions fold is this pass's
+    // choice; what they fold to is `ks_ir::eval`'s.
     for b in &mut f.blocks {
         for i in &mut b.insts {
-            let replacement = match &*i {
-                Inst::Bin {
-                    op,
-                    ty,
-                    dst,
-                    a: Operand::ImmI(x),
-                    b: Operand::ImmI(y),
-                } => eval_bin(*op, *ty, *x, *y).map(|v| Inst::Mov {
-                    ty: *ty,
-                    dst: *dst,
-                    src: Operand::ImmI(v),
-                }),
-                Inst::Bin {
-                    op,
-                    ty: Ty::F32,
-                    dst,
-                    a: Operand::ImmF(x),
-                    b: Operand::ImmF(y),
-                } => eval_bin_f(*op, *x, *y).map(|v| Inst::Mov {
-                    ty: Ty::F32,
-                    dst: *dst,
-                    src: Operand::ImmF(v),
-                }),
-                // x + 0, x * 1, x - 0, x << 0, x >> 0 → mov
-                Inst::Bin {
-                    op: BinOp::Add | BinOp::Sub | BinOp::Shl | BinOp::Shr,
-                    ty,
-                    dst,
-                    a,
-                    b: Operand::ImmI(0),
-                } => Some(Inst::Mov {
-                    ty: *ty,
-                    dst: *dst,
-                    src: *a,
-                }),
-                Inst::Bin {
-                    op: BinOp::Add,
-                    ty,
-                    dst,
-                    a: Operand::ImmI(0),
-                    b,
-                } => Some(Inst::Mov {
-                    ty: *ty,
-                    dst: *dst,
-                    src: *b,
-                }),
-                Inst::Bin {
-                    op: BinOp::Mul,
-                    ty,
-                    dst,
-                    a,
-                    b: Operand::ImmI(1),
-                } => Some(Inst::Mov {
-                    ty: *ty,
-                    dst: *dst,
-                    src: *a,
-                }),
-                Inst::Bin {
-                    op: BinOp::Mul,
-                    ty,
-                    dst,
-                    a: Operand::ImmI(1),
-                    b,
-                } => Some(Inst::Mov {
-                    ty: *ty,
-                    dst: *dst,
-                    src: *b,
-                }),
-                Inst::Un {
-                    op: UnOp::Neg,
-                    ty,
-                    dst,
-                    a: Operand::ImmI(x),
-                } => Some(Inst::Mov {
-                    ty: *ty,
-                    dst: *dst,
-                    src: Operand::ImmI(((*x as i32).wrapping_neg()) as i64),
-                }),
-                Inst::Un {
-                    op: UnOp::Neg,
-                    ty: Ty::F32,
-                    dst,
-                    a: Operand::ImmF(x),
-                } => Some(Inst::Mov {
-                    ty: Ty::F32,
-                    dst: *dst,
-                    src: Operand::ImmF(-x),
-                }),
-                Inst::Un {
-                    op,
-                    ty: Ty::F32,
-                    dst,
-                    a: Operand::ImmF(x),
-                } => {
-                    let v = match op {
-                        UnOp::Abs => Some(x.abs()),
-                        UnOp::Sqrt => Some(x.sqrt()),
-                        UnOp::Rsqrt => Some(1.0 / x.sqrt()),
-                        UnOp::Floor => Some(x.floor()),
-                        _ => None,
+            // (type, destination, source) of the `mov` this becomes.
+            let folded = match &*i {
+                Inst::Bin { op, ty, dst, a, b } => {
+                    let src = match (bits(*ty, a), bits(*ty, b)) {
+                        (Some(x), Some(y)) => eval::bin(*op, *ty, x, y).map(|v| imm(*ty, v)),
+                        // x + 0, x - 0, x << 0, x >> 0, 0 + x, x * 1, 1 * x
+                        _ => match (op, a, b) {
+                            (
+                                BinOp::Add | BinOp::Sub | BinOp::Shl | BinOp::Shr,
+                                x,
+                                Operand::ImmI(0),
+                            )
+                            | (BinOp::Add, Operand::ImmI(0), x)
+                            | (BinOp::Mul, x, Operand::ImmI(1))
+                            | (BinOp::Mul, Operand::ImmI(1), x) => Some(*x),
+                            _ => None,
+                        },
                     };
-                    v.map(|v| Inst::Mov {
-                        ty: Ty::F32,
-                        dst: *dst,
-                        src: Operand::ImmF(v),
-                    })
+                    src.map(|src| (*ty, *dst, src))
+                }
+                // `neg` of anything, every other float op but `not`.
+                Inst::Un { op, ty, dst, a }
+                    if *op == UnOp::Neg || (*ty == Ty::F32 && *op != UnOp::Not) =>
+                {
+                    bits(*ty, a).map(|x| (*ty, *dst, imm(*ty, eval::un(*op, *ty, x))))
                 }
                 Inst::Cvt {
                     dst_ty,
                     src_ty,
                     dst,
-                    src: Operand::ImmI(x),
-                } => cvt_imm(*dst_ty, *src_ty, Operand::ImmI(*x)).map(|v| Inst::Mov {
-                    ty: *dst_ty,
-                    dst: *dst,
-                    src: v,
-                }),
-                Inst::Cvt {
-                    dst_ty,
-                    src_ty,
-                    dst,
-                    src: Operand::ImmF(x),
-                } => cvt_imm(*dst_ty, *src_ty, Operand::ImmF(*x)).map(|v| Inst::Mov {
-                    ty: *dst_ty,
-                    dst: *dst,
-                    src: v,
-                }),
+                    src,
+                } => bits(*src_ty, src)
+                    .and_then(|x| eval::cvt(*dst_ty, *src_ty, x))
+                    .map(|v| (*dst_ty, *dst, imm(*dst_ty, v))),
                 _ => None,
             };
-            if let Some(r) = replacement {
+            if let Some((ty, dst, src)) = folded {
+                let r = Inst::Mov { ty, dst, src };
                 if *i != r {
                     *i = r;
                     changed += 1;

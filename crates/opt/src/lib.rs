@@ -6,12 +6,16 @@
 //! folding (the unrolled access pattern of Appendix D), copy propagation,
 //! and dead-code elimination (which is what removes the param-space loads
 //! of fully specialized kernels).
+//!
+//! The passes decide *where* to rewrite; what a folded operation
+//! evaluates to is `ks_ir::eval`, the definition the simulator's executor
+//! is tested against, so a fold cannot disagree with the machine that
+//! runs its output (`tests/constfold_vs_executor.rs`).
 
 pub mod addrfold;
 pub mod constfold;
 pub mod cse;
 pub mod dce;
-pub mod eval;
 pub mod strength;
 #[cfg(test)]
 mod testgen;

@@ -151,25 +151,21 @@ impl Exporter for TextExporter {
                 let _ = writeln!(out, "    {phase:<10} {us}µs");
             }
         }
+        let [hits, misses, dedup_waits, evictions, ..] = p.cache_rows().map(|(_, v)| v);
         let _ = writeln!(
             out,
-            "  cache: {} hits / {} misses ({:.1}% hit rate), {} dedup waits, {} evictions",
-            p.cache.hits,
-            p.cache.misses,
-            100.0 * p.cache.hit_rate(),
-            p.cache.dedup_waits,
-            p.cache.evictions
+            "  cache: {hits} hits / {misses} misses ({:.1}% hit rate), {dedup_waits} dedup waits, \
+             {evictions} evictions",
+            100.0 * p.hit_rate(),
         );
+        let [launches, dyn_insts, bytes, divergent, barriers, sim_us] =
+            p.exec_rows().map(|(_, v)| v);
         let _ = writeln!(
             out,
-            "  exec: {} launches, {} dyn insts, {} global bytes, {} divergent branches, {} barriers, {}µs sim time, occupancy {:.2}",
-            p.exec.launches,
-            p.exec.dyn_insts,
-            p.exec.global_bytes,
-            p.exec.divergent_branches,
-            p.exec.barriers,
-            p.exec.sim_time_us,
-            p.exec.occupancy
+            "  exec: {launches} launches, {dyn_insts} dyn insts, {bytes} global bytes, \
+             {divergent} divergent branches, {barriers} barriers, {sim_us}µs sim time, \
+             occupancy {:.2}",
+            p.occupancy()
         );
         for d in &p.diagnostics {
             let _ = writeln!(out, "  diagnostic: {d}");
@@ -314,26 +310,15 @@ impl Exporter for CsvExporter {
                 let _ = writeln!(out, "{section},{},{us}", csv_field(phase));
             }
         }
-        for (k, v) in [
-            ("hits", p.cache.hits),
-            ("misses", p.cache.misses),
-            ("dedup_waits", p.cache.dedup_waits),
-            ("evictions", p.cache.evictions),
-        ] {
+        // The resilience counters are JSONL-only.
+        for (k, v) in &p.cache_rows()[..4] {
             let _ = writeln!(out, "cache,{k},{v}");
         }
-        let _ = writeln!(out, "cache,hit_rate,{:.4}", p.cache.hit_rate());
-        for (k, v) in [
-            ("launches", p.exec.launches),
-            ("dyn_insts", p.exec.dyn_insts),
-            ("global_bytes", p.exec.global_bytes),
-            ("divergent_branches", p.exec.divergent_branches),
-            ("barriers", p.exec.barriers),
-            ("sim_time_us", p.exec.sim_time_us),
-        ] {
+        let _ = writeln!(out, "cache,hit_rate,{:.4}", p.hit_rate());
+        for (k, v) in p.exec_rows() {
             let _ = writeln!(out, "exec,{k},{v}");
         }
-        let _ = writeln!(out, "exec,occupancy,{:.4}", p.exec.occupancy);
+        let _ = writeln!(out, "exec,occupancy,{:.4}", p.occupancy());
         out
     }
 }
@@ -620,18 +605,14 @@ impl Exporter for PrometheusExporter {
             ("device", &p.device),
         ];
         let mut out = String::new();
-        for (name, v) in [
-            ("ks_core_cache_hits", p.cache.hits),
-            ("ks_core_cache_misses", p.cache.misses),
-            ("ks_core_cache_dedup_waits", p.cache.dedup_waits),
-            ("ks_core_cache_evictions", p.cache.evictions),
-            ("ks_sim_launches", p.exec.launches),
-            ("ks_sim_dyn_insts", p.exec.dyn_insts),
-            ("ks_sim_global_bytes", p.exec.global_bytes),
-            ("ks_sim_divergent_branches", p.exec.divergent_branches),
-            ("ks_sim_barriers", p.exec.barriers),
-            ("ks_sim_time_us", p.exec.sim_time_us),
-        ] {
+        let cache = p.cache_rows();
+        let cache = cache[..4]
+            .iter()
+            .map(|(k, v)| (format!("ks_core_cache_{k}"), *v));
+        let exec = p
+            .exec_rows()
+            .map(|(k, v)| (format!("ks_sim_{}", k.trim_start_matches("sim_")), v));
+        for (name, v) in cache.chain(exec) {
             let _ = writeln!(out, "# TYPE {name} counter");
             let _ = writeln!(out, "{name}{} {v}", prom_label_set(&labels, None));
         }
@@ -640,7 +621,7 @@ impl Exporter for PrometheusExporter {
             out,
             "ks_sim_occupancy{} {}",
             prom_label_set(&labels, None),
-            p.exec.occupancy
+            p.occupancy()
         );
         out
     }
@@ -717,7 +698,7 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::metrics::Registry;
-    use crate::profile::{CacheCounters, CompileProfile, ExecCounters};
+    use crate::profile::CompileProfile;
 
     fn sample_spans() -> Vec<SpanRecord> {
         vec![
@@ -811,8 +792,7 @@ mod tests {
                 total_us: 10,
                 phases: vec![("parse".to_string(), 10)],
             }],
-            cache: CacheCounters::default(),
-            exec: ExecCounters::default(),
+            sim_time_us: 0,
             ..Default::default()
         };
         for fmt in [ExportFormat::Text, ExportFormat::Jsonl, ExportFormat::Csv] {

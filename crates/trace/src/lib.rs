@@ -66,9 +66,7 @@ pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramCells, HistogramSnapshot, MetricsSnapshot,
     Registry,
 };
-pub use profile::{
-    validate_profile_jsonl, CacheCounters, CompileProfile, ExecCounters, KernelProfile,
-};
+pub use profile::{validate_profile_jsonl, CompileProfile, KernelProfile};
 pub use scope::{parse_scoped_name, scoped_counter_sum, scoped_counters, scoped_name, Scope};
 pub use span::{
     complete_span, drain_spans, enabled, set_enabled, snapshot_spans, span, span_fields, SpanGuard,

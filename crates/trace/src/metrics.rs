@@ -52,6 +52,16 @@ impl Counter {
         self.0.value.load(Ordering::Acquire)
     }
 
+    /// A per-instance leaf under this counter: it chains into `self`
+    /// (and so into every aggregate `self` chains into) exactly as a
+    /// labeled cell does, but has no name and never enters a registry,
+    /// so snapshots and exports do not see it. The owner of an instance
+    /// (one cache, one pipeline) counts each event once, through its
+    /// cell, and reads its own share back with [`Counter::get`].
+    pub fn cell(&self) -> Counter {
+        Counter::new(Some(self.clone()))
+    }
+
     /// Number of aggregates this counter chains into.
     fn depth(&self) -> usize {
         self.0.parent.as_ref().map_or(0, |p| 1 + p.depth())

@@ -4,14 +4,14 @@
 //!
 //! A profile stitches together what the subsystems each know about a
 //! single kernel specialization: per-phase compile timing (ks-core's
-//! `CompileMetrics`), cache behaviour (`CacheStats`), simulated
-//! execution counters (ks-sim's `ExecStats`), analysis diagnostics,
-//! and the raw span tree. The structs here are plain data — the
-//! producing crates copy their fields in so ks-trace stays a leaf
-//! dependency.
+//! `CompileMetrics`), analysis diagnostics, the raw span tree, and a
+//! registry snapshot. Cache behaviour and simulated execution counters
+//! are not copied in: every export reads them from that snapshot, the
+//! cells ks-core and ks-sim publish into.
 
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
+use crate::names;
 use crate::span::SpanRecord;
 use std::collections::BTreeMap;
 
@@ -29,59 +29,6 @@ pub struct CompileProfile {
     pub phases: Vec<(String, u64)>,
 }
 
-impl CompileProfile {
-    pub fn phase_sum_us(&self) -> u64 {
-        self.phases.iter().map(|(_, us)| us).sum()
-    }
-}
-
-/// Binary-cache counters, mirroring `CacheStats` field-for-field.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    pub hits: u64,
-    pub misses: u64,
-    pub dedup_waits: u64,
-    pub evictions: u64,
-    /// Compile calls that returned an error (itemized outside
-    /// `hits + misses == requests`, which counts successes).
-    pub failures: u64,
-    /// Calls fast-failed from a quarantined entry without re-compiling.
-    pub quarantined: u64,
-    /// Retry attempts after a leader failure.
-    pub retries: u64,
-    /// Circuit-breaker open transitions.
-    pub breaker_opens: u64,
-}
-
-impl CacheCounters {
-    pub fn requests(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    pub fn hit_rate(&self) -> f64 {
-        if self.requests() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.requests() as f64
-        }
-    }
-}
-
-/// Simulator execution counters, mirroring `ExecStats` plus the
-/// launch-level occupancy/time results.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExecCounters {
-    pub launches: u64,
-    pub dyn_insts: u64,
-    pub global_bytes: u64,
-    pub divergent_branches: u64,
-    pub barriers: u64,
-    /// Total simulated kernel time, µs.
-    pub sim_time_us: u64,
-    /// Occupancy of the (last) launch, `0..=1`.
-    pub occupancy: f64,
-}
-
 /// The full observability report for one specialized kernel.
 #[derive(Debug, Clone, Default)]
 pub struct KernelProfile {
@@ -91,17 +38,67 @@ pub struct KernelProfile {
     /// The specialization `-D` defines, name-sorted.
     pub defines: Vec<(String, String)>,
     pub compiles: Vec<CompileProfile>,
-    pub cache: CacheCounters,
-    pub exec: ExecCounters,
+    /// Total simulated kernel time of the profiled run, µs (the run's own
+    /// sum; the registry's `ks_sim.time_us` truncates per launch).
+    pub sim_time_us: u64,
     /// Analysis diagnostics (empty for a clean kernel).
     pub diagnostics: Vec<String>,
     /// Span tree captured while profiling (empty if tracing was off).
     pub spans: Vec<SpanRecord>,
-    /// Registry snapshot at capture time.
+    /// Registry snapshot at capture time — where the cache and execution
+    /// sections of every export come from.
     pub metrics: MetricsSnapshot,
 }
 
 impl KernelProfile {
+    /// Binary-cache counters as `(export key, value)`, in export order.
+    pub fn cache_rows(&self) -> [(&'static str, u64); 8] {
+        [
+            ("hits", names::CACHE_HITS),
+            ("misses", names::CACHE_MISSES),
+            ("dedup_waits", names::CACHE_DEDUP_WAITS),
+            ("evictions", names::CACHE_EVICTIONS),
+            ("failures", names::CACHE_FAILURES),
+            ("quarantined", names::CACHE_QUARANTINED),
+            ("retries", names::COMPILE_RETRIES),
+            ("breaker_opens", names::BREAKER_OPEN),
+        ]
+        .map(|(key, name)| (key, self.metrics.counter(name)))
+    }
+
+    /// Share of successful compile requests served without compiling.
+    pub fn hit_rate(&self) -> f64 {
+        let [(_, hits), (_, misses), ..] = self.cache_rows();
+        if hits + misses == 0 {
+            0.0
+        } else {
+            hits as f64 / (hits + misses) as f64
+        }
+    }
+
+    /// Simulator execution counters as `(export key, value)`, in export
+    /// order.
+    pub fn exec_rows(&self) -> [(&'static str, u64); 6] {
+        let counter = |name| self.metrics.counter(name);
+        [
+            ("launches", counter(names::SIM_LAUNCHES)),
+            ("dyn_insts", counter(names::SIM_DYN_INSTS)),
+            ("global_bytes", counter(names::SIM_GLOBAL_BYTES)),
+            ("divergent_branches", counter(names::SIM_DIVERGENT_BRANCHES)),
+            ("barriers", counter(names::SIM_BARRIERS)),
+            ("sim_time_us", self.sim_time_us),
+        ]
+    }
+
+    /// Occupancy of the last launch, `0..=1`.
+    pub fn occupancy(&self) -> f64 {
+        self.metrics
+            .gauges
+            .get(names::SIM_OCCUPANCY)
+            .copied()
+            .unwrap_or(0.0)
+    }
+
     /// JSON-lines rendering: one `profile` header line, then one line
     /// per compile, the `cache` and `exec` counter lines, and one line
     /// per span. [`validate_profile_jsonl`] checks this schema.
@@ -146,37 +143,22 @@ impl KernelProfile {
                 .render(),
             );
         }
-        lines.push(
-            Json::obj(vec![
-                ("type", Json::str("cache")),
-                ("hits", Json::u64(self.cache.hits)),
-                ("misses", Json::u64(self.cache.misses)),
-                ("dedup_waits", Json::u64(self.cache.dedup_waits)),
-                ("evictions", Json::u64(self.cache.evictions)),
-                ("failures", Json::u64(self.cache.failures)),
-                ("quarantined", Json::u64(self.cache.quarantined)),
-                ("retries", Json::u64(self.cache.retries)),
-                ("breaker_opens", Json::u64(self.cache.breaker_opens)),
-                ("hit_rate", Json::num(self.cache.hit_rate())),
-            ])
-            .render(),
-        );
-        lines.push(
-            Json::obj(vec![
-                ("type", Json::str("exec")),
-                ("launches", Json::u64(self.exec.launches)),
-                ("dyn_insts", Json::u64(self.exec.dyn_insts)),
-                ("global_bytes", Json::u64(self.exec.global_bytes)),
-                (
-                    "divergent_branches",
-                    Json::u64(self.exec.divergent_branches),
-                ),
-                ("barriers", Json::u64(self.exec.barriers)),
-                ("sim_time_us", Json::u64(self.exec.sim_time_us)),
-                ("occupancy", Json::num(self.exec.occupancy)),
-            ])
-            .render(),
-        );
+        let section = |ty, rows: &[(&'static str, u64)], last| {
+            let mut fields = vec![("type", Json::str(ty))];
+            fields.extend(rows.iter().map(|&(k, v)| (k, Json::u64(v))));
+            fields.push(last);
+            Json::obj(fields).render()
+        };
+        lines.push(section(
+            "cache",
+            &self.cache_rows(),
+            ("hit_rate", Json::num(self.hit_rate())),
+        ));
+        lines.push(section(
+            "exec",
+            &self.exec_rows(),
+            ("occupancy", Json::num(self.occupancy())),
+        ));
         for d in &self.diagnostics {
             lines.push(
                 Json::obj(vec![
@@ -442,20 +424,7 @@ mod tests {
                 total_us: 100,
                 phases: vec![("parse".to_string(), 40), ("sema".to_string(), 50)],
             }],
-            cache: CacheCounters {
-                hits: 3,
-                misses: 1,
-                ..CacheCounters::default()
-            },
-            exec: ExecCounters {
-                launches: 1,
-                dyn_insts: 1000,
-                global_bytes: 4096,
-                divergent_branches: 2,
-                barriers: 8,
-                sim_time_us: 1234,
-                occupancy: 0.75,
-            },
+            sim_time_us: 1234,
             diagnostics: vec![],
             spans: vec![
                 SpanRecord {
@@ -479,7 +448,21 @@ mod tests {
                     fields: vec![("module".to_string(), "region0".to_string())],
                 },
             ],
-            metrics: MetricsSnapshot::default(),
+            metrics: MetricsSnapshot {
+                counters: [
+                    (names::CACHE_HITS, 3),
+                    (names::CACHE_MISSES, 1),
+                    (names::SIM_LAUNCHES, 1),
+                    (names::SIM_DYN_INSTS, 1000),
+                    (names::SIM_GLOBAL_BYTES, 4096),
+                    (names::SIM_DIVERGENT_BRANCHES, 2),
+                    (names::SIM_BARRIERS, 8),
+                ]
+                .map(|(k, v)| (k.to_string(), v))
+                .into(),
+                gauges: [(names::SIM_OCCUPANCY.to_string(), 0.75)].into(),
+                ..MetricsSnapshot::default()
+            },
         }
     }
 
@@ -553,13 +536,11 @@ mod tests {
 
     #[test]
     fn hit_rate_helpers() {
-        let c = CacheCounters {
-            hits: 3,
-            misses: 1,
-            ..CacheCounters::default()
-        };
-        assert_eq!(c.requests(), 4);
-        assert!((c.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheCounters::default().hit_rate(), 0.0);
+        let p = sample_profile();
+        assert_eq!(p.cache_rows()[..2], [("hits", 3), ("misses", 1)]);
+        assert!((p.hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(KernelProfile::default().hit_rate(), 0.0);
+        assert_eq!(p.exec_rows()[5], ("sim_time_us", 1234));
+        assert_eq!(p.occupancy(), 0.75);
     }
 }

@@ -6,8 +6,10 @@
 //! parent scope's handle and ultimately to the plain, unlabeled global
 //! metric. Every publish walks that chain, so **the sum of the child
 //! scopes equals the global aggregate exactly once publishers are
-//! quiescent** — the same discipline the `ks_core.*` counters keep
-//! against their subsystem stats. While publishes are in flight a
+//! quiescent**. The subsystem stats (`CacheStats`, `AsyncStats`, …) are
+//! one more level of the same chain: unregistered per-instance leaves
+//! ([`Counter::cell`]) under these cells, read back by their owner —
+//! one counter per event, not a second copy. While publishes are in flight a
 //! snapshot is not a cut, but it is ordered: a publish reaches its
 //! aggregates before its cell, and [`Registry::snapshot`] reads cells
 //! before aggregates, so no cell (or sum of sibling cells) ever reads

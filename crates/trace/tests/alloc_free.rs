@@ -58,6 +58,8 @@ fn publishing_through_warm_handles_is_allocation_free() {
     let r = ks_trace::Registry::new();
     let scope = r.scoped(&[("pipeline", "alloc-test")]);
     let counter = scope.counter("af.ops");
+    // An unregistered per-instance leaf: one more level on the chain.
+    let cell = counter.cell();
     let gauge = scope.gauge("af.gauge");
     let hist = scope.histogram("af.lat");
     counter.inc();
@@ -72,6 +74,7 @@ fn publishing_through_warm_handles_is_allocation_free() {
     COUNTING.set(true);
     for i in 0..OPS {
         counter.inc();
+        cell.inc();
         gauge.set(i as f64);
         hist.record(1 + (i % 10_000));
         let _span = ks_trace::span("disabled-hot-path");
@@ -84,8 +87,9 @@ fn publishing_through_warm_handles_is_allocation_free() {
     );
 
     // Sanity: the publishes actually landed, at every chain level.
-    assert_eq!(counter.get(), 1 + OPS);
-    assert_eq!(r.counter_value("af.ops"), 1 + OPS);
+    assert_eq!(cell.get(), OPS);
+    assert_eq!(counter.get(), 1 + 2 * OPS);
+    assert_eq!(r.counter_value("af.ops"), 1 + 2 * OPS);
     assert_eq!(r.histogram("af.lat").snapshot().count, 1 + OPS);
     assert_eq!(
         r.histogram("af.lat{pipeline=alloc-test}").snapshot().count,

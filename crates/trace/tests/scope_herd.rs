@@ -5,7 +5,9 @@
 //! every enclosing aggregate, so no interleaving can lose or
 //! double-count an increment — and while the herd runs no snapshot may
 //! show a cell ahead of an aggregate it chains into (publishes go
-//! aggregate-first, snapshots read cells first).
+//! aggregate-first, snapshots read cells first). Half the publishes go
+//! through unregistered per-instance leaves (`Counter::cell`), which obey
+//! the same order and never show up in a snapshot.
 
 use ks_trace::{scoped_counter_sum, History, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -18,20 +20,34 @@ const OPS_PER_THREAD: u64 = 5_000;
 fn herd_publishes_roll_up_exactly_under_racing_snapshots() {
     let r = Arc::new(Registry::new());
     let stop = Arc::new(AtomicBool::new(false));
+    // One unregistered leaf per worker, under that worker's scoped cell.
+    let leaves: Vec<_> = (0..THREADS)
+        .map(|t| {
+            r.scoped(&[("worker", &format!("w{t}"))])
+                .counter("herd.ops")
+                .cell()
+        })
+        .collect();
 
     // Readers: one racing full snapshots, one racing window rotations.
     // Their observations may be torn across metrics, but each must be
     // internally sane (no cell ever exceeds the global it chains into).
     let snap_reader = {
-        let (r, stop) = (r.clone(), stop.clone());
+        let (r, stop, leaves) = (r.clone(), stop.clone(), leaves.clone());
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
+                // Leaves first: they are the deepest level of the chain.
+                let leaf_sum: u64 = leaves.iter().map(|c| c.get()).sum();
                 let snap = r.snapshot();
                 let global = snap.counter("herd.ops");
                 let sum = scoped_counter_sum(&snap, "herd.ops", "worker");
                 assert!(
                     sum <= global,
                     "scoped sum {sum} overtook the global {global}"
+                );
+                assert!(
+                    leaf_sum <= sum,
+                    "unregistered leaves {leaf_sum} overtook their scoped cells {sum}"
                 );
                 let c = snap
                     .histograms
@@ -62,9 +78,9 @@ fn herd_publishes_roll_up_exactly_under_racing_snapshots() {
     let publishers: Vec<_> = (0..THREADS)
         .map(|t| {
             let r = r.clone();
+            let ops = leaves[t].clone();
             std::thread::spawn(move || {
                 let scope = r.scoped(&[("worker", &format!("w{t}"))]);
-                let ops = scope.counter("herd.ops");
                 let lat = scope.histogram("herd.lat");
                 // Half the publishes go through a nested sub-scope, so
                 // the chain is exercised three levels deep.
@@ -93,7 +109,11 @@ fn herd_publishes_roll_up_exactly_under_racing_snapshots() {
     let snap = r.snapshot();
     assert_eq!(snap.counter("herd.ops"), total);
     assert_eq!(scoped_counter_sum(&snap, "herd.ops", "worker"), total);
-    for t in 0..THREADS {
+    // The leaves hold their own share and are in no snapshot: the global,
+    // eight worker cells and eight shard cells are all there is.
+    assert_eq!(snap.counters.len(), 1 + 2 * THREADS);
+    for (t, leaf) in leaves.iter().enumerate() {
+        assert_eq!(leaf.get(), OPS_PER_THREAD / 2);
         assert_eq!(
             snap.counter(&format!("herd.ops{{worker=w{t}}}")),
             OPS_PER_THREAD

@@ -51,12 +51,6 @@ pub enum Outcome {
     Diff(VerifyDiff),
 }
 
-impl Outcome {
-    pub fn is_diff(&self) -> bool {
-        matches!(self, Outcome::Diff(_))
-    }
-}
-
 /// Descend into two differing expressions while exactly one child pair
 /// differs, returning the smallest differing subexpression pair. This is
 /// what makes `StoreValue` diffs readable when the divergence is buried in

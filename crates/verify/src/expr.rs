@@ -5,9 +5,11 @@
 //! reduces to integer equality. The smart constructors canonicalize as they
 //! build, absorbing exactly the rewrites the optimizer is allowed to do:
 //!
-//! * constant folding through the shared [`ks_opt::eval`] semantics (the
-//!   same functions the constfold pass calls, so folder and validator can
-//!   never disagree about arithmetic);
+//! * constant folding through [`ks_ir::eval`] — the one definition of
+//!   what an operation computes, which the constfold pass and the
+//!   simulator's executor answer to as well, so folder, validator and
+//!   machine cannot disagree about arithmetic; *which* constants fold
+//!   mirrors the pass (integer `neg` only, no float `not`, …);
 //! * integer/pointer `add`/`sub`/`mul`-by-constant/`shl`-by-constant
 //!   normalize into a linear-combination node [`Expr::Lin`] (Σ cᵢ·tᵢ + k,
 //!   computed modulo 2³², or 2⁶⁴ for pointers), which identifies
@@ -20,8 +22,7 @@
 //! **never** reassociated or reordered: the passes preserve f32 evaluation
 //! order exactly, and so does the canonical form.
 
-use ks_ir::{BinOp, CmpOp, Space, SpecialReg, Ty, UnOp};
-use ks_opt::eval;
+use ks_ir::{eval, BinOp, CmpOp, Space, SpecialReg, Ty, UnOp};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -77,8 +78,6 @@ pub enum Expr {
     /// these windows are expressed relative to the declaration so RE and SK
     /// modules with different allocation sizes still align.
     Base(Space, Symbol),
-    /// Base of the per-thread local-memory window.
-    LocalBase,
     /// An unresolved memory read; `version` counts prior may-visible writes
     /// to the space, so reads separated by a potentially aliasing store (or
     /// a barrier, for shared/global) stay distinct.
@@ -209,13 +208,13 @@ impl Arena {
         }
     }
 
-    /// Signed interpretation of a constant under `ty`, matching what the
-    /// concrete evaluator in ks-opt expects as input.
-    fn signed(&self, ty: Ty, bits: u64) -> i64 {
+    /// The register a constant of type `ty` occupies, as [`ks_ir::eval`]
+    /// takes it: `ConstI` keeps 32-bit values zero-extended, a register
+    /// sign-extends `s32`.
+    fn reg_bits(ty: Ty, bits: u64) -> u64 {
         match ty {
-            Ty::S32 => bits as u32 as i32 as i64,
-            Ty::U32 | Ty::Pred => bits as u32 as i64,
-            _ => bits as i64,
+            Ty::S32 | Ty::U32 | Ty::Pred => eval::load_extend(ty, bits as u32),
+            _ => bits,
         }
     }
 
@@ -233,10 +232,6 @@ impl Arena {
     pub fn base(&mut self, space: Space, name: &str) -> ExprId {
         let s = self.symbol(name);
         self.intern(Expr::Base(space, s))
-    }
-
-    pub fn local_base(&mut self) -> ExprId {
-        self.intern(Expr::LocalBase)
     }
 
     pub fn undef(&mut self, reg: u32) -> ExprId {
@@ -325,17 +320,19 @@ impl Arena {
     // ---- operators ------------------------------------------------------
 
     pub fn bin(&mut self, op: BinOp, ty: Ty, a: ExprId, b: ExprId) -> ExprId {
-        // Fully constant → fold through the shared pass semantics.
-        if let (Some(ba), Some(bb)) = (self.as_const(a), self.as_const(b)) {
-            let (sa, sb) = (self.signed(ty, ba), self.signed(ty, bb));
-            if let Some(v) = eval::eval_bin(op, ty, sa, sb) {
-                return self.cint(ty, v);
+        // Fully constant → fold, as the pass does.
+        if ty.is_integer() || ty.is_ptr() {
+            if let (Some(ba), Some(bb)) = (self.as_const(a), self.as_const(b)) {
+                let (ra, rb) = (Self::reg_bits(ty, ba), Self::reg_bits(ty, bb));
+                if let Some(v) = eval::bin(op, ty, ra, rb) {
+                    return self.cint(ty, v as i64);
+                }
             }
         }
         if ty == Ty::F32 {
             if let (Some(fa), Some(fb)) = (self.as_const_f(a), self.as_const_f(b)) {
-                if let Some(v) = eval::eval_bin_f(op, fa, fb) {
-                    return self.cf32(v);
+                if let Some(v) = eval::bin(op, ty, fa.to_bits() as u64, fb.to_bits() as u64) {
+                    return self.cf32(f32::from_bits(v as u32));
                 }
             }
             // Mirror the identities HIR consteval declares as axioms
@@ -429,18 +426,15 @@ impl Arena {
 
     pub fn un(&mut self, op: UnOp, ty: Ty, a: ExprId) -> ExprId {
         if ty == Ty::F32 {
-            if let Some(fa) = self.as_const_f(a) {
-                if let Some(v) = eval::eval_un_f(op, fa) {
-                    return self.cf32(v);
-                }
+            if let Some(fa) = self.as_const_f(a).filter(|_| op != UnOp::Not) {
+                let v = eval::un(op, ty, fa.to_bits() as u64);
+                return self.cf32(f32::from_bits(v as u32));
             }
             return self.intern(Expr::Un { op, ty, a });
         }
-        if let Some(bits) = self.as_const(a) {
-            let s = self.signed(ty, bits);
-            if let Some(v) = eval::eval_un(op, ty, s) {
-                return self.cint(ty, v);
-            }
+        if let Some(bits) = self.as_const(a).filter(|_| op == UnOp::Neg) {
+            let v = eval::un(op, ty, Self::reg_bits(ty, bits));
+            return self.cint(ty, v as i64);
         }
         if op == UnOp::Neg && ty != Ty::Pred {
             let w = Width::of(ty);
@@ -452,13 +446,13 @@ impl Arena {
     pub fn cmp(&mut self, cmp: CmpOp, ty: Ty, a: ExprId, b: ExprId) -> ExprId {
         if ty == Ty::F32 {
             if let (Some(fa), Some(fb)) = (self.as_const_f(a), self.as_const_f(b)) {
-                let r = eval::eval_cmp_f(cmp, fa, fb);
+                let r = eval::cmp(cmp, ty, fa.to_bits() as u64, fb.to_bits() as u64);
                 return self.cint(Ty::U32, i64::from(r));
             }
             return self.intern(Expr::Cmp { cmp, ty, a, b });
         }
         if let (Some(ba), Some(bb)) = (self.as_const(a), self.as_const(b)) {
-            let r = eval::eval_cmp(cmp, ty, ba as i64, bb as i64);
+            let r = eval::cmp(cmp, ty, ba, bb);
             return self.cint(Ty::U32, i64::from(r));
         }
         // Canonical operand order: commutative compares sort, ordered ones
@@ -490,25 +484,16 @@ impl Arena {
         if dst.is_integer() && src.is_integer() {
             return a;
         }
-        if let Some(bits) = self.as_const(a) {
-            let imm = ks_ir::Operand::ImmI(self.signed(src, bits));
-            if let Some(v) = eval::cvt_imm(dst, src, imm) {
-                match v {
-                    ks_ir::Operand::ImmI(v) => return self.cint(dst, v),
-                    ks_ir::Operand::ImmF(v) => return self.cf32(v),
-                    ks_ir::Operand::Reg(_) => unreachable!(),
-                }
-            }
-        }
-        if let Some(f) = self.as_const_f(a) {
-            let imm = ks_ir::Operand::ImmF(f);
-            if let Some(v) = eval::cvt_imm(dst, src, imm) {
-                match v {
-                    ks_ir::Operand::ImmI(v) => return self.cint(dst, v),
-                    ks_ir::Operand::ImmF(v) => return self.cf32(v),
-                    ks_ir::Operand::Reg(_) => unreachable!(),
-                }
-            }
+        // A constant of the source's kind converts now.
+        let bits = match src {
+            Ty::F32 => self.as_const_f(a).map(|f| f.to_bits() as u64),
+            _ => self.as_const(a).map(|bits| Self::reg_bits(src, bits)),
+        };
+        if let Some(v) = bits.and_then(|x| eval::cvt(dst, src, x)) {
+            return match dst {
+                Ty::F32 => self.cf32(f32::from_bits(v as u32)),
+                _ => self.cint(dst, v as i64),
+            };
         }
         self.intern(Expr::Cvt { dst, src, a })
     }
@@ -547,7 +532,6 @@ impl Arena {
             Expr::Base(space, s) => {
                 let _ = write!(out, "&{space}:{}", self.name(*s));
             }
-            Expr::LocalBase => out.push_str("&local"),
             Expr::Undef(r) => {
                 let _ = write!(out, "undef(%r{r})");
             }
