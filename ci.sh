@@ -21,6 +21,12 @@ cargo build --offline --release
 for run in $(seq 1 "${KS_CI_REPEAT:-1}"); do
     echo "== cargo test (run $run of ${KS_CI_REPEAT:-1})"
     cargo test --offline -q --no-fail-fast
+    # The parallel iterator's pool contract once more at opt-level 3:
+    # order, earliest error, per-participant state, nested and concurrent
+    # callers, panics on either side, lazy start, 10 000 back-to-back
+    # jobs. The optimized build is the one whose jobs are short enough
+    # for a worker to arrive after the last chunk is gone.
+    cargo test --offline --release -q --manifest-path vendor/rayon/Cargo.toml
 done
 
 # Concurrency stress tests run in release mode: the optimized build

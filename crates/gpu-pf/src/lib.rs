@@ -1528,6 +1528,13 @@ impl Pipeline {
     /// the number of modules promoted by this call. Launches pin their
     /// binary `Arc` before executing, so a swap never affects an
     /// in-flight launch — only the next one.
+    ///
+    /// This, [`Pipeline::refresh`], [`Pipeline::wait_promotions`] and the
+    /// end of a [`Pipeline::run`] iteration are the only places a
+    /// module's binary changes: a caller that sets launch arguments by
+    /// what [`Pipeline::module_tier`] reports can rely on that report
+    /// until it calls one of them, and through the first iteration of
+    /// the `run` that follows.
     pub fn poll_promotions(&mut self) -> usize {
         let mut promoted = 0;
         for i in 0..self.resources.len() {
@@ -1696,6 +1703,16 @@ impl Pipeline {
     // ---- execution phase ----
 
     /// Run `iterations` pipeline iterations.
+    ///
+    /// In [`RefreshMode::Tiered`] each iteration ends by applying the
+    /// promotions that have resolved ([`Pipeline::poll_promotions`]),
+    /// after its last action and before the self-updating parameters
+    /// advance. A module's binary therefore changes only inside
+    /// [`Pipeline::refresh`], `poll_promotions`,
+    /// [`Pipeline::wait_promotions`] or after the last action of an
+    /// iteration — never between the caller's last look at
+    /// [`Pipeline::module_tier`] and a launch: `run(1)` launches exactly
+    /// the binaries that were bound when it was called.
     pub fn run(&mut self, iterations: u64) -> Result<(), PfError> {
         if !self.refreshed {
             return Err(PfError::Spec("refresh() must run before execution".into()));
@@ -1708,14 +1725,16 @@ impl Pipeline {
             let iter_started = Instant::now();
             self.log
                 .line_with(|| format!("--- pipeline iteration {iter} ---"));
-            // Tiered mode: promotions land between iterations, never
-            // mid-action — each launch runs its pinned binary to
-            // completion.
-            if self.refresh_mode == RefreshMode::Tiered {
-                self.poll_promotions();
-            }
             for a in 0..self.actions.len() {
                 self.run_action(a, iter)?;
+            }
+            // Tiered mode: promotions land after an iteration's last
+            // action, never before its first. The caller chose this
+            // iteration's launch arguments for the binaries it saw
+            // bound (`module_tier`); a ticket that resolved since must
+            // not swap another binary in under them.
+            if self.refresh_mode == RefreshMode::Tiered {
+                self.poll_promotions();
             }
             self.metrics.iterations.inc();
             self.metrics
@@ -3034,9 +3053,20 @@ mod tests {
     /// Builds the standard scale pipeline around a caller-supplied
     /// compiler (so fault plans and resilience policies apply).
     fn scale_pipeline(compiler: Arc<Compiler>) -> (Pipeline, ParamId, ResId, ResId) {
+        scale_pipeline_with_arg(compiler, None)
+    }
+
+    /// [`scale_pipeline`], optionally with the kernel's runtime `factor`
+    /// argument a parameter of its own instead of the one the FACTOR
+    /// macro is bound to (so the two can disagree).
+    fn scale_pipeline_with_arg(
+        compiler: Arc<Compiler>,
+        arg_factor: Option<i64>,
+    ) -> (Pipeline, ParamId, ResId, ResId) {
         let mut p = Pipeline::new(compiler, 32 << 20);
         let n = 64u32;
         let factor = p.int_param("FACTOR", 3);
+        let arg_factor = arg_factor.map_or(factor, |v| p.int_param("factor", v));
         let ext = p.extent_param("buf", [n, 1, 1], 4);
         let host_in = p.host_memory(ext);
         let host_out = p.host_memory(ext);
@@ -3058,7 +3088,7 @@ mod tests {
             vec![
                 Arg::Mem(dev_in),
                 Arg::Mem(dev_out),
-                Arg::Param(factor),
+                Arg::Param(arg_factor),
                 Arg::Param(nparam),
             ],
             every,
@@ -3499,8 +3529,8 @@ mod tests {
         assert_eq!(p.host_f32(host_out)[10], 30.0);
 
         // Promotion: hot-swap to the exact specialized binary. (run()
-        // polls at each iteration top, so the swap may already have
-        // landed there; wait_promotions() covers the slow case.)
+        // polls at the end of each iteration, so the swap may already
+        // have landed there; wait_promotions() covers the slow case.)
         p.wait_promotions();
         assert_eq!(p.module_tier(m), Some(Tier::Specialized));
         let specialized = c
@@ -3512,6 +3542,55 @@ mod tests {
         let stats = p.promotion_stats();
         assert_eq!((stats.promoted, stats.failed, stats.pending), (1, 0, 0));
         assert!(p.degradations().is_empty());
+    }
+
+    /// Regression: a ticket that resolves between the caller's last
+    /// look at `module_tier()` and `run()` must not swap its binary in
+    /// under launch arguments chosen for the old one. Here the runtime
+    /// `factor` argument (5) disagrees with the FACTOR macro (3) on
+    /// purpose, as a caller's arguments do while it still sees the
+    /// generic tier: the generic binary multiplies by the argument, the
+    /// specialized one by the macro, so the output says which one ran.
+    #[test]
+    fn a_promotion_resolved_before_run_lands_after_the_iteration() {
+        let c = Arc::new(Compiler::new(DeviceConfig::tesla_c1060()));
+        let (mut p, _factor, host_in, host_out) = scale_pipeline_with_arg(c, Some(5));
+        let m = ResId(4); // the module created by scale_pipeline
+        p.set_refresh_mode(RefreshMode::Tiered);
+        p.refresh().unwrap();
+        assert_eq!(p.module_tier(m), Some(Tier::Promoting));
+        let generic_key = p.module_bound_key(m).cloned();
+
+        // Let the ticket resolve without applying it: the caller's view
+        // is still "generic tier" when it calls run().
+        let Resource::Module {
+            pending: Some(pending),
+            ..
+        } = &p.resources[m.0]
+        else {
+            panic!("a tiered refresh leaves a pending promotion")
+        };
+        pending.ticket.clone().wait().unwrap();
+        assert_eq!(p.module_tier(m), Some(Tier::Promoting));
+
+        let vals: Vec<f32> = (0..64).map(|i| i as f32).collect();
+        p.set_host_f32(host_in, &vals);
+        p.run(1).unwrap();
+        assert_eq!(
+            p.host_f32(host_out)[10],
+            50.0,
+            "the iteration launched a binary promoted inside run()"
+        );
+
+        // The promotion landed once the iteration's actions were done.
+        assert_eq!(p.module_tier(m), Some(Tier::Specialized));
+        assert_ne!(p.module_bound_key(m).cloned(), generic_key);
+        assert_eq!(p.promotion_stats().promoted, 1);
+        p.run(1).unwrap();
+        assert_eq!(p.host_f32(host_out)[10], 30.0);
+        // The generic kernel loads and converts what the specialized
+        // one has as a constant.
+        assert!(p.reports[0].static_insts > p.reports[1].static_insts);
     }
 
     /// Regression: re-dirtying a module while its promotion is in

@@ -410,16 +410,12 @@ fn apply_silent_flip(state: &mut DeviceState, report: &LaunchReport, entropy: u6
     }
 }
 
-/// Fewest warp-instructions a launch hands a worker thread of its own.
-/// The workers are threads spawned for the one launch, and a spawned
-/// thread starts on its parent's core: until the kernel's balancer moves
-/// it (at once, or seconds later, on the 2-vCPU box the ledger runs on)
-/// it time-slices with the caller instead of running beside it. Launches
-/// of a millisecond or two gained nothing on some calls and twofold on
-/// others — the same round of the ledger's `stream` took 10 or 19 ms —
-/// so they run on the calling thread and repeat; half a million
-/// warp-instructions is ≈ 15 ms of one core.
-const WORKER_GRAIN_WARP_INSTS: u64 = 1 << 19;
+/// Fewest warp-instructions a launch cuts off as a chunk another thread
+/// may take: about a millisecond of one core, against the tens of
+/// microseconds a parked pool worker takes to wake. A launch under twice
+/// this is one chunk and never leaves the calling thread: no wake-up, no
+/// second register file.
+const WORKER_GRAIN_WARP_INSTS: u64 = 1 << 15;
 
 /// How many blocks of `warp_insts_per_block` make up the worker grain.
 fn blocks_per_worker(warp_insts_per_block: u64) -> usize {
@@ -455,9 +451,9 @@ impl Drop for Lent<'_> {
     }
 }
 
-/// Run `blocks` through the parallel iterator, no worker taking fewer
-/// than `min_blocks`, each worker running all of its blocks on one
-/// scratch. Returns the per-block stats in `blocks` order when `TIMING`,
+/// Run `blocks` through the parallel iterator in chunks of no fewer than
+/// `min_blocks`, each participating thread running all of its blocks on
+/// one scratch. Returns the per-block stats in `blocks` order when `TIMING`,
 /// nothing otherwise (there are none to keep).
 fn run_blocks<const TIMING: bool>(
     env: &LaunchEnv<'_>,
