@@ -14,6 +14,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --offline --release
+# benchmark/ is its own package outside the workspace and links gpu-pf's
+# public API: build it here so an API slip fails in minutes, not in the
+# last step.
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
 
 # --no-fail-fast: one red crate must not hide every crate after it.
 # KS_CI_REPEAT=N runs the suite N times (default 1): tier-1 must be green
@@ -70,9 +74,11 @@ rm -f "$FAULT_OUT_A" "$FAULT_OUT_B"
 # Tiered-execution tier: pipelines in tiered refresh mode must serve
 # the first launch on the generic binary without waiting for the
 # specialized compile, hot-swap every module to Specialized, cancel
-# superseded in-flight promotions, and produce byte-identical outputs
-# to blocking mode. The example exits non-zero on any violation; the
-# greps pin the summary line so a silently-skipped check also fails.
+# superseded in-flight promotions, serve a settled module that is
+# re-dirtied from the generic binary (never the old specialization),
+# and produce byte-identical outputs to blocking mode. The example
+# exits non-zero on any violation; the greps pin the summary lines so a
+# silently-skipped check also fails.
 echo "== tiered-execution drill (generic first, hot-swap on promotion)"
 TIERED_OUT=$(mktemp)
 cargo run --offline --release -q -p ks-apps --example tiered_execution \
@@ -80,6 +86,7 @@ cargo run --offline --release -q -p ks-apps --example tiered_execution \
 grep -q "modules specialized: 3/3" "$TIERED_OUT"
 grep -q "first launch on generic: 3/3" "$TIERED_OUT"
 grep -q "superseded: 1, parity: ok" "$TIERED_OUT"
+grep -q "redirty served: generic, parity: ok" "$TIERED_OUT"
 rm -f "$TIERED_OUT"
 
 # Persistent-store tier: compile, drop process state (fresh compiler,

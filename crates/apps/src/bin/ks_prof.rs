@@ -557,7 +557,7 @@ fn integrity_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
         ks_fault::FaultPlan::new(0x5DC).rule(
             ks_fault::FaultRule::new(
                 ks_fault::FaultKind::SilentFlip,
-                ks_fault::Target::Key(key.lo64),
+                ks_fault::Target::Key(key.fingerprint.lo64()),
             )
             .nth(1),
         ),

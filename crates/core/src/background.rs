@@ -143,6 +143,7 @@ impl TicketInner {
 pub struct CompileTicket {
     inner: Arc<TicketInner>,
     stats: Arc<AsyncCells>,
+    resolved_at_spawn: bool,
 }
 
 impl CompileTicket {
@@ -150,6 +151,15 @@ impl CompileTicket {
     /// blocking [`Compiler::compile`] of identical inputs would use.
     pub fn key(&self) -> Fingerprint {
         self.inner.key
+    }
+
+    /// True when [`Compiler::spawn_compile`] resolved this ticket before
+    /// returning it — a committed cache or store entry, or invalid
+    /// defines — so no worker was involved. Unlike asking
+    /// [`CompileTicket::is_done`] right after the spawn, the answer does
+    /// not depend on how fast a worker got to the job.
+    pub fn resolved_at_spawn(&self) -> bool {
+        self.resolved_at_spawn
     }
 
     /// True once a result (success, failure, or cancellation) is in.
@@ -358,7 +368,11 @@ pub(crate) fn spawn(
                 command_line: defines.command_line(),
             }),
         );
-        return CompileTicket { inner, stats };
+        return CompileTicket {
+            inner,
+            stats,
+            resolved_at_spawn: true,
+        };
     }
     // Fast path: a committed result — in memory or in the persistent
     // store — resolves the ticket immediately, without occupying a
@@ -368,7 +382,11 @@ pub(crate) fn spawn(
     if let Some(bin) = compiler.cache.try_get(key, compiler.store.as_ref()) {
         compiler.metrics.requests.inc();
         inner.fulfill(&stats, TicketOutcome::Completed, Ok(bin));
-        return CompileTicket { inner, stats };
+        return CompileTicket {
+            inner,
+            stats,
+            resolved_at_spawn: true,
+        };
     }
     let identity = ks_fault::kernel_names(source)
         .into_iter()
@@ -386,5 +404,9 @@ pub(crate) fn spawn(
     let p = pool();
     p.queue.lock().push_back(job);
     p.available.notify_one();
-    CompileTicket { inner, stats }
+    CompileTicket {
+        inner,
+        stats,
+        resolved_at_spawn: false,
+    }
 }

@@ -247,6 +247,15 @@ fn plan_slots(module: &ks_ir::Module) -> Vec<OnceLock<LaunchPlan>> {
 }
 
 impl Binary {
+    /// Whether this binary computes correctly under `bindings`: every
+    /// `-D` it was compiled with is among them. The generic
+    /// (define-free) binary reads everything from launch arguments and
+    /// is valid everywhere.
+    pub fn valid_for(&self, bindings: &Defines) -> bool {
+        let wanted = bindings.items();
+        self.defines.items().iter().all(|d| wanted.contains(d))
+    }
+
     /// The decode-once launch plan of `kernel` (`None` if the module has
     /// no such kernel), built on the first call — a binary that is
     /// resolved but never launched pays nothing. Launch through it with
@@ -1421,6 +1430,22 @@ mod tests {
         let d = d.def("A", 9);
         assert!(d.command_line().contains("A=9"));
         assert!(!d.command_line().contains("A=3"));
+    }
+
+    #[test]
+    fn a_binary_is_valid_where_its_defines_are_among_the_bindings() {
+        let src = "__global__ void k(int* o) { o[0] = 1; }";
+        let c = Compiler::new(DeviceConfig::tesla_c1060());
+        let generic = c.compile(src, Defines::new()).unwrap();
+        let a3 = c.compile(src, Defines::new().def("A", 3)).unwrap();
+        let want = Defines::new().def("B", 1).def("A", 3);
+        assert!(generic.valid_for(&want) && generic.valid_for(&Defines::new()));
+        assert!(
+            a3.valid_for(&want),
+            "order and extra bindings do not matter"
+        );
+        assert!(!a3.valid_for(&Defines::new().def("A", 5)), "stale value");
+        assert!(!a3.valid_for(&Defines::new()), "binding gone");
     }
 
     #[test]

@@ -48,30 +48,29 @@ pub fn enumerate(f: &Function) -> Vec<Mutation> {
                         desc: format!("offset st.{space} address by 4 at BB{bi}#{ii}"),
                     });
                 }
-                Inst::Bin { op, a, b: rhs, .. }
-                    if matches!(
+                Inst::Bin { op, a, b: rhs, .. } => {
+                    let non_commutative = matches!(
                         op,
                         BinOp::Sub | BinOp::Div | BinOp::Rem | BinOp::Shl | BinOp::Shr
-                    ) && a != rhs =>
-                {
-                    out.push(Mutation {
-                        kind: MutationKind::SwapOperands,
-                        block: bi,
-                        inst: ii,
-                        desc: format!("swap {op:?} operands at BB{bi}#{ii}"),
-                    });
-                }
-                Inst::Bin {
-                    op: BinOp::Shl,
-                    b: Operand::ImmI(k),
-                    ..
-                } if *k > 0 => {
-                    out.push(Mutation {
-                        kind: MutationKind::WrongShift,
-                        block: bi,
-                        inst: ii,
-                        desc: format!("shrink shl amount at BB{bi}#{ii}"),
-                    });
+                    );
+                    if non_commutative && a != rhs {
+                        out.push(Mutation {
+                            kind: MutationKind::SwapOperands,
+                            block: bi,
+                            inst: ii,
+                            desc: format!("swap {op:?} operands at BB{bi}#{ii}"),
+                        });
+                    }
+                    // A `shl` by an immediate is both sites: one match
+                    // arm per kind would let the first shadow the second.
+                    if matches!((op, rhs), (BinOp::Shl, Operand::ImmI(k)) if *k > 0) {
+                        out.push(Mutation {
+                            kind: MutationKind::WrongShift,
+                            block: bi,
+                            inst: ii,
+                            desc: format!("shrink shl amount at BB{bi}#{ii}"),
+                        });
+                    }
                 }
                 _ => {}
             }

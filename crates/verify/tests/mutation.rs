@@ -159,3 +159,45 @@ fn catches_all_mutations_app_kernels() {
         all_missed.join("\n")
     );
 }
+
+/// A `shl` by an immediate is a site for two kinds — swapped operands
+/// and a wrong shift amount. Listing it under one match arm per kind hid
+/// the second, so the sampled smoke never drew `WrongShift`.
+#[test]
+fn every_mutation_kind_is_enumerated_and_caught() {
+    use mutate::MutationKind::*;
+    let m = build_opt(
+        r#"
+__global__ void shifted(int* out, const int* in, int n) {
+    int i = (int)threadIdx.x;
+    if (i < n) {
+        out[i] = in[i] << 3;
+    }
+}
+"#,
+        &[],
+    );
+    let sites = mutate::enumerate(&m.functions[0]);
+    for kind in [
+        DropStore,
+        AddrOffByFour,
+        SwapOperands,
+        WrongShift,
+        NegateBranch,
+    ] {
+        assert!(
+            sites.iter().any(|s| s.kind == kind),
+            "{kind:?} missing from {sites:?}"
+        );
+    }
+    let shift = sites.iter().find(|s| s.kind == WrongShift).unwrap();
+    assert!(
+        sites
+            .iter()
+            .any(|s| s.kind == SwapOperands && (s.block, s.inst) == (shift.block, shift.inst)),
+        "the shl is also a swap site"
+    );
+    // Sampling more than there are sites applies every one of them.
+    let (caught, missed) = run_mutations(&m, 1, sites.len());
+    assert_eq!(caught, sites.len(), "escaped: {missed:?}");
+}

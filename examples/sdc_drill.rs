@@ -304,7 +304,9 @@ fn flip_drill(seed: u64) {
     // key and stay clean), firing on the second launch.
     let mut plan = FaultPlan::new(seed);
     for (_, key, _) in &clean {
-        plan = plan.rule(FaultRule::new(FaultKind::SilentFlip, Target::Key(key.lo64)).nth(2));
+        plan = plan.rule(
+            FaultRule::new(FaultKind::SilentFlip, Target::Key(key.fingerprint.lo64())).nth(2),
+        );
     }
     let plan = Arc::new(plan);
     ks_fault::install(plan.clone());

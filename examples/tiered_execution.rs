@@ -16,7 +16,9 @@
 //!    swapping in an outdated binary;
 //! 3. outputs are byte-identical to the same pipelines run in blocking
 //!    mode — specialization is a latency strategy, never a semantics
-//!    change.
+//!    change — including right after a settled module is re-dirtied:
+//!    the old specialization is not valid for the new value, so the
+//!    generic binary serves until the new one lands.
 //!
 //! Run with: `cargo run --release --example tiered_execution`
 
@@ -224,6 +226,23 @@ fn main() {
         if fresh { "fresh" } else { "STALE" }
     );
 
+    // Re-dirty drill: the module has settled on FACTOR=2000. Change the
+    // parameter again and launch before the new promotion is applied:
+    // the FACTOR=2000 binary is not valid for 3000, so the generic one
+    // must be serving, and the output must follow the new value.
+    s.pipeline.set_int(s.param, 3000);
+    s.pipeline.refresh().expect("re-dirtied refresh");
+    let served = s.pipeline.module_bound_key(s.module).expect("bound key");
+    let on_generic = served.defines.is_empty();
+    s.pipeline.run(1).expect("re-dirtied run");
+    let current = output(&s).iter().zip(&xs).all(|(&y, &x)| y == x * 3000);
+    s.pipeline.wait_promotions();
+    println!(
+        "redirty served: {}, parity: {}",
+        if on_generic { "generic" } else { "STALE" },
+        if current { "ok" } else { "MISMATCH" }
+    );
+
     println!("\n== promotion counters ==");
     let reg = ks_trace::registry();
     for name in [
@@ -248,6 +267,8 @@ fn main() {
         || first_launch_on_generic != 3
         || !parity_ok
         || !fresh
+        || !on_generic
+        || !current
         || stats.superseded != 1
     {
         std::process::exit(1);
