@@ -101,17 +101,17 @@ grep -q "warm restart: 0 compiles, 3/3 disk hits, identical: ok" "$STORE_OUT"
 grep -q "corruption: recovered 1/1, store errors: 1, identical: ok" "$STORE_OUT"
 rm -f "$STORE_OUT"
 
-# Cross-process cold start: run the full table_6_13 suite twice against
-# one store directory. The second run is a real process restart and
-# must perform zero compiles, serving every specialization from disk
-# (asserted in-process on the ks_core.* registry counters).
-echo "== table_6_13 cold-start (process restart on a warm store)"
+# Cross-process cold start: run the whole quick experiment suite twice
+# against one store directory. The second run is a real process restart
+# and must perform zero compiles, serving every specialization of every
+# table from disk (asserted in-process on the ks_core.* registry
+# counters).
+echo "== ks-bench all --quick, twice on one store (warm restart)"
 STORE_DIR=$(mktemp -d) BENCH_DIR=$(mktemp -d)
-KS_BENCH_DIR="$BENCH_DIR" KS_BENCH_QUICK=1 KS_BENCH_STORE="$STORE_DIR" \
-cargo run --offline --release -q -p ks-bench --bin table_6_13 > /dev/null
-KS_BENCH_DIR="$BENCH_DIR" KS_BENCH_QUICK=1 KS_BENCH_STORE="$STORE_DIR" \
-KS_BENCH_ASSERT_WARM=1 \
-cargo run --offline --release -q -p ks-bench --bin table_6_13 \
+cargo run --offline --release -q -p ks-bench -- \
+    all --quick --store "$STORE_DIR" --out-dir "$BENCH_DIR" > /dev/null
+cargo run --offline --release -q -p ks-bench -- \
+    all --quick --store "$STORE_DIR" --out-dir "$BENCH_DIR" --assert-warm \
     | grep -q "warm start verified: 0 compiles"
 rm -rf "$STORE_DIR" "$BENCH_DIR"
 
@@ -139,14 +139,6 @@ for k in template_match piv backproj; do
     echo "== ks-verify --kernel $k --mutation-smoke"
     verify --kernel "$k" --mutation-smoke > /dev/null
 done
-
-# Compile-latency regression gate: fresh per-phase p50/p95 vs the
-# checked-in baseline; a phase fails only past 10x AND the 2 ms floor,
-# so machine variance cannot flake the build but order-of-magnitude
-# blowups do.
-echo "== ks-perfgate --check ci/perf-baseline.txt"
-cargo run --offline --release -q -p ks-apps --bin ks-perfgate -- \
-    --check ci/perf-baseline.txt --iters 5
 
 lint() {
     cargo run --offline --release -q -p ks-analysis --bin ks-lint -- \

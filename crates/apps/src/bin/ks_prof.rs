@@ -604,7 +604,7 @@ fn integrity_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
 fn watchdog_check() -> Result<(), String> {
     let r = ks_trace::Registry::new();
     let baseline = ks_trace::Baseline::parse("total 1000 2000\n")?;
-    let mut dog = ks_trace::Watchdog::standard(baseline, ks_trace::SloPolicy::default());
+    let mut dog = ks_trace::Watchdog::standard(baseline);
     let mut hist = ks_trace::History::new(4);
     let h = r.histogram(ks_trace::names::COMPILE_TOTAL_US);
     h.record(1500);
@@ -707,7 +707,7 @@ fn watch_main(args: &[String]) {
             eprintln!("ks-prof: bad baseline: {e}");
             std::process::exit(1);
         });
-        ks_trace::Watchdog::standard(baseline, ks_trace::SloPolicy::default())
+        ks_trace::Watchdog::standard(baseline)
     });
     if drill && dog.is_none() {
         eprintln!("ks-prof: --drill-breach needs a baseline (--watchdog FILE)");

@@ -1,94 +1,179 @@
 //! # ks-bench — the evaluation harness
 //!
-//! One binary per table and figure of the dissertation's Chapter 6 (see
-//! DESIGN.md's per-experiment index). Shared here: the problem sets
-//! (Tables 6.1–6.9), configuration sweep drivers with memoization, table
-//! formatting, and CSV output under `bench_results/`.
+//! One binary, `ks-bench <id>… | all`, over the table of the
+//! dissertation's Chapter 6 experiments in [`experiments::ALL`] (see
+//! DESIGN.md's per-experiment index). Shared here: the run context
+//! [`Ctx`], the problem sets (Tables 6.1–6.9), configuration sweep drivers
+//! with memoization, and table formatting with CSV output.
 //!
-//! Every binary accepts `--quick` (or env `KS_BENCH_QUICK=1`) to shrink
-//! problem sizes for smoke testing.
+//! Every number ks-bench prints is simulated, except the CPU baselines of
+//! Tables 6.10 and 6.12. Host-side costs (compile, cache, store, refresh,
+//! first launch) are measured by `ks-ledger` (`benchmark/`).
 
+pub mod experiments;
+
+use ks_apps::backproj::BackprojProblem;
 use ks_apps::piv::{PivImpl, PivKernel, PivProblem};
 use ks_apps::template_match::{MatchImpl, MatchProblem};
-use ks_apps::{synth, Variant};
+use ks_apps::{synth, GpuRunResult, Variant};
+use ks_codegen::CodegenOptions;
 use ks_core::{Compiler, Defines};
+use ks_opt::OptConfig;
 use ks_sim::DeviceConfig;
 use std::collections::BTreeMap;
 use std::fmt::Display;
-use std::io::Write;
-
-/// True if the run should use reduced problem sizes.
-pub fn quick() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var("KS_BENCH_QUICK").is_ok()
-}
+use std::path::{Path, PathBuf};
 
 /// The two simulated devices of the dissertation's testbed.
 pub fn devices() -> Vec<DeviceConfig> {
     DeviceConfig::presets()
 }
 
-/// Persistent-store directory for sweep compilers: `--store DIR` or env
-/// `KS_BENCH_STORE`. When set, every sweep attaches the on-disk artifact
-/// store so compiled binaries survive process restarts (warm starts).
-pub fn store_dir() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--store")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var("KS_BENCH_STORE").ok())
+/// What every experiment is given, parsed once by the driver.
+pub struct Ctx {
+    /// Reduced problem sizes (`--quick`); full sizes are the canonical
+    /// numbers.
+    pub quick: bool,
+    /// Persistent artifact store every compiler attaches (`--store DIR`),
+    /// so compiled binaries survive process restarts.
+    pub store: Option<PathBuf>,
+    /// Where each table lands as `<name>.csv` (`--out-dir DIR`).
+    pub out_dir: PathBuf,
 }
 
-/// True when the run must be a pure warm start (`--assert-warm` or env
-/// `KS_BENCH_ASSERT_WARM`): cold-start CI uses it to prove a warm store
-/// serves the whole suite with zero compiles.
-pub fn assert_warm() -> bool {
-    std::env::args().any(|a| a == "--assert-warm") || std::env::var("KS_BENCH_ASSERT_WARM").is_ok()
-}
+impl Ctx {
+    /// Every compiler an experiment uses: the given (codegen, optimizer)
+    /// passes — `Default::default()` for the shipped pipeline —
+    /// store-backed when `--store` is set.
+    pub fn compiler(
+        &self,
+        dev: DeviceConfig,
+        (codegen, opt): (CodegenOptions, OptConfig),
+    ) -> Compiler {
+        let c = Compiler::with_passes(dev, codegen, opt);
+        match &self.store {
+            Some(dir) => c
+                .with_store(dir)
+                .unwrap_or_else(|e| panic!("ks-bench: cannot open store {}: {e}", dir.display())),
+            None => c,
+        }
+    }
 
-/// The compiler every sweep uses: plain, or store-backed when
-/// [`store_dir`] is configured.
-fn sweep_compiler(dev: DeviceConfig) -> Compiler {
-    let c = Compiler::new(dev);
-    match store_dir() {
-        Some(dir) => c
-            .with_store(&dir)
-            .unwrap_or_else(|e| panic!("ks-bench: cannot open store {dir}: {e}")),
-        None => c,
+    fn pick<T>(&self, full: T, quick: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// Template-matching patients (Table 5.1), optionally shrunk.
+    pub fn match_patients(&self) -> Vec<(&'static str, MatchProblem)> {
+        let mut p = ks_apps::template_match::patients();
+        if self.quick {
+            p.truncate(2);
+            for (_, prob) in &mut p {
+                prob.frames = 4;
+            }
+        }
+        p
+    }
+
+    /// The PIV "FPGA benchmark set" (Tables 6.2/6.3): window/image dims
+    /// and the resulting mask/offset counts.
+    pub fn piv_fpga_sets(&self) -> Vec<(String, PivProblem)> {
+        [
+            ("V1", PivProblem::standard(256, 16, 50, 4)),
+            ("V2", PivProblem::standard(512, 32, 50, 8)),
+            ("V3", PivProblem::standard(512, 64, 50, 8)),
+            ("V4", PivProblem::standard(1024, 32, 75, 12)),
+            ("V5", PivProblem::standard(1024, 64, 50, 16)),
+        ]
+        .into_iter()
+        .take(self.pick(5, 2))
+        .map(|(n, p)| (n.to_string(), p))
+        .collect()
+    }
+
+    /// Mask-size sweep (Table 6.4).
+    pub fn piv_mask_sets(&self) -> Vec<(String, PivProblem)> {
+        self.pick(&[16, 24, 32, 48, 64][..], &[16, 32])
+            .iter()
+            .map(|&m| (format!("{m}x{m}"), PivProblem::standard(512, m, 50, 8)))
+            .collect()
+    }
+
+    /// Search-offset sweep (Table 6.5).
+    pub fn piv_search_sets(&self) -> Vec<(String, PivProblem)> {
+        self.pick(&[2, 4, 6, 8, 12][..], &[4, 8])
+            .iter()
+            .map(|&r| {
+                (
+                    format!("{0}x{0}", 2 * r + 1),
+                    PivProblem::standard(512, 32, 50, r),
+                )
+            })
+            .collect()
+    }
+
+    /// Overlap sweep (Table 6.6).
+    pub fn piv_overlap_sets(&self) -> Vec<(String, PivProblem)> {
+        self.pick(&[0, 25, 50, 75][..], &[0, 50])
+            .iter()
+            .map(|&o| (format!("{o}%"), PivProblem::standard(512, 32, o, 8)))
+            .collect()
+    }
+
+    /// The cone-beam problem (Tables 6.8, 6.12, 6.19).
+    pub fn backproj_problem(&self) -> BackprojProblem {
+        let (n, num_proj, det) = self.pick((64, 32, 96), (32, 16, 48));
+        BackprojProblem {
+            n,
+            num_proj,
+            det_u: det,
+            det_v: det,
+        }
+    }
+
+    /// Implementation parameter grids (Tables 6.1 / 6.7).
+    pub fn match_tile_options(&self) -> Vec<(u32, u32)> {
+        self.pick(
+            vec![(8, 8), (8, 16), (16, 8), (16, 16), (16, 32), (32, 16)],
+            vec![(8, 8), (16, 16)],
+        )
+    }
+
+    pub fn thread_options(&self) -> Vec<u32> {
+        self.pick(vec![64, 128, 256], vec![64, 128])
+    }
+
+    pub fn piv_rb_options(&self) -> Vec<u32> {
+        self.pick(vec![1, 2, 4, 6, 8], vec![2, 4])
+    }
+
+    pub fn piv_thread_options(&self) -> Vec<u32> {
+        self.pick(vec![32, 64, 128, 256], vec![64, 128])
     }
 }
 
 // ---------------------------------------------------------------- tables
 
-/// An aligned ASCII table that also lands in `bench_results/<name>.csv`,
-/// plus a `<name>_cache.csv` sidecar recording the specialization-cache
-/// activity (hits, misses, dedup waits, evictions) that produced it.
+/// An aligned ASCII table on stdout that also lands in
+/// `<out_dir>/<name>.csv`.
 pub struct Table {
     name: String,
     title: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
-    /// Registry state when the table was opened; `finish()` diffs against
-    /// it so the sidecar covers exactly this table's work.
-    baseline: ks_trace::MetricsSnapshot,
-    /// Rolling tick history over the same interval: the first tick is
-    /// the baseline, [`Table::tick`] adds phase boundaries, and
-    /// `finish()` closes the last window — giving the sidecar windowed
-    /// histogram columns (dwell/promotion p50s, last-window iteration
-    /// p95) alongside the cumulative counters.
-    history: std::sync::Mutex<ks_trace::History>,
 }
 
 impl Table {
-    pub fn new(name: &str, title: &str, headers: &[&str]) -> Table {
-        let mut history = ks_trace::History::new(256);
-        history.tick_at(ks_trace::registry(), 0);
+    pub fn new<S: AsRef<str>>(name: &str, title: &str, headers: &[S]) -> Table {
         Table {
             name: name.to_string(),
             title: title.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
-            baseline: ks_trace::registry().snapshot(),
-            history: std::sync::Mutex::new(history),
         }
     }
 
@@ -97,17 +182,9 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Close the current telemetry window (e.g. at a per-device or
-    /// per-phase boundary). The sidecar's windowed columns then
-    /// distinguish the most recent window from the whole-table span.
-    pub fn tick(&self) {
-        let mut h = self.history.lock().unwrap();
-        let at = h.len() as u64 * 1000;
-        h.tick_at(ks_trace::registry(), at);
-    }
-
-    /// Print the table and write the CSV. Returns the CSV path.
-    pub fn finish(&self) -> std::path::PathBuf {
+    /// Print the table and write `<out_dir>/<name>.csv`. Returns the CSV
+    /// path.
+    pub fn finish(&self, out_dir: &Path) -> PathBuf {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for r in &self.rows {
             for (i, c) in r.iter().enumerate() {
@@ -135,115 +212,22 @@ impl Table {
         for r in &self.rows {
             line(r);
         }
-        // CSV
-        let dir_owned =
-            std::env::var("KS_BENCH_DIR").unwrap_or_else(|_| "bench_results".to_string());
-        let dir = std::path::Path::new(&dir_owned);
-        let _ = std::fs::create_dir_all(dir);
-        let path = dir.join(format!("{}.csv", self.name));
-        let mut f = std::fs::File::create(&path).expect("write csv");
-        let esc = |s: &str| {
+        let esc = |s: &String| {
             if s.contains(',') {
                 format!("\"{s}\"")
             } else {
-                s.to_string()
+                s.clone()
             }
         };
-        let _ = writeln!(
-            f,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                f,
-                "{}",
-                r.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
+        let mut csv = String::new();
+        for r in std::iter::once(&self.headers).chain(&self.rows) {
+            csv += &r.iter().map(esc).collect::<Vec<_>>().join(",");
+            csv.push('\n');
         }
+        let _ = std::fs::create_dir_all(out_dir);
+        let path = out_dir.join(format!("{}.csv", self.name));
+        std::fs::write(&path, csv).expect("write csv");
         println!("[csv] {}", path.display());
-        // Cache-pressure sidecar: specialization-cache activity since the
-        // table was opened, from the process-wide metrics registry.
-        let delta = ks_trace::registry()
-            .snapshot()
-            .counters_since(&self.baseline);
-        let hits = delta.get(ks_trace::names::CACHE_HITS).copied().unwrap_or(0);
-        let misses = delta
-            .get(ks_trace::names::CACHE_MISSES)
-            .copied()
-            .unwrap_or(0);
-        let dedup_waits = delta
-            .get(ks_trace::names::CACHE_DEDUP_WAITS)
-            .copied()
-            .unwrap_or(0);
-        let evictions = delta
-            .get(ks_trace::names::CACHE_EVICTIONS)
-            .copied()
-            .unwrap_or(0);
-        let hit_rate = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
-        let get = |name: &str| delta.get(name).copied().unwrap_or(0);
-        let retries = get(ks_trace::names::COMPILE_RETRIES);
-        let failures = get(ks_trace::names::CACHE_FAILURES);
-        let quarantined = get(ks_trace::names::CACHE_QUARANTINED);
-        let breaker_opens = get(ks_trace::names::BREAKER_OPEN);
-        let fallback_generic = get(ks_trace::names::PF_FALLBACK_GENERIC);
-        let fallback_last_good = get(ks_trace::names::PF_FALLBACK_LAST_GOOD);
-        let promotions = get(ks_trace::names::PF_PROMOTIONS);
-        let disk_hits = get(ks_trace::names::STORE_DISK_HITS);
-        let disk_misses = get(ks_trace::names::STORE_DISK_MISSES);
-        let store_errors = get(ks_trace::names::STORE_ERRORS);
-        let sdc_detected = get(ks_trace::names::PF_INTEGRITY_VIOLATIONS);
-        let witness_launches = get(ks_trace::names::PF_INTEGRITY_WITNESS);
-        let scrub_quarantined = get(ks_trace::names::STORE_SCRUB_QUARANTINED);
-        // Which execution tier produced this table: any background
-        // ticket traffic during the run means the tiered path ran.
-        let tier = if get(ks_trace::names::ASYNC_SPAWNED) > 0 {
-            "tiered"
-        } else {
-            "blocking"
-        };
-        // Windowed histogram columns: close the final tick, then read
-        // the whole-table span (every tick since the baseline) and the
-        // most recent window. Dwell and promotion-latency p50s come
-        // from the tiered-execution instrumentation; zero when the
-        // table ran purely blocking refreshes.
-        let (time_in_generic_p50, promotion_latency_p50, windows, window_iter_p95_us) = {
-            let mut h = self.history.lock().unwrap();
-            let at = h.len() as u64 * 1000;
-            h.tick_at(ks_trace::registry(), at);
-            let windows = h.len().saturating_sub(1).max(1);
-            let span = h.window(windows);
-            let last = h.window(1);
-            (
-                span.quantile(&ks_trace::names::pf_tier_dwell_us("generic"), 0.5)
-                    .unwrap_or(0),
-                span.quantile(ks_trace::names::PF_PROMOTION_LATENCY_US, 0.5)
-                    .unwrap_or(0),
-                windows,
-                last.quantile(ks_trace::names::PF_ITERATION_US, 0.95)
-                    .unwrap_or(0),
-            )
-        };
-        let side_path = dir.join(format!("{}_cache.csv", self.name));
-        if let Ok(mut f) = std::fs::File::create(&side_path) {
-            let _ = writeln!(
-                f,
-                "hits,misses,dedup_waits,evictions,hit_rate,retries,failures,quarantined,breaker_opens,fallback_generic,fallback_last_good,promotions,disk_hits,disk_misses,store_errors,tier,time_in_generic_p50,promotion_latency_p50,windows,window_iter_p95_us,sdc_detected,witness_launches,scrub_quarantined"
-            );
-            let _ = writeln!(
-                f,
-                "{hits},{misses},{dedup_waits},{evictions},{hit_rate:.4},{retries},{failures},{quarantined},{breaker_opens},{fallback_generic},{fallback_last_good},{promotions},{disk_hits},{disk_misses},{store_errors},{tier},{time_in_generic_p50},{promotion_latency_p50},{windows},{window_iter_p95_us},{sdc_detected},{witness_launches},{scrub_quarantined}"
-            );
-            println!("[csv] {}", side_path.display());
-        }
         path
     }
 }
@@ -273,109 +257,10 @@ pub fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-// ------------------------------------------------- problem sets (Ch. 6)
-
-/// Template-matching patients (Table 5.1), optionally shrunk.
-pub fn match_patients() -> Vec<(&'static str, MatchProblem)> {
-    let mut p = ks_apps::template_match::patients();
-    if quick() {
-        p.truncate(2);
-        for (_, prob) in &mut p {
-            prob.frames = 4;
-        }
-    }
-    p
-}
-
-/// The PIV "FPGA benchmark set" (Tables 6.2/6.3): window/image dims and
-/// the resulting mask/offset counts.
-pub fn piv_fpga_sets() -> Vec<(&'static str, PivProblem)> {
-    let mut v = vec![
-        ("V1", PivProblem::standard(256, 16, 50, 4)),
-        ("V2", PivProblem::standard(512, 32, 50, 8)),
-        ("V3", PivProblem::standard(512, 64, 50, 8)),
-        ("V4", PivProblem::standard(1024, 32, 75, 12)),
-        ("V5", PivProblem::standard(1024, 64, 50, 16)),
-    ];
-    if quick() {
-        v.truncate(2);
-    }
-    v
-}
-
-/// Mask-size sweep (Table 6.4).
-pub fn piv_mask_sets() -> Vec<(String, PivProblem)> {
-    let sizes: &[usize] = if quick() {
-        &[16, 32]
-    } else {
-        &[16, 24, 32, 48, 64]
-    };
-    sizes
-        .iter()
-        .map(|&m| (format!("{m}x{m}"), PivProblem::standard(512, m, 50, 8)))
-        .collect()
-}
-
-/// Search-offset sweep (Table 6.5).
-pub fn piv_search_sets() -> Vec<(String, PivProblem)> {
-    let radii: &[usize] = if quick() { &[4, 8] } else { &[2, 4, 6, 8, 12] };
-    radii
-        .iter()
-        .map(|&r| {
-            (
-                format!("{0}x{0}", 2 * r + 1),
-                PivProblem::standard(512, 32, 50, r),
-            )
-        })
-        .collect()
-}
-
-/// Overlap sweep (Table 6.6).
-pub fn piv_overlap_sets() -> Vec<(String, PivProblem)> {
-    let overlaps: &[usize] = if quick() { &[0, 50] } else { &[0, 25, 50, 75] };
-    overlaps
-        .iter()
-        .map(|&o| (format!("{o}%"), PivProblem::standard(512, 32, o, 8)))
-        .collect()
-}
-
-/// Implementation parameter grids (Tables 6.1 / 6.7).
-pub fn match_tile_options() -> Vec<(u32, u32)> {
-    if quick() {
-        vec![(8, 8), (16, 16)]
-    } else {
-        vec![(8, 8), (8, 16), (16, 8), (16, 16), (16, 32), (32, 16)]
-    }
-}
-
-pub fn thread_options() -> Vec<u32> {
-    if quick() {
-        vec![64, 128]
-    } else {
-        vec![64, 128, 256]
-    }
-}
-
-pub fn piv_rb_options() -> Vec<u32> {
-    if quick() {
-        vec![2, 4]
-    } else {
-        vec![1, 2, 4, 6, 8]
-    }
-}
-
-pub fn piv_thread_options() -> Vec<u32> {
-    if quick() {
-        vec![64, 128]
-    } else {
-        vec![32, 64, 128, 256]
-    }
-}
-
 // ---------------------------------------------------------- sweep engine
 
 /// Measurement of one (problem, configuration) point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sample {
     pub sim_ms: f64,
     pub regs: u32,
@@ -405,172 +290,142 @@ impl Sample {
     }
 }
 
-/// Launch options used across all sweeps: timing-only, tiny sample.
-fn sweep_functional() -> bool {
-    false
+/// One timing-only sweep run as a [`Sample`]. Configurations that exceed
+/// device limits are legal sweep points with infinite cost (exactly what
+/// happens on real hardware: the launch fails).
+fn sample(run: Result<GpuRunResult, Box<dyn std::error::Error>>, sweep: &str) -> Sample {
+    match run {
+        Ok(run) => {
+            let rep = &run.reports[0];
+            Sample {
+                sim_ms: run.sim_ms,
+                regs: run.regs_per_thread(),
+                occupancy: rep.occupancy.occupancy,
+                active_warps: rep.occupancy.active_warps,
+                blocks_per_sm: rep.occupancy.blocks_per_sm,
+                local_bytes: rep.local_bytes_per_thread,
+                shared_bytes: rep.shared_per_block,
+            }
+        }
+        Err(e) if e.to_string().contains("infeasible") => Sample::infeasible(),
+        Err(e) => panic!("{sweep} sweep: {e}"),
+    }
 }
 
-/// Cache key for a match scenario: frame and template geometry.
-type ScenKey = (usize, usize, usize, usize, usize, usize);
+/// The grid point with the lowest time; the first one on a tie.
+fn best_of<I: Copy>(grid: &[I], mut eval: impl FnMut(&I) -> Sample) -> (I, Sample) {
+    let mut best: Option<(I, Sample)> = None;
+    for imp in grid {
+        let s = eval(imp);
+        if best.as_ref().is_none_or(|(_, b)| s.sim_ms < b.sim_ms) {
+            best = Some((*imp, s));
+        }
+    }
+    best.unwrap()
+}
 
 /// Cache key for a measured configuration point.
 type PointKey<P> = (String, P, (u32, u32, u32));
 
 /// Memoizing evaluator for template matching configurations.
 pub struct MatchSweep {
-    pub compiler: Compiler,
-    scen_cache: BTreeMap<ScenKey, synth::MatchScenario>,
+    compiler: Compiler,
+    /// The (tile × threads) grid `best` searches, in tie-break order.
+    grid: Vec<MatchImpl>,
+    scenarios: BTreeMap<(usize, usize, usize, usize, usize, usize), synth::MatchScenario>,
     cache: BTreeMap<PointKey<MatchProblem>, Sample>,
-    variant_tag: String,
 }
 
 impl MatchSweep {
-    pub fn new(dev: DeviceConfig) -> MatchSweep {
+    pub fn new(ctx: &Ctx, dev: DeviceConfig) -> MatchSweep {
+        let threads = ctx.thread_options();
+        let grid = ctx
+            .match_tile_options()
+            .into_iter()
+            .flat_map(|(tile_w, tile_h)| {
+                threads.iter().map(move |&threads| MatchImpl {
+                    tile_w,
+                    tile_h,
+                    threads,
+                })
+            })
+            .collect();
         MatchSweep {
-            compiler: sweep_compiler(dev),
-            scen_cache: BTreeMap::new(),
+            compiler: ctx.compiler(dev, Default::default()),
+            grid,
+            scenarios: BTreeMap::new(),
             cache: BTreeMap::new(),
-            variant_tag: String::new(),
         }
-    }
-
-    fn scenario(&mut self, p: &MatchProblem) -> &synth::MatchScenario {
-        let key: ScenKey = (
-            p.frame_w, p.frame_h, p.templ_w, p.templ_h, p.shift_w, p.shift_h,
-        );
-        self.scen_cache.entry(key).or_insert_with(|| {
-            synth::match_scenario(
-                p.frame_w, p.frame_h, p.templ_w, p.templ_h, p.shift_w, p.shift_h, 1234,
-            )
-        })
     }
 
     /// Simulated time (ms) for one frame at this configuration.
-    pub fn eval(&mut self, variant: Variant, prob: &MatchProblem, imp: &MatchImpl) -> Sample {
-        self.variant_tag = variant.to_string();
+    pub fn eval(&mut self, variant: Variant, p: &MatchProblem, imp: &MatchImpl) -> Sample {
         let key = (
-            format!("{variant}"),
-            *prob,
+            variant.to_string(),
+            *p,
             (imp.tile_w, imp.tile_h, imp.threads),
         );
         if let Some(s) = self.cache.get(&key) {
-            return s.clone();
+            return *s;
         }
-        // Scenario borrow dance: clone the needed data.
-        let scen = self.scenario(prob).clone_lite();
-        let s = match ks_apps::template_match::run_gpu(
-            &self.compiler,
-            variant,
-            prob,
-            imp,
-            &scen,
-            sweep_functional(),
-        ) {
-            Ok(out) => {
-                let rep = &out.run.reports[0];
-                Sample {
-                    sim_ms: out.run.sim_ms,
-                    regs: out.run.regs_per_thread(),
-                    occupancy: rep.occupancy.occupancy,
-                    active_warps: rep.occupancy.active_warps,
-                    blocks_per_sm: rep.occupancy.blocks_per_sm,
-                    local_bytes: rep.local_bytes_per_thread,
-                    shared_bytes: rep.shared_per_block,
-                }
-            }
-            // Configurations that exceed device limits are legal sweep
-            // points with infinite cost (exactly what happens on real
-            // hardware: the launch fails).
-            Err(e) if e.to_string().contains("infeasible") => Sample::infeasible(),
-            Err(e) => panic!("template sweep: {e}"),
-        };
-        self.cache.insert(key, s.clone());
+        let geometry = (
+            p.frame_w, p.frame_h, p.templ_w, p.templ_h, p.shift_w, p.shift_h,
+        );
+        let scen = self.scenarios.entry(geometry).or_insert_with(|| {
+            synth::match_scenario(
+                p.frame_w, p.frame_h, p.templ_w, p.templ_h, p.shift_w, p.shift_h, 1234,
+            )
+        });
+        let run = ks_apps::template_match::run_gpu(&self.compiler, variant, p, imp, scen, false);
+        let s = sample(run.map(|o| o.run), "template");
+        self.cache.insert(key, s);
         s
     }
 
-    /// Warm the compile cache with every module the (tile × threads)
-    /// grid will need, fanned out across threads by the batch API.
-    /// Best-effort: compile errors resurface (with context) when the
-    /// corresponding sweep point is actually evaluated.
+    /// Warm the compile cache with every module the grid will need,
+    /// fanned out across threads by the batch API. Best-effort: compile
+    /// errors resurface (with context) when the corresponding sweep point
+    /// is actually evaluated.
     pub fn precompile(&self, variant: Variant, prob: &MatchProblem) {
-        let mut jobs: Vec<(&str, Defines)> = Vec::new();
-        for (tw, th) in match_tile_options() {
-            for t in thread_options() {
-                let imp = MatchImpl {
-                    tile_w: tw,
-                    tile_h: th,
-                    threads: t,
-                };
-                for d in ks_apps::template_match::specializations(variant, prob, &imp) {
-                    jobs.push((ks_apps::template_match::KERNELS, d));
-                }
-            }
-        }
+        let jobs: Vec<(&str, Defines)> = self
+            .grid
+            .iter()
+            .flat_map(|imp| ks_apps::template_match::specializations(variant, prob, imp))
+            .map(|d| (ks_apps::template_match::KERNELS, d))
+            .collect();
         let _ = self.compiler.compile_batch(&jobs);
     }
 
     /// Best configuration over the sweep grid.
     pub fn best(&mut self, variant: Variant, prob: &MatchProblem) -> (MatchImpl, Sample) {
         self.precompile(variant, prob);
-        let mut best: Option<(MatchImpl, Sample)> = None;
-        for (tw, th) in match_tile_options() {
-            for t in thread_options() {
-                let imp = MatchImpl {
-                    tile_w: tw,
-                    tile_h: th,
-                    threads: t,
-                };
-                let s = self.eval(variant, prob, &imp);
-                if best.as_ref().is_none_or(|(_, b)| s.sim_ms < b.sim_ms) {
-                    best = Some((imp, s));
-                }
-            }
-        }
-        best.unwrap()
-    }
-}
-
-/// Cheap clone for scenarios inside the sweep cache.
-trait CloneLite {
-    fn clone_lite(&self) -> Self;
-}
-
-impl CloneLite for synth::MatchScenario {
-    fn clone_lite(&self) -> Self {
-        synth::MatchScenario {
-            frame: self.frame.clone(),
-            template: self.template.clone(),
-            truth: self.truth,
-        }
+        let grid = self.grid.clone();
+        best_of(&grid, |imp| self.eval(variant, prob, imp))
     }
 }
 
 /// Memoizing evaluator for PIV configurations.
 pub struct PivSweep {
-    pub compiler: Compiler,
-    scen_cache: BTreeMap<(usize, usize), synth::PivScenario>,
+    compiler: Compiler,
+    /// The (RB × threads) grid `best` searches, in tie-break order.
+    grid: Vec<PivImpl>,
+    scenarios: BTreeMap<(usize, usize), synth::PivScenario>,
     cache: BTreeMap<PointKey<PivProblem>, Sample>,
 }
 
 impl PivSweep {
-    pub fn new(dev: DeviceConfig) -> PivSweep {
+    pub fn new(ctx: &Ctx, dev: DeviceConfig) -> PivSweep {
+        let threads = ctx.piv_thread_options();
+        let grid = ctx
+            .piv_rb_options()
+            .into_iter()
+            .flat_map(|rb| threads.iter().map(move |&threads| PivImpl { rb, threads }))
+            .collect();
         PivSweep {
-            compiler: sweep_compiler(dev),
-            scen_cache: BTreeMap::new(),
+            compiler: ctx.compiler(dev, Default::default()),
+            grid,
+            scenarios: BTreeMap::new(),
             cache: BTreeMap::new(),
-        }
-    }
-
-    fn scenario(&mut self, p: &PivProblem) -> synth::PivScenario {
-        let key = (p.img_w, p.img_h);
-        let s = self
-            .scen_cache
-            .entry(key)
-            .or_insert_with(|| synth::piv_scenario(p.img_w, p.img_h, (3, 1), 77));
-        synth::PivScenario {
-            a: s.a.clone(),
-            b: s.b.clone(),
-            flow: s.flow,
         }
     }
 
@@ -578,61 +433,40 @@ impl PivSweep {
         &mut self,
         variant: Variant,
         kernel: PivKernel,
-        prob: &PivProblem,
+        p: &PivProblem,
         imp: &PivImpl,
     ) -> Sample {
         let key = (
-            format!("{variant}/{:?}", kernel),
-            *prob,
+            format!("{variant}/{kernel:?}"),
+            *p,
             (imp.rb, imp.threads, 0),
         );
         if let Some(s) = self.cache.get(&key) {
-            return s.clone();
+            return *s;
         }
-        let scen = self.scenario(prob);
-        let s = match ks_apps::piv::run_gpu(
-            &self.compiler,
-            variant,
-            kernel,
-            prob,
-            imp,
-            &scen,
-            sweep_functional(),
-        ) {
-            Ok(out) => {
-                let rep = &out.run.reports[0];
-                Sample {
-                    sim_ms: out.run.sim_ms,
-                    regs: out.run.regs_per_thread(),
-                    occupancy: rep.occupancy.occupancy,
-                    active_warps: rep.occupancy.active_warps,
-                    blocks_per_sm: rep.occupancy.blocks_per_sm,
-                    local_bytes: rep.local_bytes_per_thread,
-                    shared_bytes: rep.shared_per_block,
-                }
-            }
-            Err(e) if e.to_string().contains("infeasible") => Sample::infeasible(),
-            Err(e) => panic!("piv sweep: {e}"),
-        };
-        self.cache.insert(key, s.clone());
+        let scen = self
+            .scenarios
+            .entry((p.img_w, p.img_h))
+            .or_insert_with(|| synth::piv_scenario(p.img_w, p.img_h, (3, 1), 77));
+        let run = ks_apps::piv::run_gpu(&self.compiler, variant, kernel, p, imp, scen, false);
+        let s = sample(run.map(|o| o.run), "piv");
+        self.cache.insert(key, s);
         s
     }
 
-    /// Warm the compile cache with the full (rb × threads) grid in
-    /// parallel (single-flight collapses the RE variant's identical
-    /// defines to one compilation). Best-effort: errors resurface when
-    /// the sweep point is evaluated.
-    pub fn precompile(&self, variant: Variant, prob: &PivProblem, rbs: &[u32], threads: &[u32]) {
-        let jobs: Vec<(&str, Defines)> = rbs
+    /// Warm the compile cache with the full grid in parallel
+    /// (single-flight collapses the RE variant's identical defines to one
+    /// compilation). Best-effort: errors resurface when the sweep point
+    /// is evaluated.
+    pub fn precompile(&self, variant: Variant, prob: &PivProblem) {
+        let jobs: Vec<(&str, Defines)> = self
+            .grid
             .iter()
-            .flat_map(|&rb| {
-                threads.iter().map(move |&t| {
-                    let imp = PivImpl { rb, threads: t };
-                    (
-                        ks_apps::piv::KERNELS,
-                        ks_apps::piv::specialization(variant, prob, &imp),
-                    )
-                })
+            .map(|imp| {
+                (
+                    ks_apps::piv::KERNELS,
+                    ks_apps::piv::specialization(variant, prob, imp),
+                )
             })
             .collect();
         let _ = self.compiler.compile_batch(&jobs);
@@ -644,131 +478,15 @@ impl PivSweep {
         kernel: PivKernel,
         prob: &PivProblem,
     ) -> (PivImpl, Sample) {
-        self.precompile(variant, prob, &piv_rb_options(), &piv_thread_options());
-        let mut best: Option<(PivImpl, Sample)> = None;
-        for rb in piv_rb_options() {
-            for t in piv_thread_options() {
-                let imp = PivImpl { rb, threads: t };
-                let s = self.eval(variant, kernel, prob, &imp);
-                if best.as_ref().is_none_or(|(_, b)| s.sim_ms < b.sim_ms) {
-                    best = Some((imp, s));
-                }
-            }
-        }
-        best.unwrap()
+        self.precompile(variant, prob);
+        let grid = self.grid.clone();
+        best_of(&grid, |imp| self.eval(variant, kernel, prob, imp))
     }
-}
-
-/// Standard "performance + optimal configuration" table used by Tables
-/// 6.15–6.18: for each problem set, the best (RB, threads) on each device.
-pub fn piv_sweep_table(
-    name: &str,
-    title: &str,
-    set_label: &str,
-    sets: &[(String, PivProblem)],
-    kernel: PivKernel,
-    variant: Variant,
-) {
-    let mut headers = vec![set_label.to_string(), "Masks".into(), "Offsets".into()];
-    for d in devices() {
-        headers.push(format!("{} ms", d.name));
-        headers.push("RB".into());
-        headers.push("Thr".into());
-        headers.push("Regs".into());
-        headers.push("Occ".into());
-    }
-    let mut table = Table::new(
-        name,
-        title,
-        &headers.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    let mut sweeps: Vec<PivSweep> = devices().into_iter().map(PivSweep::new).collect();
-    for (set_name, prob) in sets {
-        let mut row = vec![
-            set_name.clone(),
-            fmt(prob.num_masks()),
-            fmt(prob.num_offsets()),
-        ];
-        for sweep in &mut sweeps {
-            let (imp, s) = sweep.best(variant, kernel, prob);
-            row.push(fmt_ms(s.sim_ms));
-            row.push(fmt(imp.rb));
-            row.push(fmt(imp.threads));
-            row.push(fmt(s.regs));
-            row.push(format!("{:.2}", s.occupancy));
-        }
-        table.row(row);
-    }
-    table.finish();
-    for sweep in &sweeps {
-        println!(
-            "[cache] {}: {}",
-            sweep.compiler.device().name,
-            sweep.compiler.cache_stats()
-        );
-    }
-}
-
-/// The Figure 6.1/6.2 driver: per Table 6.4 data set, a (RB × threads)
-/// grid of performance relative to the peak, printed as an ASCII contour
-/// and written as CSV.
-pub fn piv_contour(name: &str, dev: DeviceConfig) {
-    let dev_name = dev.name.clone();
-    let mut sweep = PivSweep::new(dev);
-    let rbs = piv_rb_options();
-    let threads = piv_thread_options();
-    println!("=== {name}: PIV performance relative to peak — {dev_name} ===");
-    for (set_name, prob) in piv_mask_sets() {
-        // Precompile the grid's variant set in parallel, then measure.
-        sweep.precompile(Variant::Sk, &prob, &rbs, &threads);
-        let mut times = vec![vec![0.0f64; rbs.len()]; threads.len()];
-        let mut best = f64::INFINITY;
-        for (i, &t) in threads.iter().enumerate() {
-            for (j, &rb) in rbs.iter().enumerate() {
-                let s = sweep.eval(
-                    Variant::Sk,
-                    PivKernel::Basic,
-                    &prob,
-                    &PivImpl { rb, threads: t },
-                );
-                times[i][j] = s.sim_ms;
-                best = best.min(s.sim_ms);
-            }
-        }
-        let rel: Vec<Vec<f64>> = times
-            .iter()
-            .map(|row| row.iter().map(|t| best / t).collect())
-            .collect();
-        println!(
-            "
---- data set {set_name} (peak {} ms) ---",
-            fmt_ms(best)
-        );
-        print!("{}", ascii_contour(&threads, &rbs, &rel, "threads", "rb"));
-        // CSV grid.
-        let mut table = Table::new(
-            &format!("{name}_{}", set_name.replace(['x', '%'], "_")),
-            &format!("{name} data set {set_name} ({dev_name})"),
-            &std::iter::once("threads\\rb".to_string())
-                .chain(rbs.iter().map(|r| r.to_string()))
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|s| s.as_str())
-                .collect::<Vec<_>>(),
-        );
-        for (i, &t) in threads.iter().enumerate() {
-            let mut row = vec![t.to_string()];
-            row.extend(rel[i].iter().map(|v| format!("{v:.3}")));
-            table.row(row);
-        }
-        table.finish();
-    }
-    println!("[cache] {dev_name}: {}", sweep.compiler.cache_stats());
 }
 
 /// Render a (threads × rb) relative-performance grid as an ASCII contour
-/// (used by the Figure 6.1/6.2 binaries). `grid[i][j]` is performance
-/// relative to peak in [0, 1]; the peak cell is marked `#`.
+/// (Figures 6.1/6.2). `grid[i][j]` is performance relative to peak in
+/// [0, 1]; the peak cell is marked `#`.
 pub fn ascii_contour(
     rows: &[u32],
     cols: &[u32],
@@ -810,77 +528,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn table_formats_and_writes_csv_with_cache_sidecar() {
-        let dir = std::env::temp_dir().join("ks-bench-test");
-        std::env::set_var("KS_BENCH_DIR", &dir);
-        let mut t = Table::new("unit_test_table", "A test", &["a", "b"]);
-        // Cache activity attributed to this table: one miss, one hit.
-        let c = Compiler::new(DeviceConfig::tesla_c1060());
-        let src = "__global__ void k(float* x) { x[threadIdx.x] = 1.0f; }";
-        c.compile(src, Defines::new()).unwrap();
-        c.compile(src, Defines::new()).unwrap();
-        t.row(vec!["1".into(), "2".into()]);
-        let path = t.finish();
-        std::env::remove_var("KS_BENCH_DIR");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "a,b\n1,2\n");
-
-        let side = path.with_file_name("unit_test_table_cache.csv");
-        let side_text = std::fs::read_to_string(side).unwrap();
-        let mut lines = side_text.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "hits,misses,dedup_waits,evictions,hit_rate,retries,failures,quarantined,breaker_opens,fallback_generic,fallback_last_good,promotions,disk_hits,disk_misses,store_errors,tier,time_in_generic_p50,promotion_latency_p50,windows,window_iter_p95_us,sdc_detected,witness_launches,scrub_quarantined"
-        );
-        let vals: Vec<&str> = lines.next().unwrap().split(',').collect();
-        assert_eq!(vals.len(), 23);
-        let hits: u64 = vals[0].parse().unwrap();
-        let misses: u64 = vals[1].parse().unwrap();
-        assert!(misses >= 1, "compile should register a miss: {side_text}");
-        assert!(hits >= 1, "recompile should register a hit: {side_text}");
-        let rate: f64 = vals[4].parse().unwrap();
-        assert!((0.0..=1.0).contains(&rate));
-        // Resilience + promotion columns parse as counters (no faults
-        // or background tickets in this table's window — but other
-        // tests in the process may race ticket traffic, so only the
-        // shape is asserted here).
-        for v in &vals[5..15] {
-            let _: u64 = v.parse().unwrap();
+    fn tables_land_only_in_the_out_dir_they_are_given() {
+        let base = std::env::temp_dir().join(format!("ks-bench-test-{}", std::process::id()));
+        let sent = [("unit_a", base.join("a")), ("unit_b", base.join("b"))];
+        std::thread::scope(|s| {
+            for (name, dir) in &sent {
+                s.spawn(move || {
+                    let mut t = Table::new(name, "A test", &["a", "b"]);
+                    t.row(vec!["1".into(), "x,y".into()]);
+                    t.finish(dir)
+                });
+            }
+        });
+        for (name, dir) in &sent {
+            let csv = format!("{name}.csv");
+            let files: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(files, [csv.as_str()]);
+            let text = std::fs::read_to_string(dir.join(&csv)).unwrap();
+            assert_eq!(text, "a,b\n1,\"x,y\"\n");
+            assert!(!Path::new("bench_results").join(&csv).exists());
         }
-        assert!(
-            vals[15] == "blocking" || vals[15] == "tiered",
-            "{side_text}"
-        );
-        // Windowed columns: p50s and the last-window p95 parse as
-        // integers, and at least the baseline→finish window exists.
-        for v in [vals[16], vals[17], vals[19]] {
-            let _: u64 = v.parse().unwrap();
-        }
-        let windows: u64 = vals[18].parse().unwrap();
-        assert!(windows >= 1, "{side_text}");
-        // Integrity / scrub columns parse as counters (shape only —
-        // other tests in the process may drive integrity traffic).
-        for v in &vals[20..23] {
-            let _: u64 = v.parse().unwrap();
-        }
-    }
-
-    #[test]
-    fn table_ticks_partition_sidecar_windows() {
-        let dir = std::env::temp_dir().join("ks-bench-test-ticks");
-        std::env::set_var("KS_BENCH_DIR", &dir);
-        let mut t = Table::new("unit_test_ticked", "Ticked", &["a"]);
-        t.tick();
-        t.tick();
-        t.row(vec!["1".into()]);
-        let path = t.finish();
-        std::env::remove_var("KS_BENCH_DIR");
-        let side = path.with_file_name("unit_test_ticked_cache.csv");
-        let side_text = std::fs::read_to_string(side).unwrap();
-        let vals: Vec<&str> = side_text.lines().nth(1).unwrap().split(',').collect();
-        let windows: u64 = vals[18].parse().unwrap();
-        // Two explicit ticks + the finish tick, baseline excluded.
-        assert_eq!(windows, 3, "{side_text}");
+        std::fs::remove_dir_all(base).unwrap();
     }
 
     #[test]
@@ -910,12 +581,19 @@ mod tests {
 
     #[test]
     fn problem_sets_are_wellformed() {
-        for (_, p) in piv_fpga_sets() {
-            assert!(p.num_masks() > 0, "{p:?}");
-            assert!(p.num_offsets() > 0);
-        }
-        for (_, p) in match_patients() {
-            assert!(p.num_offsets() > 0);
+        for quick in [false, true] {
+            let ctx = Ctx {
+                quick,
+                store: None,
+                out_dir: PathBuf::new(),
+            };
+            for (_, p) in ctx.piv_fpga_sets() {
+                assert!(p.num_masks() > 0, "{p:?}");
+                assert!(p.num_offsets() > 0);
+            }
+            for (_, p) in ctx.match_patients() {
+                assert!(p.num_offsets() > 0);
+            }
         }
     }
 }

@@ -73,12 +73,12 @@ pub use span::{
     SpanRecord,
 };
 pub use subscriber::{StreamSink, Subscriber, WriterSink};
-pub use watchdog::{Baseline, CounterRule, SloBreach, SloEvent, SloPolicy, SloRule, Watchdog};
+pub use watchdog::{Baseline, CounterRule, SloBreach, SloEvent, SloRule, Watchdog};
 pub use window::{History, TickDelta, WindowSummary, WindowView};
 
-/// Canonical metric names. Publishers and consumers meet here so the
-/// bench sidecars, `ks-prof`, and tests all read the counters the
-/// pipeline actually writes.
+/// Canonical metric names. Publishers and consumers meet here so
+/// `ks-prof`, `ks-bench --assert-warm` and tests all read the counters
+/// the pipeline actually writes.
 pub mod names {
     /// Cache hits (including single-flight dedup joins), as in
     /// `CacheStats::hits`.

@@ -1,22 +1,22 @@
 //! Live SLO watchdog over windowed latency quantiles.
 //!
-//! `ks-perfgate` checks per-phase compile latency against the
-//! checked-in `ci/perf-baseline.txt` once per CI run; the watchdog
-//! applies the same budgets **continuously**: each evaluation compares
-//! the windowed p95 of every watched histogram (from a
-//! [`crate::window::WindowView`]) against `baseline_p95 × ratio`,
-//! floored so machine variance on microsecond phases cannot flake.
-//! Breaches are **edge-triggered** — one typed [`SloEvent::Breach`] per
-//! excursion, one [`SloEvent::Recover`] when the metric returns under
-//! budget — so a seeded drill fires exactly once, not once per tick.
+//! The watchdog's SLO budgets are `ci/perf-baseline.txt`: per-phase
+//! compile-latency p50/p95s, last recorded by the retired `ks-perfgate`
+//! at PR 20. Each evaluation compares the windowed p95 of every watched
+//! histogram (from a [`crate::window::WindowView`]) against
+//! `baseline_p95 × RATIO`, floored at `FLOOR_US` so machine variance on
+//! microsecond phases cannot flake. Breaches are **edge-triggered** — one
+//! typed [`SloEvent::Breach`] per excursion, one [`SloEvent::Recover`]
+//! when the metric returns under budget — so a seeded drill fires exactly
+//! once, not once per tick. Host-time regressions between commits are
+//! `ks-ledger`'s to catch (`benchmark/`), not the watchdog's.
 
 use crate::window::WindowView;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Per-phase p50/p95 budgets parsed from `ci/perf-baseline.txt`
-/// (`phase p50_us p95_us` lines, `#` comments) — the same file and
-/// format ks-perfgate checks.
+/// (`phase p50_us p95_us` lines, `#` comments).
 #[derive(Debug, Clone, Default)]
 pub struct Baseline {
     pub phases: BTreeMap<String, (u64, u64)>,
@@ -53,22 +53,10 @@ impl Baseline {
     }
 }
 
-/// Breach thresholds, mirroring ks-perfgate: a metric breaches only
-/// past `baseline_p95 × ratio` AND the absolute floor.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloPolicy {
-    pub ratio: f64,
-    pub floor_us: u64,
-}
-
-impl Default for SloPolicy {
-    fn default() -> Self {
-        SloPolicy {
-            ratio: 10.0,
-            floor_us: 2_000,
-        }
-    }
-}
+/// A latency rule's budget is `max(baseline_p95 × RATIO, FLOOR_US)`: a
+/// metric breaches only past the ratio AND the floor.
+const RATIO: f64 = 10.0;
+const FLOOR_US: u64 = 2_000;
 
 /// One watched histogram: windowed p95 of `metric` is judged against
 /// baseline phase `phase`.
@@ -162,17 +150,15 @@ impl fmt::Display for SloEvent {
 /// Edge-triggered evaluator: feed it windows, collect typed events.
 pub struct Watchdog {
     baseline: Baseline,
-    policy: SloPolicy,
     rules: Vec<SloRule>,
     counter_rules: Vec<CounterRule>,
     breached: BTreeSet<String>,
 }
 
 impl Watchdog {
-    pub fn new(baseline: Baseline, policy: SloPolicy, rules: Vec<SloRule>) -> Self {
+    pub fn new(baseline: Baseline, rules: Vec<SloRule>) -> Self {
         Watchdog {
             baseline,
-            policy,
             rules,
             counter_rules: Vec::new(),
             breached: BTreeSet::new(),
@@ -202,7 +188,7 @@ impl Watchdog {
     /// `promotion` to `gpu_pf.promotion.latency_us`. Baseline phases
     /// with no live histogram (e.g. `store`) are skipped. The
     /// [`Watchdog::sdc_rule`] counter rule is always included.
-    pub fn standard(baseline: Baseline, policy: SloPolicy) -> Self {
+    pub fn standard(baseline: Baseline) -> Self {
         let rules = baseline
             .phases
             .keys()
@@ -219,7 +205,7 @@ impl Watchdog {
                 })
             })
             .collect();
-        Watchdog::new(baseline, policy, rules).with_counter_rule(Watchdog::sdc_rule())
+        Watchdog::new(baseline, rules).with_counter_rule(Watchdog::sdc_rule())
     }
 
     pub fn rules(&self) -> &[SloRule] {
@@ -233,7 +219,7 @@ impl Watchdog {
     /// The budget (µs) a rule's windowed p95 must stay under.
     pub fn budget_us(&self, rule: &SloRule) -> Option<u64> {
         let (_, p95) = self.baseline.phases.get(&rule.phase)?;
-        Some(((*p95 as f64 * self.policy.ratio) as u64).max(self.policy.floor_us))
+        Some(((*p95 as f64 * RATIO) as u64).max(FLOOR_US))
     }
 
     /// Judge one window. Emits `Breach` on the first evaluation a
@@ -242,9 +228,7 @@ impl Watchdog {
     pub fn evaluate(&mut self, window: &WindowView) -> Vec<SloEvent> {
         let mut events = Vec::new();
         for rule in &self.rules {
-            let Some(budget) = self.baseline.phases.get(&rule.phase).map(|&(_, p95)| {
-                ((p95 as f64 * self.policy.ratio) as u64).max(self.policy.floor_us)
-            }) else {
+            let Some(budget) = self.budget_us(rule) else {
                 continue;
             };
             let Some(observed) = window.quantile(&rule.metric, 0.95) else {
@@ -331,7 +315,6 @@ mod tests {
         let mut hist = History::new(4);
         let mut dog = Watchdog::new(
             baseline(),
-            SloPolicy::default(),
             vec![SloRule {
                 metric: "ks_core.compile.total_us".to_string(),
                 phase: "total".to_string(),
@@ -375,7 +358,6 @@ mod tests {
     fn floor_suppresses_microsecond_noise() {
         let mut dog = Watchdog::new(
             Baseline::parse("parse 10 20").unwrap(),
-            SloPolicy::default(),
             vec![SloRule {
                 metric: "m".to_string(),
                 phase: "parse".to_string(),
@@ -400,7 +382,7 @@ mod tests {
     #[test]
     fn standard_rules_cover_known_phases_and_skip_store() {
         let b = Baseline::parse("opt 1 2\ntotal 3 4\npromotion 5 6\nstore 7 8").unwrap();
-        let dog = Watchdog::standard(b, SloPolicy::default());
+        let dog = Watchdog::standard(b);
         let metrics: Vec<&str> = dog.rules().iter().map(|r| r.metric.as_str()).collect();
         assert!(metrics.contains(&"ks_core.compile.phase_us.opt"));
         assert!(metrics.contains(&"ks_core.compile.total_us"));
@@ -412,8 +394,7 @@ mod tests {
     fn counter_rule_breaches_on_rate_and_recovers_on_clean_window() {
         let r = Registry::new();
         let mut hist = History::new(4);
-        let mut dog = Watchdog::new(baseline(), SloPolicy::default(), vec![])
-            .with_counter_rule(Watchdog::sdc_rule());
+        let mut dog = Watchdog::new(baseline(), vec![]).with_counter_rule(Watchdog::sdc_rule());
         let c = r.counter(crate::names::PF_INTEGRITY_VIOLATIONS);
         // Clean window: zero violations, no breach.
         hist.tick_at(&r, 0);
@@ -452,7 +433,6 @@ mod tests {
         let mut hist = History::new(2);
         let mut dog = Watchdog::new(
             baseline(),
-            SloPolicy::default(),
             vec![SloRule {
                 metric: "ks_core.compile.total_us".to_string(),
                 phase: "total".to_string(),
