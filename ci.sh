@@ -47,9 +47,10 @@ cargo test --offline --release -q -p ks-sim --test rows_vs_eval
 
 # Profile one kernel end to end with the JSONL exporter; --selfcheck
 # validates the export schema (span nesting, phase sums vs the compile
-# span), hits + misses == requests, sim counters == launch reports, the
-# async balance, scope roll-up and the seeded-flip integrity counts, and
-# exits non-zero on any mismatch.
+# span), hits + misses == requests, sim counters == launch reports,
+# timing memo hits + misses + ineligible == launches, the async balance,
+# scope roll-up and the seeded-flip integrity counts, and exits non-zero
+# on any mismatch.
 echo "== ks-prof --kernel template_match --export jsonl --selfcheck"
 cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
     --kernel template_match --device c2070 --export jsonl --quick \

@@ -304,11 +304,12 @@ fn run(
         |field: fn(&ks_sim::LaunchReport) -> f64| -> f64 { run.reports.iter().map(field).sum() };
     eprintln!(
         "ks-prof: launch host time: plan {:.0} us, timing sample {:.0} us, \
-         functional {:.0} us ({} launches)",
+         functional {:.0} us ({} launches, {} timing memo hits)",
         host(|r| r.host_plan_us),
         host(|r| r.host_sample_us),
         host(|r| r.host_functional_us),
-        run.reports.len()
+        run.reports.len(),
+        ks_trace::registry().counter_value(ks_trace::names::SIM_MEMO_HITS)
     );
 
     let profile = KernelProfile {
@@ -326,8 +327,9 @@ fn run(
 }
 
 /// Validate the profile's JSONL schema, the request invariant on the
-/// registry snapshot it carries, and that every launch of the run was
-/// published exactly once (registry sim counters == summed reports).
+/// registry snapshot it carries, that every launch of the run was
+/// published exactly once (registry sim counters == summed reports), and
+/// that each counted once as a timing memo hit, miss or ineligible.
 fn check(p: &KernelProfile, launched: &GpuRunResult) -> Result<(), String> {
     ks_trace::validate_profile_jsonl(&p.to_jsonl())?;
 
@@ -351,6 +353,20 @@ fn check(p: &KernelProfile, launched: &GpuRunResult) -> Result<(), String> {
                 "registry ks_sim.{name} = {got}, launch reports say {want}"
             ));
         }
+    }
+    // Every launch met the timing memo exactly once.
+    let [hits, misses, ineligible] = [
+        ks_trace::names::SIM_MEMO_HITS,
+        ks_trace::names::SIM_MEMO_MISSES,
+        ks_trace::names::SIM_MEMO_INELIGIBLE,
+    ]
+    .map(|name| p.metrics.counter(name));
+    let launches = p.metrics.counter(ks_trace::names::SIM_LAUNCHES);
+    if hits + misses + ineligible != launches {
+        return Err(format!(
+            "timing memo: {hits} hits + {misses} misses + {ineligible} ineligible != \
+             {launches} launches"
+        ));
     }
     Ok(())
 }

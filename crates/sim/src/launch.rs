@@ -6,12 +6,13 @@
 
 use crate::device::DeviceConfig;
 use crate::interp::{run_block, BlockScratch, Costs, ExecStats, GlobalView, LaunchEnv, SimError};
+use crate::memo;
 use crate::occupancy::{occupancy, Limiter, Occupancy};
 use crate::plan::LaunchPlan;
 use ks_ir::{Module, Space, Ty};
 use rayon::prelude::*;
 use std::borrow::Borrow;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A kernel launch argument.
@@ -108,9 +109,11 @@ pub struct LaunchReport {
     /// occupancy), …
     pub host_plan_us: f64,
     /// … the timing model (scoreboard-timed sample blocks, and the
-    /// event-driven round when asked for), …
+    /// event-driven round when asked for) — on a timing-memo hit, the
+    /// memo key build and lookup alone, plus any event round, …
     pub host_sample_us: f64,
-    /// … and the functional execution of every other block.
+    /// … and the functional execution of every other block. On a memo
+    /// hit the sample blocks run here too, untimed.
     pub host_functional_us: f64,
 }
 
@@ -212,9 +215,13 @@ fn block_index(linear: u64, grid: (u32, u32, u32)) -> (u32, u32, u32) {
 /// Pre-resolved ks-trace registry handles for launch accounting. The
 /// counters mirror the `ExecStats` fields of every successful launch's
 /// report, so exported totals can be reconciled against per-launch
-/// stats exactly.
+/// stats exactly; every successful launch also counts once as a timing
+/// memo hit, miss or ineligible launch.
 struct TraceMetrics {
     launches: ks_trace::Counter,
+    memo_hits: ks_trace::Counter,
+    memo_misses: ks_trace::Counter,
+    memo_ineligible: ks_trace::Counter,
     dyn_insts: ks_trace::Counter,
     global_bytes: ks_trace::Counter,
     divergent_branches: ks_trace::Counter,
@@ -229,6 +236,9 @@ fn trace_metrics() -> &'static TraceMetrics {
         let r = ks_trace::registry();
         TraceMetrics {
             launches: r.counter(ks_trace::names::SIM_LAUNCHES),
+            memo_hits: r.counter(ks_trace::names::SIM_MEMO_HITS),
+            memo_misses: r.counter(ks_trace::names::SIM_MEMO_MISSES),
+            memo_ineligible: r.counter(ks_trace::names::SIM_MEMO_INELIGIBLE),
             dyn_insts: r.counter(ks_trace::names::SIM_DYN_INSTS),
             global_bytes: r.counter(ks_trace::names::SIM_GLOBAL_BYTES),
             divergent_branches: r.counter(ks_trace::names::SIM_DIVERGENT_BRANCHES),
@@ -367,7 +377,7 @@ fn launch_with<P: Borrow<LaunchPlan>>(
         }
     }
     let plan = get_plan()?;
-    let report = launch_inner(state, textures, plan.borrow(), dims, args, opts, started)?;
+    let (report, memo) = launch_inner(state, textures, plan.borrow(), dims, args, opts, started)?;
     if let Some(fault) = pending_flip {
         if apply_silent_flip(state, &report, fault.entropy) {
             ks_trace::registry()
@@ -377,6 +387,11 @@ fn launch_with<P: Borrow<LaunchPlan>>(
     }
     let m = trace_metrics();
     m.launches.inc();
+    match memo {
+        memo::Outcome::Hit => m.memo_hits.inc(),
+        memo::Outcome::Miss => m.memo_misses.inc(),
+        memo::Outcome::Ineligible => m.memo_ineligible.inc(),
+    }
     m.dyn_insts.add(report.stats.dyn_insts);
     m.global_bytes.add(report.stats.global_bytes);
     m.divergent_branches.add(report.stats.divergent_branches);
@@ -483,7 +498,7 @@ fn launch_inner(
     args: &[KArg],
     opts: LaunchOptions,
     started: Instant,
-) -> Result<LaunchReport, SimError> {
+) -> Result<(LaunchReport, memo::Outcome), SimError> {
     let DeviceState {
         dev,
         global,
@@ -536,36 +551,73 @@ fn launch_inner(
     };
     let planned = Instant::now();
 
+    // Under `KS_SIM_TRACE` the timed blocks print the trace: no memo.
+    let memo_key = plan
+        .timing_memo
+        .as_ref()
+        .filter(|_| !trace_enabled())
+        .map(|memo| {
+            let key = memo::Key::new(
+                dev,
+                dims,
+                opts.timing_sample_blocks,
+                &params,
+                &tex_bindings,
+                &plan.const_reads,
+                const_mem,
+            );
+            (memo, key)
+        });
+
     // --- timing sample: every `stride`-th block, scoreboard-timed ---
     let sample_n = (opts.timing_sample_blocks as u64).min(nblocks).max(1);
     let stride = nblocks / sample_n;
     let sample_ids: Vec<u64> = (0..sample_n).map(|i| i * stride).collect();
+    let is_sample = |b: u64| b.is_multiple_of(stride) && b / stride < sample_n;
     let idle = IdleScratches::default();
-    // The first block runs alone; its instruction count says whether the
-    // others are worth a worker thread.
-    let mut per_block_samples = run_blocks::<true>(&env, &idle, &sample_ids[..1], 1)?;
-    let min_blocks = blocks_per_worker(per_block_samples[0].dyn_insts);
-    per_block_samples.extend(run_blocks::<true>(
+    let hit = memo_key.as_ref().and_then(|(memo, key)| memo.get(key));
+    let is_hit = hit.is_some();
+    let per_block_samples: Arc<[ExecStats]> = match hit {
+        Some(samples) => samples,
+        None => {
+            // The first block runs alone; its instruction count says
+            // whether the others are worth a worker thread.
+            let mut samples = run_blocks::<true>(&env, &idle, &sample_ids[..1], 1)?;
+            let min_blocks = blocks_per_worker(samples[0].dyn_insts);
+            samples.extend(run_blocks::<true>(
+                &env,
+                &idle,
+                &sample_ids[1..],
+                min_blocks,
+            )?);
+            Arc::from(samples)
+        }
+    };
+    let sampled = Instant::now();
+
+    // --- functional execution of the remaining blocks; on a memo hit
+    // the sample blocks run here too, untimed and first, as on a miss ---
+    let mut blocks = if is_hit {
+        sample_ids.clone()
+    } else {
+        Vec::new()
+    };
+    if opts.functional {
+        blocks.extend((0..nblocks).filter(|&b| !is_sample(b)));
+    }
+    let sample_insts: u64 = per_block_samples.iter().map(|s| s.dyn_insts).sum();
+    run_blocks::<false>(
         &env,
         &idle,
-        &sample_ids[1..],
-        min_blocks,
-    )?);
+        &blocks,
+        blocks_per_worker(sample_insts / sample_n),
+    )?;
+    let functional_time = sampled.elapsed();
+    let mut sample_time = sampled - planned;
     let mut sample_stats = ExecStats::default();
-    for s in &per_block_samples {
+    for s in per_block_samples.iter() {
         sample_stats.accumulate(s);
     }
-    let sampled = Instant::now();
-    let mut sample_time = sampled - planned;
-
-    // --- functional execution of the remaining blocks ---
-    if opts.functional {
-        let is_sample = |b: u64| b.is_multiple_of(stride) && b / stride < sample_n;
-        let rest: Vec<u64> = (0..nblocks).filter(|&b| !is_sample(b)).collect();
-        let min_blocks = blocks_per_worker(sample_stats.dyn_insts / sample_n);
-        run_blocks::<false>(&env, &idle, &rest, min_blocks)?;
-    }
-    let functional_time = sampled.elapsed();
 
     // --- SM-level timing model ---
     // Average per-block figures from the sample.
@@ -592,6 +644,8 @@ fn launch_inner(
     let (total_cycles, bound);
     if opts.event_timing {
         // Event-driven round: co-schedule one SM's resident block set.
+        // It re-executes blocks against global memory, so it runs on a
+        // memo hit too: a hit must leave memory exactly as a miss does.
         let resident = (occ.blocks_per_sm as u64).min(nblocks) as usize;
         let indices: Vec<(u32, u32, u32)> = (0..resident)
             .map(|i| block_index(sample_ids[i % sample_ids.len()], dims.grid))
@@ -652,8 +706,18 @@ fn launch_inner(
     stats.barriers = s(stats.barriers);
     stats.issue_cycles = s(stats.issue_cycles);
 
+    let outcome = match memo_key {
+        Some(_) if is_hit => memo::Outcome::Hit,
+        Some((memo, key)) => {
+            memo.insert(key, per_block_samples);
+            memo::Outcome::Miss
+        }
+        None if plan.timing_memo.is_some() => memo::Outcome::Miss,
+        None => memo::Outcome::Ineligible,
+    };
+
     let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
-    Ok(LaunchReport {
+    let report = LaunchReport {
         kernel: plan.kernel.clone(),
         device: dev.name.clone(),
         time_ms,
@@ -669,5 +733,6 @@ fn launch_inner(
         host_plan_us: us(planned - started),
         host_sample_us: us(sample_time),
         host_functional_us: us(functional_time),
-    })
+    };
+    Ok((report, outcome))
 }

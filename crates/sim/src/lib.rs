@@ -43,6 +43,7 @@ pub mod event;
 pub mod interp;
 pub mod launch;
 pub mod mem;
+mod memo;
 pub mod occupancy;
 pub mod plan;
 pub mod racecheck;

@@ -10,6 +10,7 @@
 //! and it is derived data: it is never serialized.
 
 use crate::device::{IssueClass, LatencyClass};
+use crate::memo::{timing_is_data_independent, ConstReads, TimingMemo};
 use crate::regalloc::{allocate, compute_liveness, RegAlloc};
 use ks_ir::cfg::{ipdoms, Cfg};
 use ks_ir::{
@@ -251,6 +252,11 @@ pub struct LaunchPlan {
     pub(crate) entry_live: Vec<u32>,
     /// Printed instruction per pc, filled only under `KS_SIM_TRACE`.
     pub(crate) trace_text: Vec<String>,
+    /// The constant bytes the kernel can read: part of the memo key.
+    pub(crate) const_reads: ConstReads,
+    /// The launches' remembered timing samples; present exactly when the
+    /// kernel's timing cannot depend on data (`crate::memo`).
+    pub(crate) timing_memo: Option<TimingMemo>,
 }
 
 impl LaunchPlan {
@@ -319,6 +325,8 @@ impl LaunchPlan {
             }
         }
 
+        let timing_memo = timing_is_data_independent(&ops, f.num_vregs()).then(TimingMemo::default);
+        let const_reads = ConstReads::of(&ops);
         LaunchPlan {
             kernel: f.name.clone(),
             params: f.params.clone(),
@@ -336,12 +344,27 @@ impl LaunchPlan {
             traps: d.traps,
             entry_live: compute_liveness(f, &cfg).live_in(0).collect(),
             trace_text,
+            const_reads,
+            timing_memo,
         }
     }
 
     /// Name of the decoded kernel.
     pub fn kernel(&self) -> &str {
         &self.kernel
+    }
+
+    /// Whether no value the kernel loads from global, shared or local
+    /// memory or fetches from a texture can reach a branch or an address.
+    /// Launches of such a plan remember their timing sample and a repeat
+    /// of the same (device, geometry, arguments, constants) reuses it.
+    pub fn timing_is_data_independent(&self) -> bool {
+        self.timing_memo.is_some()
+    }
+
+    /// How many timing samples the plan remembers (at most 8).
+    pub fn timing_memo_len(&self) -> usize {
+        self.timing_memo.as_ref().map_or(0, TimingMemo::len)
     }
 
     /// The basic block containing `pc` (for diagnostics).

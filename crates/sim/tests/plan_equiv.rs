@@ -5,7 +5,9 @@
 //! case below re-runs on the current executor and must reproduce its line
 //! exactly: every `ExecStats` field, cycles, bound, occupancy, register
 //! and instruction counts, the output bytes (hashed), and the text of
-//! every trap.
+//! every trap. Every case runs twice through one `LaunchPlan`, so the
+//! second run of a data-independent kernel takes its timing sample from
+//! the plan's memo and must reproduce the same line.
 
 use ks_codegen::{compile, CodegenOptions};
 use ks_ir::{
@@ -284,16 +286,38 @@ fn describe(st: &DeviceState, run: &Run, result: Result<LaunchReport, SimError>)
     s
 }
 
+/// The case's line, from two launches through one plan on identical
+/// fresh devices: the second reuses the first's timing sample wherever
+/// the plan is data-independent and the first succeeded, and both must
+/// describe the same launch.
 fn run_case(
     dev: &DeviceConfig,
     m: &Module,
     setup: impl Fn(&mut DeviceState, &Module) -> Run,
     opts: LaunchOptions,
 ) -> String {
-    let mut st = DeviceState::new(dev.clone(), 4 << 20);
-    let run = setup(&mut st, m);
-    let result = launch(&mut st, m, run.kernel, run.dims, &run.args, opts);
-    describe(&st, &run, result)
+    let mut plan = None;
+    let mut run_once = || {
+        let mut st = DeviceState::new(dev.clone(), 4 << 20);
+        let run = setup(&mut st, m);
+        let plan =
+            plan.get_or_insert_with(|| LaunchPlan::from_function(m.function(run.kernel).unwrap()));
+        let result = launch_planned(&mut st, &m.textures, plan, run.dims, &run.args, opts, 0, "");
+        let line = describe(&st, &run, result);
+        (line, plan.timing_memo_len())
+    };
+    let (first, remembered) = run_once();
+    let (second, still) = run_once();
+    let data_independent = plan.as_ref().unwrap().timing_is_data_independent();
+    if data_independent && !first.starts_with("trap") {
+        assert_eq!(
+            (remembered, still),
+            (1, 1),
+            "the second launch was not a hit"
+        );
+    }
+    assert_eq!(second, first, "the memo hit differs from the miss");
+    first
 }
 
 // ---- fixtures: the corners the row-wise executor could get wrong ----

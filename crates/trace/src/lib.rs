@@ -109,6 +109,16 @@ pub mod names {
     pub const VERIFY_INCONCLUSIVE: &str = "ks_verify.inconclusive";
     /// Simulator launches completed.
     pub const SIM_LAUNCHES: &str = "ks_sim.launches";
+    /// Completed launches whose timing sample came from their plan's
+    /// timing memo (every block ran untimed). At quiescence,
+    /// `SIM_MEMO_HITS + SIM_MEMO_MISSES + SIM_MEMO_INELIGIBLE ==
+    /// SIM_LAUNCHES`.
+    pub const SIM_MEMO_HITS: &str = "ks_sim.memo.hits";
+    /// Completed launches of a data-independent plan that timed their
+    /// sample blocks (first sight of the key, or `KS_SIM_TRACE`).
+    pub const SIM_MEMO_MISSES: &str = "ks_sim.memo.misses";
+    /// Completed launches of a plan whose timing can depend on data.
+    pub const SIM_MEMO_INELIGIBLE: &str = "ks_sim.memo.ineligible";
     /// Dynamic instructions, summed over launches (`ExecStats::dyn_insts`).
     pub const SIM_DYN_INSTS: &str = "ks_sim.dyn_insts";
     /// Global-memory bytes moved (`ExecStats::global_bytes`).

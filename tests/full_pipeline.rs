@@ -93,6 +93,71 @@ fn all_apps_all_devices_all_variants() {
     }
 }
 
+/// Every kernel of the three applications, generic and specialized, has
+/// branches and addresses that no loaded value reaches, so its launches
+/// reuse their timing sample (`LaunchPlan::timing_is_data_independent`).
+#[test]
+fn every_shipped_kernel_times_independently_of_data() {
+    let compiler = Compiler::new(DeviceConfig::tesla_c2070());
+    let mp = MatchProblem {
+        frame_w: 96,
+        frame_h: 80,
+        templ_w: 24,
+        templ_h: 20,
+        shift_w: 8,
+        shift_h: 8,
+        frames: 1,
+    };
+    let mi = MatchImpl {
+        tile_w: 8,
+        tile_h: 8,
+        threads: 64,
+    };
+    let pp = PivProblem::standard(128, 16, 50, 4);
+    let bp = BackprojProblem {
+        n: 12,
+        num_proj: 4,
+        det_u: 20,
+        det_v: 20,
+    };
+    let bi = BackprojImpl {
+        block_x: 4,
+        block_y: 4,
+        ppl: 4,
+        zb: 2,
+    };
+    let mut checked = 0;
+    for variant in [Variant::Re, Variant::Sk] {
+        let mut builds = vec![
+            (
+                piv::KERNELS,
+                piv::specialization(variant, &pp, &PivImpl { rb: 2, threads: 64 }),
+            ),
+            (
+                backproj::KERNELS,
+                backproj::specialization(variant, &bp, &bi),
+            ),
+        ];
+        for d in template_match::specializations(variant, &mp, &mi) {
+            builds.push((template_match::KERNELS, d));
+        }
+        for (source, defines) in builds {
+            let bin = compiler.compile(source, &defines).expect("compile");
+            for f in &bin.module.functions {
+                let plan = bin.plan(&f.name).expect("plan");
+                assert!(
+                    plan.timing_is_data_independent(),
+                    "{variant} {} [{}]",
+                    f.name,
+                    defines.command_line()
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 2 * (3 + 1 + 4), "{checked} kernels checked");
+}
+
 /// A GPU-PF pipeline whose specialization parameter changes mid-stream:
 /// the refresh recompiles exactly once, results track the new value, and
 /// returning to a previous value hits the binary cache.
