@@ -44,6 +44,10 @@ cargo test --offline --release -q -p ks-tune --test parallel_compile
 # the benchmark runs only exist at opt-level 3.
 echo "== cargo test --release (row kernels == ks_ir::eval)"
 cargo test --offline --release -q -p ks-sim --test rows_vs_eval
+# The record checksum's word loop is only vectorised at opt-level 3:
+# its pinned vectors and exhaustive bit-flip test run on that build too.
+echo "== cargo test --release (ks-store record checksum)"
+cargo test --offline --release -q -p ks-store
 
 # Profile one kernel end to end with the JSONL exporter; --selfcheck
 # validates the export schema (span nesting, phase sums vs the compile

@@ -569,6 +569,7 @@ mod tests {
             diagnostics: Vec::new(),
             metrics: crate::CompileMetrics::default(),
             verification: Vec::new(),
+            key: Fingerprint::from_u128(0),
             plans: Vec::new(),
         })
     }

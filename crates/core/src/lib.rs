@@ -235,6 +235,9 @@ pub struct Binary {
     /// default) error findings abort the compile, so only warnings —
     /// KSV101 inconclusive outcomes — appear here.
     pub verification: Vec<ks_verify::Finding>,
+    /// The [`Compiler::cache_key`] this binary was compiled or loaded
+    /// under, set by the cache. Never stored: a record is filed under it.
+    key: Fingerprint,
     /// Decoded launch plans, one slot per `module.functions` entry,
     /// filled by [`Binary::plan`]. Derived from `module` + `regalloc`,
     /// so never stored or compared.
@@ -247,6 +250,13 @@ fn plan_slots(module: &ks_ir::Module) -> Vec<OnceLock<LaunchPlan>> {
 }
 
 impl Binary {
+    /// The canonical name of this variant: the [`Compiler::cache_key`] of
+    /// the (source, defines) it was compiled from, under the compiler
+    /// that handed it out — without hashing the source again.
+    pub fn key(&self) -> Fingerprint {
+        self.key
+    }
+
     /// Whether this binary computes correctly under `bindings`: every
     /// `-D` it was compiled with is among them. The generic
     /// (define-free) binary reads everything from launch arguments and
@@ -925,6 +935,7 @@ impl Compiler {
             let start = Instant::now();
             let result = self.compile_uncached(source, defines).map(|mut bin| {
                 let elapsed = start.elapsed();
+                bin.key = key;
                 bin.compile_time = elapsed;
                 bin.metrics.total = elapsed;
                 // Total latency is recorded through a per-variant
@@ -1194,6 +1205,8 @@ impl Compiler {
             metrics,
             diagnostics,
             verification: vreport.findings,
+            // Set by the caller, with the compile time.
+            key: Fingerprint::from_u128(0),
             plans: plan_slots(&module),
             module,
         })
@@ -1540,8 +1553,10 @@ mod tests {
     /// on-disk identity of persisted artifacts: if this test fails, the
     /// fingerprint computation changed and every existing store written
     /// by a previous build is orphaned. Either revert the change or
-    /// accept the invalidation *deliberately* by bumping the domain tag
-    /// in `cache_key` and re-pinning.
+    /// accept the invalidation *deliberately* — by bumping the domain
+    /// tag in `cache_key`, `ks_store::FORMAT_VERSION` or
+    /// `BINARY_SCHEMA_VERSION`, all of which the key folds in — and
+    /// re-pin.
     #[test]
     fn cache_keys_are_pinned_for_fixed_inputs() {
         let src = "__global__ void k(int* o) { o[0] = 1; }";
@@ -1556,9 +1571,9 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "f67b81dd2904aa1bcb6f6575a3ace48a".to_string(),
-                "7eb9abd86c740598a889bfde8f304aee".to_string(),
-                "5386e440d87047af2a43bf7843aff400".to_string(),
+                "28b4fbcc422cc99fa1a017bfb66df53f".to_string(),
+                "a99e78ab9c0d2ee565578e2a0fb70217".to_string(),
+                "a30817871d2e5aadc9b962e62caf3ca5".to_string(),
             ]
         );
     }

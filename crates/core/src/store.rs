@@ -58,7 +58,11 @@ impl StoreTier {
     pub(crate) fn load(&self, fp: Fingerprint) -> Result<Option<Arc<Binary>>, StoreError> {
         match self.store.load(fp)? {
             None => Ok(None),
-            Some(payload) => Ok(Some(Arc::new(deserialize_binary(&payload)?))),
+            Some(payload) => {
+                let mut bin = deserialize_binary(&payload)?;
+                bin.key = fp;
+                Ok(Some(Arc::new(bin)))
+            }
         }
     }
 
@@ -460,14 +464,34 @@ pub(crate) fn serialize_binary(bin: &Binary) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------
 
+#[cold]
+#[inline(never)]
 fn corrupt(what: &str, v: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(format!("bad {what} {v}"))
 }
 
+/// A counted sequence: its count, bounded by the bytes left before
+/// anything is allocated for it ([`ByteReader::count`]), then that many
+/// items decoded by `item`.
+#[inline]
+fn get_seq<'a, T>(
+    r: &mut ByteReader<'a>,
+    mut item: impl FnMut(&mut ByteReader<'a>) -> Result<T, StoreError>,
+) -> Result<Vec<T>, StoreError> {
+    let n = r.count()?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+#[inline]
 fn get_duration(r: &mut ByteReader) -> Result<Duration, StoreError> {
     Ok(Duration::from_nanos(r.u64()?))
 }
 
+#[inline]
 fn get_ty(r: &mut ByteReader) -> Result<ks_ir::Ty, StoreError> {
     Ok(match r.u8()? {
         0 => ks_ir::Ty::S32,
@@ -479,6 +503,7 @@ fn get_ty(r: &mut ByteReader) -> Result<ks_ir::Ty, StoreError> {
     })
 }
 
+#[inline]
 fn get_space(r: &mut ByteReader) -> Result<ks_ir::Space, StoreError> {
     Ok(match r.u8()? {
         0 => ks_ir::Space::Global,
@@ -490,10 +515,12 @@ fn get_space(r: &mut ByteReader) -> Result<ks_ir::Space, StoreError> {
     })
 }
 
+#[inline]
 fn get_vreg(r: &mut ByteReader) -> Result<ks_ir::VReg, StoreError> {
     Ok(ks_ir::VReg(r.u32()?))
 }
 
+#[inline]
 fn get_operand(r: &mut ByteReader) -> Result<ks_ir::Operand, StoreError> {
     Ok(match r.u8()? {
         0 => ks_ir::Operand::Reg(get_vreg(r)?),
@@ -503,6 +530,7 @@ fn get_operand(r: &mut ByteReader) -> Result<ks_ir::Operand, StoreError> {
     })
 }
 
+#[inline]
 fn get_address(r: &mut ByteReader) -> Result<ks_ir::Address, StoreError> {
     let base = match r.u8()? {
         0 => None,
@@ -515,6 +543,7 @@ fn get_address(r: &mut ByteReader) -> Result<ks_ir::Address, StoreError> {
     })
 }
 
+#[inline]
 fn get_bin_op(r: &mut ByteReader) -> Result<ks_ir::BinOp, StoreError> {
     use ks_ir::BinOp::*;
     Ok(match r.u8()? {
@@ -535,6 +564,7 @@ fn get_bin_op(r: &mut ByteReader) -> Result<ks_ir::BinOp, StoreError> {
     })
 }
 
+#[inline]
 fn get_un_op(r: &mut ByteReader) -> Result<ks_ir::UnOp, StoreError> {
     use ks_ir::UnOp::*;
     Ok(match r.u8()? {
@@ -548,6 +578,7 @@ fn get_un_op(r: &mut ByteReader) -> Result<ks_ir::UnOp, StoreError> {
     })
 }
 
+#[inline]
 fn get_cmp_op(r: &mut ByteReader) -> Result<ks_ir::CmpOp, StoreError> {
     use ks_ir::CmpOp::*;
     Ok(match r.u8()? {
@@ -561,6 +592,7 @@ fn get_cmp_op(r: &mut ByteReader) -> Result<ks_ir::CmpOp, StoreError> {
     })
 }
 
+#[inline]
 fn get_special_reg(r: &mut ByteReader) -> Result<ks_ir::SpecialReg, StoreError> {
     use ks_ir::SpecialReg::*;
     Ok(match r.u8()? {
@@ -580,6 +612,7 @@ fn get_special_reg(r: &mut ByteReader) -> Result<ks_ir::SpecialReg, StoreError> 
     })
 }
 
+#[inline]
 fn get_inst(r: &mut ByteReader) -> Result<ks_ir::Inst, StoreError> {
     use ks_ir::Inst;
     Ok(match r.u8()? {
@@ -655,6 +688,7 @@ fn get_inst(r: &mut ByteReader) -> Result<ks_ir::Inst, StoreError> {
     })
 }
 
+#[inline]
 fn get_terminator(r: &mut ByteReader) -> Result<ks_ir::Terminator, StoreError> {
     Ok(match r.u8()? {
         0 => ks_ir::Terminator::Br {
@@ -672,74 +706,49 @@ fn get_terminator(r: &mut ByteReader) -> Result<ks_ir::Terminator, StoreError> {
 }
 
 fn get_function(r: &mut ByteReader) -> Result<ks_ir::Function, StoreError> {
-    let name = r.str()?;
-    let mut params = Vec::new();
-    for _ in 0..r.usize()? {
-        params.push(ks_ir::KernelParam {
-            name: r.str()?,
-            ty: get_ty(r)?,
-            offset: r.u32()?,
-        });
-    }
-    let mut blocks = Vec::new();
-    for _ in 0..r.usize()? {
-        let id = ks_ir::BlockId(r.u32()?);
-        let mut insts = Vec::new();
-        for _ in 0..r.usize()? {
-            insts.push(get_inst(r)?);
-        }
-        blocks.push(ks_ir::BasicBlock {
-            id,
-            insts,
-            term: get_terminator(r)?,
-        });
-    }
-    let mut vreg_types = Vec::new();
-    for _ in 0..r.usize()? {
-        vreg_types.push(get_ty(r)?);
-    }
-    let mut shared = Vec::new();
-    for _ in 0..r.usize()? {
-        shared.push(ks_ir::SharedDecl {
-            name: r.str()?,
-            offset: r.u32()?,
-            size_bytes: r.u32()?,
-        });
-    }
     Ok(ks_ir::Function {
-        name,
-        params,
-        blocks,
-        vreg_types,
-        shared,
+        name: r.str()?,
+        params: get_seq(r, |r| {
+            Ok(ks_ir::KernelParam {
+                name: r.str()?,
+                ty: get_ty(r)?,
+                offset: r.u32()?,
+            })
+        })?,
+        blocks: get_seq(r, |r| {
+            Ok(ks_ir::BasicBlock {
+                id: ks_ir::BlockId(r.u32()?),
+                insts: get_seq(r, get_inst)?,
+                term: get_terminator(r)?,
+            })
+        })?,
+        vreg_types: get_seq(r, get_ty)?,
+        shared: get_seq(r, |r| {
+            Ok(ks_ir::SharedDecl {
+                name: r.str()?,
+                offset: r.u32()?,
+                size_bytes: r.u32()?,
+            })
+        })?,
         local_bytes: r.u32()?,
     })
 }
 
 fn get_module(r: &mut ByteReader) -> Result<ks_ir::Module, StoreError> {
-    let mut functions = Vec::new();
-    for _ in 0..r.usize()? {
-        functions.push(get_function(r)?);
-    }
-    let mut consts = Vec::new();
-    for _ in 0..r.usize()? {
-        consts.push(ks_ir::ConstDecl {
-            name: r.str()?,
-            offset: r.u32()?,
-            size_bytes: r.u32()?,
-        });
-    }
-    let mut textures = Vec::new();
-    for _ in 0..r.usize()? {
-        textures.push(r.str()?);
-    }
     Ok(ks_ir::Module {
-        functions,
-        consts,
-        textures,
+        functions: get_seq(r, get_function)?,
+        consts: get_seq(r, |r| {
+            Ok(ks_ir::ConstDecl {
+                name: r.str()?,
+                offset: r.u32()?,
+                size_bytes: r.u32()?,
+            })
+        })?,
+        textures: get_seq(r, ByteReader::str)?,
     })
 }
 
+#[inline]
 fn get_metrics(r: &mut ByteReader) -> Result<CompileMetrics, StoreError> {
     Ok(CompileMetrics {
         preproc: get_duration(r)?,
@@ -754,6 +763,7 @@ fn get_metrics(r: &mut ByteReader) -> Result<CompileMetrics, StoreError> {
     })
 }
 
+#[inline]
 fn get_severity(r: &mut ByteReader) -> Result<ks_analysis::Severity, StoreError> {
     Ok(match r.u8()? {
         0 => ks_analysis::Severity::Allow,
@@ -789,39 +799,30 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
     }
     let module = get_module(&mut r)?;
     let ptx = r.str()?;
-    let mut regalloc = HashMap::new();
-    for _ in 0..r.usize()? {
-        let name = r.str()?;
-        let gpr_count = r.u32()?;
-        let pred_count = r.u32()?;
-        let mut assignment = Vec::new();
-        for _ in 0..r.usize()? {
-            assignment.push(r.u32()?);
-        }
-        regalloc.insert(
-            name,
+    let regalloc: HashMap<String, RegAlloc> = get_seq(&mut r, |r| {
+        Ok((
+            r.str()?,
             RegAlloc {
-                gpr_count,
-                pred_count,
-                assignment,
+                gpr_count: r.u32()?,
+                pred_count: r.u32()?,
+                assignment: get_seq(r, ByteReader::u32)?,
             },
-        );
-    }
+        ))
+    })?
+    .into_iter()
+    .collect();
     let mut defines = Defines::new();
-    for _ in 0..r.usize()? {
-        let name = r.str()?;
-        let value = r.str()?;
+    for (name, value) in get_seq(&mut r, |r| Ok((r.str()?, r.str()?)))? {
         defines = defines.def(&name, value);
     }
     let device = r.str()?;
     let compile_time = get_duration(&mut r)?;
     let metrics = get_metrics(&mut r)?;
-    let mut diagnostics = Vec::new();
-    for _ in 0..r.usize()? {
+    let diagnostics = get_seq(&mut r, |r| {
         let code_str = r.str()?;
         let code = ks_analysis::LintCode::parse(&code_str)
             .ok_or_else(|| corrupt("lint code", &code_str))?;
-        let severity = get_severity(&mut r)?;
+        let severity = get_severity(r)?;
         let function = r.str()?;
         let block = match r.u8()? {
             0 => None,
@@ -833,28 +834,28 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
             1 => Some(r.usize()?),
             t => return Err(corrupt("diagnostic inst tag", t)),
         };
-        diagnostics.push(ks_analysis::Diagnostic {
+        Ok(ks_analysis::Diagnostic {
             code,
             severity,
             function,
             block,
             inst,
             message: r.str()?,
-        });
-    }
-    let mut verification = Vec::new();
-    for _ in 0..r.usize()? {
-        let code = intern_ksv_code(&r.str()?)?;
-        verification.push(ks_verify::Finding {
-            code,
+        })
+    })?;
+    let verification = get_seq(&mut r, |r| {
+        Ok(ks_verify::Finding {
+            code: intern_ksv_code(&r.str()?)?,
             context: r.str()?,
             env: r.str()?,
             function: r.str()?,
             message: r.str()?,
-        });
-    }
+        })
+    })?;
     r.expect_end()?;
     Ok(Binary {
+        // The record is filed under the key; the loader sets it.
+        key: Fingerprint::from_u128(0),
         plans: crate::plan_slots(&module),
         module,
         ptx,
@@ -952,13 +953,35 @@ mod tests {
     fn truncated_payload_is_a_typed_error() {
         let c = Compiler::new(DeviceConfig::tesla_c1060());
         let bin = c.compile(KERNEL, Defines::new()).unwrap();
-        let bytes = serialize_binary(&bin);
-        for cut in [0, 1, 4, 16, bytes.len() / 2, bytes.len() - 1] {
+        let mut bytes = serialize_binary(&bin);
+        for cut in 0..bytes.len() {
             match deserialize_binary(&bytes[..cut]) {
                 Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
                 other => panic!("cut at {cut}: expected typed error, got {other:?}"),
             }
         }
+        // An absurd instruction count fails as `Truncated`, never
+        // allocating for it first. Locate the first block's count by
+        // writing the fields before it.
+        let f = &bin.module.functions[0];
+        let mut w = ByteWriter::new();
+        w.u32(BINARY_SCHEMA_VERSION);
+        w.usize(bin.module.functions.len());
+        w.str(&f.name);
+        w.usize(f.params.len());
+        for p in &f.params {
+            w.str(&p.name);
+            put_ty(&mut w, p.ty);
+            w.u32(p.offset);
+        }
+        w.usize(f.blocks.len());
+        w.u32(f.blocks[0].id.0);
+        let at = w.len();
+        let count = &mut bytes[at..at + 8];
+        assert_eq!(*count, (f.blocks[0].insts.len() as u64).to_le_bytes());
+        count.copy_from_slice(&u64::MAX.to_le_bytes());
+        let got = deserialize_binary(&bytes);
+        assert!(matches!(got, Err(StoreError::Truncated { .. })), "{got:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! variant is handed to [`crate::select`]'s ladder, like any other
 //! reason a module cannot serve its exact binary.
 
-use crate::select::variant_key;
+use crate::select::bound_key;
 use crate::{Arg, Launch, ParamValue, PfError, Pipeline, ResId, Resource};
 use ks_core::{Defines, Fingerprint};
 use ks_sim::LaunchReport;
@@ -272,7 +272,7 @@ impl Pipeline {
                 return Ok(report);
             }
         };
-        let gkey = variant_key(&self.compiler, &module.source, &generic.defines);
+        let gkey = bound_key(&generic);
         let witness_launch = Launch {
             bin: &generic,
             bound: &gkey,

@@ -168,11 +168,21 @@ pub(crate) struct Books<'a> {
     pub(crate) degradations: &'a mut Vec<Degradation>,
 }
 
-/// Canonical identity of a (source, defines) variant under `compiler`.
-pub(crate) fn variant_key(compiler: &Compiler, source: &str, defs: &Defines) -> BoundKey {
+/// Canonical identity of a (source, defines) variant under `compiler`,
+/// for a variant that has no binary (it failed); hashes the source.
+fn variant_key(compiler: &Compiler, source: &str, defs: &Defines) -> BoundKey {
     BoundKey {
         fingerprint: compiler.cache_key(source, defs),
         defines: defs.command_line().into(),
+    }
+}
+
+/// Canonical identity of a binary the pipeline's compiler handed out:
+/// the key it carries, equal to [`variant_key`] of its variant.
+pub(crate) fn bound_key(bin: &Binary) -> BoundKey {
+    BoundKey {
+        fingerprint: bin.key(),
+        defines: bin.defines.command_line().into(),
     }
 }
 
@@ -487,7 +497,7 @@ impl Module {
             .binary()
             .is_none_or(|b| !Arc::ptr_eq(b, &choice.binary))
         {
-            let key = variant_key(books.compiler, &self.source, &choice.binary.defines);
+            let key = bound_key(&choice.binary);
             self.served = Some((choice.binary, key));
         }
         self.pending = choice.pending;

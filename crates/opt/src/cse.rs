@@ -158,16 +158,20 @@ pub fn run(f: &mut Function) -> usize {
             }
             // Redefinition kills every expression that used the old value,
             // and any expression currently cached in this register.
-            avail.retain(|k, (v, _)| {
-                let mut stale = *v == dst;
-                key_uses(k, |r| stale |= r == dst);
-                !stale
-            });
-            // ... except the one this very instruction produced (even when
-            // it reads its own destination, as `r = r + 1` does).
+            let uses_dst = |k: &Key| {
+                let mut uses = false;
+                key_uses(k, |r| uses |= r == dst);
+                uses
+            };
+            avail.retain(|k, (v, _)| *v != dst && !uses_dst(k));
+            // The value this very instruction produced is now available —
+            // unless it read its own destination (`r = r + 1`): the key
+            // names the old `r`, the register holds the new one.
             if let (Some(key), None) = (key, hit) {
-                avail.insert(key, (dst, pos));
-                window.push_back((pos, key));
+                if !uses_dst(&key) {
+                    avail.insert(key, (dst, pos));
+                    window.push_back((pos, key));
+                }
             }
         }
     }
@@ -230,14 +234,11 @@ mod reference {
                 // and any expression currently cached in this register.
                 if let Some(dst) = i.def() {
                     avail.retain(|k, (v, _)| {
-                        if *v == dst {
-                            // keep only if this very instruction produced it
-                            key_of(i).as_ref() == Some(k)
-                        } else {
-                            let mut uses_dst = false;
-                            key_uses(k, |r| uses_dst |= r == dst);
-                            !uses_dst
-                        }
+                        let mut uses_dst = false;
+                        key_uses(k, |r| uses_dst |= r == dst);
+                        // keep the value in `dst` only if this very
+                        // instruction produced it from other registers
+                        !uses_dst && (*v != dst || key_of(i).as_ref() == Some(k))
                     });
                 }
             }
@@ -322,6 +323,22 @@ mod tests {
         ];
         let mut f = mk(insts, vec![Ty::S32; 3]);
         assert_eq!(run(&mut f), 0);
+    }
+
+    #[test]
+    fn self_reading_definition_is_not_reused() {
+        // r0 = r0+1; r1 = r0+1  → r1 reads the *new* r0: it must not
+        // become `r1 = r0`.
+        let inc = |dst| Inst::Bin {
+            op: BinOp::Add,
+            ty: Ty::S32,
+            dst: VReg(dst),
+            a: VReg(0).into(),
+            b: Operand::ImmI(1),
+        };
+        let mut f = mk(vec![inc(0), inc(1)], vec![Ty::S32; 2]);
+        assert_eq!(run(&mut f), 0, "replaced: {:?}", f.blocks[0].insts[1]);
+        assert_eq!(f.blocks[0].insts[1], inc(1));
     }
 
     #[test]

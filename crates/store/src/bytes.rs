@@ -88,9 +88,25 @@ impl ByteWriter {
 }
 
 /// Cursor-based reader over a payload slice.
+///
+/// Decoding a record is one accessor call per field, so the accessors
+/// are `#[inline]` and every error is built out of line in a `#[cold]`
+/// function: the hot path is a bounds check and a load.
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+}
+
+#[cold]
+#[inline(never)]
+fn truncated(needed: usize, available: usize) -> StoreError {
+    StoreError::Truncated { needed, available }
+}
+
+#[cold]
+#[inline(never)]
+fn corrupt(msg: std::fmt::Arguments) -> StoreError {
+    StoreError::Corrupt(msg.to_string())
 }
 
 impl<'a> ByteReader<'a> {
@@ -99,6 +115,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -109,25 +126,24 @@ impl<'a> ByteReader<'a> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(StoreError::Corrupt(format!(
+            Err(corrupt(format_args!(
                 "{} trailing bytes after payload",
                 self.remaining()
             )))
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         if self.remaining() < n {
-            return Err(StoreError::Truncated {
-                needed: self.pos.saturating_add(n),
-                available: self.buf.len(),
-            });
+            return Err(truncated(self.pos.saturating_add(n), self.buf.len()));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    #[inline]
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
         let s = self.take(N)?;
         let mut a = [0u8; N];
@@ -135,39 +151,59 @@ impl<'a> ByteReader<'a> {
         Ok(a)
     }
 
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, StoreError> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(StoreError::Corrupt(format!("bad bool byte {b:#04x}"))),
+            b => Err(corrupt(format_args!("bad bool byte {b:#04x}"))),
         }
     }
 
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, StoreError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, StoreError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
+    #[inline]
     pub fn u128(&mut self) -> Result<u128, StoreError> {
         Ok(u128::from_le_bytes(self.array()?))
     }
 
+    #[inline]
     pub fn i64(&mut self) -> Result<i64, StoreError> {
         Ok(i64::from_le_bytes(self.array()?))
     }
 
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, StoreError> {
         let v = self.u64()?;
-        usize::try_from(v).map_err(|_| StoreError::Corrupt(format!("length {v} exceeds usize")))
+        usize::try_from(v).map_err(|_| corrupt(format_args!("length {v} exceeds usize")))
     }
 
+    /// Item count of a sequence whose items take at least one byte each.
+    /// A count beyond the bytes left cannot be met, so it fails here as
+    /// `Truncated` and the caller can presize its vector with it.
+    #[inline]
+    pub fn count(&mut self) -> Result<usize, StoreError> {
+        let n = self.usize()?;
+        if n > self.remaining() {
+            return Err(truncated(self.pos.saturating_add(n), self.buf.len()));
+        }
+        Ok(n)
+    }
+
+    #[inline]
     pub fn f32_bits(&mut self) -> Result<f32, StoreError> {
         Ok(f32::from_bits(self.u32()?))
     }
@@ -175,16 +211,18 @@ impl<'a> ByteReader<'a> {
     /// Length-prefixed byte slice. The declared length is bounded by
     /// the bytes actually remaining, so a corrupted length field fails
     /// with `Truncated` instead of attempting a huge allocation.
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], StoreError> {
         let n = self.usize()?;
         self.take(n)
     }
 
     /// Length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self) -> Result<String, StoreError> {
         let b = self.bytes()?;
         String::from_utf8(b.to_vec())
-            .map_err(|e| StoreError::Corrupt(format!("invalid utf-8 string: {e}")))
+            .map_err(|e| corrupt(format_args!("invalid utf-8 string: {e}")))
     }
 }
 
@@ -234,6 +272,22 @@ mod tests {
         let buf = w.into_vec();
         let mut r = ByteReader::new(&buf);
         assert!(r.bytes().is_err());
+    }
+
+    #[test]
+    fn count_beyond_remaining_bytes_is_truncated() {
+        let mut w = ByteWriter::new();
+        w.usize(2);
+        w.u8(0);
+        w.u8(0);
+        w.usize(u64::MAX as usize);
+        let buf = w.into_vec();
+        let mut r = ByteReader::new(&buf[..10]);
+        assert_eq!(r.count().unwrap(), 2);
+        let mut r = ByteReader::new(&buf[..9]);
+        assert!(matches!(r.count(), Err(StoreError::Truncated { .. })));
+        let mut r = ByteReader::new(&buf[10..]);
+        assert!(matches!(r.count(), Err(StoreError::Truncated { .. })));
     }
 
     #[test]

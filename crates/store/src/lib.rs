@@ -30,7 +30,7 @@ pub mod bytes;
 pub mod fp;
 
 pub use bytes::{ByteReader, ByteWriter};
-pub use fp::{fnv64, Fingerprint, StableHasher};
+pub use fp::{checksum, Fingerprint, StableHasher};
 
 use std::fs;
 use std::io::{Read, Write};
@@ -39,7 +39,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// On-disk record format version. Bump on any layout change; readers
 /// reject records from other versions with [`StoreError::Version`].
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 checksums payloads with the word-wise [`checksum`]
+/// (version 1 used byte-wise FNV-1a-64).
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Record magic: the first four bytes of every valid record file.
 pub const MAGIC: [u8; 4] = *b"KSST";
@@ -201,7 +203,7 @@ impl Store {
         w.u32(FORMAT_VERSION);
         w.u128(fp.as_u128());
         w.u64(payload.len() as u64);
-        w.u64(fnv64(payload));
+        w.u64(checksum(payload));
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(w.as_slice())?;
@@ -229,54 +231,27 @@ impl Store {
         };
         let mut data = Vec::new();
         file.read_to_end(&mut data)?;
-        Ok(Some(Self::decode_record(fp, &data)?))
+        let payload_len = Self::decode_record(fp, &data)?.len();
+        // Hand back the buffer just read, minus its header: no second
+        // allocation.
+        data.drain(..HEADER_LEN);
+        data.truncate(payload_len);
+        Ok(Some(data))
     }
 
-    /// Validate a raw record image and return its payload.
-    pub fn decode_record(fp: Fingerprint, data: &[u8]) -> Result<Vec<u8>, StoreError> {
-        if data.len() < HEADER_LEN {
-            return Err(StoreError::Truncated {
-                needed: HEADER_LEN,
-                available: data.len(),
-            });
-        }
-        let mut r = ByteReader::new(data);
-        let magic = r.array::<4>()?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic { found: magic });
-        }
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(StoreError::Version {
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let found_fp = Fingerprint::from_u128(r.u128()?);
-        if found_fp != fp {
-            return Err(StoreError::FingerprintMismatch {
-                expected: fp,
-                found: found_fp,
-            });
-        }
-        let payload_len = r.u64()? as usize;
-        let expected_sum = r.u64()?;
-        let avail = data.len() - HEADER_LEN;
-        if avail < payload_len {
-            return Err(StoreError::Truncated {
-                needed: HEADER_LEN + payload_len,
-                available: data.len(),
-            });
-        }
+    /// Validate a raw record image — every header field, then the
+    /// checksum over the full payload — and return its payload.
+    pub fn decode_record(fp: Fingerprint, data: &[u8]) -> Result<&[u8], StoreError> {
+        let (payload_len, expected_sum) = Self::parse_header(fp, data)?;
         let payload = &data[HEADER_LEN..HEADER_LEN + payload_len];
-        let found_sum = fnv64(payload);
+        let found_sum = checksum(payload);
         if found_sum != expected_sum {
             return Err(StoreError::ChecksumMismatch {
                 expected: expected_sum,
                 found: found_sum,
             });
         }
-        Ok(payload.to_vec())
+        Ok(payload)
     }
 
     /// Validate only a record image's *header*: magic, version,
@@ -287,6 +262,12 @@ impl Store {
     /// here. Only [`Store::decode_record`]'s full payload-checksum walk
     /// (what [`Store::scrub`] runs) catches it.
     pub fn check_header(fp: Fingerprint, data: &[u8]) -> Result<(), StoreError> {
+        Self::parse_header(fp, data).map(drop)
+    }
+
+    /// The header checks [`Store::check_header`] documents; returns the
+    /// declared payload length (known to fit in `data`) and checksum.
+    fn parse_header(fp: Fingerprint, data: &[u8]) -> Result<(usize, u64), StoreError> {
         if data.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
                 needed: HEADER_LEN,
@@ -313,14 +294,14 @@ impl Store {
             });
         }
         let payload_len = r.u64()? as usize;
-        let _checksum = r.u64()?; // declared, not verified — that's the point
+        let declared_sum = r.u64()?;
         if data.len() - HEADER_LEN < payload_len {
             return Err(StoreError::Truncated {
-                needed: HEADER_LEN + payload_len,
+                needed: HEADER_LEN.saturating_add(payload_len),
                 available: data.len(),
             });
         }
-        Ok(())
+        Ok((payload_len, declared_sum))
     }
 
     /// Header-only validation of the record stored under `fp`.
@@ -401,7 +382,7 @@ impl Store {
                 StoreError::Corrupt("record file name is not a 32-hex fingerprint".into())
             })?;
         let data = fs::read(path)?;
-        Store::decode_record(fp, &data).map(|_| ())
+        Store::decode_record(fp, &data).map(drop)
     }
 
     /// Move a corrupt record into `quarantine/`, keeping its name (a
@@ -515,6 +496,42 @@ mod tests {
         data[4] = FORMAT_VERSION as u8 + 1; // version lives right after magic
         fs::write(&path, &data).unwrap();
         assert!(matches!(store.load(fp), Err(StoreError::Version { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record written by a format-1 build (byte-wise FNV-1a-64
+    /// checksum): `load` rejects it by version before looking at the
+    /// payload, and `scrub` quarantines it.
+    #[test]
+    fn version_1_record_is_rejected_and_quarantined() {
+        let dir = tmpdir("v1");
+        let store = Store::open(&dir).unwrap();
+        let fp = fp_of("written by format 1");
+        let payload = b"a format-1 payload";
+        let mut w = ByteWriter::new();
+        w.bytes_raw(&MAGIC);
+        w.u32(1);
+        w.u128(fp.as_u128());
+        w.u64(payload.len() as u64);
+        w.u64(0xaf63_dc4c_8601_ec8c);
+        w.bytes_raw(payload);
+        let path = store.record_path(fp);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, w.as_slice()).unwrap();
+        assert!(matches!(
+            store.load(fp),
+            Err(StoreError::Version {
+                found: 1,
+                expected: FORMAT_VERSION
+            })
+        ));
+        let report = store.scrub().unwrap();
+        assert_eq!((report.scanned, report.valid), (1, 0));
+        assert!(matches!(
+            report.quarantined[..],
+            [(_, StoreError::Version { found: 1, .. })]
+        ));
+        assert!(store.load(fp).unwrap().is_none(), "clean miss after scrub");
         let _ = fs::remove_dir_all(&dir);
     }
 
