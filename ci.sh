@@ -172,14 +172,15 @@ lint crates/apps/src/kernels/backproj.cu \
     -A detU=48 -A detV=48 -A ppl=8 -A zb=4 -A z0=0 \
     -A sid=100.0 -A sdd=150.0 -A halfN=16.0 -A halfU=24.0 -A halfV=24.0
 
-# Telemetry tier: scoped metrics, rolling windows, and the SLO
-# watchdog. (1) The Prometheus exposition must carry a # TYPE line per
-# family and labeled samples. (2) A live watch run with a tiny JSONL
-# sink must overflow without blocking and without losing accounting
-# (offered == drained + dropped, dropped > 0) while the two concurrent
-# pipelines keep distinct windowed p95s. (3) The seeded drill must fire
-# exactly one typed SLO-breach event against the checked-in baseline,
-# and a clean run must fire zero.
+# Telemetry tier: scoped metrics, rolling windows, and the SDC-rate
+# SLO rule (gpu_pf.integrity.violations, budget 0 per window).
+# (1) The Prometheus exposition must carry a # TYPE line per family and
+# labeled samples. (2) A live watch run with a tiny JSONL sink must
+# overflow without blocking and without losing accounting (offered ==
+# drained + dropped, dropped > 0) while the two concurrent pipelines
+# keep distinct windowed p95s. (3) The drill records one violation at
+# tick 4 of 8: exactly one typed SLO-breach event, and one recovery
+# once it leaves the 4-tick window at tick 8; a clean run fires zero.
 echo "== ks-prof --export prom (exposition schema)"
 PROM_OUT=$(mktemp)
 cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
@@ -199,15 +200,15 @@ grep -Eq "sink offered=[0-9]+ drained=[0-9]+ dropped=[1-9][0-9]* conserved: ok" 
     "$WATCH_OUT"
 rm -f "$WATCH_OUT"
 
-echo "== ks-prof watch --drill-breach (watchdog fires exactly once)"
+echo "== ks-prof watch --drill-breach (SDC rule breaches once, recovers once)"
 BREACH_OUT=$(mktemp) CLEAN_OUT=$(mktemp)
 cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
-    watch --ticks 8 --drill-breach --watchdog ci/perf-baseline.txt \
-    > "$BREACH_OUT" 2> /dev/null
+    watch --ticks 8 --drill-breach > "$BREACH_OUT" 2> /dev/null
 test "$(grep -c '^SLO breach' "$BREACH_OUT")" = 1
 grep -q "watch: slo breaches=1" "$BREACH_OUT"
+grep -q "watch: slo breaches=1 recoveries=1" "$BREACH_OUT"
 cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
-    watch --ticks 6 --watchdog ci/perf-baseline.txt > "$CLEAN_OUT" 2> /dev/null
+    watch --ticks 6 > "$CLEAN_OUT" 2> /dev/null
 grep -q "watch: slo breaches=0 recoveries=0" "$CLEAN_OUT"
 rm -f "$BREACH_OUT" "$CLEAN_OUT"
 

@@ -9,8 +9,9 @@
 //! ```text
 //! ks-prof --kernel template_match --device c2070 --export jsonl
 //! ks-prof --kernel piv --variant re --export text
-//! ks-prof --kernel backproj --export csv --out profile.csv
+//! ks-prof --kernel backproj --export prom --out profile.prom
 //! ks-prof --kernel template_match --export jsonl --selfcheck
+//! ks-prof watch --ticks 8 --drill-breach
 //! ```
 //!
 //! `--selfcheck` validates the JSONL schema (span nesting, phase sums,
@@ -22,24 +23,26 @@
 //! kernel through a throwaway persistent store (cold publish, warm disk
 //! hit with zero compiles, byte-identical reload), checks the roll-up of
 //! labeled scopes and the exact accounting of a seeded integrity
-//! violation. The per-instance stats (`CacheStats`, `AsyncStats`, …) are
-//! views of the cells the registry sums, so there is no second copy to
-//! reconcile. It exits non-zero on any mismatch.
+//! violation, and schema-checks the Prometheus exposition. The
+//! per-instance stats (`CacheStats`, `AsyncStats`, …) are views of the
+//! cells the registry sums, so there is no second copy to reconcile. It
+//! exits non-zero on any mismatch.
+//!
+//! `watch` runs two labeled pipelines under rolling windows and the
+//! SDC-rate SLO rule (see `watch_main`).
 
 use ks_apps::template_match::{MatchImpl, MatchProblem};
 use ks_apps::{backproj, piv, synth, template_match, GpuRunResult, Variant};
 use ks_core::{Compiler, Defines};
 use ks_sim::DeviceConfig;
-use ks_trace::{CompileProfile, ExportFormat, KernelProfile};
-use std::io::Write;
+use ks_trace::{CompileProfile, KernelProfile};
 
 fn usage() -> ! {
     eprintln!(
         "usage: ks-prof [--kernel template_match|piv|backproj] [--device c1060|c2070]\n\
-         \x20             [--variant sk|re] [--export text|jsonl|csv|flame|chrome|prom]\n\
+         \x20             [--variant sk|re] [--export text|jsonl|prom]\n\
          \x20             [--out FILE] [--quick] [--selfcheck]\n\
-         \x20      ks-prof watch [--ticks N] [--window N] [--watchdog BASELINE]\n\
-         \x20             [--drill-breach] [--sink-cap N]"
+         \x20      ks-prof watch [--ticks N] [--window N] [--drill-breach] [--sink-cap N]"
     );
     std::process::exit(2);
 }
@@ -69,12 +72,14 @@ fn main() {
             usage();
         }
     };
-    let format = match arg_value(&args, "--export") {
-        None => ExportFormat::Text,
-        Some(f) => ExportFormat::parse(&f).unwrap_or_else(|| {
+    let render: fn(&KernelProfile) -> String = match arg_value(&args, "--export").as_deref() {
+        None | Some("text") => KernelProfile::to_text,
+        Some("jsonl") => KernelProfile::to_jsonl,
+        Some("prom") => KernelProfile::to_prometheus,
+        Some(f) => {
             eprintln!("ks-prof: unknown export format {f:?}");
             usage();
-        }),
+        }
     };
     let out_path = arg_value(&args, "--out");
     let quick = args.iter().any(|a| a == "--quick");
@@ -129,9 +134,7 @@ fn main() {
             ("store", store_check(compiler.device())),
             ("scope roll-up", scope_check(&compiler)),
             ("integrity", integrity_check(&compiler)),
-            ("watchdog", watchdog_check()),
             ("prom export", prom_check(&profile)),
-            ("sink", sink_check()),
         ];
         for (what, result) in checks {
             if let Err(e) = result {
@@ -141,22 +144,21 @@ fn main() {
         }
         eprintln!(
             "ks-prof: selfcheck ok ({} compiles, {} spans, {} launches, \
-             async+promotion+store+scope+integrity+watchdog+prom+sink parity)",
+             async+promotion+store+scope+integrity parity, prom schema)",
             profile.compiles.len(),
             profile.spans.len(),
             launched.reports.len()
         );
     }
 
-    let rendered = format.exporter().profile(&profile);
+    let rendered = render(&profile);
     match out_path {
         None => print!("{rendered}"),
         Some(p) => {
-            let mut f = std::fs::File::create(&p).unwrap_or_else(|e| {
+            if let Err(e) = std::fs::write(&p, rendered) {
                 eprintln!("ks-prof: cannot write {p}: {e}");
                 std::process::exit(1);
-            });
-            let _ = f.write_all(rendered.as_bytes());
+            }
             eprintln!("ks-prof: wrote {p}");
         }
     }
@@ -614,73 +616,12 @@ fn integrity_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
     Ok(())
 }
 
-/// Watchdog dry run on a private registry: a clean window raises
-/// nothing, a seeded spike breaches exactly once (edge-triggered, no
-/// re-fire), and fresh clean samples recover exactly once.
-fn watchdog_check() -> Result<(), String> {
-    let r = ks_trace::Registry::new();
-    let baseline = ks_trace::Baseline::parse("total 1000 2000\n")?;
-    let mut dog = ks_trace::Watchdog::standard(baseline);
-    let mut hist = ks_trace::History::new(4);
-    let h = r.histogram(ks_trace::names::COMPILE_TOTAL_US);
-    h.record(1500);
-    hist.tick_at(&r, 0);
-    let e = dog.evaluate(&hist.window(1));
-    if !e.is_empty() {
-        return Err(format!("clean window raised events: {e:?}"));
-    }
-    h.record(30_000_000);
-    hist.tick_at(&r, 1000);
-    let e = dog.evaluate(&hist.window(1));
-    match e.as_slice() {
-        [ks_trace::SloEvent::Breach(b)] if b.budget_us == 20_000 => {}
-        other => return Err(format!("spike window: want one breach, got {other:?}")),
-    }
-    h.record(30_000_000);
-    hist.tick_at(&r, 2000);
-    if !dog.evaluate(&hist.window(1)).is_empty() {
-        return Err("breach re-fired while still over budget".into());
-    }
-    h.record(900);
-    hist.tick_at(&r, 3000);
-    let e = dog.evaluate(&hist.window(1));
-    if !matches!(e.as_slice(), [ks_trace::SloEvent::Recover { .. }]) {
-        return Err(format!("recovery window: want one recover, got {e:?}"));
-    }
-    Ok(())
-}
-
 /// Render the profile as Prometheus exposition text and schema-check it.
 fn prom_check(p: &KernelProfile) -> Result<(), String> {
-    let text = ExportFormat::Prom.exporter().profile(p);
+    let text = p.to_prometheus();
     ks_trace::validate_prometheus(&text)?;
     if !text.contains("# TYPE") {
         return Err("prometheus exposition has no TYPE metadata".into());
-    }
-    Ok(())
-}
-
-/// Bounded-sink overflow drill on a private registry: overflow drops the
-/// newest offers, keeps the oldest, and self-accounts every drop.
-fn sink_check() -> Result<(), String> {
-    let r = ks_trace::Registry::new();
-    let sink = ks_trace::StreamSink::with_registry(4, &r);
-    for i in 0..12 {
-        sink.offer(format!("{{\"i\":{i}}}"));
-    }
-    if (sink.pending(), sink.dropped()) != (4, 8) {
-        return Err(format!(
-            "sink bounds off: pending {} dropped {}",
-            sink.pending(),
-            sink.dropped()
-        ));
-    }
-    if r.counter_value(ks_trace::names::SINK_DROPPED) != 8 {
-        return Err("registry drop counter disagrees with sink.dropped()".into());
-    }
-    let lines = sink.drain();
-    if lines.first().map(String::as_str) != Some("{\"i\":0}") {
-        return Err(format!("oldest line did not survive overflow: {lines:?}"));
     }
     Ok(())
 }
@@ -689,11 +630,12 @@ fn sink_check() -> Result<(), String> {
 
 /// Two concurrently running labeled pipelines with ~60x different
 /// per-iteration work, a rolling [`ks_trace::History`] ticked by the
-/// main thread, per-pipeline windowed p50/p95 readouts, and (when a
-/// baseline is available) the live SLO watchdog. `--drill-breach` seeds
-/// one synthetic latency spike mid-run to prove the breach fires
-/// exactly once; `--sink-cap` streams each tick's JSONL records through
-/// a bounded StreamSink to demonstrate overflow accounting.
+/// main thread, per-pipeline windowed p50/p95 readouts, and the SDC-rate
+/// SLO rule ([`ks_trace::Watchdog::sdc_rule`]). `--drill-breach` records
+/// one integrity violation at tick `ticks / 2` to prove the breach fires
+/// exactly once and recovers once the violation leaves the window;
+/// `--sink-cap` streams each tick's JSONL records through a bounded
+/// StreamSink to demonstrate overflow accounting.
 fn watch_main(args: &[String]) {
     let parse_n = |name: &str, default: usize| -> usize {
         arg_value(args, name)
@@ -709,27 +651,8 @@ fn watch_main(args: &[String]) {
     let window = parse_n("--window", 4).max(1);
     let sink_cap = parse_n("--sink-cap", 0);
     let drill = args.iter().any(|a| a == "--drill-breach");
-    let baseline_path = arg_value(args, "--watchdog");
 
-    let baseline_text = match &baseline_path {
-        Some(p) => Some(std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("ks-prof: cannot read baseline {p}: {e}");
-            std::process::exit(1);
-        })),
-        None => std::fs::read_to_string("ci/perf-baseline.txt").ok(),
-    };
-    let mut dog = baseline_text.map(|t| {
-        let baseline = ks_trace::Baseline::parse(&t).unwrap_or_else(|e| {
-            eprintln!("ks-prof: bad baseline: {e}");
-            std::process::exit(1);
-        });
-        ks_trace::Watchdog::standard(baseline)
-    });
-    if drill && dog.is_none() {
-        eprintln!("ks-prof: --drill-breach needs a baseline (--watchdog FILE)");
-        std::process::exit(1);
-    }
-
+    let mut dog = ks_trace::Watchdog::new(ks_trace::Watchdog::sdc_rule());
     let reg = ks_trace::registry();
     let breach_counter = reg.counter(ks_trace::names::SLO_BREACHES);
     let recover_counter = reg.counter(ks_trace::names::SLO_RECOVERIES);
@@ -738,7 +661,6 @@ fn watch_main(args: &[String]) {
 
     let compiler = std::sync::Arc::new(Compiler::new(DeviceConfig::tesla_c2070()));
     let mut history = ks_trace::History::new(ticks.max(window));
-    let started = std::time::Instant::now();
 
     // Each worker owns one labeled pipeline; the main thread hands out
     // per-tick iteration batches so every tick covers a known amount of
@@ -813,15 +735,11 @@ fn watch_main(args: &[String]) {
             }
         }
         if drill && tick == ticks / 2 {
-            // Seeded spike: far over any plausible compile budget, so
-            // the windowed p95 breaches on this tick and only this
-            // excursion.
-            let h = reg.histogram(ks_trace::names::COMPILE_TOTAL_US);
-            for _ in 0..8 {
-                h.record(60_000_000);
-            }
+            // One violation: over the rule's zero budget while it sits in
+            // the window, so exactly one breach, then one recovery.
+            reg.counter(ks_trace::names::PF_INTEGRITY_VIOLATIONS).inc();
         }
-        history.tick_at(reg, started.elapsed().as_millis() as u64);
+        history.tick(reg);
         let w = history.window(window);
         for label in ["p0", "p1"] {
             let iters = w.counter(&format!("gpu_pf.iterations{{pipeline={label}}}"));
@@ -845,24 +763,18 @@ fn watch_main(args: &[String]) {
                 ));
             }
         }
-        if let Some(dog) = &mut dog {
-            for event in dog.evaluate(&w) {
-                match &event {
-                    ks_trace::SloEvent::Breach(_) => {
-                        breaches += 1;
-                        breach_counter.inc();
-                    }
-                    ks_trace::SloEvent::Recover { .. } => {
-                        recoveries += 1;
-                        recover_counter.inc();
-                    }
-                    ks_trace::SloEvent::CounterBreach { .. } => {
-                        breaches += 1;
-                        breach_counter.inc();
-                    }
+        if let Some(event) = dog.evaluate(&w) {
+            match &event {
+                ks_trace::SloEvent::CounterBreach { .. } => {
+                    breaches += 1;
+                    breach_counter.inc();
                 }
-                println!("{event}");
+                ks_trace::SloEvent::Recover { .. } => {
+                    recoveries += 1;
+                    recover_counter.inc();
+                }
             }
+            println!("{event}");
         }
     }
     for (cmd, _, _) in &workers {
@@ -886,9 +798,7 @@ fn watch_main(args: &[String]) {
         p1.p95,
         if distinct { "ok" } else { "NOT-DISTINCT" }
     );
-    if dog.is_some() {
-        println!("watch: slo breaches={breaches} recoveries={recoveries}");
-    }
+    println!("watch: slo breaches={breaches} recoveries={recoveries}");
     if let Some(sink) = &sink {
         let drained = sink.drain().len() as u64;
         let dropped = sink.dropped();

@@ -20,20 +20,23 @@
 //!   publishes dynamic instructions / global bytes / divergent branches /
 //!   occupancy, ks-tune publishes evaluation counts, gpu-pf publishes
 //!   pipeline iterations. Canonical metric names live in [`names`].
-//! * **Exporters** ([`Exporter`], [`TextExporter`], [`JsonlExporter`],
-//!   [`CsvExporter`]) — render spans, metric snapshots, and profiles as
-//!   human-readable text, JSON-lines, or CSV.
 //! * **[`KernelProfile`]** — the joined report for one specialized
 //!   kernel: per-phase compile breakdown, cache counters, simulator
 //!   execution counters, analysis diagnostics, and the span tree;
-//!   surfaced by the `ks-prof` CLI (in ks-apps) and schema-validated via
-//!   [`validate_profile_jsonl`].
+//!   rendered as text, JSON-lines (schema-validated via
+//!   [`validate_profile_jsonl`]) or Prometheus exposition (checked by
+//!   [`validate_prometheus`]) and surfaced by the `ks-prof` CLI (in
+//!   ks-apps). [`spans_to_text`] and [`metrics_to_text`] render a span
+//!   list and a registry snapshot for humans.
 //! * **[`Subscriber`]** — the line-event sink interface the gpu-pf
-//!   `Logger` now routes through, so refresh logs, bench CSVs, and tuner
-//!   decisions are all fed by the same layer.
+//!   `Logger` routes through.
+//! * **Live telemetry** ([`History`], [`WindowView`], [`Watchdog`],
+//!   [`StreamSink`]) — rolling windows over the registry, the
+//!   edge-triggered SDC-rate SLO rule, and a bounded never-blocking JSONL
+//!   sink; driven by `ks-prof watch`.
 //!
 //! ```
-//! use ks_trace::{registry, span, Exporter, TextExporter};
+//! use ks_trace::{registry, span, spans_to_text};
 //!
 //! ks_trace::set_enabled(true);
 //! {
@@ -43,7 +46,7 @@
 //! }
 //! let spans = ks_trace::drain_spans();
 //! assert!(spans.iter().any(|s| s.name == "parse" && s.depth == 1));
-//! println!("{}", TextExporter.spans(&spans));
+//! println!("{}", spans_to_text(&spans));
 //! ks_trace::set_enabled(false);
 //! ```
 
@@ -54,27 +57,22 @@ mod profile;
 mod scope;
 mod span;
 mod subscriber;
-pub mod watchdog;
-pub mod window;
+mod watchdog;
+mod window;
 
-pub use export::{
-    validate_prometheus, ChromeTraceExporter, CsvExporter, ExportFormat, Exporter,
-    FlamegraphExporter, JsonlExporter, PrometheusExporter, TextExporter,
-};
+pub use export::{metrics_to_text, spans_to_text, validate_prometheus};
 pub use json::Json;
 pub use metrics::{
-    registry, Counter, Gauge, Histogram, HistogramCells, HistogramSnapshot, MetricsSnapshot,
-    Registry,
+    registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use profile::{validate_profile_jsonl, CompileProfile, KernelProfile};
-pub use scope::{parse_scoped_name, scoped_counter_sum, scoped_counters, scoped_name, Scope};
+pub use scope::{scoped_counter_sum, scoped_name, Scope};
 pub use span::{
-    complete_span, drain_spans, enabled, set_enabled, snapshot_spans, span, span_fields, SpanGuard,
-    SpanRecord,
+    complete_span, drain_spans, enabled, set_enabled, span, span_fields, SpanGuard, SpanRecord,
 };
 pub use subscriber::{StreamSink, Subscriber, WriterSink};
-pub use watchdog::{Baseline, CounterRule, SloBreach, SloEvent, SloRule, Watchdog};
-pub use window::{History, TickDelta, WindowSummary, WindowView};
+pub use watchdog::{CounterRule, SloEvent, Watchdog};
+pub use window::{History, WindowSummary, WindowView};
 
 /// Canonical metric names. Publishers and consumers meet here so
 /// `ks-prof`, `ks-bench --assert-warm` and tests all read the counters
@@ -207,7 +205,7 @@ pub mod names {
     }
     /// Typed SLO-breach events emitted by the [`crate::Watchdog`].
     pub const SLO_BREACHES: &str = "ks_trace.slo.breaches";
-    /// SLO recoveries (breached metric back under budget).
+    /// SLO recoveries (breached metric back within budget).
     pub const SLO_RECOVERIES: &str = "ks_trace.slo.recoveries";
     /// Lines dropped by bounded [`crate::StreamSink`]s (ring full; the
     /// hot path never blocks on a slow consumer).

@@ -96,7 +96,7 @@ impl Gauge {
         }
     }
 
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.bits.load(Ordering::Relaxed))
     }
 }
@@ -150,7 +150,7 @@ impl Histogram {
 
     /// Largest value mapping to `index` — the representative returned
     /// by quantile queries, so reported quantiles never understate.
-    pub fn bucket_value(index: usize) -> u64 {
+    pub(crate) fn bucket_value(index: usize) -> u64 {
         if index < SUBBUCKETS {
             return index as u64;
         }
@@ -192,7 +192,7 @@ impl Histogram {
         self.0.count.load(Ordering::Acquire)
     }
 
-    pub fn sum(&self) -> u64 {
+    fn sum(&self) -> u64 {
         self.0.sum.load(Ordering::Acquire)
     }
 
@@ -237,7 +237,7 @@ impl Histogram {
     /// Sparse copy of the non-empty buckets, the raw material for
     /// windowed (delta) quantiles in [`crate::window`]. Cell indices
     /// invert through [`Histogram::bucket_value`].
-    pub fn cells(&self) -> HistogramCells {
+    pub(crate) fn cells(&self) -> HistogramCells {
         let cells: Vec<(u32, u64)> = self
             .0
             .buckets
@@ -261,7 +261,7 @@ impl Histogram {
 /// Two of these subtract into an exact per-interval delta because
 /// bucket counts are monotone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistogramCells {
+pub(crate) struct HistogramCells {
     pub count: u64,
     pub sum: u64,
     pub cells: Vec<(u32, u64)>,
@@ -384,8 +384,8 @@ impl Registry {
     }
 
     /// Sparse bucket-level copy of every registered histogram — the
-    /// input [`crate::window::History::tick_at`] diffs per tick.
-    pub fn cells_snapshot(&self) -> BTreeMap<String, HistogramCells> {
+    /// input [`crate::History::tick`] diffs per tick.
+    pub(crate) fn cells_snapshot(&self) -> BTreeMap<String, HistogramCells> {
         let map = self.histograms.lock();
         read_cells_first(&map, Histogram::depth, Histogram::cells)
     }
@@ -435,7 +435,7 @@ fn read_cells_first<T, V>(
         .collect()
 }
 
-/// Point-in-time copy of the registry, ready for export or diffing.
+/// Point-in-time copy of the registry, ready for export.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -446,16 +446,6 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Per-counter increase from `earlier` to `self`. Counters are
-    /// monotonic, so saturating is only a guard against snapshot
-    /// misuse.
-    pub fn counters_since(&self, earlier: &MetricsSnapshot) -> BTreeMap<String, u64> {
-        self.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
-            .collect()
     }
 }
 
@@ -546,19 +536,6 @@ mod tests {
                 "q={q}: approx {approx} too far above exact {exact}"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_diffs_counters() {
-        let r = Registry::new();
-        r.counter("a").add(2);
-        let before = r.snapshot();
-        r.counter("a").add(3);
-        r.counter("b").inc();
-        let after = r.snapshot();
-        let delta = after.counters_since(&before);
-        assert_eq!(delta.get("a"), Some(&3));
-        assert_eq!(delta.get("b"), Some(&1));
     }
 
     #[test]

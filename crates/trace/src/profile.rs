@@ -67,7 +67,7 @@ impl KernelProfile {
     }
 
     /// Share of successful compile requests served without compiling.
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let [(_, hits), (_, misses), ..] = self.cache_rows();
         if hits + misses == 0 {
             0.0
@@ -91,7 +91,7 @@ impl KernelProfile {
     }
 
     /// Occupancy of the last launch, `0..=1`.
-    pub fn occupancy(&self) -> f64 {
+    pub(crate) fn occupancy(&self) -> f64 {
         self.metrics
             .gauges
             .get(names::SIM_OCCUPANCY)
@@ -175,7 +175,7 @@ impl KernelProfile {
     }
 }
 
-pub(crate) fn span_to_json(s: &SpanRecord) -> Json {
+fn span_to_json(s: &SpanRecord) -> Json {
     Json::obj(vec![
         ("type", Json::str("span")),
         ("id", Json::u64(s.id)),

@@ -60,7 +60,7 @@ pub fn scoped_name(base: &str, labels: &[(String, String)]) -> String {
 
 /// Split a (possibly scoped) metric name into its base and label pairs.
 /// Unlabeled names return an empty label list.
-pub fn parse_scoped_name(full: &str) -> (&str, Vec<(&str, &str)>) {
+fn parse_scoped_name(full: &str) -> (&str, Vec<(&str, &str)>) {
     let Some(open) = full.find('{') else {
         return (full, Vec::new());
     };
@@ -127,11 +127,6 @@ impl<'r> Scope<'r> {
         self.levels.last().map_or(&[], Vec::as_slice)
     }
 
-    /// The registry this scope publishes into.
-    pub fn registry(&self) -> &'r Registry {
-        self.registry
-    }
-
     /// Fetch-or-create the scoped counter `name{...}`, chained through
     /// every enclosing scope down to the global `name`.
     pub fn counter(&self, name: &str) -> Counter {
@@ -171,7 +166,7 @@ impl<'r> Scope<'r> {
 
 /// All labeled variants of `base` in a snapshot's counters, as
 /// `(labels, value)` rows.
-pub fn scoped_counters<'s>(
+fn scoped_counters<'s>(
     snapshot: &'s MetricsSnapshot,
     base: &str,
 ) -> Vec<(Vec<(&'s str, &'s str)>, u64)> {

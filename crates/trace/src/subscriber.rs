@@ -26,11 +26,6 @@ impl WriterSink {
             writer: Mutex::new(writer),
         }
     }
-
-    /// Sink to the process's stderr.
-    pub fn stderr() -> Self {
-        WriterSink::new(Box::new(std::io::stderr()))
-    }
 }
 
 impl Subscriber for WriterSink {
@@ -43,13 +38,11 @@ impl Subscriber for WriterSink {
 
 /// Bounded, never-blocking streaming JSONL sink.
 ///
-/// Producers [`offer`](StreamSink::offer) pre-rendered JSONL lines (or
-/// publish through [`Subscriber::line`], which wraps the text as a
-/// `{"type":"log",...}` object). When the ring is full the **newest
-/// offer is dropped** — the hot path never waits on a slow consumer —
-/// and the loss is self-accounted: a local drop counter plus the
-/// `ks_trace.sink.dropped` registry counter, so overflow is visible in
-/// the same exposition the sink feeds.
+/// Producers [`offer`](StreamSink::offer) pre-rendered JSONL lines. When
+/// the ring is full the **newest offer is dropped** — the hot path never
+/// waits on a slow consumer — and the loss is self-accounted: a local
+/// drop counter plus the `ks_trace.sink.dropped` registry counter, so
+/// overflow is visible in the same exposition the sink feeds.
 pub struct StreamSink {
     queue: Mutex<std::collections::VecDeque<String>>,
     cap: usize,
@@ -60,7 +53,7 @@ pub struct StreamSink {
 impl StreamSink {
     /// A sink retaining at most `cap` pending lines (`cap >= 1`),
     /// accounting drops into `registry`.
-    pub fn with_registry(cap: usize, registry: &crate::Registry) -> Self {
+    fn with_registry(cap: usize, registry: &crate::Registry) -> Self {
         StreamSink {
             queue: Mutex::new(std::collections::VecDeque::new()),
             cap: cap.max(1),
@@ -96,37 +89,9 @@ impl StreamSink {
         self.dropped.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Lines currently queued.
-    pub fn pending(&self) -> usize {
-        self.queue.lock().len()
-    }
-
     /// Take every pending line, oldest first.
     pub fn drain(&self) -> Vec<String> {
         self.queue.lock().drain(..).collect()
-    }
-
-    /// Flush pending lines (one per line, `\n`-terminated) to `w`;
-    /// returns how many were written.
-    pub fn drain_to(&self, w: &mut dyn Write) -> std::io::Result<usize> {
-        let lines = self.drain();
-        for line in &lines {
-            writeln!(w, "{line}")?;
-        }
-        w.flush()?;
-        Ok(lines.len())
-    }
-}
-
-impl Subscriber for StreamSink {
-    fn line(&self, text: &str) {
-        self.offer(
-            crate::Json::obj(vec![
-                ("type", crate::Json::str("log")),
-                ("line", crate::Json::str(text)),
-            ])
-            .render(),
-        );
     }
 }
 
@@ -166,7 +131,6 @@ mod tests {
         for i in 0..10 {
             sink.offer(format!("{{\"i\":{i}}}"));
         }
-        assert_eq!(sink.pending(), 4);
         assert_eq!(sink.dropped(), 6);
         assert_eq!(r.counter_value(crate::names::SINK_DROPPED), 6);
         // Oldest lines survive; each drained line is valid JSON.
@@ -178,23 +142,7 @@ mod tests {
         }
         // Draining frees capacity again.
         assert!(sink.offer("{}"));
-        let mut buf = Vec::new();
-        assert_eq!(sink.drain_to(&mut buf).unwrap(), 1);
-        assert_eq!(String::from_utf8(buf).unwrap(), "{}\n");
-    }
-
-    #[test]
-    fn stream_sink_subscriber_wraps_lines_as_json() {
-        let r = crate::Registry::new();
-        let sink = StreamSink::with_registry(8, &r);
-        Subscriber::line(&sink, "[gpu-pf] refresh");
-        let lines = sink.drain();
-        let doc = crate::Json::parse(&lines[0]).unwrap();
-        assert_eq!(doc.get("type").and_then(crate::Json::as_str), Some("log"));
-        assert_eq!(
-            doc.get("line").and_then(crate::Json::as_str),
-            Some("[gpu-pf] refresh")
-        );
+        assert_eq!(sink.drain(), vec!["{}".to_string()]);
     }
 
     #[test]
@@ -216,8 +164,9 @@ mod tests {
         }
         // Conservation: everything offered is either pending or counted
         // as dropped.
-        assert_eq!(sink.pending() as u64 + sink.dropped(), 800);
-        assert_eq!(sink.pending(), 16);
+        let pending = sink.drain().len();
+        assert_eq!(pending as u64 + sink.dropped(), 800);
+        assert_eq!(pending, 16);
     }
 
     #[test]

@@ -4,32 +4,27 @@
 //! wants "the last N ticks". [`History`] keeps a bounded ring of
 //! per-tick **deltas** — counter increases and sparse histogram bucket
 //! increases — and [`History::window`] merges the most recent N into a
-//! [`WindowView`] with rates and windowed p50/p95/p99.
+//! [`WindowView`] with windowed counts and quantiles.
 //!
-//! Ticks are driven by the caller with an explicit timestamp
-//! ([`History::tick_at`]), so tests replay a deterministic clock and
-//! production code passes elapsed milliseconds from any monotonic
-//! source. Nothing here reads the wall clock.
+//! Ticks are driven by the caller ([`History::tick`]); nothing here
+//! reads the clock.
 
-use crate::metrics::{Histogram, HistogramCells, Registry};
+use crate::metrics::{HistogramCells, Registry};
 use std::collections::BTreeMap;
 
 /// One tick's worth of metric deltas.
-#[derive(Debug, Clone, Default)]
-pub struct TickDelta {
+struct TickDelta {
     /// 1-based tick sequence number within this `History`.
-    pub seq: u64,
-    /// Caller-supplied timestamp (milliseconds on any monotonic axis).
-    pub at_ms: u64,
+    seq: u64,
     /// Counter increases since the previous tick (zero rows dropped).
-    pub counters: BTreeMap<String, u64>,
+    counters: BTreeMap<String, u64>,
     /// Histogram bucket/count/sum increases since the previous tick
     /// (histograms with no new samples dropped).
-    pub histograms: BTreeMap<String, HistogramCells>,
+    histograms: BTreeMap<String, HistogramCells>,
 }
 
-/// Bounded ring of [`TickDelta`]s plus the cumulative baselines needed
-/// to produce the next delta.
+/// Bounded ring of tick deltas plus the cumulative baselines needed to
+/// produce the next delta.
 pub struct History {
     cap: usize,
     ticks: std::collections::VecDeque<TickDelta>,
@@ -50,15 +45,10 @@ impl History {
         }
     }
 
-    /// Snapshot `registry`, record the delta against the previous tick
-    /// at caller-time `at_ms`, and rotate out the oldest tick past
-    /// capacity. Returns the new tick's sequence number.
-    pub fn tick_at(&mut self, registry: &Registry, at_ms: u64) -> u64 {
-        let counters_now: BTreeMap<String, u64> = registry
-            .snapshot()
-            .counters
-            .into_iter()
-            .collect::<BTreeMap<_, _>>();
+    /// Snapshot `registry`, record the delta against the previous tick,
+    /// and rotate out the oldest tick past capacity.
+    pub fn tick(&mut self, registry: &Registry) {
+        let counters_now = registry.snapshot().counters;
         let cells_now = registry.cells_snapshot();
 
         let mut counters = BTreeMap::new();
@@ -84,7 +74,6 @@ impl History {
         self.seq += 1;
         self.ticks.push_back(TickDelta {
             seq: self.seq,
-            at_ms,
             counters,
             histograms,
         });
@@ -93,34 +82,19 @@ impl History {
         }
         self.last_counters = counters_now;
         self.last_cells = cells_now;
-        self.seq
-    }
-
-    /// Number of ticks currently retained.
-    pub fn len(&self) -> usize {
-        self.ticks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
     }
 
     /// Merge the most recent `n` ticks (all of them if fewer) into one
     /// aggregated view.
     pub fn window(&self, n: usize) -> WindowView {
         let take = n.min(self.ticks.len());
-        let slice: Vec<&TickDelta> = self.ticks.iter().rev().take(take).collect();
         let mut view = WindowView {
             ticks: take,
-            ..WindowView::default()
+            last_seq: self.ticks.back().map_or(0, |t| t.seq),
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
         };
-        for (i, t) in slice.iter().enumerate() {
-            if i == 0 {
-                view.last_seq = t.seq;
-                view.until_ms = t.at_ms;
-            }
-            view.first_seq = t.seq;
-            view.from_ms = t.at_ms;
+        for t in self.ticks.iter().rev().take(take) {
             for (name, d) in &t.counters {
                 *view.counters.entry(name.clone()).or_insert(0) += d;
             }
@@ -162,18 +136,13 @@ fn merge_cells(acc: &mut HistogramCells, d: &HistogramCells) {
 }
 
 /// Aggregated deltas over the last N ticks of a [`History`].
-#[derive(Debug, Clone, Default)]
 pub struct WindowView {
     /// Ticks actually merged (≤ the requested window size).
     pub ticks: usize,
-    pub first_seq: u64,
-    pub last_seq: u64,
-    /// Timestamp of the oldest merged tick.
-    pub from_ms: u64,
-    /// Timestamp of the newest merged tick.
-    pub until_ms: u64,
-    pub counters: BTreeMap<String, u64>,
-    pub histograms: BTreeMap<String, HistogramCells>,
+    /// Sequence number of the newest merged tick.
+    pub(crate) last_seq: u64,
+    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, HistogramCells>,
 }
 
 impl WindowView {
@@ -182,28 +151,19 @@ impl WindowView {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Events per second for counter `name`, using the window's
-    /// timestamp span. `None` when the span is zero (a single tick).
-    pub fn rate(&self, name: &str) -> Option<f64> {
-        let span_ms = self.until_ms.saturating_sub(self.from_ms);
-        (span_ms > 0).then(|| self.counter(name) as f64 * 1000.0 / span_ms as f64)
-    }
-
     /// Windowed nearest-rank quantile of histogram `name` (`None` if it
     /// recorded nothing inside the window).
     pub fn quantile(&self, name: &str, q: f64) -> Option<u64> {
         self.histograms.get(name)?.quantile(q)
     }
 
-    /// Windowed p50/p95/p99 + count/sum summary of histogram `name`.
+    /// Windowed sample count, p50 and p95 of histogram `name`.
     pub fn summary(&self, name: &str) -> Option<WindowSummary> {
         let h = self.histograms.get(name)?;
         Some(WindowSummary {
             count: h.cells.iter().map(|&(_, n)| n).sum(),
-            sum: h.sum,
             p50: h.quantile(0.50).unwrap_or(0),
             p95: h.quantile(0.95).unwrap_or(0),
-            p99: h.quantile(0.99).unwrap_or(0),
         })
     }
 }
@@ -213,61 +173,40 @@ impl WindowView {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowSummary {
     pub count: u64,
-    pub sum: u64,
     pub p50: u64,
     pub p95: u64,
-    pub p99: u64,
-}
-
-impl WindowSummary {
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-/// The bucket representative a windowed quantile would report for an
-/// exact sample value — handy for tests comparing windowed answers to
-/// known inputs without re-deriving the bucket math.
-pub fn bucket_representative(v: u64) -> u64 {
-    Histogram::bucket_value(Histogram::bucket_index(v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Histogram;
 
     #[test]
     fn ticks_capture_deltas_not_cumulatives() {
         let r = Registry::new();
         let mut h = History::new(8);
         r.counter("c").add(5);
-        h.tick_at(&r, 1000);
+        h.tick(&r);
         r.counter("c").add(2);
-        h.tick_at(&r, 2000);
+        h.tick(&r);
         let w = h.window(1);
         assert_eq!(w.counter("c"), 2);
         let w2 = h.window(2);
         assert_eq!(w2.counter("c"), 7);
-        assert_eq!(w2.rate("c"), Some(7.0));
     }
 
     #[test]
     fn rotation_drops_oldest_ticks() {
         let r = Registry::new();
         let mut h = History::new(2);
-        for i in 0..5u64 {
+        for _ in 0..5 {
             r.counter("c").inc();
-            h.tick_at(&r, i * 10);
+            h.tick(&r);
         }
-        assert_eq!(h.len(), 2);
         let w = h.window(10);
         assert_eq!(w.ticks, 2);
         assert_eq!(w.counter("c"), 2);
-        assert_eq!(w.first_seq, 4);
         assert_eq!(w.last_seq, 5);
     }
 
@@ -279,23 +218,21 @@ mod tests {
         for _ in 0..100 {
             lat.record(10);
         }
-        h.tick_at(&r, 0);
+        h.tick(&r);
         for _ in 0..5 {
             lat.record(100_000);
         }
-        h.tick_at(&r, 1000);
+        h.tick(&r);
         // The cumulative p95 is still dominated by the 10s (5 spikes in
         // 105 samples sit above the p95 rank)...
         assert_eq!(lat.quantile(0.95), Some(10));
         // ...but the last tick saw only the spike.
         let w = h.window(1);
-        assert_eq!(
-            w.quantile("lat", 0.95),
-            Some(bucket_representative(100_000))
-        );
+        let spike = Histogram::bucket_value(Histogram::bucket_index(100_000));
+        assert_eq!(w.quantile("lat", 0.95), Some(spike));
         let s = w.summary("lat").unwrap();
         assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 500_000);
+        assert_eq!(s.p50, spike);
     }
 
     #[test]
@@ -303,12 +240,12 @@ mod tests {
         let r = Registry::new();
         let mut h = History::new(4);
         r.counter("c").inc();
-        h.tick_at(&r, 0);
-        h.tick_at(&r, 10); // nothing changed
+        h.tick(&r);
+        h.tick(&r); // nothing changed
         let w = h.window(1);
         assert!(w.counters.is_empty());
         assert!(w.histograms.is_empty());
         assert_eq!(w.quantile("absent", 0.5), None);
-        assert_eq!(w.rate("c"), None); // single tick: zero span
+        assert_eq!(w.summary("absent"), None);
     }
 }

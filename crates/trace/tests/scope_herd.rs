@@ -62,10 +62,8 @@ fn herd_publishes_roll_up_exactly_under_racing_snapshots() {
         let (r, stop) = (r.clone(), stop.clone());
         std::thread::spawn(move || {
             let mut h = History::new(4);
-            let mut at = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                at += 100;
-                h.tick_at(&r, at);
+                h.tick(&r);
                 let w = h.window(4);
                 // Windowed deltas are saturating: never negative, and a
                 // windowed quantile on a live histogram never panics.
@@ -137,6 +135,6 @@ fn herd_publishes_roll_up_exactly_under_racing_snapshots() {
     // A final full-history window over a fresh History sees exactly the
     // herd's publishes as one delta.
     let mut h = History::new(2);
-    h.tick_at(&r, 0);
+    h.tick(&r);
     assert_eq!(h.window(1).counter("herd.ops"), total);
 }

@@ -1,14 +1,13 @@
 //! Tracing and metrics walkthrough: compile and launch a small kernel
 //! with span tracing enabled, then render what ks-trace observed —
 //! the span tree (compile phases, per-pass optimization windows, the
-//! launch), the process-wide metrics registry, and the exporters the
-//! `ks-prof` binary builds on.
+//! launch) and the process-wide metrics registry, as the text renderers
+//! the `ks-prof` binary builds on print them.
 //!
 //! Run with: `cargo run --release --example trace_profile`
 
 use ks_core::{Compiler, Defines};
 use ks_sim::{launch, DeviceConfig, DeviceState, KArg, LaunchDims, LaunchOptions};
-use ks_trace::ExportFormat;
 
 const SAXPY: &str = r#"
 #ifndef N
@@ -54,11 +53,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     let spans = ks_trace::drain_spans();
-    let exporter = ExportFormat::Text.exporter();
     println!("── span tree ──");
-    print!("{}", exporter.spans(&spans));
+    print!("{}", ks_trace::spans_to_text(&spans));
     println!("\n── metrics registry ──");
-    print!("{}", exporter.metrics(&ks_trace::registry().snapshot()));
+    print!(
+        "{}",
+        ks_trace::metrics_to_text(&ks_trace::registry().snapshot())
+    );
     println!("\n(try `cargo run --bin ks-prof -- --kernel template_match --export jsonl`)");
     Ok(())
 }

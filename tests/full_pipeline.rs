@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the three applications end-to-end on
 //! both simulated devices, checked against their CPU references, plus a
-//! GPU-PF streaming pipeline with mid-stream re-specialization.
+//! GPU-PF streaming pipeline with mid-stream re-specialization, and the
+//! `ks-prof` CLI's exit status when its output cannot be written.
 
 use gpu_pf::{Arg, MacroBinding, Pipeline};
 use ks_apps::backproj::{self, BackprojImpl, BackprojProblem};
@@ -269,4 +270,26 @@ fn performance_shape_holds() {
         times.push(sk.run.sim_ms);
     }
     assert!(times[1] < times[0], "C2070 must outrun C1060");
+}
+
+/// `ks-prof --out` reports a failed write and exits non-zero instead of
+/// claiming it wrote the file (`/dev/full` fails every write).
+#[test]
+fn ks_prof_out_reports_write_errors() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ks-prof"))
+        .args([
+            "--kernel",
+            "template_match",
+            "--quick",
+            "--out",
+            "/dev/full",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "exit {:?}: {stderr}", out.status);
+    assert!(stderr.contains("cannot write /dev/full"), "{stderr}");
 }
