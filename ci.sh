@@ -39,11 +39,15 @@ done
 echo "== cargo test --release (cache concurrency stress)"
 cargo test --offline --release -q -p ks-core --test concurrency
 cargo test --offline --release -q -p ks-tune --test parallel_compile
-# The executor's row kernels against the scalar definition in
-# ks_ir::eval, every (op, type) lane by lane: the vectorised lane loops
-# the benchmark runs only exist at opt-level 3.
-echo "== cargo test --release (row kernels == ks_ir::eval)"
-cargo test --offline --release -q -p ks-sim --test rows_vs_eval
+# The executor the benchmark runs, at the opt-level it runs at: the
+# vectorised lane loops and the x86-64-v3 copy of the block executor
+# only exist there. Its row kernels against the scalar definition in
+# ks_ir::eval, every (op, type) lane by lane; the portable copy against
+# the x86-64-v3 one (the unit tests); the 55 golden launches; the timing
+# memo; and the worker grain.
+echo "== cargo test --release (the executor at opt-level 3)"
+cargo test --offline --release -q -p ks-sim --lib --test rows_vs_eval \
+    --test plan_equiv --test timing_memo --test worker_grain
 # The record checksum's word loop is only vectorised at opt-level 3:
 # its pinned vectors and exhaustive bit-flip test run on that build too.
 echo "== cargo test --release (ks-store record checksum)"

@@ -300,18 +300,20 @@ fn run(
         other => return Err(format!("unknown kernel {other:?}").into()),
     };
 
-    // Where the launches' host time went (stderr: host time is not part
-    // of the exported, reproducible profile).
+    // Where the launches' host time went, and on which copy of the block
+    // executor (stderr: host time is not part of the exported,
+    // reproducible profile).
     let host =
         |field: fn(&ks_sim::LaunchReport) -> f64| -> f64 { run.reports.iter().map(field).sum() };
     eprintln!(
         "ks-prof: launch host time: plan {:.0} us, timing sample {:.0} us, \
-         functional {:.0} us ({} launches, {} timing memo hits)",
+         functional {:.0} us ({} launches, {} timing memo hits, executor {})",
         host(|r| r.host_plan_us),
         host(|r| r.host_sample_us),
         host(|r| r.host_functional_us),
         run.reports.len(),
-        ks_trace::registry().counter_value(ks_trace::names::SIM_MEMO_HITS)
+        ks_trace::registry().counter_value(ks_trace::names::SIM_MEMO_HITS),
+        ks_sim::executor_isa()
     );
 
     let profile = KernelProfile {

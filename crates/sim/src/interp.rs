@@ -17,6 +17,11 @@
 //! flow, and every trap. Arithmetic runs over whole 32-lane rows with the
 //! op matched once per warp-instruction; inactive lanes are computed and
 //! not written back, so only ops that can trap look at lanes one by one.
+//!
+//! [`run_block`] compiles each of those twice more: once for the baseline
+//! target and, on x86-64, once for x86-64-v3 (AVX2, BMI1/2, FMA, LZCNT,
+//! MOVBE, POPCNT, F16C). Which copy runs is decided once per process from
+//! what the CPU reports ([`executor_isa`]); both compute the same bits.
 
 // Lockstep lane loops index fixed 32-wide arrays by lane id on purpose;
 // iterator adapters would obscure the SIMT structure.
@@ -361,9 +366,73 @@ impl Costs {
 /// Dynamic instructions one warp may execute between two barriers.
 const STEP_LIMIT: u64 = 2_000_000_000;
 
+/// Whether this CPU has every feature [`run_block_v3`] is compiled for.
+/// Asked once per process.
+#[cfg(target_arch = "x86_64")]
+fn has_v3() -> bool {
+    static HAS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *HAS.get_or_init(|| {
+        is_x86_feature_detected!("avx")
+            && is_x86_feature_detected!("avx2")
+            && is_x86_feature_detected!("bmi1")
+            && is_x86_feature_detected!("bmi2")
+            && is_x86_feature_detected!("fma")
+            && is_x86_feature_detected!("lzcnt")
+            && is_x86_feature_detected!("movbe")
+            && is_x86_feature_detected!("popcnt")
+            && is_x86_feature_detected!("f16c")
+    })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn has_v3() -> bool {
+    false
+}
+
+/// Which copy of the block executor this process runs: `"x86-64-v3"` on
+/// an x86-64 CPU with every feature of that level, `"portable"` on any
+/// other CPU.
+pub fn executor_isa() -> &'static str {
+    if has_v3() {
+        "x86-64-v3"
+    } else {
+        "portable"
+    }
+}
+
 /// Execute one thread block to completion on `scratch`. Returns the
 /// block's stats — all zero unless `TIMING`.
 pub(crate) fn run_block<const TIMING: bool>(
+    env: &LaunchEnv<'_>,
+    block_idx: (u32, u32, u32),
+    scratch: &mut BlockScratch,
+) -> Result<ExecStats, SimError> {
+    #[cfg(target_arch = "x86_64")]
+    if has_v3() {
+        // SAFETY: `has_v3()` saw the CPU report every feature that
+        // `run_block_v3` is compiled for.
+        return unsafe { run_block_v3::<TIMING>(env, block_idx, scratch) };
+    }
+    run_block_body::<TIMING>(env, block_idx, scratch)
+}
+
+/// [`run_block_body`] compiled for x86-64-v3. Features reach only
+/// code inlined into this function, hence the `#[inline(always)]` down
+/// the executor's call tree. Keep the list equal to [`has_v3`]'s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx,avx2,bmi1,bmi2,fma,lzcnt,movbe,popcnt,f16c")]
+fn run_block_v3<const TIMING: bool>(
+    env: &LaunchEnv<'_>,
+    block_idx: (u32, u32, u32),
+    scratch: &mut BlockScratch,
+) -> Result<ExecStats, SimError> {
+    run_block_body::<TIMING>(env, block_idx, scratch)
+}
+
+/// The block executor proper, inlined into both copies: the portable one
+/// in [`run_block`] and [`run_block_v3`].
+#[inline(always)]
+fn run_block_body<const TIMING: bool>(
     env: &LaunchEnv<'_>,
     block_idx: (u32, u32, u32),
     scratch: &mut BlockScratch,
@@ -456,6 +525,7 @@ pub(crate) fn run_block<const TIMING: bool>(
 /// Execute a warp until it finishes, parks at a barrier, or has issued
 /// `budget` instructions (terminators count, reconvergence pops do not).
 /// The event scheduler interleaves warps with a budget of one.
+#[inline(always)]
 pub(crate) fn run_warp<const TIMING: bool>(
     env: &LaunchEnv<'_>,
     block_idx: (u32, u32, u32),
@@ -690,6 +760,7 @@ fn sext_operand(v: u64) -> u64 {
     }
 }
 
+#[inline(always)]
 fn bin_rows(out: &mut Row, kind: BinKind, a: &Row, b: &Row, mask: u32) -> Result<(), SimError> {
     use BinKind::*;
     let u = |x: u64| x as u32;
@@ -749,6 +820,7 @@ fn bin_rows(out: &mut Row, kind: BinKind, a: &Row, b: &Row, mask: u32) -> Result
     Ok(())
 }
 
+#[inline(always)]
 fn un_rows(out: &mut Row, kind: UnKind, a: &Row) {
     let s = |x: u64| x as u32 as i32;
     match kind {
@@ -767,6 +839,7 @@ fn un_rows(out: &mut Row, kind: UnKind, a: &Row) {
     }
 }
 
+#[inline(always)]
 fn cmp_rows<T: PartialOrd>(out: &mut Row, cmp: CmpOp, a: &Row, b: &Row, conv: impl Fn(u64) -> T) {
     match cmp {
         CmpOp::Eq => map2(out, a, b, |x, y| u64::from(conv(x) == conv(y))),
@@ -778,6 +851,7 @@ fn cmp_rows<T: PartialOrd>(out: &mut Row, cmp: CmpOp, a: &Row, b: &Row, conv: im
     }
 }
 
+#[inline(always)]
 fn cvt_rows(out: &mut Row, kind: CvtKind, a: &Row) {
     match kind {
         CvtKind::SToF => map1(out, a, |x| of_f32((x as u32 as i32) as f32)),
@@ -816,6 +890,7 @@ fn write_row(dst: &mut Row, mask: u32, out: &Row) {
 
 /// Execute one non-control op for the lanes in `mask`.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn exec_op<const TIMING: bool>(
     env: &LaunchEnv<'_>,
     block_idx: (u32, u32, u32),
@@ -1246,3 +1321,6 @@ fn write_buf(buf: &mut [u8], addr: u64, v: u32, space: &'static str) -> Result<(
     buf[a..a + 4].copy_from_slice(&v.to_le_bytes());
     Ok(())
 }
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests;

@@ -170,7 +170,7 @@ impl DeviceState {
 }
 
 /// Serialize launch arguments into the kernel's param space layout.
-fn marshal_params(plan: &LaunchPlan, args: &[KArg]) -> Result<Vec<u8>, SimError> {
+pub(crate) fn marshal_params(plan: &LaunchPlan, args: &[KArg]) -> Result<Vec<u8>, SimError> {
     if args.len() != plan.params.len() {
         return Err(SimError(format!(
             "kernel {} expects {} arguments, got {}",

@@ -52,7 +52,7 @@ pub mod report;
 
 pub use device::{DeviceConfig, IssueClass, LatencyClass};
 pub use event::{run_sm_round, SmRound};
-pub use interp::{ExecStats, SimError};
+pub use interp::{executor_isa, ExecStats, SimError};
 pub use launch::{
     launch, launch_keyed, launch_planned, Bound, DeviceState, KArg, LaunchDims, LaunchOptions,
     LaunchReport,

@@ -5,9 +5,13 @@
 //! 6 comparisons, `cvt` and `mad`, each over all five types — is decoded
 //! into a one-instruction kernel and run on rows drawn from an edge table
 //! (every x against every y), with a full and a partial mask, through both
-//! instantiations of the executor (block 0 is the timed sample, block 1
-//! the functional run). A lane's 64-bit result must equal `eval`'s, the
-//! launch must trap exactly when `eval` says `None` for an active lane,
+//! `TIMING` instantiations of the executor (block 0 is the timed sample,
+//! block 1 the functional run). The executor's instantiations are
+//! `TIMING` × ISA: a launch runs the ISA copy the CPU dispatches to
+//! (x86-64-v3 where the CPU has it), and the unit tests in
+//! `src/interp/tests.rs` hold the portable copy to that one bit for bit,
+//! so both answer to `eval`. A lane's 64-bit result must equal `eval`'s,
+//! the launch must trap exactly when `eval` says `None` for an active lane,
 //! and inactive lanes — given a zero divisor on purpose — must neither
 //! trap nor be written. One freedom: which NaN a float operation on NaNs
 //! returns (x86 keeps the first operand's payload, and the compiler may
