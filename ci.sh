@@ -49,9 +49,12 @@ echo "== cargo test --release (the executor at opt-level 3)"
 cargo test --offline --release -q -p ks-sim --lib --test rows_vs_eval \
     --test plan_equiv --test timing_memo --test worker_grain
 # The record checksum's word loop is only vectorised at opt-level 3:
-# its pinned vectors and exhaustive bit-flip test run on that build too.
-echo "== cargo test --release (ks-store record checksum)"
+# its pinned vectors and exhaustive bit-flip test run on that build too,
+# and so do ks-core's store round trips (warm starts, corrupt and torn
+# records) over the encoder and the lazily decoded module section.
+echo "== cargo test --release (ks-store record checksum, ks-core store tier)"
 cargo test --offline --release -q -p ks-store
+cargo test --offline --release -q -p ks-core --test store
 
 # Profile one kernel end to end with the JSONL exporter; --selfcheck
 # validates the export schema (span nesting, phase sums vs the compile

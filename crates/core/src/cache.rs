@@ -560,7 +560,7 @@ mod tests {
 
     fn dummy_binary() -> Arc<Binary> {
         Arc::new(Binary {
-            module: ks_ir::Module::default(),
+            module: crate::LazyModule::decoded(ks_ir::Module::default()),
             ptx: String::new(),
             regalloc: HashMap::new(),
             defines: crate::Defines::new(),
@@ -570,7 +570,7 @@ mod tests {
             metrics: crate::CompileMetrics::default(),
             verification: Vec::new(),
             key: Fingerprint::from_u128(0),
-            plans: Vec::new(),
+            plans: std::sync::OnceLock::new(),
         })
     }
 

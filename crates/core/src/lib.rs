@@ -58,7 +58,7 @@ mod store;
 pub use background::{AsyncStats, CompileTicket};
 pub use ks_store::{Fingerprint, ScrubReport, StableHasher, StoreError};
 pub use metrics::CompileMetrics;
-pub use store::{BINARY_SCHEMA_VERSION, PASS_PIPELINE};
+pub use store::{LazyModule, BINARY_SCHEMA_VERSION, PASS_PIPELINE};
 
 /// Pre-resolved ks-trace registry handles for the compile pipeline.
 /// Counters and histograms are always on (atomic updates only); spans
@@ -215,7 +215,9 @@ impl Defines {
 /// A compiled kernel module: the analogue of a loaded `.cubin`.
 #[derive(Debug)]
 pub struct Binary {
-    pub module: ks_ir::Module,
+    /// The module IR; a binary loaded from the store decodes it on first
+    /// access (see [`LazyModule`]).
+    pub module: LazyModule,
     /// PTX-like listing (Appendices C/D style), for inspection.
     pub ptx: String,
     /// Per-kernel register allocation results.
@@ -239,14 +241,9 @@ pub struct Binary {
     /// under, set by the cache. Never stored: a record is filed under it.
     key: Fingerprint,
     /// Decoded launch plans, one slot per `module.functions` entry,
-    /// filled by [`Binary::plan`]. Derived from `module` + `regalloc`,
-    /// so never stored or compared.
-    plans: Vec<OnceLock<LaunchPlan>>,
-}
-
-/// Empty plan slots for a binary holding `module`.
-fn plan_slots(module: &ks_ir::Module) -> Vec<OnceLock<LaunchPlan>> {
-    module.functions.iter().map(|_| OnceLock::new()).collect()
+    /// allocated and filled by [`Binary::plan`]. Derived from `module` +
+    /// `regalloc`, so never stored or compared.
+    plans: OnceLock<Box<[OnceLock<LaunchPlan>]>>,
 }
 
 impl Binary {
@@ -266,21 +263,27 @@ impl Binary {
         self.defines.items().iter().all(|d| wanted.contains(d))
     }
 
-    /// The decode-once launch plan of `kernel` (`None` if the module has
-    /// no such kernel), built on the first call — a binary that is
-    /// resolved but never launched pays nothing. Launch through it with
-    /// [`ks_sim::launch_planned`] and `module.textures`.
-    pub fn plan(&self, kernel: &str) -> Option<&LaunchPlan> {
-        let (f, slot) = self
-            .module
-            .functions
-            .iter()
-            .zip(&self.plans)
-            .find(|(f, _)| f.name == kernel)?;
-        Some(slot.get_or_init(|| match self.regalloc.get(kernel) {
-            Some(regalloc) => LaunchPlan::new(f, regalloc),
-            None => LaunchPlan::from_function(f),
-        }))
+    /// The decode-once launch plan of `kernel`, built on the first call —
+    /// a binary that is resolved but never launched pays nothing, not even
+    /// for its module IR. `Ok(None)`: the module has no such kernel;
+    /// `Err`: the module section of a loaded record failed to decode.
+    /// Launch through it with [`ks_sim::launch_planned`] and
+    /// `module.textures`.
+    pub fn plan(&self, kernel: &str) -> Result<Option<&LaunchPlan>, &StoreError> {
+        let module = self.module.get()?;
+        let Some(i) = module.functions.iter().position(|f| f.name == kernel) else {
+            return Ok(None);
+        };
+        let slots = self
+            .plans
+            .get_or_init(|| module.functions.iter().map(|_| OnceLock::new()).collect());
+        let f = &module.functions[i];
+        Ok(Some(slots[i].get_or_init(
+            || match self.regalloc.get(kernel) {
+                Some(regalloc) => LaunchPlan::new(f, regalloc),
+                None => LaunchPlan::from_function(f),
+            },
+        )))
     }
 
     /// Physical registers per thread for a kernel.
@@ -1207,8 +1210,8 @@ impl Compiler {
             verification: vreport.findings,
             // Set by the caller, with the compile time.
             key: Fingerprint::from_u128(0),
-            plans: plan_slots(&module),
-            module,
+            plans: OnceLock::new(),
+            module: LazyModule::decoded(module),
         })
     }
 
@@ -1571,9 +1574,9 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "28b4fbcc422cc99fa1a017bfb66df53f".to_string(),
-                "a99e78ab9c0d2ee565578e2a0fb70217".to_string(),
-                "a30817871d2e5aadc9b962e62caf3ca5".to_string(),
+                "4db429751fb656f72ad10e86d25a085a".to_string(),
+                "c2fc7a3b7f1ac1f0e809692a4e23cd7e".to_string(),
+                "7b9e238c82f0c6b12e923ec06df022d0".to_string(),
             ]
         );
     }

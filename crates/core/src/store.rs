@@ -10,22 +10,93 @@
 //! store tier assert byte-identical reloads across process restarts.
 //!
 //! Decoding never panics on payload content: every structural problem
-//! is a typed [`StoreError`] that the cache counts as `store_errors`
-//! and degrades to a recompile.
+//! is a typed [`StoreError`]. On load it is one the cache counts as
+//! `store_errors` and degrades to a recompile. The module IR is one
+//! length-prefixed section that a load keeps encoded ([`LazyModule`]):
+//! a section that fails to decode on first access fails typed there.
 
 use crate::{Binary, CompileMetrics, Defines};
 use ks_sim::RegAlloc;
 use ks_store::{ByteReader, ByteWriter, Fingerprint, Store, StoreError};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Version of the `Binary` payload encoding below. Folded into both the
 /// record payload (checked on load) and the cache-key fingerprint (so a
 /// bump simply makes old records unreachable rather than unreadable
-/// errors).
-pub const BINARY_SCHEMA_VERSION: u32 = 1;
+/// errors). Version 2 writes the module IR as one length-prefixed
+/// section, which a load keeps encoded until first access.
+pub const BINARY_SCHEMA_VERSION: u32 = 2;
+
+/// A [`Binary`]'s module IR. A compile fills it directly; a disk hit
+/// keeps the record's encoded module section and decodes it once, on
+/// first access, through a `OnceLock` — so a binary that is resolved but
+/// never read (most of a restart's) pays nothing for its IR. Derefs to
+/// [`ks_ir::Module`]: `bin.module.functions` and `&bin.module` read as
+/// they would on a plain module.
+///
+/// The record checksum was verified when the section was loaded, so it
+/// fails to decode only if something other than this encoder wrote it (a
+/// forged record or a writer bug). Such a section derefs to an empty
+/// module; [`LazyModule::get`] and [`Binary::plan`] return its typed
+/// [`StoreError`].
+pub struct LazyModule {
+    /// The encoded section; empty for a compiled module.
+    section: Box<[u8]>,
+    decoded: OnceLock<Result<ks_ir::Module, StoreError>>,
+}
+
+/// What a module section that failed to decode derefs to.
+static EMPTY_MODULE: ks_ir::Module = ks_ir::Module {
+    functions: Vec::new(),
+    consts: Vec::new(),
+    textures: Vec::new(),
+};
+
+impl LazyModule {
+    /// A module that is already decoded (a fresh compile).
+    pub(crate) fn decoded(module: ks_ir::Module) -> LazyModule {
+        LazyModule {
+            section: Box::default(),
+            decoded: OnceLock::from(Ok(module)),
+        }
+    }
+
+    /// An encoded module section, decoded on first access.
+    fn encoded(section: &[u8]) -> LazyModule {
+        LazyModule {
+            section: section.into(),
+            decoded: OnceLock::new(),
+        }
+    }
+
+    /// The module, decoding the section on the first call; every caller
+    /// gets the same `&Module` (or the same error).
+    pub fn get(&self) -> Result<&ks_ir::Module, &StoreError> {
+        self.decoded
+            .get_or_init(|| decode_module(&self.section))
+            .as_ref()
+    }
+}
+
+impl std::ops::Deref for LazyModule {
+    type Target = ks_ir::Module;
+
+    fn deref(&self) -> &ks_ir::Module {
+        self.get().unwrap_or(&EMPTY_MODULE)
+    }
+}
+
+impl std::fmt::Debug for LazyModule {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.decoded.get() {
+            Some(decoded) => decoded.fmt(f),
+            None => write!(f, "<module section, {} bytes>", self.section.len()),
+        }
+    }
+}
 
 /// Canonical description of the fixed pass pipeline, folded into every
 /// cache-key fingerprint. The HIR stage list mirrors
@@ -408,7 +479,7 @@ fn severity_tag(s: ks_analysis::Severity) -> u8 {
 pub(crate) fn serialize_binary(bin: &Binary) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(BINARY_SCHEMA_VERSION);
-    put_module(&mut w, &bin.module);
+    w.section(|w| put_module(w, &bin.module));
     w.str(&bin.ptx);
     // Name-sorted for deterministic bytes (HashMap order is random).
     let mut names: Vec<&String> = bin.regalloc.keys().collect();
@@ -748,6 +819,14 @@ fn get_module(r: &mut ByteReader) -> Result<ks_ir::Module, StoreError> {
     })
 }
 
+/// Decode a module section written by [`serialize_binary`].
+fn decode_module(section: &[u8]) -> Result<ks_ir::Module, StoreError> {
+    let mut r = ByteReader::new(section);
+    let module = get_module(&mut r)?;
+    r.expect_end()?;
+    Ok(module)
+}
+
 #[inline]
 fn get_metrics(r: &mut ByteReader) -> Result<CompileMetrics, StoreError> {
     Ok(CompileMetrics {
@@ -784,7 +863,8 @@ fn intern_ksv_code(code: &str) -> Result<&'static str, StoreError> {
     Err(corrupt("verification code", code))
 }
 
-/// Decode a store payload back into a [`Binary`].
+/// Decode a store payload back into a [`Binary`]: everything but the
+/// module section, which stays encoded until first access.
 pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
     let mut r = ByteReader::new(payload);
     let schema = r.u32()?;
@@ -797,7 +877,7 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
             expected: BINARY_SCHEMA_VERSION,
         });
     }
-    let module = get_module(&mut r)?;
+    let module = LazyModule::encoded(r.bytes()?);
     let ptx = r.str()?;
     let regalloc: HashMap<String, RegAlloc> = get_seq(&mut r, |r| {
         Ok((
@@ -856,7 +936,7 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
     Ok(Binary {
         // The record is filed under the key; the loader sets it.
         key: Fingerprint::from_u128(0),
-        plans: crate::plan_slots(&module),
+        plans: OnceLock::new(),
         module,
         ptx,
         regalloc,
@@ -890,7 +970,7 @@ mod tests {
     "#;
 
     fn assert_binaries_equal(a: &Binary, b: &Binary) {
-        assert_eq!(a.module, b.module);
+        assert_eq!(*a.module, *b.module);
         assert_eq!(a.ptx, b.ptx);
         assert_eq!(a.regalloc.len(), b.regalloc.len());
         for (k, ra) in &a.regalloc {
@@ -949,6 +1029,26 @@ mod tests {
         assert_binaries_equal(&bin, &back);
     }
 
+    /// The module section of a serialized payload (it follows the
+    /// schema stamp).
+    fn module_section(payload: &[u8]) -> &[u8] {
+        ByteReader::new(&payload[4..]).bytes().unwrap()
+    }
+
+    /// Read a binary's module the ways a caller can: deref, `get`, the
+    /// per-kernel accessors and, when the section fails to decode,
+    /// `plan`. Nothing may panic. (A section that decodes is well-formed
+    /// but need not be valid IR, which the decoder does not check: its
+    /// plan is not built here.)
+    fn read_module(bin: &Binary) {
+        if bin.module.get().is_err() {
+            assert!(bin.plan("k").is_err());
+            assert!(bin.module.functions.is_empty());
+        }
+        let _ = (bin.static_insts("k"), bin.shared_bytes("k"));
+        let _ = (bin.local_bytes("k"), bin.module.textures.len());
+    }
+
     #[test]
     fn truncated_payload_is_a_typed_error() {
         let c = Compiler::new(DeviceConfig::tesla_c1060());
@@ -960,12 +1060,25 @@ mod tests {
                 other => panic!("cut at {cut}: expected typed error, got {other:?}"),
             }
         }
+        // The cuts above end inside the module section's declared length,
+        // so none reaches its decoder, which runs on first access: cut the
+        // section itself at every byte.
+        let section = module_section(&bytes);
+        for cut in 0..section.len() {
+            let module = LazyModule::encoded(&section[..cut]);
+            match module.get() {
+                Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
+                other => panic!("section cut at {cut}: expected typed error, got {other:?}"),
+            }
+            assert!(module.functions.is_empty(), "section cut at {cut}");
+        }
         // An absurd instruction count fails as `Truncated`, never
         // allocating for it first. Locate the first block's count by
         // writing the fields before it.
         let f = &bin.module.functions[0];
         let mut w = ByteWriter::new();
         w.u32(BINARY_SCHEMA_VERSION);
+        w.u64(section.len() as u64);
         w.usize(bin.module.functions.len());
         w.str(&f.name);
         w.usize(f.params.len());
@@ -980,8 +1093,11 @@ mod tests {
         let count = &mut bytes[at..at + 8];
         assert_eq!(*count, (f.blocks[0].insts.len() as u64).to_le_bytes());
         count.copy_from_slice(&u64::MAX.to_le_bytes());
-        let got = deserialize_binary(&bytes);
+        let back = deserialize_binary(&bytes).expect("the section is opaque to the load");
+        let got = back.module.get();
         assert!(matches!(got, Err(StoreError::Truncated { .. })), "{got:?}");
+        assert!(matches!(back.plan("k"), Err(StoreError::Truncated { .. })));
+        read_module(&back);
     }
 
     #[test]
@@ -1020,7 +1136,59 @@ mod tests {
             // Must never panic; any Err (or even an Ok whose content
             // differs) is acceptable — the record checksum catches
             // content drift at the store layer above.
-            let _ = deserialize_binary(&evil);
+            if let Ok(back) = deserialize_binary(&evil) {
+                read_module(&back);
+            }
         }
+        // The module section is opaque to the load, so flip each of its
+        // bytes on its own and decode it: every tag, count and operand
+        // reaches the decoder on first access. 0xff is no tag of any enum.
+        let section = module_section(&bytes);
+        let mut corrupt = 0;
+        for pos in 0..section.len() {
+            for flip in [section[pos].wrapping_add(0x40), 0xff] {
+                let mut evil = section.to_vec();
+                evil[pos] = flip;
+                let module = LazyModule::encoded(&evil);
+                corrupt += usize::from(module.get().is_err());
+                let _ = module.functions.len();
+            }
+        }
+        assert!(corrupt > 0, "no flip of the section was caught");
+    }
+
+    #[test]
+    fn a_disk_hit_leaves_the_module_undecoded_until_read() {
+        let dir = std::env::temp_dir().join(format!("ks-core-lazy-module-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = Defines::new().def("LOOP_COUNT", 4);
+        let cold = Compiler::new(DeviceConfig::tesla_c1060())
+            .with_store(&dir)
+            .unwrap();
+        let compiled = cold.compile(KERNEL, &d).unwrap();
+        assert!(
+            compiled.module.decoded.get().is_some(),
+            "a compile holds its IR"
+        );
+        let warm = Compiler::new(DeviceConfig::tesla_c1060())
+            .with_store(&dir)
+            .unwrap();
+        let bin = warm.compile(KERNEL, &d).unwrap();
+        assert_eq!(warm.cache_stats().disk_hits, 1);
+        // Everything but the IR is decoded on load.
+        assert_eq!(bin.ptx, compiled.ptx);
+        assert_eq!(bin.regs_per_thread("k"), compiled.regs_per_thread("k"));
+        assert!(bin.module.decoded.get().is_none(), "{:?}", bin.module);
+        assert!(bin.plans.get().is_none());
+        // A memory hit of the same binary decodes nothing either.
+        let again = warm.compile(KERNEL, &d).unwrap();
+        assert!(Arc::ptr_eq(&bin, &again) && again.module.decoded.get().is_none());
+        // The first read decodes it, once, to the compiled module.
+        assert!(bin.plan("k").unwrap().is_some());
+        assert!(matches!(bin.plan("absent"), Ok(None)), "no such kernel");
+        assert!(bin.module.decoded.get().is_some());
+        assert_eq!(*bin.module, *compiled.module);
+        assert!(std::ptr::eq(&*bin.module, bin.module.get().unwrap()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

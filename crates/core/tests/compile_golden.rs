@@ -13,10 +13,16 @@
 //! The variants are `ks-ledger`'s 64-point `churn` grid
 //! (`benchmark/src/grid.rs`) on both devices, plus the generic (RE)
 //! build of the three app sources.
+//!
+//! Every plain build also goes through the store and back: a fresh
+//! compiler on the same directory serves it from disk, and its module —
+//! decoded on first access — must equal the compiled one, kernel by
+//! kernel, with a plan for each.
 
-use ks_core::{AnalysisConfig, Compiler, Defines, StableHasher, ValidationConfig};
+use ks_core::{AnalysisConfig, Binary, Compiler, Defines, StableHasher, ValidationConfig};
 use ks_sim::DeviceConfig;
 use std::fmt::Write;
+use std::path::Path;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -120,10 +126,41 @@ fn opt_stats(device: &DeviceConfig, source: &str, defines: &Defines) -> String {
     out
 }
 
-fn line(device: &DeviceConfig, app: &str, source: &str, defines: &Defines) -> String {
+/// Serialize → deserialize → first access gives back `compiled`'s module.
+fn assert_reloads(device: &DeviceConfig, store: &Path, compiled: &Binary, source: &str) {
+    let warm = Compiler::new(device.clone()).with_store(store).unwrap();
+    let loaded = warm.compile(source, &compiled.defines).expect("disk hit");
+    let what = format!("{} {}", device.name, compiled.defines.command_line());
+    assert_eq!(warm.cache_stats().disk_hits, 1, "{what}: served from disk");
+    assert_eq!(*loaded.module, *compiled.module, "{what}: module");
+    for f in &compiled.module.functions {
+        let k = f.name.as_str();
+        assert_eq!(
+            (
+                loaded.regs_per_thread(k),
+                loaded.static_insts(k),
+                loaded.shared_bytes(k),
+                loaded.local_bytes(k)
+            ),
+            (
+                compiled.regs_per_thread(k),
+                compiled.static_insts(k),
+                compiled.shared_bytes(k),
+                compiled.local_bytes(k)
+            ),
+            "{what}: kernel {k}"
+        );
+        assert!(matches!(loaded.plan(k), Ok(Some(_))), "{what}: plan of {k}");
+    }
+}
+
+fn line(device: &DeviceConfig, store: &Path, app: &str, source: &str, defines: &Defines) -> String {
     let plain = Compiler::new(device.clone())
+        .with_store(store)
+        .unwrap()
         .compile(source, defines)
         .expect("plain compile");
+    assert_reloads(device, store, &plain, source);
     let reg = ks_trace::registry();
     let checks_before = reg.counter_value(ks_trace::names::VERIFY_CHECKS);
     let checked = Compiler::new(device.clone())
@@ -161,15 +198,19 @@ fn line(device: &DeviceConfig, app: &str, source: &str, defines: &Defines) -> St
 }
 
 fn render() -> String {
+    let store = std::env::temp_dir().join(format!("ks-core-golden-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
     let mut out = String::new();
     for device in [DeviceConfig::tesla_c1060(), DeviceConfig::tesla_c2070()] {
         for (app, source, defines) in grid() {
-            writeln!(out, "{}", line(&device, app, source, &defines)).unwrap();
+            writeln!(out, "{}", line(&device, &store, app, source, &defines)).unwrap();
         }
         for (app, source) in [("tm", TEMPLATE_MATCH), ("piv", PIV), ("bp", BACKPROJ)] {
-            writeln!(out, "{}", line(&device, app, source, &Defines::new())).unwrap();
+            let generic = line(&device, &store, app, source, &Defines::new());
+            writeln!(out, "{generic}").unwrap();
         }
     }
+    let _ = std::fs::remove_dir_all(&store);
     out
 }
 

@@ -198,3 +198,51 @@ fn stats_snapshot_is_default_before_any_compile() {
     assert_eq!(compiler.cache_stats(), CacheStats::default());
     assert_eq!(compiler.cache_len(), 0);
 }
+
+/// A disk hit decodes its module IR on first access, through a
+/// `OnceLock`: threads racing the first deref or `plan()` of one freshly
+/// loaded binary all see one decoded module, at one address.
+#[test]
+fn racing_first_reads_of_a_loaded_module_share_one_decode() {
+    const THREADS: usize = 8;
+    let dir = std::env::temp_dir().join(format!("ks-core-lazy-race-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_compiler = || {
+        Compiler::new(DeviceConfig::tesla_c1060())
+            .with_store(&dir)
+            .unwrap()
+    };
+    let compiled = store_compiler().compile(KERNEL, defines(16)).unwrap();
+    for round in 0..4 {
+        let warm = store_compiler();
+        let bin = warm.compile(KERNEL, defines(16)).unwrap();
+        assert_eq!(warm.cache_stats().disk_hits, 1, "round {round}");
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (bin, b) = (bin.clone(), barrier.clone());
+                std::thread::spawn(move || {
+                    b.wait();
+                    // Half the threads deref first, half go through plan().
+                    if t % 2 == 1 {
+                        assert!(bin.plan("stress").unwrap().is_some());
+                    }
+                    let module: &ks_ir::Module = &bin.module;
+                    let plan = bin.plan("stress").unwrap().unwrap();
+                    (
+                        module as *const ks_ir::Module as usize,
+                        plan as *const ks_sim::LaunchPlan as usize,
+                    )
+                })
+            })
+            .collect();
+        let seen: Vec<(usize, usize)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let module = bin.module.get().unwrap() as *const ks_ir::Module as usize;
+        assert!(
+            seen.iter().all(|&s| s == (module, seen[0].1)),
+            "round {round}: one decode, one plan: {seen:?}"
+        );
+        assert_eq!(*bin.module, *compiled.module);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

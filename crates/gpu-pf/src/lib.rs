@@ -1405,10 +1405,23 @@ impl Pipeline {
     /// `reports`/`timings` — the caller decides which launch represents
     /// the action.
     fn launch_with_retry(&mut self, l: &Launch) -> Result<LaunchReport, PfError> {
-        // Decoded once per binary, on its first launch.
-        let plan = l.bin.plan(l.kernel).ok_or_else(|| {
-            PfError::Sim(SimError(format!("kernel {} not found in module", l.kernel)))
-        })?;
+        // Decoded once per binary, on its first launch. A loaded record
+        // whose module section does not decode fails here, typed.
+        let plan = match l.bin.plan(l.kernel) {
+            Ok(Some(plan)) => plan,
+            Ok(None) => {
+                return Err(PfError::Sim(SimError(format!(
+                    "kernel {} not found in module",
+                    l.kernel
+                ))))
+            }
+            Err(e) => {
+                return Err(PfError::Launch(format!(
+                    "kernel {}: module of binary {} failed to decode: {e}",
+                    l.kernel, l.bound.fingerprint
+                )))
+            }
+        };
         let mut attempt = 0u32;
         loop {
             let launched = launch_planned(

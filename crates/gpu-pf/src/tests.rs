@@ -1379,3 +1379,73 @@ fn labeled_pipeline_scopes_metrics_and_records_dwell() {
         .snapshot();
     assert_eq!(per_module.count, 1);
 }
+
+/// Offset, in a record file of `SCALE_SRC`, of its first instruction's
+/// tag: past the header, the schema stamp and the module section's
+/// length, then the module encoding up to the first block's count.
+fn first_inst_tag(record: &[u8]) -> usize {
+    let mut r = ks_store::ByteReader::new(&record[ks_store::HEADER_LEN..]);
+    r.u32().unwrap();
+    r.u64().unwrap();
+    assert_eq!(r.usize().unwrap(), 1, "one function");
+    r.str().unwrap();
+    for _ in 0..r.usize().unwrap() {
+        r.str().unwrap();
+        // A pointer type (tag 4) carries its space.
+        if r.u8().unwrap() == 4 {
+            r.u8().unwrap();
+        }
+        r.u32().unwrap();
+    }
+    r.usize().unwrap();
+    r.u32().unwrap();
+    assert!(r.usize().unwrap() > 0, "the entry block has instructions");
+    record.len() - r.remaining()
+}
+
+/// A record that passes its checksum although its module section was not
+/// written by this encoder (a forged file, a writer bug): attach, scrub
+/// and the disk hit all succeed, nothing panics reading the module, and
+/// the launch fails with a typed error carrying the decode failure.
+#[test]
+fn a_resealed_record_with_a_corrupt_module_fails_its_launch_typed() {
+    let dir = std::env::temp_dir().join(format!("gpu-pf-forged-module-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let defines = Defines::new().def("FACTOR", 3);
+    let cold = Compiler::new(DeviceConfig::tesla_c1060())
+        .with_store(&dir)
+        .unwrap();
+    cold.compile(SCALE_SRC, &defines).unwrap();
+    let hex = cold.cache_key(SCALE_SRC, &defines).to_hex();
+    let path = dir
+        .join(&hex[..2])
+        .join(format!("{hex}.{}", ks_store::RECORD_EXT));
+    let mut record = std::fs::read(&path).unwrap();
+    let at = first_inst_tag(&record);
+    record[at] = 0xee;
+    // Re-seal: the payload checksum is the header's last eight bytes.
+    let sum = ks_store::checksum(&record[ks_store::HEADER_LEN..]);
+    record[ks_store::HEADER_LEN - 8..ks_store::HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &record).unwrap();
+
+    let (c, report) = Compiler::new(DeviceConfig::tesla_c1060())
+        .with_store_scrubbed(&dir)
+        .unwrap();
+    assert_eq!((report.scanned, report.valid), (1, 1), "{report}");
+    let bin = c.compile(SCALE_SRC, &defines).unwrap();
+    let s = c.cache_stats();
+    assert_eq!((s.disk_hits, s.misses, s.store_errors), (1, 0, 0), "{s}");
+    assert!(bin.module.functions.is_empty(), "derefs to an empty module");
+    assert_eq!(bin.static_insts("scale"), 0);
+    let err = bin.module.get().unwrap_err().to_string();
+    assert!(err.contains("instruction tag"), "{err}");
+    assert!(bin.plan("scale").is_err(), "corrupt, not a missing kernel");
+
+    let (mut p, _, _, _) = scale_pipeline(Arc::new(c));
+    p.refresh().unwrap();
+    match p.run(1) {
+        Err(PfError::Launch(msg)) => assert!(msg.contains("instruction tag"), "{msg}"),
+        other => panic!("expected a typed launch error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -85,6 +85,17 @@ impl ByteWriter {
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+
+    /// A length-prefixed section whose body `write` appends in place:
+    /// the same bytes as [`ByteWriter::bytes`] over what `write` wrote,
+    /// without a second buffer. [`ByteReader::bytes`] reads it back.
+    pub fn section(&mut self, write: impl FnOnce(&mut ByteWriter)) {
+        let at = self.buf.len();
+        self.u64(0);
+        write(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
 }
 
 /// Cursor-based reader over a payload slice.
@@ -253,6 +264,30 @@ mod tests {
         assert!(r.f32_bits().unwrap().is_nan());
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.bytes().unwrap(), b"\x00\x01\x02");
+        r.expect_end().unwrap();
+    }
+
+    #[test]
+    fn a_section_is_a_length_prefixed_byte_slice() {
+        let mut w = ByteWriter::new();
+        w.u8(9);
+        w.section(|w| {
+            w.u32(0xDEAD_BEEF);
+            w.str("body");
+        });
+        w.u8(7);
+        let mut body = ByteWriter::new();
+        body.u32(0xDEAD_BEEF);
+        body.str("body");
+        let mut want = ByteWriter::new();
+        want.u8(9);
+        want.bytes(body.as_slice());
+        want.u8(7);
+        assert_eq!(w.as_slice(), want.as_slice());
+        let mut r = ByteReader::new(w.as_slice());
+        r.u8().unwrap();
+        assert_eq!(r.bytes().unwrap(), body.as_slice());
+        assert_eq!(r.u8().unwrap(), 7);
         r.expect_end().unwrap();
     }
 

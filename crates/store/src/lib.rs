@@ -139,6 +139,34 @@ pub struct Store {
 /// Process-unique suffix counter for temp files (rename targets).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// A record's temp file, removed on drop unless [`TempFile::commit`]
+/// renamed it into place: a failed write, sync or rename (a recurring
+/// ENOSPC, say) leaves no `.tmp-*` file behind for nothing to collect.
+struct TempFile(Option<PathBuf>);
+
+impl TempFile {
+    fn path(&self) -> &Path {
+        self.0
+            .as_deref()
+            .expect("a temp file is live until committed")
+    }
+
+    /// Rename the temp file to `to`; on failure it is removed on drop.
+    fn commit(mut self, to: &Path) -> std::io::Result<()> {
+        fs::rename(self.path(), to)?;
+        self.0 = None;
+        Ok(())
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        if let Some(path) = &self.0 {
+            let _ = fs::remove_file(path);
+        }
+    }
+}
+
 impl Store {
     /// Open (creating if needed) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> Result<Store, StoreError> {
@@ -193,11 +221,11 @@ impl Store {
         }
         let dir = path.parent().expect("record path always has a parent");
         fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!(
+        let tmp = TempFile(Some(dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        ))));
         let mut w = ByteWriter::new();
         w.bytes_raw(&MAGIC);
         w.u32(FORMAT_VERSION);
@@ -205,7 +233,7 @@ impl Store {
         w.u64(payload.len() as u64);
         w.u64(checksum(payload));
         {
-            let mut f = fs::File::create(&tmp)?;
+            let mut f = fs::File::create(tmp.path())?;
             f.write_all(w.as_slice())?;
             f.write_all(payload)?;
             f.sync_all()?;
@@ -213,7 +241,7 @@ impl Store {
         // Atomic publish; on the rare race where two writers both got
         // past the exists() check, last rename wins and both files are
         // complete and identical in content-addressed terms.
-        fs::rename(&tmp, &path)?;
+        tmp.commit(&path)?;
         Ok(true)
     }
 
@@ -650,6 +678,31 @@ mod tests {
         assert_eq!(report.quarantined.len(), 2);
         let display = report.to_string();
         assert!(display.starts_with("scrub: scanned 2 records, 0 valid, 2 quarantined"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn temp_file_is_removed_unless_committed() {
+        let dir = tmpdir("tempfile");
+        fs::create_dir_all(&dir).unwrap();
+        let tmp = |name: &str| {
+            let path = dir.join(name);
+            fs::write(&path, b"partial record").unwrap();
+            TempFile(Some(path))
+        };
+        // Dropped on an error path: gone.
+        drop(tmp(".tmp-dropped"));
+        assert!(!dir.join(".tmp-dropped").exists());
+        // A rename that fails (no such target directory): gone too.
+        let target = dir.join("absent").join("record.ksb");
+        assert!(tmp(".tmp-failed").commit(&target).is_err());
+        assert!(!dir.join(".tmp-failed").exists());
+        // Committed: the record is in place, the temp name is not.
+        let target = dir.join("record.ksb");
+        tmp(".tmp-committed").commit(&target).unwrap();
+        assert_eq!(fs::read(&target).unwrap(), b"partial record");
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(names.len(), 1, "only the committed record is left");
         let _ = fs::remove_dir_all(&dir);
     }
 

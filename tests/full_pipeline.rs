@@ -145,7 +145,7 @@ fn every_shipped_kernel_times_independently_of_data() {
         for (source, defines) in builds {
             let bin = compiler.compile(source, &defines).expect("compile");
             for f in &bin.module.functions {
-                let plan = bin.plan(&f.name).expect("plan");
+                let plan = bin.plan(&f.name).expect("decoded").expect("plan");
                 assert!(
                     plan.timing_is_data_independent(),
                     "{variant} {} [{}]",
