@@ -1,9 +1,10 @@
 //! Block-wide abstract SIMT execution.
 //!
-//! The executor runs one thread block the same way `ks_sim::interp` does —
-//! lockstep warps, post-dominator reconvergence stacks, round-robin
-//! scheduling between barriers — but walking `ks_ir::Inst` directly, over
-//! an abstract value domain:
+//! One thread block runs through `ks_sim::simt`, the control core the
+//! simulator's executor runs on: the same decoded [`LaunchPlan`], the same
+//! lockstep warps, reconvergence stack and round-robin scheduling between
+//! barriers. What this module supplies is the lanes, over an abstract
+//! value domain:
 //!
 //! * `Con(bits)` — a concrete 64-bit register value. What an operation
 //!   computes on one is not defined here: it is [`ks_ir::eval`], the
@@ -21,18 +22,18 @@
 //! branch predicate is `Unk` for an active lane the executor stops and
 //! reports *why* — the analyzability side of the RE-vs-SK contrast: the
 //! same kernel compiled run-time-evaluated is unanalyzable precisely
-//! because the values specialization would bake in are missing.
+//! because the values specialization would bake in are missing. Findings
+//! point at `(block, instruction)` sites, mapped from plan pcs.
 
 use crate::bounds::{BoundsChecker, BoundsFinding};
 use crate::diag::{AnalysisConfig, MemPrediction, ParamValue};
 use crate::memlint::{AccessKind, MemFinding, MemLint};
-use crate::race::{RaceFinding, RaceTracker, Site};
-use ks_ir::cfg::{ipdoms, Cfg};
-use ks_ir::{
-    eval, Address, BinOp, BlockId, CmpOp, Function, Inst, Module, Operand, Space, SpecialReg,
-    Terminator, Ty,
-};
+use crate::race::{RaceFinding, RaceLog, Site};
+use ks_ir::{eval, BinOp, CmpOp, Function, Module, Space, SpecialReg, Ty};
 use ks_sim::device::DeviceConfig;
+use ks_sim::plan::{CvtKind, Kind, LaunchPlan, Op, NONE};
+use ks_sim::racecheck::{RaceHazard, ShmemTracker};
+use ks_sim::simt::{self, Domain, Warp};
 use std::collections::HashMap;
 
 /// Abstract register value.
@@ -64,50 +65,10 @@ pub struct ExecOutcome {
     pub proven_bounds: u64,
 }
 
-struct Frame {
-    block: BlockId,
-    inst: usize,
-    reconv: Option<BlockId>,
-    mask: u32,
-}
-
-struct AWarp {
+/// One warp's abstract registers, `regs[reg * 32 + lane]`.
+struct Lanes {
     base_tid: u32,
     regs: Vec<Val>,
-    stack: Vec<Frame>,
-    done: bool,
-    at_barrier: bool,
-}
-
-impl AWarp {
-    fn new(base_tid: u32, lanes: u32, nv: usize) -> AWarp {
-        let full_mask = if lanes == 32 {
-            u32::MAX
-        } else {
-            (1u32 << lanes) - 1
-        };
-        AWarp {
-            base_tid,
-            regs: vec![Val::Unk; nv * 32],
-            stack: vec![Frame {
-                block: BlockId(0),
-                inst: 0,
-                reconv: None,
-                mask: full_mask,
-            }],
-            done: false,
-            at_barrier: false,
-        }
-    }
-
-    fn warp_id(&self) -> u32 {
-        self.base_tid / 32
-    }
-}
-
-enum WStop {
-    Barrier,
-    Done,
 }
 
 /// Why execution of the whole block stopped early.
@@ -117,27 +78,27 @@ enum Abort {
     Inconclusive(String),
 }
 
+/// The abstract domain over one block.
 struct Exec<'a> {
     f: &'a Function,
+    plan: &'a LaunchPlan,
     cfg: &'a AnalysisConfig,
     block_dim: (u32, u32, u32),
-    pdom: Vec<Option<BlockId>>,
-    /// Parameter values by parameter index.
-    param_vals: Vec<Val>,
-    /// Param-space byte offset → parameter index.
-    param_by_offset: HashMap<u32, usize>,
+    /// Parameter values by param-space byte offset.
+    params: HashMap<u32, Val>,
     /// Synthetic device base per symbol, spaced far apart and 256-aligned
     /// like real allocations, so relative alignment (all that coalescing
     /// depends on) matches a real launch.
     sym_bases: HashMap<u32, u64>,
     next_sym_base: u64,
-    race: RaceTracker,
+    shmem: ShmemTracker,
+    races: RaceLog,
     bounds: BoundsChecker,
     mem: MemLint,
     divergent_barriers: Vec<(Option<Site>, String)>,
     notes: Vec<String>,
-    steps: u64,
-    intervals: u64,
+    /// Barriers released.
+    releases: u64,
 }
 
 /// Run the abstract executor over `f` with the launch geometry in `cfg`.
@@ -164,13 +125,8 @@ pub fn exec_function(
         return out;
     }
 
-    let cfg_cfg = Cfg::build(f);
-    let pdom = ipdoms(f, &cfg_cfg);
-
-    let mut param_vals = Vec::with_capacity(f.params.len());
-    let mut param_by_offset = HashMap::new();
+    let mut params = HashMap::new();
     for (i, p) in f.params.iter().enumerate() {
-        param_by_offset.insert(p.offset, i);
         let v = match cfg.assumed(&p.name) {
             Some(ParamValue::Int(v)) => match p.ty {
                 // Scalar loads go through `load_extend`; pointers load the
@@ -187,101 +143,46 @@ pub fn exec_function(
                 _ => Val::Unk,
             },
         };
-        param_vals.push(v);
+        params.insert(p.offset, v);
     }
 
+    let plan = LaunchPlan::from_function(f);
     let mut ex = Exec {
         f,
+        plan: &plan,
         cfg,
         block_dim,
-        pdom,
-        param_vals,
-        param_by_offset,
+        params,
         sym_bases: HashMap::new(),
         next_sym_base: ks_sim::mem::GLOBAL_BASE,
-        race: RaceTracker::new(),
+        shmem: ShmemTracker::new(),
+        races: RaceLog::default(),
         bounds: BoundsChecker::new(&f.shared, cfg.dynamic_shared, f.local_bytes, &m.consts),
         mem: MemLint::new(dev),
         divergent_barriers: Vec::new(),
         notes: Vec::new(),
-        steps: 0,
-        intervals: 0,
+        releases: 0,
     };
-
     let nv = f.num_vregs();
-    let warp_count = threads.div_ceil(32);
-    let mut warps: Vec<AWarp> = (0..warp_count)
-        .map(|w| {
-            let base_tid = w * 32;
-            let lanes = (threads - base_tid).min(32);
-            AWarp::new(base_tid, lanes, nv)
-        })
-        .collect();
+    let mut warps = Warp::block(threads, |base_tid| Lanes {
+        base_tid,
+        regs: vec![Val::Unk; nv * 32],
+    });
+    let run = simt::run_block(&plan, &mut ex, &mut warps, cfg.max_steps);
 
-    // Round-robin warps between barriers, exactly like the interpreter.
-    let mut abort: Option<Abort> = None;
-    'sched: loop {
-        let mut all_done = true;
-        let mut any_progress = false;
-        for w in warps.iter_mut() {
-            if w.done || w.at_barrier {
-                all_done &= w.done;
-                continue;
-            }
-            all_done = false;
-            any_progress = true;
-            match ex.exec_warp(w) {
-                Ok(WStop::Done) => w.done = true,
-                Ok(WStop::Barrier) => w.at_barrier = true,
-                Err(a) => {
-                    abort = Some(a);
-                    break 'sched;
-                }
-            }
-        }
-        if all_done {
-            ex.intervals += 1;
-            break;
-        }
-        if !any_progress {
-            // Everyone still running sits at a barrier. If some warps
-            // already returned, the barrier can never be satisfied by all
-            // threads — the divergent-barrier deadlock the interpreter
-            // silently rolls past.
-            if warps.iter().any(|w| w.done) {
-                ex.divergent_barriers.push((
-                    None,
-                    "some threads return while others wait at __syncthreads(); \
-                     the barrier never completes for the full block"
-                        .into(),
-                ));
-                abort = Some(Abort::Poisoned);
-                break;
-            }
-            ex.intervals += 1;
-            ex.race.barrier();
-            for w in warps.iter_mut() {
-                w.at_barrier = false;
-            }
-        }
-    }
-
-    let completed = abort.is_none();
-    out.races = ex.race.findings().to_vec();
+    out.races = ex.races.findings().to_vec();
     out.bounds = ex.bounds.findings().to_vec();
     out.mem_findings = ex
         .mem
         .finish(cfg.bank_conflict_threshold, cfg.coalescing_slack);
     out.divergent_barriers = ex.divergent_barriers;
     out.proven_bounds = ex.bounds.proven;
-    out.intervals = ex.intervals;
-    out.inconclusive = match abort {
-        Some(Abort::Inconclusive(why)) => Some(why),
-        Some(Abort::Poisoned) => None,
-        None => None,
-    };
-    if completed {
-        out.prediction = Some(ex.mem.prediction);
+    // The final interval ends where the block does.
+    out.intervals = ex.releases + u64::from(run.is_ok());
+    match run {
+        Ok(()) => out.prediction = Some(ex.mem.prediction),
+        Err(Abort::Inconclusive(why)) => out.inconclusive = Some(why),
+        Err(Abort::Poisoned) => {}
     }
     if !ex.notes.is_empty() {
         let joined = ex.notes.join("; ");
@@ -294,164 +195,50 @@ pub fn exec_function(
 }
 
 impl Exec<'_> {
-    fn exec_warp(&mut self, w: &mut AWarp) -> Result<WStop, Abort> {
-        loop {
-            self.steps += 1;
-            if self.steps > self.cfg.max_steps {
-                return Err(Abort::Inconclusive(format!(
-                    "abstract execution exceeded the {}-instruction budget \
-                     (raise AnalysisConfig::max_steps for long kernels)",
-                    self.cfg.max_steps
-                )));
-            }
-            match self.warp_step(w)? {
-                Some(stop) => return Ok(stop),
-                None => continue,
-            }
+    /// The `(block, instruction)` site of `pc`.
+    fn site(&self, pc: u32) -> Site {
+        let (b, i) = self.plan.site(pc);
+        (b.0, i)
+    }
+
+    /// Operand row `row` of lane `lane`.
+    fn val(&self, w: &Lanes, row: u32, lane: usize) -> Val {
+        match self.plan.imm(row) {
+            Some(bits) => Val::Con(bits),
+            None => w.regs[row as usize * 32 + lane],
         }
     }
 
-    /// One instruction / terminator / reconvergence pop.
-    fn warp_step(&mut self, w: &mut AWarp) -> Result<Option<WStop>, Abort> {
-        loop {
-            let Some(frame) = w.stack.last() else {
-                w.done = true;
-                return Ok(Some(WStop::Done));
-            };
-            if frame.inst == 0 && Some(frame.block) == frame.reconv {
-                w.stack.pop();
-                continue;
-            }
-            let (block, inst_idx, mask) = (frame.block, frame.inst, frame.mask);
-            let bb = self.f.block(block);
-            if inst_idx < bb.insts.len() {
-                let inst = &bb.insts[inst_idx];
-                w.stack.last_mut().unwrap().inst += 1;
-                if let Inst::Bar = inst {
-                    if w.stack.len() > 1 {
-                        self.divergent_barriers.push((
-                            Some((block.0, inst_idx)),
-                            format!(
-                                "__syncthreads() executed under divergent control flow \
-                                 (warp {} reaches it with a partial mask {:#010x})",
-                                w.warp_id(),
-                                mask
-                            ),
-                        ));
-                        return Err(Abort::Poisoned);
-                    }
-                    w.at_barrier = true;
-                    return Ok(Some(WStop::Barrier));
-                }
-                self.exec_inst(w, inst, mask, (block.0, inst_idx))?;
-                return Ok(None);
-            }
-            // Terminator.
-            w.stack.last_mut().unwrap().inst = usize::MAX;
-            match &bb.term {
-                Terminator::Ret => {
-                    if w.stack.len() > 1 {
-                        // The verifier guarantees reconvergence-before-ret
-                        // for well-formed kernels; reaching this means the
-                        // simulator would trap identically.
-                        return Err(Abort::Inconclusive(format!(
-                            "divergent return in {block} (simulator would trap)"
-                        )));
-                    }
-                    w.done = true;
-                    return Ok(Some(WStop::Done));
-                }
-                Terminator::Br { target } => {
-                    let fr = w.stack.last_mut().unwrap();
-                    fr.block = *target;
-                    fr.inst = 0;
-                    return Ok(None);
-                }
-                Terminator::CondBr {
-                    pred,
-                    negate,
-                    then_t,
-                    else_t,
-                } => {
-                    let mut taken = 0u32;
-                    for lane in lanes(mask) {
-                        let v = match w.regs[pred.0 as usize * 32 + lane] {
-                            Val::Con(bits) => bits != 0,
-                            _ => {
-                                return Err(Abort::Inconclusive(format!(
-                                    "branch in {block} depends on a value unavailable at \
-                                     analysis time (an unassumed run-time parameter or \
-                                     loaded data); a specialized kernel or a -A/param \
-                                     assumption makes this decidable"
-                                )))
-                            }
-                        };
-                        if v ^ negate {
-                            taken |= 1 << lane;
-                        }
-                    }
-                    let not_taken = mask & !taken;
-                    let fr = w.stack.last_mut().unwrap();
-                    if not_taken == 0 {
-                        fr.block = *then_t;
-                        fr.inst = 0;
-                    } else if taken == 0 {
-                        fr.block = *else_t;
-                        fr.inst = 0;
-                    } else {
-                        let Some(r) = self.pdom[block.0 as usize] else {
-                            return Err(Abort::Inconclusive(format!(
-                                "divergent branch in {block} without a reconvergence point"
-                            )));
-                        };
-                        fr.block = r;
-                        fr.inst = 0;
-                        w.stack.push(Frame {
-                            block: *else_t,
-                            inst: 0,
-                            reconv: Some(r),
-                            mask: not_taken,
-                        });
-                        w.stack.push(Frame {
-                            block: *then_t,
-                            inst: 0,
-                            reconv: Some(r),
-                            mask: taken,
-                        });
-                    }
-                    return Ok(None);
-                }
-            }
+    /// Set `op`'s destination to `f(lane)` in the lanes of `mask`, in
+    /// ascending order.
+    fn lanewise(
+        &mut self,
+        w: &mut Lanes,
+        op: &Op,
+        mask: u32,
+        mut f: impl FnMut(&mut Self, &Lanes, usize) -> Val,
+    ) {
+        for lane in lanes(mask) {
+            let v = f(self, w, lane);
+            w.regs[op.dst as usize * 32 + lane] = v;
         }
     }
 
-    fn operand_val(&self, w: &AWarp, o: &Operand, lane: usize) -> Val {
-        match o {
-            Operand::Reg(r) => w.regs[r.0 as usize * 32 + lane],
-            imm => Val::Con(eval::imm_bits(imm).expect("not a register")),
+    /// The address a memory op accesses in each active lane.
+    fn lane_vals(&self, w: &Lanes, op: &Op, mask: u32) -> [Val; 32] {
+        if op.a == NONE {
+            return [Val::Con(op.imm as u64); 32];
         }
-    }
-
-    fn lane_vals(&self, w: &AWarp, addr: &Address, mask: u32) -> [Val; 32] {
         let mut out = [Val::Con(0); 32];
-        match addr.base {
-            None => {
-                for v in out.iter_mut() {
-                    *v = Val::Con(addr.offset as u64);
-                }
-            }
-            Some(base) => {
-                for lane in lanes(mask) {
-                    out[lane] = match w.regs[base.0 as usize * 32 + lane] {
-                        Val::Con(b) => Val::Con(b.wrapping_add(addr.offset as u64)),
-                        Val::Based { sym, off } => Val::Based {
-                            sym,
-                            off: off.wrapping_add(addr.offset),
-                        },
-                        Val::Unk => Val::Unk,
-                    };
-                }
-            }
+        for lane in lanes(mask) {
+            out[lane] = match w.regs[op.a as usize * 32 + lane] {
+                Val::Con(b) => Val::Con(b.wrapping_add(op.imm as u64)),
+                Val::Based { sym, off } => Val::Based {
+                    sym,
+                    off: off.wrapping_add(op.imm),
+                },
+                Val::Unk => Val::Unk,
+            };
         }
         out
     }
@@ -482,297 +269,88 @@ impl Exec<'_> {
         Some(out)
     }
 
-    fn note_once(&mut self, note: String) {
-        if !self.notes.contains(&note) {
-            self.notes.push(note);
+    fn note_once(&mut self, note: &str) {
+        if !self.notes.iter().any(|n| n == note) {
+            self.notes.push(note.into());
         }
     }
 
-    fn exec_inst(
-        &mut self,
-        w: &mut AWarp,
-        inst: &Inst,
-        mask: u32,
-        site: Site,
-    ) -> Result<(), Abort> {
-        match inst {
-            Inst::Mov { dst, src, .. } => {
+    /// Observe the load (`store` false) or store `op` at `pc`; what a load
+    /// reads.
+    fn access(&mut self, w: &Lanes, op: &Op, space: Space, store: bool, pc: u32, mask: u32) -> Val {
+        let site = self.site(pc);
+        let vals = self.lane_vals(w, op, mask);
+        let (global, shared) = match store {
+            false => (AccessKind::GlobalLoad, AccessKind::SharedLoad),
+            true => (AccessKind::GlobalStore, AccessKind::SharedStore),
+        };
+        match (space, self.resolve_lanes(&vals, mask)) {
+            (Space::Global, Some(addrs)) => self.mem.global(global, &addrs, mask, site),
+            (Space::Global, None) => self.mem.unresolved(),
+            (Space::Shared, Some(addrs)) => {
+                // Two lanes of one store hitting the same word is a race
+                // unless they provably write the same value (which lane
+                // wins is undefined).
+                let mut by_word: HashMap<u64, Val> = HashMap::new();
+                let warp = w.base_tid / 32;
                 for lane in lanes(mask) {
-                    w.regs[dst.0 as usize * 32 + lane] = self.operand_val(w, src, lane);
-                }
-            }
-            Inst::Special { dst, reg } => {
-                let (bxd, byd, bzd) = self.block_dim;
-                let (gx, gy, gz) = self.cfg.grid_dim;
-                let (cx, cy, cz) = self.cfg.block_idx;
-                for lane in lanes(mask) {
-                    let tid = w.base_tid + lane as u32;
-                    let tx = tid % bxd;
-                    let ty = (tid / bxd) % byd;
-                    let tz = tid / (bxd * byd);
-                    let v = match reg {
-                        SpecialReg::TidX => tx,
-                        SpecialReg::TidY => ty,
-                        SpecialReg::TidZ => tz,
-                        SpecialReg::CtaIdX => cx,
-                        SpecialReg::CtaIdY => cy,
-                        SpecialReg::CtaIdZ => cz,
-                        SpecialReg::NtidX => bxd,
-                        SpecialReg::NtidY => byd,
-                        SpecialReg::NtidZ => bzd,
-                        SpecialReg::NctaIdX => gx,
-                        SpecialReg::NctaIdY => gy,
-                        SpecialReg::NctaIdZ => gz,
-                    };
-                    w.regs[dst.0 as usize * 32 + lane] = Val::Con(v as u64);
-                }
-            }
-            Inst::Bin { op, ty, dst, a, b } => {
-                for lane in lanes(mask) {
-                    let x = self.operand_val(w, a, lane);
-                    let y = self.operand_val(w, b, lane);
-                    w.regs[dst.0 as usize * 32 + lane] = bin_val(*op, *ty, x, y);
-                }
-            }
-            Inst::Un { op, ty, dst, a } => {
-                for lane in lanes(mask) {
-                    let x = self.operand_val(w, a, lane);
-                    w.regs[dst.0 as usize * 32 + lane] = match x {
-                        Val::Con(bits) => Val::Con(eval::un(*op, *ty, bits)),
-                        _ => Val::Unk,
-                    };
-                }
-            }
-            Inst::Mad { ty, dst, a, b, c } => {
-                for lane in lanes(mask) {
-                    let x = self.operand_val(w, a, lane);
-                    let y = self.operand_val(w, b, lane);
-                    let z = self.operand_val(w, c, lane);
-                    let xy = bin_val(BinOp::Mul, *ty, x, y);
-                    w.regs[dst.0 as usize * 32 + lane] = bin_val(BinOp::Add, *ty, xy, z);
-                }
-            }
-            Inst::Setp { cmp, ty, dst, a, b } => {
-                for lane in lanes(mask) {
-                    let x = self.operand_val(w, a, lane);
-                    let y = self.operand_val(w, b, lane);
-                    w.regs[dst.0 as usize * 32 + lane] = self.cmp_val(*cmp, *ty, x, y);
-                }
-            }
-            Inst::Selp {
-                dst, a, b, pred, ..
-            } => {
-                for lane in lanes(mask) {
-                    let p = w.regs[pred.0 as usize * 32 + lane];
-                    let av = self.operand_val(w, a, lane);
-                    let bv = self.operand_val(w, b, lane);
-                    w.regs[dst.0 as usize * 32 + lane] = match p {
-                        Val::Con(bits) => {
-                            if bits != 0 {
-                                av
-                            } else {
-                                bv
-                            }
+                    let addr = addrs[lane];
+                    self.bounds.check_shared(addr, site);
+                    if !store {
+                        if let Some(h) = self.shmem.read(warp, addr, pc) {
+                            self.race(h, addr, site);
                         }
-                        // Unknown selector: sound only when both arms
-                        // agree.
-                        _ => {
-                            if av == bv {
-                                av
-                            } else {
-                                Val::Unk
-                            }
-                        }
-                    };
-                }
-            }
-            Inst::Cvt {
-                dst_ty,
-                src_ty,
-                dst,
-                src,
-            } => {
-                for lane in lanes(mask) {
-                    let x = self.operand_val(w, src, lane);
-                    w.regs[dst.0 as usize * 32 + lane] = match x {
-                        // Not a conversion: the bits pass through.
-                        Val::Con(bits) => {
-                            Val::Con(eval::cvt(*dst_ty, *src_ty, bits).unwrap_or(bits))
-                        }
-                        // Pointer→pointer is such a copy, so a base
-                        // survives it.
-                        Val::Based { .. }
-                            if matches!(src_ty, Ty::Ptr(_)) && matches!(dst_ty, Ty::Ptr(_)) =>
-                        {
-                            x
-                        }
-                        _ => Val::Unk,
-                    };
-                }
-            }
-            Inst::Ld {
-                space,
-                ty,
-                dst,
-                addr,
-            } => {
-                let vals = self.lane_vals(w, addr, mask);
-                let mut loaded = [Val::Unk; 32];
-                match space {
-                    Space::Global => match self.resolve_lanes(&vals, mask) {
-                        Some(addrs) => self.mem.global(AccessKind::GlobalLoad, &addrs, mask, site),
-                        None => self.mem.unresolved(),
-                    },
-                    Space::Shared => match self.resolve_lanes(&vals, mask) {
-                        Some(addrs) => {
-                            for lane in lanes(mask) {
-                                self.bounds.check_shared(addrs[lane], site);
-                                self.race.read(w.warp_id(), addrs[lane], site);
-                            }
-                            self.mem.shared(AccessKind::SharedLoad, &addrs, mask, site);
-                        }
+                        continue;
+                    }
+                    for h in self.shmem.write(warp, addr, pc) {
+                        self.race(h, addr, site);
+                    }
+                    let v = self.val(w, op.b, lane);
+                    match by_word.get(&(addr / 4)) {
+                        Some(prev) if *prev == v && matches!(v, Val::Con(_)) => {}
+                        Some(_) => self
+                            .races
+                            .report("intra-warp write/write", addr, site, site),
                         None => {
-                            self.mem.unresolved();
-                            self.note_once(
-                                "shared access with unresolved address: racecheck and \
-                                 bounds results are incomplete"
-                                    .into(),
-                            );
-                        }
-                    },
-                    Space::Local => {
-                        for lane in lanes(mask) {
-                            match vals[lane] {
-                                Val::Con(a) => self.bounds.check_local(a, site),
-                                _ => self.note_once("local access with unresolved address".into()),
-                            }
-                        }
-                    }
-                    Space::Const => {
-                        for lane in lanes(mask) {
-                            match vals[lane] {
-                                Val::Con(a) => self.bounds.check_const(a, site),
-                                _ => {
-                                    self.note_once("constant access with unresolved address".into())
-                                }
-                            }
-                        }
-                    }
-                    Space::Param => {
-                        // The verifier requires absolute param addresses.
-                        let v = match addr.base {
-                            None => self
-                                .param_by_offset
-                                .get(&(addr.offset as u32))
-                                .map(|&i| self.param_vals[i])
-                                .unwrap_or(Val::Unk),
-                            Some(_) => Val::Unk,
-                        };
-                        for l in loaded.iter_mut() {
-                            *l = v;
+                            by_word.insert(addr / 4, v);
                         }
                     }
                 }
-                // Loaded data is opaque except for parameters, whose
-                // values the config may pin down.
-                let _ = ty;
+                self.mem.shared(shared, &addrs, mask, site);
+            }
+            (Space::Shared, None) => {
+                self.mem.unresolved();
+                self.note_once(
+                    "shared access with unresolved address: racecheck and bounds results \
+                     are incomplete",
+                );
+            }
+            (Space::Local | Space::Const, _) => {
                 for lane in lanes(mask) {
-                    w.regs[dst.0 as usize * 32 + lane] = loaded[lane];
+                    match (vals[lane], space) {
+                        (Val::Con(a), Space::Local) => self.bounds.check_local(a, site),
+                        (Val::Con(a), _) => self.bounds.check_const(a, site),
+                        (_, Space::Local) => self.note_once("local access with unresolved address"),
+                        _ => self.note_once("constant access with unresolved address"),
+                    }
                 }
             }
-            Inst::St {
-                space,
-                ty,
-                addr,
-                src,
-            } => {
-                let vals = self.lane_vals(w, addr, mask);
-                let _ = ty;
-                match space {
-                    Space::Global => match self.resolve_lanes(&vals, mask) {
-                        Some(addrs) => self.mem.global(AccessKind::GlobalStore, &addrs, mask, site),
-                        None => self.mem.unresolved(),
-                    },
-                    Space::Shared => match self.resolve_lanes(&vals, mask) {
-                        Some(addrs) => {
-                            // Two lanes of one store hitting the same word
-                            // is a race unless they provably write the same
-                            // value (which lane wins is undefined).
-                            let mut by_word: HashMap<u64, Val> = HashMap::new();
-                            for lane in lanes(mask) {
-                                self.bounds.check_shared(addrs[lane], site);
-                                self.race.write(w.warp_id(), addrs[lane], site);
-                                let v = self.operand_val(w, src, lane);
-                                match by_word.get(&(addrs[lane] / 4)) {
-                                    Some(prev) if *prev == v && matches!(v, Val::Con(_)) => {}
-                                    Some(_) => self.race.intra_warp_conflict(addrs[lane], site),
-                                    None => {
-                                        by_word.insert(addrs[lane] / 4, v);
-                                    }
-                                }
-                            }
-                            self.mem.shared(AccessKind::SharedStore, &addrs, mask, site);
-                        }
-                        None => {
-                            self.mem.unresolved();
-                            self.note_once(
-                                "shared access with unresolved address: racecheck and \
-                                 bounds results are incomplete"
-                                    .into(),
-                            );
-                        }
-                    },
-                    Space::Local => {
-                        for lane in lanes(mask) {
-                            match vals[lane] {
-                                Val::Con(a) => self.bounds.check_local(a, site),
-                                _ => self.note_once("local access with unresolved address".into()),
-                            }
-                        }
-                    }
-                    // The verifier rejects these; nothing useful to model.
-                    Space::Const | Space::Param => {}
+            // The verifier requires absolute param addresses; the config
+            // may pin a parameter's value down.
+            (Space::Param, _) if op.a == NONE => {
+                if let Some(&v) = self.params.get(&(op.imm as u32)) {
+                    return v;
                 }
             }
-            Inst::Tex { dst, tex, idx, .. } => {
-                let mut vals = [Val::Con(0); 32];
-                let mut ok = true;
-                for lane in lanes(mask) {
-                    vals[lane] = match self.operand_val(w, idx, lane) {
-                        Val::Con(bits) => {
-                            let i = bits as u32 as i32;
-                            if i < 0 {
-                                ok = false;
-                                Val::Unk
-                            } else {
-                                Val::Based {
-                                    sym: TEX_SYM + tex,
-                                    off: i as i64 * 4,
-                                }
-                            }
-                        }
-                        _ => {
-                            ok = false;
-                            Val::Unk
-                        }
-                    };
-                }
-                if ok {
-                    if let Some(addrs) = self.resolve_lanes(&vals, mask) {
-                        self.mem.global(AccessKind::GlobalLoad, &addrs, mask, site);
-                    } else {
-                        self.mem.unresolved();
-                    }
-                } else {
-                    self.mem.unresolved();
-                }
-                for lane in lanes(mask) {
-                    w.regs[dst.0 as usize * 32 + lane] = Val::Unk;
-                }
-            }
-            Inst::Bar => unreachable!("handled by the warp loop"),
+            (Space::Param, _) => {}
         }
-        Ok(())
+        // Loaded data is opaque.
+        Val::Unk
+    }
+
+    fn race(&mut self, h: RaceHazard, addr: u64, site: Site) {
+        let other = self.site(h.other_pc);
+        self.races.report(h.kind, addr, site, other);
     }
 
     fn cmp_val(&mut self, cmp: CmpOp, ty: Ty, x: Val, y: Val) -> Val {
@@ -787,6 +365,200 @@ impl Exec<'_> {
             }
             _ => Val::Unk,
         }
+    }
+}
+
+impl Domain for Exec<'_> {
+    type Lanes = Lanes;
+    type Error = Abort;
+
+    fn exec(&mut self, w: &mut Lanes, op: &Op, pc: u32, mask: u32) -> Result<(), Abort> {
+        let (a, b, c) = (op.a, op.b, op.c);
+        match op.kind {
+            Kind::Mov => self.lanewise(w, op, mask, |ex, w, l| ex.val(w, a, l)),
+            Kind::Special(reg) => {
+                let (bx, by, bz) = self.block_dim;
+                let (gx, gy, gz) = self.cfg.grid_dim;
+                let (cx, cy, cz) = self.cfg.block_idx;
+                self.lanewise(w, op, mask, |_, w, l| {
+                    let tid = w.base_tid + l as u32;
+                    Val::Con(u64::from(match reg {
+                        SpecialReg::TidX => tid % bx,
+                        SpecialReg::TidY => (tid / bx) % by,
+                        SpecialReg::TidZ => tid / (bx * by),
+                        SpecialReg::CtaIdX => cx,
+                        SpecialReg::CtaIdY => cy,
+                        SpecialReg::CtaIdZ => cz,
+                        SpecialReg::NtidX => bx,
+                        SpecialReg::NtidY => by,
+                        SpecialReg::NtidZ => bz,
+                        SpecialReg::NctaIdX => gx,
+                        SpecialReg::NctaIdY => gy,
+                        SpecialReg::NctaIdZ => gz,
+                    }))
+                })
+            }
+            Kind::Bin(kind) => {
+                let (bop, ty) = kind.op_ty();
+                self.lanewise(w, op, mask, |ex, w, l| {
+                    bin_val(bop, ty, ex.val(w, a, l), ex.val(w, b, l))
+                })
+            }
+            Kind::Un(kind) => {
+                let (uop, ty) = kind.op_ty();
+                self.lanewise(w, op, mask, |ex, w, l| match ex.val(w, a, l) {
+                    Val::Con(x) => Val::Con(eval::un(uop, ty, x)),
+                    _ => Val::Unk,
+                })
+            }
+            Kind::Mad(kind) => self.lanewise(w, op, mask, |ex, w, l| {
+                let xy = bin_val(BinOp::Mul, kind.ty(), ex.val(w, a, l), ex.val(w, b, l));
+                bin_val(BinOp::Add, kind.ty(), xy, ex.val(w, c, l))
+            }),
+            Kind::Setp(cmp, domain) => self.lanewise(w, op, mask, |ex, w, l| {
+                let (x, y) = (ex.val(w, a, l), ex.val(w, b, l));
+                ex.cmp_val(cmp, domain.ty(), x, y)
+            }),
+            Kind::Selp => self.lanewise(w, op, mask, |ex, w, l| {
+                let (x, y) = (ex.val(w, a, l), ex.val(w, b, l));
+                match ex.val(w, c, l) {
+                    Val::Con(p) if p != 0 => x,
+                    Val::Con(_) => y,
+                    // Unknown selector: sound only when both arms agree.
+                    _ if x == y => x,
+                    _ => Val::Unk,
+                }
+            }),
+            Kind::Cvt(kind) => {
+                // Pointer→pointer is no conversion, so a base survives it.
+                let ptr = |row: u32| {
+                    self.f
+                        .vreg_types
+                        .get(row as usize)
+                        .is_some_and(|t| t.is_ptr())
+                };
+                let keeps_base = kind == CvtKind::Copy && ptr(a) && ptr(op.dst);
+                self.lanewise(w, op, mask, |ex, w, l| match ex.val(w, a, l) {
+                    // Not a conversion: the bits pass through.
+                    Val::Con(x) => Val::Con(
+                        kind.tys()
+                            .and_then(|(d, s)| eval::cvt(d, s, x))
+                            .unwrap_or(x),
+                    ),
+                    v @ Val::Based { .. } if keeps_base => v,
+                    _ => Val::Unk,
+                })
+            }
+            Kind::Ld { space, .. } => {
+                let loaded = self.access(w, op, space, false, pc, mask);
+                self.lanewise(w, op, mask, |_, _, _| loaded);
+            }
+            Kind::St { space } => {
+                self.access(w, op, space, true, pc, mask);
+            }
+            Kind::Tex { .. } => {
+                let mut vals = [Val::Con(0); 32];
+                let mut ok = true;
+                for lane in lanes(mask) {
+                    vals[lane] = match self.val(w, a, lane) {
+                        Val::Con(i) if i as u32 as i32 >= 0 => Val::Based {
+                            sym: TEX_SYM + op.imm as u32,
+                            off: i as u32 as i64 * 4,
+                        },
+                        _ => {
+                            ok = false;
+                            Val::Unk
+                        }
+                    };
+                }
+                match ok.then(|| self.resolve_lanes(&vals, mask)).flatten() {
+                    Some(addrs) => {
+                        let site = self.site(pc);
+                        self.mem.global(AccessKind::GlobalLoad, &addrs, mask, site)
+                    }
+                    None => self.mem.unresolved(),
+                }
+                self.lanewise(w, op, mask, |_, _, _| Val::Unk);
+            }
+            // The simulator would trap; as a value, the result is unknown.
+            Kind::Trap if op.dst != NONE => self.lanewise(w, op, mask, |_, _, _| Val::Unk),
+            Kind::Trap => {}
+            Kind::Bar | Kind::Br | Kind::CondBr { .. } | Kind::Ret => {
+                unreachable!("handled by the control core")
+            }
+        }
+        Ok(())
+    }
+
+    fn taken(&mut self, w: &mut Lanes, op: &Op, pc: u32, mask: u32) -> Result<u32, Abort> {
+        let negate = matches!(op.kind, Kind::CondBr { negate: true });
+        let mut taken = 0u32;
+        for lane in lanes(mask) {
+            let Val::Con(bits) = w.regs[op.a as usize * 32 + lane] else {
+                return Err(Abort::Inconclusive(format!(
+                    "branch in {} depends on a value unavailable at analysis time (an \
+                     unassumed run-time parameter or loaded data); a specialized kernel or \
+                     a -A/param assumption makes this decidable",
+                    self.plan.site(pc).0
+                )));
+            };
+            if (bits != 0) ^ negate {
+                taken |= 1 << lane;
+            }
+        }
+        Ok(taken)
+    }
+
+    fn divergent_barrier(&mut self, w: &Lanes, pc: u32, mask: u32) -> Abort {
+        self.divergent_barriers.push((
+            Some(self.site(pc)),
+            format!(
+                "__syncthreads() executed under divergent control flow \
+                 (warp {} reaches it with a partial mask {:#010x})",
+                w.base_tid / 32,
+                mask
+            ),
+        ));
+        Abort::Poisoned
+    }
+
+    fn divergent_return(&mut self, pc: u32) -> Abort {
+        // The verifier guarantees reconvergence-before-ret for well-formed
+        // kernels; reaching this means the simulator would trap identically.
+        Abort::Inconclusive(format!(
+            "divergent return in {} (simulator would trap)",
+            self.plan.site(pc).0
+        ))
+    }
+
+    /// Some warps already returned, so the barrier can never be satisfied
+    /// by all threads — the divergent-barrier deadlock the simulator
+    /// silently rolls past.
+    fn partial_barrier(&mut self, _exited: usize, _waiting: usize) -> Result<(), Abort> {
+        self.divergent_barriers.push((
+            None,
+            "some threads return while others wait at __syncthreads(); \
+             the barrier never completes for the full block"
+                .into(),
+        ));
+        Err(Abort::Poisoned)
+    }
+
+    fn release(&mut self, _warps: &mut [Warp<Lanes>]) {
+        self.releases += 1;
+        self.shmem.barrier();
+    }
+
+    fn fault(&mut self, why: String) -> Abort {
+        Abort::Inconclusive(why)
+    }
+
+    fn out_of_steps(&mut self) -> Abort {
+        Abort::Inconclusive(format!(
+            "abstract execution exceeded the {}-instruction budget \
+             (raise AnalysisConfig::max_steps for long kernels)",
+            self.cfg.max_steps
+        ))
     }
 }
 
@@ -833,7 +605,7 @@ fn bin_val(op: BinOp, ty: Ty, x: Val, y: Val) -> Val {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ks_ir::{BasicBlock, SharedDecl, VReg};
+    use ks_ir::{Address, BasicBlock, BlockId, Inst, Operand, SharedDecl, Terminator, VReg};
 
     fn cfg_1d(threads: u32) -> AnalysisConfig {
         AnalysisConfig {

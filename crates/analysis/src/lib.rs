@@ -11,10 +11,11 @@
 //! | KSA004 | shared bank conflicts    | warn     |
 //! | KSA005 | uncoalesced global access| warn     |
 //!
-//! The precise engine is an abstract SIMT executor ([`exec`]) that runs
-//! one thread block with `ks_sim::interp`'s scheduling and — through
-//! [`ks_ir::eval`] — its arithmetic, but over a concrete/symbolic value
-//! domain. Specialization is what makes it
+//! The precise engine ([`exec`]) runs one thread block through
+//! `ks_sim::simt`, the SIMT control core the simulator's executor runs on
+//! (the same `LaunchPlan`, reconvergence stack, scheduling and barriers),
+//! with abstract lanes over a concrete/symbolic value domain whose
+//! concrete arithmetic is [`ks_ir::eval`]. Specialization is what makes it
 //! decisive: a kernel whose parameters were compiled in (SK) — or are
 //! supplied as analysis assumptions — has concrete branch predicates and
 //! addresses, so races, bounds, and per-instruction transaction counts

@@ -1,8 +1,9 @@
-//! Shared-memory race tracking at warp granularity.
+//! Shared-memory race findings.
 //!
-//! The tracker records, for every 4-byte shared-memory word, which warps
-//! read and wrote it since the last block-wide barrier. A conflict is
-//! reported only when *different warps* touch a word (with at least one
+//! The per-word tracking is `ks_sim::racecheck::ShmemTracker`, the one a
+//! `racecheck` launch runs: for every 4-byte shared-memory word, which
+//! warps read and wrote it since the last block-wide barrier. A conflict
+//! is reported only when *different warps* touch a word (with at least one
 //! writer) inside one barrier interval, or when two lanes of the same
 //! instruction write different values to the same word. Same-warp
 //! cross-instruction accesses are ordered by lockstep execution and are
@@ -10,20 +11,8 @@
 //! shared-memory reduction (`if (t < 16) red[t] += red[t + 16];`) are
 //! correct programs.
 
-use std::collections::HashMap;
-
 /// Where a diagnostic points: (block index, instruction index).
 pub type Site = (u32, usize);
-
-#[derive(Default, Clone, Copy)]
-struct WordState {
-    /// Bitmask of warps that wrote this word in the current interval.
-    writers: u64,
-    /// Bitmask of warps that read this word in the current interval.
-    readers: u64,
-    write_site: Site,
-    read_site: Site,
-}
 
 /// A detected race, reported once per (kind, site) pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,80 +24,28 @@ pub struct RaceFinding {
     pub other_site: Site,
 }
 
-pub struct RaceTracker {
-    words: HashMap<u64, WordState>,
+/// The races of one abstract execution, each (kind, site) pair once to
+/// keep the output finite.
+#[derive(Default)]
+pub struct RaceLog {
     findings: Vec<RaceFinding>,
-    /// (kind, site) pairs already reported, to keep output finite.
-    reported: Vec<(&'static str, Site)>,
 }
 
-impl Default for RaceTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RaceTracker {
-    pub fn new() -> RaceTracker {
-        RaceTracker {
-            words: HashMap::new(),
-            findings: Vec::new(),
-            reported: Vec::new(),
-        }
-    }
-
-    fn report(&mut self, kind: &'static str, word_addr: u64, site: Site, other_site: Site) {
-        if self.reported.contains(&(kind, site)) {
+impl RaceLog {
+    pub fn report(&mut self, kind: &'static str, word_addr: u64, site: Site, other_site: Site) {
+        if self
+            .findings
+            .iter()
+            .any(|r| (r.kind, r.site) == (kind, site))
+        {
             return;
         }
-        self.reported.push((kind, site));
         self.findings.push(RaceFinding {
             kind,
             word_addr,
             site,
             other_site,
         });
-    }
-
-    /// Record a write of `addr` (4-byte word) by `warp` at `site`.
-    pub fn write(&mut self, warp: u32, addr: u64, site: Site) {
-        let word = addr / 4;
-        let bit = 1u64 << (warp % 64);
-        let s = *self.words.entry(word).or_default();
-        if s.writers & !bit != 0 {
-            self.report("write/write", addr, site, s.write_site);
-        }
-        if s.readers & !bit != 0 {
-            self.report("read/write", addr, site, s.read_site);
-        }
-        let e = self.words.get_mut(&word).unwrap();
-        e.writers |= bit;
-        e.write_site = site;
-    }
-
-    /// Record a read of `addr` by `warp` at `site`.
-    pub fn read(&mut self, warp: u32, addr: u64, site: Site) {
-        let word = addr / 4;
-        let bit = 1u64 << (warp % 64);
-        let s = *self.words.entry(word).or_default();
-        if s.writers & !bit != 0 {
-            self.report("read/write", addr, site, s.write_site);
-        }
-        let e = self.words.get_mut(&word).unwrap();
-        e.readers |= bit;
-        e.read_site = site;
-    }
-
-    /// Two lanes of one store instruction hit the same word with
-    /// conflicting values (which lane wins is undefined on hardware).
-    pub fn intra_warp_conflict(&mut self, addr: u64, site: Site) {
-        self.report("intra-warp write/write", addr, site, site);
-    }
-
-    /// A block-wide barrier separates intervals: all prior accesses are
-    /// ordered before all later ones.
-    pub fn barrier(&mut self) {
-        self.words.clear();
     }
 
     pub fn findings(&self) -> &[RaceFinding] {
@@ -121,48 +58,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cross_warp_write_write_detected() {
-        let mut t = RaceTracker::new();
-        t.write(0, 0x40, (1, 0));
-        t.write(1, 0x40, (1, 0));
-        assert_eq!(t.findings().len(), 1);
-        assert_eq!(t.findings()[0].kind, "write/write");
-    }
-
-    #[test]
-    fn same_warp_accesses_are_ordered() {
-        let mut t = RaceTracker::new();
-        t.write(0, 0x40, (1, 0));
-        t.read(0, 0x40, (1, 1));
-        t.write(0, 0x40, (1, 2));
-        assert!(t.findings().is_empty());
-    }
-
-    #[test]
-    fn barrier_separates_intervals() {
-        let mut t = RaceTracker::new();
-        t.write(0, 0x40, (1, 0));
-        t.barrier();
-        t.read(1, 0x40, (2, 0));
-        assert!(t.findings().is_empty());
-    }
-
-    #[test]
-    fn read_then_write_across_warps_detected() {
-        let mut t = RaceTracker::new();
-        t.read(0, 0x80, (0, 3));
-        t.write(1, 0x80, (0, 5));
-        assert_eq!(t.findings().len(), 1);
-        assert_eq!(t.findings()[0].kind, "read/write");
-    }
-
-    #[test]
     fn duplicate_sites_reported_once() {
-        let mut t = RaceTracker::new();
+        let mut log = RaceLog::default();
         for _ in 0..10 {
-            t.write(0, 0x40, (1, 0));
-            t.write(1, 0x40, (1, 0));
+            log.report("write/write", 0x40, (1, 0), (1, 0));
         }
-        assert_eq!(t.findings().len(), 1);
+        log.report("read/write", 0x40, (1, 0), (2, 0));
+        assert_eq!(log.findings().len(), 2);
     }
 }

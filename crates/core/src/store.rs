@@ -824,6 +824,14 @@ fn decode_module(section: &[u8]) -> Result<ks_ir::Module, StoreError> {
     let mut r = ByteReader::new(section);
     let module = get_module(&mut r)?;
     r.expect_end()?;
+    // Every module the compiler stores passed the verifier, so one that
+    // fails it was not written by this encoder (a forged record, a writer
+    // bug), and planning it could panic.
+    if let Some(e) = ks_ir::verify_module(&module).first() {
+        return Err(StoreError::Corrupt(format!(
+            "module section is not valid IR: {e}"
+        )));
+    }
     Ok(module)
 }
 

@@ -1403,26 +1403,26 @@ fn first_inst_tag(record: &[u8]) -> usize {
     record.len() - r.remaining()
 }
 
-/// A record that passes its checksum although its module section was not
-/// written by this encoder (a forged file, a writer bug): attach, scrub
-/// and the disk hit all succeed, nothing panics reading the module, and
-/// the launch fails with a typed error carrying the decode failure.
-#[test]
-fn a_resealed_record_with_a_corrupt_module_fails_its_launch_typed() {
-    let dir = std::env::temp_dir().join(format!("gpu-pf-forged-module-{}", std::process::id()));
+/// Compile `SCALE_SRC` into a fresh store under `tag`, let `edit` change
+/// its record's bytes (given the compiled binary), re-seal the checksum
+/// and check what a restarted process makes of it: attach, scrub and the
+/// disk hit all succeed, nothing panics reading the module, the module
+/// and its plan are typed errors, and the launch fails with a typed
+/// error. Returns that error's text.
+fn forged_record_launch(tag: &str, edit: impl FnOnce(&Binary, &mut [u8])) -> String {
+    let dir = std::env::temp_dir().join(format!("gpu-pf-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let defines = Defines::new().def("FACTOR", 3);
     let cold = Compiler::new(DeviceConfig::tesla_c1060())
         .with_store(&dir)
         .unwrap();
-    cold.compile(SCALE_SRC, &defines).unwrap();
+    let compiled = cold.compile(SCALE_SRC, &defines).unwrap();
     let hex = cold.cache_key(SCALE_SRC, &defines).to_hex();
     let path = dir
         .join(&hex[..2])
         .join(format!("{hex}.{}", ks_store::RECORD_EXT));
     let mut record = std::fs::read(&path).unwrap();
-    let at = first_inst_tag(&record);
-    record[at] = 0xee;
+    edit(&compiled, &mut record);
     // Re-seal: the payload checksum is the header's last eight bytes.
     let sum = ks_store::checksum(&record[ks_store::HEADER_LEN..]);
     record[ks_store::HEADER_LEN - 8..ks_store::HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
@@ -1438,14 +1438,65 @@ fn a_resealed_record_with_a_corrupt_module_fails_its_launch_typed() {
     assert!(bin.module.functions.is_empty(), "derefs to an empty module");
     assert_eq!(bin.static_insts("scale"), 0);
     let err = bin.module.get().unwrap_err().to_string();
-    assert!(err.contains("instruction tag"), "{err}");
     assert!(bin.plan("scale").is_err(), "corrupt, not a missing kernel");
 
     let (mut p, _, _, _) = scale_pipeline(Arc::new(c));
     p.refresh().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     match p.run(1) {
-        Err(PfError::Launch(msg)) => assert!(msg.contains("instruction tag"), "{msg}"),
+        Err(PfError::Launch(msg)) => {
+            assert!(msg.contains(&err), "{msg} carries {err}");
+            msg
+        }
         other => panic!("expected a typed launch error, got {other:?}"),
     }
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record that passes its checksum although its module section was not
+/// written by this encoder (a forged file, a writer bug) fails typed where
+/// the section does not decode.
+#[test]
+fn a_resealed_record_with_a_corrupt_module_fails_its_launch_typed() {
+    let msg = forged_record_launch("forged-module", |_, record| {
+        let at = first_inst_tag(record);
+        record[at] = 0xee;
+    });
+    assert!(msg.contains("instruction tag"), "{msg}");
+}
+
+/// … and where it decodes to IR the verifier rejects: a conditional
+/// branch to a block the function does not have.
+#[test]
+fn a_resealed_record_with_invalid_ir_fails_its_launch_typed() {
+    let msg = forged_record_launch("forged-ir", |bin, record| {
+        let f = bin.module.function("scale").unwrap();
+        let Some(ks_ir::Terminator::CondBr {
+            pred,
+            negate,
+            then_t,
+            else_t,
+        }) = f
+            .blocks
+            .iter()
+            .map(|b| b.term.clone())
+            .find(|t| matches!(t, ks_ir::Terminator::CondBr { .. }))
+        else {
+            panic!("`if (i < n)` branches")
+        };
+        // The terminator as the encoder writes it: tag 1, the predicate,
+        // the negation flag, then both targets.
+        let mut encoded = vec![1u8];
+        encoded.extend(pred.0.to_le_bytes());
+        encoded.push(negate as u8);
+        encoded.extend(then_t.0.to_le_bytes());
+        encoded.extend(else_t.0.to_le_bytes());
+        let at = record
+            .windows(encoded.len())
+            .position(|w| w == encoded)
+            .expect("the branch is in the record");
+        let then_at = at + encoded.len() - 8;
+        record[then_at..then_at + 4].copy_from_slice(&99u32.to_le_bytes());
+    });
+    assert!(msg.contains("not valid IR"), "{msg}");
+    assert!(msg.contains("nonexistent"), "{msg}");
 }

@@ -116,7 +116,7 @@ impl DeviceConfig {
 
     /// Cycles the scheduler is occupied issuing one instruction of `class`
     /// for a full warp (per scheduler).
-    pub fn issue_cycles(&self, class: IssueClass) -> u64 {
+    pub(crate) fn issue_cycles(&self, class: IssueClass) -> u64 {
         let base = (self.warp_size / self.cores_per_sm / self.schedulers_per_sm).max(1) as u64;
         let mult = match class {
             // 32-bit integer multiply: multi-instruction on CC 1.x.
@@ -130,7 +130,7 @@ impl DeviceConfig {
     }
 
     /// Result latency (producer → consumer) in cycles.
-    pub fn dep_latency(&self, class: LatencyClass) -> u64 {
+    pub(crate) fn dep_latency(&self, class: LatencyClass) -> u64 {
         let alu = if self.cc_major == 1 { 24 } else { 18 };
         match class {
             LatencyClass::LoadGlobal => self.mem_latency,
@@ -165,13 +165,8 @@ impl DeviceConfig {
     }
 
     /// Off-chip bytes one SM can move per core cycle (bandwidth share).
-    pub fn bytes_per_cycle_per_sm(&self) -> f64 {
+    pub(crate) fn bytes_per_cycle_per_sm(&self) -> f64 {
         self.mem_bw_gbps * 1e9 / (self.clock_ghz * 1e9) / self.sm_count as f64
-    }
-
-    /// Theoretical single-precision FLOPS peak (MAD = 2 flops/core/cycle).
-    pub fn peak_gflops(&self) -> f64 {
-        self.sm_count as f64 * self.cores_per_sm as f64 * self.clock_ghz * 2.0
     }
 }
 
@@ -179,7 +174,7 @@ impl DeviceConfig {
 /// [`DeviceConfig::issue_cycles`] turns a class into cycles, so a
 /// decoded kernel (`LaunchPlan`) classifies once and serves every device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IssueClass {
+pub(crate) enum IssueClass {
     Plain,
     /// 32-bit integer `*`.
     IntMul,
@@ -221,7 +216,7 @@ impl IssueClass {
 /// Device-independent producer → consumer latency class of an
 /// instruction; see [`DeviceConfig::dep_latency`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatencyClass {
+pub(crate) enum LatencyClass {
     Alu,
     /// 32-bit integer `/` and `%`.
     IntDiv,
@@ -299,10 +294,13 @@ mod tests {
         assert_eq!(c2070.regs_per_sm, 32768);
         assert_eq!(c1060.max_threads_per_block, 512);
         assert_eq!(c2070.max_threads_per_block, 1024);
-        assert!(c2070.peak_gflops() > c1060.peak_gflops());
+        // Single-precision peak: MAD = 2 flops per core per cycle.
+        let peak_gflops =
+            |d: &DeviceConfig| d.sm_count as f64 * d.cores_per_sm as f64 * d.clock_ghz * 2.0;
+        assert!(peak_gflops(&c2070) > peak_gflops(&c1060));
         // C1060: 30*8*1.296*2 ≈ 622 GFLOPS; C2070: 14*32*1.15*2 ≈ 1030.
-        assert!((c1060.peak_gflops() - 622.0).abs() < 1.0);
-        assert!((c2070.peak_gflops() - 1030.4).abs() < 1.0);
+        assert!((peak_gflops(&c1060) - 622.0).abs() < 1.0);
+        assert!((peak_gflops(&c2070) - 1030.4).abs() < 1.0);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! therefore emerges from the schedule instead of from a max() formula.
 
 use crate::device::DeviceConfig;
-use crate::interp::{run_warp, BlockScratch, Costs, ExecStats, GlobalView, LaunchEnv, SimError};
+use crate::interp::{BlockScratch, Costs, ExecStats, GlobalView, LaunchEnv, SimError};
 use crate::plan::LaunchPlan;
+use crate::simt::{release, run_warp};
 
 /// Result of simulating one SM round.
 #[derive(Debug, Clone)]
@@ -71,8 +72,8 @@ pub fn run_sm_round(
         let mut pick: Option<(usize, usize, u64)> = None;
         for (bi, b) in blocks.iter().enumerate() {
             for (wi, w) in b.scratch.warps.iter().enumerate() {
-                if !w.done && !w.at_barrier && pick.is_none_or(|(_, _, c)| w.clock < c) {
-                    pick = Some((bi, wi, w.clock));
+                if !w.done && !w.at_barrier && pick.is_none_or(|(_, _, c)| w.state.clock < c) {
+                    pick = Some((bi, wi, w.state.clock));
                 }
             }
         }
@@ -81,21 +82,9 @@ pub fn run_sm_round(
             // wait at barriers.
             let mut any_released = false;
             for b in blocks.iter_mut() {
-                let warps = &mut b.scratch.warps;
-                let alive = warps.iter().filter(|w| !w.done).count();
-                let waiting = warps.iter().filter(|w| w.at_barrier).count();
-                if alive > 0 && waiting == alive {
-                    const BARRIER_COST: u64 = 40;
-                    let release = warps
-                        .iter()
-                        .filter(|w| w.at_barrier)
-                        .map(|w| w.clock)
-                        .max()
-                        .unwrap();
-                    for w in warps.iter_mut().filter(|w| w.at_barrier) {
-                        w.at_barrier = false;
-                        w.clock = w.clock.max(release) + BARRIER_COST;
-                    }
+                let (warps, mut block) = b.scratch.split::<true>(&env, b.block_idx);
+                if warps.iter().any(|w| w.at_barrier) {
+                    release(&mut block, warps)?;
                     any_released = true;
                 }
             }
@@ -114,19 +103,13 @@ pub fn run_sm_round(
             .map(|(i, _)| i)
             .unwrap();
         let b = &mut blocks[bi];
-        let w = &mut b.scratch.warps[wi];
-        w.clock = w.clock.max(ports[port_i]);
+        let (warps, mut block) = b.scratch.split::<true>(&env, b.block_idx);
+        let w = &mut warps[wi];
+        w.state.clock = w.state.clock.max(ports[port_i]);
         // One instruction; whether the warp went on, parked or retired
         // shows in its flags.
-        run_warp::<true>(
-            &env,
-            b.block_idx,
-            w,
-            &mut b.scratch.shared,
-            &mut b.scratch.state,
-            1,
-        )?;
-        let (t_issue, issue) = w.last_issue;
+        run_warp(plan, &mut block, w, &mut 1)?;
+        let (t_issue, issue) = w.state.last_issue;
         ports[port_i] = ports[port_i].max(t_issue) + issue.max(1);
     }
 
@@ -134,8 +117,8 @@ pub fn run_sm_round(
     let mut cycles = 0u64;
     for b in &blocks {
         for w in &b.scratch.warps {
-            stats.accumulate(&w.stats);
-            cycles = cycles.max(w.clock);
+            stats.accumulate(&w.state.stats);
+            cycles = cycles.max(w.state.clock);
         }
     }
     Ok(SmRound { cycles, stats })

@@ -1,13 +1,10 @@
-//! Functional SIMT executor with integrated scoreboard timing.
+//! The simulator's domain of the SIMT control core: functional execution
+//! with integrated scoreboard timing.
 //!
-//! Warps execute a decoded [`LaunchPlan`] in lockstep using the classic
-//! post-dominator reconvergence stack (the same mechanism real NVIDIA
-//! hardware and GPGPU-Sim use): a divergent branch pushes per-path frames
-//! whose masks partition the warp; a frame pops when it reaches its
-//! reconvergence pc (the branch's immediate post-dominator).
-//!
-//! There is one executor body, [`run_warp`], compiled twice. With
-//! `TIMING = true` it keeps a per-warp register scoreboard — each
+//! [`crate::simt`] walks the warps of a block over a decoded
+//! [`LaunchPlan`]; this module says what each op does to 32-lane rows of
+//! 64-bit values, memory and the timing models. It is compiled twice.
+//! With `TIMING = true` it keeps a per-warp register scoreboard — each
 //! register carries a ready-time, so independent instructions issue
 //! back-to-back (ILP — this is what makes register blocking pay off)
 //! while dependent chains stall for the producer's latency — plus the
@@ -30,9 +27,10 @@
 use crate::device::{DeviceConfig, IssueClass, LatencyClass};
 use crate::mem::{bank_conflict_degree, coalesce_transactions, line_of, LineSet, GLOBAL_BASE};
 use crate::plan::{
-    BinKind, Branch, CmpDomain, CvtKind, Kind, LaunchPlan, MadKind, Op, Row, UnKind, Unit, NONE,
+    BinKind, CmpDomain, CvtKind, Kind, LaunchPlan, MadKind, Op, Row, UnKind, Unit, NONE,
 };
 use crate::racecheck::ShmemTracker;
+use crate::simt::{self, Domain, Warp};
 use ks_ir::{CmpOp, Space, SpecialReg};
 
 /// A simulation trap (the analogue of a CUDA launch error).
@@ -181,35 +179,12 @@ impl ExecStats {
     }
 }
 
-/// A reconvergence-stack frame.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    pc: u32,
-    /// Pc at which this frame pops ([`NONE`] for the bottom frame).
-    reconv: u32,
-    mask: u32,
-}
-
-/// Why [`run_warp`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WarpStop {
-    /// The instruction budget ran out; the warp can go on.
-    Budget,
-    Barrier,
-    Done,
-}
-
-/// One warp's architectural and scoreboard state. Lives in a
-/// [`BlockScratch`] and is reset, not rebuilt, for every block.
-pub(crate) struct Warp {
+/// One warp's registers and scoreboard. Lives in a [`BlockScratch`] and
+/// is reset, not rebuilt, for every block.
+pub(crate) struct WarpState {
     /// First linear thread id covered by this warp.
     base_tid: u32,
-    /// Lanes that exist (a block's last warp may be partial).
-    lanes_mask: u32,
-    regs: Vec<Row>,
-    stack: Vec<Frame>,
-    pub(crate) done: bool,
-    pub(crate) at_barrier: bool,
+    pub(crate) regs: Vec<Row>,
     pub(crate) clock: u64,
     reg_ready: Vec<u64>,
     /// Earliest time a load from each space can observe prior stores
@@ -223,21 +198,13 @@ pub(crate) struct Warp {
     pub(crate) last_issue: (u64, u64),
 }
 
-impl Warp {
+impl WarpState {
     /// Back to "about to execute pc 0 of a fresh block". Registers keep
     /// their contents except where the plan says a read can come first.
     fn reset(&mut self, plan: &LaunchPlan) {
         for &r in &plan.entry_live {
             self.regs[r as usize] = [0; 32];
         }
-        self.stack.clear();
-        self.stack.push(Frame {
-            pc: 0,
-            reconv: NONE,
-            mask: self.lanes_mask,
-        });
-        self.done = false;
-        self.at_barrier = false;
         self.clock = 0;
         self.reg_ready.fill(0);
         self.store_ready = [0; 3];
@@ -260,7 +227,7 @@ pub(crate) struct BlockState {
 /// and the block-level models. A launch worker owns one and runs its
 /// blocks through it one after another.
 pub(crate) struct BlockScratch {
-    pub(crate) warps: Vec<Warp>,
+    pub(crate) warps: Vec<Warp<WarpState>>,
     pub(crate) shared: Vec<u8>,
     pub(crate) state: BlockState,
 }
@@ -271,31 +238,16 @@ impl BlockScratch {
     pub(crate) fn new(env: &LaunchEnv<'_>) -> BlockScratch {
         let plan = env.plan;
         let (bx, by, bz) = env.block_dim;
-        let threads = bx * by * bz;
-        let warps = (0..threads.div_ceil(32))
-            .map(|w| {
-                let base_tid = w * 32;
-                let lanes = (threads - base_tid).min(32);
-                Warp {
-                    base_tid,
-                    lanes_mask: if lanes == 32 {
-                        u32::MAX
-                    } else {
-                        (1u32 << lanes) - 1
-                    },
-                    regs: vec![[0; 32]; plan.num_vregs],
-                    stack: Vec::new(),
-                    done: false,
-                    at_barrier: false,
-                    clock: 0,
-                    reg_ready: vec![0; plan.num_vregs],
-                    store_ready: [0; 3],
-                    stats: ExecStats::default(),
-                    local: vec![0; plan.local_bytes as usize * 32],
-                    last_issue: (0, 0),
-                }
-            })
-            .collect();
+        let warps = Warp::block(bx * by * bz, |base_tid| WarpState {
+            base_tid,
+            regs: vec![[0; 32]; plan.num_vregs],
+            clock: 0,
+            reg_ready: vec![0; plan.num_vregs],
+            store_ready: [0; 3],
+            stats: ExecStats::default(),
+            local: vec![0; plan.local_bytes as usize * 32],
+            last_issue: (0, 0),
+        });
         let mut scratch = BlockScratch {
             warps,
             shared: vec![0; (plan.shared_bytes + env.dynamic_shared) as usize],
@@ -308,11 +260,34 @@ impl BlockScratch {
         scratch
     }
 
+    /// The warps, and the simulator's domain over the rest of the block
+    /// whose grid index is `block_idx`.
+    #[inline(always)]
+    pub(crate) fn split<'a, 'e, const TIMING: bool>(
+        &'a mut self,
+        env: &'a LaunchEnv<'e>,
+        block_idx: (u32, u32, u32),
+    ) -> (&'a mut [Warp<WarpState>], Block<'a, 'e, TIMING>) {
+        let BlockScratch {
+            warps,
+            shared,
+            state,
+        } = self;
+        let block = Block {
+            env,
+            block_idx,
+            shared,
+            state,
+        };
+        (warps, block)
+    }
+
     /// Make the scratch indistinguishable from a new one, as far as a
     /// block can observe.
     pub(crate) fn reset(&mut self, plan: &LaunchPlan) {
         for w in &mut self.warps {
-            w.reset(plan);
+            w.restart();
+            w.state.reset(plan);
         }
         self.shared.fill(0);
         self.state.seen_lines.clear();
@@ -363,7 +338,7 @@ impl Costs {
     }
 }
 
-/// Dynamic instructions one warp may execute between two barriers.
+/// Dynamic warp-instructions one block may execute.
 const STEP_LIMIT: u64 = 2_000_000_000;
 
 /// Whether this CPU has every feature [`run_block_v3`] is compiled for.
@@ -449,218 +424,138 @@ fn run_block_body<const TIMING: bool>(
         )));
     }
     scratch.reset(env.plan);
-    let BlockScratch {
-        warps,
-        shared,
-        state,
-    } = scratch;
-
-    // Round-robin warps between barriers.
-    loop {
-        let mut all_done = true;
-        let mut any_progress = false;
-        for w in warps.iter_mut() {
-            if w.done || w.at_barrier {
-                all_done &= w.done;
-                continue;
-            }
-            all_done = false;
-            any_progress = true;
-            if run_warp::<TIMING>(env, block_idx, w, shared, state, STEP_LIMIT)? == WarpStop::Budget
-            {
-                return Err(SimError("kernel exceeded dynamic instruction limit".into()));
-            }
-        }
-        if all_done {
-            break;
-        }
-        if !any_progress {
-            // Everyone alive is at a barrier: release it. Beyond syncing
-            // the clocks, a barrier costs a drain/notify latency on real
-            // hardware (~tens of cycles).
-            if env.strict_barriers && warps.iter().any(|w| w.done) {
-                let waiting = warps.iter().filter(|w| w.at_barrier).count();
-                let exited = warps.iter().filter(|w| w.done).count();
-                return Err(SimError(format!(
-                    "divergent barrier: {exited} warp(s) returned while {waiting} \
-                     warp(s) wait at __syncthreads() — on hardware the block hangs"
-                )));
-            }
-            // A full barrier orders all shared-memory accesses before it.
-            if let Some(tr) = state.shmem.as_mut() {
-                tr.barrier();
-            }
-            const BARRIER_COST: u64 = 40;
-            let release_clock = warps
-                .iter()
-                .filter(|w| w.at_barrier)
-                .map(|w| w.clock)
-                .max()
-                .unwrap_or(0);
-            let mut any = false;
-            for w in warps.iter_mut() {
-                if w.at_barrier {
-                    w.at_barrier = false;
-                    if TIMING {
-                        w.clock = w.clock.max(release_clock) + BARRIER_COST;
-                    }
-                    any = true;
-                }
-            }
-            if !any {
-                return Err(SimError("scheduler deadlock (barrier mismatch)".into()));
-            }
-        }
-    }
+    let (warps, mut block) = scratch.split::<TIMING>(env, block_idx);
+    simt::run_block(env.plan, &mut block, warps, STEP_LIMIT)?;
 
     let mut total = ExecStats::default();
     if TIMING {
         for w in warps.iter() {
-            total.accumulate(&w.stats);
+            total.accumulate(&w.state.stats);
         }
     }
     Ok(total)
 }
 
-/// Execute a warp until it finishes, parks at a barrier, or has issued
-/// `budget` instructions (terminators count, reconvergence pops do not).
-/// The event scheduler interleaves warps with a budget of one.
-#[inline(always)]
-pub(crate) fn run_warp<const TIMING: bool>(
-    env: &LaunchEnv<'_>,
+/// The simulator's domain over one block: its launch, its shared memory
+/// and its memory models.
+pub(crate) struct Block<'a, 'e, const TIMING: bool> {
+    env: &'a LaunchEnv<'e>,
     block_idx: (u32, u32, u32),
-    w: &mut Warp,
-    shared: &mut [u8],
-    state: &mut BlockState,
-    mut budget: u64,
-) -> Result<WarpStop, SimError> {
-    let ops = &env.plan.ops[..];
-    loop {
-        if budget == 0 {
-            return Ok(WarpStop::Budget);
-        }
-        let Some(&Frame {
-            mut pc,
-            reconv,
+    shared: &'a mut [u8],
+    state: &'a mut BlockState,
+}
+
+impl<const TIMING: bool> Domain for Block<'_, '_, TIMING> {
+    type Lanes = WarpState;
+    type Error = SimError;
+
+    #[inline(always)]
+    fn exec(&mut self, w: &mut WarpState, op: &Op, pc: u32, mask: u32) -> Result<(), SimError> {
+        exec_op::<TIMING>(
+            self.env,
+            self.block_idx,
+            w,
+            op,
+            pc,
             mask,
-        }) = w.stack.last()
-        else {
-            w.done = true;
-            return Ok(WarpStop::Done);
-        };
-        // Pop frames that reached their reconvergence point.
-        if pc == reconv {
-            w.stack.pop();
-            continue;
+            self.shared,
+            self.state,
+        )
+    }
+
+    #[inline(always)]
+    fn taken(&mut self, w: &mut WarpState, op: &Op, _pc: u32, mask: u32) -> Result<u32, SimError> {
+        if TIMING {
+            w.stats.branches += 1;
+            w.stats.dyn_insts += 1;
+            let t = w.clock.max(w.reg_ready[op.a as usize]);
+            w.last_issue = (t, 1);
+            w.clock = t + 1;
         }
-        // Straight-line ops of this frame. Only a branch can land on a
-        // reconvergence pc, so the frame is re-examined after each.
-        loop {
-            let op = &ops[pc as usize];
-            pc += 1;
-            budget -= 1;
-            match op.kind {
-                Kind::Bar => {
-                    w.stack.last_mut().expect("frame").pc = pc;
-                    if TIMING {
-                        w.stats.barriers += 1;
-                        w.stats.dyn_insts += 1;
-                        // Pipeline bubble while the warp parks at the barrier.
-                        w.clock += 8;
-                        w.stats.issue_cycles += 8;
-                    }
-                    if w.stack.len() > 1 {
-                        return Err(SimError("__syncthreads() in divergent control flow".into()));
-                    }
-                    w.at_barrier = true;
-                    return Ok(WarpStop::Barrier);
-                }
-                Kind::Ret => {
-                    if w.stack.len() > 1 {
-                        return Err(SimError(
-                            "divergent return (should reconverge first)".into(),
-                        ));
-                    }
-                    if TIMING {
-                        w.stats.isolated_cycles = w.clock;
-                    }
-                    w.done = true;
-                    return Ok(WarpStop::Done);
-                }
-                Kind::Br => {
-                    if TIMING {
-                        w.stats.branches += 1;
-                        w.stats.dyn_insts += 1;
-                        w.last_issue = (w.clock, 1);
-                        w.clock += 1;
-                    }
-                    w.stack.last_mut().expect("frame").pc = op.imm as u32;
-                    break;
-                }
-                Kind::CondBr { negate } => {
-                    let Branch {
-                        then_pc,
-                        else_pc,
-                        reconv: join,
-                    } = env.plan.branches[op.imm as usize];
-                    if TIMING {
-                        w.stats.branches += 1;
-                        w.stats.dyn_insts += 1;
-                        let t = w.clock.max(w.reg_ready[op.a as usize]);
-                        w.last_issue = (t, 1);
-                        w.clock = t + 1;
-                    }
-                    let pred = &w.regs[op.a as usize];
-                    let mut taken = 0u32;
-                    for lane in 0..32 {
-                        taken |= u32::from((pred[lane] != 0) ^ negate) << lane;
-                    }
-                    taken &= mask;
-                    let not_taken = mask & !taken;
-                    let fr = w.stack.last_mut().expect("frame");
-                    if not_taken == 0 {
-                        fr.pc = then_pc;
-                    } else if taken == 0 {
-                        fr.pc = else_pc;
-                    } else {
-                        // Divergence: current frame becomes the reconvergence
-                        // continuation; push else then then (then runs first).
-                        if TIMING {
-                            w.stats.divergent_branches += 1;
-                        }
-                        if join == NONE {
-                            return Err(SimError(format!(
-                                "divergent branch in {} without a reconvergence point",
-                                env.plan.block_of(pc - 1)
-                            )));
-                        }
-                        fr.pc = join;
-                        w.stack.push(Frame {
-                            pc: else_pc,
-                            reconv: join,
-                            mask: not_taken,
-                        });
-                        w.stack.push(Frame {
-                            pc: then_pc,
-                            reconv: join,
-                            mask: taken,
-                        });
-                    }
-                    break;
-                }
-                _ => {
-                    exec_op::<TIMING>(env, block_idx, w, op, pc - 1, mask, shared, state)?;
-                    if budget == 0 {
-                        w.stack.last_mut().expect("frame").pc = pc;
-                        return Ok(WarpStop::Budget);
-                    }
-                }
+        let negate = matches!(op.kind, Kind::CondBr { negate: true });
+        let pred = &w.regs[op.a as usize];
+        let mut taken = 0u32;
+        for lane in 0..32 {
+            taken |= u32::from((pred[lane] != 0) ^ negate) << lane;
+        }
+        taken &= mask;
+        if TIMING && taken != 0 && taken != mask {
+            w.stats.divergent_branches += 1;
+        }
+        Ok(taken)
+    }
+
+    #[inline(always)]
+    fn charge(&mut self, w: &mut WarpState, kind: Kind) {
+        if !TIMING {
+            return;
+        }
+        match kind {
+            Kind::Bar => {
+                w.stats.barriers += 1;
+                w.stats.dyn_insts += 1;
+                // Pipeline bubble while the warp parks at the barrier.
+                w.clock += 8;
+                w.stats.issue_cycles += 8;
             }
+            Kind::Br => {
+                w.stats.branches += 1;
+                w.stats.dyn_insts += 1;
+                w.last_issue = (w.clock, 1);
+                w.clock += 1;
+            }
+            Kind::Ret => w.stats.isolated_cycles = w.clock,
+            _ => {}
         }
+    }
+
+    fn divergent_barrier(&mut self, _: &WarpState, _: u32, _: u32) -> SimError {
+        SimError("__syncthreads() in divergent control flow".into())
+    }
+
+    fn divergent_return(&mut self, _: u32) -> SimError {
+        SimError("divergent return (should reconverge first)".into())
+    }
+
+    fn partial_barrier(&mut self, exited: usize, waiting: usize) -> Result<(), SimError> {
+        if !self.env.strict_barriers {
+            return Ok(());
+        }
+        Err(SimError(format!(
+            "divergent barrier: {exited} warp(s) returned while {waiting} \
+             warp(s) wait at __syncthreads() — on hardware the block hangs"
+        )))
+    }
+
+    /// A full barrier orders all shared-memory accesses before it, and
+    /// beyond syncing the clocks costs a drain/notify latency on real
+    /// hardware (~tens of cycles).
+    #[inline(always)]
+    fn release(&mut self, warps: &mut [Warp<WarpState>]) {
+        if let Some(tr) = self.state.shmem.as_mut() {
+            tr.barrier();
+        }
+        if !TIMING {
+            return;
+        }
+        const BARRIER_COST: u64 = 40;
+        let waiting = || warps.iter().filter(|w| w.at_barrier);
+        let release_clock = waiting().map(|w| w.state.clock).max().unwrap_or(0);
+        for w in warps.iter_mut().filter(|w| w.at_barrier) {
+            w.state.clock = w.state.clock.max(release_clock) + BARRIER_COST;
+        }
+    }
+
+    fn fault(&mut self, why: String) -> SimError {
+        SimError(why)
+    }
+
+    fn out_of_steps(&mut self) -> SimError {
+        SimError("kernel exceeded dynamic instruction limit".into())
     }
 }
 
-/// Store-to-load forwarding slot of a space (`Warp::store_ready`).
+/// Store-to-load forwarding slot of a space (`WarpState::store_ready`).
 fn store_slot(space: Space) -> Option<usize> {
     match space {
         Space::Global => Some(0),
@@ -894,7 +789,7 @@ fn write_row(dst: &mut Row, mask: u32, out: &Row) {
 fn exec_op<const TIMING: bool>(
     env: &LaunchEnv<'_>,
     block_idx: (u32, u32, u32),
-    w: &mut Warp,
+    w: &mut WarpState,
     op: &Op,
     pc: u32,
     mask: u32,
@@ -1024,7 +919,7 @@ fn exec_op<const TIMING: bool>(
                     }
                     for lane in lanes(mask) {
                         if let Some(tr) = state.shmem.as_mut() {
-                            if let Some(h) = tr.read(w.base_tid / 32, addrs[lane] & !3) {
+                            if let Some(h) = tr.read(w.base_tid / 32, addrs[lane] & !3, pc) {
                                 return Err(SimError(format!("racecheck: {h}")));
                             }
                         }
@@ -1114,7 +1009,8 @@ fn exec_op<const TIMING: bool>(
                     }
                     for lane in lanes(mask) {
                         if let Some(tr) = state.shmem.as_mut() {
-                            if let Some(h) = tr.write(w.base_tid / 32, addrs[lane] & !3) {
+                            if let Some(h) = tr.write(w.base_tid / 32, addrs[lane] & !3, pc).next()
+                            {
                                 return Err(SimError(format!("racecheck: {h}")));
                             }
                         }
@@ -1177,7 +1073,7 @@ fn exec_op<const TIMING: bool>(
         }
         Kind::Trap => return Err(SimError(plan.traps[op.imm as usize].clone())),
         Kind::Bar | Kind::Br | Kind::CondBr { .. } | Kind::Ret => {
-            unreachable!("handled by the warp loop")
+            unreachable!("handled by the control core")
         }
     }
     if op.dst != NONE {

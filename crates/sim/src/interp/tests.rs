@@ -90,7 +90,7 @@ impl Fixture<'_> {
         Outcome {
             blocks,
             heap: global.raw_mut().to_vec(),
-            regs: scratch.warps.iter().map(|w| w.regs.clone()).collect(),
+            regs: scratch.warps.iter().map(|w| w.state.regs.clone()).collect(),
         }
     }
 

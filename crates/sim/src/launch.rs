@@ -43,11 +43,11 @@ impl LaunchDims {
         }
     }
 
-    pub fn grid_blocks(&self) -> u64 {
+    pub(crate) fn grid_blocks(&self) -> u64 {
         self.grid.0 as u64 * self.grid.1 as u64 * self.grid.2 as u64
     }
 
-    pub fn block_threads(&self) -> u32 {
+    pub(crate) fn block_threads(&self) -> u32 {
         self.block.0 * self.block.1 * self.block.2
     }
 }
@@ -269,35 +269,15 @@ pub fn launch(
     args: &[KArg],
     opts: LaunchOptions,
 ) -> Result<LaunchReport, SimError> {
-    launch_keyed(state, module, kernel, dims, args, opts, 0, "")
-}
-
-/// [`launch`], with the bound binary identified by its specialization
-/// cache key and rendered `-D` command line so an active
-/// [`ks_fault::FaultPlan`] can scope launch faults to one exact variant
-/// (`Target::Key` / `Target::Define`). Key 0 and an empty `-D` line
-/// mean "unidentified" and match only un-keyed selectors.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_keyed(
-    state: &mut DeviceState,
-    module: &Module,
-    kernel: &str,
-    dims: LaunchDims,
-    args: &[KArg],
-    opts: LaunchOptions,
-    key: u64,
-    defines: &str,
-) -> Result<LaunchReport, SimError> {
-    let textures = &module.textures;
     launch_with(
         state,
-        textures,
+        &module.textures,
         kernel,
         dims,
         args,
         opts,
-        key,
-        defines,
+        0,
+        "",
         || {
             let f = module
                 .function(kernel)
@@ -307,9 +287,13 @@ pub fn launch_keyed(
     )
 }
 
-/// [`launch_keyed`] through a plan built earlier (by `ks_core::Binary`,
-/// once per kernel). `textures` is the texture-reference table of the
-/// module the plan's kernel came from.
+/// [`launch`] through a plan built earlier (by `ks_core::Binary`, once
+/// per kernel). `textures` is the texture-reference table of the module
+/// the plan's kernel came from. The bound binary is identified by its
+/// specialization cache key and rendered `-D` command line so an active
+/// [`ks_fault::FaultPlan`] can scope launch faults to one exact variant
+/// (`Target::Key` / `Target::Define`). Key 0 and an empty `-D` line
+/// mean "unidentified" and match only un-keyed selectors.
 #[allow(clippy::too_many_arguments)]
 pub fn launch_planned(
     state: &mut DeviceState,

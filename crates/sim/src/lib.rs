@@ -49,13 +49,13 @@ pub mod plan;
 pub mod racecheck;
 pub mod regalloc;
 pub mod report;
+pub mod simt;
 
-pub use device::{DeviceConfig, IssueClass, LatencyClass};
-pub use event::{run_sm_round, SmRound};
+pub use device::DeviceConfig;
+pub use event::run_sm_round;
 pub use interp::{executor_isa, ExecStats, SimError};
 pub use launch::{
-    launch, launch_keyed, launch_planned, Bound, DeviceState, KArg, LaunchDims, LaunchOptions,
-    LaunchReport,
+    launch, launch_planned, Bound, DeviceState, KArg, LaunchDims, LaunchOptions, LaunchReport,
 };
 pub use mem::{GlobalMem, MemError, GLOBAL_BASE};
 pub use occupancy::{occupancy, Limiter, Occupancy};

@@ -83,12 +83,6 @@ impl GlobalMem {
         Ok(GLOBAL_BASE + aligned)
     }
 
-    /// Reset the allocator (frees everything).
-    pub fn reset(&mut self) {
-        self.next = 0;
-        self.data.fill(0);
-    }
-
     pub fn capacity(&self) -> u64 {
         self.data.len() as u64
     }
@@ -107,12 +101,12 @@ impl GlobalMem {
         Ok((addr - GLOBAL_BASE) as usize)
     }
 
-    pub fn read_u32(&self, addr: u64) -> Result<u32, MemError> {
+    pub(crate) fn read_u32(&self, addr: u64) -> Result<u32, MemError> {
         let o = self.offset(addr, 4, 4)?;
         Ok(u32::from_le_bytes(self.data[o..o + 4].try_into().unwrap()))
     }
 
-    pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), MemError> {
+    pub(crate) fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), MemError> {
         let o = self.offset(addr, 4, 4)?;
         self.data[o..o + 4].copy_from_slice(&v.to_le_bytes());
         Ok(())

@@ -5,9 +5,10 @@
 //! into one discriminant, operands resolved to register-file rows,
 //! immediates materialised as broadcast rows, each branch's
 //! reconvergence pc, cost *classes* instead of cycles — is decided here,
-//! once, and then only read by the executor (`crate::interp`). A plan
-//! holds no device parameter, so one plan serves every `DeviceConfig`,
-//! and it is derived data: it is never serialized.
+//! once, and then only read by the control core (`crate::simt`) and its
+//! domains: the simulator's executor (`crate::interp`) and `ks-analysis`'s
+//! abstract lanes. A plan holds no device parameter, so one plan serves
+//! every `DeviceConfig`, and it is derived data: it is never serialized.
 
 use crate::device::{IssueClass, LatencyClass};
 use crate::memo::{timing_is_data_independent, ConstReads, TimingMemo};
@@ -18,18 +19,19 @@ use ks_ir::{
     UnOp,
 };
 use std::collections::HashMap;
+use BinKind::*;
 
 /// One value per lane of a warp.
 pub(crate) type Row = [u64; 32];
 
 /// "No row" / "no pc". As an operand it lies beyond every register and
 /// immediate row, so scoreboard lookups skip it like an immediate.
-pub(crate) const NONE: u32 = u32::MAX;
+pub const NONE: u32 = u32::MAX;
 
 /// `Bin` with its type folded in. S32 results are sign-extended into the
 /// 64-bit lane, U32 results zero-extended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BinKind {
+pub enum BinKind {
     FAdd,
     FSub,
     FMul,
@@ -72,7 +74,7 @@ pub(crate) enum BinKind {
 /// `Un` with its type folded in. `signed` picks the extension of the
 /// 32-bit integer result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum UnKind {
+pub enum UnKind {
     FNeg,
     FAbs,
     FSqrt,
@@ -99,7 +101,7 @@ pub(crate) enum UnKind {
 
 /// The value domain a `mad` multiplies and adds in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MadKind {
+pub enum MadKind {
     F32,
     U32,
     S32,
@@ -107,7 +109,7 @@ pub(crate) enum MadKind {
 
 /// The value domain a `setp` compares in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CmpDomain {
+pub enum CmpDomain {
     F32,
     U32,
     /// S32 and predicates.
@@ -117,7 +119,7 @@ pub(crate) enum CmpDomain {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CvtKind {
+pub enum CvtKind {
     SToF,
     UToF,
     FToS,
@@ -131,7 +133,7 @@ pub(crate) enum CvtKind {
 
 /// What an op does, matched once per warp-instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Kind {
+pub enum Kind {
     /// `dst = a`
     Mov,
     Special(SpecialReg),
@@ -198,12 +200,12 @@ pub(crate) enum Unit {
 /// binaries that own them, so this stays at 32 bytes: wide payloads go
 /// through `imm`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Op {
+pub struct Op {
     pub kind: Kind,
-    pub unit: Unit,
-    pub issue: IssueClass,
+    pub(crate) unit: Unit,
+    pub(crate) issue: IssueClass,
     /// Latency of the result; for a store, of a load that must observe it.
-    pub latency: LatencyClass,
+    pub(crate) latency: LatencyClass,
     /// Destination register row, or [`NONE`].
     pub dst: u32,
     /// Source rows: registers are `0..num_vregs`, immediates follow them,
@@ -370,6 +372,91 @@ impl LaunchPlan {
     /// The basic block containing `pc` (for diagnostics).
     pub(crate) fn block_of(&self, pc: u32) -> BlockId {
         BlockId(self.block_pc.partition_point(|&start| start <= pc) as u32 - 1)
+    }
+
+    /// Where `pc` sits in the function: its block and its index there
+    /// (the block's terminator follows its instructions).
+    pub fn site(&self, pc: u32) -> (BlockId, usize) {
+        let b = self.block_of(pc);
+        (b, (pc - self.block_pc[b.0 as usize]) as usize)
+    }
+
+    /// The bits of operand row `row` when it is an immediate; `None` for a
+    /// register.
+    pub fn imm(&self, row: u32) -> Option<u64> {
+        let i = (row as usize).checked_sub(self.num_vregs)?;
+        Some(self.imm_rows[i][0])
+    }
+}
+
+impl BinKind {
+    /// The `(op, type)` the kind decodes from, for `ks_ir::eval` (pointer
+    /// kinds answer in the global space, which `eval` does not read).
+    pub fn op_ty(self) -> (BinOp, Ty) {
+        let (kind, op, ty) = BINS[self as usize];
+        debug_assert_eq!(kind, self, "BINS follows the declaration order");
+        (op, ty)
+    }
+}
+
+impl UnKind {
+    /// An `(op, type)` the kind decodes from, for `ks_ir::eval`.
+    pub fn op_ty(self) -> (UnOp, Ty) {
+        let int = |signed| if signed { Ty::S32 } else { Ty::U32 };
+        match self {
+            UnKind::FNeg => (UnOp::Neg, Ty::F32),
+            UnKind::FAbs => (UnOp::Abs, Ty::F32),
+            UnKind::FSqrt => (UnOp::Sqrt, Ty::F32),
+            UnKind::FRsqrt => (UnOp::Rsqrt, Ty::F32),
+            UnKind::FFloor => (UnOp::Floor, Ty::F32),
+            UnKind::FNot => (UnOp::Not, Ty::F32),
+            UnKind::PredNot => (UnOp::Not, Ty::Pred),
+            UnKind::PredZero => (UnOp::Neg, Ty::Pred),
+            UnKind::INeg { signed } => (UnOp::Neg, int(signed)),
+            UnKind::INot { signed } => (UnOp::Not, int(signed)),
+            UnKind::IAbs { signed } => (UnOp::Abs, int(signed)),
+            UnKind::ILow { signed } => (UnOp::Floor, int(signed)),
+        }
+    }
+}
+
+impl MadKind {
+    /// The type the `mad` multiplies and adds in.
+    pub fn ty(self) -> Ty {
+        match self {
+            MadKind::F32 => Ty::F32,
+            MadKind::U32 => Ty::U32,
+            MadKind::S32 => Ty::S32,
+        }
+    }
+}
+
+impl CmpDomain {
+    /// A type that compares in this domain, for `ks_ir::eval::cmp`.
+    pub fn ty(self) -> Ty {
+        match self {
+            CmpDomain::F32 => Ty::F32,
+            CmpDomain::U32 => Ty::U32,
+            CmpDomain::S32 => Ty::S32,
+            CmpDomain::U64 => PTR,
+        }
+    }
+}
+
+impl CvtKind {
+    /// A `(dst, src)` type pair the conversion decodes from, for
+    /// `ks_ir::eval::cvt`; `None` for [`CvtKind::Copy`], which is no
+    /// conversion.
+    pub fn tys(self) -> Option<(Ty, Ty)> {
+        Some(match self {
+            CvtKind::SToF => (Ty::F32, Ty::S32),
+            CvtKind::UToF => (Ty::F32, Ty::U32),
+            CvtKind::FToS => (Ty::S32, Ty::F32),
+            CvtKind::FToU => (Ty::U32, Ty::F32),
+            CvtKind::Sext => (PTR, Ty::S32),
+            CvtKind::Zext => (PTR, Ty::U32),
+            CvtKind::Copy => return None,
+        })
     }
 }
 
@@ -546,60 +633,68 @@ impl Decoder {
     }
 }
 
+/// Pointer types decode alike whatever their space.
+const PTR: Ty = Ty::Ptr(Space::Global);
+
+/// Every [`BinKind`] with the `(op, type)` it decodes from, in
+/// declaration order.
+const BINS: [(BinKind, BinOp, Ty); 37] = [
+    (FAdd, BinOp::Add, Ty::F32),
+    (FSub, BinOp::Sub, Ty::F32),
+    (FMul, BinOp::Mul, Ty::F32),
+    (FDiv, BinOp::Div, Ty::F32),
+    (FMin, BinOp::Min, Ty::F32),
+    (FMax, BinOp::Max, Ty::F32),
+    (UAdd, BinOp::Add, Ty::U32),
+    (USub, BinOp::Sub, Ty::U32),
+    (UMul, BinOp::Mul, Ty::U32),
+    (UMul24, BinOp::Mul24, Ty::U32),
+    (UDiv, BinOp::Div, Ty::U32),
+    (URem, BinOp::Rem, Ty::U32),
+    (UMin, BinOp::Min, Ty::U32),
+    (UMax, BinOp::Max, Ty::U32),
+    (UAnd, BinOp::And, Ty::U32),
+    (UOr, BinOp::Or, Ty::U32),
+    (UXor, BinOp::Xor, Ty::U32),
+    (UShl, BinOp::Shl, Ty::U32),
+    (UShr, BinOp::Shr, Ty::U32),
+    (SAdd, BinOp::Add, Ty::S32),
+    (SSub, BinOp::Sub, Ty::S32),
+    (SMul, BinOp::Mul, Ty::S32),
+    (SMul24, BinOp::Mul24, Ty::S32),
+    (SDiv, BinOp::Div, Ty::S32),
+    (SRem, BinOp::Rem, Ty::S32),
+    (SMin, BinOp::Min, Ty::S32),
+    (SMax, BinOp::Max, Ty::S32),
+    (SAnd, BinOp::And, Ty::S32),
+    (SOr, BinOp::Or, Ty::S32),
+    (SXor, BinOp::Xor, Ty::S32),
+    (SShl, BinOp::Shl, Ty::S32),
+    (SShr, BinOp::Shr, Ty::S32),
+    (PtrAdd, BinOp::Add, PTR),
+    (PtrSub, BinOp::Sub, PTR),
+    (PredAnd, BinOp::And, Ty::Pred),
+    (PredOr, BinOp::Or, Ty::Pred),
+    (PredXor, BinOp::Xor, Ty::Pred),
+];
+
 fn bin_kind(op: BinOp, ty: Ty) -> Result<BinKind, String> {
-    use BinKind::*;
-    Ok(match ty {
-        Ty::F32 => match op {
-            BinOp::Add => FAdd,
-            BinOp::Sub => FSub,
-            BinOp::Mul => FMul,
-            BinOp::Div => FDiv,
-            BinOp::Min => FMin,
-            BinOp::Max => FMax,
-            _ => return Err(format!("float op {op:?} unsupported")),
-        },
-        Ty::U32 => match op {
-            BinOp::Add => UAdd,
-            BinOp::Sub => USub,
-            BinOp::Mul => UMul,
-            BinOp::Mul24 => UMul24,
-            BinOp::Div => UDiv,
-            BinOp::Rem => URem,
-            BinOp::Min => UMin,
-            BinOp::Max => UMax,
-            BinOp::And => UAnd,
-            BinOp::Or => UOr,
-            BinOp::Xor => UXor,
-            BinOp::Shl => UShl,
-            BinOp::Shr => UShr,
-        },
-        Ty::S32 => match op {
-            BinOp::Add => SAdd,
-            BinOp::Sub => SSub,
-            BinOp::Mul => SMul,
-            BinOp::Mul24 => SMul24,
-            BinOp::Div => SDiv,
-            BinOp::Rem => SRem,
-            BinOp::Min => SMin,
-            BinOp::Max => SMax,
-            BinOp::And => SAnd,
-            BinOp::Or => SOr,
-            BinOp::Xor => SXor,
-            BinOp::Shl => SShl,
-            BinOp::Shr => SShr,
-        },
-        Ty::Ptr(_) => match op {
-            BinOp::Add => PtrAdd,
-            BinOp::Sub => PtrSub,
-            _ => return Err(format!("pointer op {op:?} unsupported")),
-        },
-        Ty::Pred => match op {
-            BinOp::And => PredAnd,
-            BinOp::Or => PredOr,
-            BinOp::Xor => PredXor,
-            _ => return Err("arithmetic on predicate".into()),
-        },
-    })
+    // `BINS` keeps each type's rows together.
+    let rows = match ty {
+        Ty::F32 => &BINS[..6],
+        Ty::U32 => &BINS[6..19],
+        Ty::S32 => &BINS[19..32],
+        Ty::Ptr(_) => &BINS[32..34],
+        Ty::Pred => &BINS[34..],
+    };
+    rows.iter()
+        .find(|&&(_, o, _)| o == op)
+        .map(|&(kind, ..)| kind)
+        .ok_or_else(|| match ty {
+            Ty::F32 => format!("float op {op:?} unsupported"),
+            Ty::Pred => "arithmetic on predicate".into(),
+            _ => format!("pointer op {op:?} unsupported"),
+        })
 }
 
 fn un_kind(op: UnOp, ty: Ty) -> UnKind {
@@ -784,6 +879,84 @@ mod tests {
         );
         for (i, op) in p.ops[..5].iter().enumerate() {
             assert_eq!((op.kind, op.imm), (Kind::Trap, i as i64));
+        }
+    }
+
+    /// What `ks-analysis` hands `ks_ir::eval` for a kind must decode back
+    /// to that kind: the two agree on every lane by `rows_vs_eval`.
+    #[test]
+    fn kinds_map_back_to_an_op_and_type_that_decodes_to_them() {
+        let decode = |inst| {
+            Decoder {
+                num_vregs: 1,
+                imm_index: HashMap::new(),
+                imm_rows: Vec::new(),
+                traps: Vec::new(),
+            }
+            .inst(&inst)
+            .kind
+        };
+        let r = Operand::Reg(VReg(0));
+        for (kind, op, ty) in BINS {
+            assert_eq!((bin_kind(op, ty), kind.op_ty()), (Ok(kind), (op, ty)));
+        }
+        let tys = [Ty::F32, Ty::U32, Ty::S32, Ty::Pred, PTR];
+        for ty in tys {
+            for op in [
+                UnOp::Neg,
+                UnOp::Not,
+                UnOp::Abs,
+                UnOp::Sqrt,
+                UnOp::Rsqrt,
+                UnOp::Floor,
+            ] {
+                let (op, ty) = un_kind(op, ty).op_ty();
+                assert_eq!(un_kind(op, ty).op_ty(), (op, ty));
+            }
+            for src_ty in tys {
+                let cvt = |dst_ty, src_ty| Inst::Cvt {
+                    dst_ty,
+                    src_ty,
+                    dst: VReg(0),
+                    src: r,
+                };
+                if let Kind::Cvt(kind) = decode(cvt(ty, src_ty)) {
+                    if let Some((d, s)) = kind.tys() {
+                        assert_eq!(decode(cvt(d, s)), Kind::Cvt(kind));
+                    }
+                }
+            }
+            let (a, b, dst) = (r, r, VReg(0));
+            if let Kind::Setp(cmp, domain) = decode(Inst::Setp {
+                cmp: CmpOp::Lt,
+                ty,
+                dst,
+                a,
+                b,
+            }) {
+                let ty = domain.ty();
+                let again = decode(Inst::Setp { cmp, ty, dst, a, b });
+                assert_eq!(again, Kind::Setp(cmp, domain));
+            }
+            if let Kind::Mad(kind) = decode(Inst::Mad {
+                ty,
+                dst,
+                a,
+                b,
+                c: r,
+            }) {
+                let ty = kind.ty();
+                assert_eq!(
+                    decode(Inst::Mad {
+                        ty,
+                        dst,
+                        a,
+                        b,
+                        c: r
+                    }),
+                    Kind::Mad(kind)
+                );
+            }
         }
     }
 }

@@ -999,11 +999,15 @@ fn keyed_launch_scopes_flips_to_one_variant() {
         }
     "#;
     let m = module(src, &[]);
+    let kernel = LaunchPlan::from_function(m.function("keyed_victim").unwrap());
     let mut st = state();
     let p = st.global.alloc(32 * 4).unwrap();
     let dims = LaunchDims::linear(1, 32);
     let args = [KArg::Ptr(p)];
     let opts = LaunchOptions::default();
+    let keyed = |st: &mut DeviceState, key| {
+        launch_planned(st, &m.textures, &kernel, dims, &args, opts, key, "").unwrap()
+    };
     use ks_fault::{FaultKind, FaultPlan, FaultRule, Target};
     let plan = std::sync::Arc::new(
         FaultPlan::new(7)
@@ -1012,11 +1016,11 @@ fn keyed_launch_scopes_flips_to_one_variant() {
     ks_fault::install(plan.clone());
     // Unkeyed launch and a different key: spared.
     launch(&mut st, &m, "keyed_victim", dims, &args, opts).unwrap();
-    launch_keyed(&mut st, &m, "keyed_victim", dims, &args, opts, 0xBEEF, "").unwrap();
+    keyed(&mut st, 0xBEEF);
     let clean = st.global.read_i32_slice(p, 32).unwrap();
     assert_eq!(plan.injected_count(), 0);
     // The targeted variant: corrupted (still Ok).
-    launch_keyed(&mut st, &m, "keyed_victim", dims, &args, opts, 0xFEED, "").unwrap();
+    keyed(&mut st, 0xFEED);
     ks_fault::clear();
     assert_eq!(plan.injected_count(), 1);
     assert_ne!(st.global.read_i32_slice(p, 32).unwrap(), clean);
