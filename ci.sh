@@ -44,12 +44,13 @@ cargo test --offline --release -q -p ks-tune --test parallel_compile
 # only exist there. Its row kernels against the scalar definition in
 # ks_ir::eval, every (op, type) lane by lane; the portable copy against
 # the x86-64-v3 one (the unit tests); the 55 golden launches; the timing
-# memo; and the worker grain. Then ks-analysis, whose abstract lanes run
-# through the same SIMT control core, with its golden, at that
-# opt-level too.
+# memo; the worker grain; and the bad-address traps, whose address
+# arithmetic only wraps silently (rather than panicking) here. Then
+# ks-analysis, whose abstract lanes run through the same SIMT control
+# core, with its golden, at that opt-level too.
 echo "== cargo test --release (the executor at opt-level 3)"
 cargo test --offline --release -q -p ks-sim --lib --test rows_vs_eval \
-    --test plan_equiv --test timing_memo --test worker_grain
+    --test plan_equiv --test timing_memo --test worker_grain --test bad_address
 cargo test --offline --release -q -p ks-analysis
 # The record checksum's word loop is only vectorised at opt-level 3:
 # its pinned vectors and exhaustive bit-flip test run on that build too,

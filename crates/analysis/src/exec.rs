@@ -29,12 +29,12 @@ use crate::bounds::{BoundsChecker, BoundsFinding};
 use crate::diag::{AnalysisConfig, MemPrediction, ParamValue};
 use crate::memlint::{AccessKind, MemFinding, MemLint};
 use crate::race::{RaceFinding, RaceLog, Site};
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{eval, BinOp, CmpOp, Function, Module, Space, SpecialReg, Ty};
 use ks_sim::device::DeviceConfig;
 use ks_sim::plan::{CvtKind, Kind, LaunchPlan, Op, NONE};
 use ks_sim::racecheck::{RaceHazard, ShmemTracker};
 use ks_sim::simt::{self, Domain, Warp};
-use std::collections::HashMap;
 
 /// Abstract register value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,11 +85,11 @@ struct Exec<'a> {
     cfg: &'a AnalysisConfig,
     block_dim: (u32, u32, u32),
     /// Parameter values by param-space byte offset.
-    params: HashMap<u32, Val>,
+    params: FxHashMap<u32, Val>,
     /// Synthetic device base per symbol, spaced far apart and 256-aligned
     /// like real allocations, so relative alignment (all that coalescing
     /// depends on) matches a real launch.
-    sym_bases: HashMap<u32, u64>,
+    sym_bases: FxHashMap<u32, u64>,
     next_sym_base: u64,
     shmem: ShmemTracker,
     races: RaceLog,
@@ -125,7 +125,7 @@ pub fn exec_function(
         return out;
     }
 
-    let mut params = HashMap::new();
+    let mut params = FxHashMap::default();
     for (i, p) in f.params.iter().enumerate() {
         let v = match cfg.assumed(&p.name) {
             Some(ParamValue::Int(v)) => match p.ty {
@@ -153,7 +153,7 @@ pub fn exec_function(
         cfg,
         block_dim,
         params,
-        sym_bases: HashMap::new(),
+        sym_bases: FxHashMap::default(),
         next_sym_base: ks_sim::mem::GLOBAL_BASE,
         shmem: ShmemTracker::new(),
         races: RaceLog::default(),
@@ -291,7 +291,7 @@ impl Exec<'_> {
                 // Two lanes of one store hitting the same word is a race
                 // unless they provably write the same value (which lane
                 // wins is undefined).
-                let mut by_word: HashMap<u64, Val> = HashMap::new();
+                let mut by_word: FxHashMap<u64, Val> = FxHashMap::default();
                 let warp = w.base_tid / 32;
                 for lane in lanes(mask) {
                     let addr = addrs[lane];

@@ -11,9 +11,9 @@
 
 use crate::diag::MemPrediction;
 use crate::race::Site;
+use ks_ir::fxhash::FxHashMap;
 use ks_sim::device::DeviceConfig;
 use ks_sim::mem::{bank_conflict_degree, coalesce_transactions};
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -45,7 +45,7 @@ pub struct MemFinding {
 
 pub struct MemLint {
     dev: DeviceConfig,
-    sites: HashMap<Site, SiteStats>,
+    sites: FxHashMap<Site, SiteStats>,
     pub prediction: MemPrediction,
 }
 
@@ -53,7 +53,7 @@ impl MemLint {
     pub fn new(dev: &DeviceConfig) -> MemLint {
         MemLint {
             dev: dev.clone(),
-            sites: HashMap::new(),
+            sites: FxHashMap::default(),
             prediction: MemPrediction::default(),
         }
     }

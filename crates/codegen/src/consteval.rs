@@ -2,6 +2,7 @@
 //! elimination. These fire only where operands are literal — which, for a
 //! specialized kernel, is exactly where `-D` defines substituted values.
 
+use ks_ir::fxhash::{FxHashMap, FxHashSet};
 use ks_lang::hir::*;
 
 /// Wrap-around 32-bit integer semantics matching the GPU.
@@ -150,11 +151,11 @@ fn is_float(e: &HExpr, v: f32) -> bool {
 }
 
 /// Known-constant values of scalar locals at a program point.
-pub type ConstEnv = std::collections::HashMap<LocalId, HExpr>;
+pub type ConstEnv = FxHashMap<LocalId, HExpr>;
 
 /// Fold one expression bottom-up (no propagation environment).
 pub fn fold_expr(e: &HExpr) -> HExpr {
-    fold_expr_env(e, &ConstEnv::new())
+    fold_expr_env(e, &ConstEnv::default())
 }
 
 /// Fold one expression bottom-up, substituting locals with known constant
@@ -416,7 +417,7 @@ fn fold_place_env(p: &Place, env: &ConstEnv) -> Place {
 }
 
 /// Collect every scalar local assigned anywhere in `stmts`.
-fn assigned_locals(stmts: &[HStmt], out: &mut std::collections::HashSet<LocalId>) {
+fn assigned_locals(stmts: &[HStmt], out: &mut FxHashSet<LocalId>) {
     for s in stmts {
         match s {
             HStmt::Assign {
@@ -450,7 +451,7 @@ fn is_literal(e: &HExpr) -> bool {
 /// Fold a statement list; `if`s with constant conditions are resolved
 /// (static guard elimination), constant-false loops drop away.
 pub fn fold_stmts(stmts: &[HStmt]) -> Vec<HStmt> {
-    let mut env = ConstEnv::new();
+    let mut env = ConstEnv::default();
     fold_stmts_env(stmts, &mut env)
 }
 
@@ -506,7 +507,7 @@ pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
                 let init = fold_stmts_env(init, env);
                 // Anything assigned inside the loop is unknown during and
                 // after it.
-                let mut killed = std::collections::HashSet::new();
+                let mut killed = FxHashSet::default();
                 assigned_locals(body, &mut killed);
                 assigned_locals(step, &mut killed);
                 for k in &killed {
@@ -535,7 +536,7 @@ pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
                 });
             }
             HStmt::While { cond, body } => {
-                let mut killed = std::collections::HashSet::new();
+                let mut killed = FxHashSet::default();
                 assigned_locals(body, &mut killed);
                 for k in &killed {
                     env.remove(k);
@@ -549,21 +550,15 @@ pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
                 out.push(HStmt::While { cond: c, body });
             }
             HStmt::DoWhile { body, cond } => {
-                let mut killed = std::collections::HashSet::new();
+                let mut killed = FxHashSet::default();
                 assigned_locals(body, &mut killed);
                 for k in &killed {
                     env.remove(k);
                 }
                 let mut benv = env.clone();
                 let body = fold_stmts_env(body, &mut benv);
-                let c = fold_expr_env(
-                    cond,
-                    &benv
-                        .clone()
-                        .into_iter()
-                        .filter(|(k, _)| !killed.contains(k))
-                        .collect(),
-                );
+                benv.retain(|k, _| !killed.contains(k));
+                let c = fold_expr_env(cond, &benv);
                 out.push(HStmt::DoWhile { body, cond: c });
             }
             HStmt::Break | HStmt::Continue | HStmt::Return | HStmt::Sync => out.push(s.clone()),

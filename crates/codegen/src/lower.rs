@@ -12,13 +12,13 @@
 //! * Constant pointers (e.g. a specialized `PTR_IN`) lower to absolute
 //!   addresses in `ld`/`st` instructions, exactly like Appendix D.
 
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{
     Address, BasicBlock, BinOp, BlockId, CmpOp, ConstDecl, Function, Inst, KernelParam, Module,
     Operand, SharedDecl, Space, SpecialReg, Terminator, Ty, UnOp, VReg,
 };
 use ks_lang::ast::{BuiltinVar, Dim3};
 use ks_lang::hir::*;
-use std::collections::HashMap;
 
 fn ir_ty(t: HTy) -> Ty {
     match t {
@@ -74,14 +74,14 @@ struct Lower<'a> {
     f: Function,
     cur: BlockId,
     /// Scalar locals → dedicated virtual register.
-    local_reg: HashMap<LocalId, VReg>,
+    local_reg: FxHashMap<LocalId, VReg>,
     /// Array locals → byte offset in per-thread local memory.
-    local_off: HashMap<LocalId, u32>,
+    local_off: FxHashMap<LocalId, u32>,
     shared_off: Vec<u32>,
     const_off: &'a [u32],
     param_reg: Vec<Option<VReg>>,
     param_off: Vec<u32>,
-    special_reg: HashMap<(BuiltinVar, Dim3), VReg>,
+    special_reg: FxHashMap<(BuiltinVar, Dim3), VReg>,
     /// Number of instructions in the entry preamble (lazy param/special
     /// loads are inserted here so they dominate all uses).
     preamble_len: usize,
@@ -123,7 +123,7 @@ fn lower_func(k: &HFunc, const_off: &[u32]) -> Result<Function, String> {
         soff += s.len * 4;
     }
     // Local (spill) layout for non-scalarized arrays.
-    let mut local_off = HashMap::new();
+    let mut local_off = FxHashMap::default();
     let mut loff = 0u32;
     for (i, l) in k.locals.iter().enumerate() {
         if l.array_len > 0 {
@@ -145,7 +145,7 @@ fn lower_func(k: &HFunc, const_off: &[u32]) -> Result<Function, String> {
         local_bytes: loff,
     };
     // One vreg per scalar local, allocated up front.
-    let mut local_reg = HashMap::new();
+    let mut local_reg = FxHashMap::default();
     for (i, l) in k.locals.iter().enumerate() {
         if l.array_len == 0 {
             let r = f.new_vreg(ir_ty(l.ty));
@@ -163,7 +163,7 @@ fn lower_func(k: &HFunc, const_off: &[u32]) -> Result<Function, String> {
         const_off,
         param_reg: vec![None; k.params.len()],
         param_off,
-        special_reg: HashMap::new(),
+        special_reg: FxHashMap::default(),
         preamble_len: 0,
         loop_stack: vec![],
         exit: BlockId(0), // patched below

@@ -8,8 +8,8 @@
 //! lowers to high-latency local memory — reproducing the paper's performance
 //! cliff for run-time-evaluated register blocking.
 
+use ks_ir::fxhash::FxHashMap;
 use ks_lang::hir::*;
-use std::collections::HashMap;
 
 /// Scalarize every eligible local array of `f` (length ≤ `cap`).
 pub fn scalarize_func(f: &mut HFunc, cap: u32) {
@@ -29,7 +29,7 @@ pub fn scalarize_func(f: &mut HFunc, cap: u32) {
         };
         let ty = HTy::from_elem(elem);
         // One fresh scalar local per element.
-        let mut map = HashMap::new();
+        let mut map = FxHashMap::default();
         for i in 0..len {
             let nid = LocalId(f.locals.len() as u32);
             f.locals.push(HLocal {
@@ -111,7 +111,7 @@ fn all_indices_const(stmts: &[HStmt], id: LocalId) -> bool {
     stmts.iter().all(|s| stmt_ok(s, id))
 }
 
-fn rewrite_stmts(stmts: &mut [HStmt], id: LocalId, map: &HashMap<i64, LocalId>, ty: HTy) {
+fn rewrite_stmts(stmts: &mut [HStmt], id: LocalId, map: &FxHashMap<i64, LocalId>, ty: HTy) {
     for s in stmts {
         match s {
             HStmt::Assign { place, value } => {
@@ -154,7 +154,7 @@ fn rewrite_stmts(stmts: &mut [HStmt], id: LocalId, map: &HashMap<i64, LocalId>, 
     }
 }
 
-fn rewrite_place(p: &mut Place, id: LocalId, map: &HashMap<i64, LocalId>) {
+fn rewrite_place(p: &mut Place, id: LocalId, map: &FxHashMap<i64, LocalId>) {
     match p {
         Place::LocalElem(v, idx) if *v == id => {
             let i = const_idx(idx).expect("checked const");
@@ -175,7 +175,7 @@ fn rewrite_place(p: &mut Place, id: LocalId, map: &HashMap<i64, LocalId>) {
     }
 }
 
-fn rewrite_expr(e: &mut HExpr, id: LocalId, map: &HashMap<i64, LocalId>, ty: HTy) {
+fn rewrite_expr(e: &mut HExpr, id: LocalId, map: &FxHashMap<i64, LocalId>, ty: HTy) {
     match e {
         HExpr::Load(p, _) => {
             rewrite_place_rec(p, id, map, ty);
@@ -217,7 +217,7 @@ fn rewrite_expr(e: &mut HExpr, id: LocalId, map: &HashMap<i64, LocalId>, ty: HTy
     }
 }
 
-fn rewrite_place_rec(p: &mut Place, id: LocalId, map: &HashMap<i64, LocalId>, ty: HTy) {
+fn rewrite_place_rec(p: &mut Place, id: LocalId, map: &FxHashMap<i64, LocalId>, ty: HTy) {
     match p {
         Place::LocalElem(v, idx) if *v == id => {
             let i = const_idx(idx).expect("checked const");

@@ -20,6 +20,7 @@
 
 pub mod cfg;
 pub mod eval;
+pub mod fxhash;
 pub mod inst;
 pub mod module;
 pub mod printer;

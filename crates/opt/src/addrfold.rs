@@ -4,8 +4,8 @@
 //! has no other use — producing the base-plus-immediate-offset access
 //! chains characteristic of unrolled specialized kernels (Appendix D).
 
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{BinOp, Function, Inst, Operand, Ty, VReg};
-use std::collections::HashMap;
 
 /// Returns the number of addresses folded.
 pub fn run(f: &mut Function) -> usize {
@@ -21,7 +21,7 @@ pub fn run(f: &mut Function) -> usize {
     }
     // Single-def adds of the form dst = base + imm (pointer or integer).
     let mut defs = vec![0u32; f.num_vregs()];
-    let mut add_of: HashMap<VReg, (VReg, i64)> = HashMap::new();
+    let mut add_of: FxHashMap<VReg, (VReg, i64)> = FxHashMap::default();
     for b in &f.blocks {
         for i in &b.insts {
             if let Some(d) = i.def() {

@@ -7,8 +7,8 @@
 //! with the immediate. Copy propagation handles single-def `mov a, b`
 //! where `b` is also single-def.
 
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{eval, BinOp, Function, Inst, Operand, Ty, UnOp, VReg};
-use std::collections::HashMap;
 
 /// Register bits of `o` when it is an immediate of `ty`'s kind (the IR
 /// verifier allows float immediates under `f32` only, integer ones under
@@ -52,9 +52,9 @@ fn def_counts(f: &Function) -> Vec<u32> {
 pub fn run(f: &mut Function) -> usize {
     let counts = def_counts(f);
     // Known constants: single-def registers whose def produced an immediate.
-    let mut known: HashMap<VReg, Operand> = HashMap::new();
+    let mut known: FxHashMap<VReg, Operand> = FxHashMap::default();
     // Copies: single-def `mov a, b` with single-def b.
-    let mut copies: HashMap<VReg, VReg> = HashMap::new();
+    let mut copies: FxHashMap<VReg, VReg> = FxHashMap::default();
 
     for b in &f.blocks {
         for i in &b.insts {

@@ -9,8 +9,9 @@
 //! expressions are expired by position and the map never holds more than
 //! a window's worth; every invalidation sweep is O(window), not O(block).
 
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{Function, Inst, Operand, Space, VReg};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A hashable key describing a pure computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +108,7 @@ pub fn run(f: &mut Function) -> usize {
     let mut replaced = 0;
     for b in &mut f.blocks {
         // value key -> (register holding it, instruction position defined)
-        let mut avail: HashMap<Key, (VReg, usize)> = HashMap::new();
+        let mut avail: FxHashMap<Key, (VReg, usize)> = FxHashMap::default();
         // Insertion log in position order: what to expire, and when.
         let mut window: VecDeque<(usize, Key)> = VecDeque::new();
         for (pos, i) in b.insts.iter_mut().enumerate() {
@@ -189,7 +190,7 @@ mod reference {
         let mut replaced = 0;
         for b in &mut f.blocks {
             // value key -> (register holding it, instruction position defined)
-            let mut avail: HashMap<Key, (VReg, usize)> = HashMap::new();
+            let mut avail: FxHashMap<Key, (VReg, usize)> = FxHashMap::default();
             for (pos, i) in b.insts.iter_mut().enumerate() {
                 // Invalidate loads when memory may change.
                 match i {

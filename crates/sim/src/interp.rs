@@ -928,6 +928,10 @@ fn exec_op<const TIMING: bool>(
                 }
                 Space::Local => {
                     let lb = plan.local_bytes as u64;
+                    for lane in lanes(mask) {
+                        let a = local_addr(addrs[lane], lane, lb)?;
+                        out[lane] = ext32(read_buf(&w.local, a, "local")?, sext);
+                    }
                     if TIMING {
                         w.stats.local_accesses += 1;
                         charge_local_traffic(
@@ -939,10 +943,6 @@ fn exec_op<const TIMING: bool>(
                             mask,
                             lb,
                         );
-                    }
-                    for lane in lanes(mask) {
-                        let a = addrs[lane] + lane as u64 * lb;
-                        out[lane] = ext32(read_buf(&w.local, a, "local")?, sext);
                     }
                 }
                 Space::Const => {
@@ -1019,6 +1019,10 @@ fn exec_op<const TIMING: bool>(
                 }
                 Space::Local => {
                     let lb = plan.local_bytes as u64;
+                    for lane in lanes(mask) {
+                        let a = local_addr(addrs[lane], lane, lb)?;
+                        write_buf(&mut w.local, a, src[lane] as u32, "local")?;
+                    }
                     if TIMING {
                         w.stats.local_accesses += 1;
                         charge_local_traffic(
@@ -1030,10 +1034,6 @@ fn exec_op<const TIMING: bool>(
                             mask,
                             lb,
                         );
-                    }
-                    for lane in lanes(mask) {
-                        let a = addrs[lane] + lane as u64 * lb;
-                        write_buf(&mut w.local, a, src[lane] as u32, "local")?;
                     }
                 }
                 Space::Const | Space::Param => unreachable!("decoded as a trap"),
@@ -1184,38 +1184,59 @@ fn lane_addresses(regs: &[Row], op: &Op, mask: u32) -> Row {
     }
 }
 
+/// Lane `lane`'s local offset `off` as an address in the warp's local
+/// buffer, where each lane owns its own `lane_bytes` window: an offset
+/// outside that window is a trap, not a neighbour's word.
+#[inline]
+fn local_addr(off: u64, lane: usize, lane_bytes: u64) -> Result<u64, SimError> {
+    if off.checked_add(4).is_none_or(|end| end > lane_bytes) {
+        return Err(bad_access("local", off, lane_bytes as usize));
+    }
+    Ok(off + lane as u64 * lane_bytes)
+}
+
+/// The index range of the `n` bytes at `addr` in a buffer of `len`
+/// bytes, or `None` when any of them lies outside it (checked without
+/// wrapping).
+#[inline]
+fn span(len: usize, addr: u64, n: usize) -> Option<std::ops::Range<usize>> {
+    let a = usize::try_from(addr).ok()?;
+    let end = a.checked_add(n)?;
+    (end <= len).then_some(a..end)
+}
+
 #[inline]
 fn read_buf(buf: &[u8], addr: u64, space: &'static str) -> Result<u32, SimError> {
-    let a = addr as usize;
-    if a + 4 > buf.len() || !addr.is_multiple_of(4) {
-        return Err(SimError(format!(
-            "bad {space} access at {addr:#x} (len {})",
-            buf.len()
-        )));
+    match span(buf.len(), addr, 4) {
+        Some(r) if addr.is_multiple_of(4) => {
+            Ok(u32::from_le_bytes(buf[r].try_into().expect("4-byte span")))
+        }
+        _ => Err(bad_access(space, addr, buf.len())),
     }
-    Ok(u32::from_le_bytes(buf[a..a + 4].try_into().unwrap()))
 }
 
 #[inline]
 fn read_buf64(buf: &[u8], addr: u64) -> Result<u64, SimError> {
-    let a = addr as usize;
-    if a + 8 > buf.len() {
-        return Err(SimError(format!("bad param access at {addr:#x}")));
+    match span(buf.len(), addr, 8) {
+        Some(r) => Ok(u64::from_le_bytes(buf[r].try_into().expect("8-byte span"))),
+        None => Err(SimError(format!("bad param access at {addr:#x}"))),
     }
-    Ok(u64::from_le_bytes(buf[a..a + 8].try_into().unwrap()))
 }
 
 #[inline]
 fn write_buf(buf: &mut [u8], addr: u64, v: u32, space: &'static str) -> Result<(), SimError> {
-    let a = addr as usize;
-    if a + 4 > buf.len() || !addr.is_multiple_of(4) {
-        return Err(SimError(format!(
-            "bad {space} access at {addr:#x} (len {})",
-            buf.len()
-        )));
+    match span(buf.len(), addr, 4) {
+        Some(r) if addr.is_multiple_of(4) => {
+            buf[r].copy_from_slice(&v.to_le_bytes());
+            Ok(())
+        }
+        _ => Err(bad_access(space, addr, buf.len())),
     }
-    buf[a..a + 4].copy_from_slice(&v.to_le_bytes());
-    Ok(())
+}
+
+#[cold]
+fn bad_access(space: &str, addr: u64, len: usize) -> SimError {
+    SimError(format!("bad {space} access at {addr:#x} (len {len})"))
 }
 
 #[cfg(all(test, target_arch = "x86_64"))]

@@ -14,11 +14,11 @@ use crate::device::{IssueClass, LatencyClass};
 use crate::memo::{timing_is_data_independent, ConstReads, TimingMemo};
 use crate::regalloc::{allocate, compute_liveness, RegAlloc};
 use ks_ir::cfg::{ipdoms, Cfg};
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{
     BinOp, BlockId, CmpOp, Function, Inst, KernelParam, Operand, Space, SpecialReg, Terminator, Ty,
     UnOp,
 };
-use std::collections::HashMap;
 use BinKind::*;
 
 /// One value per lane of a warp.
@@ -284,7 +284,7 @@ impl LaunchPlan {
         let trace = crate::launch::trace_enabled();
         let mut d = Decoder {
             num_vregs: f.num_vregs() as u32,
-            imm_index: HashMap::new(),
+            imm_index: FxHashMap::default(),
             imm_rows: Vec::new(),
             traps: Vec::new(),
         };
@@ -478,7 +478,7 @@ impl Op {
 
 struct Decoder {
     num_vregs: u32,
-    imm_index: HashMap<u64, u32>,
+    imm_index: FxHashMap<u64, u32>,
     imm_rows: Vec<Row>,
     traps: Vec<String>,
 }
@@ -889,7 +889,7 @@ mod tests {
         let decode = |inst| {
             Decoder {
                 num_vregs: 1,
-                imm_index: HashMap::new(),
+                imm_index: FxHashMap::default(),
                 imm_rows: Vec::new(),
                 traps: Vec::new(),
             }

@@ -22,8 +22,9 @@
 //! **never** reassociated or reordered: the passes preserve f32 evaluation
 //! order exactly, and so does the canonical form.
 
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{eval, BinOp, CmpOp, Space, SpecialReg, Ty, UnOp};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 
 /// Interned expression handle. Equal ids ⟺ structurally equal expressions
@@ -138,9 +139,9 @@ pub enum Expr {
 #[derive(Default)]
 pub struct Arena {
     exprs: Vec<Expr>,
-    map: HashMap<Expr, ExprId>,
+    map: FxHashMap<Expr, ExprId>,
     names: Vec<String>,
-    name_map: HashMap<String, Symbol>,
+    name_map: FxHashMap<String, Symbol>,
 }
 
 impl Arena {
@@ -167,13 +168,14 @@ impl Arena {
     }
 
     pub fn intern(&mut self, e: Expr) -> ExprId {
-        if let Some(&id) = self.map.get(&e) {
-            return id;
+        let next = ExprId(self.exprs.len() as u32);
+        match self.map.entry(e) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => {
+                self.exprs.push(v.key().clone());
+                *v.insert(next)
+            }
         }
-        let id = ExprId(self.exprs.len() as u32);
-        self.exprs.push(e.clone());
-        self.map.insert(e, id);
-        id
     }
 
     // ---- constants ------------------------------------------------------

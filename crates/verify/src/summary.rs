@@ -22,11 +22,11 @@
 //!   (`THREADS_ALLOC 512` vs `THREADS`) still produce aligned addresses.
 
 use crate::expr::{Arena, ExprId};
+use ks_ir::fxhash::FxHashMap;
 use ks_ir::{
     Address, BasicBlock, BlockId, Function, Inst, Module, Operand, Space, SpecialReg, Terminator,
     Ty, VReg,
 };
-use std::collections::HashMap;
 
 /// Evaluation budgets. The defaults comfortably cover the shipped app
 /// kernels; raising them trades time for deeper loop summaries.
@@ -187,13 +187,13 @@ struct SpaceState {
 
 #[derive(Clone)]
 struct PathState {
-    regs: HashMap<VReg, ExprId>,
+    regs: FxHashMap<VReg, ExprId>,
     global: SpaceState,
     shared: SpaceState,
     local: SpaceState,
     conds: Vec<(ExprId, bool)>,
     effects: Vec<Effect>,
-    forks_at: HashMap<BlockId, u32>,
+    forks_at: FxHashMap<BlockId, u32>,
     steps: usize,
     block: BlockId,
     inst: usize,
@@ -216,13 +216,13 @@ impl<'a> Summarizer<'a> {
         let mut paths = Vec::new();
         let mut complete = true;
         let mut stack = vec![PathState {
-            regs: HashMap::new(),
+            regs: FxHashMap::default(),
             global: SpaceState::default(),
             shared: SpaceState::default(),
             local: SpaceState::default(),
             conds: vec![],
             effects: vec![],
-            forks_at: HashMap::new(),
+            forks_at: FxHashMap::default(),
             steps: 0,
             block: BlockId(0),
             inst: 0,
