@@ -129,6 +129,22 @@ cargo run --offline --release -q -p ks-bench -- \
 cargo run --offline --release -q -p ks-bench -- \
     all --quick --store "$STORE_DIR" --out-dir "$BENCH_DIR" --assert-warm \
     | grep -q "warm start verified: 0 compiles"
+
+# Every simulated number of every quick table is pinned: the CSVs must
+# match crates/bench/golden/quick byte for byte, except the wall-clock
+# columns (CPU ms and the speedups over it in Tables 6.10 and 6.12).
+echo "== ks-bench all --quick vs the golden tables"
+GOLDEN=crates/bench/golden/quick
+simulated() {
+    case "$(basename "$1")" in
+        table_6_10.csv | table_6_12.csv) cut -d, -f1,2,4,5 "$1" ;;
+        *) cat "$1" ;;
+    esac
+}
+diff <(ls "$GOLDEN") <(ls "$BENCH_DIR")
+for f in "$GOLDEN"/*.csv; do
+    diff -u <(simulated "$f") <(simulated "$BENCH_DIR/${f##*/}")
+done
 rm -rf "$STORE_DIR" "$BENCH_DIR"
 
 # The profiler selfcheck's invariants must hold just the same while
