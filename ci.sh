@@ -38,7 +38,6 @@ done
 # single-flight dedup and eviction races (debug timings hide them).
 echo "== cargo test --release (cache concurrency stress)"
 cargo test --offline --release -q -p ks-core --test concurrency
-cargo test --offline --release -q -p ks-tune --test parallel_compile
 # The executor the benchmark runs, at the opt-level it runs at: the
 # vectorised lane loops and the x86-64-v3 copy of the block executor
 # only exist there. Its row kernels against the scalar definition in

@@ -18,7 +18,7 @@ use ks_core::{Compiler, Defines};
 use ks_sim::{launch, DeviceState, KArg, LaunchDims, LaunchOptions};
 
 /// Problem parameters (Table 6.8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BackprojProblem {
     /// Volume is `n³` voxels.
     pub n: usize,
@@ -28,7 +28,7 @@ pub struct BackprojProblem {
 }
 
 /// Implementation parameters (Table 6.9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BackprojImpl {
     /// Thread block (x, y).
     pub block_x: u32,

@@ -63,7 +63,7 @@ impl GpuRunResult {
 }
 
 /// Whether kernels are compiled run-time evaluated or specialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Variant {
     /// Run-time evaluated: no problem/implementation parameters fixed at
     /// compile time (beyond what the source hard-codes).

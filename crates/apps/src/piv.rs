@@ -86,7 +86,7 @@ impl PivProblem {
 }
 
 /// Implementation parameters (Table 6.7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PivImpl {
     /// Data registers per thread (register blocking factor).
     pub rb: u32,
@@ -104,7 +104,7 @@ impl Default for PivImpl {
 }
 
 /// Kernel flavours compared in Table 6.14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PivKernel {
     /// Barriered tree reduction per offset.
     Basic,

@@ -99,7 +99,7 @@ pub fn patients() -> Vec<(&'static str, MatchProblem)> {
 }
 
 /// Implementation parameters (Table 6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MatchImpl {
     /// Main tile dimensions.
     pub tile_w: u32,

@@ -2,10 +2,6 @@
 //! table the `ks-bench` driver dispatches on.
 
 use crate::*;
-use ks_apps::backproj::{self, BackprojImpl};
-use ks_apps::piv::{self, PivImpl, PivKernel};
-use ks_apps::synth::CtScenario;
-use ks_apps::template_match;
 
 /// One experiment: prints its tables and writes their CSVs.
 pub type Experiment = fn(&Ctx);
@@ -250,9 +246,9 @@ fn table_6_10(ctx: &Ctx) {
             "SU C2070",
         ],
     );
-    let mut sweeps: Vec<MatchSweep> = devices()
+    let mut sweeps: Vec<Sweep<MatchScenario>> = devices()
         .into_iter()
-        .map(|d| MatchSweep::new(ctx, d))
+        .map(|d| Sweep::new(ctx, d, ctx.match_grid()))
         .collect();
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -297,15 +293,15 @@ fn table_6_11(ctx: &Ctx) {
             "Set", "Masks", "Offsets", "FPGA ms", "C1060 ms", "C2070 ms", "SU C1060", "SU C2070",
         ],
     );
-    let mut sweeps: Vec<PivSweep> = devices()
+    let mut sweeps: Vec<Sweep<PivScenario>> = devices()
         .into_iter()
-        .map(|d| PivSweep::new(ctx, d))
+        .map(|d| Sweep::new(ctx, d, ctx.piv_grid()))
         .collect();
     for (name, prob) in ctx.piv_fpga_sets() {
         let fpga = piv::fpga_model_ms(&prob);
         let gpu: Vec<f64> = sweeps
             .iter_mut()
-            .map(|s| s.best(Variant::Sk, PivKernel::Basic, &prob).1.sim_ms)
+            .map(|s| s.best((Variant::Sk, PivKernel::Basic), &prob).1.sim_ms)
             .collect();
         table.row(vec![
             name,
@@ -321,20 +317,31 @@ fn table_6_11(ctx: &Ctx) {
     table.finish(&ctx.out_dir);
 }
 
-/// The cone-beam problem and its forward-projected phantom.
-fn backproj_scenario(ctx: &Ctx) -> (BackprojProblem, CtScenario) {
-    let p = ctx.backproj_problem();
-    eprintln!(
-        "[gen] forward projecting {}^3 phantom, {} views...",
-        p.n, p.num_proj
-    );
-    (p, synth::ct_scenario(p.n, p.num_proj, p.det_u, p.det_v))
+/// The backprojection grid: every (block, PPL, ZB) whose PPL divides
+/// the projection count, in tie-break order.
+fn backproj_grid(p: &BackprojProblem, blocks: &[(u32, u32)], ppls: &[u32]) -> Vec<BackprojImpl> {
+    let ppls = ppls
+        .iter()
+        .filter(|&&ppl| (p.num_proj as u32).is_multiple_of(ppl));
+    let mut grid = Vec::new();
+    for &(block_x, block_y) in blocks {
+        for &ppl in ppls.clone() {
+            grid.extend([1, 2, 4].map(|zb| BackprojImpl {
+                block_x,
+                block_y,
+                ppl,
+                zb,
+            }));
+        }
+    }
+    grid
 }
 
 /// Table 6.12 — Cone-beam backprojection: OpenMP-style CPU (4 threads)
 /// vs the best performing configuration on both GPUs.
 fn table_6_12(ctx: &Ctx) {
-    let (prob, scen) = backproj_scenario(ctx);
+    let prob = ctx.backproj_problem();
+    let scen = CtScenario::generate(&prob);
     let mut table = Table::new(
         "table_6_12",
         "Table 6.12: Backprojection — 4-thread CPU vs best GPU configuration",
@@ -351,27 +358,14 @@ fn table_6_12(ctx: &Ctx) {
     let cpu_ms = time_ms(2, || {
         let _ = backproj::cpu_backproject(&prob, &scen, 4);
     });
-    let mut gpu = Vec::new();
-    for dev in devices() {
-        let compiler = ctx.compiler(dev, Default::default());
-        let mut best = f64::INFINITY;
-        for ppl in [4u32, 8, 16] {
-            for zb in [1u32, 2, 4] {
-                if !(prob.num_proj as u32).is_multiple_of(ppl) {
-                    continue;
-                }
-                let imp = BackprojImpl {
-                    block_x: 16,
-                    block_y: 8,
-                    ppl,
-                    zb,
-                };
-                let out = backproj::run_gpu(&compiler, Variant::Sk, &prob, &imp, &scen, false);
-                best = best.min(out.unwrap().run.sim_ms);
-            }
-        }
-        gpu.push(best);
-    }
+    let grid = backproj_grid(&prob, &[(16, 8)], &[4, 8, 16]);
+    let gpu: Vec<f64> = devices()
+        .into_iter()
+        .map(|d| {
+            let mut sweep = Sweep::<CtScenario>::new(ctx, d, grid.clone());
+            sweep.best(Variant::Sk, &prob).1.sim_ms
+        })
+        .collect();
     table.row(vec![
         format!("{}^3", prob.n),
         fmt(prob.num_proj),
@@ -398,7 +392,7 @@ fn table_6_13(ctx: &Ctx) {
     );
     for dev in devices() {
         let dev_name = dev.name.clone();
-        let mut sweep = MatchSweep::new(ctx, dev);
+        let mut sweep = Sweep::<MatchScenario>::new(ctx, dev, ctx.match_grid());
         for (name, prob) in ctx.match_patients() {
             let (re_imp, re) = sweep.best(Variant::Re, &prob);
             let (sk_imp, sk) = sweep.best(Variant::Sk, &prob);
@@ -441,12 +435,12 @@ fn table_6_14(ctx: &Ctx) {
     );
     for dev in devices() {
         let dev_name = dev.name.clone();
-        let mut sweep = PivSweep::new(ctx, dev);
+        let mut sweep = Sweep::<PivScenario>::new(ctx, dev, ctx.piv_grid());
         for (name, prob) in ctx.piv_fpga_sets() {
-            let (_, re) = sweep.best(Variant::Re, PivKernel::Basic, &prob);
-            let (_, sk) = sweep.best(Variant::Sk, PivKernel::Basic, &prob);
-            let (_, ws) = sweep.best(Variant::Sk, PivKernel::WarpSpec, &prob);
-            let (_, tx) = sweep.best(Variant::Sk, PivKernel::Textured, &prob);
+            let (_, re) = sweep.best((Variant::Re, PivKernel::Basic), &prob);
+            let (_, sk) = sweep.best((Variant::Sk, PivKernel::Basic), &prob);
+            let (_, ws) = sweep.best((Variant::Sk, PivKernel::WarpSpec), &prob);
+            let (_, tx) = sweep.best((Variant::Sk, PivKernel::Textured), &prob);
             table.row(vec![
                 dev_name.clone(),
                 name,
@@ -479,9 +473,9 @@ fn piv_sweep_table(
         headers.extend(["RB", "Thr", "Regs", "Occ"].map(String::from));
     }
     let mut table = Table::new(name, title, &headers);
-    let mut sweeps: Vec<PivSweep> = devices()
+    let mut sweeps: Vec<Sweep<PivScenario>> = devices()
         .into_iter()
-        .map(|d| PivSweep::new(ctx, d))
+        .map(|d| Sweep::new(ctx, d, ctx.piv_grid()))
         .collect();
     for (set_name, prob) in sets {
         let mut row = vec![
@@ -490,7 +484,7 @@ fn piv_sweep_table(
             fmt(prob.num_offsets()),
         ];
         for sweep in &mut sweeps {
-            let (imp, s) = sweep.best(Variant::Sk, PivKernel::Basic, prob);
+            let (imp, s) = sweep.best((Variant::Sk, PivKernel::Basic), prob);
             row.push(fmt_ms(s.sim_ms));
             row.push(fmt(imp.rb));
             row.push(fmt(imp.threads));
@@ -554,7 +548,8 @@ fn table_6_18(ctx: &Ctx) {
 /// Table 6.19 — Performance comparisons for the backprojection kernels:
 /// RE vs SK across (projections-per-launch × z-blocking) configurations.
 fn table_6_19(ctx: &Ctx) {
-    let (prob, scen) = backproj_scenario(ctx);
+    let prob = ctx.backproj_problem();
+    let grid = backproj_grid(&prob, &[(8, 8), (16, 8), (16, 16)], &[8, 16]);
     let mut table = Table::new(
         "table_6_19",
         "Table 6.19: Backprojection kernel comparisons (RE vs SK)",
@@ -564,53 +559,35 @@ fn table_6_19(ctx: &Ctx) {
     );
     for dev in devices() {
         let dev_name = dev.name.clone();
-        let compiler = ctx.compiler(dev, Default::default());
-        let mut best: Option<(f64, f64)> = None; // (best RE, best SK)
-        for (bx, by) in [(8u32, 8u32), (16, 8), (16, 16)] {
-            for ppl in [8u32, 16] {
-                if !(prob.num_proj as u32).is_multiple_of(ppl) {
-                    continue;
-                }
-                for zb in [1u32, 2, 4] {
-                    let imp = BackprojImpl {
-                        block_x: bx,
-                        block_y: by,
-                        ppl,
-                        zb,
-                    };
-                    let run = |v| backproj::run_gpu(&compiler, v, &prob, &imp, &scen, false);
-                    let (re, sk) = (run(Variant::Re).unwrap().run, run(Variant::Sk).unwrap().run);
-                    best = Some(match best {
-                        None => (re.sim_ms, sk.sim_ms),
-                        Some((br, bs)) => (br.min(re.sim_ms), bs.min(sk.sim_ms)),
-                    });
-                    table.row(vec![
-                        dev_name.clone(),
-                        format!("{bx}x{by}"),
-                        fmt(ppl),
-                        fmt(zb),
-                        fmt_ms(re.sim_ms),
-                        fmt(re.regs_per_thread()),
-                        fmt_ms(sk.sim_ms),
-                        fmt(sk.regs_per_thread()),
-                        format!("{:.2}x", re.sim_ms / sk.sim_ms),
-                    ]);
-                }
-            }
-        }
-        if let Some((br, bs)) = best {
+        let mut sweep = Sweep::<CtScenario>::new(ctx, dev, grid.clone());
+        let (_, best_re) = sweep.best(Variant::Re, &prob);
+        let (_, best_sk) = sweep.best(Variant::Sk, &prob);
+        for imp in &grid {
+            let re = sweep.eval(Variant::Re, &prob, imp);
+            let sk = sweep.eval(Variant::Sk, &prob, imp);
             table.row(vec![
                 dev_name.clone(),
-                "best".into(),
-                "-".into(),
-                "-".into(),
-                fmt_ms(br),
-                "-".into(),
-                fmt_ms(bs),
-                "-".into(),
-                format!("{:.2}x", br / bs),
+                format!("{}x{}", imp.block_x, imp.block_y),
+                fmt(imp.ppl),
+                fmt(imp.zb),
+                fmt_ms(re.sim_ms),
+                fmt(re.regs),
+                fmt_ms(sk.sim_ms),
+                fmt(sk.regs),
+                format!("{:.2}x", re.sim_ms / sk.sim_ms),
             ]);
         }
+        table.row(vec![
+            dev_name,
+            "best".into(),
+            "-".into(),
+            "-".into(),
+            fmt_ms(best_re.sim_ms),
+            "-".into(),
+            fmt_ms(best_sk.sim_ms),
+            "-".into(),
+            format!("{:.2}x", best_re.sim_ms / best_sk.sim_ms),
+        ]);
     }
     table.finish(&ctx.out_dir);
 }
@@ -620,7 +597,7 @@ fn table_6_19(ctx: &Ctx) {
 /// thread, shared memory, blocks per SM, active warps, occupancy, time.
 fn table_6_20(ctx: &Ctx) {
     let prob = ctx.piv_fpga_sets()[1].1;
-    let mut sweep = PivSweep::new(ctx, DeviceConfig::tesla_c1060());
+    let mut sweep = Sweep::<PivScenario>::new(ctx, DeviceConfig::tesla_c1060(), Vec::new());
     let mut table = Table::new(
         "table_6_20",
         "Table 6.20: Occupancy & execution data, Tesla C1060, PIV V2 set",
@@ -637,14 +614,14 @@ fn table_6_20(ctx: &Ctx) {
             "ms",
         ],
     );
-    for (variant, kernel, tag) in [
-        (Variant::Re, PivKernel::Basic, "RE"),
-        (Variant::Sk, PivKernel::Basic, "SK"),
-        (Variant::Sk, PivKernel::WarpSpec, "SK+warp"),
+    for (variant, tag) in [
+        ((Variant::Re, PivKernel::Basic), "RE"),
+        ((Variant::Sk, PivKernel::Basic), "SK"),
+        ((Variant::Sk, PivKernel::WarpSpec), "SK+warp"),
     ] {
         for rb in [2u32, 4, 8] {
             for threads in [64u32, 128, 256] {
-                let s = sweep.eval(variant, kernel, &prob, &PivImpl { rb, threads });
+                let s = sweep.eval(variant, &prob, &PivImpl { rb, threads });
                 table.row(vec![
                     tag.to_string(),
                     fmt(rb),
@@ -713,7 +690,7 @@ fn table_6_21(ctx: &Ctx) {
     let mut headers = vec!["Tile".to_string(), "Threads".into()];
     headers.extend(patients.iter().map(|(n, _)| n.to_string()));
     let grid = |dev| {
-        let mut sweep = MatchSweep::new(ctx, dev);
+        let mut sweep = Sweep::<MatchScenario>::new(ctx, dev, ctx.match_grid());
         for (_, p) in &patients {
             sweep.precompile(Variant::Sk, p);
         }
@@ -744,16 +721,16 @@ fn table_6_22(ctx: &Ctx) {
     let mut headers = vec!["RB".to_string(), "Threads".into()];
     headers.extend(sets.iter().map(|(n, _)| n.clone()));
     let grid = |dev| {
-        let mut sweep = PivSweep::new(ctx, dev);
+        let mut sweep = Sweep::<PivScenario>::new(ctx, dev, ctx.piv_grid());
         for (_, p) in &sets {
-            sweep.precompile(Variant::Sk, p);
+            sweep.precompile((Variant::Sk, PivKernel::Basic), p);
         }
         let mut rows = Vec::new();
         for imp in sweep.grid.clone() {
             let label = vec![fmt(imp.rb), fmt(imp.threads)];
             let times = sets
                 .iter()
-                .map(|(_, p)| sweep.eval(Variant::Sk, PivKernel::Basic, p, &imp));
+                .map(|(_, p)| sweep.eval((Variant::Sk, PivKernel::Basic), p, &imp));
             rows.push((label, times.map(|s| s.sim_ms).collect()));
         }
         rows
@@ -772,11 +749,11 @@ fn table_6_22(ctx: &Ctx) {
 /// marked `#`) and written as CSV.
 fn piv_contour(ctx: &Ctx, name: &str, dev: DeviceConfig) {
     let dev_name = dev.name.clone();
-    let mut sweep = PivSweep::new(ctx, dev);
+    let mut sweep = Sweep::<PivScenario>::new(ctx, dev, ctx.piv_grid());
     let (rbs, threads) = (ctx.piv_rb_options(), ctx.piv_thread_options());
     println!("=== {name}: PIV performance relative to peak — {dev_name} ===");
     for (set_name, prob) in ctx.piv_mask_sets() {
-        sweep.precompile(Variant::Sk, &prob);
+        sweep.precompile((Variant::Sk, PivKernel::Basic), &prob);
         let times: Vec<Vec<f64>> = threads
             .iter()
             .map(|&t| {
@@ -784,7 +761,7 @@ fn piv_contour(ctx: &Ctx, name: &str, dev: DeviceConfig) {
                     .map(|&rb| {
                         let imp = PivImpl { rb, threads: t };
                         sweep
-                            .eval(Variant::Sk, PivKernel::Basic, &prob, &imp)
+                            .eval((Variant::Sk, PivKernel::Basic), &prob, &imp)
                             .sim_ms
                     })
                     .collect()

@@ -3,8 +3,8 @@
 //! One binary, `ks-bench <id>… | all`, over the table of the
 //! dissertation's Chapter 6 experiments in [`experiments::ALL`] (see
 //! DESIGN.md's per-experiment index). Shared here: the run context
-//! [`Ctx`], the problem sets (Tables 6.1–6.9), configuration sweep drivers
-//! with memoization, and table formatting with CSV output.
+//! [`Ctx`], the problem sets and grids (Tables 6.1–6.9), the one search
+//! over configurations (`Sweep`), and table formatting with CSV output.
 //!
 //! Every number ks-bench prints is simulated, except the CPU baselines of
 //! Tables 6.10 and 6.12. Host-side costs (compile, cache, store, refresh,
@@ -12,16 +12,18 @@
 
 pub mod experiments;
 
-use ks_apps::backproj::BackprojProblem;
-use ks_apps::piv::{PivImpl, PivKernel, PivProblem};
-use ks_apps::template_match::{MatchImpl, MatchProblem};
-use ks_apps::{synth, GpuRunResult, Variant};
+use ks_apps::backproj::{self, BackprojImpl, BackprojProblem};
+use ks_apps::piv::{self, PivImpl, PivKernel, PivProblem};
+use ks_apps::synth::{self, CtScenario, MatchScenario, PivScenario};
+use ks_apps::template_match::{self, MatchImpl, MatchProblem};
+use ks_apps::{GpuRunResult, Variant};
 use ks_codegen::CodegenOptions;
 use ks_core::{Compiler, Defines};
 use ks_opt::OptConfig;
 use ks_sim::DeviceConfig;
 use std::collections::BTreeMap;
-use std::fmt::Display;
+use std::error::Error;
+use std::fmt::{Debug, Display};
 use std::path::{Path, PathBuf};
 
 /// The two simulated devices of the dissertation's testbed.
@@ -154,6 +156,29 @@ impl Ctx {
     pub fn piv_thread_options(&self) -> Vec<u32> {
         self.pick(vec![32, 64, 128, 256], vec![64, 128])
     }
+
+    /// The template-matching sweep grid: tile × threads.
+    pub(crate) fn match_grid(&self) -> Vec<MatchImpl> {
+        let threads = self.thread_options();
+        self.match_tile_options()
+            .into_iter()
+            .flat_map(|(tile_w, tile_h)| {
+                threads.iter().map(move |&threads| MatchImpl {
+                    tile_w,
+                    tile_h,
+                    threads,
+                })
+            })
+            .collect()
+    }
+
+    /// The PIV sweep grid: RB × threads.
+    pub(crate) fn piv_grid(&self) -> Vec<PivImpl> {
+        let threads = self.piv_thread_options();
+        let rbs = self.piv_rb_options().into_iter();
+        rbs.flat_map(|rb| threads.iter().map(move |&threads| PivImpl { rb, threads }))
+            .collect()
+    }
 }
 
 // ---------------------------------------------------------------- tables
@@ -260,7 +285,7 @@ pub fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 // ---------------------------------------------------------- sweep engine
 
 /// Measurement of one (problem, configuration) point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Sample {
     pub sim_ms: f64,
     pub regs: u32,
@@ -271,29 +296,10 @@ pub struct Sample {
     pub shared_bytes: u32,
 }
 
-impl Sample {
-    /// Marker for configurations the device cannot launch at all.
-    pub fn infeasible() -> Sample {
-        Sample {
-            sim_ms: f64::INFINITY,
-            regs: 0,
-            occupancy: 0.0,
-            active_warps: 0,
-            blocks_per_sm: 0,
-            local_bytes: 0,
-            shared_bytes: 0,
-        }
-    }
-
-    pub fn is_infeasible(&self) -> bool {
-        self.sim_ms.is_infinite()
-    }
-}
-
-/// One timing-only sweep run as a [`Sample`]. Configurations that exceed
-/// device limits are legal sweep points with infinite cost (exactly what
-/// happens on real hardware: the launch fails).
-fn sample(run: Result<GpuRunResult, Box<dyn std::error::Error>>, sweep: &str) -> Sample {
+/// One timing-only run of `imp` as a [`Sample`]. Configurations that
+/// exceed device limits are legal sweep points with infinite cost
+/// (exactly what happens on real hardware: the launch fails).
+fn sample(run: Result<GpuRunResult, Box<dyn Error>>, imp: &impl Debug) -> Sample {
     match run {
         Ok(run) => {
             let rep = &run.reports[0];
@@ -307,8 +313,11 @@ fn sample(run: Result<GpuRunResult, Box<dyn std::error::Error>>, sweep: &str) ->
                 shared_bytes: rep.shared_per_block,
             }
         }
-        Err(e) if e.to_string().contains("infeasible") => Sample::infeasible(),
-        Err(e) => panic!("{sweep} sweep: {e}"),
+        Err(e) if e.to_string().contains("infeasible") => Sample {
+            sim_ms: f64::INFINITY,
+            ..Default::default()
+        },
+        Err(e) => panic!("sweep point {imp:?}: {e}"),
     }
 }
 
@@ -324,33 +333,97 @@ fn best_of<I: Copy>(grid: &[I], mut eval: impl FnMut(&I) -> Sample) -> (I, Sampl
     best.unwrap()
 }
 
-/// Cache key for a measured configuration point.
-type PointKey<P> = (String, P, (u32, u32, u32));
-
-/// Memoizing evaluator for template matching configurations.
-pub struct MatchSweep {
-    compiler: Compiler,
-    /// The (tile × threads) grid `best` searches, in tie-break order.
-    grid: Vec<MatchImpl>,
-    scenarios: BTreeMap<(usize, usize, usize, usize, usize, usize), synth::MatchScenario>,
-    cache: BTreeMap<PointKey<MatchProblem>, Sample>,
+/// One application's part of a [`Sweep`], implemented by the synthetic
+/// input its problems run on: measure one configuration point on it, and
+/// the defines that point compiles.
+pub(crate) trait App {
+    /// What a point is compiled and run as: RE or SK, and for PIV the
+    /// kernel flavour.
+    type Variant: Copy + Ord;
+    type Problem: Copy + Ord;
+    /// A configuration point (implementation parameters).
+    type Imp: Copy + Ord + Debug;
+    /// The source every point compiles.
+    const KERNELS: &'static str;
+    /// The input `p` runs on.
+    fn generate(p: &Self::Problem) -> Self;
+    fn defines(v: Self::Variant, p: &Self::Problem, imp: &Self::Imp) -> Vec<Defines>;
+    fn eval(&self, c: &Compiler, v: Self::Variant, p: &Self::Problem, i: &Self::Imp) -> Sample;
 }
 
-impl MatchSweep {
-    pub fn new(ctx: &Ctx, dev: DeviceConfig) -> MatchSweep {
-        let threads = ctx.thread_options();
-        let grid = ctx
-            .match_tile_options()
-            .into_iter()
-            .flat_map(|(tile_w, tile_h)| {
-                threads.iter().map(move |&threads| MatchImpl {
-                    tile_w,
-                    tile_h,
-                    threads,
-                })
-            })
-            .collect();
-        MatchSweep {
+/// Template matching over (tile × threads).
+impl App for MatchScenario {
+    type Variant = Variant;
+    type Problem = MatchProblem;
+    type Imp = MatchImpl;
+    const KERNELS: &'static str = template_match::KERNELS;
+    fn generate(p: &MatchProblem) -> MatchScenario {
+        let (fw, fh, tw, th) = (p.frame_w, p.frame_h, p.templ_w, p.templ_h);
+        synth::match_scenario(fw, fh, tw, th, p.shift_w, p.shift_h, 1234)
+    }
+    fn defines(v: Variant, p: &MatchProblem, imp: &MatchImpl) -> Vec<Defines> {
+        template_match::specializations(v, p, imp)
+    }
+    fn eval(&self, c: &Compiler, v: Variant, p: &MatchProblem, i: &MatchImpl) -> Sample {
+        let run = template_match::run_gpu(c, v, p, i, self, false);
+        sample(run.map(|o| o.run), i)
+    }
+}
+
+/// PIV over (RB × threads), per kernel flavour.
+impl App for PivScenario {
+    type Variant = (Variant, PivKernel);
+    type Problem = PivProblem;
+    type Imp = PivImpl;
+    const KERNELS: &'static str = piv::KERNELS;
+    fn generate(p: &PivProblem) -> PivScenario {
+        synth::piv_scenario(p.img_w, p.img_h, (3, 1), 77)
+    }
+    fn defines((v, _): (Variant, PivKernel), p: &PivProblem, imp: &PivImpl) -> Vec<Defines> {
+        vec![piv::specialization(v, p, imp)]
+    }
+    fn eval(&self, c: &Compiler, (v, k): Self::Variant, p: &PivProblem, i: &PivImpl) -> Sample {
+        sample(piv::run_gpu(c, v, k, p, i, self, false).map(|o| o.run), i)
+    }
+}
+
+/// Cone-beam backprojection over (block × PPL × ZB).
+impl App for CtScenario {
+    type Variant = Variant;
+    type Problem = BackprojProblem;
+    type Imp = BackprojImpl;
+    const KERNELS: &'static str = backproj::KERNELS;
+    fn generate(p: &BackprojProblem) -> CtScenario {
+        eprintln!(
+            "[gen] forward projecting {}^3 phantom, {} views...",
+            p.n, p.num_proj
+        );
+        synth::ct_scenario(p.n, p.num_proj, p.det_u, p.det_v)
+    }
+    fn defines(v: Variant, p: &BackprojProblem, imp: &BackprojImpl) -> Vec<Defines> {
+        vec![backproj::specialization(v, p, imp)]
+    }
+    fn eval(&self, c: &Compiler, v: Variant, p: &BackprojProblem, i: &BackprojImpl) -> Sample {
+        sample(backproj::run_gpu(c, v, p, i, self, false).map(|o| o.run), i)
+    }
+}
+
+/// The one configuration search: a memoizing evaluator over one
+/// device's compiler, and the grid [`Sweep::best`] searches.
+pub(crate) struct Sweep<A: App> {
+    compiler: Compiler,
+    /// The configurations `best` searches, in tie-break order.
+    grid: Vec<A::Imp>,
+    scenarios: BTreeMap<A::Problem, A>,
+    cache: BTreeMap<Point<A>, Sample>,
+}
+
+/// A measured point: (variant, problem, configuration).
+type Point<A> = (<A as App>::Variant, <A as App>::Problem, <A as App>::Imp);
+
+impl<A: App> Sweep<A> {
+    pub(crate) fn new(ctx: &Ctx, dev: DeviceConfig, grid: Vec<A::Imp>) -> Sweep<A> {
+        Sweep {
             compiler: ctx.compiler(dev, Default::default()),
             grid,
             scenarios: BTreeMap::new(),
@@ -358,129 +431,33 @@ impl MatchSweep {
         }
     }
 
-    /// Simulated time (ms) for one frame at this configuration.
-    pub fn eval(&mut self, variant: Variant, p: &MatchProblem, imp: &MatchImpl) -> Sample {
-        let key = (
-            variant.to_string(),
-            *p,
-            (imp.tile_w, imp.tile_h, imp.threads),
-        );
-        if let Some(s) = self.cache.get(&key) {
-            return *s;
-        }
-        let geometry = (
-            p.frame_w, p.frame_h, p.templ_w, p.templ_h, p.shift_w, p.shift_h,
-        );
-        let scen = self.scenarios.entry(geometry).or_insert_with(|| {
-            synth::match_scenario(
-                p.frame_w, p.frame_h, p.templ_w, p.templ_h, p.shift_w, p.shift_h, 1234,
-            )
-        });
-        let run = ks_apps::template_match::run_gpu(&self.compiler, variant, p, imp, scen, false);
-        let s = sample(run.map(|o| o.run), "template");
-        self.cache.insert(key, s);
-        s
+    /// Simulated cost of one point, on the grid or off it; each point is
+    /// measured once.
+    pub(crate) fn eval(&mut self, v: A::Variant, p: &A::Problem, imp: &A::Imp) -> Sample {
+        *self.cache.entry((v, *p, *imp)).or_insert_with(|| {
+            let scen = self.scenarios.entry(*p).or_insert_with(|| A::generate(p));
+            scen.eval(&self.compiler, v, p, imp)
+        })
     }
 
     /// Warm the compile cache with every module the grid will need,
-    /// fanned out across threads by the batch API. Best-effort: compile
-    /// errors resurface (with context) when the corresponding sweep point
-    /// is actually evaluated.
-    pub fn precompile(&self, variant: Variant, prob: &MatchProblem) {
+    /// fanned out across threads by the batch API (single-flight
+    /// collapses identical defines to one compilation). Best-effort:
+    /// compile errors resurface when the point is evaluated.
+    pub(crate) fn precompile(&self, v: A::Variant, p: &A::Problem) {
         let jobs: Vec<(&str, Defines)> = self
             .grid
             .iter()
-            .flat_map(|imp| ks_apps::template_match::specializations(variant, prob, imp))
-            .map(|d| (ks_apps::template_match::KERNELS, d))
+            .flat_map(|imp| A::defines(v, p, imp))
+            .map(|d| (A::KERNELS, d))
             .collect();
         let _ = self.compiler.compile_batch(&jobs);
     }
 
-    /// Best configuration over the sweep grid.
-    pub fn best(&mut self, variant: Variant, prob: &MatchProblem) -> (MatchImpl, Sample) {
-        self.precompile(variant, prob);
-        let grid = self.grid.clone();
-        best_of(&grid, |imp| self.eval(variant, prob, imp))
-    }
-}
-
-/// Memoizing evaluator for PIV configurations.
-pub struct PivSweep {
-    compiler: Compiler,
-    /// The (RB × threads) grid `best` searches, in tie-break order.
-    grid: Vec<PivImpl>,
-    scenarios: BTreeMap<(usize, usize), synth::PivScenario>,
-    cache: BTreeMap<PointKey<PivProblem>, Sample>,
-}
-
-impl PivSweep {
-    pub fn new(ctx: &Ctx, dev: DeviceConfig) -> PivSweep {
-        let threads = ctx.piv_thread_options();
-        let grid = ctx
-            .piv_rb_options()
-            .into_iter()
-            .flat_map(|rb| threads.iter().map(move |&threads| PivImpl { rb, threads }))
-            .collect();
-        PivSweep {
-            compiler: ctx.compiler(dev, Default::default()),
-            grid,
-            scenarios: BTreeMap::new(),
-            cache: BTreeMap::new(),
-        }
-    }
-
-    pub fn eval(
-        &mut self,
-        variant: Variant,
-        kernel: PivKernel,
-        p: &PivProblem,
-        imp: &PivImpl,
-    ) -> Sample {
-        let key = (
-            format!("{variant}/{kernel:?}"),
-            *p,
-            (imp.rb, imp.threads, 0),
-        );
-        if let Some(s) = self.cache.get(&key) {
-            return *s;
-        }
-        let scen = self
-            .scenarios
-            .entry((p.img_w, p.img_h))
-            .or_insert_with(|| synth::piv_scenario(p.img_w, p.img_h, (3, 1), 77));
-        let run = ks_apps::piv::run_gpu(&self.compiler, variant, kernel, p, imp, scen, false);
-        let s = sample(run.map(|o| o.run), "piv");
-        self.cache.insert(key, s);
-        s
-    }
-
-    /// Warm the compile cache with the full grid in parallel
-    /// (single-flight collapses the RE variant's identical defines to one
-    /// compilation). Best-effort: errors resurface when the sweep point
-    /// is evaluated.
-    pub fn precompile(&self, variant: Variant, prob: &PivProblem) {
-        let jobs: Vec<(&str, Defines)> = self
-            .grid
-            .iter()
-            .map(|imp| {
-                (
-                    ks_apps::piv::KERNELS,
-                    ks_apps::piv::specialization(variant, prob, imp),
-                )
-            })
-            .collect();
-        let _ = self.compiler.compile_batch(&jobs);
-    }
-
-    pub fn best(
-        &mut self,
-        variant: Variant,
-        kernel: PivKernel,
-        prob: &PivProblem,
-    ) -> (PivImpl, Sample) {
-        self.precompile(variant, prob);
-        let grid = self.grid.clone();
-        best_of(&grid, |imp| self.eval(variant, kernel, prob, imp))
+    /// The best configuration on the grid.
+    pub(crate) fn best(&mut self, v: A::Variant, p: &A::Problem) -> (A::Imp, Sample) {
+        self.precompile(v, p);
+        best_of(&self.grid.clone(), |imp| self.eval(v, p, imp))
     }
 }
 
@@ -526,6 +503,7 @@ pub fn ascii_contour(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn tables_land_only_in_the_out_dir_they_are_given() {
@@ -562,31 +540,78 @@ mod tests {
         assert_eq!(s.matches('#').count(), 1);
     }
 
+    /// A fake application whose point `i` costs `COSTS[p][i]` ms on
+    /// problem `p`, counting its evaluations.
+    struct Fake;
+    const INF: f64 = f64::INFINITY;
+    const COSTS: [[f64; 4]; 3] = [[3.0, 1.0, 2.0, 1.0], [INF, 2.0, INF, 2.0], [INF; 4]];
+    thread_local!(static EVALS: Cell<usize> = const { Cell::new(0) });
+
+    impl App for Fake {
+        type Variant = ();
+        type Problem = usize;
+        type Imp = usize;
+        const KERNELS: &'static str = "";
+        fn generate(_: &usize) -> Fake {
+            Fake
+        }
+        fn defines(_: (), _: &usize, _: &usize) -> Vec<Defines> {
+            Vec::new()
+        }
+        fn eval(&self, _: &Compiler, _: (), p: &usize, i: &usize) -> Sample {
+            EVALS.with(|n| n.set(n.get() + 1));
+            let sim_ms = COSTS[*p][*i];
+            Sample {
+                sim_ms,
+                ..Default::default()
+            }
+        }
+    }
+
+    fn ctx(quick: bool) -> Ctx {
+        Ctx {
+            quick,
+            store: None,
+            out_dir: PathBuf::new(),
+        }
+    }
+
+    fn fake_sweep() -> Sweep<Fake> {
+        Sweep::new(&ctx(true), DeviceConfig::tesla_c1060(), (0..4).collect())
+    }
+
     #[test]
-    fn infeasible_sample_marker() {
-        let s = Sample::infeasible();
-        assert!(s.is_infeasible());
-        assert!(s.sim_ms > 1e300);
-        let ok = Sample {
-            sim_ms: 1.0,
-            regs: 8,
-            occupancy: 0.5,
-            active_warps: 16,
-            blocks_per_sm: 4,
-            local_bytes: 0,
-            shared_bytes: 0,
-        };
-        assert!(!ok.is_infeasible());
+    fn a_tie_goes_to_the_first_grid_point() {
+        let (imp, s) = fake_sweep().best((), &0);
+        assert_eq!((imp, s.sim_ms), (1, 1.0));
+    }
+
+    #[test]
+    fn an_infeasible_point_never_beats_a_feasible_one() {
+        let (imp, s) = fake_sweep().best((), &1);
+        assert_eq!((imp, s.sim_ms), (1, 2.0));
+    }
+
+    #[test]
+    fn an_all_infeasible_grid_returns_its_first_point_at_infinity() {
+        let (imp, s) = fake_sweep().best((), &2);
+        assert_eq!((imp, s.sim_ms), (0, INF));
+    }
+
+    #[test]
+    fn repeated_searches_evaluate_each_point_once() {
+        let mut sweep = fake_sweep();
+        let before = EVALS.with(Cell::get);
+        for _ in 0..3 {
+            assert_eq!(sweep.best((), &0).0, 1);
+        }
+        assert_eq!(EVALS.with(Cell::get) - before, 4);
     }
 
     #[test]
     fn problem_sets_are_wellformed() {
         for quick in [false, true] {
-            let ctx = Ctx {
-                quick,
-                store: None,
-                out_dir: PathBuf::new(),
-            };
+            let ctx = ctx(quick);
             for (_, p) in ctx.piv_fpga_sets() {
                 assert!(p.num_masks() > 0, "{p:?}");
                 assert!(p.num_offsets() > 0);

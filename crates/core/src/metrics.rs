@@ -2,8 +2,8 @@
 //!
 //! Every [`Binary`](crate::Binary) carries the wall-clock cost of each
 //! pipeline phase, so consumers — GPU-PF refresh logs, the bench sweep
-//! drivers, `ks-tune` — can attribute compile overhead instead of only
-//! reporting a single total.
+//! drivers — can attribute compile overhead instead of only reporting a
+//! single total.
 
 use std::time::Duration;
 

@@ -140,6 +140,23 @@ fn batch_api_dedupes_against_itself() {
     assert_eq!(s.hits + s.misses, 32, "{s}");
 }
 
+/// A configuration sweep's pattern: precompile the whole define grid,
+/// then walk it again from parallel callers. The walk is all hits.
+#[test]
+fn parallel_walk_of_a_precompiled_grid_never_recompiles() {
+    use rayon::prelude::*;
+    let compiler = Compiler::new(DeviceConfig::tesla_c1060());
+    let jobs: Vec<(&str, Defines)> = (1..=64).map(|n| (KERNEL, defines(n))).collect();
+    compiler.precompile(&jobs).unwrap();
+    jobs.par_iter().for_each(|(source, d)| {
+        let bin = compiler.compile(source, d).unwrap();
+        assert!(bin.metrics.summary().contains("preproc"));
+    });
+    let s = compiler.cache_stats();
+    assert_eq!(s.misses, 64, "one compile per grid point: {s}");
+    assert_eq!(s.hits + s.misses, 128, "{s}");
+}
+
 #[test]
 fn bounded_cache_respects_capacity_under_concurrency() {
     const CAPACITY: usize = 4;

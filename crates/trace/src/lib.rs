@@ -18,8 +18,7 @@
 //!   histograms with p50/p95/p99 queries. ks-core publishes compile
 //!   latency per phase and cache hit/miss/dedup/eviction counts, ks-sim
 //!   publishes dynamic instructions / global bytes / divergent branches /
-//!   occupancy, ks-tune publishes evaluation counts, gpu-pf publishes
-//!   pipeline iterations. Canonical metric names live in [`names`].
+//!   occupancy, gpu-pf publishes pipeline iterations. Canonical metric names live in [`names`].
 //! * **[`KernelProfile`]** — the joined report for one specialized
 //!   kernel: per-phase compile breakdown, cache counters, simulator
 //!   execution counters, analysis diagnostics, and the span tree;
@@ -129,8 +128,6 @@ pub mod names {
     pub const SIM_TIME_US: &str = "ks_sim.time_us";
     /// Occupancy of the most recent launch (gauge, 0..=1).
     pub const SIM_OCCUPANCY: &str = "ks_sim.occupancy";
-    /// Distinct autotuner evaluations performed.
-    pub const TUNE_EVALUATIONS: &str = "ks_tune.evaluations";
     /// GPU-PF pipeline iterations executed.
     pub const PF_ITERATIONS: &str = "gpu_pf.iterations";
     /// GPU-PF refresh phases completed.
