@@ -160,7 +160,12 @@ cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
 # the specialized (SK) build must equal the generic (RE) build under
 # the -D bindings — zero KSV0xx errors allowed (KSV101 budget warnings
 # are fine). The mutation smoke then injects seeded IR breakages and
-# requires the checker to catch 100% of them.
+# requires the opt-step checker to catch 100% of them. First, at the
+# opt-level the compiler ships at: the block-by-block opt-step check
+# against the whole-function path check on every optimizer step of the
+# churn grid (same KSV0xx findings, KSV101 a subset, zero fallbacks).
+echo "== cargo test --release -p ks-verify --test blockwise"
+cargo test --offline --release -q -p ks-verify --test blockwise
 verify() {
     cargo run --offline --release -q -p ks-apps --bin ks-verify -- "$@"
 }

@@ -87,10 +87,11 @@ fn emit(report: &VerifyReport, jsonl: bool, context: &str) {
             println!("{f}");
         }
         println!(
-            "{context}: {} checks, {} errors, {} warnings",
+            "{context}: {} checks, {} errors, {} warnings, {} block fallbacks",
             report.checks,
             report.error_count(),
-            report.warning_count()
+            report.warning_count(),
+            report.block_fallbacks
         );
     }
 }
@@ -221,7 +222,7 @@ fn render_defs(defs: &[(String, String)]) -> String {
 }
 
 /// Build the optimized module, seed mutations into every function, and
-/// require the checker to flag each one. Returns (caught, total).
+/// require the opt-step checker to flag each one. Returns (caught, total).
 fn mutation_smoke(
     source: &str,
     defines: &[(String, String)],
@@ -229,7 +230,6 @@ fn mutation_smoke(
     limits: Limits,
 ) -> Result<(usize, usize), String> {
     let m = ks_verify::build_optimized(source, defines)?;
-    let envs = ks_verify::default_envs();
     let ctx = ks_ir::Module {
         functions: vec![],
         consts: m.consts.clone(),
@@ -245,8 +245,9 @@ fn mutation_smoke(
                 continue;
             }
             total += 1;
-            let report =
-                ks_verify::check_function_pair(f, &ctx, &bad, &ctx, &envs, limits, &mu.desc);
+            // The optimizer's own checker: an unsound block acceptance
+            // would escape here.
+            let report = ks_verify::check_opt_step(f, &bad, &ctx, limits, &mu.desc);
             if report.findings.iter().any(|fi| fi.is_error()) {
                 caught += 1;
             } else {

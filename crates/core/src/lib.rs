@@ -73,6 +73,7 @@ struct TraceMetrics {
     verify_checks: ks_trace::Counter,
     verify_diffs: ks_trace::Counter,
     verify_inconclusive: ks_trace::Counter,
+    verify_block_fallbacks: ks_trace::Counter,
 }
 
 impl TraceMetrics {
@@ -93,6 +94,7 @@ impl TraceMetrics {
             verify_checks: scope.counter(ks_trace::names::VERIFY_CHECKS),
             verify_diffs: scope.counter(ks_trace::names::VERIFY_DIFFS),
             verify_inconclusive: scope.counter(ks_trace::names::VERIFY_INCONCLUSIVE),
+            verify_block_fallbacks: scope.counter(ks_trace::names::VERIFY_BLOCK_FALLBACKS),
         }
     }
     /// Publish one successful (miss-path) compilation's phase breakdown.
@@ -871,6 +873,7 @@ impl Compiler {
                 // A validation failure is a compile failure, so the
                 // outcome depends on the config: key it.
                 h.u8(1);
+                h.u32(ks_verify::VALIDATOR_VERSION);
                 h.usize(v.limits.max_paths);
                 h.usize(v.limits.max_steps);
                 h.u32(v.limits.max_forks_per_site);
@@ -1055,8 +1058,9 @@ impl Compiler {
 
         // Translation validation follows every kernel from its first
         // lowering through each HIR transform stage ("codegen.unroll" =
-        // unroll's output vs its input) and on through each IR pass,
-        // summarizing every snapshot once. Time spent in it is `verify`
+        // unroll's output vs its input), summarizing every snapshot once,
+        // and on through each applied IR pass, checked block by block
+        // (`ks_verify::optimize_checked`). Time spent in it is `verify`
         // time, carved out of the phase it interleaves with.
         let envs = ks_verify::default_envs();
         let mut stages = self
@@ -1091,63 +1095,52 @@ impl Compiler {
         let sp = ks_trace::span("opt");
         let t = Instant::now();
         let verify_before_opt = verify_time;
-        if sanitize || stages.is_some() {
+        if sanitize || self.validation.is_some() {
             if let Some(e) = ks_ir::verify_module(&module).first() {
                 return Err(err(format!("verification failed after lowering: {e}")));
             }
-            // Summarization only needs the module for const/texture
-            // naming, so a functions-less clone serves as context while
-            // the real functions are mutated in place.
-            let vctx = ks_ir::Module {
-                functions: vec![],
-                consts: module.consts.clone(),
-                textures: module.textures.clone(),
-            };
-            let mut broken: Option<(&'static str, String)> = None;
-            for f in module.functions.iter_mut() {
-                let mut chain = stages.as_mut().map(|stages| {
-                    let tv = Instant::now();
-                    let chain = stages.detach(f, &vctx);
-                    verify_time += tv.elapsed();
-                    chain
-                });
-                // `last` tracks the start of the current pass window:
-                // everything since the previous observed pass (including
-                // that pass's verification) attributes to this pass.
-                let mut last = Instant::now();
-                ks_opt::optimize_with_observer(f, &self.opt_config, &mut |pass, f| {
-                    if ks_trace::enabled() {
-                        ks_trace::complete_span(&format!("opt-pass.{pass}"), last);
-                    }
-                    if sanitize && broken.is_none() {
-                        if let Some(e) = ks_ir::verify_function(f).first() {
-                            broken = Some((pass, e.to_string()));
-                        }
-                    }
-                    if let Some(chain) = &mut chain {
-                        let tv = Instant::now();
-                        vreport.merge(chain.step(f, &vctx, &format!("opt.{pass}")));
-                        verify_time += tv.elapsed();
-                    }
-                    last = Instant::now();
-                });
-                if let Some((pass, e)) = broken.take() {
-                    return Err(err(format!("verification failed after pass `{pass}`: {e}")));
+        }
+        // Per applied pass: a span while tracing (from the pass's start,
+        // so a validated step's check is not in it), and the sanitizer.
+        let mut broken: Option<(&'static str, String)> = None;
+        let mut observe = |pass: &'static str, f: &ks_ir::Function, start: Instant| {
+            if ks_trace::enabled() {
+                ks_trace::complete_span(&format!("opt-pass.{pass}"), start);
+            }
+            if sanitize && broken.is_none() {
+                if let Some(e) = ks_ir::verify_function(f).first() {
+                    broken = Some((pass, e.to_string()));
                 }
             }
-        } else if ks_trace::enabled() {
-            // Tracing wants per-pass attribution; the observer route
-            // costs one clock read per applied pass, which is only paid
-            // while spans are being collected.
-            for f in module.functions.iter_mut() {
-                let mut last = Instant::now();
-                ks_opt::optimize_with_observer(f, &self.opt_config, &mut |pass, _| {
-                    ks_trace::complete_span(&format!("opt-pass.{pass}"), last);
-                    last = Instant::now();
-                });
+        };
+        match &self.validation {
+            Some(v) => {
+                let (passes, spent) = ks_verify::optimize_checked(
+                    &mut module,
+                    &self.opt_config,
+                    v.limits,
+                    &mut observe,
+                );
+                vreport.merge(passes);
+                verify_time += spent;
             }
-        } else {
-            ks_opt::optimize_module_with(&mut module, &self.opt_config);
+            // The observer route costs one clock read per applied pass,
+            // which is only paid while sanitizing or collecting spans.
+            None if sanitize || ks_trace::enabled() => {
+                for f in module.functions.iter_mut() {
+                    let mut start = Instant::now();
+                    ks_opt::optimize_with_observer(f, &self.opt_config, &mut |pass, f| {
+                        observe(pass, f, start);
+                        start = Instant::now();
+                    });
+                }
+            }
+            None => {
+                ks_opt::optimize_module_with(&mut module, &self.opt_config);
+            }
+        }
+        if let Some((pass, e)) = broken {
+            return Err(err(format!("verification failed after pass `{pass}`: {e}")));
         }
         metrics.opt = t.elapsed().saturating_sub(verify_time - verify_before_opt);
         metrics.verify = verify_time;
@@ -1160,6 +1153,8 @@ impl Compiler {
             tm.verify_checks.add(vreport.checks as u64);
             tm.verify_diffs.add(vreport.error_count() as u64);
             tm.verify_inconclusive.add(vreport.warning_count() as u64);
+            tm.verify_block_fallbacks
+                .add(vreport.block_fallbacks as u64);
             if vcfg.deny {
                 if let Some(f) = vreport.findings.iter().find(|f| f.is_error()) {
                     return Err(err(format!("translation validation failed: {f}")));
@@ -1565,11 +1560,15 @@ mod tests {
         let src = "__global__ void k(int* o) { o[0] = 1; }";
         let c = Compiler::new(DeviceConfig::tesla_c1060());
         let c2 = Compiler::new(DeviceConfig::tesla_c2070());
+        // A validated key also folds in the validator's version.
+        let checked =
+            Compiler::new(DeviceConfig::tesla_c1060()).with_validation(ValidationConfig::default());
         let keys = [
             c.cache_key(src, &Defines::new()).to_hex(),
             c.cache_key(src, &Defines::new().def("A", 1).def("B", 2))
                 .to_hex(),
             c2.cache_key(src, &Defines::new()).to_hex(),
+            checked.cache_key(src, &Defines::new()).to_hex(),
         ];
         assert_eq!(
             keys,
@@ -1577,6 +1576,7 @@ mod tests {
                 "4db429751fb656f72ad10e86d25a085a".to_string(),
                 "c2fc7a3b7f1ac1f0e809692a4e23cd7e".to_string(),
                 "7b9e238c82f0c6b12e923ec06df022d0".to_string(),
+                "64127208123676c34a07171945b3c020".to_string(),
             ]
         );
     }

@@ -3,7 +3,11 @@
 //! started carrying summaries forward. `golden/compile_golden.txt` was
 //! written by that commit (6f651e3) with
 //! `cargo test -p ks-core --test compile_golden -- --ignored bless` and
-//! is never re-blessed by a change that claims to be speed-only: one
+//! is never re-blessed by a change that claims to be speed-only (its
+//! `checks=` and `findings=` fields were written once more when
+//! optimizer steps moved to the block-by-block check: fewer checks, and
+//! every findings list a subset of the old one; every `ptx=` and `opt=`
+//! field is the original): one
 //! line per variant with the FNV-1a-128 of the PTX (plain and checked
 //! compiles must agree), every kernel's `OptStats`, the number of
 //! translation-validation checks, and the ordered

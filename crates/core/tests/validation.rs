@@ -100,16 +100,28 @@ fn passes_are_validated_when_no_codegen_stage_is_observed() {
         optimize: false,
         ..Default::default()
     };
-    let compiler = Compiler::with_options(DeviceConfig::tesla_c1060(), options)
+    let compiler = Compiler::with_options(DeviceConfig::tesla_c1060(), options.clone())
         .with_validation(ValidationConfig::default());
     let reg = ks_trace::registry();
     let before = reg.counter_value(ks_trace::names::VERIFY_CHECKS);
-    let bin = compiler
-        .compile(SRC, Defines::new().def("GAIN", 3).def("N", 1024))
-        .unwrap();
+    let fallbacks_before = reg.counter_value(ks_trace::names::VERIFY_BLOCK_FALLBACKS);
+    let defines = Defines::new().def("GAIN", 3).def("N", 1024);
+    let bin = compiler.compile(SRC, &defines).unwrap();
     assert!(bin.verification.is_empty(), "{:?}", bin.verification);
     let checks = reg.counter_value(ks_trace::names::VERIFY_CHECKS) - before;
+    let fallbacks = reg.counter_value(ks_trace::names::VERIFY_BLOCK_FALLBACKS) - fallbacks_before;
+    // The pass steps the compile applied, counted on the same input.
+    let mut all = vec![("__CUDA_ARCH__".to_string(), "130".to_string())];
+    all.extend(defines.items().iter().cloned());
+    let prog = ks_lang::frontend(SRC, &all).unwrap();
+    let mut lowered = ks_codegen::compile(&prog, &options).unwrap();
+    let mut steps = 0;
+    for f in &mut lowered.functions {
+        ks_opt::optimize_with_observer(f, &Default::default(), &mut |_, _| steps += 1);
+    }
+    assert!(steps > 0, "some pass must have been checked");
+    // One check per step, plus the path check's environments for each
+    // step whose block check fell back.
     let envs = ks_verify::default_envs().len() as u64;
-    assert!(checks >= envs, "some pass must have been checked");
-    assert_eq!(checks % envs, 0, "one check per env per pass: {checks}");
+    assert_eq!(checks, steps + envs * fallbacks, "{fallbacks} fallbacks");
 }

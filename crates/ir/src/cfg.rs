@@ -3,8 +3,10 @@
 //! The simulator needs immediate *post*-dominators to place SIMT
 //! reconvergence points (the classic post-dominator stack used by real
 //! hardware and by GPGPU-Sim); the optimizer needs predecessor lists and
-//! reverse post-order for dataflow.
+//! reverse post-order for dataflow; register allocation and the
+//! validator's block check need register liveness.
 
+use crate::inst::VReg;
 use crate::module::{BlockId, Function};
 
 /// Predecessor/successor lists plus traversal orders for one function.
@@ -173,6 +175,104 @@ pub fn ipdoms(f: &Function, cfg: &Cfg) -> Vec<Option<BlockId>> {
             _ => None,
         })
         .collect()
+}
+
+/// Per-block liveness: one bit row per block, one bit per vreg.
+pub struct Liveness {
+    /// `u64` words per row.
+    words: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+}
+
+impl Liveness {
+    /// Registers live on entry to `block`: read on some path from its
+    /// start before being written. Ascending.
+    pub fn live_in(&self, block: usize) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.live_in[block * self.words..][..self.words])
+    }
+
+    /// Registers live at the exit of `block`: live on entry to some
+    /// successor. Ascending.
+    pub fn live_out(&self, block: usize) -> impl Iterator<Item = u32> + '_ {
+        set_bits(&self.live_out[block * self.words..][..self.words])
+    }
+}
+
+fn set_bits(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    row.iter().enumerate().flat_map(|(w, &bits)| {
+        let mut bits = bits;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                w as u32 * 64 + bit
+            })
+        })
+    })
+}
+
+/// Classic backward liveness dataflow over the CFG (reachable blocks;
+/// an unreachable block has nothing live).
+pub fn liveness(f: &Function, cfg: &Cfg) -> Liveness {
+    let n = f.blocks.len();
+    let words = f.num_vregs().div_ceil(64);
+    let has = |row: &[u64], r: VReg| row[r.0 as usize / 64] & (1 << (r.0 % 64)) != 0;
+    let set = |row: &mut [u64], r: VReg| row[r.0 as usize / 64] |= 1 << (r.0 % 64);
+    // use[b] = vars read before any write in b; def[b] = vars written.
+    let mut use_s = vec![0u64; n * words];
+    let mut def_s = vec![0u64; n * words];
+    for (bi, b) in f.blocks.iter().enumerate() {
+        let uses = &mut use_s[bi * words..][..words];
+        let defs = &mut def_s[bi * words..][..words];
+        for i in &b.insts {
+            i.for_each_use(|r| {
+                if !has(defs, r) {
+                    set(uses, r);
+                }
+            });
+            if let Some(d) = i.def() {
+                set(defs, d);
+            }
+        }
+        if let Some(p) = b.term.use_reg() {
+            if !has(defs, p) {
+                set(uses, p);
+            }
+        }
+    }
+    let mut live_in = vec![0u64; n * words];
+    let mut live_out = vec![0u64; n * words];
+    let mut out = vec![0u64; words];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        // Iterate in reverse RPO for fast convergence.
+        for &bid in cfg.rpo.iter().rev() {
+            let b = bid.0 as usize;
+            out.fill(0);
+            for s in &cfg.succs[b] {
+                for (o, i) in out
+                    .iter_mut()
+                    .zip(&live_in[s.0 as usize * words..][..words])
+                {
+                    *o |= i;
+                }
+            }
+            let row = b * words;
+            for w in 0..words {
+                let inp = use_s[row + w] | (out[w] & !def_s[row + w]);
+                changed |= inp != live_in[row + w] || out[w] != live_out[row + w];
+                live_in[row + w] = inp;
+                live_out[row + w] = out[w];
+            }
+        }
+    }
+    Liveness {
+        words,
+        live_in,
+        live_out,
+    }
 }
 
 #[cfg(test)]

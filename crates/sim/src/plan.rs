@@ -12,7 +12,7 @@
 
 use crate::device::{IssueClass, LatencyClass};
 use crate::memo::{timing_is_data_independent, ConstReads, TimingMemo};
-use crate::regalloc::{allocate, compute_liveness, RegAlloc};
+use crate::regalloc::{allocate, RegAlloc};
 use ks_ir::cfg::{ipdoms, Cfg};
 use ks_ir::fxhash::FxHashMap;
 use ks_ir::{
@@ -344,7 +344,7 @@ impl LaunchPlan {
             imm_rows: d.imm_rows,
             branches,
             traps: d.traps,
-            entry_live: compute_liveness(f, &cfg).live_in(0).collect(),
+            entry_live: ks_ir::cfg::liveness(f, &cfg).live_in(0).collect(),
             trace_text,
             const_reads,
             timing_memo,

@@ -119,6 +119,12 @@ impl KernelProfile {
              occupancy {:.2}",
             self.occupancy()
         );
+        let [checks, diffs, inconclusive, fallbacks] = self.verify_rows().map(|(_, v)| v);
+        let _ = writeln!(
+            out,
+            "  verify: {checks} checks, {diffs} diffs, {inconclusive} inconclusive, \
+             {fallbacks} block fallbacks",
+        );
         for d in &self.diagnostics {
             let _ = writeln!(out, "  diagnostic: {d}");
         }

@@ -95,8 +95,10 @@ pub mod names {
     pub fn compile_phase_us(phase: &str) -> String {
         format!("ks_core.compile.phase_us.{phase}")
     }
-    /// Translation-validation comparisons performed (function × env ×
-    /// stage), misses only, when validation is enabled.
+    /// Translation-validation comparisons performed, misses only, when
+    /// validation is enabled: one per (function, env) of a codegen stage,
+    /// one per (function, step) of the optimizer plus one per env of a
+    /// block-check fallback (`VerifyReport::checks`).
     pub const VERIFY_CHECKS: &str = "ks_verify.checks";
     /// Translation-validation *error* findings (KSV0xx): a pass or a
     /// specialization changed observable behavior.
@@ -104,6 +106,10 @@ pub mod names {
     /// Inconclusive verification outcomes (KSV101): budgets stopped
     /// evaluation before a verdict.
     pub const VERIFY_INCONCLUSIVE: &str = "ks_verify.inconclusive";
+    /// Optimizer pass steps whose block-by-block check did not match and
+    /// fell back to the whole-function path check
+    /// (`VerifyReport::block_fallbacks`).
+    pub const VERIFY_BLOCK_FALLBACKS: &str = "ks_verify.block_fallbacks";
     /// Simulator launches completed.
     pub const SIM_LAUNCHES: &str = "ks_sim.launches";
     /// Completed launches whose timing sample came from their plan's

@@ -90,6 +90,18 @@ impl KernelProfile {
         ]
     }
 
+    /// Translation-validation counters as `(export key, value)`, in
+    /// export order.
+    pub fn verify_rows(&self) -> [(&'static str, u64); 4] {
+        [
+            ("checks", names::VERIFY_CHECKS),
+            ("diffs", names::VERIFY_DIFFS),
+            ("inconclusive", names::VERIFY_INCONCLUSIVE),
+            ("block_fallbacks", names::VERIFY_BLOCK_FALLBACKS),
+        ]
+        .map(|(key, name)| (key, self.metrics.counter(name)))
+    }
+
     /// Occupancy of the last launch, `0..=1`.
     pub(crate) fn occupancy(&self) -> f64 {
         self.metrics

@@ -142,6 +142,8 @@ pub struct Arena {
     map: FxHashMap<Expr, ExprId>,
     names: Vec<String>,
     name_map: FxHashMap<String, Symbol>,
+    /// Reused by every linear-combination build.
+    lin_scratch: Vec<(ExprId, u64)>,
 }
 
 impl Arena {
@@ -242,69 +244,94 @@ impl Arena {
 
     // ---- linear combinations --------------------------------------------
 
-    /// Decompose an expression into linear parts for width `w`.
-    fn lin_parts(&self, id: ExprId, w: Width) -> (Vec<(ExprId, u64)>, u64) {
+    /// Append `id`'s linear terms for width `w`, each coefficient times
+    /// `scale`, to `terms`; returns its constant part times `scale`.
+    fn push_lin_parts(
+        &self,
+        id: ExprId,
+        w: Width,
+        scale: u64,
+        terms: &mut Vec<(ExprId, u64)>,
+    ) -> u64 {
         match self.get(id) {
-            Expr::ConstI { w: cw, bits } if *cw == w => (vec![], *bits),
-            Expr::Lin { w: lw, terms, k } if *lw == w => (terms.to_vec(), *k),
-            _ => (vec![(id, 1)], 0),
+            Expr::ConstI { w: cw, bits } if *cw == w => bits.wrapping_mul(scale),
+            Expr::Lin {
+                w: lw,
+                terms: ts,
+                k,
+            } if *lw == w => {
+                terms.extend(ts.iter().map(|&(t, c)| (t, c.wrapping_mul(scale))));
+                k.wrapping_mul(scale)
+            }
+            _ => {
+                terms.push((id, scale));
+                0
+            }
         }
     }
 
-    /// Build the canonical node for a linear combination.
-    fn lin_build(&mut self, w: Width, mut terms: Vec<(ExprId, u64)>, k: u64) -> ExprId {
-        terms.sort_by_key(|&(t, _)| t);
-        let mut merged: Vec<(ExprId, u64)> = Vec::with_capacity(terms.len());
-        for (t, c) in terms {
+    /// Build the canonical node for a linear combination, reordering and
+    /// merging `terms` in place.
+    fn lin_build(&mut self, w: Width, terms: &mut Vec<(ExprId, u64)>, k: u64) -> ExprId {
+        terms.sort_unstable_by_key(|&(t, _)| t);
+        let mut n: usize = 0;
+        for i in 0..terms.len() {
+            let (t, c) = terms[i];
             let c = w.mask(c);
             if c == 0 {
                 continue;
             }
-            match merged.last_mut() {
-                Some((lt, lc)) if *lt == t => {
-                    *lc = w.mask(lc.wrapping_add(c));
+            match n.checked_sub(1).map(|l| &mut terms[l]) {
+                Some((lt, lc)) if *lt == t => *lc = w.mask(lc.wrapping_add(c)),
+                _ => {
+                    terms[n] = (t, c);
+                    n += 1;
                 }
-                _ => merged.push((t, c)),
             }
         }
-        merged.retain(|&(_, c)| c != 0);
+        terms.truncate(n);
+        terms.retain(|&(_, c)| c != 0);
         let k = w.mask(k);
-        if merged.is_empty() {
+        if terms.is_empty() {
             return self.intern(Expr::ConstI { w, bits: k });
         }
-        if merged.len() == 1 && merged[0].1 == 1 && k == 0 {
-            return merged[0].0;
+        if terms.len() == 1 && terms[0].1 == 1 && k == 0 {
+            return terms[0].0;
         }
         self.intern(Expr::Lin {
             w,
-            terms: merged.into_boxed_slice(),
+            terms: terms[..].into(),
             k,
         })
     }
 
     /// Build a canonical linear combination directly (used by address
     /// normalization in the summarizer).
-    pub(crate) fn lin_with(&mut self, w: Width, terms: Vec<(ExprId, u64)>, k: u64) -> ExprId {
-        self.lin_build(w, terms, k)
+    pub(crate) fn lin_with(&mut self, w: Width, mut terms: Vec<(ExprId, u64)>, k: u64) -> ExprId {
+        self.lin_build(w, &mut terms, k)
+    }
+
+    /// Σ over `parts` of (expression × scale), built in the arena's
+    /// scratch buffer.
+    fn lin_sum(&mut self, w: Width, parts: &[(ExprId, u64)]) -> ExprId {
+        let mut terms = std::mem::take(&mut self.lin_scratch);
+        terms.clear();
+        let mut k = 0u64;
+        for &(id, scale) in parts {
+            k = k.wrapping_add(self.push_lin_parts(id, w, scale, &mut terms));
+        }
+        let e = self.lin_build(w, &mut terms, k);
+        self.lin_scratch = terms;
+        e
     }
 
     fn lin_add2(&mut self, w: Width, a: ExprId, b: ExprId, negate_b: bool) -> ExprId {
-        let (mut ta, ka) = self.lin_parts(a, w);
-        let (tb, kb) = self.lin_parts(b, w);
-        let kb = if negate_b { kb.wrapping_neg() } else { kb };
-        for (t, c) in tb {
-            ta.push((t, if negate_b { c.wrapping_neg() } else { c }));
-        }
-        self.lin_build(w, ta, ka.wrapping_add(kb))
+        let sb = if negate_b { u64::MAX } else { 1 };
+        self.lin_sum(w, &[(a, 1), (b, sb)])
     }
 
     fn lin_scale(&mut self, w: Width, a: ExprId, c: u64) -> ExprId {
-        let (terms, k) = self.lin_parts(a, w);
-        let terms = terms
-            .into_iter()
-            .map(|(t, tc)| (t, tc.wrapping_mul(c)))
-            .collect();
-        self.lin_build(w, terms, k.wrapping_mul(c))
+        self.lin_sum(w, &[(a, c)])
     }
 
     /// Absorb a byte offset into an address expression (the `[base+imm]`

@@ -5,10 +5,18 @@
 //!
 //! 1. **Pass-by-pass translation validation** — after each ks-opt pass and
 //!    each ks-codegen HIR transform, the function must still mean the same
-//!    thing. Both versions are evaluated symbolically into canonical
-//!    value-graph summaries ([`summary::FnSummary`]) and compared
-//!    ([`diff::compare`]); the first divergence comes back as a typed
-//!    [`VerifyDiff`].
+//!    thing. For a codegen stage, both versions are evaluated symbolically
+//!    into canonical value-graph summaries ([`summary::FnSummary`]) along
+//!    every explored path and compared ([`diff::compare`]); the first
+//!    divergence comes back as a typed [`VerifyDiff`]. An optimizer pass
+//!    step is checked block by block ([`blockwise`], [`check_opt_step`]):
+//!    each block pair runs once from one symbolic entry state, with entry
+//!    facts derived from single definitions of *before* that dominate the
+//!    block, and must agree on effects, exit and the registers live out of
+//!    *after*; by induction over any execution that proves the step. A
+//!    step with a block that does not match falls back to the path check
+//!    of the whole function, whose verdicts stand
+//!    ([`VerifyReport::block_fallbacks`] counts them).
 //! 2. **Specialization equivalence** — a kernel compiled with `-D`
 //!    defines (SK) must match the runtime-evaluated kernel (RE) once the
 //!    RE summary is evaluated *under those bindings*: defines that replace
@@ -19,7 +27,9 @@
 //! expression arena, so summary equality is plain `ExprId` equality; a
 //! function followed through a sequence of transforms keeps one arena
 //! per environment for the whole sequence ([`SnapshotChain`]) and is
-//! summarized once per snapshot, not twice per comparison. Findings carry
+//! summarized once per snapshot, not twice per comparison. Through the
+//! optimizer, [`OptChain`] keeps each block's run from one step to the
+//! next ([`optimize_checked`] drives it). Findings carry
 //! `KSV` diagnostic codes in the same shape as ks-ir's `KSI` verifier errors and
 //! the analyzer's `KSA` lints:
 //!
@@ -27,10 +37,11 @@
 //! * `KSV002` — the specialized kernel diverges from the generic kernel
 //!   under the given defines;
 //! * `KSV003` — module shapes differ (function missing after a stage);
-//! * `KSV101` — *warning*: budgets stopped evaluation before a verdict
-//!   (inconclusive, not a miscompile).
+//! * `KSV101` — *warning*: the path check's budgets stopped evaluation
+//!   before a verdict (inconclusive, not a miscompile).
 
 pub mod bindings;
+pub mod blockwise;
 pub mod diff;
 pub mod expr;
 pub mod mutate;
@@ -40,7 +51,7 @@ pub mod summary;
 pub use bindings::{derive_bindings, Binding, DerivedBindings};
 pub use diff::{DiffKind, Outcome, VerifyDiff};
 pub use expr::Arena;
-pub use pipeline::{build_optimized, validate_pipeline};
+pub use pipeline::{build_optimized, optimize_checked, validate_pipeline};
 pub use summary::{Env, FnSummary, Limits, Summarizer, Val};
 
 use ks_ir::{Function, Module};
@@ -107,11 +118,23 @@ impl fmt::Display for Finding {
     }
 }
 
+/// Version of the validator's verdicts: bumped whenever the same input
+/// can come back with different findings, so a compile cache keyed on it
+/// never serves a list an older validator wrote.
+pub const VALIDATOR_VERSION: u32 = 2;
+
 /// Aggregate result of a verification run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyReport {
-    /// Number of (function × env) comparisons performed.
+    /// Number of comparisons performed. A codegen stage or a
+    /// specialization check counts one per (function, environment). An
+    /// optimizer pass step counts one per (function, step) for the block
+    /// check, plus one per environment of the path check when it fell
+    /// back to it.
     pub checks: usize,
+    /// Optimizer pass steps whose block check did not match and went to
+    /// the whole-function path check.
+    pub block_fallbacks: usize,
     pub findings: Vec<Finding>,
 }
 
@@ -130,6 +153,7 @@ impl VerifyReport {
 
     pub fn merge(&mut self, other: VerifyReport) {
         self.checks += other.checks;
+        self.block_fallbacks += other.block_fallbacks;
         self.findings.extend(other.findings);
     }
 }
@@ -285,18 +309,6 @@ impl<'e> ModuleChain<'e> {
         });
         report
     }
-
-    /// Hand over the chain of `f`, which must be the function as the
-    /// latest snapshot held it — to follow it through per-function
-    /// transforms (the optimizer passes). Starts one if no snapshot held
-    /// a function of that name.
-    pub fn detach(&mut self, f: &Function, ctx: &Module) -> SnapshotChain<'e> {
-        let held = self.functions.as_mut().and_then(|chains| {
-            let i = chains.iter().position(|c| c.function() == f.name)?;
-            Some(chains.swap_remove(i))
-        });
-        held.unwrap_or_else(|| SnapshotChain::new(f, ctx, self.envs, self.limits))
-    }
 }
 
 /// Compare one function before/after a transform under `envs`: the
@@ -311,6 +323,99 @@ pub fn check_function_pair(
     context: &str,
 ) -> VerifyReport {
     SnapshotChain::new(pre_f, pre_m, envs, limits).step(post_f, post_m, context)
+}
+
+/// Check one optimizer pass step of one function: the block check
+/// ([`blockwise`]), and when a block does not match, the whole-function
+/// path check under [`default_envs`] with its own verdicts. A finding can
+/// only come from that fallback.
+pub fn check_opt_step(
+    before: &Function,
+    after: &Function,
+    ctx: &Module,
+    limits: Limits,
+    context: &str,
+) -> VerifyReport {
+    opt_step(
+        before,
+        after,
+        ctx,
+        limits,
+        context,
+        &mut blockwise::Memo::default(),
+    )
+}
+
+fn opt_step(
+    before: &Function,
+    after: &Function,
+    ctx: &Module,
+    limits: Limits,
+    context: &str,
+    memo: &mut blockwise::Memo,
+) -> VerifyReport {
+    let mut report = VerifyReport {
+        checks: 1,
+        ..VerifyReport::default()
+    };
+    if !blockwise::blocks_match(before, after, ctx, memo) {
+        report.block_fallbacks = 1;
+        let envs = default_envs();
+        report.merge(check_function_pair(
+            before, ctx, after, ctx, &envs, limits, context,
+        ));
+    }
+    report
+}
+
+/// One function followed through the optimizer's pass steps, each
+/// checked by [`check_opt_step`] against the snapshot before it.
+/// Each block's run is kept from one step to the next, so a block a step
+/// leaves alone is evaluated once on the step's *after* side, not twice.
+pub struct OptChain {
+    latest: Function,
+    limits: Limits,
+    memo: blockwise::Memo,
+}
+
+impl OptChain {
+    /// Start at `f`; `limits` bound the path check of a fallback.
+    pub fn new(f: &Function, limits: Limits) -> Self {
+        OptChain {
+            latest: f.clone(),
+            limits,
+            memo: blockwise::Memo::default(),
+        }
+    }
+
+    /// Check `f`, the function after the pass `context` names, against
+    /// the previous snapshot; `f` becomes the previous snapshot.
+    pub fn step(&mut self, f: &Function, ctx: &Module, context: &str) -> VerifyReport {
+        let report = opt_step(&self.latest, f, ctx, self.limits, context, &mut self.memo);
+        // A pass rewrites a few blocks: copy those, into the buffers
+        // already held.
+        let latest = &mut self.latest;
+        let same_frame = latest.blocks.len() == f.blocks.len()
+            && (
+                &latest.name,
+                &latest.params,
+                &latest.shared,
+                latest.local_bytes,
+            ) == (&f.name, &f.params, &f.shared, f.local_bytes);
+        if same_frame {
+            for (held, b) in latest.blocks.iter_mut().zip(&f.blocks) {
+                if held != b {
+                    held.id = b.id;
+                    held.insts.clone_from(&b.insts);
+                    held.term = b.term.clone();
+                }
+            }
+            latest.vreg_types.clone_from(&f.vreg_types);
+        } else {
+            latest.clone_from(f);
+        }
+        report
+    }
 }
 
 /// Compare whole modules before/after a transform: the two-snapshot

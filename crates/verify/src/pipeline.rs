@@ -4,9 +4,10 @@
 //! CLI and the ci.sh verification tier; the ks-core `Compiler` performs
 //! the same checks inline when built `with_validation`.
 
-use crate::{default_envs, Limits, ModuleChain, VerifyReport};
-use ks_ir::Module;
+use crate::{default_envs, Limits, ModuleChain, OptChain, VerifyReport};
+use ks_ir::{Function, Module};
 use ks_opt::OptConfig;
+use std::time::{Duration, Instant};
 
 /// Validate every HIR codegen stage and every IR optimization pass for
 /// one compilation of `source` under `defines`. Returns the merged
@@ -30,22 +31,49 @@ pub fn validate_pipeline(
     )
     .map_err(|e| e.to_string())?;
 
-    // IR passes: each function's chain continues through every pass
-    // applied to it. Summarization needs the module only for const/texture
-    // naming, so a functions-less clone serves as context while we mutate
-    // the real functions.
+    // IR passes: every applied pass step of every function.
+    let (passes, _) = optimize_checked(&mut opt, &OptConfig::default(), limits, &mut |_, _, _| {});
+    report.merge(passes);
+    Ok(report)
+}
+
+/// Optimize every function of `module` under `cfg`, checking each pass
+/// application that changed a function against the function before it
+/// ([`OptChain`]: the block check, the path check under `limits` where
+/// it falls back). `obs(pass, f, start)` runs right after each applied
+/// pass, before its check; `start` is when that pass began, so the
+/// caller can time passes without their checks. Returns the merged
+/// report and the time spent checking.
+pub fn optimize_checked(
+    module: &mut Module,
+    cfg: &OptConfig,
+    limits: Limits,
+    obs: &mut dyn FnMut(&'static str, &Function, Instant),
+) -> (VerifyReport, Duration) {
+    // Summarization needs the module only for const/texture naming, so a
+    // functions-less clone serves as context while the real functions
+    // are mutated in place.
     let ctx = Module {
         functions: vec![],
-        consts: opt.consts.clone(),
-        textures: opt.textures.clone(),
+        consts: module.consts.clone(),
+        textures: module.textures.clone(),
     };
-    for f in &mut opt.functions {
-        let mut chain = stages.detach(f, &ctx);
-        ks_opt::optimize_with_observer(f, &OptConfig::default(), &mut |pass, cur| {
+    let mut report = VerifyReport::default();
+    let mut spent = Duration::ZERO;
+    for f in &mut module.functions {
+        let t = Instant::now();
+        let mut chain = OptChain::new(f, limits);
+        spent += t.elapsed();
+        let mut start = Instant::now();
+        ks_opt::optimize_with_observer(f, cfg, &mut |pass, cur| {
+            obs(pass, cur, start);
+            let t = Instant::now();
             report.merge(chain.step(cur, &ctx, &format!("opt.{pass}")));
+            spent += t.elapsed();
+            start = Instant::now();
         });
     }
-    Ok(report)
+    (report, spent)
 }
 
 /// Build the fully optimized module for `source` under `defines` — the

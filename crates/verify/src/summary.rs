@@ -20,6 +20,10 @@
 //! * shared/const addresses are re-expressed relative to the declaration
 //!   they fall into, so RE and SK modules whose allocations differ in size
 //!   (`THREADS_ALLOC 512` vs `THREADS`) still produce aligned addresses.
+//!
+//! The same instruction semantics also run one block at a time, straight
+//! through from a given register file (`Summarizer::run_straight`):
+//! that is what the block check of optimizer steps compares.
 
 use crate::expr::{Arena, ExprId};
 use ks_ir::fxhash::FxHashMap;
@@ -187,7 +191,7 @@ struct SpaceState {
 
 #[derive(Clone)]
 struct PathState {
-    regs: FxHashMap<VReg, ExprId>,
+    regs: Regs,
     global: SpaceState,
     shared: SpaceState,
     local: SpaceState,
@@ -197,6 +201,119 @@ struct PathState {
     steps: usize,
     block: BlockId,
     inst: usize,
+}
+
+impl PathState {
+    /// A state at the entry block with registers `regs` and no store,
+    /// barrier, branch or step taken yet.
+    fn entry(regs: Regs) -> PathState {
+        PathState {
+            regs,
+            global: SpaceState::default(),
+            shared: SpaceState::default(),
+            local: SpaceState::default(),
+            conds: vec![],
+            effects: vec![],
+            forks_at: FxHashMap::default(),
+            steps: 0,
+            block: BlockId(0),
+            inst: 0,
+        }
+    }
+}
+
+/// One straight-line run of instructions evaluated from a symbolic entry
+/// state ([`Summarizer::run_straight`]).
+pub(crate) struct StraightRun {
+    /// Register values at the end; a register the run neither received
+    /// nor defined reads as its entry leaf `Undef(r)`.
+    pub regs: Regs,
+    /// Global/shared stores and barriers, in order.
+    pub effects: Vec<Effect>,
+    /// Local-memory stores (address, type, value), in order. Not
+    /// observable at a path's end, but a later block may load them.
+    pub local: Vec<(ExprId, Ty, ExprId)>,
+    /// What each instruction produced, in order.
+    produced: Vec<Produced>,
+}
+
+impl StraightRun {
+    fn from(st: PathState, produced: Vec<Produced>) -> StraightRun {
+        StraightRun {
+            regs: st.regs,
+            effects: st.effects,
+            local: st
+                .local
+                .stores
+                .iter()
+                .map(|s| (s.addr, s.ty, s.value))
+                .collect(),
+            produced,
+        }
+    }
+}
+
+/// A register file: what each register holds, by register number.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Regs(Vec<ExprId>);
+
+/// The slot of a register nothing wrote: it reads as its `Undef` leaf.
+const UNSET: ExprId = ExprId(u32::MAX);
+
+impl Regs {
+    pub fn get(&self, r: VReg) -> Option<ExprId> {
+        self.0.get(r.0 as usize).copied().filter(|&e| e != UNSET)
+    }
+
+    pub fn set(&mut self, r: VReg, e: ExprId) {
+        let i = r.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, UNSET);
+        }
+        self.0[i] = e;
+    }
+
+    pub fn unset(&mut self, r: VReg) {
+        if let Some(e) = self.0.get_mut(r.0 as usize) {
+            *e = UNSET;
+        }
+    }
+}
+
+/// A set of registers.
+#[derive(Default)]
+struct RegSet(Vec<u64>);
+
+impl RegSet {
+    fn insert(&mut self, r: VReg) {
+        let w = r.0 as usize / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        self.0[w] |= 1 << (r.0 % 64);
+    }
+
+    fn remove(&mut self, r: VReg) {
+        if let Some(w) = self.0.get_mut(r.0 as usize / 64) {
+            *w &= !(1 << (r.0 % 64));
+        }
+    }
+
+    fn contains(&self, r: VReg) -> bool {
+        self.0
+            .get(r.0 as usize / 64)
+            .is_some_and(|w| w & (1 << (r.0 % 64)) != 0)
+    }
+}
+
+/// What one instruction of a straight-line run produced.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Produced {
+    /// The value it defined.
+    Value(ExprId),
+    /// The address and value it stored.
+    Stored(ExprId, ExprId),
+    Nothing,
 }
 
 /// Summarizes functions of one module into a shared [`Arena`].
@@ -215,18 +332,7 @@ impl<'a> Summarizer<'a> {
     pub fn summarize(&mut self, f: &Function, m: &Module, env: &Env) -> FnSummary {
         let mut paths = Vec::new();
         let mut complete = true;
-        let mut stack = vec![PathState {
-            regs: FxHashMap::default(),
-            global: SpaceState::default(),
-            shared: SpaceState::default(),
-            local: SpaceState::default(),
-            conds: vec![],
-            effects: vec![],
-            forks_at: FxHashMap::default(),
-            steps: 0,
-            block: BlockId(0),
-            inst: 0,
-        }];
+        let mut stack = vec![PathState::entry(Regs::default())];
         while let Some(state) = stack.pop() {
             if paths.len() >= self.limits.max_paths {
                 complete = false;
@@ -240,6 +346,117 @@ impl<'a> Summarizer<'a> {
             paths,
             complete,
         }
+    }
+
+    /// What `def` writes to its destination when the registers it reads
+    /// hold what `regs` holds (fully symbolic environment, memory
+    /// unknown). `regs` comes back as it went in, but for the destination.
+    pub(crate) fn value_of(
+        &mut self,
+        def: &Inst,
+        f: &Function,
+        m: &Module,
+        regs: &mut Regs,
+    ) -> Option<ExprId> {
+        let mut st = PathState::entry(std::mem::take(regs));
+        self.step(&mut st, def, f, m, &Env::default());
+        *regs = st.regs;
+        regs.get(def.def()?)
+    }
+
+    /// Evaluate `insts` once, in order, under the fully symbolic
+    /// environment: registers start at `regs` (else at their `Undef`
+    /// leaf), memory starts unknown, loads forward from this run's own
+    /// stores only. No budget applies: a straight line always finishes.
+    ///
+    /// `prior` is another block's instructions and their run from the
+    /// same `regs` — the same block before a transform that replaced or
+    /// deleted some of its instructions. An instruction identical to its
+    /// counterpart there, reading registers that hold the same values on
+    /// both sides (and, if it touches memory, with every earlier memory
+    /// event matched pairwise), produces what its counterpart produced:
+    /// that result is taken, not evaluated again.
+    pub(crate) fn run_straight(
+        &mut self,
+        insts: &[Inst],
+        f: &Function,
+        m: &Module,
+        regs: &Regs,
+        prior: Option<(&[Inst], &StraightRun)>,
+    ) -> StraightRun {
+        let env = Env::default();
+        let mut st = PathState::entry(regs.clone());
+        let mut produced = Vec::with_capacity(insts.len());
+        let Some((pi, pr)) = prior else {
+            for i in insts {
+                self.step(&mut st, i, f, m, &env);
+                produced.push(produced_by(&mut st, i));
+            }
+            return StraightRun::from(st, produced);
+        };
+        // `j`: the counterpart of the next instruction in `pi`. `dirty`
+        // holds every register whose value here may differ from the
+        // prior run's at the counterpart; `same_memory`, whether memory
+        // can.
+        let (mut j, mut dirty, mut same_memory) = (0, RegSet::default(), true);
+        for (n, i) in insts.iter().enumerate() {
+            // Instructions the prior run has beyond this one's count were
+            // deleted: step past any that do not match.
+            while pi.len() - j > insts.len() - n && pi[j] != *i {
+                same_memory &= !writes_memory(&pi[j]);
+                if let Some(d) = pi[j].def() {
+                    dirty.insert(d);
+                }
+                j += 1;
+            }
+            let counterpart = pi.get(j).map(|p| (p, pr.produced[j]));
+            let reused = counterpart.filter(|(p, _)| {
+                *p == i && (same_memory || !touches_memory(i)) && {
+                    let mut clean = true;
+                    i.for_each_use(|u| clean &= !dirty.contains(u));
+                    clean
+                }
+            });
+            let out = match reused {
+                Some((_, out)) => {
+                    apply(&mut st, i, out);
+                    out
+                }
+                None => {
+                    self.step(&mut st, i, f, m, &env);
+                    produced_by(&mut st, i)
+                }
+            };
+            let Some((p, prior_out)) = counterpart else {
+                same_memory &= !writes_memory(i);
+                if let Some(d) = i.def() {
+                    dirty.insert(d);
+                }
+                produced.push(out);
+                continue;
+            };
+            if writes_memory(p) || writes_memory(i) {
+                same_memory &= match (p, i) {
+                    (
+                        Inst::St { space, ty, .. },
+                        Inst::St {
+                            space: s2, ty: t2, ..
+                        },
+                    ) => (space, ty) == (s2, t2) && prior_out == out,
+                    (Inst::Bar, Inst::Bar) => true,
+                    _ => false,
+                };
+            }
+            match (p.def(), i.def()) {
+                (Some(a), Some(b)) if a == b && prior_out == out => dirty.remove(a),
+                (a, b) => {
+                    a.into_iter().chain(b).for_each(|r| dirty.insert(r));
+                }
+            }
+            j += 1;
+            produced.push(out);
+        }
+        StraightRun::from(st, produced)
     }
 
     /// Execute one path to completion, pushing forked continuations onto
@@ -326,8 +543,8 @@ impl<'a> Summarizer<'a> {
     }
 
     fn reg(&mut self, st: &mut PathState, r: VReg) -> ExprId {
-        match st.regs.get(&r) {
-            Some(&e) => e,
+        match st.regs.get(r) {
+            Some(e) => e,
             None => self.arena.undef(r.0),
         }
     }
@@ -418,37 +635,9 @@ impl<'a> Summarizer<'a> {
             } => {
                 let a = self.resolve_addr(st, addr, *space, f, m);
                 let v = self.operand(st, src, *ty);
-                if let Some(ss) = space_state(st, *space) {
-                    ss.events += 1;
-                    let epoch = ss.epoch;
-                    ss.stores.push(StoreRec {
-                        addr: a,
-                        ty: *ty,
-                        value: v,
-                        epoch,
-                    });
-                }
-                if matches!(space, Space::Global | Space::Shared) {
-                    st.effects.push(Effect::Store {
-                        space: *space,
-                        ty: *ty,
-                        addr: a,
-                        value: v,
-                    });
-                }
+                store(st, *space, *ty, a, v);
             }
-            Inst::Bar => {
-                // A barrier publishes other threads' shared and global
-                // writes: close the forwarding epoch (local memory is
-                // private and unaffected).
-                for space in [Space::Global, Space::Shared] {
-                    if let Some(ss) = space_state(st, space) {
-                        ss.events += 1;
-                        ss.epoch += 1;
-                    }
-                }
-                st.effects.push(Effect::Barrier);
-            }
+            Inst::Bar => barrier(st),
             Inst::Tex { ty, dst, tex, idx } => {
                 let e = self.operand(st, idx, Ty::S32);
                 let name = m
@@ -472,7 +661,7 @@ impl<'a> Summarizer<'a> {
     }
 
     fn define(&mut self, st: &mut PathState, dst: VReg, v: ExprId) {
-        st.regs.insert(dst, v);
+        st.regs.set(dst, v);
     }
 
     /// Resolve an address operand to a normalized expression.
@@ -509,52 +698,48 @@ impl<'a> Summarizer<'a> {
         m: &Module,
     ) -> ExprId {
         use crate::expr::{Expr, Width};
-        // Extract the constant displacement of the expression (Lin konst /
-        // plain const), leaving the symbolic remainder untouched.
-        type Rebuild = Option<(Width, Vec<(ExprId, u64)>)>;
-        let (disp, rebuild): (i64, Rebuild) = match self.arena.get(raw) {
-            Expr::ConstI { w, bits } => {
-                let v = match w {
-                    Width::W32 => *bits as u32 as i64,
-                    Width::W64 => *bits as i64,
-                };
-                (v, Some((*w, vec![])))
-            }
-            Expr::Lin { w, terms, k } => {
-                let v = match w {
-                    Width::W32 => *k as u32 as i64,
-                    Width::W64 => *k as i64,
-                };
-                (v, Some((*w, terms.to_vec())))
-            }
-            _ => (0, None),
+        if !matches!(space, Space::Shared | Space::Const) {
+            return raw;
+        }
+        // The constant displacement of the expression (Lin konst / plain
+        // const); anything else has none to rebase.
+        let disp = match self.arena.get(raw) {
+            Expr::ConstI { w, bits: k } | Expr::Lin { w, k, .. } => match w {
+                Width::W32 => *k as u32 as i64,
+                Width::W64 => *k as i64,
+            },
+            _ => return raw,
         };
-        let decl: Option<(&str, i64)> = match space {
+        let within =
+            |offset: u32, size: u32| disp >= offset as i64 && disp < (offset + size) as i64;
+        let decl = match space {
             Space::Shared => f
                 .shared
                 .iter()
-                .find(|d| disp >= d.offset as i64 && disp < (d.offset + d.size_bytes) as i64)
+                .find(|d| within(d.offset, d.size_bytes))
                 .map(|d| (d.name.as_str(), d.offset as i64)),
-            Space::Const => m
+            _ => m
                 .consts
                 .iter()
-                .find(|d| disp >= d.offset as i64 && disp < (d.offset + d.size_bytes) as i64)
+                .find(|d| within(d.offset, d.size_bytes))
                 .map(|d| (d.name.as_str(), d.offset as i64)),
-            _ => None,
         };
-        match (decl, rebuild) {
-            (Some((name, base_off)), Some((_, mut terms))) => {
-                let base = self.arena.base(space, name);
-                terms.push((base, 1));
-                // The rebased form is always a 32-bit linear combination
-                // (shared/const windows are small), so RE and SK sides that
-                // computed the raw address in different integer widths
-                // still canonicalize identically.
-                let k = (disp - base_off) as u64;
-                self.arena.lin_with(Width::W32, terms, k)
-            }
-            _ => raw,
-        }
+        let Some((name, base_off)) = decl else {
+            return raw;
+        };
+        // The symbolic remainder keeps its terms.
+        let mut terms = match self.arena.get(raw) {
+            Expr::Lin { terms, .. } => terms.to_vec(),
+            _ => vec![],
+        };
+        let base = self.arena.base(space, name);
+        terms.push((base, 1));
+        // The rebased form is always a 32-bit linear combination
+        // (shared/const windows are small), so RE and SK sides that
+        // computed the raw address in different integer widths still
+        // canonicalize identically.
+        let k = (disp - base_off) as u64;
+        self.arena.lin_with(Width::W32, terms, k)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -628,27 +813,22 @@ impl<'a> Summarizer<'a> {
         if a == b {
             return false;
         }
-        fn parts(arena: &Arena, id: ExprId) -> (Vec<(ExprId, u64)>, i64) {
-            match arena.get(id) {
-                Expr::ConstI { w, bits } => {
-                    let v = match w {
-                        Width::W32 => *bits as u32 as i64,
-                        Width::W64 => *bits as i64,
-                    };
-                    (vec![], v)
-                }
-                Expr::Lin { w, terms, k } => {
-                    let v = match w {
-                        Width::W32 => *k as u32 as i64,
-                        Width::W64 => *k as i64,
-                    };
-                    (terms.to_vec(), v)
-                }
-                _ => (vec![(id, 1)], 0),
+        /// The symbolic terms and the constant displacement of `one`'s
+        /// expression (which is its own single term if not linear).
+        fn parts<'a>(arena: &'a Arena, one: &'a [(ExprId, u64); 1]) -> (&'a [(ExprId, u64)], i64) {
+            let signed = |w: &Width, k: u64| match w {
+                Width::W32 => k as u32 as i64,
+                Width::W64 => k as i64,
+            };
+            match arena.get(one[0].0) {
+                Expr::ConstI { w, bits } => (&[], signed(w, *bits)),
+                Expr::Lin { w, terms, k } => (terms, signed(w, *k)),
+                _ => (one, 0),
             }
         }
-        let (ta, ka) = parts(self.arena, a);
-        let (tb, kb) = parts(self.arena, b);
+        let (one_a, one_b) = ([(a, 1)], [(b, 1)]);
+        let (ta, ka) = parts(self.arena, &one_a);
+        let (tb, kb) = parts(self.arena, &one_b);
         if ta == tb {
             let (lo, hi, lo_sz) = if ka <= kb {
                 (ka, kb, ty_a.size_bytes() as i64)
@@ -665,7 +845,7 @@ impl<'a> Summarizer<'a> {
                 _ => None,
             })
         };
-        if let (Some(aa), Some(ab)) = (anchor(&ta), anchor(&tb)) {
+        if let (Some(aa), Some(ab)) = (anchor(ta), anchor(tb)) {
             if aa != ab {
                 return true;
             }
@@ -679,6 +859,82 @@ fn finish(st: PathState, end: PathEnd) -> PathSummary {
         conds: st.conds,
         effects: st.effects,
         end,
+    }
+}
+
+fn store(st: &mut PathState, space: Space, ty: Ty, addr: ExprId, value: ExprId) {
+    if let Some(ss) = space_state(st, space) {
+        ss.events += 1;
+        let epoch = ss.epoch;
+        ss.stores.push(StoreRec {
+            addr,
+            ty,
+            value,
+            epoch,
+        });
+    }
+    if matches!(space, Space::Global | Space::Shared) {
+        st.effects.push(Effect::Store {
+            space,
+            ty,
+            addr,
+            value,
+        });
+    }
+}
+
+/// A barrier publishes other threads' shared and global writes: close
+/// the forwarding epoch (local memory is private and unaffected).
+fn barrier(st: &mut PathState) {
+    for space in [Space::Global, Space::Shared] {
+        if let Some(ss) = space_state(st, space) {
+            ss.events += 1;
+            ss.epoch += 1;
+        }
+    }
+    st.effects.push(Effect::Barrier);
+}
+
+/// What `i`, just stepped, produced.
+fn produced_by(st: &mut PathState, i: &Inst) -> Produced {
+    if let Inst::St { space, .. } = i {
+        return match space_state(st, *space).and_then(|ss| ss.stores.last()) {
+            Some(rec) => Produced::Stored(rec.addr, rec.value),
+            None => Produced::Nothing,
+        };
+    }
+    match i.def().and_then(|d| st.regs.get(d)) {
+        Some(v) => Produced::Value(v),
+        None => Produced::Nothing,
+    }
+}
+
+/// Step `i` by taking `out`, what it produced on an equal state.
+fn apply(st: &mut PathState, i: &Inst, out: Produced) {
+    match (i, out) {
+        (Inst::St { space, ty, .. }, Produced::Stored(a, v)) => store(st, *space, *ty, a, v),
+        (Inst::Bar, _) => barrier(st),
+        (_, Produced::Value(v)) => {
+            if let Some(d) = i.def() {
+                st.regs.set(d, v);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// `i` changes the memory state a later load sees.
+fn writes_memory(i: &Inst) -> bool {
+    matches!(i, Inst::St { .. } | Inst::Bar)
+}
+
+/// `i` reads or changes the memory state (param and const memory never
+/// change).
+fn touches_memory(i: &Inst) -> bool {
+    match i {
+        Inst::Ld { space, .. } => !matches!(space, Space::Param | Space::Const),
+        Inst::Tex { .. } => true,
+        _ => writes_memory(i),
     }
 }
 

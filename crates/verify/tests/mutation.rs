@@ -1,10 +1,16 @@
 //! Mutation-testing harness: inject known-bad IR rewrites (the kinds of
 //! bugs a broken optimization pass would introduce) and require ks-verify
-//! to catch every one.
+//! to catch every one. Each mutant goes through the opt-step checker
+//! (`check_opt_step`: the block check, the path check where it falls
+//! back), so a block check that accepted a wrong step would show up here
+//! as an escaped mutation.
 
 use ks_codegen::CodegenOptions;
-use ks_ir::Module;
-use ks_verify::{check_function_pair, default_envs, mutate, Limits};
+use ks_ir::{
+    Address, BasicBlock, BlockId, CmpOp, Function, Inst, Module, Operand, Space, SpecialReg,
+    Terminator, Ty, VReg,
+};
+use ks_verify::{check_function_pair, check_opt_step, default_envs, mutate, Limits};
 
 const TEMPLATE_MATCH: &str = include_str!("../../apps/src/kernels/template_match.cu");
 const PIV: &str = include_str!("../../apps/src/kernels/piv.cu");
@@ -27,7 +33,6 @@ fn build_opt(source: &str, defines: &[(String, String)]) -> Module {
 /// Apply `per_fn` sampled mutations to every function of the module and
 /// count how many are caught. Returns (caught, missed descriptions).
 fn run_mutations(m: &Module, seed: u64, per_fn: usize) -> (usize, Vec<String>) {
-    let envs = default_envs();
     let limits = Limits::default();
     let ctx = Module {
         functions: vec![],
@@ -47,7 +52,7 @@ fn run_mutations(m: &Module, seed: u64, per_fn: usize) -> (usize, Vec<String>) {
                 f.name,
                 mu.desc
             );
-            let report = check_function_pair(f, &ctx, &bad, &ctx, &envs, limits, &mu.desc);
+            let report = check_opt_step(f, &bad, &ctx, limits, &mu.desc);
             if report.findings.iter().any(|fi| fi.is_error()) {
                 caught += 1;
             } else {
@@ -200,4 +205,199 @@ __global__ void shifted(int* out, const int* in, int n) {
     // Sampling more than there are sites applies every one of them.
     let (caught, missed) = run_mutations(&m, 1, sites.len());
     assert_eq!(caught, sites.len(), "escaped: {missed:?}");
+}
+
+// Hand-built steps at the edges of the block rule.
+
+fn function(blocks: Vec<(Vec<Inst>, Terminator)>, regs: &[Ty]) -> Function {
+    Function {
+        name: "k".into(),
+        params: vec![],
+        blocks: blocks
+            .into_iter()
+            .enumerate()
+            .map(|(i, (insts, term))| BasicBlock {
+                id: BlockId(i as u32),
+                insts,
+                term,
+            })
+            .collect(),
+        vreg_types: regs.to_vec(),
+        shared: vec![],
+        local_bytes: 0,
+    }
+}
+
+fn no_context() -> Module {
+    Module {
+        functions: vec![],
+        consts: vec![],
+        textures: vec![],
+    }
+}
+
+fn store(src: Operand) -> Inst {
+    Inst::St {
+        space: Space::Global,
+        ty: Ty::S32,
+        addr: Address {
+            base: None,
+            offset: 64,
+        },
+        src,
+    }
+}
+
+fn mov(dst: u32, v: i64) -> Inst {
+    Inst::Mov {
+        ty: Ty::S32,
+        dst: VReg(dst),
+        src: Operand::ImmI(v),
+    }
+}
+
+fn br(target: u32) -> Terminator {
+    Terminator::Br {
+        target: BlockId(target),
+    }
+}
+
+fn cond_br(pred: u32, then_t: u32, else_t: u32) -> Terminator {
+    Terminator::CondBr {
+        pred: VReg(pred),
+        negate: false,
+        then_t: BlockId(then_t),
+        else_t: BlockId(else_t),
+    }
+}
+
+/// Constfold's facts are flow-insensitive: it rewrites a use that the
+/// single def does not dominate. The block check must not take that
+/// fact, so the step falls back and the path check's verdict stands.
+#[test]
+fn a_fold_past_a_non_dominating_def_falls_back_to_the_path_check() {
+    // BB0: r0 = tid.x; p1 = r0 < 1; branch to BB1 or BB2.
+    // BB1: r2 = 5. BB2: nothing. BB3: store r2.
+    let before = function(
+        vec![
+            (
+                vec![
+                    Inst::Special {
+                        dst: VReg(0),
+                        reg: SpecialReg::TidX,
+                    },
+                    Inst::Setp {
+                        cmp: CmpOp::Lt,
+                        ty: Ty::U32,
+                        dst: VReg(1),
+                        a: Operand::Reg(VReg(0)),
+                        b: Operand::ImmI(1),
+                    },
+                ],
+                cond_br(1, 1, 2),
+            ),
+            (vec![mov(2, 5)], br(3)),
+            (vec![], br(3)),
+            (vec![store(Operand::Reg(VReg(2)))], Terminator::Ret),
+        ],
+        &[Ty::U32, Ty::Pred, Ty::S32],
+    );
+    let mut after = before.clone();
+    assert!(ks_opt::constfold::run(&mut after) > 0);
+    assert_eq!(after.blocks[3].insts, vec![store(Operand::ImmI(5))]);
+    let ctx = no_context();
+    let limits = Limits::default();
+    let report = check_opt_step(&before, &after, &ctx, limits, "opt.constfold");
+    assert_eq!(report.block_fallbacks, 1);
+    let path = check_function_pair(
+        &before,
+        &ctx,
+        &after,
+        &ctx,
+        &default_envs(),
+        limits,
+        "opt.constfold",
+    );
+    assert_eq!(report.findings, path.findings);
+    assert_eq!(report.checks, 1 + path.checks);
+    assert!(
+        report.findings.iter().any(|f| f.code == "KSV001"),
+        "{report:?}"
+    );
+}
+
+/// A DCE that deletes a definition something still reads: the entry
+/// block of *after* now reads the register before any write, which the
+/// block check never accepts, and the path check calls it a miscompile.
+#[test]
+fn a_dce_that_drops_a_used_def_is_a_miscompile() {
+    let before = function(
+        vec![(
+            vec![mov(0, 5), store(Operand::Reg(VReg(0)))],
+            Terminator::Ret,
+        )],
+        &[Ty::S32],
+    );
+    let mut after = before.clone();
+    after.blocks[0].insts.remove(0);
+    let report = check_opt_step(&before, &after, &no_context(), Limits::default(), "opt.dce");
+    assert_eq!(report.block_fallbacks, 1);
+    assert!(
+        report.findings.iter().any(|f| f.code == "KSV001"),
+        "{report:?}"
+    );
+}
+
+/// Constfold's `CondBr` → `Br` on a predicate computed in a dominating
+/// block from immediates: the fact holds at the branch's block, so the
+/// block check proves the step with no fallback.
+#[test]
+fn a_branch_on_a_dominating_constant_folds_without_fallback() {
+    // BB0: p0 = 1 < 2. BB1: branch on p0. BB2/BB3: store 1/2.
+    let before = function(
+        vec![
+            (
+                vec![Inst::Setp {
+                    cmp: CmpOp::Lt,
+                    ty: Ty::S32,
+                    dst: VReg(0),
+                    a: Operand::ImmI(1),
+                    b: Operand::ImmI(2),
+                }],
+                br(1),
+            ),
+            (vec![], cond_br(0, 2, 3)),
+            (vec![store(Operand::ImmI(1))], Terminator::Ret),
+            (vec![store(Operand::ImmI(2))], Terminator::Ret),
+        ],
+        &[Ty::Pred],
+    );
+    let mut after = before.clone();
+    assert!(ks_opt::constfold::run(&mut after) > 0);
+    assert_eq!(after.blocks[1].term, br(2));
+    let report = check_opt_step(
+        &before,
+        &after,
+        &no_context(),
+        Limits::default(),
+        "opt.constfold",
+    );
+    assert_eq!(report.block_fallbacks, 0, "{report:?}");
+    assert!(report.findings.is_empty(), "{report:?}");
+    assert_eq!(report.checks, 1);
+    // The same fold with the wrong target is caught.
+    let mut wrong = after.clone();
+    wrong.blocks[1].term = br(3);
+    let report = check_opt_step(
+        &before,
+        &wrong,
+        &no_context(),
+        Limits::default(),
+        "opt.constfold",
+    );
+    assert_eq!(report.block_fallbacks, 1);
+    assert!(
+        report.findings.iter().any(|f| f.code == "KSV001"),
+        "{report:?}"
+    );
 }
