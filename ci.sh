@@ -46,11 +46,14 @@ cargo test --offline --release -q -p ks-core --test concurrency
 # memo; the worker grain; and the bad-address traps, whose address
 # arithmetic only wraps silently (rather than panicking) here. Then
 # ks-analysis, whose abstract lanes run through the same SIMT control
-# core, with its golden, at that opt-level too.
+# core, with its golden, at that opt-level too. And both constant
+# folders — ks-opt's on IR, ks-codegen's on the HIR — against the
+# executor built the way the benchmark runs it.
 echo "== cargo test --release (the executor at opt-level 3)"
 cargo test --offline --release -q -p ks-sim --lib --test rows_vs_eval \
     --test plan_equiv --test timing_memo --test worker_grain --test bad_address
 cargo test --offline --release -q -p ks-analysis
+cargo test --offline --release -q -p ks-apps --test constfold_vs_executor
 # The record checksum's word loop is only vectorised at opt-level 3:
 # its pinned vectors and exhaustive bit-flip test run on that build too,
 # and so do ks-core's store round trips (warm starts, corrupt and torn

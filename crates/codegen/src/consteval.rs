@@ -1,18 +1,18 @@
 //! Constant folding & propagation on the typed HIR, plus static guard
 //! elimination. These fire only where operands are literal — which, for a
 //! specialized kernel, is exactly where `-D` defines substituted values.
+//!
+//! A fold computes nothing itself: it takes the literals' register bits,
+//! asks `ks_ir::eval` what the instruction the lowering would emit for the
+//! node yields on them, and turns the answer back into a literal. Where
+//! the executor would trap (a division by zero), the node is left alone.
 
+use crate::mapping::{
+    bin_op, bits, builtin, cast, cmp_op, ir_ty, lit, ptr_add, un_op, Builtin, Cast,
+};
 use ks_ir::fxhash::{FxHashMap, FxHashSet};
+use ks_ir::{eval, BinOp, CmpOp, Ty};
 use ks_lang::hir::*;
-
-/// Wrap-around 32-bit integer semantics matching the GPU.
-fn as_i32(v: i64) -> i32 {
-    v as i32
-}
-
-fn as_u32(v: i64) -> u32 {
-    v as u32
-}
 
 /// Extract a constant integer (Int/UInt/Bool literal).
 pub fn const_int(e: &HExpr) -> Option<i64> {
@@ -22,123 +22,14 @@ pub fn const_int(e: &HExpr) -> Option<i64> {
     }
 }
 
-fn const_float(e: &HExpr) -> Option<f32> {
-    match e {
-        HExpr::FloatLit(v) => Some(*v),
-        _ => None,
-    }
-}
-
 fn bool_lit(v: bool) -> HExpr {
-    HExpr::IntLit {
-        value: i64::from(v),
-        ty: HTy::Bool,
-    }
+    lit(HTy::Bool, u64::from(v))
 }
 
-fn fold_binary(op: HBinOp, ty: HTy, a: &HExpr, b: &HExpr) -> Option<HExpr> {
-    if ty == HTy::Float {
-        let (x, y) = (const_float(a)?, const_float(b)?);
-        let v = match op {
-            HBinOp::Add => x + y,
-            HBinOp::Sub => x - y,
-            HBinOp::Mul => x * y,
-            HBinOp::Div => x / y,
-            _ => return None,
-        };
-        return Some(HExpr::FloatLit(v));
-    }
-    let (x, y) = (const_int(a)?, const_int(b)?);
-    let v: i64 = if ty == HTy::UInt {
-        let (x, y) = (as_u32(x), as_u32(y));
-        let r: u32 = match op {
-            HBinOp::Add => x.wrapping_add(y),
-            HBinOp::Sub => x.wrapping_sub(y),
-            HBinOp::Mul => x.wrapping_mul(y),
-            HBinOp::Div => {
-                if y == 0 {
-                    return None;
-                }
-                x / y
-            }
-            HBinOp::Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x % y
-            }
-            HBinOp::Shl => x.wrapping_shl(y & 31),
-            HBinOp::Shr => x.wrapping_shr(y & 31),
-            HBinOp::And => x & y,
-            HBinOp::Or => x | y,
-            HBinOp::Xor => x ^ y,
-        };
-        r as i64
-    } else {
-        let (x, y) = (as_i32(x), as_i32(y));
-        let r: i32 = match op {
-            HBinOp::Add => x.wrapping_add(y),
-            HBinOp::Sub => x.wrapping_sub(y),
-            HBinOp::Mul => x.wrapping_mul(y),
-            HBinOp::Div => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_div(y)
-            }
-            HBinOp::Rem => {
-                if y == 0 {
-                    return None;
-                }
-                x.wrapping_rem(y)
-            }
-            HBinOp::Shl => x.wrapping_shl(y as u32 & 31),
-            HBinOp::Shr => x.wrapping_shr(y as u32 & 31),
-            HBinOp::And => x & y,
-            HBinOp::Or => x | y,
-            HBinOp::Xor => x ^ y,
-        };
-        r as i64
-    };
-    Some(HExpr::IntLit { value: v, ty })
-}
-
-fn fold_cmp(op: HCmp, ty: HTy, a: &HExpr, b: &HExpr) -> Option<HExpr> {
-    if ty == HTy::Float {
-        let (x, y) = (const_float(a)?, const_float(b)?);
-        let r = match op {
-            HCmp::Eq => x == y,
-            HCmp::Ne => x != y,
-            HCmp::Lt => x < y,
-            HCmp::Le => x <= y,
-            HCmp::Gt => x > y,
-            HCmp::Ge => x >= y,
-        };
-        return Some(bool_lit(r));
-    }
-    let (x, y) = (const_int(a)?, const_int(b)?);
-    let r = if ty == HTy::UInt {
-        let (x, y) = (as_u32(x), as_u32(y));
-        match op {
-            HCmp::Eq => x == y,
-            HCmp::Ne => x != y,
-            HCmp::Lt => x < y,
-            HCmp::Le => x <= y,
-            HCmp::Gt => x > y,
-            HCmp::Ge => x >= y,
-        }
-    } else {
-        let (x, y) = (as_i32(x), as_i32(y));
-        match op {
-            HCmp::Eq => x == y,
-            HCmp::Ne => x != y,
-            HCmp::Lt => x < y,
-            HCmp::Le => x <= y,
-            HCmp::Gt => x > y,
-            HCmp::Ge => x >= y,
-        }
-    };
-    Some(bool_lit(r))
+/// `a op b` in `ty` when both are literals; `None` also where the
+/// executor would trap (a division by zero), which is not folded.
+fn eval_pair(op: BinOp, ty: HTy, a: &HExpr, b: &HExpr) -> Option<u64> {
+    eval::bin(op, ir_ty(ty), bits(a)?, bits(b)?)
 }
 
 /// Is an integer literal equal to `v`?
@@ -173,24 +64,16 @@ pub fn fold_expr_env(e: &HExpr, env: &ConstEnv) -> HExpr {
         }
         HExpr::Unary(op, ty, x) => {
             let x = fold_expr_env(x, env);
-            match (op, &x) {
-                (HUnOp::Neg, HExpr::FloatLit(v)) => HExpr::FloatLit(-v),
-                (HUnOp::Neg, HExpr::IntLit { value, .. }) => HExpr::IntLit {
-                    value: (as_i32(*value).wrapping_neg()) as i64,
-                    ty: *ty,
-                },
-                (HUnOp::BitNot, HExpr::IntLit { value, .. }) => HExpr::IntLit {
-                    value: !value & 0xFFFF_FFFF,
-                    ty: *ty,
-                },
-                _ => HExpr::Unary(*op, *ty, Box::new(x)),
+            match bits(&x) {
+                Some(v) => lit(*ty, eval::un(un_op(*op), ir_ty(*ty), v)),
+                None => HExpr::Unary(*op, *ty, Box::new(x)),
             }
         }
         HExpr::Binary(op, ty, a, b) => {
             let a = fold_expr_env(a, env);
             let b = fold_expr_env(b, env);
-            if let Some(f) = fold_binary(*op, *ty, &a, &b) {
-                return f;
+            if let Some(v) = eval_pair(bin_op(*op), *ty, &a, &b) {
+                return lit(*ty, v);
             }
             // Algebraic identities (loads in HIR are pure, so dropping an
             // operand is sound).
@@ -230,8 +113,10 @@ pub fn fold_expr_env(e: &HExpr, env: &ConstEnv) -> HExpr {
         HExpr::Cmp(op, ty, a, b) => {
             let a = fold_expr_env(a, env);
             let b = fold_expr_env(b, env);
-            fold_cmp(*op, *ty, &a, &b)
-                .unwrap_or_else(|| HExpr::Cmp(*op, *ty, Box::new(a), Box::new(b)))
+            match (bits(&a), bits(&b)) {
+                (Some(x), Some(y)) => bool_lit(eval::cmp(cmp_op(*op), ir_ty(*ty), x, y)),
+                _ => HExpr::Cmp(*op, *ty, Box::new(a), Box::new(b)),
+            }
         }
         HExpr::LogAnd(a, b) => {
             let a = fold_expr_env(a, env);
@@ -282,97 +167,42 @@ pub fn fold_expr_env(e: &HExpr, env: &ConstEnv) -> HExpr {
         }
         HExpr::Call(f, args, ty) => {
             let args: Vec<HExpr> = args.iter().map(|a| fold_expr_env(a, env)).collect();
-            // Fold pure math builtins over literals.
-            let folded = match (f, args.as_slice()) {
-                (BuiltinFn::Sqrtf, [HExpr::FloatLit(x)]) => Some(HExpr::FloatLit(x.sqrt())),
-                (BuiltinFn::Rsqrtf, [HExpr::FloatLit(x)]) => Some(HExpr::FloatLit(1.0 / x.sqrt())),
-                (BuiltinFn::Fabsf, [HExpr::FloatLit(x)]) => Some(HExpr::FloatLit(x.abs())),
-                (BuiltinFn::Floorf, [HExpr::FloatLit(x)]) => Some(HExpr::FloatLit(x.floor())),
-                (BuiltinFn::Fminf, [HExpr::FloatLit(x), HExpr::FloatLit(y)]) => {
-                    Some(HExpr::FloatLit(x.min(*y)))
-                }
-                (BuiltinFn::Fmaxf, [HExpr::FloatLit(x), HExpr::FloatLit(y)]) => {
-                    Some(HExpr::FloatLit(x.max(*y)))
-                }
-                (BuiltinFn::MinI, [a, b]) => match (const_int(a), const_int(b)) {
-                    (Some(x), Some(y)) => Some(HExpr::IntLit {
-                        value: as_i32(x).min(as_i32(y)) as i64,
-                        ty: HTy::Int,
-                    }),
-                    _ => None,
-                },
-                (BuiltinFn::MaxI, [a, b]) => match (const_int(a), const_int(b)) {
-                    (Some(x), Some(y)) => Some(HExpr::IntLit {
-                        value: as_i32(x).max(as_i32(y)) as i64,
-                        ty: HTy::Int,
-                    }),
-                    _ => None,
-                },
-                (BuiltinFn::AbsI, [a]) => const_int(a).map(|x| HExpr::IntLit {
-                    value: as_i32(x).wrapping_abs() as i64,
-                    ty: HTy::Int,
-                }),
-                (BuiltinFn::Mul24, [a, b]) => match (const_int(a), const_int(b)) {
-                    (Some(x), Some(y)) => {
-                        // 24-bit multiply: low 32 bits of (x&0xFFFFFF)*(y&0xFFFFFF)
-                        let r = (x & 0xFF_FFFF).wrapping_mul(y & 0xFF_FFFF) as i32;
-                        Some(HExpr::IntLit {
-                            value: r as i64,
-                            ty: HTy::Int,
-                        })
-                    }
-                    _ => None,
-                },
+            let folded = match (builtin(*f), args.as_slice()) {
+                (Builtin::Un(op), [a]) => bits(a).map(|x| eval::un(op, ir_ty(*ty), x)),
+                (Builtin::Bin(op), [a, b]) => eval_pair(op, *ty, a, b),
                 _ => None,
             };
-            folded.unwrap_or(HExpr::Call(*f, args, *ty))
+            match folded {
+                Some(v) => lit(*ty, v),
+                None => HExpr::Call(*f, args, *ty),
+            }
         }
         HExpr::Cast { to, from, val } => {
             let v = fold_expr_env(val, env);
-            match (&v, to) {
-                (
-                    HExpr::IntLit {
-                        value,
-                        ty: HTy::Int,
-                    },
-                    HTy::Float,
-                ) => HExpr::FloatLit(as_i32(*value) as f32),
-                (
-                    HExpr::IntLit {
-                        value,
-                        ty: HTy::UInt,
-                    },
-                    HTy::Float,
-                ) => HExpr::FloatLit(as_u32(*value) as f32),
-                (
-                    HExpr::IntLit {
-                        value,
-                        ty: HTy::Bool,
-                    },
-                    HTy::Float,
-                ) => HExpr::FloatLit(*value as f32),
-                (HExpr::FloatLit(x), HTy::Int) => HExpr::IntLit {
-                    value: (*x as i32) as i64,
-                    ty: HTy::Int,
-                },
-                (HExpr::FloatLit(x), HTy::UInt) => HExpr::IntLit {
-                    value: (*x as u32) as i64,
-                    ty: HTy::UInt,
-                },
-                (HExpr::IntLit { value, .. }, HTy::Int | HTy::UInt | HTy::Bool | HTy::Ptr(_)) => {
-                    // Int↔UInt reinterpret; Int→Ptr keeps the full 64-bit
-                    // value (specialized pointer constants).
-                    HExpr::IntLit {
-                        value: *value,
-                        ty: *to,
-                    }
-                }
-                _ => HExpr::Cast {
+            let Some(x) = bits(&v) else {
+                return HExpr::Cast {
                     to: *to,
                     from: *from,
                     val: Box::new(v),
-                },
-            }
+                };
+            };
+            let v = match cast(*from, *to) {
+                Cast::Free => x,
+                Cast::Selp => {
+                    let one = if *to == HTy::Float {
+                        1f32.to_bits().into()
+                    } else {
+                        1
+                    };
+                    if eval::cmp(CmpOp::Ne, Ty::S32, x, 0) {
+                        one
+                    } else {
+                        0
+                    }
+                }
+                Cast::Cvt => eval::cvt(ir_ty(*to), ir_ty(*from), x).unwrap_or(x),
+            };
+            lit(*to, v)
         }
         HExpr::PtrAdd { ptr, offset, elem } => {
             let p = fold_expr_env(ptr, env);
@@ -382,23 +212,16 @@ pub fn fold_expr_env(e: &HExpr, env: &ConstEnv) -> HExpr {
             }
             // (p + c1) + c2 → p + (c1+c2) happens naturally after IR-level
             // address folding; here fold literal pointer + literal offset.
-            if let (
-                HExpr::IntLit {
-                    value: pv,
-                    ty: pty @ HTy::Ptr(_),
-                },
-                Some(ov),
-            ) = (&p, const_int(&o))
+            match bits(&p)
+                .zip(bits(&o))
+                .and_then(|(x, y)| ptr_add(x, y, *elem))
             {
-                return HExpr::IntLit {
-                    value: pv + ov * elem.size_bytes() as i64,
-                    ty: *pty,
-                };
-            }
-            HExpr::PtrAdd {
-                ptr: Box::new(p),
-                offset: Box::new(o),
-                elem: *elem,
+                Some(v) => lit(e.ty(), v),
+                None => HExpr::PtrAdd {
+                    ptr: Box::new(p),
+                    offset: Box::new(o),
+                    elem: *elem,
+                },
             }
         }
     }
@@ -442,6 +265,17 @@ fn assigned_locals(stmts: &[HStmt], out: &mut FxHashSet<LocalId>) {
             _ => {}
         }
     }
+}
+
+/// Forget every local the loop `parts` assign: they are unknown during
+/// and after the loop. Returns them.
+fn kill_assigned(parts: &[&[HStmt]], env: &mut ConstEnv) -> FxHashSet<LocalId> {
+    let mut killed = FxHashSet::default();
+    for part in parts {
+        assigned_locals(part, &mut killed);
+    }
+    env.retain(|k, _| !killed.contains(k));
+    killed
 }
 
 fn is_literal(e: &HExpr) -> bool {
@@ -505,14 +339,7 @@ pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
                 unroll,
             } => {
                 let init = fold_stmts_env(init, env);
-                // Anything assigned inside the loop is unknown during and
-                // after it.
-                let mut killed = FxHashSet::default();
-                assigned_locals(body, &mut killed);
-                assigned_locals(step, &mut killed);
-                for k in &killed {
-                    env.remove(k);
-                }
+                kill_assigned(&[body, step], env);
                 let cond = cond.as_ref().map(|c| fold_expr_env(c, env));
                 if let Some(c) = &cond {
                     if const_int(c) == Some(0) {
@@ -524,9 +351,6 @@ pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
                 let body = fold_stmts_env(body, &mut benv);
                 let mut senv = env.clone();
                 let step = fold_stmts_env(step, &mut senv);
-                for k in &killed {
-                    env.remove(k);
-                }
                 out.push(HStmt::For {
                     init,
                     cond,
@@ -536,11 +360,7 @@ pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
                 });
             }
             HStmt::While { cond, body } => {
-                let mut killed = FxHashSet::default();
-                assigned_locals(body, &mut killed);
-                for k in &killed {
-                    env.remove(k);
-                }
+                kill_assigned(&[body], env);
                 let c = fold_expr_env(cond, env);
                 if const_int(&c) == Some(0) {
                     continue;
@@ -550,11 +370,7 @@ pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
                 out.push(HStmt::While { cond: c, body });
             }
             HStmt::DoWhile { body, cond } => {
-                let mut killed = FxHashSet::default();
-                assigned_locals(body, &mut killed);
-                for k in &killed {
-                    env.remove(k);
-                }
+                let killed = kill_assigned(&[body], env);
                 let mut benv = env.clone();
                 let body = fold_stmts_env(body, &mut benv);
                 benv.retain(|k, _| !killed.contains(k));

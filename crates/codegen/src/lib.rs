@@ -15,9 +15,18 @@
 //!   *register blocking*: NVIDIA GPUs cannot indirectly address registers,
 //!   so a dynamically indexed array must live in slow local memory.
 //! * [`lower`] — lowering to the PTX-like `ks-ir`.
+//!
+//! Every value these stages compute at compile time — a folded operator,
+//! compare, builtin, cast or pointer offset, an unrolled loop's trip
+//! count, an immediate address in the lowering — comes from
+//! `ks_ir::eval` applied to the instruction the lowering emits for it, so
+//! a fold yields exactly what the machine would have computed. The one
+//! HIR → IR mapping of types and operators they share is private to this
+//! crate.
 
 pub mod consteval;
 pub mod lower;
+mod mapping;
 pub mod scalarize;
 pub mod unroll;
 

@@ -12,6 +12,9 @@
 //! * Constant pointers (e.g. a specialized `PTR_IN`) lower to absolute
 //!   addresses in `ld`/`st` instructions, exactly like Appendix D.
 
+use crate::mapping::{
+    bin_op, builtin, byte_offset, cast, cmp_op, elem_ty, ir_ty, ptr_add, un_op, Builtin, Cast, PTR,
+};
 use ks_ir::fxhash::FxHashMap;
 use ks_ir::{
     Address, BasicBlock, BinOp, BlockId, CmpOp, ConstDecl, Function, Inst, KernelParam, Module,
@@ -20,38 +23,16 @@ use ks_ir::{
 use ks_lang::ast::{BuiltinVar, Dim3};
 use ks_lang::hir::*;
 
-fn ir_ty(t: HTy) -> Ty {
-    match t {
-        HTy::Int => Ty::S32,
-        HTy::UInt => Ty::U32,
-        HTy::Float => Ty::F32,
-        HTy::Bool => Ty::Pred,
-        HTy::Ptr(_) => Ty::Ptr(Space::Global),
-    }
-}
-
-fn elem_ty(e: Elem) -> Ty {
-    match e {
-        Elem::Int => Ty::S32,
-        Elem::UInt => Ty::U32,
-        Elem::Float => Ty::F32,
-    }
-}
-
 /// Lower a whole program to an IR module.
 pub fn lower_program(p: &Program) -> Result<Module, String> {
-    let mut consts = Vec::new();
-    let mut const_off = Vec::new();
-    let mut off = 0u32;
-    for c in &p.consts {
-        const_off.push(off);
-        consts.push(ConstDecl {
+    let (const_off, _) = layout(p.consts.iter().map(|c| c.len))?;
+    let consts = (p.consts.iter().zip(&const_off))
+        .map(|(c, &offset)| ConstDecl {
             name: c.name.clone(),
-            offset: off,
+            offset,
             size_bytes: c.len * 4,
-        });
-        off += c.len * 4;
-    }
+        })
+        .collect();
     let mut functions = Vec::new();
     for k in &p.kernels {
         functions.push(lower_func(k, &const_off)?);
@@ -67,6 +48,20 @@ pub fn lower_program(p: &Program) -> Result<Module, String> {
         return Err(format!("internal codegen error: {e}"));
     }
     Ok(m)
+}
+
+/// Byte offsets of word arrays of `lens` elements laid out back to back,
+/// and the end of the last one.
+fn layout(lens: impl Iterator<Item = u32>) -> Result<(Vec<u32>, u32), String> {
+    let mut offs = Vec::new();
+    let mut end = 0u32;
+    for len in lens {
+        offs.push(end);
+        end = (len.checked_mul(4))
+            .and_then(|bytes| end.checked_add(bytes))
+            .ok_or("arrays exceed the 4 GiB address space")?;
+    }
+    Ok((offs, end))
 }
 
 struct Lower<'a> {
@@ -109,28 +104,21 @@ fn lower_func(k: &HFunc, const_off: &[u32]) -> Result<Function, String> {
         });
         off += size;
     }
-    // Shared layout.
-    let mut shared = Vec::new();
-    let mut shared_off = Vec::new();
-    let mut soff = 0u32;
-    for s in &k.shared {
-        shared_off.push(soff);
-        shared.push(SharedDecl {
+    let (shared_off, _) = layout(k.shared.iter().map(|s| s.len))?;
+    let shared = (k.shared.iter().zip(&shared_off))
+        .map(|(s, &offset)| SharedDecl {
             name: s.name.clone(),
-            offset: soff,
+            offset,
             size_bytes: s.len * 4,
-        });
-        soff += s.len * 4;
-    }
+        })
+        .collect();
     // Local (spill) layout for non-scalarized arrays.
-    let mut local_off = FxHashMap::default();
-    let mut loff = 0u32;
-    for (i, l) in k.locals.iter().enumerate() {
-        if l.array_len > 0 {
-            local_off.insert(LocalId(i as u32), loff);
-            loff += l.array_len * 4;
-        }
-    }
+    let arrays: Vec<LocalId> = (0..k.locals.len() as u32)
+        .map(LocalId)
+        .filter(|id| k.locals[id.0 as usize].array_len > 0)
+        .collect();
+    let (offs, local_bytes) = layout(arrays.iter().map(|id| k.locals[id.0 as usize].array_len))?;
+    let local_off: FxHashMap<LocalId, u32> = arrays.into_iter().zip(offs).collect();
 
     let mut f = Function {
         name: k.name.clone(),
@@ -142,7 +130,7 @@ fn lower_func(k: &HFunc, const_off: &[u32]) -> Result<Function, String> {
         }],
         vreg_types: vec![],
         shared,
-        local_bytes: loff,
+        local_bytes,
     };
     // One vreg per scalar local, allocated up front.
     let mut local_reg = FxHashMap::default();
@@ -219,6 +207,12 @@ impl<'a> Lower<'a> {
             | Inst::Special { dst: d, .. } => *d = dst,
             _ => return false,
         }
+        // If that was a preamble load, it now writes the local: a later
+        // use of the same parameter or special register loads it afresh.
+        for r in self.param_reg.iter_mut().filter(|r| **r == Some(tmp)) {
+            *r = None;
+        }
+        self.special_reg.retain(|_, r| *r != tmp);
         true
     }
 
@@ -235,10 +229,6 @@ impl<'a> Lower<'a> {
     fn emit(&mut self, i: Inst) {
         let cur = self.cur;
         self.f.block_mut(cur).insts.push(i);
-        if cur == BlockId(0) {
-            // Keep preamble insertion point ahead of body code only when
-            // emitting into the entry block.
-        }
     }
 
     /// Insert an instruction into the entry preamble (dominates everything).
@@ -330,12 +320,8 @@ impl<'a> Lower<'a> {
                 let t = ir_ty(*ty);
                 let a = self.expr(a)?;
                 let dst = self.f.new_vreg(t);
-                let o = match op {
-                    HUnOp::Neg => UnOp::Neg,
-                    HUnOp::BitNot => UnOp::Not,
-                };
                 self.emit(Inst::Un {
-                    op: o,
+                    op: un_op(*op),
                     ty: t,
                     dst,
                     a,
@@ -347,20 +333,8 @@ impl<'a> Lower<'a> {
                 let a = self.expr(a)?;
                 let b = self.expr(b)?;
                 let dst = self.f.new_vreg(t);
-                let o = match op {
-                    HBinOp::Add => BinOp::Add,
-                    HBinOp::Sub => BinOp::Sub,
-                    HBinOp::Mul => BinOp::Mul,
-                    HBinOp::Div => BinOp::Div,
-                    HBinOp::Rem => BinOp::Rem,
-                    HBinOp::Shl => BinOp::Shl,
-                    HBinOp::Shr => BinOp::Shr,
-                    HBinOp::And => BinOp::And,
-                    HBinOp::Or => BinOp::Or,
-                    HBinOp::Xor => BinOp::Xor,
-                };
                 self.emit(Inst::Bin {
-                    op: o,
+                    op: bin_op(*op),
                     ty: t,
                     dst,
                     a,
@@ -373,16 +347,8 @@ impl<'a> Lower<'a> {
                 let a = self.expr(a)?;
                 let b = self.expr(b)?;
                 let dst = self.f.new_vreg(Ty::Pred);
-                let cmp = match c {
-                    HCmp::Eq => CmpOp::Eq,
-                    HCmp::Ne => CmpOp::Ne,
-                    HCmp::Lt => CmpOp::Lt,
-                    HCmp::Le => CmpOp::Le,
-                    HCmp::Gt => CmpOp::Gt,
-                    HCmp::Ge => CmpOp::Ge,
-                };
                 self.emit(Inst::Setp {
-                    cmp,
+                    cmp: cmp_op(*c),
                     ty: t,
                     dst,
                     a,
@@ -470,51 +436,17 @@ impl<'a> Lower<'a> {
             }
             HExpr::Call(fun, args, ty) => {
                 let t = ir_ty(*ty);
-                let vals: Result<Vec<Operand>, String> =
-                    args.iter().map(|a| self.expr(a)).collect();
-                let vals = vals?;
+                let vals = (args.iter().map(|a| self.expr(a))).collect::<Result<Vec<_>, _>>()?;
                 let dst = self.f.new_vreg(t);
-                match fun {
-                    BuiltinFn::Sqrtf => self.emit(Inst::Un {
-                        op: UnOp::Sqrt,
+                match builtin(*fun) {
+                    Builtin::Un(op) => self.emit(Inst::Un {
+                        op,
                         ty: t,
                         dst,
                         a: vals[0],
                     }),
-                    BuiltinFn::Rsqrtf => self.emit(Inst::Un {
-                        op: UnOp::Rsqrt,
-                        ty: t,
-                        dst,
-                        a: vals[0],
-                    }),
-                    BuiltinFn::Fabsf | BuiltinFn::AbsI => self.emit(Inst::Un {
-                        op: UnOp::Abs,
-                        ty: t,
-                        dst,
-                        a: vals[0],
-                    }),
-                    BuiltinFn::Floorf => self.emit(Inst::Un {
-                        op: UnOp::Floor,
-                        ty: t,
-                        dst,
-                        a: vals[0],
-                    }),
-                    BuiltinFn::Fminf | BuiltinFn::MinI | BuiltinFn::MinU => self.emit(Inst::Bin {
-                        op: BinOp::Min,
-                        ty: t,
-                        dst,
-                        a: vals[0],
-                        b: vals[1],
-                    }),
-                    BuiltinFn::Fmaxf | BuiltinFn::MaxI | BuiltinFn::MaxU => self.emit(Inst::Bin {
-                        op: BinOp::Max,
-                        ty: t,
-                        dst,
-                        a: vals[0],
-                        b: vals[1],
-                    }),
-                    BuiltinFn::Mul24 | BuiltinFn::UMul24 => self.emit(Inst::Bin {
-                        op: BinOp::Mul24,
+                    Builtin::Bin(op) => self.emit(Inst::Bin {
+                        op,
                         ty: t,
                         dst,
                         a: vals[0],
@@ -526,13 +458,9 @@ impl<'a> Lower<'a> {
             HExpr::Cast { to, from, val } => {
                 let v = self.expr(val)?;
                 let (tt, ft) = (ir_ty(*to), ir_ty(*from));
-                if tt == ft {
-                    return Ok(v);
-                }
-                match (*from, *to) {
-                    // Reinterpreting int↔uint is free.
-                    (HTy::Int, HTy::UInt) | (HTy::UInt, HTy::Int) => v,
-                    (HTy::Bool, HTy::Int | HTy::UInt | HTy::Float) => {
+                match cast(*from, *to) {
+                    Cast::Free => v,
+                    Cast::Selp => {
                         let p = self.pred(val)?;
                         let dst = self.f.new_vreg(tt);
                         let (one, zero) = if *to == HTy::Float {
@@ -549,7 +477,7 @@ impl<'a> Lower<'a> {
                         });
                         Operand::Reg(dst)
                     }
-                    _ => {
+                    Cast::Cvt => {
                         let dst = self.f.new_vreg(tt);
                         self.emit(Inst::Cvt {
                             dst_ty: tt,
@@ -564,27 +492,28 @@ impl<'a> Lower<'a> {
             HExpr::PtrAdd { ptr, offset, elem } => {
                 let p = self.expr(ptr)?;
                 let o = self.expr(offset)?;
-                let pt = Ty::Ptr(Space::Global);
                 match o {
-                    Operand::ImmI(c) => {
-                        // Constant offset: fold into a single add (or into
-                        // the pointer immediate itself).
-                        let byte = c * elem.size_bytes() as i64;
-                        match p {
-                            Operand::ImmI(pv) => Operand::ImmI(pv + byte),
-                            _ => {
-                                let dst = self.f.new_vreg(pt);
-                                self.emit(Inst::Bin {
-                                    op: BinOp::Add,
-                                    ty: pt,
-                                    dst,
-                                    a: p,
-                                    b: Operand::ImmI(byte),
-                                });
-                                Operand::Reg(dst)
-                            }
+                    Operand::ImmI(c) => match p {
+                        // Constant offset: fold into the pointer immediate
+                        // itself, or into a single add.
+                        Operand::ImmI(pv) => {
+                            let v = ptr_add(pv as u64, c as u64, *elem).ok_or("bad pointer add")?;
+                            Operand::ImmI(v as i64)
                         }
-                    }
+                        _ => {
+                            let byte = byte_offset(c as u64, elem.size_bytes())
+                                .ok_or("bad element offset")?;
+                            let dst = self.f.new_vreg(PTR);
+                            self.emit(Inst::Bin {
+                                op: BinOp::Add,
+                                ty: PTR,
+                                dst,
+                                a: p,
+                                b: Operand::ImmI(byte as i64),
+                            });
+                            Operand::Reg(dst)
+                        }
+                    },
                     _ => {
                         let scaled = self.f.new_vreg(Ty::S32);
                         self.emit(Inst::Bin {
@@ -594,10 +523,10 @@ impl<'a> Lower<'a> {
                             a: o,
                             b: Operand::ImmI(elem.size_bytes() as i64),
                         });
-                        let dst = self.f.new_vreg(pt);
+                        let dst = self.f.new_vreg(PTR);
                         self.emit(Inst::Bin {
                             op: BinOp::Add,
-                            ty: pt,
+                            ty: PTR,
                             dst,
                             a: p,
                             b: scaled.into(),
@@ -613,7 +542,10 @@ impl<'a> Lower<'a> {
     fn elem_address(&mut self, idx: &HExpr, base: i64) -> Result<Address, String> {
         let i = self.expr(idx)?;
         Ok(match i {
-            Operand::ImmI(c) => Address::abs(base + c * 4),
+            Operand::ImmI(c) => {
+                let byte = byte_offset(c as u64, 4).ok_or("bad element offset")?;
+                Address::abs(base + byte as i64)
+            }
             Operand::Reg(r) => {
                 let scaled = self.f.new_vreg(Ty::S32);
                 self.emit(Inst::Bin {
@@ -630,50 +562,42 @@ impl<'a> Lower<'a> {
     }
 
     fn load_place(&mut self, p: &Place, ty: HTy) -> Result<Operand, String> {
+        if let Place::Local(id) = p {
+            return Ok(Operand::Reg(
+                *self.local_reg.get(id).ok_or("unlowered local")?,
+            ));
+        }
+        let (space, ty, addr) = self.place_address(p, ty)?;
+        let dst = self.f.new_vreg(ty);
+        self.emit(Inst::Ld {
+            space,
+            ty,
+            dst,
+            addr,
+        });
+        Ok(Operand::Reg(dst))
+    }
+
+    /// The state space, access type and address of an array element or a
+    /// dereference holding a `ty` value.
+    fn place_address(&mut self, p: &Place, ty: HTy) -> Result<(Space, Ty, Address), String> {
         Ok(match p {
-            Place::Local(id) => Operand::Reg(*self.local_reg.get(id).ok_or("unlowered local")?),
+            Place::Local(_) => return Err("scalar local has no address".into()),
             Place::LocalElem(id, idx) => {
                 let base = *self.local_off.get(id).ok_or("unlowered local array")? as i64;
-                let addr = self.elem_address(idx, base)?;
-                let t = ir_ty(ty);
-                let dst = self.f.new_vreg(t);
-                self.emit(Inst::Ld {
-                    space: Space::Local,
-                    ty: t,
-                    dst,
-                    addr,
-                });
-                Operand::Reg(dst)
+                (Space::Local, ir_ty(ty), self.elem_address(idx, base)?)
             }
             Place::SharedElem(id, idx) => {
                 let base = self.shared_off[id.0 as usize] as i64;
-                let addr = self.elem_address(idx, base)?;
-                let t = ir_ty(ty);
-                let dst = self.f.new_vreg(t);
-                self.emit(Inst::Ld {
-                    space: Space::Shared,
-                    ty: t,
-                    dst,
-                    addr,
-                });
-                Operand::Reg(dst)
+                (Space::Shared, ir_ty(ty), self.elem_address(idx, base)?)
             }
             Place::Deref { ptr, elem } => {
-                let pv = self.expr(ptr)?;
-                let t = elem_ty(*elem);
-                let dst = self.f.new_vreg(t);
-                let addr = match pv {
+                let addr = match self.expr(ptr)? {
                     Operand::ImmI(a) => Address::abs(a),
                     Operand::Reg(r) => Address::reg(r),
                     Operand::ImmF(_) => return Err("float pointer".into()),
                 };
-                self.emit(Inst::Ld {
-                    space: Space::Global,
-                    ty: t,
-                    dst,
-                    addr,
-                });
-                Operand::Reg(dst)
+                (Space::Global, elem_ty(*elem), addr)
             }
         })
     }
@@ -705,38 +629,11 @@ impl<'a> Lower<'a> {
                             self.emit(Inst::Mov { ty, dst: r, src: v });
                         }
                     }
-                    Place::LocalElem(id, idx) => {
-                        let base = *self.local_off.get(id).ok_or("unlowered array")? as i64;
-                        let addr = self.elem_address(idx, base)?;
-                        let ty = ir_ty(value.ty());
+                    _ => {
+                        let (space, ty, addr) = self.place_address(place, value.ty())?;
                         self.emit(Inst::St {
-                            space: Space::Local,
+                            space,
                             ty,
-                            addr,
-                            src: v,
-                        });
-                    }
-                    Place::SharedElem(id, idx) => {
-                        let base = self.shared_off[id.0 as usize] as i64;
-                        let addr = self.elem_address(idx, base)?;
-                        let ty = ir_ty(value.ty());
-                        self.emit(Inst::St {
-                            space: Space::Shared,
-                            ty,
-                            addr,
-                            src: v,
-                        });
-                    }
-                    Place::Deref { ptr, elem } => {
-                        let pv = self.expr(ptr)?;
-                        let addr = match pv {
-                            Operand::ImmI(a) => Address::abs(a),
-                            Operand::Reg(r) => Address::reg(r),
-                            Operand::ImmF(_) => return Err("float pointer".into()),
-                        };
-                        self.emit(Inst::St {
-                            space: Space::Global,
-                            ty: elem_ty(*elem),
                             addr,
                             src: v,
                         });
@@ -1129,6 +1026,38 @@ mod tests {
         for (src, defs) in [(MATHTEST, vec![("LOOP_COUNT", "4")]), (MATHTEST, vec![])] {
             let m = lower(src, &defs, true);
             assert!(ks_ir::verify_module(&m).is_empty());
+        }
+    }
+
+    #[test]
+    fn arrays_past_4_gib_are_an_error() {
+        let src = r#"
+            __global__ void k(float* out) {
+                __shared__ float s[1073741824];
+                out[0] = s[threadIdx.x];
+            }
+        "#;
+        let prog = frontend(src, &[]).unwrap();
+        let e = compile(&prog, &CodegenOptions::default()).unwrap_err();
+        assert!(e.contains("4 GiB"), "{e}");
+    }
+
+    #[test]
+    fn preamble_loads_are_not_retargeted() {
+        // The first statement copies a parameter and a special register
+        // into locals; later uses must still read defined registers.
+        let src = r#"
+            __global__ void k(float* out) {
+                float* p = out;
+                unsigned int t = threadIdx.x;
+                out[threadIdx.x] = p[t];
+            }
+        "#;
+        let f = lower(src, &[], false).functions.remove(0);
+        let insts: Vec<&Inst> = f.blocks.iter().flat_map(|b| &b.insts).collect();
+        let defs: Vec<VReg> = insts.iter().filter_map(|i| i.def()).collect();
+        for i in &insts {
+            i.for_each_use(|r| assert!(defs.contains(&r), "{r} read, never written"));
         }
     }
 }

@@ -8,6 +8,7 @@
 //! lowers to high-latency local memory — reproducing the paper's performance
 //! cliff for run-time-evaluated register blocking.
 
+use crate::consteval::const_int;
 use ks_ir::fxhash::FxHashMap;
 use ks_lang::hir::*;
 
@@ -46,13 +47,6 @@ pub fn scalarize_func(f: &mut HFunc, cap: u32) {
     }
 }
 
-fn const_idx(e: &HExpr) -> Option<i64> {
-    match e {
-        HExpr::IntLit { value, .. } => Some(*value),
-        _ => None,
-    }
-}
-
 fn all_indices_const(stmts: &[HStmt], id: LocalId) -> bool {
     fn expr_ok(e: &HExpr, id: LocalId) -> bool {
         match e {
@@ -71,7 +65,7 @@ fn all_indices_const(stmts: &[HStmt], id: LocalId) -> bool {
     }
     fn place_ok(p: &Place, id: LocalId) -> bool {
         match p {
-            Place::LocalElem(v, idx) if *v == id => const_idx(idx).is_some(),
+            Place::LocalElem(v, idx) if *v == id => const_int(idx).is_some(),
             Place::LocalElem(_, idx) | Place::SharedElem(_, idx) => expr_ok(idx, id),
             Place::Deref { ptr, .. } => expr_ok(ptr, id),
             Place::Local(_) => true,
@@ -157,7 +151,7 @@ fn rewrite_stmts(stmts: &mut [HStmt], id: LocalId, map: &FxHashMap<i64, LocalId>
 fn rewrite_place(p: &mut Place, id: LocalId, map: &FxHashMap<i64, LocalId>) {
     match p {
         Place::LocalElem(v, idx) if *v == id => {
-            let i = const_idx(idx).expect("checked const");
+            let i = const_int(idx).expect("checked const");
             // Out-of-bounds constant indices keep element 0's register —
             // undefined behaviour in CUDA too; the interpreter would have
             // trapped on the memory form, so clamp deterministically.
@@ -220,7 +214,7 @@ fn rewrite_expr(e: &mut HExpr, id: LocalId, map: &FxHashMap<i64, LocalId>, ty: H
 fn rewrite_place_rec(p: &mut Place, id: LocalId, map: &FxHashMap<i64, LocalId>, ty: HTy) {
     match p {
         Place::LocalElem(v, idx) if *v == id => {
-            let i = const_idx(idx).expect("checked const");
+            let i = const_int(idx).expect("checked const");
             let nid = map
                 .get(&i)
                 .or_else(|| map.get(&0))

@@ -3,11 +3,19 @@
 //! This is the headline specialization optimization: a `for` loop whose
 //! init/bound/step folded to literals (because `LOOP_COUNT` et al. were
 //! `-D`-defined) is replaced by straight-line copies of its body with the
-//! induction variable substituted — producing control-flow-free PTX like
-//! Appendix D. Loops with run-time bounds stay rolled and pay setup,
-//! iteration, condition, and branch overhead.
+//! induction variable bound to its literal — producing control-flow-free
+//! PTX like Appendix D. Loops with run-time bounds stay rolled and pay
+//! setup, iteration, condition, and branch overhead.
+//!
+//! The trip count is simulated with `ks_ir::eval`: the compare in the
+//! compare's type, the step in the step's type, so the unrolled values are
+//! the ones the rolled loop would have run through. A step the executor
+//! would trap on, or one that makes no progress, leaves the loop rolled.
+//! Each copy of the body is folded with the variable bound to its value.
 
-use crate::consteval::{const_int, fold_stmts};
+use crate::consteval::{const_int, fold_stmts, fold_stmts_env, ConstEnv};
+use crate::mapping::{bin_op, cmp_op, ir_ty, lit};
+use ks_ir::eval;
 use ks_lang::hir::*;
 
 /// Attempt to unroll every eligible loop in the kernel, to fixpoint
@@ -94,19 +102,19 @@ fn unroll_stmts(stmts: &[HStmt], limit: u32, locals: &[HTy]) -> (Vec<HStmt>, boo
 
 struct UnrollPlan {
     var: LocalId,
-    var_ty: HTy,
-    /// The literal value of the induction variable at each iteration.
-    values: Vec<i64>,
+    /// The register bits of the induction variable at each iteration.
+    values: Vec<u64>,
 }
 
 /// Decide whether a loop can be fully unrolled. Requirements:
 /// * init is exactly `var = <const>`,
 /// * cond is `var <cmp> <const>` (or reversed),
-/// * step is exactly `var = var + <const>` / `var - <const>`,
+/// * step is exactly `var = var <op> <const>` for `+`, `-`, `*`, `/`,
+///   `<<` or `>>` (`+` and `*` also reversed),
 /// * the body does not reassign `var`, and has no `break`/`continue`
 ///   at this nesting level, no `return`,
 /// * the trip count is positive and ≤ `limit` (a `#pragma unroll` lifts
-///   the limit).
+///   the limit), and every step makes progress and does not trap.
 fn plan_unroll(
     init: &[HStmt],
     cond: Option<&HExpr>,
@@ -123,20 +131,21 @@ fn plan_unroll(
         return None;
     };
     let var = *var;
-    let start = const_int(init_v)?;
-    let cond = cond?;
-    let HExpr::Cmp(cmp, cmp_ty, lhs, rhs) = cond else {
+    let is_var = |e: &HExpr| matches!(e, HExpr::Local(v, _) if *v == var);
+    let int = |e: &HExpr| const_int(e).map(|v| v as u64);
+    let start = int(init_v)?;
+    let HExpr::Cmp(cmp, cmp_ty, lhs, rhs) = cond? else {
         return None;
     };
     // Normalize to `var <cmp> bound`.
     let (cmp, bound) = match (lhs.as_ref(), rhs.as_ref()) {
-        (HExpr::Local(v, _), b) if *v == var => (*cmp, const_int(b)?),
-        (b, HExpr::Local(v, _)) if *v == var => (swap_cmp(*cmp), const_int(b)?),
+        (v, b) if is_var(v) => (*cmp, int(b)?),
+        (b, v) if is_var(v) => (swap_cmp(*cmp), int(b)?),
         _ => return None,
     };
     let [HStmt::Assign {
         place: Place::Local(sv),
-        value: step_v,
+        value: HExpr::Binary(op, step_ty, a, b),
     }] = step
     else {
         return None;
@@ -146,39 +155,22 @@ fn plan_unroll(
     }
     // Arithmetic (i += c) and geometric (s /= 2, s >>= 1, s *= 2) steps —
     // the latter cover reduction-tree loops (§2.2).
-    #[derive(Clone, Copy)]
-    enum StepFn {
-        Add(i64),
-        Mul(i64),
-        Div(i64),
-        Shr(i64),
-        Shl(i64),
-    }
-    let step_fn = match step_v {
-        HExpr::Binary(op, _, a, b) => match (op, a.as_ref(), b.as_ref()) {
-            (HBinOp::Add, HExpr::Local(v, _), d) if *v == var => StepFn::Add(const_int(d)?),
-            (HBinOp::Add, d, HExpr::Local(v, _)) if *v == var => StepFn::Add(const_int(d)?),
-            (HBinOp::Sub, HExpr::Local(v, _), d) if *v == var => StepFn::Add(-const_int(d)?),
-            (HBinOp::Mul, HExpr::Local(v, _), d) if *v == var => StepFn::Mul(const_int(d)?),
-            (HBinOp::Mul, d, HExpr::Local(v, _)) if *v == var => StepFn::Mul(const_int(d)?),
-            (HBinOp::Div, HExpr::Local(v, _), d) if *v == var => StepFn::Div(const_int(d)?),
-            (HBinOp::Shr, HExpr::Local(v, _), d) if *v == var => StepFn::Shr(const_int(d)?),
-            (HBinOp::Shl, HExpr::Local(v, _), d) if *v == var => StepFn::Shl(const_int(d)?),
-            _ => return None,
-        },
+    let d = match (op, a.as_ref(), b.as_ref()) {
+        (HBinOp::Add | HBinOp::Mul, d, v) if is_var(v) => d,
+        (
+            HBinOp::Add | HBinOp::Sub | HBinOp::Mul | HBinOp::Div | HBinOp::Shr | HBinOp::Shl,
+            v,
+            d,
+        ) if is_var(v) => d,
         _ => return None,
     };
-    match step_fn {
-        StepFn::Add(0) | StepFn::Mul(1) | StepFn::Shr(0) | StepFn::Shl(0) => return None,
-        StepFn::Mul(0) | StepFn::Div(0) => return None,
-        StepFn::Div(1) => return None,
-        _ => {}
-    }
+    let d = int(d)?;
     if !body_allows_unroll(body, var) {
         return None;
     }
-    // Simulate the loop counter.
-    let unsigned = *cmp_ty == HTy::UInt;
+    // Simulate the loop counter on the machine's arithmetic.
+    let (cmp, cmp_ty) = (cmp_op(cmp), ir_ty(*cmp_ty));
+    let (op, step_ty) = (bin_op(*op), ir_ty(*step_ty));
     let effective_limit = if pragma.is_some() {
         limit.max(65536)
     } else {
@@ -186,48 +178,20 @@ fn plan_unroll(
     };
     let mut values = Vec::new();
     let mut v = start;
-    loop {
-        let cont = eval_cmp(cmp, v, bound, unsigned);
-        if !cont {
-            break;
-        }
+    while eval::cmp(cmp, cmp_ty, v, bound) {
         values.push(v);
         if values.len() as u32 > effective_limit {
             return None;
         }
-        let next = if unsigned {
-            let u = v as u32;
-            let r = match step_fn {
-                StepFn::Add(d) => u.wrapping_add(d as u32),
-                StepFn::Mul(d) => u.wrapping_mul(d as u32),
-                StepFn::Div(d) => u / d as u32,
-                StepFn::Shr(d) => u.wrapping_shr(d as u32 & 31),
-                StepFn::Shl(d) => u.wrapping_shl(d as u32 & 31),
-            };
-            r as i64
-        } else {
-            let i = v as i32;
-            let r = match step_fn {
-                StepFn::Add(d) => i.wrapping_add(d as i32),
-                StepFn::Mul(d) => i.wrapping_mul(d as i32),
-                StepFn::Div(d) => i.wrapping_div(d as i32),
-                StepFn::Shr(d) => i.wrapping_shr(d as u32 & 31),
-                StepFn::Shl(d) => i.wrapping_shl(d as u32 & 31),
-            };
-            r as i64
-        };
+        // A step that traps (a division by zero) or cannot make progress
+        // (`+= 0`, `0 / 2`) leaves the loop rolled.
+        let next = eval::bin(op, step_ty, v, d)?;
         if next == v {
-            // Degenerate step (e.g. 0 / 2): cannot make progress.
             return None;
         }
         v = next;
     }
-    let var_ty = HTy::Int; // the final-value assignment type; refined below
-    Some(UnrollPlan {
-        var,
-        var_ty,
-        values,
-    })
+    Some(UnrollPlan { var, values })
 }
 
 fn swap_cmp(c: HCmp) -> HCmp {
@@ -237,30 +201,6 @@ fn swap_cmp(c: HCmp) -> HCmp {
         HCmp::Gt => HCmp::Lt,
         HCmp::Ge => HCmp::Le,
         other => other,
-    }
-}
-
-fn eval_cmp(c: HCmp, a: i64, b: i64, unsigned: bool) -> bool {
-    if unsigned {
-        let (a, b) = (a as u32, b as u32);
-        match c {
-            HCmp::Eq => a == b,
-            HCmp::Ne => a != b,
-            HCmp::Lt => a < b,
-            HCmp::Le => a <= b,
-            HCmp::Gt => a > b,
-            HCmp::Ge => a >= b,
-        }
-    } else {
-        let (a, b) = (a as i32, b as i32);
-        match c {
-            HCmp::Eq => a == b,
-            HCmp::Ne => a != b,
-            HCmp::Lt => a < b,
-            HCmp::Le => a <= b,
-            HCmp::Gt => a > b,
-            HCmp::Ge => a >= b,
-        }
     }
 }
 
@@ -310,104 +250,15 @@ fn body_allows_unroll(body: &[HStmt], var: LocalId) -> bool {
     check(body, var, true)
 }
 
+/// One folded copy of the body per iteration, with the induction
+/// variable bound to that iteration's literal. The body never assigns it,
+/// so the binding holds through every `if` and nested loop of the copy.
 fn emit_unrolled(plan: &UnrollPlan, body: &[HStmt], locals: &[HTy], out: &mut Vec<HStmt>) {
-    let ty = locals
-        .get(plan.var.0 as usize)
-        .copied()
-        .unwrap_or(plan.var_ty);
+    let ty = locals[plan.var.0 as usize];
     for &v in &plan.values {
-        let mut copy = body.to_vec();
-        subst_stmts(&mut copy, plan.var, v, ty);
-        out.extend(copy);
-    }
-}
-
-fn subst_stmts(stmts: &mut [HStmt], var: LocalId, value: i64, ty: HTy) {
-    for s in stmts {
-        match s {
-            HStmt::Assign { place, value: v } => {
-                subst_place(place, var, value, ty);
-                subst_expr(v, var, value, ty);
-            }
-            HStmt::If {
-                cond,
-                then_s,
-                else_s,
-            } => {
-                subst_expr(cond, var, value, ty);
-                subst_stmts(then_s, var, value, ty);
-                subst_stmts(else_s, var, value, ty);
-            }
-            HStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                subst_stmts(init, var, value, ty);
-                if let Some(c) = cond {
-                    subst_expr(c, var, value, ty);
-                }
-                subst_stmts(step, var, value, ty);
-                subst_stmts(body, var, value, ty);
-            }
-            HStmt::While { cond, body } => {
-                subst_expr(cond, var, value, ty);
-                subst_stmts(body, var, value, ty);
-            }
-            HStmt::DoWhile { body, cond } => {
-                subst_stmts(body, var, value, ty);
-                subst_expr(cond, var, value, ty);
-            }
-            HStmt::Break | HStmt::Continue | HStmt::Return | HStmt::Sync => {}
-        }
-    }
-}
-
-fn subst_place(p: &mut Place, var: LocalId, value: i64, ty: HTy) {
-    match p {
-        Place::Local(_) => {}
-        Place::LocalElem(_, idx) | Place::SharedElem(_, idx) => subst_expr(idx, var, value, ty),
-        Place::Deref { ptr, .. } => subst_expr(ptr, var, value, ty),
-    }
-}
-
-fn subst_expr(e: &mut HExpr, var: LocalId, value: i64, ty: HTy) {
-    match e {
-        HExpr::Local(v, _) if *v == var => {
-            *e = HExpr::IntLit { value, ty };
-        }
-        HExpr::IntLit { .. }
-        | HExpr::FloatLit(_)
-        | HExpr::Local(..)
-        | HExpr::Param(..)
-        | HExpr::Builtin(..) => {}
-        HExpr::Unary(_, _, a) | HExpr::LogNot(a) => subst_expr(a, var, value, ty),
-        HExpr::Binary(_, _, a, b)
-        | HExpr::Cmp(_, _, a, b)
-        | HExpr::LogAnd(a, b)
-        | HExpr::LogOr(a, b) => {
-            subst_expr(a, var, value, ty);
-            subst_expr(b, var, value, ty);
-        }
-        HExpr::Cond(c, a, b, _) => {
-            subst_expr(c, var, value, ty);
-            subst_expr(a, var, value, ty);
-            subst_expr(b, var, value, ty);
-        }
-        HExpr::Load(p, _) => subst_place(p, var, value, ty),
-        HExpr::ConstElem(_, idx, _) | HExpr::TexFetch(_, idx, _) => subst_expr(idx, var, value, ty),
-        HExpr::Call(_, args, _) => {
-            for a in args {
-                subst_expr(a, var, value, ty);
-            }
-        }
-        HExpr::Cast { val, .. } => subst_expr(val, var, value, ty),
-        HExpr::PtrAdd { ptr, offset, .. } => {
-            subst_expr(ptr, var, value, ty);
-            subst_expr(offset, var, value, ty);
-        }
+        let mut env = ConstEnv::default();
+        env.insert(plan.var, lit(ty, v));
+        out.extend(fold_stmts_env(body, &mut env));
     }
 }
 
@@ -616,5 +467,50 @@ mod tests {
         let mut f = kernel(src, &[]);
         unroll_func(&mut f, 2048);
         assert_eq!(count_loops(&f.body), 0);
+    }
+
+    #[test]
+    fn trapping_step_stays_rolled() {
+        // `i / 2^32` divides by zero in `u32`: the executor would trap, so
+        // the loop is not simulated past its first iteration.
+        let src = r#"
+            __global__ void k(int* out) {
+                int acc = 0;
+                for (unsigned i = 100u; i > 0u; i /= 4294967296u) { acc += 1; }
+                out[0] = acc;
+            }
+        "#;
+        let mut f = kernel(src, &[]);
+        unroll_func(&mut f, 2048);
+        assert_eq!(count_loops(&f.body), 1);
+    }
+
+    #[test]
+    fn literal_pointer_near_the_top_plus_offsets() {
+        // The cast keeps the low word (`cvt.ptr.u32`), and each unrolled
+        // `p + i` adds `4 * i` to it as the machine does, without overflow.
+        let src = r#"
+            __global__ void k(float* out) {
+                float* p = (float*)0x7FFFFFFFFFFFFFFF;
+                for (int i = 0; i < 2; i++) { out[i] = p[i]; }
+            }
+        "#;
+        let defs: Vec<(String, String)> = vec![];
+        let prog = frontend(src, &defs).unwrap();
+        let m = crate::compile(&prog, &crate::CodegenOptions::default()).unwrap();
+        let loads: Vec<i64> = m.functions[0]
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter_map(|i| match i {
+                ks_ir::Inst::Ld {
+                    space: ks_ir::Space::Global,
+                    addr,
+                    ..
+                } => Some(addr.offset),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(loads, [0xFFFF_FFFF, 0x1_0000_0003]);
     }
 }

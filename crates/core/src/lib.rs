@@ -1124,9 +1124,7 @@ impl Compiler {
                 vreport.merge(passes);
                 verify_time += spent;
             }
-            // The observer route costs one clock read per applied pass,
-            // which is only paid while sanitizing or collecting spans.
-            None if sanitize || ks_trace::enabled() => {
+            None => {
                 for f in module.functions.iter_mut() {
                     let mut start = Instant::now();
                     ks_opt::optimize_with_observer(f, &self.opt_config, &mut |pass, f| {
@@ -1134,9 +1132,6 @@ impl Compiler {
                         start = Instant::now();
                     });
                 }
-            }
-            None => {
-                ks_opt::optimize_module_with(&mut module, &self.opt_config);
             }
         }
         if let Some((pass, e)) = broken {

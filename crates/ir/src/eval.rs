@@ -9,7 +9,10 @@
 //!
 //! Everything that needs a value rather than a row calls this module: the
 //! constant folder (`ks_opt::constfold`), the symbolic evaluator of
-//! `ks-verify`, and the abstract executor of `ks-analysis`. The row
+//! `ks-verify`, the abstract executor of `ks-analysis`, and in
+//! `ks-codegen` the HIR folder, the unroller's trip-count simulation and
+//! the lowering's immediate addresses (each on the instruction the
+//! lowering emits for the HIR node). The row
 //! kernels in `ks_sim::interp` are the vectorised realisation of the same
 //! table; a sweep test in ks-sim pins them to it arm by arm. Where to
 //! fold is each caller's policy; what a fold yields is decided here.

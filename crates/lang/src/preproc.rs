@@ -475,7 +475,7 @@ impl<'a> CondParser<'a> {
                 }
                 Ok(v)
             }
-            Some(Tok::Punct(Punct::Minus)) => Ok(-self.primary()?),
+            Some(Tok::Punct(Punct::Minus)) => Ok(self.primary()?.wrapping_neg()),
             Some(Tok::Punct(Punct::Plus)) => self.primary(),
             Some(Tok::Punct(Punct::Not)) => Ok(i64::from(self.primary()? == 0)),
             Some(Tok::Punct(Punct::Tilde)) => Ok(!self.primary()?),
@@ -513,8 +513,13 @@ impl<'a> CondParser<'a> {
             if prec < min_prec {
                 break;
             }
+            let op = self.pos;
             self.pos += 1;
             let rhs = self.binary(prec + 1)?;
+            // The one quotient an `intmax_t` cannot hold.
+            if matches!(p, Punct::Slash | Punct::Percent) && (lhs, rhs) == (i64::MIN, -1) {
+                return Err(err(self.toks.get(op), "integer overflow in #if division"));
+            }
             lhs = f(lhs, rhs);
         }
         Ok(lhs)

@@ -326,7 +326,7 @@ fn lower_type(t: &TypeSpec) -> Result<HTy, LangError> {
 pub fn const_eval_ast(e: &Expr) -> Option<i64> {
     Some(match e {
         Expr::IntLit { value, .. } => *value,
-        Expr::Unary(UnaryOp::Neg, x) => -const_eval_ast(x)?,
+        Expr::Unary(UnaryOp::Neg, x) => const_eval_ast(x)?.wrapping_neg(),
         Expr::Unary(UnaryOp::BitNot, x) => !const_eval_ast(x)?,
         Expr::Unary(UnaryOp::LogicalNot, x) => i64::from(const_eval_ast(x)? == 0),
         Expr::Binary(op, a, b) => {
@@ -336,18 +336,9 @@ pub fn const_eval_ast(e: &Expr) -> Option<i64> {
                 BinaryOp::Add => a.wrapping_add(b),
                 BinaryOp::Sub => a.wrapping_sub(b),
                 BinaryOp::Mul => a.wrapping_mul(b),
-                BinaryOp::Div => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a / b
-                }
-                BinaryOp::Rem => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a % b
-                }
+                // `None` for a zero divisor and for `i64::MIN / -1`.
+                BinaryOp::Div => a.checked_div(b)?,
+                BinaryOp::Rem => a.checked_rem(b)?,
                 BinaryOp::Shl => a.wrapping_shl(b as u32),
                 BinaryOp::Shr => a.wrapping_shr(b as u32),
                 BinaryOp::Lt => i64::from(a < b),
@@ -373,6 +364,30 @@ pub fn const_eval_ast(e: &Expr) -> Option<i64> {
         Expr::Cast(TypeSpec::Int | TypeSpec::UInt, x) => const_eval_ast(x)?,
         _ => return None,
     })
+}
+
+/// The dimensions of an array declaration, each evaluated once, and its
+/// element count. Every dimension must be a positive compile-time
+/// constant and the count must fit 32 bits; `what` names the array.
+fn array_dims(dims: &[Expr], what: &str) -> Result<(Vec<u32>, u32), LangError> {
+    let mut sizes = Vec::with_capacity(dims.len());
+    let mut len = 1u32;
+    for dim in dims {
+        let v = const_eval_ast(dim).ok_or_else(|| {
+            serr(format!(
+                "{what}: array size must be a compile-time constant \
+                 (specialize the controlling parameter)"
+            ))
+        })?;
+        if v <= 0 {
+            return Err(serr(format!("{what}: non-positive dimension")));
+        }
+        let too_big = || serr(format!("{what}: more than {} elements", u32::MAX));
+        let d = u32::try_from(v).map_err(|_| too_big())?;
+        len = len.checked_mul(d).ok_or_else(too_big)?;
+        sizes.push(d);
+    }
+    Ok((sizes, len))
 }
 
 #[derive(Clone)]
@@ -579,23 +594,7 @@ impl<'a> FnCtx<'a> {
             let elem = lower_type(&d.ty)?
                 .as_elem()
                 .ok_or_else(|| serr("__shared__ arrays must have scalar elements"))?;
-            let mut len: u64 = 1;
-            for dim in &d.dims {
-                let v = const_eval_ast(dim).ok_or_else(|| {
-                    serr(format!(
-                        "__shared__ {}: array size must be a compile-time constant \
-                         (specialize the controlling parameter)",
-                        d.name
-                    ))
-                })?;
-                if v <= 0 {
-                    return Err(serr(format!(
-                        "__shared__ {}: non-positive dimension",
-                        d.name
-                    )));
-                }
-                len *= v as u64;
-            }
+            let (dims, len) = array_dims(&d.dims, &format!("__shared__ {}", d.name))?;
             if d.dims.is_empty() {
                 return Err(serr(format!("__shared__ {} must be an array", d.name)));
             }
@@ -603,16 +602,11 @@ impl<'a> FnCtx<'a> {
             self.shared.push(HShared {
                 name: d.name.clone(),
                 elem,
-                len: len as u32,
+                len,
             });
             // Record flattened row strides for multi-dim indexing.
             self.declare(&d.name, Sym::Shared(id));
-            self.shared_dims.push(
-                d.dims
-                    .iter()
-                    .map(|e| const_eval_ast(e).unwrap() as u32)
-                    .collect(),
-            );
+            self.shared_dims.push(dims);
             return Ok(());
         }
         let ty = lower_type(&d.ty)?;
@@ -621,27 +615,9 @@ impl<'a> FnCtx<'a> {
             let elem = ty
                 .as_elem()
                 .ok_or_else(|| serr("local arrays must have scalar elements"))?;
-            let mut len: u64 = 1;
-            for dim in &d.dims {
-                let v = const_eval_ast(dim).ok_or_else(|| {
-                    serr(format!(
-                        "{}: local array size must be a compile-time constant",
-                        d.name
-                    ))
-                })?;
-                if v <= 0 {
-                    return Err(serr(format!("{}: non-positive dimension", d.name)));
-                }
-                len *= v as u64;
-            }
-            let id = self.new_local(&d.name, HTy::from_elem(elem), len as u32, elem);
-            self.local_dims.insert(
-                id,
-                d.dims
-                    .iter()
-                    .map(|e| const_eval_ast(e).unwrap() as u32)
-                    .collect(),
-            );
+            let (dims, len) = array_dims(&d.dims, &d.name)?;
+            let id = self.new_local(&d.name, HTy::from_elem(elem), len, elem);
+            self.local_dims.insert(id, dims);
             if d.init.is_some() {
                 return Err(serr("array initializers are not supported"));
             }
@@ -1385,19 +1361,7 @@ pub fn check(tu: &TranslationUnit) -> Result<Program, LangError> {
                 let elem = lower_type(&c.elem)?
                     .as_elem()
                     .ok_or_else(|| serr("__constant__ element must be scalar"))?;
-                let mut len: u64 = 1;
-                for d in &c.dims {
-                    let v = const_eval_ast(d).ok_or_else(|| {
-                        serr(format!(
-                            "__constant__ {}: size must be a compile-time constant",
-                            c.name
-                        ))
-                    })?;
-                    if v <= 0 {
-                        return Err(serr(format!("__constant__ {}: bad dimension", c.name)));
-                    }
-                    len *= v as u64;
-                }
+                let (_, len) = array_dims(&c.dims, &format!("__constant__ {}", c.name))?;
                 if const_ids.contains_key(&c.name) {
                     return Err(serr(format!("duplicate __constant__ {}", c.name)));
                 }
@@ -1406,7 +1370,7 @@ pub fn check(tu: &TranslationUnit) -> Result<Program, LangError> {
                 consts.push(HConst {
                     name: c.name.clone(),
                     elem,
-                    len: len as u32,
+                    len,
                 });
             }
             Item::Func(f) => match f.kind {

@@ -127,6 +127,47 @@ fn comma_declarations_scopes_and_shadowing() {
     assert_eq!(p.kernels[0].locals.len(), 3);
 }
 
+#[test]
+fn if_arithmetic_overflow_is_an_error_not_a_panic() {
+    for op in ["/", "%"] {
+        let src = format!(
+            "#if (-9223372036854775807 - 1) {op} -1\n#endif\n\
+             __global__ void k(int* o) {{ o[0] = 1; }}"
+        );
+        let e = check(&src, &[]).unwrap_err();
+        assert_eq!(e.stage, "preprocess", "{op}");
+        assert!(e.message.contains("overflow"), "{}", e.message);
+    }
+    // Negation wraps in `intmax_t`: -INTMAX_MIN is INTMAX_MIN.
+    let src = "#if -(-9223372036854775807 - 1) < 0\n#define NEG 1\n#endif\n\
+               __global__ void k(int* o) { o[0] = NEG; }";
+    assert!(check(src, &[]).is_ok());
+}
+
+#[test]
+fn array_sizes_that_do_not_fit_32_bits_are_errors() {
+    for decl in [
+        "__shared__ float s[65536][65536];",
+        "__shared__ float s[4294967297];",
+        "float a[65536][65537];",
+        "int a[(-9223372036854775807 - 1) / -1];",
+        "int a[(-9223372036854775807 - 1) % -1];",
+    ] {
+        let src = format!("__global__ void k(float* o) {{ {decl} o[0] = 1.0f; }}");
+        let e = check(&src, &[]).unwrap_err();
+        assert_eq!(e.stage, "sema", "{decl}");
+    }
+    let src = "__constant__ float c[65536][65536];\n\
+               __global__ void k(float* o) { o[0] = c[0][0]; }";
+    assert_eq!(check(src, &[]).unwrap_err().stage, "sema");
+    // The largest count that fits is kept exactly.
+    let src = "__global__ void k(float* o) {\n\
+                   __shared__ float s[65535][65537];\n\
+                   o[0] = s[1][2];\n\
+               }";
+    assert_eq!(check(src, &[]).unwrap().kernels[0].shared[0].len, u32::MAX);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
