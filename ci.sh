@@ -73,6 +73,26 @@ cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
     --kernel template_match --device c2070 --export jsonl --quick \
     --selfcheck > /dev/null
 
+# The quickstart's two listings, each printed on its first read from the
+# binary's module (a compile prints none): the run-time evaluated kernel
+# keeps its loop test, the specialized one (-D LOOP_COUNT=5, unrolled)
+# has none. The example asserts its own outputs and exits non-zero on
+# a mismatch.
+echo "== quickstart (RE listing has setp, SK listing has none)"
+QS_OUT=$(mktemp)
+cargo run --offline --release -q -p ks-apps --example quickstart \
+    > "$QS_OUT" 2> /dev/null
+RE_PTX=$(sed -n '/^── run-time evaluated PTX/,/^── specialized PTX/p' "$QS_OUT")
+SK_PTX=$(sed -n '/^── specialized PTX/,/^static instructions/p' "$QS_OUT")
+grep -q '^\.entry mathTest' <<< "$RE_PTX"
+grep -q '^\.entry mathTest' <<< "$SK_PTX"
+grep -q 'setp' <<< "$RE_PTX"
+if grep -q 'setp' <<< "$SK_PTX"; then
+    echo "specialized listing still branches on a loop test" >&2
+    exit 1
+fi
+rm -f "$QS_OUT"
+
 # Fault-injection tier: every gpu-pf example pipeline must complete
 # under a seeded FaultPlan (10% transient compile faults, 5% transient
 # device faults, plus a persistent fault pinned to one module's

@@ -559,12 +559,12 @@ mod tests {
     use super::*;
 
     fn dummy_binary() -> Arc<Binary> {
+        let module = crate::LazyModule::decoded(ks_ir::Module::default());
         Arc::new(Binary {
-            module: crate::LazyModule::decoded(ks_ir::Module::default()),
-            ptx: String::new(),
+            ptx: crate::Listing::of(&module),
+            module,
             regalloc: HashMap::new(),
             defines: crate::Defines::new(),
-            device: "test".to_string(),
             compile_time: std::time::Duration::from_micros(10),
             diagnostics: Vec::new(),
             metrics: crate::CompileMetrics::default(),

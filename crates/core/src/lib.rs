@@ -58,7 +58,7 @@ mod store;
 pub use background::{AsyncStats, CompileTicket};
 pub use ks_store::{Fingerprint, ScrubReport, StableHasher, StoreError};
 pub use metrics::CompileMetrics;
-pub use store::{LazyModule, BINARY_SCHEMA_VERSION, PASS_PIPELINE};
+pub use store::{LazyModule, Listing, BINARY_SCHEMA_VERSION, PASS_PIPELINE};
 
 /// Pre-resolved ks-trace registry handles for the compile pipeline.
 /// Counters and histograms are always on (atomic updates only); spans
@@ -220,12 +220,12 @@ pub struct Binary {
     /// The module IR; a binary loaded from the store decodes it on first
     /// access (see [`LazyModule`]).
     pub module: LazyModule,
-    /// PTX-like listing (Appendices C/D style), for inspection.
-    pub ptx: String,
+    /// PTX-like listing (Appendices C/D style), for inspection. Printed
+    /// from `module` on first read and never stored (see [`Listing`]).
+    pub ptx: Listing,
     /// Per-kernel register allocation results.
     pub regalloc: HashMap<String, RegAlloc>,
     pub defines: Defines,
-    pub device: String,
     /// Wall-clock cost of this compilation (the §4.3 trade-off).
     pub compile_time: Duration,
     /// Per-phase breakdown of `compile_time`.
@@ -1186,14 +1186,12 @@ impl Compiler {
         }
         metrics.regalloc = t.elapsed();
         drop(sp);
-        let sp = ks_trace::span("print");
-        let ptx = ks_ir::printer::print_module(&module);
-        drop(sp);
+        let module = LazyModule::decoded(module);
         Ok(Binary {
-            ptx,
+            ptx: Listing::of(&module),
+            module,
             regalloc,
             defines: defines.clone(),
-            device: self.device.name.clone(),
             compile_time: Duration::ZERO,
             metrics,
             diagnostics,
@@ -1201,7 +1199,6 @@ impl Compiler {
             // Set by the caller, with the compile time.
             key: Fingerprint::from_u128(0),
             plans: OnceLock::new(),
-            module: LazyModule::decoded(module),
         })
     }
 
@@ -1568,10 +1565,10 @@ mod tests {
         assert_eq!(
             keys,
             [
-                "4db429751fb656f72ad10e86d25a085a".to_string(),
-                "c2fc7a3b7f1ac1f0e809692a4e23cd7e".to_string(),
-                "7b9e238c82f0c6b12e923ec06df022d0".to_string(),
-                "64127208123676c34a07171945b3c020".to_string(),
+                "ab1e2c892b9aa8c6627bf4e4bff1f4a5".to_string(),
+                "bd649398a903d16158913d8f7f05f6b1".to_string(),
+                "1203c87390ee70f51cbc46feb0f0d68f".to_string(),
+                "4c3157e358fc2353b3d91de26145e2c1".to_string(),
             ]
         );
     }

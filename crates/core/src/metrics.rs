@@ -28,8 +28,9 @@ pub struct CompileMetrics {
     pub verify: Duration,
     /// Register allocation across all kernels.
     pub regalloc: Duration,
-    /// End-to-end wall clock (equals `Binary::compile_time`; includes
-    /// phases not itemized above, e.g. PTX printing).
+    /// End-to-end wall clock (equals `Binary::compile_time`): the phases
+    /// above plus the glue between them. No PTX printing: a binary's
+    /// listing is printed on its first read, off this clock.
     pub total: Duration,
 }
 

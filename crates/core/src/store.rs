@@ -26,23 +26,28 @@ use std::time::Duration;
 /// Version of the `Binary` payload encoding below. Folded into both the
 /// record payload (checked on load) and the cache-key fingerprint (so a
 /// bump simply makes old records unreachable rather than unreadable
-/// errors). Version 2 writes the module IR as one length-prefixed
-/// section, which a load keeps encoded until first access.
-pub const BINARY_SCHEMA_VERSION: u32 = 2;
+/// errors). Version 2 wrote the module IR as one length-prefixed section,
+/// which a load keeps encoded until first access; version 3 drops the
+/// printed PTX (a [`Listing`] prints it from the module on first read)
+/// and the device name (the compiler that loads a record knows it).
+pub const BINARY_SCHEMA_VERSION: u32 = 3;
 
 /// A [`Binary`]'s module IR. A compile fills it directly; a disk hit
 /// keeps the record's encoded module section and decodes it once, on
 /// first access, through a `OnceLock` — so a binary that is resolved but
 /// never read (most of a restart's) pays nothing for its IR. Derefs to
 /// [`ks_ir::Module`]: `bin.module.functions` and `&bin.module` read as
-/// they would on a plain module.
+/// they would on a plain module. The binary's [`Listing`] shares it
+/// (and its one decode) through the `Arc`.
 ///
 /// The record checksum was verified when the section was loaded, so it
 /// fails to decode only if something other than this encoder wrote it (a
 /// forged record or a writer bug). Such a section derefs to an empty
 /// module; [`LazyModule::get`] and [`Binary::plan`] return its typed
 /// [`StoreError`].
-pub struct LazyModule {
+pub struct LazyModule(Arc<ModuleCell>);
+
+struct ModuleCell {
     /// The encoded section; empty for a compiled module.
     section: Box<[u8]>,
     decoded: OnceLock<Result<ks_ir::Module, StoreError>>,
@@ -58,25 +63,26 @@ static EMPTY_MODULE: ks_ir::Module = ks_ir::Module {
 impl LazyModule {
     /// A module that is already decoded (a fresh compile).
     pub(crate) fn decoded(module: ks_ir::Module) -> LazyModule {
-        LazyModule {
+        LazyModule(Arc::new(ModuleCell {
             section: Box::default(),
             decoded: OnceLock::from(Ok(module)),
-        }
+        }))
     }
 
     /// An encoded module section, decoded on first access.
     fn encoded(section: &[u8]) -> LazyModule {
-        LazyModule {
+        LazyModule(Arc::new(ModuleCell {
             section: section.into(),
             decoded: OnceLock::new(),
-        }
+        }))
     }
 
     /// The module, decoding the section on the first call; every caller
     /// gets the same `&Module` (or the same error).
     pub fn get(&self) -> Result<&ks_ir::Module, &StoreError> {
-        self.decoded
-            .get_or_init(|| decode_module(&self.section))
+        let cell = &*self.0;
+        cell.decoded
+            .get_or_init(|| decode_module(&cell.section))
             .as_ref()
     }
 }
@@ -91,10 +97,73 @@ impl std::ops::Deref for LazyModule {
 
 impl std::fmt::Debug for LazyModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.decoded.get() {
+        match self.0.decoded.get() {
             Some(decoded) => decoded.fmt(f),
-            None => write!(f, "<module section, {} bytes>", self.section.len()),
+            None => write!(f, "<module section, {} bytes>", self.0.section.len()),
         }
+    }
+}
+
+/// A [`Binary`]'s PTX-like listing (Appendices C/D style). Nothing on
+/// the launch path reads it, so neither a compile nor a record holds the
+/// text: the first read prints it from the binary's module (decoding a
+/// loaded module first) through a `OnceLock`, and every later read gets
+/// the same `&str`. Derefs to `str`, displays as the text, and compares
+/// by text with another listing (and a `String` with it).
+///
+/// A module section that fails to decode has no listing: its text is one
+/// `// <StoreError>` line, never the listing of the empty module it
+/// derefs to.
+pub struct Listing {
+    module: LazyModule,
+    text: OnceLock<String>,
+}
+
+impl Listing {
+    /// The listing of `module`, printed on first read.
+    pub(crate) fn of(module: &LazyModule) -> Listing {
+        Listing {
+            module: LazyModule(Arc::clone(&module.0)),
+            text: OnceLock::new(),
+        }
+    }
+}
+
+impl std::ops::Deref for Listing {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.text.get_or_init(|| match self.module.get() {
+            Ok(module) => ks_ir::printer::print_module(module),
+            Err(e) => format!("// {e}"),
+        })
+    }
+}
+
+impl std::fmt::Display for Listing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl std::fmt::Debug for Listing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.text.get() {
+            Some(text) => text.fmt(f),
+            None => f.write_str("<listing, printed on first read>"),
+        }
+    }
+}
+
+impl PartialEq for Listing {
+    fn eq(&self, other: &Listing) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Listing> for String {
+    fn eq(&self, other: &Listing) -> bool {
+        **self == **other
     }
 }
 
@@ -480,7 +549,6 @@ pub(crate) fn serialize_binary(bin: &Binary) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(BINARY_SCHEMA_VERSION);
     w.section(|w| put_module(w, &bin.module));
-    w.str(&bin.ptx);
     // Name-sorted for deterministic bytes (HashMap order is random).
     let mut names: Vec<&String> = bin.regalloc.keys().collect();
     names.sort();
@@ -496,7 +564,6 @@ pub(crate) fn serialize_binary(bin: &Binary) -> Vec<u8> {
         }
     }
     put_defines(&mut w, &bin.defines);
-    w.str(&bin.device);
     put_duration(&mut w, bin.compile_time);
     put_metrics(&mut w, &bin.metrics);
     w.usize(bin.diagnostics.len());
@@ -872,7 +939,8 @@ fn intern_ksv_code(code: &str) -> Result<&'static str, StoreError> {
 }
 
 /// Decode a store payload back into a [`Binary`]: everything but the
-/// module section, which stays encoded until first access.
+/// module section, which stays encoded until first access (and its
+/// listing, printed from it on first read).
 pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
     let mut r = ByteReader::new(payload);
     let schema = r.u32()?;
@@ -886,7 +954,6 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
         });
     }
     let module = LazyModule::encoded(r.bytes()?);
-    let ptx = r.str()?;
     let regalloc: HashMap<String, RegAlloc> = get_seq(&mut r, |r| {
         Ok((
             r.str()?,
@@ -903,7 +970,6 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
     for (name, value) in get_seq(&mut r, |r| Ok((r.str()?, r.str()?)))? {
         defines = defines.def(&name, value);
     }
-    let device = r.str()?;
     let compile_time = get_duration(&mut r)?;
     let metrics = get_metrics(&mut r)?;
     let diagnostics = get_seq(&mut r, |r| {
@@ -945,11 +1011,10 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
         // The record is filed under the key; the loader sets it.
         key: Fingerprint::from_u128(0),
         plans: OnceLock::new(),
+        ptx: Listing::of(&module),
         module,
-        ptx,
         regalloc,
         defines,
-        device,
         compile_time,
         metrics,
         diagnostics,
@@ -989,7 +1054,6 @@ mod tests {
             );
         }
         assert_eq!(a.defines, b.defines);
-        assert_eq!(a.device, b.device);
         assert_eq!(a.compile_time, b.compile_time);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.diagnostics, b.diagnostics);
@@ -1166,6 +1230,39 @@ mod tests {
     }
 
     #[test]
+    fn a_section_that_does_not_decode_has_no_listing() {
+        let c = Compiler::new(DeviceConfig::tesla_c1060());
+        let bin = c.compile(KERNEL, Defines::new()).unwrap();
+        let bytes = serialize_binary(&bin);
+        let rest = &bytes[4 + 8 + module_section(&bytes).len()..];
+        // A function count with no function after it (truncated), and a
+        // parameter whose type tag, 0xff, names no type (corrupt).
+        let mut bad_tag = ByteWriter::new();
+        bad_tag.usize(1);
+        bad_tag.str("k");
+        bad_tag.usize(1);
+        bad_tag.str("in");
+        bad_tag.u8(0xff);
+        for section in [vec![1, 0, 0, 0, 0, 0, 0, 0], bad_tag.into_vec()] {
+            let mut w = ByteWriter::new();
+            w.u32(BINARY_SCHEMA_VERSION);
+            w.bytes(&section);
+            let mut forged = w.into_vec();
+            forged.extend_from_slice(rest);
+            let back = deserialize_binary(&forged).expect("the section is opaque to the load");
+            let e = back.module.get().expect_err("the section does not decode");
+            let text = e.to_string();
+            assert_eq!(
+                &*back.ptx,
+                format!("// {text}"),
+                "one line naming the error"
+            );
+            assert_eq!(back.plan("k").map(drop).unwrap_err().to_string(), text);
+            read_module(&back);
+        }
+    }
+
+    #[test]
     fn a_disk_hit_leaves_the_module_undecoded_until_read() {
         let dir = std::env::temp_dir().join(format!("ks-core-lazy-module-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1175,28 +1272,39 @@ mod tests {
             .unwrap();
         let compiled = cold.compile(KERNEL, &d).unwrap();
         assert!(
-            compiled.module.decoded.get().is_some(),
+            compiled.module.0.decoded.get().is_some(),
             "a compile holds its IR"
         );
+        assert!(
+            compiled.ptx.text.get().is_none(),
+            "a compile prints nothing"
+        );
+        // The record carries no listing text.
+        let record = std::fs::read(Store::open(&dir).unwrap().record_path(compiled.key())).unwrap();
+        let payload = Store::decode_record(compiled.key(), &record).unwrap();
+        assert!(!payload.windows(6).any(|w| w == b".entry"));
         let warm = Compiler::new(DeviceConfig::tesla_c1060())
             .with_store(&dir)
             .unwrap();
         let bin = warm.compile(KERNEL, &d).unwrap();
         assert_eq!(warm.cache_stats().disk_hits, 1);
-        // Everything but the IR is decoded on load.
-        assert_eq!(bin.ptx, compiled.ptx);
+        // Everything but the IR is decoded on load; nothing is printed.
         assert_eq!(bin.regs_per_thread("k"), compiled.regs_per_thread("k"));
-        assert!(bin.module.decoded.get().is_none(), "{:?}", bin.module);
+        assert!(bin.module.0.decoded.get().is_none(), "{:?}", bin.module);
+        assert!(bin.ptx.text.get().is_none(), "{:?}", bin.ptx);
         assert!(bin.plans.get().is_none());
         // A memory hit of the same binary decodes nothing either.
         let again = warm.compile(KERNEL, &d).unwrap();
-        assert!(Arc::ptr_eq(&bin, &again) && again.module.decoded.get().is_none());
-        // The first read decodes it, once, to the compiled module.
-        assert!(bin.plan("k").unwrap().is_some());
-        assert!(matches!(bin.plan("absent"), Ok(None)), "no such kernel");
-        assert!(bin.module.decoded.get().is_some());
+        assert!(Arc::ptr_eq(&bin, &again) && again.module.0.decoded.get().is_none());
+        // The first listing read decodes the IR, once, and prints the
+        // cold compile's listing.
+        assert_eq!(bin.ptx, compiled.ptx);
+        assert!(bin.module.0.decoded.get().is_some());
+        assert!(bin.ptx.contains(".entry k"));
         assert_eq!(*bin.module, *compiled.module);
         assert!(std::ptr::eq(&*bin.module, bin.module.get().unwrap()));
+        assert!(bin.plan("k").unwrap().is_some());
+        assert!(matches!(bin.plan("absent"), Ok(None)), "no such kernel");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -64,7 +64,7 @@ fn warm_start_serves_every_variant_from_disk_with_zero_compiles() {
     let cold = compiler_with_store(&dir);
     let mut listings = Vec::new();
     for d in &variants {
-        listings.push(cold.compile(KERNEL, d).unwrap().ptx.clone());
+        listings.push(cold.compile(KERNEL, d).unwrap().ptx.to_string());
     }
     let s = cold.cache_stats();
     assert_eq!(s.misses, 4);
@@ -79,7 +79,7 @@ fn warm_start_serves_every_variant_from_disk_with_zero_compiles() {
     let warm = compiler_with_store(&dir);
     for (d, expected) in variants.iter().zip(&listings) {
         let bin = warm.compile(KERNEL, d).unwrap();
-        assert_eq!(&bin.ptx, expected, "reloaded listing must be identical");
+        assert_eq!(&*bin.ptx, expected, "reloaded listing must be identical");
     }
     let s = warm.cache_stats();
     assert_eq!(s.misses, 0, "warm start must not compile: {s}");
@@ -103,7 +103,7 @@ fn same_key_race_across_compilers_writes_exactly_one_record() {
     let spawn = |c: &Arc<Compiler>| {
         let c = c.clone();
         let d = d.clone();
-        std::thread::spawn(move || c.compile(KERNEL, &d).map(|bin| bin.ptx.clone()))
+        std::thread::spawn(move || c.compile(KERNEL, &d).map(|bin| bin.ptx.to_string()))
     };
     let (ta, tb) = (spawn(&a), spawn(&b));
     let pa = ta.join().unwrap().unwrap();
@@ -128,7 +128,7 @@ fn corrupt_record_degrades_to_byte_identical_recompile() {
         .compile(KERNEL, &d)
         .unwrap()
         .ptx
-        .clone();
+        .to_string();
     let files = record_files(&dir);
     assert_eq!(files.len(), 1);
 
@@ -141,7 +141,7 @@ fn corrupt_record_degrades_to_byte_identical_recompile() {
 
     let c = compiler_with_store(&dir);
     let bin = c.compile(KERNEL, &d).unwrap();
-    assert_eq!(bin.ptx, expected, "recompiled output must be identical");
+    assert_eq!(*bin.ptx, expected, "recompiled output must be identical");
     let s = c.cache_stats();
     assert_eq!(s.store_errors, 1, "{s}");
     assert_eq!(s.misses, 1);
@@ -228,7 +228,7 @@ fn attach_time_scrub_quarantines_rot_and_warm_start_recompiles_cleanly() {
     let rotted = Defines::new().def("LOOP_COUNT", 2);
     let intact = Defines::new().def("LOOP_COUNT", 5);
     let first = compiler_with_store(&dir);
-    let expected_ptx = first.compile(KERNEL, &rotted).unwrap().ptx.clone();
+    let expected_ptx = first.compile(KERNEL, &rotted).unwrap().ptx.to_string();
     first.compile(KERNEL, &intact).unwrap();
     let rotted_path = first
         .store_path()
@@ -264,7 +264,7 @@ fn attach_time_scrub_quarantines_rot_and_warm_start_recompiles_cleanly() {
     // with *zero* store errors, because the bad record was already out
     // of the way.
     let bin = c.compile(KERNEL, &rotted).unwrap();
-    assert_eq!(bin.ptx, expected_ptx);
+    assert_eq!(*bin.ptx, expected_ptx);
     c.compile(KERNEL, &intact).unwrap();
     let s = c.cache_stats();
     assert_eq!(s.store_errors, 0, "{s}");

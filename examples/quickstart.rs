@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("── run-time evaluated PTX (cf. Appendix C) ──");
     println!("{}", re.ptx);
     println!(
-        "── specialized PTX, -D {} (cf. Appendix D) ──",
+        "── specialized PTX, {} (cf. Appendix D) ──",
         sk.defines.command_line()
     );
     println!("{}", sk.ptx);
