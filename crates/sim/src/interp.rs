@@ -11,9 +11,14 @@
 //! coalescing, bank-conflict and line-reuse models and every `ExecStats`
 //! counter. With `TIMING = false` all of that compiles out and only the
 //! architectural effects remain: register and memory contents, control
-//! flow, and every trap. Arithmetic runs over whole 32-lane rows with the
-//! op matched once per warp-instruction; inactive lanes are computed and
-//! not written back, so only ops that can trap look at lanes one by one.
+//! flow, and every trap. Each op is matched once per warp-instruction and
+//! does its work once per row, not once per lane: pure ops compute straight
+//! into their destination row (`Rows`; inactive lanes are computed and
+//! blended away), a global access checks its active lanes' addresses in
+//! one pass and reads or writes them unchecked (`GlobalView::covers`),
+//! and integer division by a divisor every active lane shares is a
+//! multiplication (`Divisor`). Where a check fails, the lanes are
+//! checked one by one, so a trap names the lane the per-lane loop would.
 //!
 //! [`run_block`] compiles each of those twice more: once for the baseline
 //! target and, on x86-64, once for x86-64-v3 (AVX2, BMI1/2, FMA, LZCNT,
@@ -78,12 +83,11 @@ impl GlobalView {
     }
 
     #[inline]
-    fn check(&self, addr: u64) -> Result<usize, SimError> {
+    fn check(&self, addr: u64) -> Result<(), SimError> {
         if addr < GLOBAL_BASE {
             return Err(SimError(format!("global access below heap at {addr:#x}")));
         }
-        let off = (addr - GLOBAL_BASE) as usize;
-        if off + 4 > self.len {
+        if (addr - GLOBAL_BASE) as usize + 4 > self.len {
             return Err(SimError(format!(
                 "global access out of bounds at {addr:#x}"
             )));
@@ -91,29 +95,81 @@ impl GlobalView {
         if !addr.is_multiple_of(4) {
             return Err(SimError(format!("misaligned global access at {addr:#x}")));
         }
-        Ok(off)
+        Ok(())
+    }
+
+    /// Whether every lane of `mask` may access the word at its address:
+    /// one pass that sets a bit per failing lane and no branch, in place
+    /// of [`Self::check`] per lane.
+    #[inline(always)]
+    fn covers(&self, addrs: &Row, mask: u32) -> bool {
+        // The greatest offset a word can start at; below the heap an
+        // offset wraps past it.
+        let Some(last) = (self.len as u64).checked_sub(4) else {
+            return mask == 0;
+        };
+        let mut bad = 0u32;
+        for lane in 0..32 {
+            let a = addrs[lane];
+            let fails = a.wrapping_sub(GLOBAL_BASE) > last || !a.is_multiple_of(4);
+            bad |= u32::from(fails) << lane;
+        }
+        bad & mask == 0
+    }
+
+    /// Check a warp access: once for all lanes of `mask` ([`Self::covers`]),
+    /// and when that fails lane by lane, so that the trap names the first
+    /// failing lane's address.
+    #[inline(always)]
+    fn check_lanes(&self, addrs: &Row, mask: u32) -> Result<(), SimError> {
+        if !self.covers(addrs, mask) {
+            for lane in lanes(mask) {
+                self.check(addrs[lane])?;
+            }
+        }
+        Ok(())
     }
 
     #[inline]
     fn read_u32(&self, addr: u64) -> Result<u32, SimError> {
-        let off = self.check(addr)?;
-        // SAFETY: bounds checked above; concurrent access requires the
-        // kernel itself to be data-race-free (GPU contract).
-        unsafe {
-            let p = self.base.add(off) as *const u32;
-            Ok(p.read_unaligned())
-        }
+        self.check(addr)?;
+        // SAFETY: just checked.
+        Ok(unsafe { self.read_u32_unchecked(addr) })
     }
 
     #[inline]
     fn write_u32(&self, addr: u64, v: u32) -> Result<(), SimError> {
-        let off = self.check(addr)?;
-        // SAFETY: as for `read_u32`.
+        self.check(addr)?;
+        // SAFETY: just checked.
+        unsafe { self.write_u32_unchecked(addr, v) };
+        Ok(())
+    }
+
+    /// # Safety
+    ///
+    /// `addr` must pass [`Self::check`] (alone or through
+    /// [`Self::covers`]). Concurrent access requires the kernel itself to
+    /// be data-race-free (the GPU contract).
+    #[inline(always)]
+    unsafe fn read_u32_unchecked(&self, addr: u64) -> u32 {
+        // SAFETY: the caller checked that the 4 bytes at `addr` lie in
+        // the heap.
         unsafe {
-            let p = self.base.add(off) as *mut u32;
+            let p = self.base.add((addr - GLOBAL_BASE) as usize) as *const u32;
+            p.read_unaligned()
+        }
+    }
+
+    /// # Safety
+    ///
+    /// As for [`Self::read_u32_unchecked`].
+    #[inline(always)]
+    unsafe fn write_u32_unchecked(&self, addr: u64, v: u32) {
+        // SAFETY: as for `read_u32_unchecked`.
+        unsafe {
+            let p = self.base.add((addr - GLOBAL_BASE) as usize) as *mut u32;
             p.write_unaligned(v);
         }
-        Ok(())
     }
 }
 
@@ -577,44 +633,265 @@ fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
+/// `f` for each lane of `mask`, ascending; a full warp's without walking
+/// the mask.
 #[inline(always)]
-fn map1(out: &mut Row, a: &Row, f: impl Fn(u64) -> u64) {
-    for lane in 0..32 {
-        out[lane] = f(a[lane]);
-    }
-}
-
-#[inline(always)]
-fn map2(out: &mut Row, a: &Row, b: &Row, f: impl Fn(u64, u64) -> u64) {
-    for lane in 0..32 {
-        out[lane] = f(a[lane], b[lane]);
-    }
-}
-
-#[inline(always)]
-fn map3(out: &mut Row, a: &Row, b: &Row, c: &Row, f: impl Fn(u64, u64, u64) -> u64) {
-    for lane in 0..32 {
-        out[lane] = f(a[lane], b[lane], c[lane]);
-    }
-}
-
-/// 32-bit integer division or remainder over the active lanes; a zero
-/// divisor in an active lane traps, inactive lanes are not looked at.
-#[inline(always)]
-fn div_rows(
-    out: &mut Row,
-    a: &Row,
-    b: &Row,
-    mask: u32,
-    what: &str,
-    f: impl Fn(u32, u32) -> u64,
-) -> Result<(), SimError> {
-    for lane in lanes(mask) {
-        let (x, y) = (a[lane] as u32, b[lane] as u32);
-        if y == 0 {
-            return Err(SimError(format!("{what} by zero")));
+fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
+    if mask == u32::MAX {
+        for lane in 0..32 {
+            f(lane);
         }
-        out[lane] = f(x, y);
+    } else {
+        for lane in lanes(mask) {
+            f(lane);
+        }
+    }
+}
+
+/// Lanes a row kernel reads before it writes any: eight 64-bit lanes,
+/// two AVX2 registers.
+const CHUNK: usize = 8;
+type Chunk = [u64; CHUNK];
+
+/// `SELECT[m][i]` is all ones where bit `i` of the four-lane mask `m` is
+/// set: blend operands read from memory. (A mask the compiler can see
+/// becomes a masked store, which a later load of the row cannot forward
+/// from.)
+static SELECT: [[u64; 4]; 16] = {
+    let mut t = [[0; 4]; 16];
+    let mut m = 0;
+    while m < 16 {
+        let mut i = 0;
+        while i < 4 {
+            if m >> i & 1 != 0 {
+                t[m][i] = u64::MAX;
+            }
+            i += 1;
+        }
+        m += 1;
+    }
+    t
+};
+
+/// A pure row op's view of the warp: it reads operand rows (registers,
+/// or past them the plan's immediate rows) and writes the lanes of `mask`
+/// in its destination register in place, keeping the others. The
+/// destination may be one of the sources: every kernel reads a chunk of
+/// lanes from all its sources before it writes that chunk, and lane `l`
+/// of a result depends only on lane `l` of the sources.
+struct Rows<'a> {
+    regs: &'a mut [Row],
+    imms: &'a [Row],
+    dst: usize,
+    mask: u32,
+}
+
+impl Rows<'_> {
+    #[inline(always)]
+    fn row(&self, src: u32) -> &Row {
+        source_row(self.regs, self.imms, src)
+    }
+
+    /// `v` into the active lanes of chunk `k` of the destination. (Plain
+    /// loops, not `array::map`: a library function that is not inlined
+    /// runs portable code inside the x86-64-v3 copy.)
+    #[inline(always)]
+    fn put(&mut self, k: usize, v: Chunk) {
+        let on = (self.mask >> (k * CHUNK)) & ((1 << CHUNK) - 1);
+        let d = &mut self.regs[self.dst];
+        if on == (1 << CHUNK) - 1 {
+            for i in 0..CHUNK {
+                d[k * CHUNK + i] = v[i];
+            }
+        } else if on != 0 {
+            for q in 0..CHUNK / 4 {
+                let new = &SELECT[(on >> (4 * q)) as usize & 15];
+                for i in 0..4 {
+                    let l = k * CHUNK + 4 * q + i;
+                    d[l] = (v[4 * q + i] & new[i]) | (d[l] & !new[i]);
+                }
+            }
+        }
+    }
+
+    /// `f(lane)` into the active lanes.
+    #[inline(always)]
+    fn fill(&mut self, f: impl Fn(usize) -> u64) {
+        for k in 0..32 / CHUNK {
+            let mut r: Chunk = [0; CHUNK];
+            for i in 0..CHUNK {
+                r[i] = f(k * CHUNK + i);
+            }
+            self.put(k, r);
+        }
+    }
+
+    #[inline(always)]
+    fn map1(&mut self, a: u32, f: impl Fn(u64) -> u64) {
+        for k in 0..32 / CHUNK {
+            let mut r: Chunk = [0; CHUNK];
+            let x = self.row(a);
+            for i in 0..CHUNK {
+                r[i] = f(x[k * CHUNK + i]);
+            }
+            self.put(k, r);
+        }
+    }
+
+    #[inline(always)]
+    fn map2(&mut self, a: u32, b: u32, f: impl Fn(u64, u64) -> u64) {
+        for k in 0..32 / CHUNK {
+            let mut r: Chunk = [0; CHUNK];
+            let (x, y) = (self.row(a), self.row(b));
+            for i in 0..CHUNK {
+                r[i] = f(x[k * CHUNK + i], y[k * CHUNK + i]);
+            }
+            self.put(k, r);
+        }
+    }
+
+    #[inline(always)]
+    fn map3(&mut self, a: u32, b: u32, c: u32, f: impl Fn(u64, u64, u64) -> u64) {
+        for k in 0..32 / CHUNK {
+            let mut r: Chunk = [0; CHUNK];
+            let (x, y, z) = (self.row(a), self.row(b), self.row(c));
+            for i in 0..CHUNK {
+                let l = k * CHUNK + i;
+                r[i] = f(x[l], y[l], z[l]);
+            }
+            self.put(k, r);
+        }
+    }
+}
+
+/// A nonzero 32-bit divisor and its multiplier `M = ⌊(2⁶⁴ − 1) / d⌋ + 1`
+/// (Lemire, Kaser & Kurz, "Faster Remainder by Direct Computation",
+/// <https://arxiv.org/abs/1902.01961>): for every 32-bit `n`, `n / d` is
+/// the high word of `M · n` and `n % d` the high word of
+/// `(M · n mod 2⁶⁴) · d`. For `d = 1`, `M` wraps to 0: the remainder still
+/// comes out 0, and the quotient is `n` itself. A signed divisor keeps its
+/// magnitude here and its sign in `neg`.
+#[derive(Clone, Copy, Debug)]
+struct Divisor {
+    d: u32,
+    m: u64,
+    neg: bool,
+}
+
+impl Divisor {
+    /// `d` as an unsigned divisor; `None` for 0.
+    #[inline(always)]
+    fn unsigned(d: u32) -> Option<Divisor> {
+        (d != 0).then(|| Divisor {
+            d,
+            m: (u64::MAX / d as u64).wrapping_add(1),
+            neg: false,
+        })
+    }
+
+    /// `d` as a signed divisor; `None` for 0.
+    #[inline(always)]
+    fn signed(d: i32) -> Option<Divisor> {
+        let mut v = Divisor::unsigned(d.unsigned_abs())?;
+        v.neg = d < 0;
+        Some(v)
+    }
+
+    /// `n / d`, unsigned.
+    #[inline(always)]
+    fn quot(self, n: u32) -> u32 {
+        if self.d == 1 {
+            n
+        } else {
+            mul_hi(self.m, n)
+        }
+    }
+
+    /// `n % d`, unsigned.
+    #[inline(always)]
+    fn rem(self, n: u32) -> u32 {
+        mul_hi(self.m.wrapping_mul(n as u64), self.d)
+    }
+
+    /// `n.wrapping_div(d)`, signed: the magnitudes' quotient, negated
+    /// when the signs differ (`i32::MIN / -1` wraps to `i32::MIN`).
+    #[inline(always)]
+    fn squot(self, n: i32) -> i32 {
+        let q = self.quot(n.unsigned_abs());
+        (if (n < 0) != self.neg {
+            q.wrapping_neg()
+        } else {
+            q
+        }) as i32
+    }
+
+    /// `n.wrapping_rem(d)`, signed: the magnitudes' remainder with the
+    /// dividend's sign.
+    #[inline(always)]
+    fn srem(self, n: i32) -> i32 {
+        let r = self.rem(n.unsigned_abs());
+        (if n < 0 { r.wrapping_neg() } else { r }) as i32
+    }
+}
+
+/// The high word of the 96-bit product `m · n`, from 32 × 32-bit
+/// products, which vectorise (a 64 × 64 → 128-bit one does not).
+#[inline(always)]
+fn mul_hi(m: u64, n: u32) -> u32 {
+    let n = n as u64;
+    let (lo, hi) = ((m & 0xFFFF_FFFF) * n, (m >> 32) * n);
+    ((hi + (lo >> 32)) >> 32) as u32
+}
+
+/// 32-bit integer division (`rem`: remainder), `signed` or not, of row `a`
+/// by row `b`. A zero divisor in an active lane traps before any lane is
+/// written; inactive lanes' divisors are not looked at. When every active
+/// lane divides by the same value — a specialized constant, or a
+/// warp-uniform register — each quotient is a multiplication
+/// ([`Divisor`]); otherwise each active lane divides on its own.
+#[inline(always)]
+fn div_rows(rows: &mut Rows<'_>, a: u32, b: u32, signed: bool, rem: bool) -> Result<(), SimError> {
+    let mask = rows.mask;
+    let ys = rows.row(b);
+    let first = ys[(mask.trailing_zeros() % 32) as usize] as u32;
+    let (mut zero, mut other) = (0u32, 0u32);
+    for lane in 0..32 {
+        let y = ys[lane] as u32;
+        zero |= u32::from(y == 0) << lane;
+        other |= u32::from(y != first) << lane;
+    }
+    if zero & mask != 0 {
+        let what = if rem { "remainder" } else { "division" };
+        return Err(SimError(format!("{what} by zero")));
+    }
+    let s = |x: u64| x as u32 as i32;
+    // (`first != 0` holds whenever a lane is active.)
+    if other & mask == 0 && first != 0 {
+        if signed {
+            let d = Divisor::signed(first as i32).expect("checked nonzero");
+            if rem {
+                rows.map1(a, |x| sext32(d.srem(s(x)) as u32));
+            } else {
+                rows.map1(a, |x| sext32(d.squot(s(x)) as u32));
+            }
+        } else {
+            let d = Divisor::unsigned(first).expect("checked nonzero");
+            if rem {
+                rows.map1(a, |x| d.rem(x as u32) as u64);
+            } else {
+                rows.map1(a, |x| d.quot(x as u32) as u64);
+            }
+        }
+        return Ok(());
+    }
+    for lane in lanes(mask) {
+        let (x, y) = (rows.row(a)[lane], rows.row(b)[lane]);
+        rows.regs[rows.dst][lane] = match (signed, rem) {
+            (false, false) => (x as u32 / y as u32) as u64,
+            (false, true) => (x as u32 % y as u32) as u64,
+            (true, false) => sext32(s(x).wrapping_div(s(y)) as u32),
+            (true, true) => sext32(s(x).wrapping_rem(s(y)) as u32),
+        };
     }
     Ok(())
 }
@@ -656,106 +933,103 @@ fn sext_operand(v: u64) -> u64 {
 }
 
 #[inline(always)]
-fn bin_rows(out: &mut Row, kind: BinKind, a: &Row, b: &Row, mask: u32) -> Result<(), SimError> {
+fn bin_rows(rows: &mut Rows<'_>, kind: BinKind, a: u32, b: u32) -> Result<(), SimError> {
     use BinKind::*;
     let u = |x: u64| x as u32;
     let s = |x: u64| x as u32 as i32;
     match kind {
-        FAdd => map2(out, a, b, |x, y| of_f32(f32_of(x) + f32_of(y))),
-        FSub => map2(out, a, b, |x, y| of_f32(f32_of(x) - f32_of(y))),
-        FMul => map2(out, a, b, |x, y| of_f32(f32_of(x) * f32_of(y))),
-        FDiv => map2(out, a, b, |x, y| of_f32(f32_of(x) / f32_of(y))),
-        FMin => map2(out, a, b, |x, y| of_f32(f32_of(x).min(f32_of(y)))),
-        FMax => map2(out, a, b, |x, y| of_f32(f32_of(x).max(f32_of(y)))),
-        UAdd => map2(out, a, b, |x, y| u(x).wrapping_add(u(y)) as u64),
-        USub => map2(out, a, b, |x, y| u(x).wrapping_sub(u(y)) as u64),
-        UMul => map2(out, a, b, |x, y| u(x).wrapping_mul(u(y)) as u64),
-        UMul24 => map2(out, a, b, |x, y| {
+        FAdd => rows.map2(a, b, |x, y| of_f32(f32_of(x) + f32_of(y))),
+        FSub => rows.map2(a, b, |x, y| of_f32(f32_of(x) - f32_of(y))),
+        FMul => rows.map2(a, b, |x, y| of_f32(f32_of(x) * f32_of(y))),
+        FDiv => rows.map2(a, b, |x, y| of_f32(f32_of(x) / f32_of(y))),
+        FMin => rows.map2(a, b, |x, y| of_f32(f32_of(x).min(f32_of(y)))),
+        FMax => rows.map2(a, b, |x, y| of_f32(f32_of(x).max(f32_of(y)))),
+        UAdd => rows.map2(a, b, |x, y| u(x).wrapping_add(u(y)) as u64),
+        USub => rows.map2(a, b, |x, y| u(x).wrapping_sub(u(y)) as u64),
+        UMul => rows.map2(a, b, |x, y| u(x).wrapping_mul(u(y)) as u64),
+        UMul24 => rows.map2(a, b, |x, y| {
             (u(x) & 0xFF_FFFF).wrapping_mul(u(y) & 0xFF_FFFF) as u64
         }),
-        UDiv => div_rows(out, a, b, mask, "division", |x, y| (x / y) as u64)?,
-        URem => div_rows(out, a, b, mask, "remainder", |x, y| (x % y) as u64)?,
-        UMin => map2(out, a, b, |x, y| u(x).min(u(y)) as u64),
-        UMax => map2(out, a, b, |x, y| u(x).max(u(y)) as u64),
-        UAnd => map2(out, a, b, |x, y| (u(x) & u(y)) as u64),
-        UOr => map2(out, a, b, |x, y| (u(x) | u(y)) as u64),
-        UXor => map2(out, a, b, |x, y| (u(x) ^ u(y)) as u64),
-        UShl => map2(out, a, b, |x, y| u(x).wrapping_shl(u(y) & 31) as u64),
-        UShr => map2(out, a, b, |x, y| u(x).wrapping_shr(u(y) & 31) as u64),
-        SAdd => map2(out, a, b, |x, y| sext32(u(x).wrapping_add(u(y)))),
-        SSub => map2(out, a, b, |x, y| sext32(u(x).wrapping_sub(u(y)))),
-        SMul => map2(out, a, b, |x, y| sext32(u(x).wrapping_mul(u(y)))),
-        SMul24 => map2(out, a, b, |x, y| {
+        UDiv => div_rows(rows, a, b, false, false)?,
+        URem => div_rows(rows, a, b, false, true)?,
+        UMin => rows.map2(a, b, |x, y| u(x).min(u(y)) as u64),
+        UMax => rows.map2(a, b, |x, y| u(x).max(u(y)) as u64),
+        UAnd => rows.map2(a, b, |x, y| (u(x) & u(y)) as u64),
+        UOr => rows.map2(a, b, |x, y| (u(x) | u(y)) as u64),
+        UXor => rows.map2(a, b, |x, y| (u(x) ^ u(y)) as u64),
+        UShl => rows.map2(a, b, |x, y| u(x).wrapping_shl(u(y) & 31) as u64),
+        UShr => rows.map2(a, b, |x, y| u(x).wrapping_shr(u(y) & 31) as u64),
+        SAdd => rows.map2(a, b, |x, y| sext32(u(x).wrapping_add(u(y)))),
+        SSub => rows.map2(a, b, |x, y| sext32(u(x).wrapping_sub(u(y)))),
+        SMul => rows.map2(a, b, |x, y| sext32(u(x).wrapping_mul(u(y)))),
+        SMul24 => rows.map2(a, b, |x, y| {
             sext32((u(x) & 0xFF_FFFF).wrapping_mul(u(y) & 0xFF_FFFF))
         }),
-        SDiv => div_rows(out, a, b, mask, "division", |x, y| {
-            sext32((x as i32).wrapping_div(y as i32) as u32)
-        })?,
-        SRem => div_rows(out, a, b, mask, "remainder", |x, y| {
-            sext32((x as i32).wrapping_rem(y as i32) as u32)
-        })?,
-        SMin => map2(out, a, b, |x, y| sext32(s(x).min(s(y)) as u32)),
-        SMax => map2(out, a, b, |x, y| sext32(s(x).max(s(y)) as u32)),
-        SAnd => map2(out, a, b, |x, y| sext32(u(x) & u(y))),
-        SOr => map2(out, a, b, |x, y| sext32(u(x) | u(y))),
-        SXor => map2(out, a, b, |x, y| sext32(u(x) ^ u(y))),
-        SShl => map2(out, a, b, |x, y| sext32(u(x).wrapping_shl(u(y) & 31))),
-        SShr => map2(
-            out,
-            a,
-            b,
-            |x, y| sext32(s(x).wrapping_shr(u(y) & 31) as u32),
-        ),
-        PtrAdd => map2(out, a, b, |x, y| x.wrapping_add(sext_operand(y))),
-        PtrSub => map2(out, a, b, |x, y| x.wrapping_sub(sext_operand(y))),
-        PredAnd => map2(out, a, b, |x, y| u64::from((x != 0) && (y != 0))),
-        PredOr => map2(out, a, b, |x, y| u64::from((x != 0) || (y != 0))),
-        PredXor => map2(out, a, b, |x, y| u64::from((x != 0) ^ (y != 0))),
+        SDiv => div_rows(rows, a, b, true, false)?,
+        SRem => div_rows(rows, a, b, true, true)?,
+        SMin => rows.map2(a, b, |x, y| sext32(s(x).min(s(y)) as u32)),
+        SMax => rows.map2(a, b, |x, y| sext32(s(x).max(s(y)) as u32)),
+        SAnd => rows.map2(a, b, |x, y| sext32(u(x) & u(y))),
+        SOr => rows.map2(a, b, |x, y| sext32(u(x) | u(y))),
+        SXor => rows.map2(a, b, |x, y| sext32(u(x) ^ u(y))),
+        SShl => rows.map2(a, b, |x, y| sext32(u(x).wrapping_shl(u(y) & 31))),
+        SShr => rows.map2(a, b, |x, y| sext32(s(x).wrapping_shr(u(y) & 31) as u32)),
+        PtrAdd => rows.map2(a, b, |x, y| x.wrapping_add(sext_operand(y))),
+        PtrSub => rows.map2(a, b, |x, y| x.wrapping_sub(sext_operand(y))),
+        PredAnd => rows.map2(a, b, |x, y| u64::from((x != 0) && (y != 0))),
+        PredOr => rows.map2(a, b, |x, y| u64::from((x != 0) || (y != 0))),
+        PredXor => rows.map2(a, b, |x, y| u64::from((x != 0) ^ (y != 0))),
     }
     Ok(())
 }
 
 #[inline(always)]
-fn un_rows(out: &mut Row, kind: UnKind, a: &Row) {
+fn un_rows(rows: &mut Rows<'_>, kind: UnKind, a: u32) {
     let s = |x: u64| x as u32 as i32;
     match kind {
-        UnKind::FNeg => map1(out, a, |x| of_f32(-f32_of(x))),
-        UnKind::FAbs => map1(out, a, |x| of_f32(f32_of(x).abs())),
-        UnKind::FSqrt => map1(out, a, |x| of_f32(f32_of(x).sqrt())),
-        UnKind::FRsqrt => map1(out, a, |x| of_f32(1.0 / f32_of(x).sqrt())),
-        UnKind::FFloor => map1(out, a, |x| of_f32(f32_of(x).floor())),
-        UnKind::FNot => map1(out, a, |x| !(x as u32) as u64),
-        UnKind::PredNot => map1(out, a, |x| u64::from(x == 0)),
-        UnKind::PredZero => *out = [0; 32],
-        UnKind::INeg { signed } => map1(out, a, |x| ext32(s(x).wrapping_neg() as u32, signed)),
-        UnKind::INot { signed } => map1(out, a, |x| ext32(!(x as u32), signed)),
-        UnKind::IAbs { signed } => map1(out, a, |x| ext32(s(x).wrapping_abs() as u32, signed)),
-        UnKind::ILow { signed } => map1(out, a, |x| ext32(x as u32, signed)),
+        UnKind::FNeg => rows.map1(a, |x| of_f32(-f32_of(x))),
+        UnKind::FAbs => rows.map1(a, |x| of_f32(f32_of(x).abs())),
+        UnKind::FSqrt => rows.map1(a, |x| of_f32(f32_of(x).sqrt())),
+        UnKind::FRsqrt => rows.map1(a, |x| of_f32(1.0 / f32_of(x).sqrt())),
+        UnKind::FFloor => rows.map1(a, |x| of_f32(f32_of(x).floor())),
+        UnKind::FNot => rows.map1(a, |x| !(x as u32) as u64),
+        UnKind::PredNot => rows.map1(a, |x| u64::from(x == 0)),
+        UnKind::PredZero => rows.fill(|_| 0),
+        UnKind::INeg { signed } => rows.map1(a, |x| ext32(s(x).wrapping_neg() as u32, signed)),
+        UnKind::INot { signed } => rows.map1(a, |x| ext32(!(x as u32), signed)),
+        UnKind::IAbs { signed } => rows.map1(a, |x| ext32(s(x).wrapping_abs() as u32, signed)),
+        UnKind::ILow { signed } => rows.map1(a, |x| ext32(x as u32, signed)),
     }
 }
 
 #[inline(always)]
-fn cmp_rows<T: PartialOrd>(out: &mut Row, cmp: CmpOp, a: &Row, b: &Row, conv: impl Fn(u64) -> T) {
+fn cmp_rows<T: PartialOrd>(
+    rows: &mut Rows<'_>,
+    cmp: CmpOp,
+    a: u32,
+    b: u32,
+    conv: impl Fn(u64) -> T,
+) {
     match cmp {
-        CmpOp::Eq => map2(out, a, b, |x, y| u64::from(conv(x) == conv(y))),
-        CmpOp::Ne => map2(out, a, b, |x, y| u64::from(conv(x) != conv(y))),
-        CmpOp::Lt => map2(out, a, b, |x, y| u64::from(conv(x) < conv(y))),
-        CmpOp::Le => map2(out, a, b, |x, y| u64::from(conv(x) <= conv(y))),
-        CmpOp::Gt => map2(out, a, b, |x, y| u64::from(conv(x) > conv(y))),
-        CmpOp::Ge => map2(out, a, b, |x, y| u64::from(conv(x) >= conv(y))),
+        CmpOp::Eq => rows.map2(a, b, |x, y| u64::from(conv(x) == conv(y))),
+        CmpOp::Ne => rows.map2(a, b, |x, y| u64::from(conv(x) != conv(y))),
+        CmpOp::Lt => rows.map2(a, b, |x, y| u64::from(conv(x) < conv(y))),
+        CmpOp::Le => rows.map2(a, b, |x, y| u64::from(conv(x) <= conv(y))),
+        CmpOp::Gt => rows.map2(a, b, |x, y| u64::from(conv(x) > conv(y))),
+        CmpOp::Ge => rows.map2(a, b, |x, y| u64::from(conv(x) >= conv(y))),
     }
 }
 
 #[inline(always)]
-fn cvt_rows(out: &mut Row, kind: CvtKind, a: &Row) {
+fn cvt_rows(rows: &mut Rows<'_>, kind: CvtKind, a: u32) {
     match kind {
-        CvtKind::SToF => map1(out, a, |x| of_f32((x as u32 as i32) as f32)),
-        CvtKind::UToF => map1(out, a, |x| of_f32((x as u32) as f32)),
-        CvtKind::FToS => map1(out, a, |x| sext32((f32_of(x) as i32) as u32)),
-        CvtKind::FToU => map1(out, a, |x| (f32_of(x) as u32) as u64),
-        CvtKind::Sext => map1(out, a, |x| sext32(x as u32)),
-        CvtKind::Zext => map1(out, a, |x| (x as u32) as u64),
-        CvtKind::Copy => *out = *a,
+        CvtKind::SToF => rows.map1(a, |x| of_f32((x as u32 as i32) as f32)),
+        CvtKind::UToF => rows.map1(a, |x| of_f32((x as u32) as f32)),
+        CvtKind::FToS => rows.map1(a, |x| sext32((f32_of(x) as i32) as u32)),
+        CvtKind::FToU => rows.map1(a, |x| (f32_of(x) as u32) as u64),
+        CvtKind::Sext => rows.map1(a, |x| sext32(x as u32)),
+        CvtKind::Zext => rows.map1(a, |x| (x as u32) as u64),
+        CvtKind::Copy => rows.map1(a, |x| x),
     }
 }
 
@@ -772,14 +1046,9 @@ fn source_row<'a>(regs: &'a [Row], imm_rows: &'a [Row], src: u32) -> &'a Row {
 /// Write `out` to the active lanes of `dst`.
 #[inline(always)]
 fn write_row(dst: &mut Row, mask: u32, out: &Row) {
-    if mask == u32::MAX {
-        *dst = *out;
-    } else {
-        for lane in 0..32 {
-            if mask & (1 << lane) != 0 {
-                dst[lane] = out[lane];
-            }
-        }
+    for lane in 0..32 {
+        let new = SELECT[(mask >> (lane & !3)) as usize & 15][lane & 3];
+        dst[lane] = (out[lane] & new) | (dst[lane] & !new);
     }
 }
 
@@ -829,87 +1098,98 @@ fn exec_op<const TIMING: bool>(
     }
 
     // ---- functional execution ----
-    let regs = &w.regs[..];
-    let row = |src: u32| source_row(regs, &plan.imm_rows, src);
-    let mut out: Row = [0; 32];
+    // Pure ops write their destination in place; see `Rows`.
+    let mut rows = Rows {
+        regs: &mut w.regs,
+        imms: &plan.imm_rows,
+        dst: op.dst as usize,
+        mask,
+    };
     match op.kind {
-        Kind::Mov => out = *row(op.a),
+        Kind::Mov => rows.map1(op.a, |x| x),
         Kind::Special(reg) => {
             let (bxd, byd, bzd) = env.block_dim;
             let (gx, gy, gz) = env.grid_dim;
             let (cx, cy, cz) = block_idx;
-            let mut by_lane = |f: &dyn Fn(u32) -> u32| {
-                for lane in 0..32 {
-                    out[lane] = f(w.base_tid + lane as u32) as u64;
-                }
-            };
+            let base_tid = w.base_tid;
+            let tid = |lane: usize| base_tid + lane as u32;
             match reg {
-                SpecialReg::TidX => by_lane(&|t| t % bxd),
-                SpecialReg::TidY => by_lane(&|t| (t / bxd) % byd),
-                SpecialReg::TidZ => by_lane(&|t| t / (bxd * byd)),
-                SpecialReg::CtaIdX => out = [cx as u64; 32],
-                SpecialReg::CtaIdY => out = [cy as u64; 32],
-                SpecialReg::CtaIdZ => out = [cz as u64; 32],
-                SpecialReg::NtidX => out = [bxd as u64; 32],
-                SpecialReg::NtidY => out = [byd as u64; 32],
-                SpecialReg::NtidZ => out = [bzd as u64; 32],
-                SpecialReg::NctaIdX => out = [gx as u64; 32],
-                SpecialReg::NctaIdY => out = [gy as u64; 32],
-                SpecialReg::NctaIdZ => out = [gz as u64; 32],
+                SpecialReg::TidX => rows.fill(|l| (tid(l) % bxd) as u64),
+                SpecialReg::TidY => rows.fill(|l| ((tid(l) / bxd) % byd) as u64),
+                SpecialReg::TidZ => rows.fill(|l| (tid(l) / (bxd * byd)) as u64),
+                SpecialReg::CtaIdX => rows.fill(|_| cx as u64),
+                SpecialReg::CtaIdY => rows.fill(|_| cy as u64),
+                SpecialReg::CtaIdZ => rows.fill(|_| cz as u64),
+                SpecialReg::NtidX => rows.fill(|_| bxd as u64),
+                SpecialReg::NtidY => rows.fill(|_| byd as u64),
+                SpecialReg::NtidZ => rows.fill(|_| bzd as u64),
+                SpecialReg::NctaIdX => rows.fill(|_| gx as u64),
+                SpecialReg::NctaIdY => rows.fill(|_| gy as u64),
+                SpecialReg::NctaIdZ => rows.fill(|_| gz as u64),
             }
         }
-        Kind::Bin(kind) => bin_rows(&mut out, kind, row(op.a), row(op.b), mask)?,
-        Kind::Un(kind) => un_rows(&mut out, kind, row(op.a)),
+        Kind::Bin(kind) => bin_rows(&mut rows, kind, op.a, op.b)?,
+        Kind::Un(kind) => un_rows(&mut rows, kind, op.a),
         // Multiply, round, add, round: never a fused `mul_add`.
         Kind::Mad(kind) => {
-            let (a, b, c) = (row(op.a), row(op.b), row(op.c));
+            let (a, b, c) = (op.a, op.b, op.c);
             match kind {
-                MadKind::F32 => map3(&mut out, a, b, c, |x, y, z| {
-                    of_f32(f32_of(x) * f32_of(y) + f32_of(z))
-                }),
-                MadKind::U32 => map3(&mut out, a, b, c, |x, y, z| {
+                MadKind::F32 => {
+                    rows.map3(a, b, c, |x, y, z| of_f32(f32_of(x) * f32_of(y) + f32_of(z)))
+                }
+                MadKind::U32 => rows.map3(a, b, c, |x, y, z| {
                     (x as u32).wrapping_mul(y as u32).wrapping_add(z as u32) as u64
                 }),
-                MadKind::S32 => map3(&mut out, a, b, c, |x, y, z| {
+                MadKind::S32 => rows.map3(a, b, c, |x, y, z| {
                     sext32((x as u32).wrapping_mul(y as u32).wrapping_add(z as u32))
                 }),
             }
         }
         Kind::Setp(cmp, domain) => {
-            let (a, b) = (row(op.a), row(op.b));
+            let (a, b) = (op.a, op.b);
             match domain {
-                CmpDomain::F32 => cmp_rows(&mut out, cmp, a, b, f32_of),
-                CmpDomain::U32 => cmp_rows(&mut out, cmp, a, b, |x| x as u32),
-                CmpDomain::S32 => cmp_rows(&mut out, cmp, a, b, |x| x as u32 as i32),
-                CmpDomain::U64 => cmp_rows(&mut out, cmp, a, b, |x| x),
+                CmpDomain::F32 => cmp_rows(&mut rows, cmp, a, b, f32_of),
+                CmpDomain::U32 => cmp_rows(&mut rows, cmp, a, b, |x| x as u32),
+                CmpDomain::S32 => cmp_rows(&mut rows, cmp, a, b, |x| x as u32 as i32),
+                CmpDomain::U64 => cmp_rows(&mut rows, cmp, a, b, |x| x),
             }
         }
-        Kind::Selp => map3(&mut out, row(op.a), row(op.b), row(op.c), |x, y, p| {
-            if p != 0 {
-                x
-            } else {
-                y
+        Kind::Selp => rows.map3(op.a, op.b, op.c, |x, y, p| if p != 0 { x } else { y }),
+        Kind::Cvt(kind) => cvt_rows(&mut rows, kind, op.a),
+        Kind::Ld {
+            space: Space::Global,
+            sext,
+            ..
+        } => {
+            let addrs = lane_addresses(&w.regs, op);
+            if TIMING {
+                let t = coalesce_transactions(dev, &addrs, mask) as u64;
+                w.stats.global_loads += 1;
+                w.stats.global_transactions += t;
+                // DRAM bandwidth is charged once per line per block;
+                // re-reads hit the read cache (texture / L1).
+                let fresh = fresh_lines(&mut state.seen_lines, dev, &addrs, mask);
+                w.stats.global_bytes += fresh * dev.mem_segment;
+                latency_extra = t.saturating_sub(1) * 24;
             }
-        }),
-        Kind::Cvt(kind) => cvt_rows(&mut out, kind, row(op.a)),
+            env.global.check_lanes(&addrs, mask)?;
+            let dst = &mut w.regs[op.dst as usize];
+            // SAFETY: `check_lanes` passed, so every active lane's address
+            // is in bounds and aligned.
+            let word = |lane: usize| unsafe { env.global.read_u32_unchecked(addrs[lane]) };
+            if sext {
+                for_lanes(mask, |lane| dst[lane] = sext32(word(lane)));
+            } else {
+                for_lanes(mask, |lane| dst[lane] = word(lane) as u64);
+            }
+        }
         Kind::Ld { space, sext, wide } => {
-            let addrs = lane_addresses(regs, op, mask);
+            // Lane by lane into `out`: a lane that traps leaves the
+            // destination unwritten.
+            let addrs = lane_addresses(&w.regs, op);
+            let mut out: Row = [0; 32];
             match space {
-                Space::Global => {
-                    if TIMING {
-                        let t = coalesce_transactions(dev, &addrs, mask) as u64;
-                        w.stats.global_loads += 1;
-                        w.stats.global_transactions += t;
-                        // DRAM bandwidth is charged once per line per block;
-                        // re-reads hit the read cache (texture / L1).
-                        let fresh = fresh_lines(&mut state.seen_lines, dev, &addrs, mask);
-                        w.stats.global_bytes += fresh * dev.mem_segment;
-                        latency_extra = t.saturating_sub(1) * 24;
-                    }
-                    for lane in lanes(mask) {
-                        out[lane] = ext32(env.global.read_u32(addrs[lane])?, sext);
-                    }
-                }
+                Space::Global => unreachable!("global loads are matched above"),
                 Space::Shared => {
                     if TIMING {
                         let d = bank_conflict_degree(dev, &addrs, mask) as u64;
@@ -977,11 +1257,12 @@ fn exec_op<const TIMING: bool>(
                     }
                 }
             }
+            write_row(&mut w.regs[op.dst as usize], mask, &out);
         }
         Kind::St { space } => {
-            let addrs = lane_addresses(regs, op, mask);
+            let addrs = lane_addresses(&w.regs, op);
             // Stores keep the low 32 bits of the register.
-            let src = row(op.b);
+            let src = source_row(&w.regs, &plan.imm_rows, op.b);
             match space {
                 Space::Global => {
                     if TIMING {
@@ -990,13 +1271,33 @@ fn exec_op<const TIMING: bool>(
                         w.stats.global_transactions += t;
                         w.stats.global_bytes += t * dev.mem_segment;
                     }
-                    for lane in lanes(mask) {
-                        env.global.write_u32(addrs[lane], src[lane] as u32)?;
-                        if TIMING {
+                    if env.global.covers(&addrs, mask) {
+                        for_lanes(mask, |lane| {
+                            // SAFETY: `covers` holds, so every active
+                            // lane's address is in bounds and aligned.
+                            unsafe {
+                                env.global
+                                    .write_u32_unchecked(addrs[lane], src[lane] as u32)
+                            };
+                        });
+                        if TIMING && mask != 0 {
+                            let (first, last) = (mask.trailing_zeros(), 31 - mask.leading_zeros());
                             if w.stats.first_store_addr == 0 {
-                                w.stats.first_store_addr = addrs[lane];
+                                w.stats.first_store_addr = addrs[first as usize];
                             }
-                            w.stats.last_store_addr = addrs[lane];
+                            w.stats.last_store_addr = addrs[last as usize];
+                        }
+                    } else {
+                        // A lane is out of bounds or misaligned: the lanes
+                        // before it store, then it traps.
+                        for lane in lanes(mask) {
+                            env.global.write_u32(addrs[lane], src[lane] as u32)?;
+                            if TIMING {
+                                if w.stats.first_store_addr == 0 {
+                                    w.stats.first_store_addr = addrs[lane];
+                                }
+                                w.stats.last_store_addr = addrs[lane];
+                            }
                         }
                     }
                 }
@@ -1050,7 +1351,7 @@ fn exec_op<const TIMING: bool>(
             }
             // Element addresses per lane; fetches run through the texture
             // cache (the per-block reuse set) like any cached global read.
-            let idx = row(op.a);
+            let idx = source_row(&w.regs, &plan.imm_rows, op.a);
             let mut addrs = [0u64; 32];
             for lane in lanes(mask) {
                 let i = idx[lane] as u32 as i32;
@@ -1067,17 +1368,16 @@ fn exec_op<const TIMING: bool>(
                 w.stats.global_bytes += fresh * dev.mem_segment;
                 latency_extra = t.saturating_sub(1) * 24;
             }
+            let mut out: Row = [0; 32];
             for lane in lanes(mask) {
                 out[lane] = ext32(env.global.read_u32(addrs[lane])?, sext);
             }
+            write_row(&mut w.regs[op.dst as usize], mask, &out);
         }
         Kind::Trap => return Err(SimError(plan.traps[op.imm as usize].clone())),
         Kind::Bar | Kind::Br | Kind::CondBr { .. } | Kind::Ret => {
             unreachable!("handled by the control core")
         }
-    }
-    if op.dst != NONE {
-        write_row(&mut w.regs[op.dst as usize], mask, &out);
     }
 
     // ---- timing: charge issue + set destination ready time ----
@@ -1143,19 +1443,19 @@ fn charge_local_traffic(
     lane_stride: u64,
 ) {
     const LOCAL_NS: u64 = 1 << 60;
-    let lanes = mask.count_ones() as u64;
-    if lanes == 0 {
+    let active = mask.count_ones() as u64;
+    if active == 0 {
         return;
     }
     // Interleaved layout: a full-warp access to one 4-byte slot moves
     // lanes*4 bytes of DRAM traffic.
-    let bytes = lanes * 4;
+    let bytes = active * 4;
     let segs = bytes.div_ceil(dev.mem_segment).max(1);
     if dev.cc_major >= 2 {
         // L1-cached: first touch per (warp, offset-line) only.
         let line = LOCAL_NS
             + (base_tid as u64) * (1 << 40)
-            + (addrs.iter().max().copied().unwrap_or(0) + lane_stride) / dev.mem_segment;
+            + (lanes(mask).map(|l| addrs[l]).max().unwrap_or(0) + lane_stride) / dev.mem_segment;
         if state.seen_lines.insert(line) {
             stats.global_bytes += segs * dev.mem_segment;
             stats.global_transactions += segs;
@@ -1166,18 +1466,18 @@ fn charge_local_traffic(
     }
 }
 
-/// Byte address each active lane accesses; inactive lanes read 0 (or the
-/// absolute offset when there is no base register).
-#[inline]
-fn lane_addresses(regs: &[Row], op: &Op, mask: u32) -> Row {
+/// Byte address each lane accesses, active or not: its base register
+/// plus the offset, or the absolute offset when there is no base
+/// register. Inactive lanes' addresses are not checked and must not be
+/// used.
+#[inline(always)]
+fn lane_addresses(regs: &[Row], op: &Op) -> Row {
     match regs.get(op.a as usize) {
         None => [op.imm as u64; 32],
         Some(base) => {
             let mut out = [0u64; 32];
             for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    out[lane] = base[lane].wrapping_add(op.imm as u64);
-                }
+                out[lane] = base[lane].wrapping_add(op.imm as u64);
             }
             out
         }

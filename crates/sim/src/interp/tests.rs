@@ -11,7 +11,7 @@
 
 use super::*;
 use crate::launch::{marshal_params, KArg};
-use crate::mem::GlobalMem;
+use crate::mem::{GlobalMem, GLOBAL_BASE};
 use ks_ir::{
     Address, BasicBlock, BinOp, BlockId, Function, Inst, KernelParam, Operand, Terminator, Ty,
     UnOp, VReg,
@@ -280,43 +280,64 @@ fn probe(inst: Inst) -> LaunchPlan {
     LaunchPlan::from_function(&f)
 }
 
-/// `inst` over every (x, y) of the edge table, under a full and a partial
-/// mask; lanes that sit it out hold a zero divisor.
+/// The lanes an instruction runs on: all, a scattered half, one.
+const MASKS: [u32; 3] = [u32::MAX, 0x0F0F_5A5A, 1 << 31];
+
+/// `inst` over every (x, y) of the edge table, under each of [`MASKS`];
+/// lanes that sit it out hold a zero divisor.
 fn sweep(inst: Inst, float: bool) -> (u32, u32) {
     let what = format!("{inst:?}");
     let plan = probe(inst);
+    let mut tally = (0, 0);
+    for shift in 0..edge_values().len() {
+        run_masks(&plan, &what, shift, float, &mut tally);
+    }
+    tally
+}
+
+/// `inst(y)` for every `y` of the edge table as an immediate second
+/// operand (for integer division, a divisor by multiplication).
+fn sweep_imm(inst: impl Fn(Operand) -> Inst, float: bool) -> (u32, u32) {
+    let mut tally = (0, 0);
+    for (shift, y) in edge_values().into_iter().enumerate() {
+        let inst = inst(Operand::ImmI(y as i64));
+        let what = format!("{inst:?}");
+        run_masks(&probe(inst), &what, shift, float, &mut tally);
+    }
+    tally
+}
+
+/// One run of `plan` per mask, the `B` column shifted by `shift` against
+/// `A`; counts (ran, trapped) into `tally`.
+fn run_masks(plan: &LaunchPlan, what: &str, shift: usize, float: bool, tally: &mut (u32, u32)) {
     let values: &[u64] = &edge_values();
     let n = values.len();
-    let (mut ran, mut trapped) = (0, 0);
-    for shift in 0..n {
-        for mask in [u32::MAX, 0x0F0F_5A5A] {
-            let on = |lane: usize| mask & (1 << lane) != 0;
-            let column = |k: usize| (0..32).map(move |lane| (lane, values[(lane + k) % n]));
-            let a = column(0).map(|(_, v)| v);
-            let b = column(shift).map(|(lane, v)| if on(lane) { v } else { 0 });
-            let c = column(5).map(|(_, v)| v);
-            let fx = Fixture {
-                plan: &plan,
-                grid: 1,
-                block: 32,
-                global: GlobalMem::new(256),
-                args: a
-                    .chain(b)
-                    .chain(c)
-                    .map(KArg::Ptr)
-                    .chain([KArg::U32(mask)])
-                    .collect(),
-                racecheck: false,
-                strict_barriers: false,
-            };
-            let out = fx.agree(&format!("{what}, shift {shift}, mask {mask:#x}"), float);
-            match out.blocks.last() {
-                Some(Err(_)) => trapped += 1,
-                _ => ran += 1,
-            }
+    for mask in MASKS {
+        let on = |lane: usize| mask & (1 << lane) != 0;
+        let column = |k: usize| (0..32).map(move |lane| (lane, values[(lane + k) % n]));
+        let a = column(0).map(|(_, v)| v);
+        let b = column(shift).map(|(lane, v)| if on(lane) { v } else { 0 });
+        let c = column(5).map(|(_, v)| v);
+        let fx = Fixture {
+            plan,
+            grid: 1,
+            block: 32,
+            global: GlobalMem::new(256),
+            args: a
+                .chain(b)
+                .chain(c)
+                .map(KArg::Ptr)
+                .chain([KArg::U32(mask)])
+                .collect(),
+            racecheck: false,
+            strict_barriers: false,
+        };
+        let out = fx.agree(&format!("{what}, shift {shift}, mask {mask:#x}"), float);
+        match out.blocks.last() {
+            Some(Err(_)) => tally.1 += 1,
+            _ => tally.0 += 1,
         }
     }
-    (ran, trapped)
 }
 
 #[test]
@@ -332,29 +353,24 @@ fn every_row_kernel_agrees_across_copies() {
     for ty in TYS {
         let float = ty == Ty::F32;
         for op in BIN_OPS {
-            let (a, b) = (A.into(), B.into());
-            tally(sweep(
-                Inst::Bin {
-                    op,
-                    ty,
-                    dst: DST,
-                    a,
-                    b,
-                },
-                float,
-            ));
+            let bin = |dst, a: Operand, b: Operand| Inst::Bin { op, ty, dst, a, b };
+            tally(sweep(bin(DST, A.into(), B.into()), float));
+            // In place: the destination is a source.
+            tally(sweep(bin(A, A.into(), B.into()), float));
+            tally(sweep(bin(B, A.into(), B.into()), float));
+            tally(sweep(bin(A, A.into(), A.into()), float));
+            tally(sweep_imm(|b| bin(DST, A.into(), b), float));
         }
         for op in UN_OPS {
-            let a = A.into();
-            tally(sweep(
-                Inst::Un {
-                    op,
-                    ty,
-                    dst: DST,
-                    a,
-                },
-                float && op != UnOp::Not,
-            ));
+            let un = |dst| Inst::Un {
+                op,
+                ty,
+                dst,
+                a: A.into(),
+            };
+            let float = float && op != UnOp::Not;
+            tally(sweep(un(DST), float));
+            tally(sweep(un(A), float));
         }
         for cmp in CMP_OPS {
             let (a, b) = (A.into(), B.into());
@@ -362,7 +378,7 @@ fn every_row_kernel_agrees_across_copies() {
                 Inst::Setp {
                     cmp,
                     ty,
-                    dst: DST,
+                    dst: B,
                     a,
                     b,
                 },
@@ -385,16 +401,79 @@ fn every_row_kernel_agrees_across_copies() {
         tally(sweep(
             Inst::Mad {
                 ty,
-                dst: DST,
+                dst: C,
                 a,
                 b,
                 c,
             },
             float,
         ));
+        tally(sweep(
+            Inst::Selp {
+                ty,
+                dst: C,
+                a,
+                b,
+                pred: C,
+            },
+            false,
+        ));
     }
     // Both outcomes were exercised, not just predicted.
-    assert!(ran > 5000 && trapped > 1000, "{ran} ran, {trapped} trapped");
+    assert!(
+        ran > 20000 && trapped > 3000,
+        "{ran} ran, {trapped} trapped"
+    );
+}
+
+/// The divide-by-multiply against the hardware divide, over the edge
+/// table's divisors (and their neighbours) × 2²⁰ random dividends plus
+/// the edges themselves.
+#[test]
+fn divide_by_multiply_matches_wrapping_div_and_rem() {
+    let mut divisors: Vec<u32> = edge_values().iter().map(|&v| v as u32).collect();
+    divisors.extend([1, 3, 7, 10, 641, 0x7FFF_FFFE, 0x8000_0001, u32::MAX - 1]);
+    divisors.extend([-1i32, -2, -3, -7, i32::MIN + 1].map(|d| d as u32));
+    divisors.retain(|&d| d != 0);
+    let mut dividends: Vec<u32> = edge_values().iter().map(|&v| v as u32).collect();
+    dividends.extend([
+        i32::MIN as u32,
+        i32::MAX as u32,
+        u32::MAX,
+        0,
+        1,
+        0x8000_0001,
+    ]);
+    // splitmix64: a fixed, well-spread sequence.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as u32
+    };
+    dividends.extend((0..1 << 20).map(|_| next()));
+    assert!(Divisor::unsigned(0).is_none() && Divisor::signed(0).is_none());
+    for &d in &divisors {
+        let (u, s) = (
+            Divisor::unsigned(d).unwrap(),
+            Divisor::signed(d as i32).unwrap(),
+        );
+        for &n in &dividends {
+            let (ni, di) = (n as i32, d as i32);
+            assert_eq!(u.quot(n), n / d, "{n:#x} / {d:#x}");
+            assert_eq!(u.rem(n), n % d, "{n:#x} % {d:#x}");
+            assert_eq!(s.squot(ni), ni.wrapping_div(di), "{ni} / {di}");
+            assert_eq!(s.srem(ni), ni.wrapping_rem(di), "{ni} % {di}");
+        }
+    }
+    // The edges the sign fix must get right.
+    let s = Divisor::signed(-1).unwrap();
+    assert_eq!((s.squot(i32::MIN), s.srem(i32::MIN)), (i32::MIN, 0));
+    let s = Divisor::signed(i32::MIN).unwrap();
+    assert_eq!((s.squot(i32::MIN), s.squot(i32::MAX)), (1, 0));
+    assert_eq!(Divisor::unsigned(u32::MAX).unwrap().quot(u32::MAX), 1);
 }
 
 // ---- control flow, memory models and every check a launch can turn on ----
@@ -562,6 +641,52 @@ fn traps_agree() {
             out[t] = a[t];
         }
     "#;
+    // A divisor every lane shares, zero: the lanes that run trap,
+    // whether all of them or every other one.
+    let div_by = r#"
+        __global__ void div_by(int* a, int* out, int d) {
+            int t = (int)threadIdx.x;
+            out[t] = a[t] / d;
+            if ((t & 1) != 0) { out[t] = a[t] % d; }
+        }
+    "#;
+    let (trap, _) = check_kernel(
+        div_by,
+        "div_by",
+        1,
+        64,
+        4096,
+        &buffers,
+        &[KArg::I32(0)],
+        CHECKS_OFF,
+    );
+    assert_eq!(trap.as_deref(), Some("division by zero"));
+    let rem_by = div_by.replace("out[t] = a[t] / d;", "");
+    let (trap, _) = check_kernel(
+        &rem_by,
+        "div_by",
+        1,
+        64,
+        4096,
+        &buffers,
+        &[KArg::I32(0)],
+        CHECKS_OFF,
+    );
+    assert_eq!(trap.as_deref(), Some("remainder by zero"));
+    for d in [-7, -1, 1, 3, i32::MIN] {
+        let (trap, _) = check_kernel(
+            div_by,
+            "div_by",
+            1,
+            64,
+            4096,
+            &buffers,
+            &[KArg::I32(d)],
+            CHECKS_OFF,
+        );
+        assert_eq!(trap, None, "d = {d}");
+    }
+
     for (source, kernel, checks, want) in [
         (racy, "racy", (true, false), "racecheck: "),
         (
@@ -574,5 +699,111 @@ fn traps_agree() {
         let (trap, _) = check_kernel(source, kernel, 1, 64, 4096, &buffers, &[], checks);
         let trap = trap.unwrap_or_else(|| panic!("{kernel} must trap"));
         assert!(trap.starts_with(want), "{kernel}: {trap}");
+    }
+}
+
+/// A global load or store with bad lanes under a full warp. The one
+/// check over the warp fails and the lanes are checked one by one, so the
+/// trap names the first failing lane; a load then writes no lane of its
+/// destination, and a store has written the lanes before it.
+#[test]
+fn global_traps_name_the_first_failing_lane() {
+    if !two_copies() {
+        return;
+    }
+    let bad = [
+        (GLOBAL_BASE + 256, "global access out of bounds at 0x10100"),
+        (GLOBAL_BASE + 30, "misaligned global access at 0x1001e"),
+        (GLOBAL_BASE - 4, "global access below heap at 0xfffc"),
+        (
+            u64::MAX - 1,
+            "global access out of bounds at 0xfffffffffffffffe",
+        ),
+    ];
+    let word = |lane: usize| 0x5000 + lane as u32;
+    let mut heap = GlobalMem::new(256);
+    let words: Vec<i32> = (0..64).map(|w| word(w) as i32).collect();
+    heap.write_i32_slice(GLOBAL_BASE, &words).unwrap();
+    let load = probe(Inst::Ld {
+        space: Space::Global,
+        ty: Ty::U32,
+        dst: DST,
+        addr: Address::reg(A),
+    });
+    let store = probe(Inst::St {
+        space: Space::Global,
+        ty: Ty::U32,
+        addr: Address::reg(A),
+        src: B.into(),
+    });
+    let (first, second) = (7, 20);
+    for (i, &(addr1, msg1)) in bad.iter().enumerate() {
+        let (addr2, msg2) = bad[(i + 1) % bad.len()];
+        let addrs: Vec<u64> = (0..32)
+            .map(|lane| match lane {
+                7 => addr1,
+                20 => addr2,
+                _ => GLOBAL_BASE + 4 * lane as u64,
+            })
+            .collect();
+        for (mask, want) in [
+            (u32::MAX, Some((first, msg1))),
+            (!(1 << first), Some((second, msg2))),
+            (!(1 << first | 1 << second), None),
+        ] {
+            let on = |lane: usize| mask & (1 << lane) != 0;
+            for (plan, is_load) in [(&load, true), (&store, false)] {
+                let fx = Fixture {
+                    plan,
+                    grid: 1,
+                    block: 32,
+                    global: heap.clone(),
+                    args: addrs
+                        .iter()
+                        .copied()
+                        .chain((0..32).map(|lane| 0x9000 + lane as u64))
+                        .chain([0; 32])
+                        .map(KArg::Ptr)
+                        .chain([KArg::U32(mask)])
+                        .collect(),
+                    racecheck: false,
+                    strict_barriers: false,
+                };
+                let ctx = format!("load {is_load}, mask {mask:#x}, lane 7 at {addr1:#x}");
+                let out = fx.agree(&ctx, false);
+                let dst = out.regs[0][DST.0 as usize];
+                let stored = |lane: usize| {
+                    let at = 4 * lane;
+                    u32::from_le_bytes(out.heap[at..at + 4].try_into().unwrap())
+                };
+                match (want, out.blocks.last()) {
+                    (Some((bad_lane, msg)), Some(Err(e))) => {
+                        assert_eq!(e.0, msg, "{ctx}");
+                        if is_load {
+                            assert_eq!(dst, [0; 32], "{ctx}: a trapping load wrote lanes");
+                        } else {
+                            for lane in 0..32 {
+                                let want = if on(lane) && lane < bad_lane {
+                                    0x9000 + lane as u32
+                                } else {
+                                    word(lane)
+                                };
+                                assert_eq!(stored(lane), want, "{ctx}: lane {lane}");
+                            }
+                        }
+                    }
+                    (None, Some(Ok(_))) => {
+                        for lane in (0..32).filter(|&l| on(l)) {
+                            if is_load {
+                                assert_eq!(dst[lane], word(lane) as u64, "{ctx}: lane {lane}");
+                            } else {
+                                assert_eq!(stored(lane), 0x9000 + lane as u32, "{ctx}");
+                            }
+                        }
+                    }
+                    (want, got) => panic!("{ctx}: want {want:?}, got {got:?}"),
+                }
+            }
+        }
     }
 }

@@ -73,14 +73,17 @@ impl GlobalMem {
     /// device address.
     pub fn alloc(&mut self, bytes: u64) -> Result<u64, MemError> {
         let aligned = self.next.div_ceil(256) * 256;
-        if aligned + bytes > self.data.len() as u64 {
-            return Err(MemError::OutOfMemory {
+        let capacity = self.data.len() as u64;
+        match aligned.checked_add(bytes) {
+            Some(end) if end <= capacity => {
+                self.next = end;
+                Ok(GLOBAL_BASE + aligned)
+            }
+            _ => Err(MemError::OutOfMemory {
                 requested: bytes,
-                available: self.data.len() as u64 - aligned.min(self.data.len() as u64),
-            });
+                available: capacity - aligned.min(capacity),
+            }),
         }
-        self.next = aligned + bytes;
-        Ok(GLOBAL_BASE + aligned)
     }
 
     pub fn capacity(&self) -> u64 {
@@ -88,7 +91,8 @@ impl GlobalMem {
     }
 
     fn offset(&self, addr: u64, len: u64, align: u64) -> Result<usize, MemError> {
-        if addr < GLOBAL_BASE || addr + len > GLOBAL_BASE + self.data.len() as u64 {
+        let end = addr.checked_add(len);
+        if addr < GLOBAL_BASE || end.is_none_or(|end| end > GLOBAL_BASE + self.data.len() as u64) {
             return Err(MemError::OutOfBounds {
                 addr,
                 len,
@@ -132,7 +136,7 @@ impl GlobalMem {
     }
 
     pub fn read_f32_slice(&self, addr: u64, count: usize) -> Result<Vec<f32>, MemError> {
-        let b = self.read_bytes(addr, count as u64 * 4)?;
+        let b = self.read_bytes(addr, words_len(addr, count)?)?;
         Ok(b.chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect())
@@ -144,7 +148,7 @@ impl GlobalMem {
     }
 
     pub fn read_i32_slice(&self, addr: u64, count: usize) -> Result<Vec<i32>, MemError> {
-        let b = self.read_bytes(addr, count as u64 * 4)?;
+        let b = self.read_bytes(addr, words_len(addr, count)?)?;
         Ok(b.chunks_exact(4)
             .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
             .collect())
@@ -154,6 +158,15 @@ impl GlobalMem {
     pub(crate) fn raw_mut(&mut self) -> &mut [u8] {
         &mut self.data
     }
+}
+
+/// The byte length of `count` 32-bit words at `addr`.
+fn words_len(addr: u64, count: usize) -> Result<u64, MemError> {
+    (count as u64).checked_mul(4).ok_or(MemError::OutOfBounds {
+        addr,
+        len: u64::MAX,
+        space: "global",
+    })
 }
 
 /// Lane ranges evaluated together: half-warps or the whole warp.
@@ -415,6 +428,62 @@ mod tests {
     fn oom_reported() {
         let mut g = GlobalMem::new(1024);
         assert!(matches!(g.alloc(4096), Err(MemError::OutOfMemory { .. })));
+    }
+
+    /// A size whose end wraps the address space is out of memory, and
+    /// leaves the heap as it was.
+    #[test]
+    fn a_huge_alloc_fails_and_allocates_nothing() {
+        let mut g = GlobalMem::new(1 << 20);
+        let first = g.alloc(4).unwrap();
+        for bytes in [u64::MAX - 100, u64::MAX, u64::MAX - 255] {
+            assert!(
+                matches!(g.alloc(bytes), Err(MemError::OutOfMemory { requested, .. }) if requested == bytes),
+                "alloc({bytes:#x})"
+            );
+        }
+        let next = g.alloc(16).unwrap();
+        assert_eq!(next, first + 256);
+        assert!(g.alloc(16).unwrap() > next);
+    }
+
+    /// Host copies whose end wraps the address space are out of bounds,
+    /// never a panic.
+    #[test]
+    fn host_accesses_near_the_top_of_the_address_space_are_out_of_bounds() {
+        let mut g = GlobalMem::new(4096);
+        g.alloc(64).unwrap();
+        for (addr, len) in [
+            (u64::MAX - 2, 8),
+            (u64::MAX, 1),
+            (u64::MAX - 3, 4),
+            (GLOBAL_BASE, u64::MAX),
+            (GLOBAL_BASE + 8, u64::MAX - 7),
+        ] {
+            assert!(
+                matches!(g.read_bytes(addr, len), Err(MemError::OutOfBounds { .. })),
+                "read_bytes({addr:#x}, {len})"
+            );
+        }
+        for addr in [u64::MAX - 3, u64::MAX - 2, u64::MAX] {
+            let oob = |r: Result<(), MemError>| matches!(r, Err(MemError::OutOfBounds { .. }));
+            assert!(oob(g.read_u32(addr).map(drop)), "read_u32({addr:#x})");
+            assert!(oob(g.write_u32(addr, 1)), "write_u32({addr:#x})");
+        }
+        assert!(matches!(
+            g.write_bytes(u64::MAX - 2, &[0; 8]),
+            Err(MemError::OutOfBounds { .. })
+        ));
+        // A count whose byte length does not fit 64 bits.
+        let a = g.alloc(16).unwrap();
+        assert!(matches!(
+            g.read_i32_slice(a, usize::MAX),
+            Err(MemError::OutOfBounds { .. })
+        ));
+        assert!(matches!(
+            g.read_f32_slice(a, usize::MAX / 2),
+            Err(MemError::OutOfBounds { .. })
+        ));
     }
 
     fn seq_addrs(base: u64, stride: u64) -> [u64; 32] {

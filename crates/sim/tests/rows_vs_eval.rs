@@ -121,12 +121,12 @@ fn edge_values() -> Vec<u64> {
     v
 }
 
-/// `inst` (reading `A`, `B`, `C`, writing `DST`) wrapped so that each lane
-/// loads its operands, the lanes of the mask run `inst`, and every lane
-/// reports `DST`: its low word, and whether its upper word is the expected
-/// one (a store keeps 32 bits and a load zero-extends them back; `setp.eq`
-/// on a pointer compares 64).
-fn probe(inst: Inst) -> LaunchPlan {
+/// `inst` (reading `A`, `B`, `C`, writing `result`) wrapped so that each
+/// lane loads its operands, the lanes of the mask run `inst`, and every
+/// lane reports `result`: its low word, and whether its upper word is the
+/// expected one (a store keeps 32 bits and a load zero-extends them back;
+/// `setp.eq` on a pointer compares 64).
+fn probe(inst: Inst, result: VReg) -> LaunchPlan {
     let mut f = Function {
         name: "probe".into(),
         params: (0..128)
@@ -209,7 +209,7 @@ fn probe(inst: Inst) -> LaunchPlan {
         bin(BinOp::Shl, Ty::U32, lane4, tid, Operand::ImmI(2)),
         bin(BinOp::Add, Ty::U32, slot, slot, lane4.into()),
         bin(BinOp::Add, PTR, out, out, slot.into()),
-        st(Address::reg(out), DST),
+        st(Address::reg(out), result),
         Inst::Ld {
             space: Space::Global,
             ty: Ty::U32,
@@ -223,7 +223,7 @@ fn probe(inst: Inst) -> LaunchPlan {
             cmp: CmpOp::Eq,
             ty: PTR,
             dst: same,
-            a: DST.into(),
+            a: result.into(),
             b: low.into(),
         },
         Inst::Selp {
@@ -283,69 +283,121 @@ impl Sweep {
     /// `scalar(a, b, c)` (`None` = the executor traps). `float`: the result
     /// comes out of f32 arithmetic, so a NaN's payload is not pinned.
     fn check(&mut self, inst: Inst, float: bool, scalar: impl Fn(u64, u64, u64) -> Option<u64>) {
+        self.check_into(inst, DST, float, scalar);
+    }
+
+    /// As [`Sweep::check`], for an `inst` that writes `result`, which may
+    /// be one of its sources: each active lane must read its operands
+    /// before the row is written, and each inactive lane keep the value
+    /// `result` held.
+    fn check_into(
+        &mut self,
+        inst: Inst,
+        result: VReg,
+        float: bool,
+        scalar: impl Fn(u64, u64, u64) -> Option<u64>,
+    ) {
         let what = format!("{inst:?}");
-        let plan = probe(inst);
+        let plan = probe(inst, result);
+        for y in self.values.clone() {
+            self.run(&plan, &what, result, y, float, &scalar);
+        }
+    }
+
+    /// `inst(y)` for every `y` of the edge table as an immediate second
+    /// operand: a row every lane shares, which integer division takes by
+    /// multiplication. The `B` row holds `y` too, so `scalar` sees it.
+    fn check_imm(
+        &mut self,
+        inst: impl Fn(Operand) -> Inst,
+        float: bool,
+        scalar: impl Fn(u64, u64, u64) -> Option<u64>,
+    ) {
+        for y in self.values.clone() {
+            let inst = inst(Operand::ImmI(y as i64));
+            let what = format!("{inst:?}");
+            self.run(&probe(inst, DST), &what, DST, y, float, &scalar);
+        }
+    }
+
+    /// One launch per mask of `plan` with `y` in the active lanes' `B`,
+    /// each lane held to `scalar` (active) or `result`'s value before the
+    /// instruction (inactive).
+    fn run(
+        &mut self,
+        plan: &LaunchPlan,
+        what: &str,
+        result: VReg,
+        y: u64,
+        float: bool,
+        scalar: &impl Fn(u64, u64, u64) -> Option<u64>,
+    ) {
         let n = self.values.len();
         let lane_values = |shift: usize| -> [u64; 32] {
             std::array::from_fn(|lane| self.values[(lane + shift) % n])
         };
         let (a, c) = (lane_values(0), lane_values(5));
-        for &y in &self.values {
-            for mask in MASKS {
-                let on = |lane: usize| mask & (1 << lane) != 0;
-                // Lanes that sit the instruction out hold a zero divisor.
-                let b: [u64; 32] = std::array::from_fn(|lane| if on(lane) { y } else { 0 });
-                let want: [Option<u64>; 32] = std::array::from_fn(|lane| {
-                    if on(lane) {
-                        scalar(a[lane], b[lane], c[lane])
-                    } else {
-                        Some(SENTINEL)
-                    }
-                });
-                let expect = want.map(|w| w.unwrap_or(0));
-                let upper = expect.map(|e| e & !0xFFFF_FFFF);
-                let args: Vec<KArg> = [a, b, c, upper]
-                    .iter()
-                    .flatten()
-                    .map(|&v| KArg::Ptr(v))
-                    .chain([KArg::Ptr(self.out), KArg::U32(mask)])
-                    .collect();
-                let opts = LaunchOptions {
-                    timing_sample_blocks: 1,
-                    ..LaunchOptions::default()
-                };
-                let dims = LaunchDims::linear(2, 32);
-                let run = launch_planned(&mut self.st, &[], &plan, dims, &args, opts, 0, "");
-                let ctx = format!("{what}, y = {y:#x}, mask {mask:#010x}");
-                if want.contains(&None) {
-                    assert!(run.is_err(), "{ctx}: eval says a lane traps, the rows ran");
-                    self.trapped += 1;
-                    continue;
+        for mask in MASKS {
+            let on = |lane: usize| mask & (1 << lane) != 0;
+            // Lanes that sit the instruction out hold a zero divisor.
+            let b: [u64; 32] = std::array::from_fn(|lane| if on(lane) { y } else { 0 });
+            let before = |lane: usize| match result {
+                A => a[lane],
+                B => b[lane],
+                C => c[lane],
+                _ => SENTINEL,
+            };
+            let want: [Option<u64>; 32] = std::array::from_fn(|lane| {
+                if on(lane) {
+                    scalar(a[lane], b[lane], c[lane])
+                } else {
+                    Some(before(lane))
                 }
-                if let Err(e) = run {
-                    panic!("{ctx}: the rows trapped ({e}), eval has a value for every lane");
-                }
-                let words = self.st.global.read_i32_slice(self.out, 128).unwrap();
-                for (block, report) in words.chunks(64).enumerate() {
-                    for lane in 0..32 {
-                        let (low, upper_ok) = (report[lane] as u32, report[32 + lane]);
-                        let want_low = expect[lane] as u32;
-                        let any_nan = float
-                            && f32::from_bits(want_low).is_nan()
-                            && f32::from_bits(low).is_nan();
-                        assert!(
-                            (low == want_low || any_nan) && upper_ok == 1,
-                            "{ctx}: block {block} lane {lane} (a = {:#x}, c = {:#x}): \
-                             eval says {:#x}, the row's low word is {low:#x} \
-                             (upper word as expected: {upper_ok})",
-                            a[lane],
-                            c[lane],
-                            expect[lane],
-                        );
-                    }
-                }
-                self.compared += 1;
+            });
+            let expect = want.map(|w| w.unwrap_or(0));
+            let upper = expect.map(|e| e & !0xFFFF_FFFF);
+            let args: Vec<KArg> = [a, b, c, upper]
+                .iter()
+                .flatten()
+                .map(|&v| KArg::Ptr(v))
+                .chain([KArg::Ptr(self.out), KArg::U32(mask)])
+                .collect();
+            let opts = LaunchOptions {
+                timing_sample_blocks: 1,
+                ..LaunchOptions::default()
+            };
+            let dims = LaunchDims::linear(2, 32);
+            let run = launch_planned(&mut self.st, &[], plan, dims, &args, opts, 0, "");
+            let ctx = format!("{what}, y = {y:#x}, mask {mask:#010x}");
+            if want.contains(&None) {
+                assert!(run.is_err(), "{ctx}: eval says a lane traps, the rows ran");
+                self.trapped += 1;
+                continue;
             }
+            if let Err(e) = run {
+                panic!("{ctx}: the rows trapped ({e}), eval has a value for every lane");
+            }
+            let words = self.st.global.read_i32_slice(self.out, 128).unwrap();
+            for (block, report) in words.chunks(64).enumerate() {
+                for lane in 0..32 {
+                    let (low, upper_ok) = (report[lane] as u32, report[32 + lane]);
+                    let want_low = expect[lane] as u32;
+                    let any_nan = float
+                        && on(lane)
+                        && f32::from_bits(want_low).is_nan()
+                        && f32::from_bits(low).is_nan();
+                    assert!(
+                        (low == want_low || any_nan) && upper_ok == 1,
+                        "{ctx}: block {block} lane {lane} (a = {:#x}, c = {:#x}): \
+                         eval says {:#x}, the row's low word is {low:#x} \
+                         (upper word as expected: {upper_ok})",
+                        a[lane],
+                        c[lane],
+                        expect[lane],
+                    );
+                }
+            }
+            self.compared += 1;
         }
     }
 }
@@ -413,6 +465,119 @@ fn every_row_kernel_matches_the_scalar_definition() {
     // Both outcomes were exercised, not just predicted.
     assert!(
         s.compared > 5000 && s.trapped > 1000,
+        "{} compared, {} trapped",
+        s.compared,
+        s.trapped
+    );
+}
+
+/// Results are written in place, so a destination that is also a source
+/// must still see every source lane as it was: `dst == a`, `dst == b` and
+/// `dst == a == b` for every binary op, `dst == a` for the unary ops,
+/// comparisons and conversions, `mad` into its addend and `selp` into its
+/// predicate.
+#[test]
+fn a_destination_that_is_a_source_reads_it_first() {
+    let mut s = Sweep::new();
+    for ty in TYS {
+        let float = ty == Ty::F32;
+        for op in BIN_OPS {
+            let bin = |dst, a: VReg, b: VReg| Inst::Bin {
+                op,
+                ty,
+                dst,
+                a: a.into(),
+                b: b.into(),
+            };
+            let f = |x, y| eval::bin(op, ty, x, y);
+            s.check_into(bin(A, A, B), A, float, |x, y, _| f(x, y));
+            s.check_into(bin(B, A, B), B, float, |x, y, _| f(x, y));
+            s.check_into(bin(A, A, A), A, float, |x, _, _| f(x, x));
+        }
+        for op in UN_OPS {
+            let inst = Inst::Un {
+                op,
+                ty,
+                dst: A,
+                a: A.into(),
+            };
+            let float = float && op != UnOp::Not;
+            s.check_into(inst, A, float, |x, _, _| Some(eval::un(op, ty, x)));
+        }
+        for cmp in CMP_OPS {
+            let inst = Inst::Setp {
+                cmp,
+                ty,
+                dst: B,
+                a: A.into(),
+                b: B.into(),
+            };
+            s.check_into(inst, B, false, |x, y, _| {
+                Some(u64::from(eval::cmp(cmp, ty, x, y)))
+            });
+        }
+        for src_ty in TYS {
+            let inst = Inst::Cvt {
+                dst_ty: ty,
+                src_ty,
+                dst: A,
+                src: A.into(),
+            };
+            s.check_into(inst, A, false, |x, _, _| {
+                Some(eval::cvt(ty, src_ty, x).unwrap_or(x))
+            });
+        }
+        let inst = Inst::Mad {
+            ty,
+            dst: C,
+            a: A.into(),
+            b: B.into(),
+            c: C.into(),
+        };
+        s.check_into(inst, C, float, |x, y, z| {
+            eval::bin(BinOp::Mul, ty, x, y).and_then(|xy| eval::bin(BinOp::Add, ty, xy, z))
+        });
+        // `selp` picks its first operand where the predicate is nonzero.
+        let inst = Inst::Selp {
+            ty,
+            dst: C,
+            a: A.into(),
+            b: B.into(),
+            pred: C,
+        };
+        s.check_into(inst, C, false, |x, y, p| Some(if p != 0 { x } else { y }));
+    }
+    assert!(
+        s.compared > 10000 && s.trapped > 1000,
+        "{} compared, {} trapped",
+        s.compared,
+        s.trapped
+    );
+}
+
+/// Every binary op by an immediate, for every `y` of the edge table: a
+/// divisor every lane shares, which the executor divides by with a
+/// multiplication.
+#[test]
+fn an_immediate_second_operand_matches_the_scalar_definition() {
+    let mut s = Sweep::new();
+    for ty in TYS {
+        for op in BIN_OPS {
+            s.check_imm(
+                |b| Inst::Bin {
+                    op,
+                    ty,
+                    dst: DST,
+                    a: A.into(),
+                    b,
+                },
+                ty == Ty::F32,
+                |x, y, _| eval::bin(op, ty, x, y),
+            );
+        }
+    }
+    assert!(
+        s.compared > 1500 && s.trapped > 1000,
         "{} compared, {} trapped",
         s.compared,
         s.trapped
