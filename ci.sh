@@ -54,6 +54,12 @@ cargo test --offline --release -q -p ks-sim --lib --test rows_vs_eval \
     --test plan_equiv --test timing_memo --test worker_grain --test bad_address
 cargo test --offline --release -q -p ks-analysis
 cargo test --offline --release -q -p ks-apps --test constfold_vs_executor
+# The same executor with overflow checks and debug assertions on
+# (`[profile.checked]`: release opt-level, so the vectorised row kernels
+# and the x86-64-v3 copy are the ones that run): a register-bank index or
+# an address computed out of range panics instead of wrapping.
+echo "== cargo test --profile checked -p ks-sim (overflow-checked executor)"
+cargo test --offline --profile checked -q -p ks-sim
 # The record checksum's word loop is only vectorised at opt-level 3:
 # its pinned vectors and exhaustive bit-flip test run on that build too,
 # and so do ks-core's store round trips (warm starts, corrupt and torn
@@ -92,6 +98,12 @@ if grep -q 'setp' <<< "$SK_PTX"; then
     exit 1
 fi
 rm -f "$QS_OUT"
+
+# The OpenCV row filter (constant memory, f32 taps; RE and SK builds of
+# five filter sizes, one past the RE build's 32-tap ceiling): the example
+# exits non-zero unless every output equals its CPU reference.
+echo "== row_filter (every output equals the CPU reference)"
+cargo run --offline --release -q -p ks-apps --example row_filter > /dev/null
 
 # Fault-injection tier: every gpu-pf example pipeline must complete
 # under a seeded FaultPlan (10% transient compile faults, 5% transient

@@ -80,7 +80,6 @@ enum Abort {
 
 /// The abstract domain over one block.
 struct Exec<'a> {
-    f: &'a Function,
     plan: &'a LaunchPlan,
     cfg: &'a AnalysisConfig,
     block_dim: (u32, u32, u32),
@@ -148,7 +147,6 @@ pub fn exec_function(
 
     let plan = LaunchPlan::from_function(f);
     let mut ex = Exec {
-        f,
         plan: &plan,
         cfg,
         block_dim,
@@ -431,12 +429,7 @@ impl Domain for Exec<'_> {
             }),
             Kind::Cvt(kind) => {
                 // Pointer→pointer is no conversion, so a base survives it.
-                let ptr = |row: u32| {
-                    self.f
-                        .vreg_types
-                        .get(row as usize)
-                        .is_some_and(|t| t.is_ptr())
-                };
+                let ptr = |row: u32| self.plan.row_ty(row).is_some_and(|t| t.is_ptr());
                 let keeps_base = kind == CvtKind::Copy && ptr(a) && ptr(op.dst);
                 self.lanewise(w, op, mask, |ex, w, l| match ex.val(w, a, l) {
                     // Not a conversion: the bits pass through.

@@ -2,8 +2,9 @@
 //! with integrated scoreboard timing.
 //!
 //! [`crate::simt`] walks the warps of a block over a decoded
-//! [`LaunchPlan`]; this module says what each op does to 32-lane rows of
-//! 64-bit values, memory and the timing models. It is compiled twice.
+//! [`LaunchPlan`]; this module says what each op does to a warp's 32-bit
+//! and 64-bit register banks (32-lane rows of `u32` and of `u64`, placed
+//! by the plan), memory and the timing models. It is compiled twice.
 //! With `TIMING = true` it keeps a per-warp register scoreboard — each
 //! register carries a ready-time, so independent instructions issue
 //! back-to-back (ILP — this is what makes register blocking pay off)
@@ -14,11 +15,16 @@
 //! flow, and every trap. Each op is matched once per warp-instruction and
 //! does its work once per row, not once per lane: pure ops compute straight
 //! into their destination row (`Rows`; inactive lanes are computed and
-//! blended away), a global access checks its active lanes' addresses in
-//! one pass and reads or writes them unchecked (`GlobalView::covers`),
-//! and integer division by a divisor every active lane shares is a
-//! multiplication (`Divisor`). Where a check fails, the lanes are
-//! checked one by one, so a trap names the lane the per-lane loop would.
+//! blended away) at the width of their operands' bank, a global access
+//! checks its active lanes' addresses in one pass and reads or writes them
+//! unchecked (`GlobalView::covers`), and integer division by a divisor
+//! every active lane shares is a multiplication (`Divisor`). Where a check
+//! fails, the lanes are checked one by one, so a trap names the lane the
+//! per-lane loop would. A 32-bit result is stored as it is; only pointer
+//! offsets, conversions to or from a pointer and address bases read a
+//! 32-bit register as 64 bits, and an op whose operands sit in banks its
+//! kind does not read (hand-built IR only) runs lane by lane through
+//! `ks_ir::eval` (`lanewise`).
 //!
 //! [`run_block`] compiles each of those twice more: once for the baseline
 //! target and, on x86-64, once for x86-64-v3 (AVX2, BMI1/2, FMA, LZCNT,
@@ -32,11 +38,13 @@
 use crate::device::{DeviceConfig, IssueClass, LatencyClass};
 use crate::mem::{bank_conflict_degree, coalesce_transactions, line_of, LineSet, GLOBAL_BASE};
 use crate::plan::{
-    BinKind, CmpDomain, CvtKind, Kind, LaunchPlan, MadKind, Op, Row, UnKind, Unit, NONE,
+    BinKind, CmpDomain, CvtKind, Form, Kind, LaunchPlan, MadKind, Op, Row32, Row64, UnKind, Unit,
+    NONE,
 };
 use crate::racecheck::ShmemTracker;
 use crate::simt::{self, Domain, Warp};
-use ks_ir::{CmpOp, Space, SpecialReg};
+use ks_ir::{eval, BinOp, CmpOp, Space, SpecialReg};
+use std::ops::{BitAnd, BitOr, IndexMut, Not};
 
 /// A simulation trap (the analogue of a CUDA launch error).
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +110,7 @@ impl GlobalView {
     /// one pass that sets a bit per failing lane and no branch, in place
     /// of [`Self::check`] per lane.
     #[inline(always)]
-    fn covers(&self, addrs: &Row, mask: u32) -> bool {
+    fn covers(&self, addrs: &Row64, mask: u32) -> bool {
         // The greatest offset a word can start at; below the heap an
         // offset wraps past it.
         let Some(last) = (self.len as u64).checked_sub(4) else {
@@ -121,7 +129,7 @@ impl GlobalView {
     /// and when that fails lane by lane, so that the trap names the first
     /// failing lane's address.
     #[inline(always)]
-    fn check_lanes(&self, addrs: &Row, mask: u32) -> Result<(), SimError> {
+    fn check_lanes(&self, addrs: &Row64, mask: u32) -> Result<(), SimError> {
         if !self.covers(addrs, mask) {
             for lane in lanes(mask) {
                 self.check(addrs[lane])?;
@@ -240,8 +248,13 @@ impl ExecStats {
 pub(crate) struct WarpState {
     /// First linear thread id covered by this warp.
     base_tid: u32,
-    pub(crate) regs: Vec<Row>,
+    /// Each lane's `threadIdx` x, y and z: fixed for a launch's blocks.
+    tid: [Row32; 3],
+    /// The register banks the plan placed its registers in.
+    pub(crate) r32: Vec<Row32>,
+    pub(crate) r64: Vec<Row64>,
     pub(crate) clock: u64,
+    /// Per register number, as the scoreboard counts.
     reg_ready: Vec<u64>,
     /// Earliest time a load from each space can observe prior stores
     /// (store-to-load forwarding; conservative, all-addresses-alias).
@@ -259,7 +272,10 @@ impl WarpState {
     /// their contents except where the plan says a read can come first.
     fn reset(&mut self, plan: &LaunchPlan) {
         for &r in &plan.entry_live {
-            self.regs[r as usize] = [0; 32];
+            match r.checked_sub(plan.wide_from) {
+                Some(i) => self.r64[i as usize] = [0; 32],
+                None => self.r32[r as usize] = [0; 32],
+            }
         }
         self.clock = 0;
         self.reg_ready.fill(0);
@@ -267,6 +283,15 @@ impl WarpState {
         self.stats = ExecStats::default();
         self.local.fill(0);
         self.last_issue = (0, 0);
+    }
+
+    /// Register row `r`'s lanes as 64 bits.
+    #[cfg(test)]
+    pub(crate) fn reg(&self, plan: &LaunchPlan, r: u32) -> Row64 {
+        match r.checked_sub(plan.wide_from) {
+            Some(i) => self.r64[i as usize],
+            None => self.r32[r as usize].map(|v| widen(v, r >= plan.signed_from)),
+        }
     }
 }
 
@@ -296,7 +321,9 @@ impl BlockScratch {
         let (bx, by, bz) = env.block_dim;
         let warps = Warp::block(bx * by * bz, |base_tid| WarpState {
             base_tid,
-            regs: vec![[0; 32]; plan.num_vregs],
+            tid: thread_index(base_tid, env.block_dim),
+            r32: vec![[0; 32]; plan.wide_from as usize],
+            r64: vec![[0; 32]; plan.num_vregs - plan.wide_from as usize],
             clock: 0,
             reg_ready: vec![0; plan.num_vregs],
             store_ready: [0; 3],
@@ -351,6 +378,24 @@ impl BlockScratch {
             tr.barrier();
         }
     }
+}
+
+/// `threadIdx` of the lanes of the warp whose first thread is `base_tid`:
+/// x, y and z rows. (A launch rejects a block whose dimensions multiply
+/// to zero before any op runs, so a zero divisor only fills rows no op
+/// reads.)
+fn thread_index(base_tid: u32, (bx, by, _): (u32, u32, u32)) -> [Row32; 3] {
+    let mut t = [[0; 32]; 3];
+    for lane in 0..32 {
+        let tid = base_tid + lane as u32;
+        t[0][lane] = tid.checked_rem(bx).unwrap_or(0);
+        t[1][lane] = tid
+            .checked_div(bx)
+            .and_then(|y| y.checked_rem(by))
+            .unwrap_or(0);
+        t[2][lane] = tid.checked_div(bx.wrapping_mul(by)).unwrap_or(0);
+    }
+    t
 }
 
 /// What every block of a launch shares.
@@ -529,10 +574,20 @@ impl<const TIMING: bool> Domain for Block<'_, '_, TIMING> {
             w.clock = t + 1;
         }
         let negate = matches!(op.kind, Kind::CondBr { negate: true });
-        let pred = &w.regs[op.a as usize];
         let mut taken = 0u32;
-        for lane in 0..32 {
-            taken |= u32::from((pred[lane] != 0) ^ negate) << lane;
+        match op.a.checked_sub(self.env.plan.wide_from) {
+            Some(i) => {
+                let pred = &w.r64[i as usize];
+                for lane in 0..32 {
+                    taken |= u32::from((pred[lane] != 0) ^ negate) << lane;
+                }
+            }
+            None => {
+                let pred = &w.r32[op.a as usize];
+                for lane in 0..32 {
+                    taken |= u32::from((pred[lane] != 0) ^ negate) << lane;
+                }
+            }
         }
         taken &= mask;
         if TIMING && taken != 0 && taken != mask {
@@ -648,21 +703,13 @@ fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Lanes a row kernel reads before it writes any: eight 64-bit lanes,
-/// two AVX2 registers.
-const CHUNK: usize = 8;
-type Chunk = [u64; CHUNK];
-
-/// `SELECT[m][i]` is all ones where bit `i` of the four-lane mask `m` is
-/// set: blend operands read from memory. (A mask the compiler can see
-/// becomes a masked store, which a later load of the row cannot forward
-/// from.)
-static SELECT: [[u64; 4]; 16] = {
-    let mut t = [[0; 4]; 16];
+/// All ones where bit `i` of the `N`-lane mask `m` is set.
+const fn select_masks<const N: usize, const M: usize>() -> [[u64; N]; M] {
+    let mut t = [[0; N]; M];
     let mut m = 0;
-    while m < 16 {
+    while m < M {
         let mut i = 0;
-        while i < 4 {
+        while i < N {
             if m >> i & 1 != 0 {
                 t[m][i] = u64::MAX;
             }
@@ -671,95 +718,276 @@ static SELECT: [[u64; 4]; 16] = {
         m += 1;
     }
     t
+}
+
+/// Blend masks read from memory, one AVX2 register per entry: four
+/// 64-bit lanes, or eight 32-bit ones. (A mask the compiler can see
+/// becomes a masked store, which a later load of the row cannot forward
+/// from.)
+static SELECT64: [[u64; 4]; 16] = select_masks();
+static SELECT32: [[u32; 8]; 256] = {
+    let wide: [[u64; 8]; 256] = select_masks();
+    let mut t = [[0; 8]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let mut i = 0;
+        while i < 8 {
+            t[m][i] = wide[m][i] as u32;
+            i += 1;
+        }
+        m += 1;
+    }
+    t
 };
 
-/// A pure row op's view of the warp: it reads operand rows (registers,
-/// or past them the plan's immediate rows) and writes the lanes of `mask`
-/// in its destination register in place, keeping the others. The
-/// destination may be one of the sources: every kernel reads a chunk of
-/// lanes from all its sources before it writes that chunk, and lane `l`
-/// of a result depends only on lane `l` of the sources.
+/// A lane of one of the two register banks.
+trait Lane:
+    'static + Copy + Default + BitAnd<Output = Self> + BitOr<Output = Self> + Not<Output = Self>
+{
+    /// Lanes a row kernel reads before it writes any: four AVX2
+    /// registers' worth, a whole row of 32-bit lanes or half a row of
+    /// 64-bit ones.
+    const N: usize;
+    type Chunk: Copy + Default + IndexMut<usize, Output = Self>;
+    /// `v` zero-extended to the lane.
+    fn zext(v: u32) -> Self;
+    /// `v` into the lanes of chunk `k` of `d` whose bit is set in `on`
+    /// (the chunk's `N` bits of the mask, not all zero), keeping the
+    /// others.
+    fn blend(d: &mut [Self; 32], k: usize, v: &Self::Chunk, on: u32);
+    /// The bank's registers, its immediates, and the row of its first
+    /// register.
+    fn bank<'r>(rows: &'r Rows<'_>) -> (&'r [[Self; 32]], &'r [[Self; 32]], u32);
+    fn regs_mut<'r>(rows: &'r mut Rows<'_>) -> (&'r mut [[Self; 32]], u32);
+}
+
+impl Lane for u32 {
+    const N: usize = 32;
+    type Chunk = [u32; 32];
+    #[inline(always)]
+    fn zext(v: u32) -> u32 {
+        v
+    }
+    #[inline(always)]
+    fn blend(d: &mut Row32, k: usize, v: &[u32; 32], on: u32) {
+        for q in 0..4 {
+            let new = &SELECT32[(on >> (8 * q)) as usize & 255];
+            for i in 0..8 {
+                let l = k * 32 + 8 * q + i;
+                d[l] = (v[8 * q + i] & new[i]) | (d[l] & !new[i]);
+            }
+        }
+    }
+    #[inline(always)]
+    fn bank<'r>(rows: &'r Rows<'_>) -> (&'r [Row32], &'r [Row32], u32) {
+        (rows.r32, &rows.plan.imm32_rows, 0)
+    }
+    #[inline(always)]
+    fn regs_mut<'r>(rows: &'r mut Rows<'_>) -> (&'r mut [Row32], u32) {
+        (rows.r32, 0)
+    }
+}
+
+impl Lane for u64 {
+    const N: usize = 16;
+    type Chunk = [u64; 16];
+    #[inline(always)]
+    fn zext(v: u32) -> u64 {
+        v as u64
+    }
+    #[inline(always)]
+    fn blend(d: &mut Row64, k: usize, v: &[u64; 16], on: u32) {
+        for q in 0..4 {
+            let new = &SELECT64[(on >> (4 * q)) as usize & 15];
+            for i in 0..4 {
+                let l = k * 16 + 4 * q + i;
+                d[l] = (v[4 * q + i] & new[i]) | (d[l] & !new[i]);
+            }
+        }
+    }
+    #[inline(always)]
+    fn bank<'r>(rows: &'r Rows<'_>) -> (&'r [Row64], &'r [Row64], u32) {
+        (rows.r64, &rows.plan.imm_rows, rows.plan.wide_from)
+    }
+    #[inline(always)]
+    fn regs_mut<'r>(rows: &'r mut Rows<'_>) -> (&'r mut [Row64], u32) {
+        let base = rows.plan.wide_from;
+        (rows.r64, base)
+    }
+}
+
+/// A 32-bit-bank lane as 64 bits: extended the way the register's
+/// writers extend it (`signed`: by its sign).
+#[inline(always)]
+fn widen(v: u32, signed: bool) -> u64 {
+    if signed {
+        sext32(v)
+    } else {
+        v as u64
+    }
+}
+
+#[inline(always)]
+fn sext32(v: u32) -> u64 {
+    v as i32 as i64 as u64
+}
+
+/// An op's view of the warp's two banks. It reads operand rows
+/// (registers of either bank, or past them the plan's immediate rows, at
+/// either width) and a pure op writes the lanes of `mask` of its
+/// destination in place, keeping the others. The destination may be one
+/// of the sources: every kernel reads a chunk of lanes from all its
+/// sources before it writes that chunk, and lane `l` of a result depends
+/// only on lane `l` of the sources.
 struct Rows<'a> {
-    regs: &'a mut [Row],
-    imms: &'a [Row],
-    dst: usize,
+    r32: &'a mut [Row32],
+    r64: &'a mut [Row64],
+    plan: &'a LaunchPlan,
+    /// The destination's row.
+    dst: u32,
     mask: u32,
 }
 
 impl Rows<'_> {
+    /// Row `r` as `T`'s bank holds it: a register of that bank, or an
+    /// immediate.
     #[inline(always)]
-    fn row(&self, src: u32) -> &Row {
-        source_row(self.regs, self.imms, src)
+    fn row<T: Lane>(&self, r: u32) -> &[T; 32] {
+        let (regs, imms, first) = T::bank(self);
+        match regs.get(r.wrapping_sub(first) as usize) {
+            Some(row) => row,
+            None => &imms[r as usize - self.plan.num_vregs],
+        }
+    }
+
+    /// Whether row `r` is a 64-bit register.
+    #[inline(always)]
+    fn is_wide(&self, r: u32) -> bool {
+        (self.plan.wide_from..self.plan.num_vregs as u32).contains(&r)
+    }
+
+    /// Lane `lane` of row `r` (0 for none) as 64 bits.
+    #[inline(always)]
+    fn wide(&self, r: u32, lane: usize) -> u64 {
+        if r == NONE {
+            0
+        } else if r >= self.plan.wide_from {
+            self.row::<u64>(r)[lane]
+        } else {
+            widen(self.row::<u32>(r)[lane], r >= self.plan.signed_from)
+        }
+    }
+
+    /// The low words of row `r`.
+    #[inline(always)]
+    fn lows(&self, r: u32) -> Row32 {
+        if !self.is_wide(r) {
+            *self.row::<u32>(r)
+        } else {
+            let row = self.row::<u64>(r);
+            let mut out = [0; 32];
+            for lane in 0..32 {
+                out[lane] = row[lane] as u32;
+            }
+            out
+        }
+    }
+
+    /// The active lanes of `out` into the destination; in the 32-bit bank,
+    /// their low words (the placement guarantees the rest is the
+    /// extension).
+    #[inline(always)]
+    fn put_lanes(&mut self, out: &Row64) {
+        let mask = self.mask;
+        match self.dst.checked_sub(self.plan.wide_from) {
+            Some(i) => {
+                let d = &mut self.r64[i as usize];
+                for_lanes(mask, |lane| d[lane] = out[lane]);
+            }
+            None => {
+                let d = &mut self.r32[self.dst as usize];
+                for_lanes(mask, |lane| d[lane] = out[lane] as u32);
+            }
+        }
     }
 
     /// `v` into the active lanes of chunk `k` of the destination. (Plain
     /// loops, not `array::map`: a library function that is not inlined
     /// runs portable code inside the x86-64-v3 copy.)
     #[inline(always)]
-    fn put(&mut self, k: usize, v: Chunk) {
-        let on = (self.mask >> (k * CHUNK)) & ((1 << CHUNK) - 1);
-        let d = &mut self.regs[self.dst];
-        if on == (1 << CHUNK) - 1 {
-            for i in 0..CHUNK {
-                d[k * CHUNK + i] = v[i];
+    fn put<T: Lane>(&mut self, k: usize, v: T::Chunk) {
+        let all = u32::MAX >> (32 - T::N);
+        let on = (self.mask >> (k * T::N)) & all;
+        let dst = self.dst;
+        let (regs, first) = T::regs_mut(self);
+        let d = &mut regs[(dst - first) as usize];
+        if on == all {
+            for i in 0..T::N {
+                d[k * T::N + i] = v[i];
             }
         } else if on != 0 {
-            for q in 0..CHUNK / 4 {
-                let new = &SELECT[(on >> (4 * q)) as usize & 15];
-                for i in 0..4 {
-                    let l = k * CHUNK + 4 * q + i;
-                    d[l] = (v[4 * q + i] & new[i]) | (d[l] & !new[i]);
-                }
-            }
+            T::blend(d, k, &v, on);
         }
     }
 
     /// `f(lane)` into the active lanes.
     #[inline(always)]
-    fn fill(&mut self, f: impl Fn(usize) -> u64) {
-        for k in 0..32 / CHUNK {
-            let mut r: Chunk = [0; CHUNK];
-            for i in 0..CHUNK {
-                r[i] = f(k * CHUNK + i);
+    fn fill<D: Lane>(&mut self, f: impl Fn(usize) -> D) {
+        for k in 0..32 / D::N {
+            let mut r = D::Chunk::default();
+            for i in 0..D::N {
+                r[i] = f(k * D::N + i);
             }
-            self.put(k, r);
+            self.put::<D>(k, r);
         }
     }
 
     #[inline(always)]
-    fn map1(&mut self, a: u32, f: impl Fn(u64) -> u64) {
-        for k in 0..32 / CHUNK {
-            let mut r: Chunk = [0; CHUNK];
-            let x = self.row(a);
-            for i in 0..CHUNK {
-                r[i] = f(x[k * CHUNK + i]);
+    fn map1<X: Lane, D: Lane>(&mut self, a: u32, f: impl Fn(X) -> D) {
+        for k in 0..32 / D::N {
+            let mut r = D::Chunk::default();
+            let x = self.row::<X>(a);
+            for i in 0..D::N {
+                r[i] = f(x[k * D::N + i]);
             }
-            self.put(k, r);
+            self.put::<D>(k, r);
+        }
+    }
+
+    /// `f(a, b)` into the active lanes. An immediate `b` (the usual place
+    /// of one) is read once, not as a row.
+    #[inline(always)]
+    fn map2<X: Lane, Y: Lane, D: Lane>(&mut self, a: u32, b: u32, f: impl Fn(X, Y) -> D) {
+        if let Some(i) = (b as usize).checked_sub(self.plan.num_vregs) {
+            let y = Y::bank(self).1[i][0];
+            return self.map1(a, |x| f(x, y));
+        }
+        for k in 0..32 / D::N {
+            let mut r = D::Chunk::default();
+            let (x, y) = (self.row::<X>(a), self.row::<Y>(b));
+            for i in 0..D::N {
+                r[i] = f(x[k * D::N + i], y[k * D::N + i]);
+            }
+            self.put::<D>(k, r);
         }
     }
 
     #[inline(always)]
-    fn map2(&mut self, a: u32, b: u32, f: impl Fn(u64, u64) -> u64) {
-        for k in 0..32 / CHUNK {
-            let mut r: Chunk = [0; CHUNK];
-            let (x, y) = (self.row(a), self.row(b));
-            for i in 0..CHUNK {
-                r[i] = f(x[k * CHUNK + i], y[k * CHUNK + i]);
-            }
-            self.put(k, r);
-        }
-    }
-
-    #[inline(always)]
-    fn map3(&mut self, a: u32, b: u32, c: u32, f: impl Fn(u64, u64, u64) -> u64) {
-        for k in 0..32 / CHUNK {
-            let mut r: Chunk = [0; CHUNK];
-            let (x, y, z) = (self.row(a), self.row(b), self.row(c));
-            for i in 0..CHUNK {
-                let l = k * CHUNK + i;
+    fn map3<X: Lane, Y: Lane, Z: Lane, D: Lane>(
+        &mut self,
+        a: u32,
+        b: u32,
+        c: u32,
+        f: impl Fn(X, Y, Z) -> D,
+    ) {
+        for k in 0..32 / D::N {
+            let mut r = D::Chunk::default();
+            let (x, y, z) = (self.row::<X>(a), self.row::<Y>(b), self.row::<Z>(c));
+            for i in 0..D::N {
+                let l = k * D::N + i;
                 r[i] = f(x[l], y[l], z[l]);
             }
-            self.put(k, r);
+            self.put::<D>(k, r);
         }
     }
 }
@@ -852,11 +1080,11 @@ fn mul_hi(m: u64, n: u32) -> u32 {
 #[inline(always)]
 fn div_rows(rows: &mut Rows<'_>, a: u32, b: u32, signed: bool, rem: bool) -> Result<(), SimError> {
     let mask = rows.mask;
-    let ys = rows.row(b);
-    let first = ys[(mask.trailing_zeros() % 32) as usize] as u32;
+    let ys = rows.row::<u32>(b);
+    let first = ys[(mask.trailing_zeros() % 32) as usize];
     let (mut zero, mut other) = (0u32, 0u32);
     for lane in 0..32 {
-        let y = ys[lane] as u32;
+        let y = ys[lane];
         zero |= u32::from(y == 0) << lane;
         other |= u32::from(y != first) << lane;
     }
@@ -864,65 +1092,45 @@ fn div_rows(rows: &mut Rows<'_>, a: u32, b: u32, signed: bool, rem: bool) -> Res
         let what = if rem { "remainder" } else { "division" };
         return Err(SimError(format!("{what} by zero")));
     }
-    let s = |x: u64| x as u32 as i32;
     // (`first != 0` holds whenever a lane is active.)
     if other & mask == 0 && first != 0 {
         if signed {
             let d = Divisor::signed(first as i32).expect("checked nonzero");
             if rem {
-                rows.map1(a, |x| sext32(d.srem(s(x)) as u32));
+                rows.map1(a, |x: u32| d.srem(x as i32) as u32);
             } else {
-                rows.map1(a, |x| sext32(d.squot(s(x)) as u32));
+                rows.map1(a, |x: u32| d.squot(x as i32) as u32);
             }
         } else {
             let d = Divisor::unsigned(first).expect("checked nonzero");
             if rem {
-                rows.map1(a, |x| d.rem(x as u32) as u64);
+                rows.map1(a, |x: u32| d.rem(x));
             } else {
-                rows.map1(a, |x| d.quot(x as u32) as u64);
+                rows.map1(a, |x: u32| d.quot(x));
             }
         }
         return Ok(());
     }
+    let dst = rows.dst as usize;
     for lane in lanes(mask) {
-        let (x, y) = (rows.row(a)[lane], rows.row(b)[lane]);
-        rows.regs[rows.dst][lane] = match (signed, rem) {
-            (false, false) => (x as u32 / y as u32) as u64,
-            (false, true) => (x as u32 % y as u32) as u64,
-            (true, false) => sext32(s(x).wrapping_div(s(y)) as u32),
-            (true, true) => sext32(s(x).wrapping_rem(s(y)) as u32),
+        let (x, y) = (rows.row::<u32>(a)[lane], rows.row::<u32>(b)[lane]);
+        rows.r32[dst][lane] = match (signed, rem) {
+            (false, false) => x / y,
+            (false, true) => x % y,
+            (true, false) => (x as i32).wrapping_div(y as i32) as u32,
+            (true, true) => (x as i32).wrapping_rem(y as i32) as u32,
         };
     }
     Ok(())
 }
 
 #[inline(always)]
-fn f32_of(x: u64) -> f32 {
-    f32::from_bits(x as u32)
+fn f32_of(x: u32) -> f32 {
+    f32::from_bits(x)
 }
 
-#[inline(always)]
-fn of_f32(v: f32) -> u64 {
-    v.to_bits() as u64
-}
-
-#[inline(always)]
-fn sext32(v: u32) -> u64 {
-    v as i32 as i64 as u64
-}
-
-/// Extend a 32-bit integer result into its 64-bit lane.
-#[inline(always)]
-fn ext32(v: u32, signed: bool) -> u64 {
-    if signed {
-        sext32(v)
-    } else {
-        v as u64
-    }
-}
-
-/// A 32-bit register value added to a pointer is sign-extended; a full
-/// 64-bit immediate passes through.
+/// A 64-bit pointer offset: a value that fits 32 bits is sign-extended, a
+/// full 64-bit one passes through (`ks_ir::eval::sext_operand`).
 #[inline(always)]
 fn sext_operand(v: u64) -> u64 {
     if v <= u32::MAX as u64 {
@@ -932,124 +1140,195 @@ fn sext_operand(v: u64) -> u64 {
     }
 }
 
+/// A binary op in its [`Form`]: 32-bit lanes, except pointer arithmetic,
+/// whose offset is a 32-bit register sign-extended (`Widen`) or 64 bits
+/// (`W64`). A 32-bit result is stored as it is: signed and unsigned
+/// kinds differ only where the operation itself does.
 #[inline(always)]
-fn bin_rows(rows: &mut Rows<'_>, kind: BinKind, a: u32, b: u32) -> Result<(), SimError> {
+fn bin_rows(
+    rows: &mut Rows<'_>,
+    kind: BinKind,
+    form: Form,
+    a: u32,
+    b: u32,
+) -> Result<(), SimError> {
     use BinKind::*;
-    let u = |x: u64| x as u32;
-    let s = |x: u64| x as u32 as i32;
+    let f = f32_of;
+    let s = |x: u32| x as i32;
     match kind {
-        FAdd => rows.map2(a, b, |x, y| of_f32(f32_of(x) + f32_of(y))),
-        FSub => rows.map2(a, b, |x, y| of_f32(f32_of(x) - f32_of(y))),
-        FMul => rows.map2(a, b, |x, y| of_f32(f32_of(x) * f32_of(y))),
-        FDiv => rows.map2(a, b, |x, y| of_f32(f32_of(x) / f32_of(y))),
-        FMin => rows.map2(a, b, |x, y| of_f32(f32_of(x).min(f32_of(y)))),
-        FMax => rows.map2(a, b, |x, y| of_f32(f32_of(x).max(f32_of(y)))),
-        UAdd => rows.map2(a, b, |x, y| u(x).wrapping_add(u(y)) as u64),
-        USub => rows.map2(a, b, |x, y| u(x).wrapping_sub(u(y)) as u64),
-        UMul => rows.map2(a, b, |x, y| u(x).wrapping_mul(u(y)) as u64),
-        UMul24 => rows.map2(a, b, |x, y| {
-            (u(x) & 0xFF_FFFF).wrapping_mul(u(y) & 0xFF_FFFF) as u64
+        FAdd => rows.map2(a, b, |x, y| (f(x) + f(y)).to_bits()),
+        FSub => rows.map2(a, b, |x, y| (f(x) - f(y)).to_bits()),
+        FMul => rows.map2(a, b, |x, y| (f(x) * f(y)).to_bits()),
+        FDiv => rows.map2(a, b, |x, y| (f(x) / f(y)).to_bits()),
+        FMin => rows.map2(a, b, |x, y| f(x).min(f(y)).to_bits()),
+        FMax => rows.map2(a, b, |x, y| f(x).max(f(y)).to_bits()),
+        UAdd | SAdd => rows.map2(a, b, |x: u32, y: u32| x.wrapping_add(y)),
+        USub | SSub => rows.map2(a, b, |x: u32, y: u32| x.wrapping_sub(y)),
+        UMul | SMul => rows.map2(a, b, |x: u32, y: u32| x.wrapping_mul(y)),
+        UMul24 | SMul24 => rows.map2(a, b, |x: u32, y: u32| {
+            (x & 0xFF_FFFF).wrapping_mul(y & 0xFF_FFFF)
         }),
         UDiv => div_rows(rows, a, b, false, false)?,
         URem => div_rows(rows, a, b, false, true)?,
-        UMin => rows.map2(a, b, |x, y| u(x).min(u(y)) as u64),
-        UMax => rows.map2(a, b, |x, y| u(x).max(u(y)) as u64),
-        UAnd => rows.map2(a, b, |x, y| (u(x) & u(y)) as u64),
-        UOr => rows.map2(a, b, |x, y| (u(x) | u(y)) as u64),
-        UXor => rows.map2(a, b, |x, y| (u(x) ^ u(y)) as u64),
-        UShl => rows.map2(a, b, |x, y| u(x).wrapping_shl(u(y) & 31) as u64),
-        UShr => rows.map2(a, b, |x, y| u(x).wrapping_shr(u(y) & 31) as u64),
-        SAdd => rows.map2(a, b, |x, y| sext32(u(x).wrapping_add(u(y)))),
-        SSub => rows.map2(a, b, |x, y| sext32(u(x).wrapping_sub(u(y)))),
-        SMul => rows.map2(a, b, |x, y| sext32(u(x).wrapping_mul(u(y)))),
-        SMul24 => rows.map2(a, b, |x, y| {
-            sext32((u(x) & 0xFF_FFFF).wrapping_mul(u(y) & 0xFF_FFFF))
-        }),
         SDiv => div_rows(rows, a, b, true, false)?,
         SRem => div_rows(rows, a, b, true, true)?,
-        SMin => rows.map2(a, b, |x, y| sext32(s(x).min(s(y)) as u32)),
-        SMax => rows.map2(a, b, |x, y| sext32(s(x).max(s(y)) as u32)),
-        SAnd => rows.map2(a, b, |x, y| sext32(u(x) & u(y))),
-        SOr => rows.map2(a, b, |x, y| sext32(u(x) | u(y))),
-        SXor => rows.map2(a, b, |x, y| sext32(u(x) ^ u(y))),
-        SShl => rows.map2(a, b, |x, y| sext32(u(x).wrapping_shl(u(y) & 31))),
-        SShr => rows.map2(a, b, |x, y| sext32(s(x).wrapping_shr(u(y) & 31) as u32)),
-        PtrAdd => rows.map2(a, b, |x, y| x.wrapping_add(sext_operand(y))),
-        PtrSub => rows.map2(a, b, |x, y| x.wrapping_sub(sext_operand(y))),
-        PredAnd => rows.map2(a, b, |x, y| u64::from((x != 0) && (y != 0))),
-        PredOr => rows.map2(a, b, |x, y| u64::from((x != 0) || (y != 0))),
-        PredXor => rows.map2(a, b, |x, y| u64::from((x != 0) ^ (y != 0))),
+        UMin => rows.map2(a, b, |x: u32, y: u32| x.min(y)),
+        UMax => rows.map2(a, b, |x: u32, y: u32| x.max(y)),
+        SMin => rows.map2(a, b, |x, y| s(x).min(s(y)) as u32),
+        SMax => rows.map2(a, b, |x, y| s(x).max(s(y)) as u32),
+        UAnd | SAnd => rows.map2(a, b, |x: u32, y: u32| x & y),
+        UOr | SOr => rows.map2(a, b, |x: u32, y: u32| x | y),
+        UXor | SXor => rows.map2(a, b, |x: u32, y: u32| x ^ y),
+        UShl | SShl => rows.map2(a, b, |x: u32, y: u32| x.wrapping_shl(y & 31)),
+        UShr => rows.map2(a, b, |x: u32, y: u32| x.wrapping_shr(y & 31)),
+        SShr => rows.map2(a, b, |x, y: u32| s(x).wrapping_shr(y & 31) as u32),
+        PtrAdd | PtrSub => {
+            let sub = kind == PtrSub;
+            let add = move |x: u64, y: u64| {
+                if sub {
+                    x.wrapping_sub(y)
+                } else {
+                    x.wrapping_add(y)
+                }
+            };
+            if form == Form::Widen {
+                rows.map2(a, b, |x: u64, y: u32| add(x, sext32(y)));
+            } else {
+                rows.map2(a, b, |x: u64, y: u64| add(x, sext_operand(y)));
+            }
+        }
+        PredAnd => rows.map2(a, b, |x: u32, y: u32| u32::from((x != 0) && (y != 0))),
+        PredOr => rows.map2(a, b, |x: u32, y: u32| u32::from((x != 0) || (y != 0))),
+        PredXor => rows.map2(a, b, |x: u32, y: u32| u32::from((x != 0) ^ (y != 0))),
     }
     Ok(())
 }
 
 #[inline(always)]
 fn un_rows(rows: &mut Rows<'_>, kind: UnKind, a: u32) {
-    let s = |x: u64| x as u32 as i32;
+    let f = f32_of;
     match kind {
-        UnKind::FNeg => rows.map1(a, |x| of_f32(-f32_of(x))),
-        UnKind::FAbs => rows.map1(a, |x| of_f32(f32_of(x).abs())),
-        UnKind::FSqrt => rows.map1(a, |x| of_f32(f32_of(x).sqrt())),
-        UnKind::FRsqrt => rows.map1(a, |x| of_f32(1.0 / f32_of(x).sqrt())),
-        UnKind::FFloor => rows.map1(a, |x| of_f32(f32_of(x).floor())),
-        UnKind::FNot => rows.map1(a, |x| !(x as u32) as u64),
-        UnKind::PredNot => rows.map1(a, |x| u64::from(x == 0)),
-        UnKind::PredZero => rows.fill(|_| 0),
-        UnKind::INeg { signed } => rows.map1(a, |x| ext32(s(x).wrapping_neg() as u32, signed)),
-        UnKind::INot { signed } => rows.map1(a, |x| ext32(!(x as u32), signed)),
-        UnKind::IAbs { signed } => rows.map1(a, |x| ext32(s(x).wrapping_abs() as u32, signed)),
-        UnKind::ILow { signed } => rows.map1(a, |x| ext32(x as u32, signed)),
+        UnKind::FNeg => rows.map1(a, |x| (-f(x)).to_bits()),
+        UnKind::FAbs => rows.map1(a, |x| f(x).abs().to_bits()),
+        UnKind::FSqrt => rows.map1(a, |x| f(x).sqrt().to_bits()),
+        UnKind::FRsqrt => rows.map1(a, |x| (1.0 / f(x).sqrt()).to_bits()),
+        UnKind::FFloor => rows.map1(a, |x| f(x).floor().to_bits()),
+        UnKind::FNot | UnKind::INot { .. } => rows.map1(a, |x: u32| !x),
+        UnKind::PredNot => rows.map1(a, |x: u32| u32::from(x == 0)),
+        UnKind::PredZero => rows.fill(|_| 0u32),
+        UnKind::INeg { .. } => rows.map1(a, |x: u32| x.wrapping_neg()),
+        UnKind::IAbs { .. } => rows.map1(a, |x: u32| (x as i32).wrapping_abs() as u32),
+        UnKind::ILow { .. } => rows.map1(a, |x: u32| x),
     }
 }
 
 #[inline(always)]
-fn cmp_rows<T: PartialOrd>(
+fn cmp_rows<X: Lane, T: PartialOrd>(
     rows: &mut Rows<'_>,
     cmp: CmpOp,
     a: u32,
     b: u32,
-    conv: impl Fn(u64) -> T,
+    conv: impl Fn(X) -> T,
 ) {
     match cmp {
-        CmpOp::Eq => rows.map2(a, b, |x, y| u64::from(conv(x) == conv(y))),
-        CmpOp::Ne => rows.map2(a, b, |x, y| u64::from(conv(x) != conv(y))),
-        CmpOp::Lt => rows.map2(a, b, |x, y| u64::from(conv(x) < conv(y))),
-        CmpOp::Le => rows.map2(a, b, |x, y| u64::from(conv(x) <= conv(y))),
-        CmpOp::Gt => rows.map2(a, b, |x, y| u64::from(conv(x) > conv(y))),
-        CmpOp::Ge => rows.map2(a, b, |x, y| u64::from(conv(x) >= conv(y))),
+        CmpOp::Eq => rows.map2(a, b, |x, y| u32::from(conv(x) == conv(y))),
+        CmpOp::Ne => rows.map2(a, b, |x, y| u32::from(conv(x) != conv(y))),
+        CmpOp::Lt => rows.map2(a, b, |x, y| u32::from(conv(x) < conv(y))),
+        CmpOp::Le => rows.map2(a, b, |x, y| u32::from(conv(x) <= conv(y))),
+        CmpOp::Gt => rows.map2(a, b, |x, y| u32::from(conv(x) > conv(y))),
+        CmpOp::Ge => rows.map2(a, b, |x, y| u32::from(conv(x) >= conv(y))),
     }
 }
 
+/// A conversion in its [`Form`]. To and from a pointer it reads the
+/// source's low word and extends it; a 32-bit destination keeps the low
+/// word, which is the source's.
 #[inline(always)]
-fn cvt_rows(rows: &mut Rows<'_>, kind: CvtKind, a: u32) {
-    match kind {
-        CvtKind::SToF => rows.map1(a, |x| of_f32((x as u32 as i32) as f32)),
-        CvtKind::UToF => rows.map1(a, |x| of_f32((x as u32) as f32)),
-        CvtKind::FToS => rows.map1(a, |x| sext32((f32_of(x) as i32) as u32)),
-        CvtKind::FToU => rows.map1(a, |x| (f32_of(x) as u32) as u64),
-        CvtKind::Sext => rows.map1(a, |x| sext32(x as u32)),
-        CvtKind::Zext => rows.map1(a, |x| (x as u32) as u64),
-        CvtKind::Copy => rows.map1(a, |x| x),
+fn cvt_rows(rows: &mut Rows<'_>, kind: CvtKind, form: Form, a: u32) {
+    let f = f32_of;
+    match (kind, form) {
+        (CvtKind::SToF, _) => rows.map1(a, |x: u32| (x as i32 as f32).to_bits()),
+        (CvtKind::UToF, _) => rows.map1(a, |x: u32| (x as f32).to_bits()),
+        (CvtKind::FToS, _) => rows.map1(a, |x| f(x) as i32 as u32),
+        (CvtKind::FToU, _) => rows.map1(a, |x| f(x) as u32),
+        (_, Form::W32) => rows.map1(a, |x: u32| x),
+        (_, Form::Narrow) => rows.map1(a, |x: u64| x as u32),
+        (CvtKind::Sext, Form::Widen) => rows.map1(a, sext32),
+        (_, Form::Widen) => rows.map1(a, |x: u32| x as u64),
+        (CvtKind::Sext, _) => rows.map1(a, |x: u64| sext32(x as u32)),
+        (CvtKind::Zext, _) => rows.map1(a, |x: u64| x as u32 as u64),
+        (CvtKind::Copy, _) => rows.map1(a, |x: u64| x),
     }
 }
 
-/// The row an operand names: a register, or past them an immediate.
+/// A special register into a destination of either bank; `tid` is the
+/// warp's `threadIdx` rows.
 #[inline(always)]
-fn source_row<'a>(regs: &'a [Row], imm_rows: &'a [Row], src: u32) -> &'a Row {
-    let i = src as usize;
-    match regs.get(i) {
-        Some(r) => r,
-        None => &imm_rows[i - regs.len()],
+fn special_rows<D: Lane>(
+    rows: &mut Rows<'_>,
+    env: &LaunchEnv<'_>,
+    reg: SpecialReg,
+    block_idx: (u32, u32, u32),
+    tid: &[Row32; 3],
+) {
+    let (bxd, byd, bzd) = env.block_dim;
+    let (gx, gy, gz) = env.grid_dim;
+    let (cx, cy, cz) = block_idx;
+    let z = D::zext;
+    match reg {
+        SpecialReg::TidX => rows.fill(|l| z(tid[0][l])),
+        SpecialReg::TidY => rows.fill(|l| z(tid[1][l])),
+        SpecialReg::TidZ => rows.fill(|l| z(tid[2][l])),
+        SpecialReg::CtaIdX => rows.fill(|_| z(cx)),
+        SpecialReg::CtaIdY => rows.fill(|_| z(cy)),
+        SpecialReg::CtaIdZ => rows.fill(|_| z(cz)),
+        SpecialReg::NtidX => rows.fill(|_| z(bxd)),
+        SpecialReg::NtidY => rows.fill(|_| z(byd)),
+        SpecialReg::NtidZ => rows.fill(|_| z(bzd)),
+        SpecialReg::NctaIdX => rows.fill(|_| z(gx)),
+        SpecialReg::NctaIdY => rows.fill(|_| z(gy)),
+        SpecialReg::NctaIdZ => rows.fill(|_| z(gz)),
     }
 }
 
-/// Write `out` to the active lanes of `dst`.
-#[inline(always)]
-fn write_row(dst: &mut Row, mask: u32, out: &Row) {
-    for lane in 0..32 {
-        let new = SELECT[(mask >> (lane & !3)) as usize & 15][lane & 3];
-        dst[lane] = (out[lane] & new) | (dst[lane] & !new);
+/// An op whose operands sit in banks its kind does not read
+/// ([`Form::Mixed`]; only hand-built IR places them so): lane by lane
+/// through the scalar definition in `ks_ir::eval`, each source widened to
+/// its 64-bit bits. A lane that traps leaves every lane unwritten.
+#[cold]
+#[inline(never)]
+fn lanewise(rows: &mut Rows<'_>, op: &Op) -> Result<(), SimError> {
+    let kind = op.kind;
+    let mut out = [0u64; 32];
+    for lane in lanes(rows.mask) {
+        let [x, y, z] = [op.a, op.b, op.c].map(|r| rows.wide(r, lane));
+        let v = match kind {
+            Kind::Mov => Some(x),
+            Kind::Selp => Some(if z != 0 { x } else { y }),
+            Kind::Bin(k) => {
+                let (op, ty) = k.op_ty();
+                eval::bin(op, ty, x, y)
+            }
+            Kind::Un(k) => {
+                let (op, ty) = k.op_ty();
+                Some(eval::un(op, ty, x))
+            }
+            Kind::Mad(k) => eval::bin(BinOp::Mul, k.ty(), x, y)
+                .and_then(|xy| eval::bin(BinOp::Add, k.ty(), xy, z)),
+            Kind::Setp(cmp, domain) => Some(u64::from(eval::cmp(cmp, domain.ty(), x, y))),
+            Kind::Cvt(k) => Some(k.tys().and_then(|(d, s)| eval::cvt(d, s, x)).unwrap_or(x)),
+            _ => unreachable!("only pure ops decode mixed"),
+        };
+        out[lane] = v.ok_or_else(|| {
+            let rem = matches!(kind, Kind::Bin(BinKind::URem | BinKind::SRem));
+            SimError(format!(
+                "{} by zero",
+                if rem { "remainder" } else { "division" }
+            ))
+        })?;
     }
+    rows.put_lanes(&out);
+    Ok(())
 }
 
 /// Execute one non-control op for the lanes in `mask`.
@@ -1099,69 +1378,48 @@ fn exec_op<const TIMING: bool>(
 
     // ---- functional execution ----
     // Pure ops write their destination in place; see `Rows`.
+    let (a, b, c) = (op.a, op.b, op.c);
     let mut rows = Rows {
-        regs: &mut w.regs,
-        imms: &plan.imm_rows,
-        dst: op.dst as usize,
+        r32: &mut w.r32,
+        r64: &mut w.r64,
+        plan,
+        dst: op.dst,
         mask,
     };
     match op.kind {
-        Kind::Mov => rows.map1(op.a, |x| x),
-        Kind::Special(reg) => {
-            let (bxd, byd, bzd) = env.block_dim;
-            let (gx, gy, gz) = env.grid_dim;
-            let (cx, cy, cz) = block_idx;
-            let base_tid = w.base_tid;
-            let tid = |lane: usize| base_tid + lane as u32;
-            match reg {
-                SpecialReg::TidX => rows.fill(|l| (tid(l) % bxd) as u64),
-                SpecialReg::TidY => rows.fill(|l| ((tid(l) / bxd) % byd) as u64),
-                SpecialReg::TidZ => rows.fill(|l| (tid(l) / (bxd * byd)) as u64),
-                SpecialReg::CtaIdX => rows.fill(|_| cx as u64),
-                SpecialReg::CtaIdY => rows.fill(|_| cy as u64),
-                SpecialReg::CtaIdZ => rows.fill(|_| cz as u64),
-                SpecialReg::NtidX => rows.fill(|_| bxd as u64),
-                SpecialReg::NtidY => rows.fill(|_| byd as u64),
-                SpecialReg::NtidZ => rows.fill(|_| bzd as u64),
-                SpecialReg::NctaIdX => rows.fill(|_| gx as u64),
-                SpecialReg::NctaIdY => rows.fill(|_| gy as u64),
-                SpecialReg::NctaIdZ => rows.fill(|_| gz as u64),
-            }
+        _ if op.form == Form::Mixed => lanewise(&mut rows, op)?,
+        Kind::Mov if op.form == Form::W32 => rows.map1(a, |x: u32| x),
+        Kind::Mov => rows.map1(a, |x: u64| x),
+        Kind::Special(reg) if op.form == Form::W32 => {
+            special_rows::<u32>(&mut rows, env, reg, block_idx, &w.tid)
         }
-        Kind::Bin(kind) => bin_rows(&mut rows, kind, op.a, op.b)?,
-        Kind::Un(kind) => un_rows(&mut rows, kind, op.a),
+        Kind::Special(reg) => special_rows::<u64>(&mut rows, env, reg, block_idx, &w.tid),
+        Kind::Bin(kind) => bin_rows(&mut rows, kind, op.form, a, b)?,
+        Kind::Un(kind) => un_rows(&mut rows, kind, a),
         // Multiply, round, add, round: never a fused `mul_add`.
-        Kind::Mad(kind) => {
-            let (a, b, c) = (op.a, op.b, op.c);
-            match kind {
-                MadKind::F32 => {
-                    rows.map3(a, b, c, |x, y, z| of_f32(f32_of(x) * f32_of(y) + f32_of(z)))
-                }
-                MadKind::U32 => rows.map3(a, b, c, |x, y, z| {
-                    (x as u32).wrapping_mul(y as u32).wrapping_add(z as u32) as u64
-                }),
-                MadKind::S32 => rows.map3(a, b, c, |x, y, z| {
-                    sext32((x as u32).wrapping_mul(y as u32).wrapping_add(z as u32))
-                }),
-            }
+        Kind::Mad(MadKind::F32) => rows.map3(a, b, c, |x, y, z| {
+            (f32_of(x) * f32_of(y) + f32_of(z)).to_bits()
+        }),
+        Kind::Mad(_) => rows.map3(a, b, c, |x: u32, y: u32, z: u32| {
+            x.wrapping_mul(y).wrapping_add(z)
+        }),
+        Kind::Setp(cmp, domain) => match domain {
+            CmpDomain::F32 => cmp_rows(&mut rows, cmp, a, b, f32_of),
+            CmpDomain::U32 => cmp_rows(&mut rows, cmp, a, b, |x: u32| x),
+            CmpDomain::S32 => cmp_rows(&mut rows, cmp, a, b, |x: u32| x as i32),
+            CmpDomain::U64 => cmp_rows(&mut rows, cmp, a, b, |x: u64| x),
+        },
+        Kind::Selp if op.form == Form::W32 => {
+            rows.map3(a, b, c, |x: u32, y: u32, p: u32| if p != 0 { x } else { y })
         }
-        Kind::Setp(cmp, domain) => {
-            let (a, b) = (op.a, op.b);
-            match domain {
-                CmpDomain::F32 => cmp_rows(&mut rows, cmp, a, b, f32_of),
-                CmpDomain::U32 => cmp_rows(&mut rows, cmp, a, b, |x| x as u32),
-                CmpDomain::S32 => cmp_rows(&mut rows, cmp, a, b, |x| x as u32 as i32),
-                CmpDomain::U64 => cmp_rows(&mut rows, cmp, a, b, |x| x),
-            }
-        }
-        Kind::Selp => rows.map3(op.a, op.b, op.c, |x, y, p| if p != 0 { x } else { y }),
-        Kind::Cvt(kind) => cvt_rows(&mut rows, kind, op.a),
+        Kind::Selp => rows.map3(a, b, c, |x: u64, y: u64, p: u32| if p != 0 { x } else { y }),
+        Kind::Cvt(kind) => cvt_rows(&mut rows, kind, op.form, a),
         Kind::Ld {
             space: Space::Global,
             sext,
             ..
         } => {
-            let addrs = lane_addresses(&w.regs, op);
+            let addrs = lane_addresses(&rows, a, op.imm);
             if TIMING {
                 let t = coalesce_transactions(dev, &addrs, mask) as u64;
                 w.stats.global_loads += 1;
@@ -1173,21 +1431,29 @@ fn exec_op<const TIMING: bool>(
                 latency_extra = t.saturating_sub(1) * 24;
             }
             env.global.check_lanes(&addrs, mask)?;
-            let dst = &mut w.regs[op.dst as usize];
             // SAFETY: `check_lanes` passed, so every active lane's address
             // is in bounds and aligned.
             let word = |lane: usize| unsafe { env.global.read_u32_unchecked(addrs[lane]) };
-            if sext {
-                for_lanes(mask, |lane| dst[lane] = sext32(word(lane)));
+            if let Some(i) = op.dst.checked_sub(plan.wide_from) {
+                let dst = &mut rows.r64[i as usize];
+                for_lanes(mask, |lane| {
+                    dst[lane] = if sext {
+                        sext32(word(lane))
+                    } else {
+                        word(lane) as u64
+                    }
+                });
             } else {
-                for_lanes(mask, |lane| dst[lane] = word(lane) as u64);
+                let dst = &mut rows.r32[op.dst as usize];
+                for_lanes(mask, |lane| dst[lane] = word(lane));
             }
         }
         Kind::Ld { space, sext, wide } => {
             // Lane by lane into `out`: a lane that traps leaves the
             // destination unwritten.
-            let addrs = lane_addresses(&w.regs, op);
-            let mut out: Row = [0; 32];
+            let addrs = lane_addresses(&rows, a, op.imm);
+            let ext = |v: u32| if sext { sext32(v) } else { v as u64 };
+            let mut out: Row64 = [0; 32];
             match space {
                 Space::Global => unreachable!("global loads are matched above"),
                 Space::Shared => {
@@ -1203,14 +1469,14 @@ fn exec_op<const TIMING: bool>(
                                 return Err(SimError(format!("racecheck: {h}")));
                             }
                         }
-                        out[lane] = ext32(read_buf(shared, addrs[lane], "shared")?, sext);
+                        out[lane] = ext(read_buf(shared, addrs[lane], "shared")?);
                     }
                 }
                 Space::Local => {
                     let lb = plan.local_bytes as u64;
                     for lane in lanes(mask) {
                         let a = local_addr(addrs[lane], lane, lb)?;
-                        out[lane] = ext32(read_buf(&w.local, a, "local")?, sext);
+                        out[lane] = ext(read_buf(&w.local, a, "local")?);
                     }
                     if TIMING {
                         w.stats.local_accesses += 1;
@@ -1236,7 +1502,7 @@ fn exec_op<const TIMING: bool>(
                             distinct[n] = a;
                             n += 1;
                         }
-                        out[lane] = ext32(read_buf(env.const_mem, a, "const")?, sext);
+                        out[lane] = ext(read_buf(env.const_mem, a, "const")?);
                     }
                     if TIMING {
                         w.stats.const_loads += 1;
@@ -1252,17 +1518,17 @@ fn exec_op<const TIMING: bool>(
                         out[lane] = if wide {
                             read_buf64(env.params, a)?
                         } else {
-                            ext32(read_buf(env.params, a, "param")?, sext)
+                            ext(read_buf(env.params, a, "param")?)
                         };
                     }
                 }
             }
-            write_row(&mut w.regs[op.dst as usize], mask, &out);
+            rows.put_lanes(&out);
         }
         Kind::St { space } => {
-            let addrs = lane_addresses(&w.regs, op);
+            let addrs = lane_addresses(&rows, a, op.imm);
             // Stores keep the low 32 bits of the register.
-            let src = source_row(&w.regs, &plan.imm_rows, op.b);
+            let src = rows.lows(b);
             match space {
                 Space::Global => {
                     if TIMING {
@@ -1275,10 +1541,7 @@ fn exec_op<const TIMING: bool>(
                         for_lanes(mask, |lane| {
                             // SAFETY: `covers` holds, so every active
                             // lane's address is in bounds and aligned.
-                            unsafe {
-                                env.global
-                                    .write_u32_unchecked(addrs[lane], src[lane] as u32)
-                            };
+                            unsafe { env.global.write_u32_unchecked(addrs[lane], src[lane]) };
                         });
                         if TIMING && mask != 0 {
                             let (first, last) = (mask.trailing_zeros(), 31 - mask.leading_zeros());
@@ -1291,7 +1554,7 @@ fn exec_op<const TIMING: bool>(
                         // A lane is out of bounds or misaligned: the lanes
                         // before it store, then it traps.
                         for lane in lanes(mask) {
-                            env.global.write_u32(addrs[lane], src[lane] as u32)?;
+                            env.global.write_u32(addrs[lane], src[lane])?;
                             if TIMING {
                                 if w.stats.first_store_addr == 0 {
                                     w.stats.first_store_addr = addrs[lane];
@@ -1315,14 +1578,14 @@ fn exec_op<const TIMING: bool>(
                                 return Err(SimError(format!("racecheck: {h}")));
                             }
                         }
-                        write_buf(shared, addrs[lane], src[lane] as u32, "shared")?;
+                        write_buf(shared, addrs[lane], src[lane], "shared")?;
                     }
                 }
                 Space::Local => {
                     let lb = plan.local_bytes as u64;
                     for lane in lanes(mask) {
                         let a = local_addr(addrs[lane], lane, lb)?;
-                        write_buf(&mut w.local, a, src[lane] as u32, "local")?;
+                        write_buf(&mut w.local, a, src[lane], "local")?;
                     }
                     if TIMING {
                         w.stats.local_accesses += 1;
@@ -1351,10 +1614,10 @@ fn exec_op<const TIMING: bool>(
             }
             // Element addresses per lane; fetches run through the texture
             // cache (the per-block reuse set) like any cached global read.
-            let idx = source_row(&w.regs, &plan.imm_rows, op.a);
+            let idx = rows.lows(a);
             let mut addrs = [0u64; 32];
             for lane in lanes(mask) {
-                let i = idx[lane] as u32 as i32;
+                let i = idx[lane] as i32;
                 if i < 0 {
                     return Err(SimError("negative texture index".into()));
                 }
@@ -1368,11 +1631,12 @@ fn exec_op<const TIMING: bool>(
                 w.stats.global_bytes += fresh * dev.mem_segment;
                 latency_extra = t.saturating_sub(1) * 24;
             }
-            let mut out: Row = [0; 32];
+            let mut out: Row64 = [0; 32];
             for lane in lanes(mask) {
-                out[lane] = ext32(env.global.read_u32(addrs[lane])?, sext);
+                let v = env.global.read_u32(addrs[lane])?;
+                out[lane] = if sext { sext32(v) } else { v as u64 };
             }
-            write_row(&mut w.regs[op.dst as usize], mask, &out);
+            rows.put_lanes(&out);
         }
         Kind::Trap => return Err(SimError(plan.traps[op.imm as usize].clone())),
         Kind::Bar | Kind::Br | Kind::CondBr { .. } | Kind::Ret => {
@@ -1413,7 +1677,7 @@ fn exec_op<const TIMING: bool>(
 
 /// Count the lines of a warp access this block has not fetched before,
 /// marking them fetched.
-fn fresh_lines(seen: &mut LineSet, dev: &DeviceConfig, addrs: &Row, mask: u32) -> u64 {
+fn fresh_lines(seen: &mut LineSet, dev: &DeviceConfig, addrs: &Row64, mask: u32) -> u64 {
     let line_of = line_of(dev);
     let mut fresh = 0u64;
     // Neighbouring lanes mostly share a line; skip the repeat lookups.
@@ -1438,7 +1702,7 @@ fn charge_local_traffic(
     base_tid: u32,
     stats: &mut ExecStats,
     state: &mut BlockState,
-    addrs: &Row,
+    addrs: &Row64,
     mask: u32,
     lane_stride: u64,
 ) {
@@ -1467,21 +1731,33 @@ fn charge_local_traffic(
 }
 
 /// Byte address each lane accesses, active or not: its base register
-/// plus the offset, or the absolute offset when there is no base
-/// register. Inactive lanes' addresses are not checked and must not be
-/// used.
+/// (read as 64 bits, from either bank) plus `off`, or `off` itself when
+/// there is no base register. Inactive lanes' addresses are not checked
+/// and must not be used.
 #[inline(always)]
-fn lane_addresses(regs: &[Row], op: &Op) -> Row {
-    match regs.get(op.a as usize) {
-        None => [op.imm as u64; 32],
-        Some(base) => {
-            let mut out = [0u64; 32];
-            for lane in 0..32 {
-                out[lane] = base[lane].wrapping_add(op.imm as u64);
-            }
-            out
+fn lane_addresses(rows: &Rows<'_>, base: u32, off: i64) -> Row64 {
+    let off = off as u64;
+    let mut out = [off; 32];
+    if base == NONE {
+        return out;
+    }
+    if base >= rows.plan.wide_from {
+        let r = rows.row::<u64>(base);
+        for lane in 0..32 {
+            out[lane] = r[lane].wrapping_add(off);
+        }
+    } else if base >= rows.plan.signed_from {
+        let r = rows.row::<u32>(base);
+        for lane in 0..32 {
+            out[lane] = sext32(r[lane]).wrapping_add(off);
+        }
+    } else {
+        let r = rows.row::<u32>(base);
+        for lane in 0..32 {
+            out[lane] = (r[lane] as u64).wrapping_add(off);
         }
     }
+    out
 }
 
 /// Lane `lane`'s local offset `off` as an address in the warp's local

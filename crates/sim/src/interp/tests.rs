@@ -36,8 +36,8 @@ struct Outcome {
     /// Each block's result, up to and including the first trap.
     blocks: Vec<Result<ExecStats, SimError>>,
     heap: Vec<u8>,
-    /// The last block's register files, warp by warp.
-    regs: Vec<Vec<Row>>,
+    /// The last block's registers as 64 bits, warp by warp.
+    regs: Vec<Vec<Row64>>,
 }
 
 /// One launch of a one-dimensional grid, run block by block on one
@@ -90,7 +90,15 @@ impl Fixture<'_> {
         Outcome {
             blocks,
             heap: global.raw_mut().to_vec(),
-            regs: scratch.warps.iter().map(|w| w.state.regs.clone()).collect(),
+            regs: scratch
+                .warps
+                .iter()
+                .map(|w| {
+                    (0..self.plan.num_vregs as u32)
+                        .map(|r| w.state.reg(self.plan, r))
+                        .collect()
+                })
+                .collect(),
         }
     }
 
@@ -201,9 +209,24 @@ fn edge_values() -> Vec<u64> {
     v
 }
 
+/// The types of `DST`, `A`, `B` and `C` as `inst` reads and writes them (a
+/// destination that is a source keeps the source's): in these types the
+/// operands sit in the banks the op's row kernel reads.
+fn typed(inst: &Inst) -> [Ty; 4] {
+    let (dst, src, c) = match *inst {
+        Inst::Bin { ty, .. } | Inst::Un { ty, .. } | Inst::Mad { ty, .. } => (ty, ty, ty),
+        Inst::Setp { ty, .. } => (Ty::Pred, ty, ty),
+        Inst::Selp { ty, .. } => (ty, ty, Ty::Pred),
+        Inst::Cvt { dst_ty, src_ty, .. } => (dst_ty, src_ty, src_ty),
+        _ => (PTR, PTR, PTR),
+    };
+    [dst, src, src, c]
+}
+
 /// `inst` (reading `A`, `B`, `C`, writing `DST`) on the lanes the mask
-/// parameter names, after each lane loads its operands from the tables.
-fn probe(inst: Inst) -> LaunchPlan {
+/// parameter names, after each lane loads its operands from the tables as
+/// `tys` (of `DST`, `A`, `B`, `C`) says.
+fn probe(inst: Inst, tys: [Ty; 4]) -> LaunchPlan {
     let mut f = Function {
         name: "probe".into(),
         params: (0..97)
@@ -217,7 +240,7 @@ fn probe(inst: Inst) -> LaunchPlan {
             })
             .collect(),
         blocks: vec![],
-        vreg_types: vec![PTR; 4],
+        vreg_types: tys.to_vec(),
         shared: vec![],
         local_bytes: 0,
     };
@@ -244,7 +267,8 @@ fn probe(inst: Inst) -> LaunchPlan {
         bin(BinOp::Shl, lane8, tid, Operand::ImmI(3)),
     ];
     for (i, r) in [A, B, C].into_iter().enumerate() {
-        entry.push(ld(PTR, r, Address::reg_off(lane8, i as i64 * TABLE)));
+        let ty = tys[r.0 as usize];
+        entry.push(ld(ty, r, Address::reg_off(lane8, i as i64 * TABLE)));
     }
     entry.extend([
         ld(Ty::U32, mask, Address::abs(MASK_PARAM)),
@@ -284,25 +308,32 @@ fn probe(inst: Inst) -> LaunchPlan {
 const MASKS: [u32; 3] = [u32::MAX, 0x0F0F_5A5A, 1 << 31];
 
 /// `inst` over every (x, y) of the edge table, under each of [`MASKS`];
-/// lanes that sit it out hold a zero divisor.
+/// lanes that sit it out hold a zero divisor. Once with pointer operands
+/// (64-bit registers, which a 32-bit op reads lane by lane) and once with
+/// [`typed`] ones (the row kernels).
 fn sweep(inst: Inst, float: bool) -> (u32, u32) {
-    let what = format!("{inst:?}");
-    let plan = probe(inst);
     let mut tally = (0, 0);
-    for shift in 0..edge_values().len() {
-        run_masks(&plan, &what, shift, float, &mut tally);
+    for tys in [[PTR; 4], typed(&inst)] {
+        let what = format!("{inst:?} as {tys:?}");
+        let plan = probe(inst.clone(), tys);
+        for shift in 0..edge_values().len() {
+            run_masks(&plan, &what, shift, float, &mut tally);
+        }
     }
     tally
 }
 
 /// `inst(y)` for every `y` of the edge table as an immediate second
-/// operand (for integer division, a divisor by multiplication).
+/// operand (for integer division, a divisor by multiplication), with
+/// pointer and with typed operands.
 fn sweep_imm(inst: impl Fn(Operand) -> Inst, float: bool) -> (u32, u32) {
     let mut tally = (0, 0);
     for (shift, y) in edge_values().into_iter().enumerate() {
         let inst = inst(Operand::ImmI(y as i64));
-        let what = format!("{inst:?}");
-        run_masks(&probe(inst), &what, shift, float, &mut tally);
+        for tys in [[PTR; 4], typed(&inst)] {
+            let what = format!("{inst:?} as {tys:?}");
+            run_masks(&probe(inst.clone(), tys), &what, shift, float, &mut tally);
+        }
     }
     tally
 }
@@ -724,18 +755,24 @@ fn global_traps_name_the_first_failing_lane() {
     let mut heap = GlobalMem::new(256);
     let words: Vec<i32> = (0..64).map(|w| word(w) as i32).collect();
     heap.write_i32_slice(GLOBAL_BASE, &words).unwrap();
-    let load = probe(Inst::Ld {
-        space: Space::Global,
-        ty: Ty::U32,
-        dst: DST,
-        addr: Address::reg(A),
-    });
-    let store = probe(Inst::St {
-        space: Space::Global,
-        ty: Ty::U32,
-        addr: Address::reg(A),
-        src: B.into(),
-    });
+    let load = probe(
+        Inst::Ld {
+            space: Space::Global,
+            ty: Ty::U32,
+            dst: DST,
+            addr: Address::reg(A),
+        },
+        [PTR; 4],
+    );
+    let store = probe(
+        Inst::St {
+            space: Space::Global,
+            ty: Ty::U32,
+            addr: Address::reg(A),
+            src: B.into(),
+        },
+        [PTR; 4],
+    );
     let (first, second) = (7, 20);
     for (i, &(addr1, msg1)) in bad.iter().enumerate() {
         let (addr2, msg2) = bad[(i + 1) % bad.len()];
@@ -771,7 +808,7 @@ fn global_traps_name_the_first_failing_lane() {
                 };
                 let ctx = format!("load {is_load}, mask {mask:#x}, lane 7 at {addr1:#x}");
                 let out = fx.agree(&ctx, false);
-                let dst = out.regs[0][DST.0 as usize];
+                let dst = out.regs[0][plan.row(DST) as usize];
                 let stored = |lane: usize| {
                     let at = 4 * lane;
                     u32::from_le_bytes(out.heap[at..at + 4].try_into().unwrap())

@@ -9,6 +9,16 @@
 //! domains: the simulator's executor (`crate::interp`) and `ks-analysis`'s
 //! abstract lanes. A plan holds no device parameter, so one plan serves
 //! every `DeviceConfig`, and it is derived data: it is never serialized.
+//!
+//! Registers live in two banks, placed here. A register whose every
+//! writer leaves a 32-bit value extended one way — zero or sign — keeps
+//! only that 32-bit value, in the 32-bit bank; pointers, and any register
+//! whose writers disagree or write 64 bits, keep 64 bits in the 64-bit
+//! bank. Read as 64 bits, a 32-bit-bank register is its value extended
+//! the way its writers extend it: exactly the bits a 64-bit register
+//! file would hold. The plan numbers its register rows bank by bank, so
+//! an op's operand fields say which bank they name, and gives each op the
+//! [`Form`] in which the executor runs it.
 
 use crate::device::{IssueClass, LatencyClass};
 use crate::memo::{timing_is_data_independent, ConstReads, TimingMemo};
@@ -17,19 +27,22 @@ use ks_ir::cfg::{ipdoms, Cfg};
 use ks_ir::fxhash::FxHashMap;
 use ks_ir::{
     BinOp, BlockId, CmpOp, Function, Inst, KernelParam, Operand, Space, SpecialReg, Terminator, Ty,
-    UnOp,
+    UnOp, VReg,
 };
 use BinKind::*;
 
-/// One value per lane of a warp.
-pub(crate) type Row = [u64; 32];
+/// One value per lane of a warp, in the 32-bit bank.
+pub(crate) type Row32 = [u32; 32];
+/// One value per lane of a warp, in the 64-bit bank.
+pub(crate) type Row64 = [u64; 32];
 
 /// "No row" / "no pc". As an operand it lies beyond every register and
 /// immediate row, so scoreboard lookups skip it like an immediate.
 pub const NONE: u32 = u32::MAX;
 
-/// `Bin` with its type folded in. S32 results are sign-extended into the
-/// 64-bit lane, U32 results zero-extended.
+/// `Bin` with its type folded in. A 32-bit result is kept as 32 bits in
+/// the 32-bit bank; read as 64 bits, an S32 result is sign-extended and
+/// every other 32-bit result zero-extended (`ks_ir::eval`'s form).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinKind {
     FAdd,
@@ -196,21 +209,42 @@ pub(crate) enum Unit {
     Other,
 }
 
+/// How a pure op's operands sit in the two banks, which picks the row
+/// kernel that runs it. Memory ops look at their operands' rows instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Form {
+    /// Sources and destination in the 32-bit bank.
+    W32,
+    /// Sources and destination in the 64-bit bank; for `setp.u64` the
+    /// destination, for `selp` the predicate, in the 32-bit one.
+    W64,
+    /// A 32-bit source read as 64 bits into a 64-bit destination: a
+    /// pointer offset, or a conversion to a pointer.
+    Widen,
+    /// A conversion from a 64-bit source into the 32-bit bank.
+    Narrow,
+    /// Any other placement (only hand-built IR mixes widths this way): lane
+    /// by lane through `ks_ir::eval`, each source widened to 64 bits.
+    Mixed,
+}
+
 /// One decoded instruction or terminator. Plans live as long as the
 /// binaries that own them, so this stays at 32 bytes: wide payloads go
 /// through `imm`.
 #[derive(Debug, Clone, Copy)]
 pub struct Op {
     pub kind: Kind,
+    pub(crate) form: Form,
     pub(crate) unit: Unit,
     pub(crate) issue: IssueClass,
     /// Latency of the result; for a store, of a load that must observe it.
     pub(crate) latency: LatencyClass,
     /// Destination register row, or [`NONE`].
     pub dst: u32,
-    /// Source rows: registers are `0..num_vregs`, immediates follow them,
-    /// [`NONE`] is absent. These are exactly the registers the scoreboard
-    /// waits for.
+    /// Source rows: registers are `0..num_vregs` (the 32-bit bank's, then
+    /// the 64-bit bank's; [`LaunchPlan::row`] maps an IR register to its
+    /// row), immediates follow them, [`NONE`] is absent. These are exactly
+    /// the registers the scoreboard waits for.
     pub a: u32,
     pub b: u32,
     pub c: u32,
@@ -242,7 +276,18 @@ pub struct LaunchPlan {
     pub(crate) block_pc: Vec<u32>,
     /// Broadcast rows of the distinct immediates, addressed after the
     /// register rows.
-    pub(crate) imm_rows: Vec<Row>,
+    pub(crate) imm_rows: Vec<Row64>,
+    /// The same immediates' low words, as the 32-bit bank reads them.
+    pub(crate) imm32_rows: Vec<Row32>,
+    /// Where the register rows split: the 32-bit bank is
+    /// `0..wide_from`, its sign-extending registers `signed_from..`, and
+    /// the 64-bit bank `wide_from..num_vregs`.
+    pub(crate) signed_from: u32,
+    pub(crate) wide_from: u32,
+    /// IR register number → register row.
+    pub(crate) rows: Vec<u32>,
+    /// Each register row's IR type.
+    pub(crate) row_tys: Vec<Ty>,
     /// Targets of the [`Kind::CondBr`] ops.
     pub(crate) branches: Vec<Branch>,
     /// Messages of the [`Kind::Trap`] ops.
@@ -327,8 +372,14 @@ impl LaunchPlan {
             }
         }
 
+        let banks = Banks::place(&mut ops, f, &d.imm_rows);
         let timing_memo = timing_is_data_independent(&ops, f.num_vregs()).then(TimingMemo::default);
         let const_reads = ConstReads::of(&ops);
+        let entry_live = ks_ir::cfg::liveness(f, &cfg)
+            .live_in(0)
+            .map(|r| banks.rows[r as usize])
+            .collect();
+        let imm32_rows = d.imm_rows.iter().map(|r| r.map(|v| v as u32)).collect();
         LaunchPlan {
             kernel: f.name.clone(),
             params: f.params.clone(),
@@ -342,9 +393,14 @@ impl LaunchPlan {
             ops,
             block_pc,
             imm_rows: d.imm_rows,
+            imm32_rows,
+            signed_from: banks.signed_from,
+            wide_from: banks.wide_from,
+            rows: banks.rows,
+            row_tys: banks.row_tys,
             branches,
             traps: d.traps,
-            entry_live: ks_ir::cfg::liveness(f, &cfg).live_in(0).collect(),
+            entry_live,
             trace_text,
             const_reads,
             timing_memo,
@@ -387,6 +443,48 @@ impl LaunchPlan {
         let i = (row as usize).checked_sub(self.num_vregs)?;
         Some(self.imm_rows[i][0])
     }
+
+    /// The register row of IR register `v`.
+    pub fn row(&self, v: VReg) -> u32 {
+        self.rows[v.0 as usize]
+    }
+
+    /// The IR type of the register in row `row`; `None` for an immediate.
+    pub fn row_ty(&self, row: u32) -> Option<Ty> {
+        self.row_tys.get(row as usize).copied()
+    }
+
+    /// Where the registers live, and how many ops mix widths.
+    pub fn bank_census(&self) -> BankCensus {
+        let wide_base =
+            |op: &Op| matches!(op.kind, Kind::Ld { .. } | Kind::St { .. }) && op.a < self.wide_from;
+        let regs32 = self.wide_from as usize;
+        BankCensus {
+            regs32,
+            regs64: self.num_vregs - regs32,
+            widened: self
+                .ops
+                .iter()
+                .filter(|op| op.form == Form::Widen || wide_base(op))
+                .count(),
+            mixed: self.ops.iter().filter(|op| op.form == Form::Mixed).count(),
+        }
+    }
+}
+
+/// How a decoded kernel's registers split between the banks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankCensus {
+    /// Registers kept as 32 bits.
+    pub regs32: usize,
+    /// Registers kept as 64 bits.
+    pub regs64: usize,
+    /// Ops that read a 32-bit register as 64 bits: pointer offsets,
+    /// conversions to a pointer, address bases.
+    pub widened: usize,
+    /// Ops whose operands sit in banks their kind does not read, which
+    /// run lane by lane ([`Form::Mixed`]).
+    pub mixed: usize,
 }
 
 impl BinKind {
@@ -464,6 +562,7 @@ impl Op {
     fn new(kind: Kind, unit: Unit) -> Op {
         Op {
             kind,
+            form: Form::W32,
             unit,
             issue: IssueClass::Plain,
             latency: LatencyClass::Alu,
@@ -479,7 +578,7 @@ impl Op {
 struct Decoder {
     num_vregs: u32,
     imm_index: FxHashMap<u64, u32>,
-    imm_rows: Vec<Row>,
+    imm_rows: Vec<Row64>,
     traps: Vec<String>,
 }
 
@@ -630,6 +729,221 @@ impl Decoder {
             }
         };
         op
+    }
+}
+
+/// The extensions by which a 32-bit value widens back to 64 bits.
+const ZEXT: u8 = 1;
+const SEXT: u8 = 2;
+const EITHER: u8 = ZEXT | SEXT;
+
+/// The extensions that rebuild `v` from its low word.
+fn exts_of(v: u64) -> u8 {
+    let low = v as u32;
+    let zext = if v == u64::from(low) { ZEXT } else { 0 };
+    let sext = if v == low as i32 as u64 { SEXT } else { 0 };
+    zext | sext
+}
+
+impl Kind {
+    /// The extensions every result of this kind has as 64 bits; `None`
+    /// for a copy, whose result is one of its sources.
+    fn result_exts(self) -> Option<u8> {
+        let of = |ty: Ty| match ty {
+            Ty::S32 => SEXT,
+            Ty::Pred => EITHER,
+            Ty::Ptr(_) => 0,
+            Ty::U32 | Ty::F32 => ZEXT,
+        };
+        Some(match self {
+            Kind::Mov | Kind::Selp | Kind::Cvt(CvtKind::Copy) => return None,
+            Kind::Bin(k) => of(k.op_ty().1),
+            Kind::Un(k) => of(k.op_ty().1),
+            Kind::Mad(k) => of(k.ty()),
+            // A thread index is below the block's thread count, which a
+            // launch caps at the device's 1 024 or fewer: bit 31 is clear.
+            Kind::Setp(..)
+            | Kind::Special(SpecialReg::TidX | SpecialReg::TidY | SpecialReg::TidZ) => EITHER,
+            Kind::Cvt(CvtKind::FToS | CvtKind::Sext) => SEXT,
+            Kind::Cvt(_) | Kind::Special(_) => ZEXT,
+            Kind::Ld {
+                space: Space::Param,
+                wide: true,
+                ..
+            } => 0,
+            Kind::Ld { sext, .. } | Kind::Tex { sext } => {
+                if sext {
+                    SEXT
+                } else {
+                    ZEXT
+                }
+            }
+            // Writes nothing.
+            Kind::St { .. }
+            | Kind::Bar
+            | Kind::Trap
+            | Kind::Br
+            | Kind::CondBr { .. }
+            | Kind::Ret => EITHER,
+        })
+    }
+
+    /// Whether the op tests its sources for nonzero on all 64 bits.
+    fn reads_nonzero(self) -> bool {
+        matches!(
+            self,
+            Kind::Bin(PredAnd | PredOr | PredXor) | Kind::Un(UnKind::PredNot)
+        )
+    }
+}
+
+/// Where a plan's registers live: each IR register's row, bank by bank.
+struct Banks {
+    rows: Vec<u32>,
+    row_tys: Vec<Ty>,
+    signed_from: u32,
+    wide_from: u32,
+    num_vregs: u32,
+}
+
+impl Banks {
+    /// Place `f`'s registers and renumber `ops` to their rows. Pointers go
+    /// in the 64-bit bank. Any other register goes in the 32-bit bank when
+    /// one extension rebuilds every value its writers leave; a copy
+    /// (`mov`, `selp`, `cvt` that is no conversion) leaves what its sources
+    /// hold, so the copies iterate to a fixpoint (an extension set only
+    /// shrinks). The rest — writers that disagree, or write 64 bits — go in
+    /// the 64-bit bank. Then every op gets its [`Form`].
+    fn place(ops: &mut [Op], f: &Function, imm_rows: &[Row64]) -> Banks {
+        let nv = f.num_vregs();
+        let mut exts: Vec<u8> = f
+            .vreg_types
+            .iter()
+            .map(|t| if t.is_ptr() { 0 } else { EITHER })
+            .collect();
+        let mut copies = Vec::new();
+        for op in ops.iter().filter(|op| op.dst != NONE) {
+            match op.kind.result_exts() {
+                Some(e) => exts[op.dst as usize] &= e,
+                None => copies.push(*op),
+            }
+        }
+        let source = |exts: &[u8], row: u32| match exts.get(row as usize) {
+            Some(&e) => e,
+            None => exts_of(imm_rows[row as usize - nv][0]),
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for op in &copies {
+                let mut e = exts[op.dst as usize] & source(&exts, op.a);
+                if op.kind == Kind::Selp {
+                    e &= source(&exts, op.b);
+                }
+                if e != exts[op.dst as usize] {
+                    exts[op.dst as usize] = e;
+                    changed = true;
+                }
+            }
+        }
+        // Rows: zero-extending 32-bit registers, sign-extending ones, then
+        // the 64-bit bank, each in IR order.
+        let class = |e: u8| match e {
+            0 => 2,
+            SEXT => 1,
+            _ => 0,
+        };
+        let mut next = [0u32; 3];
+        for &e in &exts {
+            next[class(e)] += 1;
+        }
+        let (signed_from, wide_from) = (next[0], next[0] + next[1]);
+        next = [0, signed_from, wide_from];
+        let rows: Vec<u32> = exts
+            .iter()
+            .map(|&e| {
+                let c = class(e);
+                next[c] += 1;
+                next[c] - 1
+            })
+            .collect();
+        let mut row_tys = vec![Ty::Pred; nv];
+        for (v, &r) in rows.iter().enumerate() {
+            row_tys[r as usize] = f.vreg_types[v];
+        }
+        let banks = Banks {
+            rows,
+            row_tys,
+            signed_from,
+            wide_from,
+            num_vregs: nv as u32,
+        };
+        let row = |r: u32| banks.rows.get(r as usize).copied().unwrap_or(r);
+        for op in ops.iter_mut() {
+            [op.dst, op.a, op.b, op.c] = [op.dst, op.a, op.b, op.c].map(row);
+            op.form = banks.form(op, imm_rows);
+        }
+        banks
+    }
+
+    /// Whether operand row `row` is a 64-bit register (`Some(true)`), a
+    /// 32-bit one (`Some(false)`), or an immediate or nothing (`None`,
+    /// which fits either bank).
+    fn wide(&self, row: u32) -> Option<bool> {
+        (row < self.num_vregs).then_some(row >= self.wide_from)
+    }
+
+    /// The [`Form`] `op` runs in.
+    fn form(&self, op: &Op, imm_rows: &[Row64]) -> Form {
+        let is = |row: u32, wide: bool| self.wide(row).is_none_or(|w| w == wide);
+        let all = |rows: &[u32], wide: bool| rows.iter().all(|&r| is(r, wide));
+        let (d, a, b, c) = (op.dst, op.a, op.b, op.c);
+        // A nonzero test reads an immediate's 64 bits; its low word would
+        // do only where the two agree.
+        let low_word_tests = |row: u32| {
+            let k = (row as usize).wrapping_sub(self.num_vregs as usize);
+            imm_rows
+                .get(k)
+                .is_none_or(|r| (r[0] as u32 != 0) == (r[0] != 0))
+        };
+        match op.kind {
+            _ if op.kind.reads_nonzero() && !(low_word_tests(a) && low_word_tests(b)) => {
+                Form::Mixed
+            }
+            Kind::Selp if !is(c, false) => Form::Mixed,
+            Kind::Mov | Kind::Cvt(CvtKind::Copy) | Kind::Special(_) | Kind::Selp => {
+                if all(&[d, a, b], false) {
+                    Form::W32
+                } else if all(&[d, a, b], true) {
+                    Form::W64
+                } else {
+                    Form::Mixed
+                }
+            }
+            Kind::Bin(PtrAdd | PtrSub) if all(&[d, a], true) => match self.wide(b) {
+                Some(false) => Form::Widen,
+                _ => Form::W64,
+            },
+            Kind::Setp(_, CmpDomain::U64) if is(d, false) && all(&[a, b], true) => Form::W64,
+            Kind::Cvt(CvtKind::Sext | CvtKind::Zext) => {
+                match (self.wide(a).unwrap_or(false), self.wide(d) == Some(true)) {
+                    (false, false) => Form::W32,
+                    (false, true) => Form::Widen,
+                    (true, false) => Form::Narrow,
+                    (true, true) => Form::W64,
+                }
+            }
+            Kind::Bin(PtrAdd | PtrSub) | Kind::Setp(_, CmpDomain::U64) => Form::Mixed,
+            Kind::Bin(_) | Kind::Un(_) | Kind::Mad(_) | Kind::Setp(..) | Kind::Cvt(_) => {
+                if all(&[d, a, b, c], false) {
+                    Form::W32
+                } else {
+                    Form::Mixed
+                }
+            }
+            // Memory ops look at their rows; the rest read nothing.
+            _ => Form::W32,
+        }
     }
 }
 

@@ -10,8 +10,8 @@
 //! barrier releases them.
 //!
 //! What an op does to the lanes is the [`Domain`]'s business. The
-//! simulator's concrete domain (`crate::interp`) keeps 64-bit rows, memory,
-//! the scoreboard and the timing models; `ks-analysis` runs abstract lanes
+//! simulator's concrete domain (`crate::interp`) keeps 32-bit and 64-bit
+//! register banks, memory, the scoreboard and the timing models; `ks-analysis` runs abstract lanes
 //! through the same core and stops as *inconclusive* where a branch or an
 //! address depends on a value it does not know. Both see every divergence,
 //! barrier and reconvergence exactly where the other does.
