@@ -38,6 +38,11 @@ done
 # single-flight dedup and eviction races (debug timings hide them).
 echo "== cargo test --release (cache concurrency stress)"
 cargo test --offline --release -q -p ks-core --test concurrency
+# Background compiles run on the pool's spawn lane, beside the par_iter
+# callers (compile_batch) that share its workers: the async tier's
+# resolve-exactly-once and accounting tests at the same opt-level.
+echo "== cargo test --release (async compile tier on the shared pool)"
+cargo test --offline --release -q -p ks-core --test async_tier
 # The executor the benchmark runs, at the opt-level it runs at: the
 # vectorised lane loops and the x86-64-v3 copy of the block executor
 # only exist there. Its row kernels against the scalar definition in
@@ -104,6 +109,24 @@ rm -f "$QS_OUT"
 # exits non-zero unless every output equals its CPU reference.
 echo "== row_filter (every output equals the CPU reference)"
 cargo run --offline --release -q -p ks-apps --example row_filter > /dev/null
+
+# Cone-beam backprojection: RE and SK builds over a PPL x ZB sweep, each
+# reconstruction against the CPU reference (the example exits non-zero
+# past a 1e-3 relative error); the grep pins the sweep's last row and
+# the slice printed after it.
+echo "== backprojection (every build matches the CPU reference)"
+BP_OUT=$(mktemp)
+cargo run --offline --release -q -p ks-apps --example backprojection > "$BP_OUT"
+test "$(grep -cE '^ +(4|8|16) +(1|2|4) \|' "$BP_OUT")" = 9
+grep -q "^central slice" "$BP_OUT"
+rm -f "$BP_OUT"
+
+# Template matching as a streaming gpu-pf pipeline: every frame must
+# locate the template planted at its known offset (the example exits
+# non-zero otherwise); the grep pins the run's closing line.
+echo "== template_matching (every frame finds the planted template)"
+cargo run --offline --release -q -p ks-apps --example template_matching 2> /dev/null \
+    | grep -q "^total simulated GPU time"
 
 # Fault-injection tier: every gpu-pf example pipeline must complete
 # under a seeded FaultPlan (10% transient compile faults, 5% transient

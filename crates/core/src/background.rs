@@ -1,12 +1,13 @@
-//! Background (async) compile tier: a bounded worker pool behind
-//! [`Compiler::spawn_compile`].
+//! Background (async) compile tier behind [`Compiler::spawn_compile`].
 //!
 //! The blocking [`Compiler::compile`] path pays the full §4.3
 //! specialization cost up front. The async tier makes that cost
-//! latency-invisible: `spawn_compile` enqueues the job and returns a
-//! [`CompileTicket`] immediately; a process-wide pool of worker threads
-//! drains the queue by calling straight back into `Compiler::compile`.
-//! Because the workers go through the same sharded single-flight cache,
+//! latency-invisible: `spawn_compile` hands the job to `rayon::spawn` and
+//! returns a [`CompileTicket`] immediately. The job runs on the process's
+//! one worker pool — its spawn lane: first in, first out, at most half the
+//! cores at once, and behind any `par_iter` call that wants a worker — by
+//! calling straight back into `Compiler::compile`.
+//! Because the jobs go through the same sharded single-flight cache,
 //! a ticket and a blocking call for the same canonical key still cost
 //! exactly one compilation — whichever starts first leads, the other
 //! joins the flight (or hits the cache).
@@ -26,7 +27,6 @@
 use crate::{Binary, CompileError, Compiler, Defines};
 use ks_store::Fingerprint;
 use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
@@ -219,65 +219,6 @@ struct Job {
     enqueued: Instant,
 }
 
-/// The process-wide bounded worker pool. Threads are started lazily on
-/// first use and park on the queue condvar when idle; the process-wide
-/// scope bounds background compile concurrency globally, not per
-/// compiler, which is the production-correct knob (one machine, one
-/// compile budget).
-struct Pool {
-    queue: Mutex<VecDeque<Job>>,
-    available: Condvar,
-}
-
-/// Worker count: `KS_ASYNC_WORKERS` if set (clamped to 1..=64), else
-/// half the available parallelism, at least 1, at most 8 — background
-/// specialization should never starve the foreground launch path.
-fn worker_count() -> usize {
-    if let Ok(v) = std::env::var("KS_ASYNC_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.clamp(1, 64);
-        }
-    }
-    let avail = std::thread::available_parallelism().map_or(2, |n| n.get());
-    (avail / 2).clamp(1, 8)
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<&'static Pool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let pool: &'static Pool = Box::leak(Box::new(Pool {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-        }));
-        for i in 0..worker_count() {
-            std::thread::Builder::new()
-                .name(format!("ks-async-{i}"))
-                .spawn(move || worker_loop(pool))
-                .expect("spawn async compile worker");
-        }
-        pool
-    })
-}
-
-fn worker_loop(pool: &'static Pool) {
-    loop {
-        let job = {
-            let mut q = pool.queue.lock();
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                q = pool.available.wait(q);
-            }
-        };
-        // Backstop: a panicking job must never kill a pool worker (the
-        // pool is process-wide and never respawns). `run_job` already
-        // converts compile panics into failed tickets; this catches
-        // anything else.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(job)));
-    }
-}
-
 fn run_job(job: Job) {
     queue_wait_us().record_duration_us(job.enqueued.elapsed());
     // A cancelled (or otherwise already-resolved) ticket's job is
@@ -342,7 +283,7 @@ fn run_job(job: Job) {
     job.ticket.fulfill(&job.stats, outcome, result);
 }
 
-/// Enqueue a background compile for `compiler`. Called from
+/// Queue a background compile for `compiler`. Called from
 /// [`Compiler::spawn_compile`].
 pub(crate) fn spawn(
     compiler: &Arc<Compiler>,
@@ -401,9 +342,7 @@ pub(crate) fn spawn(
         ticket: inner.clone(),
         enqueued: Instant::now(),
     };
-    let p = pool();
-    p.queue.lock().push_back(job);
-    p.available.notify_one();
+    rayon::spawn(move || run_job(job));
     CompileTicket {
         inner,
         stats,

@@ -999,8 +999,9 @@ impl Compiler {
     }
 
     /// Enqueue a background compile and return immediately with a
-    /// [`CompileTicket`]. The job runs on the bounded async worker pool
-    /// and goes through the same single-flight cache as
+    /// [`CompileTicket`]. The job runs on the worker pool's spawn lane
+    /// (`rayon::spawn`, at most half the cores at once) and goes through
+    /// the same single-flight cache as
     /// [`Compiler::compile`], so a ticket and a blocking call for the
     /// same canonical key cost exactly one compilation. Poll with
     /// [`CompileTicket::try_result`], block with [`CompileTicket::wait`],

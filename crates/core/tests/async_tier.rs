@@ -220,3 +220,40 @@ fn dropping_the_compiler_resolves_outstanding_tickets() {
     }
     assert_eq!(resolved, 4, "every ticket must resolve, never hang");
 }
+
+#[test]
+fn tickets_and_a_foreground_batch_over_overlapping_keys() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let r = ks_trace::registry();
+    let misses_before = r.counter_value(ks_trace::names::CACHE_MISSES);
+    let before = async_registry_counters();
+    let compiler = Arc::new(Compiler::new(DeviceConfig::tesla_c1060()));
+    // Tickets for 12 keys, then — while they are queued or compiling on
+    // the pool's spawn lane — a `par_iter` batch over 12 keys, half of
+    // them the tickets' own: the two lanes share the pool's workers.
+    let tickets: Vec<_> = (10..22)
+        .map(|n| compiler.spawn_compile(KERNEL, defines(n)))
+        .collect();
+    let jobs: Vec<(&str, Defines)> = (16..28).map(|n| (KERNEL, defines(n))).collect();
+    let batch = compiler.compile_batch(&jobs);
+    assert!(batch.iter().all(Result::is_ok));
+    for t in &tickets {
+        t.wait().unwrap();
+    }
+    let s = compiler.cache_stats();
+    assert_eq!(s.misses, 18, "every distinct key compiles once: {s}");
+    assert_eq!(s.hits + s.misses, 24, "{s}");
+    let a = compiler.async_stats();
+    assert_eq!((a.spawned, a.completed), (12, 12), "{a}");
+    assert_eq!(a.spawned, a.completed + a.failed + a.cancelled, "{a}");
+    let after = async_registry_counters();
+    assert_eq!(after.0 - before.0, a.spawned, "registry spawned parity");
+    assert_eq!(after.1 - before.1, a.completed, "registry completed parity");
+    assert_eq!(after.2 - before.2, a.failed, "registry failed parity");
+    assert_eq!(after.3 - before.3, a.cancelled, "registry cancelled parity");
+    assert_eq!(
+        r.counter_value(ks_trace::names::CACHE_MISSES) - misses_before,
+        s.misses,
+        "registry miss parity"
+    );
+}

@@ -143,7 +143,7 @@ impl Target {
 enum Site {
     Compile,
     Launch,
-    /// The background compile worker pool, between dequeue and compile.
+    /// A background compile job on its worker, before it compiles.
     Worker,
 }
 
@@ -385,8 +385,8 @@ impl FaultPlan {
         self.check(Site::Launch, kernel, key, defines)
     }
 
-    /// Should the background worker drop this dequeued job? Called by
-    /// the async compile pool after dequeue, before the compile runs;
+    /// Should the background worker drop this job? Called by the async
+    /// compile tier on the job's worker, before the compile runs;
     /// an injection resolves the ticket with an error without touching
     /// the cache, so the blocking path is unaffected.
     pub fn check_worker(&self, identity: &str, key: u64, defines: &str) -> Option<InjectedFault> {
