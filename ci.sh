@@ -121,6 +121,15 @@ test "$(grep -cE '^ +(4|8|16) +(1|2|4) \|' "$BP_OUT")" = 9
 grep -q "^central slice" "$BP_OUT"
 rm -f "$BP_OUT"
 
+# PIV flow recovery: RE, SK and warp-specialized SK builds on both
+# devices; the example exits non-zero unless every displacement vector
+# equals the planted flow. The grep pins the six result rows.
+echo "== piv (every displacement equals the planted flow)"
+PIV_OUT=$(mktemp)
+cargo run --offline --release -q -p ks-apps --example piv > "$PIV_OUT"
+test "$(grep -c '| 100/100 vectors correct$' "$PIV_OUT")" = 6
+rm -f "$PIV_OUT"
+
 # Template matching as a streaming gpu-pf pipeline: every frame must
 # locate the template planted at its known offset (the example exits
 # non-zero otherwise); the grep pins the run's closing line.

@@ -54,57 +54,35 @@ impl Default for CodegenOptions {
     }
 }
 
-/// Run the HIR pipeline (fold → unroll → fold → scalarize → fold) and lower
-/// to an IR module.
+/// Run the HIR stages and lower the result once.
 pub fn compile(program: &Program, opts: &CodegenOptions) -> Result<ks_ir::Module, String> {
-    compile_observed(program, opts, &mut |_, _| {})
+    lower::lower_program(&run_stages(program, opts, &mut |_, _| Ok(()))?)
 }
 
-/// Like [`compile`], but lowers and reports the module after each HIR
-/// transform stage, so a validator can compare consecutive snapshots.
-/// The observer first sees `("baseline", <unoptimized lowering>)`, then one
-/// call per stage that changed the program; the returned module is always
-/// the final stage's lowering.
-pub fn compile_observed(
+/// Run the HIR pipeline (fold → unroll → fold → scalarize → fold) on a
+/// copy of `program` and return it. The observer first sees
+/// `("baseline", program)`, then each stage's output; its first error
+/// stops the pipeline. With `opts.optimize` off no stage runs and the
+/// observer sees nothing.
+pub fn run_stages(
     program: &Program,
     opts: &CodegenOptions,
-    obs: &mut dyn FnMut(&'static str, &ks_ir::Module),
-) -> Result<ks_ir::Module, String> {
+    obs: &mut dyn FnMut(&'static str, &Program) -> Result<(), String>,
+) -> Result<Program, String> {
     let mut prog = program.clone();
     if !opts.optimize {
-        return lower::lower_program(&prog);
+        return Ok(prog);
     }
-    let mut module = lower::lower_program(&prog)?;
-    obs("baseline", &module);
-    type Stage<'a> = (&'static str, &'a dyn Fn(&mut Program));
-    let stages: [Stage; 5] = [
-        ("consteval", &|p| each(p, consteval::fold_func)),
-        ("unroll", &|p| {
-            for k in &mut p.kernels {
-                unroll::unroll_func(k, opts.unroll_limit);
+    obs("baseline", &prog)?;
+    for stage in ["consteval", "unroll", "consteval", "scalarize", "consteval"] {
+        for k in &mut prog.kernels {
+            match stage {
+                "unroll" => unroll::unroll_func(k, opts.unroll_limit),
+                "scalarize" => scalarize::scalarize_func(k, opts.scalarize_cap),
+                _ => consteval::fold_func(k),
             }
-        }),
-        ("consteval", &|p| each(p, consteval::fold_func)),
-        ("scalarize", &|p| {
-            for k in &mut p.kernels {
-                scalarize::scalarize_func(k, opts.scalarize_cap);
-            }
-        }),
-        ("consteval", &|p| each(p, consteval::fold_func)),
-    ];
-    for (name, stage) in stages {
-        stage(&mut prog);
-        let next = lower::lower_program(&prog)?;
-        if next != module {
-            obs(name, &next);
-            module = next;
         }
+        obs(stage, &prog)?;
     }
-    Ok(module)
-}
-
-fn each(p: &mut Program, f: impl Fn(&mut ks_lang::hir::HFunc)) {
-    for k in &mut p.kernels {
-        f(k);
-    }
+    Ok(prog)
 }

@@ -678,8 +678,8 @@ impl Compiler {
 
     /// Attach an [`AnalysisConfig`]: every compile then runs the ks-analysis
     /// suite, records warnings on the [`Binary`], turns deny-level findings
-    /// into [`CompileError`]s, and verifies the IR after lowering and after
-    /// each optimization pass even in release builds.
+    /// into [`CompileError`]s, and verifies the IR after each optimization
+    /// pass even in release builds.
     pub fn with_analysis(mut self, cfg: AnalysisConfig) -> Compiler {
         self.analysis = Some(cfg);
         self
@@ -1059,48 +1059,30 @@ impl Compiler {
 
         // Translation validation follows every kernel from its first
         // lowering through each HIR transform stage ("codegen.unroll" =
-        // unroll's output vs its input), summarizing every snapshot once,
+        // unroll's output vs its input; `ks_verify::codegen_checked`),
         // and on through each applied IR pass, checked block by block
         // (`ks_verify::optimize_checked`). Time spent in it is `verify`
         // time, carved out of the phase it interleaves with.
-        let envs = ks_verify::default_envs();
-        let mut stages = self
-            .validation
-            .map(|v| ks_verify::ModuleChain::new(&envs, v.limits));
-        let mut vreport = ks_verify::VerifyReport::default();
-        let mut verify_time = Duration::ZERO;
-
         let sp = ks_trace::span("lower");
         let t = Instant::now();
-        let mut module = match &mut stages {
-            Some(stages) => {
-                ks_codegen::compile_observed(&program, &self.options, &mut |stage, m| {
-                    let _sp = ks_trace::span("verify-codegen");
-                    let tv = Instant::now();
-                    vreport.merge(stages.step(m, &format!("codegen.{stage}")));
-                    verify_time += tv.elapsed();
-                })
-            }
-            None => ks_codegen::compile(&program, &self.options),
+        let (mut module, mut vreport, mut verify_time) = match &self.validation {
+            Some(v) => ks_verify::codegen_checked(&program, &self.options, v.limits),
+            None => ks_codegen::compile(&program, &self.options)
+                .map(|m| (m, ks_verify::VerifyReport::default(), Duration::ZERO)),
         }
         .map_err(&err)?;
         metrics.lower = t.elapsed().saturating_sub(verify_time);
         drop(sp);
 
-        // Sanitizer: verify the IR after lowering and after every pass
-        // application, attributing any breakage to the pass that caused
-        // it. Always on in debug builds; opt-in via `with_analysis` in
-        // release builds (the final whole-module verify below is
-        // unconditional).
+        // Sanitizer: verify the IR after every pass application,
+        // attributing any breakage to the pass that caused it (the
+        // lowering verifies what it returns). Always on in debug builds;
+        // opt-in via `with_analysis` in release builds (the final
+        // whole-module verify below is unconditional).
         let sanitize = cfg!(debug_assertions) || self.analysis.is_some();
         let sp = ks_trace::span("opt");
         let t = Instant::now();
         let verify_before_opt = verify_time;
-        if sanitize || self.validation.is_some() {
-            if let Some(e) = ks_ir::verify_module(&module).first() {
-                return Err(err(format!("verification failed after lowering: {e}")));
-            }
-        }
         // Per applied pass: a span while tracing (from the pass's start,
         // so a validated step's check is not in it), and the sanitizer.
         let mut broken: Option<(&'static str, String)> = None;

@@ -169,7 +169,7 @@ impl PartialEq<Listing> for String {
 
 /// Canonical description of the fixed pass pipeline, folded into every
 /// cache-key fingerprint. The HIR stage list mirrors
-/// `ks_codegen::compile_observed` and the IR pass list mirrors
+/// `ks_codegen::run_stages` and the IR pass list mirrors
 /// `ks_opt::optimize_with_observer`; reordering, adding, or removing a
 /// stage must change this string so stale artifacts are invalidated.
 /// (Per-pass *toggles* are fingerprinted separately via `OptConfig` /

@@ -125,3 +125,26 @@ fn passes_are_validated_when_no_codegen_stage_is_observed() {
     let envs = ks_verify::default_envs().len() as u64;
     assert_eq!(checks, steps + envs * fallbacks, "{fallbacks} fallbacks");
 }
+
+/// A program the lowering rejects fails with one message whether the
+/// compile is checked or not: the checked compile fails on the baseline
+/// lowering, the plain one on its only lowering.
+#[test]
+fn an_unlowerable_program_fails_alike_with_and_without_validation() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let src = r#"
+        __constant__ float lo[0x20000000];
+        __constant__ float hi[0x20000000];
+        __global__ void k(float* o) { o[0] = lo[0] + hi[0]; }
+    "#;
+    let plain = Compiler::new(DeviceConfig::tesla_c1060());
+    let checked =
+        Compiler::new(DeviceConfig::tesla_c1060()).with_validation(ValidationConfig::default());
+    let message = |c: &Compiler| c.compile(src, Defines::new()).unwrap_err().message;
+    let plain = message(&plain);
+    assert!(
+        plain.contains("arrays exceed the 4 GiB address space"),
+        "{plain}"
+    );
+    assert_eq!(message(&checked), plain);
+}

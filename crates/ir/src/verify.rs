@@ -1,8 +1,9 @@
-//! IR verifier: structural and type sanity checks. The ks-core pipeline
-//! runs [`verify_module`] after lowering and after each optimization pass
-//! that changed a function — in debug builds always, in release builds
-//! whenever an analysis configuration is attached to the compiler — and
-//! once more on the final module in every build.
+//! IR verifier: structural and type sanity checks. The lowering runs
+//! [`verify_module`] on every module it returns; the ks-core pipeline
+//! runs [`verify_function`] after each optimization pass that changed a
+//! function — in debug builds always, in release builds whenever an
+//! analysis configuration is attached to the compiler — and
+//! [`verify_module`] once more on the final module in every build.
 
 #[cfg(test)]
 use crate::inst::Terminator;

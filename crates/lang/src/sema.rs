@@ -320,48 +320,80 @@ fn lower_type(t: &TypeSpec) -> Result<HTy, LangError> {
     })
 }
 
-/// Compile-time constant evaluation of an AST expression (integers only).
-/// After preprocessing, specialized parameters are literals, so array sizes
-/// and similar compile-time-required values fold here.
+/// Compile-time constant evaluation of an AST expression (integers only)
+/// in C's 32-bit `int` / `unsigned int` arithmetic: the value the HIR
+/// folder computes for the same expression in a kernel body, read as an
+/// `int` or an `unsigned` by the expression's type. After preprocessing,
+/// specialized parameters are literals, so array sizes and similar
+/// compile-time-required values fold here. `None` when an operand is not
+/// an integer constant, a literal does not fit 32 bits (C would make it a
+/// `long`), or a division is by zero.
 pub fn const_eval_ast(e: &Expr) -> Option<i64> {
+    let (bits, unsigned) = eval32(e)?;
+    Some(if unsigned {
+        bits.into()
+    } else {
+        (bits as i32).into()
+    })
+}
+
+/// `e`'s 32 bits and whether its type is `unsigned`, typed as the
+/// checker types it: usual arithmetic conversions, a shift in its left
+/// operand's type, a comparison or logical operator an `int` 0 or 1.
+fn eval32(e: &Expr) -> Option<(u32, bool)> {
+    let int = |v: bool| (u32::from(v), false);
     Some(match e {
-        Expr::IntLit { value, .. } => *value,
-        Expr::Unary(UnaryOp::Neg, x) => const_eval_ast(x)?.wrapping_neg(),
-        Expr::Unary(UnaryOp::BitNot, x) => !const_eval_ast(x)?,
-        Expr::Unary(UnaryOp::LogicalNot, x) => i64::from(const_eval_ast(x)? == 0),
+        Expr::IntLit { value, unsigned } => (u32::try_from(*value).ok()?, *unsigned),
+        Expr::Unary(UnaryOp::Neg, x) => (eval32(x)?.0.wrapping_neg(), false),
+        Expr::Unary(UnaryOp::BitNot, x) => {
+            let (v, unsigned) = eval32(x)?;
+            (!v, unsigned)
+        }
+        Expr::Unary(UnaryOp::LogicalNot, x) => int(eval32(x)?.0 == 0),
         Expr::Binary(op, a, b) => {
-            let a = const_eval_ast(a)?;
-            let b = const_eval_ast(b)?;
+            let (a, ua) = eval32(a)?;
+            let (b, ub) = eval32(b)?;
+            let unsigned = ua || ub;
+            let (sa, sb) = (a as i32, b as i32);
+            // Both operands in the comparison's type, ordered as such.
+            let (x, y) = match unsigned {
+                true => (i64::from(a), i64::from(b)),
+                false => (i64::from(sa), i64::from(sb)),
+            };
+            let arith = |v: u32| (v, unsigned);
             match op {
-                BinaryOp::Add => a.wrapping_add(b),
-                BinaryOp::Sub => a.wrapping_sub(b),
-                BinaryOp::Mul => a.wrapping_mul(b),
-                // `None` for a zero divisor and for `i64::MIN / -1`.
-                BinaryOp::Div => a.checked_div(b)?,
-                BinaryOp::Rem => a.checked_rem(b)?,
-                BinaryOp::Shl => a.wrapping_shl(b as u32),
-                BinaryOp::Shr => a.wrapping_shr(b as u32),
-                BinaryOp::Lt => i64::from(a < b),
-                BinaryOp::Le => i64::from(a <= b),
-                BinaryOp::Gt => i64::from(a > b),
-                BinaryOp::Ge => i64::from(a >= b),
-                BinaryOp::Eq => i64::from(a == b),
-                BinaryOp::Ne => i64::from(a != b),
-                BinaryOp::BitAnd => a & b,
-                BinaryOp::BitXor => a ^ b,
-                BinaryOp::BitOr => a | b,
-                BinaryOp::LogicalAnd => i64::from(a != 0 && b != 0),
-                BinaryOp::LogicalOr => i64::from(a != 0 || b != 0),
+                BinaryOp::Add => arith(a.wrapping_add(b)),
+                BinaryOp::Sub => arith(a.wrapping_sub(b)),
+                BinaryOp::Mul => arith(a.wrapping_mul(b)),
+                BinaryOp::Div | BinaryOp::Rem if b == 0 => return None,
+                BinaryOp::Div if unsigned => arith(a / b),
+                BinaryOp::Div => arith(sa.wrapping_div(sb) as u32),
+                BinaryOp::Rem if unsigned => arith(a % b),
+                BinaryOp::Rem => arith(sa.wrapping_rem(sb) as u32),
+                BinaryOp::Shl => (a.wrapping_shl(b), ua),
+                BinaryOp::Shr if ua => (a.wrapping_shr(b), ua),
+                BinaryOp::Shr => (sa.wrapping_shr(b) as u32, ua),
+                BinaryOp::BitAnd => arith(a & b),
+                BinaryOp::BitXor => arith(a ^ b),
+                BinaryOp::BitOr => arith(a | b),
+                BinaryOp::LogicalAnd => int(a != 0 && b != 0),
+                BinaryOp::LogicalOr => int(a != 0 || b != 0),
+                BinaryOp::Lt => int(x < y),
+                BinaryOp::Le => int(x <= y),
+                BinaryOp::Gt => int(x > y),
+                BinaryOp::Ge => int(x >= y),
+                BinaryOp::Eq => int(x == y),
+                BinaryOp::Ne => int(x != y),
             }
         }
         Expr::Cond(c, a, b) => {
-            if const_eval_ast(c)? != 0 {
-                const_eval_ast(a)?
-            } else {
-                const_eval_ast(b)?
-            }
+            let c = eval32(c)?.0;
+            let (a, ua) = eval32(a)?;
+            let (b, ub) = eval32(b)?;
+            (if c != 0 { a } else { b }, ua || ub)
         }
-        Expr::Cast(TypeSpec::Int | TypeSpec::UInt, x) => const_eval_ast(x)?,
+        Expr::Cast(TypeSpec::Int, x) => (eval32(x)?.0, false),
+        Expr::Cast(TypeSpec::UInt, x) => (eval32(x)?.0, true),
         _ => return None,
     })
 }
@@ -372,17 +404,18 @@ pub fn const_eval_ast(e: &Expr) -> Option<i64> {
 fn array_dims(dims: &[Expr], what: &str) -> Result<(Vec<u32>, u32), LangError> {
     let mut sizes = Vec::with_capacity(dims.len());
     let mut len = 1u32;
+    let too_big = || serr(format!("{what}: more than {} elements", u32::MAX));
     for dim in dims {
-        let v = const_eval_ast(dim).ok_or_else(|| {
-            serr(format!(
+        let v = const_eval_ast(dim).ok_or_else(|| match dim {
+            Expr::IntLit { .. } => too_big(),
+            _ => serr(format!(
                 "{what}: array size must be a compile-time constant \
                  (specialize the controlling parameter)"
-            ))
+            )),
         })?;
         if v <= 0 {
             return Err(serr(format!("{what}: non-positive dimension")));
         }
-        let too_big = || serr(format!("{what}: more than {} elements", u32::MAX));
         let d = u32::try_from(v).map_err(|_| too_big())?;
         len = len.checked_mul(d).ok_or_else(too_big)?;
         sizes.push(d);
@@ -1466,6 +1499,26 @@ mod tests {
         let good = "__global__ void k(int n) { __shared__ float t[TILE]; t[0] = 1.0f; }";
         let p = check_src(good, &[("TILE", "16")]).unwrap();
         assert_eq!(p.kernels[0].shared[0].len, 16);
+    }
+
+    #[test]
+    fn dimensions_fold_in_32_bit_int_and_unsigned() {
+        let len = |dim: &str| {
+            let src = format!("__global__ void k(float* o) {{ __shared__ float s[{dim}]; }}");
+            check_src(&src, &[]).map(|p| p.kernels[0].shared[0].len)
+        };
+        // `~0u` is 0xFFFFFFFF, shifted logically.
+        assert_eq!(len("~0u >> 28").unwrap(), 15);
+        // Unsigned addition wraps at 32 bits.
+        assert_eq!(len("0xFFFFFFFFu + 17u").unwrap(), 16);
+        // An `int` shift is arithmetic, and an `int` that wraps negative
+        // is not a size.
+        assert!(len("~0 >> 28").is_err());
+        assert!(len("0x7FFFFFFF + 1").is_err());
+        assert_eq!(
+            len("-1 < 0u").unwrap_err().to_string(),
+            len("0").unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -71,12 +71,7 @@ impl OptConfig {
 
 /// Run the standard pass pipeline to fixpoint.
 pub fn optimize(f: &mut Function) -> OptStats {
-    optimize_with(f, &OptConfig::default())
-}
-
-/// Run the pipeline with per-pass toggles.
-pub fn optimize_with(f: &mut Function, cfg: &OptConfig) -> OptStats {
-    optimize_with_observer(f, cfg, &mut |_, _| {})
+    optimize_with_observer(f, &OptConfig::default(), &mut |_, _| {})
 }
 
 /// Run the pipeline with per-pass toggles, invoking `obs(pass_name, f)`
@@ -155,7 +150,7 @@ pub fn optimize_module(m: &mut ks_ir::Module) -> Vec<OptStats> {
 pub fn optimize_module_with(m: &mut ks_ir::Module, cfg: &OptConfig) -> Vec<OptStats> {
     m.functions
         .iter_mut()
-        .map(|f| optimize_with(f, cfg))
+        .map(|f| optimize_with_observer(f, cfg, &mut |_, _| {}))
         .collect()
 }
 

@@ -51,7 +51,7 @@ pub mod summary;
 pub use bindings::{derive_bindings, Binding, DerivedBindings};
 pub use diff::{DiffKind, Outcome, VerifyDiff};
 pub use expr::Arena;
-pub use pipeline::{build_optimized, optimize_checked, validate_pipeline};
+pub use pipeline::{build_optimized, codegen_checked, optimize_checked, validate_pipeline};
 pub use summary::{Env, FnSummary, Limits, Summarizer, Val};
 
 use ks_ir::{Function, Module};

@@ -5,7 +5,9 @@
 //! the same checks inline when built `with_validation`.
 
 use crate::{default_envs, Limits, ModuleChain, OptChain, VerifyReport};
+use ks_codegen::CodegenOptions;
 use ks_ir::{Function, Module};
+use ks_lang::hir::Program;
 use ks_opt::OptConfig;
 use std::time::{Duration, Instant};
 
@@ -18,23 +20,51 @@ pub fn validate_pipeline(
     defines: &[(String, String)],
     limits: Limits,
 ) -> Result<VerifyReport, String> {
-    let envs = default_envs();
-    let mut report = VerifyReport::default();
-
-    // HIR stages: each lowered snapshot against the one before it.
     let prog = ks_lang::frontend(source, defines).map_err(|e| e.to_string())?;
-    let mut stages = ModuleChain::new(&envs, limits);
-    let mut opt = ks_codegen::compile_observed(
-        &prog,
-        &ks_codegen::CodegenOptions::default(),
-        &mut |stage, m| report.merge(stages.step(m, &format!("codegen.{stage}"))),
-    )
-    .map_err(|e| e.to_string())?;
-
-    // IR passes: every applied pass step of every function.
-    let (passes, _) = optimize_checked(&mut opt, &OptConfig::default(), limits, &mut |_, _, _| {});
+    let (mut module, mut report, _) = codegen_checked(&prog, &CodegenOptions::default(), limits)?;
+    let (passes, _) = optimize_checked(
+        &mut module,
+        &OptConfig::default(),
+        limits,
+        &mut |_, _, _| {},
+    );
     report.merge(passes);
     Ok(report)
+}
+
+/// Lower `program` through ks-codegen's HIR stages, lowering the input
+/// and each stage's output: the first lowering starts a [`ModuleChain`]
+/// under [`default_envs`], and each lowering that differs from the one
+/// before it is checked against it as `codegen.<stage>`. Returns the
+/// last lowering, the merged report and the time spent checking. With
+/// `opts.optimize` off the program is lowered once and nothing is
+/// checked.
+pub fn codegen_checked(
+    program: &Program,
+    opts: &CodegenOptions,
+    limits: Limits,
+) -> Result<(Module, VerifyReport, Duration), String> {
+    let envs = default_envs();
+    let mut chain = ModuleChain::new(&envs, limits);
+    let mut report = VerifyReport::default();
+    let mut spent = Duration::ZERO;
+    let mut last: Option<Module> = None;
+    let prog = ks_codegen::run_stages(program, opts, &mut |stage, p| {
+        let next = ks_codegen::lower::lower_program(p)?;
+        if last.as_ref() != Some(&next) {
+            let _sp = ks_trace::span("verify-codegen");
+            let t = Instant::now();
+            report.merge(chain.step(&next, &format!("codegen.{stage}")));
+            spent += t.elapsed();
+            last = Some(next);
+        }
+        Ok(())
+    })?;
+    let module = match last {
+        Some(m) => m,
+        None => ks_codegen::lower::lower_program(&prog)?,
+    };
+    Ok((module, report, spent))
 }
 
 /// Optimize every function of `module` under `cfg`, checking each pass

@@ -10,8 +10,8 @@ use ks_codegen::CodegenOptions;
 use ks_ir::{BinOp, Function, Inst, Module, Operand};
 use ks_verify::mutate::{self, Mutation, MutationKind};
 use ks_verify::{
-    check_function_pair, check_modules, default_envs, Finding, Limits, ModuleChain, OptChain,
-    VerifyReport,
+    check_function_pair, check_modules, codegen_checked, default_envs, Finding, Limits,
+    ModuleChain, OptChain, VerifyReport,
 };
 
 const TEMPLATE_MATCH: &str = include_str!("../../apps/src/kernels/template_match.cu");
@@ -57,12 +57,17 @@ fn apps() -> Vec<(&'static str, Vec<(String, String)>)> {
     ]
 }
 
-/// Every lowered codegen stage of one compilation, in order.
+/// The baseline lowering of one compilation, then the lowering of each
+/// codegen stage that changed it, in order.
 fn stage_snapshots(source: &str, defines: &[(String, String)]) -> Vec<(String, Module)> {
     let prog = ks_lang::frontend(source, defines).expect("frontend");
-    let mut snaps = Vec::new();
-    ks_codegen::compile_observed(&prog, &CodegenOptions::default(), &mut |stage, m| {
-        snaps.push((format!("codegen.{stage}"), m.clone()));
+    let mut snaps: Vec<(String, Module)> = Vec::new();
+    ks_codegen::run_stages(&prog, &CodegenOptions::default(), &mut |stage, p| {
+        let m = ks_codegen::lower::lower_program(p)?;
+        if snaps.last().map(|(_, last)| last) != Some(&m) {
+            snaps.push((format!("codegen.{stage}"), m));
+        }
+        Ok(())
     })
     .expect("codegen");
     snaps
@@ -126,6 +131,12 @@ fn a_chain_reports_what_pairwise_checks_report() {
             pairwise.merge(check_modules(&w[0].1, &w[1].1, &envs, limits, &w[1].0));
         }
         assert_eq!(chained, pairwise);
+        // The compiler's own driver checks the same snapshots.
+        let prog = ks_lang::frontend(source, &defines).expect("frontend");
+        let (module, checked, _) =
+            codegen_checked(&prog, &CodegenOptions::default(), limits).expect("codegen");
+        assert_eq!(checked, chained);
+        assert_eq!(&module, &stages.last().expect("stages").1);
 
         // Each function on through the optimizer passes.
         let lowered = &stages.last().expect("stages").1;
@@ -211,4 +222,21 @@ fn a_long_chain_still_catches_every_mutation_kind() {
         KINDS.len(),
         "every mutation kind must be exercised: {caught_kinds:?}"
     );
+}
+
+#[test]
+fn stage_snapshots_are_the_stages_that_change_the_lowering() {
+    let expected: [&[&str]; 3] = [
+        &["baseline", "consteval", "unroll"],
+        &["baseline", "consteval", "unroll", "scalarize"],
+        &["baseline", "unroll", "scalarize", "consteval"],
+    ];
+    for ((source, defines), want) in apps().into_iter().zip(expected) {
+        let got: Vec<String> = stage_snapshots(source, &defines)
+            .into_iter()
+            .map(|(context, _)| context)
+            .collect();
+        let want: Vec<String> = want.iter().map(|s| format!("codegen.{s}")).collect();
+        assert_eq!(got, want);
+    }
 }

@@ -1,7 +1,8 @@
 //! PIV flow-field estimation (§5.2): recover a known uniform displacement
 //! from a synthetic particle-image pair, comparing the run-time-evaluated
 //! kernel, the specialized kernel, and the warp-specialized reduction
-//! variant on both simulated GPUs.
+//! variant on both simulated GPUs. Exits non-zero unless every recovered
+//! displacement equals the planted flow.
 //!
 //! Run with: `cargo run --release --example piv`
 
@@ -29,6 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rb: 4,
         threads: 128,
     };
+    let mut wrong = 0;
     for dev in DeviceConfig::presets() {
         let compiler = Compiler::new(dev.clone());
         println!("\n── {} ──", dev.name);
@@ -39,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ] {
             let out = run_gpu(&compiler, variant, kernel, &prob, &imp, &scen, true)?;
             let hits = out.displacements.iter().filter(|d| **d == flow).count();
+            wrong += out.displacements.len() - hits;
             let rep = &out.run.reports[0];
             println!(
                 "{tag}: {:8.4} ms | {:2} regs | occ {:.2} | local {:4} B | {}/{} vectors correct",
@@ -73,6 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             })
             .collect();
         println!("  {}", row.join(" "));
+    }
+    if wrong > 0 {
+        return Err(format!("{wrong} displacement vectors differ from the planted flow").into());
     }
     Ok(())
 }
