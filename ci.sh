@@ -12,6 +12,17 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# A compiled kernel launches its binary's cached plan (ks-apps'
+# launch_binary, gpu-pf's pipeline): ks_sim::launch decodes a plan of
+# its own on every call and never hits the timing memo, so it is for
+# tests over hand-built IR only.
+echo "== no ks_sim::launch in shipped crates or examples"
+if perl -0777 -ne 'print "$ARGV\n" if /ks_sim::(launch\b(?![_:])|\*)|use ks_sim::\{[^}]*\blaunch\b(?![_:])/' \
+    $(find crates/apps/src crates/bench/src crates/gpu-pf/src examples -name '*.rs') | grep .; then
+    echo "the files above call ks_sim::launch; launch the binary's plan" >&2
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --offline --release
 # benchmark/ is its own package outside the workspace and links gpu-pf's
@@ -159,17 +170,23 @@ rm -f "$FAULT_OUT_A" "$FAULT_OUT_B"
 # superseded in-flight promotions, serve a settled module that is
 # re-dirtied from the generic binary (never the old specialization),
 # and produce byte-identical outputs to blocking mode. The example
-# exits non-zero on any violation; the greps pin the summary lines so a
-# silently-skipped check also fails.
+# exits non-zero on any violation (the async balance included); the
+# greps pin the summary lines so a silently-skipped check also fails.
+# Two runs must print byte-identical stdout: no count that depends on
+# timing.
 echo "== tiered-execution drill (generic first, hot-swap on promotion)"
-TIERED_OUT=$(mktemp)
+TIERED_OUT=$(mktemp) TIERED_OUT_B=$(mktemp)
 cargo run --offline --release -q -p ks-apps --example tiered_execution \
     > "$TIERED_OUT" 2> /dev/null
+cargo run --offline --release -q -p ks-apps --example tiered_execution \
+    > "$TIERED_OUT_B" 2> /dev/null
+diff -u "$TIERED_OUT" "$TIERED_OUT_B"
 grep -q "modules specialized: 3/3" "$TIERED_OUT"
 grep -q "first launch on generic: 3/3" "$TIERED_OUT"
 grep -q "superseded: 1, parity: ok" "$TIERED_OUT"
 grep -q "redirty served: generic, parity: ok" "$TIERED_OUT"
-rm -f "$TIERED_OUT"
+grep -q "async balance (spawned == completed + failed + cancelled): ok" "$TIERED_OUT"
+rm -f "$TIERED_OUT" "$TIERED_OUT_B"
 
 # Persistent-store tier: compile, drop process state (fresh compiler,
 # empty in-memory cache), reload byte-identical binaries from the

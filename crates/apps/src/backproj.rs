@@ -12,10 +12,11 @@
 //! `ZB` enables register-blocked accumulators; `VOL_N` folds the volume
 //! addressing arithmetic.
 
+use crate::launch_binary;
 use crate::synth::{ConeGeometry, CtScenario};
 use crate::{GpuRunResult, Variant};
 use ks_core::{Compiler, Defines};
-use ks_sim::{launch, DeviceState, KArg, LaunchDims, LaunchOptions};
+use ks_sim::{DeviceState, KArg, LaunchDims, LaunchOptions};
 
 /// Problem parameters (Table 6.8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -145,9 +146,9 @@ pub fn run_gpu(
             );
         }
 
-        let rep = launch(
+        let rep = launch_binary(
             &mut st,
-            &bin.module,
+            &bin,
             "backproject",
             dims,
             &[

@@ -21,7 +21,34 @@ pub mod piv;
 pub mod synth;
 pub mod template_match;
 
-use ks_sim::LaunchReport;
+use ks_core::Binary;
+use ks_sim::{
+    launch_planned, DeviceState, KArg, LaunchDims, LaunchOptions, LaunchReport, SimError,
+};
+
+/// Launch `kernel` of a compiled binary through the binary's cached plan
+/// ([`Binary::plan`]: decoded on the kernel's first launch, so a repeat
+/// reuses the decode and can hit the timing memo). The launch is
+/// unidentified to a fault plan: key 0 and no `-D` line.
+pub fn launch_binary(
+    st: &mut DeviceState,
+    bin: &Binary,
+    kernel: &str,
+    dims: LaunchDims,
+    args: &[KArg],
+    opts: LaunchOptions,
+) -> Result<LaunchReport, SimError> {
+    let plan = match bin.plan(kernel) {
+        Ok(Some(plan)) => plan,
+        Ok(None) => return Err(SimError(format!("kernel {kernel} not found in module"))),
+        Err(e) => {
+            return Err(SimError(format!(
+                "kernel {kernel}: module failed to decode: {e}"
+            )))
+        }
+    };
+    launch_planned(st, &bin.module.textures, plan, dims, args, opts, 0, "")
+}
 
 /// Aggregate result of running one GPU configuration of an application.
 #[derive(Debug, Clone)]

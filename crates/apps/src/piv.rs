@@ -14,10 +14,11 @@
 //! per-thread partials; the **warp-specialized** variant (Figure 5.12)
 //! reduces within warps warp-synchronously and only barriers once.
 
+use crate::launch_binary;
 use crate::synth::PivScenario;
 use crate::{GpuRunResult, Variant};
 use ks_core::{Compiler, Defines};
-use ks_sim::{launch, DeviceState, KArg, LaunchDims, LaunchOptions};
+use ks_sim::{DeviceState, KArg, LaunchDims, LaunchOptions};
 
 /// Problem parameters (Tables 6.2–6.6 geometry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -242,9 +243,9 @@ pub fn run_gpu_with(
         block: (imp.threads, 1, 1),
         dynamic_shared: 0,
     };
-    let rep = launch(
+    let rep = launch_binary(
         &mut st,
-        &bin.module,
+        &bin,
         kernel.name(),
         dims,
         &[

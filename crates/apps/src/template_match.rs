@@ -18,10 +18,11 @@
 //! The numerator uses the simplification of Figure 5.3: with the template
 //! mean pre-subtracted (A_C), Σ A_C·B̄ vanishes, so only Σ A_C·B is needed.
 
+use crate::launch_binary;
 use crate::synth::{Image, MatchScenario};
 use crate::{GpuRunResult, Variant};
 use ks_core::{Compiler, Defines};
-use ks_sim::{launch, DeviceState, KArg, LaunchDims, LaunchOptions};
+use ks_sim::{DeviceState, KArg, LaunchDims, LaunchOptions};
 
 /// Problem parameters (Table 5.1 geometry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -326,9 +327,9 @@ pub fn run_gpu(
             block: (imp.threads, 1, 1),
             dynamic_shared: 0,
         };
-        let rep = launch(
+        let rep = launch_binary(
             &mut st,
-            &bin.module,
+            bin,
             "numerator_tiles",
             dims,
             &[
@@ -354,9 +355,9 @@ pub fn run_gpu(
 
     // Stage 2: tiled summation.
     let dims1 = LaunchDims::linear(oblocks, imp.threads);
-    reports.push(launch(
+    reports.push(launch_binary(
         &mut st,
-        &aux_bin.module,
+        &aux_bin,
         "sum_partials",
         dims1,
         &[
@@ -370,9 +371,9 @@ pub fn run_gpu(
 
     // Stage 3: window statistics (one block per offset).
     let stats_dims = LaunchDims::linear(num_offsets as u32, imp.threads);
-    reports.push(launch(
+    reports.push(launch_binary(
         &mut st,
-        &aux_bin.module,
+        &aux_bin,
         "window_stats",
         stats_dims,
         &[
@@ -389,9 +390,9 @@ pub fn run_gpu(
     )?);
 
     // Stage 4: normalization.
-    reports.push(launch(
+    reports.push(launch_binary(
         &mut st,
-        &aux_bin.module,
+        &aux_bin,
         "normalize",
         dims1,
         &[

@@ -39,6 +39,9 @@ const TABLE: &[&str] = &[
     "!0 + 4",
     "!5",
     "(1 && 2) + (0 || 3) + 1",
+    "0 && 1 / 0",
+    "1 || 1 / 0",
+    "1 ? 5 : 1 / 0",
     "1 / 0",
     "5 % 0u",
 ];

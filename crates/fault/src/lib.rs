@@ -39,7 +39,7 @@ use std::sync::{Arc, OnceLock};
 
 /// What kind of failure to inject. Compile-site kinds surface as
 /// `CompileError`s (or a panic) from ks-core; device-site kinds surface
-/// as `SimError`s from `ks_sim::launch`.
+/// as `SimError`s from `ks_sim::launch_planned`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The compile returns an error ("nvcc" failure analogue).

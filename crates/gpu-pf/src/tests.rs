@@ -1294,13 +1294,16 @@ fn launch_racing_a_hot_swap_sees_a_fully_built_binary() {
                         !bin.module.functions.is_empty() && !bin.ptx.is_empty(),
                         "launcher {t} saw a partially built binary"
                     );
-                    ks_sim::launch(
+                    let plan = bin.plan("scale").unwrap().unwrap();
+                    launch_planned(
                         &mut state,
-                        &bin.module,
-                        "scale",
+                        &bin.module.textures,
+                        plan,
                         dims,
                         &args,
                         LaunchOptions::default(),
+                        0,
+                        "",
                     )
                     .unwrap();
                     launches += 1;

@@ -330,6 +330,7 @@ fn lower_type(t: &TypeSpec) -> Result<HTy, LangError> {
 /// `long`), or a division is by zero.
 pub fn const_eval_ast(e: &Expr) -> Option<i64> {
     let (bits, unsigned) = eval32(e)?;
+    let bits = bits?;
     Some(if unsigned {
         bits.into()
     } else {
@@ -337,64 +338,93 @@ pub fn const_eval_ast(e: &Expr) -> Option<i64> {
     })
 }
 
-/// `e`'s 32 bits and whether its type is `unsigned`, typed as the
-/// checker types it: usual arithmetic conversions, a shift in its left
-/// operand's type, a comparison or logical operator an `int` 0 or 1.
-fn eval32(e: &Expr) -> Option<(u32, bool)> {
-    let int = |v: bool| (u32::from(v), false);
+/// Whether `e` is `unsigned`, typed as the checker types it (usual
+/// arithmetic conversions, a shift in its left operand's type, a
+/// comparison or logical operator an `int` 0 or 1), and its 32 bits
+/// unless they are undefined (a division by zero). `None` when `e` is
+/// not an integer expression of literals. `&&`, `||` and `?:` decide
+/// from an operand whose value settles them, as the HIR folder does, so
+/// `0 && 1 / 0` is 0.
+fn eval32(e: &Expr) -> Option<(Option<u32>, bool)> {
     Some(match e {
-        Expr::IntLit { value, unsigned } => (u32::try_from(*value).ok()?, *unsigned),
-        Expr::Unary(UnaryOp::Neg, x) => (eval32(x)?.0.wrapping_neg(), false),
+        Expr::IntLit { value, unsigned } => (Some(u32::try_from(*value).ok()?), *unsigned),
+        Expr::Unary(UnaryOp::Neg, x) => (eval32(x)?.0.map(u32::wrapping_neg), false),
         Expr::Unary(UnaryOp::BitNot, x) => {
             let (v, unsigned) = eval32(x)?;
-            (!v, unsigned)
+            (v.map(|v| !v), unsigned)
         }
-        Expr::Unary(UnaryOp::LogicalNot, x) => int(eval32(x)?.0 == 0),
+        Expr::Unary(UnaryOp::LogicalNot, x) => (eval32(x)?.0.map(|v| u32::from(v == 0)), false),
         Expr::Binary(op, a, b) => {
             let (a, ua) = eval32(a)?;
             let (b, ub) = eval32(b)?;
             let unsigned = ua || ub;
-            let (sa, sb) = (a as i32, b as i32);
-            // Both operands in the comparison's type, ordered as such.
-            let (x, y) = match unsigned {
-                true => (i64::from(a), i64::from(b)),
-                false => (i64::from(sa), i64::from(sb)),
+            let ty = match op {
+                BinaryOp::Shl | BinaryOp::Shr => ua,
+                BinaryOp::Add
+                | BinaryOp::Sub
+                | BinaryOp::Mul
+                | BinaryOp::Div
+                | BinaryOp::Rem
+                | BinaryOp::BitAnd
+                | BinaryOp::BitXor
+                | BinaryOp::BitOr => unsigned,
+                _ => false,
             };
-            let arith = |v: u32| (v, unsigned);
-            match op {
-                BinaryOp::Add => arith(a.wrapping_add(b)),
-                BinaryOp::Sub => arith(a.wrapping_sub(b)),
-                BinaryOp::Mul => arith(a.wrapping_mul(b)),
-                BinaryOp::Div | BinaryOp::Rem if b == 0 => return None,
-                BinaryOp::Div if unsigned => arith(a / b),
-                BinaryOp::Div => arith(sa.wrapping_div(sb) as u32),
-                BinaryOp::Rem if unsigned => arith(a % b),
-                BinaryOp::Rem => arith(sa.wrapping_rem(sb) as u32),
-                BinaryOp::Shl => (a.wrapping_shl(b), ua),
-                BinaryOp::Shr if ua => (a.wrapping_shr(b), ua),
-                BinaryOp::Shr => (sa.wrapping_shr(b) as u32, ua),
-                BinaryOp::BitAnd => arith(a & b),
-                BinaryOp::BitXor => arith(a ^ b),
-                BinaryOp::BitOr => arith(a | b),
-                BinaryOp::LogicalAnd => int(a != 0 && b != 0),
-                BinaryOp::LogicalOr => int(a != 0 || b != 0),
-                BinaryOp::Lt => int(x < y),
-                BinaryOp::Le => int(x <= y),
-                BinaryOp::Gt => int(x > y),
-                BinaryOp::Ge => int(x >= y),
-                BinaryOp::Eq => int(x == y),
-                BinaryOp::Ne => int(x != y),
-            }
+            let v = match (op, a, b) {
+                (BinaryOp::LogicalAnd, Some(0), _) | (BinaryOp::LogicalAnd, _, Some(0)) => Some(0),
+                (BinaryOp::LogicalOr, Some(x), _) | (BinaryOp::LogicalOr, _, Some(x)) if x != 0 => {
+                    Some(1)
+                }
+                (_, Some(a), Some(b)) => binary32(*op, a, b, ua, unsigned),
+                _ => None,
+            };
+            (v, ty)
         }
         Expr::Cond(c, a, b) => {
             let c = eval32(c)?.0;
             let (a, ua) = eval32(a)?;
             let (b, ub) = eval32(b)?;
-            (if c != 0 { a } else { b }, ua || ub)
+            (c.and_then(|c| if c != 0 { a } else { b }), ua || ub)
         }
         Expr::Cast(TypeSpec::Int, x) => (eval32(x)?.0, false),
         Expr::Cast(TypeSpec::UInt, x) => (eval32(x)?.0, true),
         _ => return None,
+    })
+}
+
+/// `a op b` on two known 32-bit operands; `ua` is whether `a` is
+/// `unsigned`, `unsigned` whether the operands convert to `unsigned`.
+/// `None` for a division by zero.
+fn binary32(op: BinaryOp, a: u32, b: u32, ua: bool, unsigned: bool) -> Option<u32> {
+    let (sa, sb) = (a as i32, b as i32);
+    // Both operands in the comparison's type, ordered as such.
+    let (x, y) = match unsigned {
+        true => (i64::from(a), i64::from(b)),
+        false => (i64::from(sa), i64::from(sb)),
+    };
+    Some(match op {
+        BinaryOp::Add => a.wrapping_add(b),
+        BinaryOp::Sub => a.wrapping_sub(b),
+        BinaryOp::Mul => a.wrapping_mul(b),
+        BinaryOp::Div | BinaryOp::Rem if b == 0 => return None,
+        BinaryOp::Div if unsigned => a / b,
+        BinaryOp::Div => sa.wrapping_div(sb) as u32,
+        BinaryOp::Rem if unsigned => a % b,
+        BinaryOp::Rem => sa.wrapping_rem(sb) as u32,
+        BinaryOp::Shl => a.wrapping_shl(b),
+        BinaryOp::Shr if ua => a.wrapping_shr(b),
+        BinaryOp::Shr => sa.wrapping_shr(b) as u32,
+        BinaryOp::BitAnd => a & b,
+        BinaryOp::BitXor => a ^ b,
+        BinaryOp::BitOr => a | b,
+        BinaryOp::LogicalAnd => u32::from(a != 0 && b != 0),
+        BinaryOp::LogicalOr => u32::from(a != 0 || b != 0),
+        BinaryOp::Lt => u32::from(x < y),
+        BinaryOp::Le => u32::from(x <= y),
+        BinaryOp::Gt => u32::from(x > y),
+        BinaryOp::Ge => u32::from(x >= y),
+        BinaryOp::Eq => u32::from(x == y),
+        BinaryOp::Ne => u32::from(x != y),
     })
 }
 

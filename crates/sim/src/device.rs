@@ -14,31 +14,31 @@ pub struct DeviceConfig {
     pub cc_major: u32,
     pub cc_minor: u32,
     /// Streaming multiprocessors.
-    pub sm_count: u32,
+    pub(crate) sm_count: u32,
     /// Shader clock in GHz.
-    pub clock_ghz: f64,
+    pub(crate) clock_ghz: f64,
     /// Scalar cores per SM (8 on CC 1.x, 32 on CC 2.0).
-    pub cores_per_sm: u32,
-    pub warp_size: u32,
+    pub(crate) cores_per_sm: u32,
+    pub(crate) warp_size: u32,
     pub max_threads_per_block: u32,
     /// 32-bit registers per SM (Table 2.2: 64 KB ⇒ 16 K regs on CC 1.3,
     /// 128 KB ⇒ 32 K regs on CC 2.x).
-    pub regs_per_sm: u32,
+    pub(crate) regs_per_sm: u32,
     /// Register allocation granularity (regs are allocated in these units).
-    pub reg_alloc_unit: u32,
+    pub(crate) reg_alloc_unit: u32,
     /// Shared memory per SM in bytes.
-    pub shared_per_sm: u32,
+    pub(crate) shared_per_sm: u32,
     /// Shared-memory allocation granularity in bytes.
-    pub shared_alloc_unit: u32,
+    pub(crate) shared_alloc_unit: u32,
     pub shared_banks: u32,
-    pub max_warps_per_sm: u32,
-    pub max_blocks_per_sm: u32,
+    pub(crate) max_warps_per_sm: u32,
+    pub(crate) max_blocks_per_sm: u32,
     /// Warp schedulers per SM (1 on CC 1.x, 2 on Fermi).
-    pub schedulers_per_sm: u32,
+    pub(crate) schedulers_per_sm: u32,
     /// Global-memory latency in core cycles.
-    pub mem_latency: u64,
+    pub(crate) mem_latency: u64,
     /// Aggregate off-chip bandwidth in GB/s.
-    pub mem_bw_gbps: f64,
+    pub(crate) mem_bw_gbps: f64,
     /// Memory transaction segment size in bytes (64 on CC 1.3 per
     /// half-warp; 128-byte cache lines per warp on CC 2.x).
     pub mem_segment: u64,
@@ -47,7 +47,7 @@ pub struct DeviceConfig {
     pub half_warp_coalescing: bool,
     /// 32-bit integer multiply is slow and `__mul24` fast (CC 1.x); the
     /// relation inverts on CC 2.x (§2.4).
-    pub fast_mul24: bool,
+    pub(crate) fast_mul24: bool,
     /// Constant memory size in bytes (64 KB on all CUDA GPUs).
     pub const_bytes: u32,
 }

@@ -51,7 +51,6 @@ pub fn run_sm_round(
         block_dim,
         grid_dim,
         dynamic_shared,
-        trace: false,
         racecheck: false,
         strict_barriers: false,
         costs: Costs::new(dev),

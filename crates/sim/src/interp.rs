@@ -215,7 +215,7 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    pub fn accumulate(&mut self, o: &ExecStats) {
+    pub(crate) fn accumulate(&mut self, o: &ExecStats) {
         self.dyn_insts += o.dyn_insts;
         self.alu += o.alu;
         self.mul += o.mul;
@@ -411,9 +411,6 @@ pub(crate) struct LaunchEnv<'a> {
     pub block_dim: (u32, u32, u32),
     pub grid_dim: (u32, u32, u32),
     pub dynamic_shared: u32,
-    /// Print a per-instruction issue trace for warp 0 of timed blocks
-    /// (debugging).
-    pub trace: bool,
     /// Track per-word shared-memory access sets between barriers and fail
     /// on cross-warp hazards (`LaunchOptions::racecheck`).
     pub racecheck: bool,
@@ -1349,7 +1346,6 @@ fn exec_op<const TIMING: bool>(
     // ---- timing: issue + dependencies ----
     let mut issue_extra: u64 = 0; // bank-conflict replays
     let mut latency_extra: u64 = 0; // uncoalesced serialization
-    let pre_clock = w.clock;
     if TIMING {
         w.stats.dyn_insts += 1;
         match op.unit {
@@ -1649,14 +1645,6 @@ fn exec_op<const TIMING: bool>(
         let issue = env.costs.issue[op.issue as usize] * (1 + issue_extra);
         let t_issue = w.clock;
         w.last_issue = (t_issue, issue);
-        if env.trace && w.base_tid == 0 {
-            eprintln!(
-                "[trace] t={:6} stall={:5} {}",
-                t_issue,
-                t_issue.saturating_sub(pre_clock),
-                plan.trace_text[pc as usize]
-            );
-        }
         w.clock = t_issue + issue;
         w.stats.issue_cycles += issue;
         let latency = env.costs.latency[op.latency as usize];

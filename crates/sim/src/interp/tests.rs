@@ -68,7 +68,6 @@ impl Fixture<'_> {
             block_dim: (self.block, 1, 1),
             grid_dim: (self.grid, 1, 1),
             dynamic_shared: 0,
-            trace: false,
             racecheck: self.racecheck,
             strict_barriers: self.strict_barriers,
             costs: Costs::new(&dev),
@@ -808,7 +807,21 @@ fn global_traps_name_the_first_failing_lane() {
                 };
                 let ctx = format!("load {is_load}, mask {mask:#x}, lane 7 at {addr1:#x}");
                 let out = fx.agree(&ctx, false);
-                let dst = out.regs[0][plan.row(DST) as usize];
+                // The row the probe's global load writes (the store
+                // probe has none).
+                let dst = plan
+                    .ops
+                    .iter()
+                    .find(|op| {
+                        matches!(
+                            op.kind,
+                            Kind::Ld {
+                                space: Space::Global,
+                                ..
+                            }
+                        )
+                    })
+                    .map_or([0; 32], |ld| out.regs[0][ld.dst as usize]);
                 let stored = |lane: usize| {
                     let at = 4 * lane;
                     u32::from_le_bytes(out.heap[at..at + 4].try_into().unwrap())

@@ -11,7 +11,6 @@ use crate::occupancy::{occupancy, Limiter, Occupancy};
 use crate::plan::LaunchPlan;
 use ks_ir::{Module, Space, Ty};
 use rayon::prelude::*;
-use std::borrow::Borrow;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -105,7 +104,7 @@ pub struct LaunchReport {
     /// What bounded the SM round time.
     pub bound: Bound,
     /// Host wall-clock of this launch, in microseconds, split three ways:
-    /// getting ready (plan lookup or build, argument marshalling,
+    /// getting ready (fault-plan probe, argument marshalling,
     /// occupancy), …
     pub host_plan_us: f64,
     /// … the timing model (scoreboard-timed sample blocks, and the
@@ -129,7 +128,7 @@ pub enum Bound {
 pub struct DeviceState {
     pub dev: DeviceConfig,
     pub global: crate::mem::GlobalMem,
-    pub const_mem: Vec<u8>,
+    pub(crate) const_mem: Vec<u8>,
     /// Texture-reference bindings by name (`cudaBindTexture`).
     pub tex_bindings: std::collections::HashMap<String, u64>,
 }
@@ -249,18 +248,11 @@ fn trace_metrics() -> &'static TraceMetrics {
     })
 }
 
-/// Whether `KS_SIM_TRACE` asks for the per-instruction issue trace of
-/// warp 0 of the timed blocks. Read once per process.
-pub(crate) fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("KS_SIM_TRACE").is_some())
-}
-
-/// Launch a kernel on the simulated device.
-///
-/// Decodes the kernel into a throw-away [`LaunchPlan`] first; callers
-/// that launch one kernel repeatedly keep the plan and use
-/// [`launch_planned`].
+/// Launch `kernel` of `module` on the simulated device, unidentified to
+/// a fault plan. Decodes the kernel into a plan of its own first, so a
+/// repeat never hits the timing memo: it serves tests over hand-built
+/// IR. A compiled kernel launches its binary's cached plan
+/// (`ks_core::Binary::plan`) through [`launch_planned`].
 pub fn launch(
     state: &mut DeviceState,
     module: &Module,
@@ -269,31 +261,21 @@ pub fn launch(
     args: &[KArg],
     opts: LaunchOptions,
 ) -> Result<LaunchReport, SimError> {
-    launch_with(
-        state,
-        &module.textures,
-        kernel,
-        dims,
-        args,
-        opts,
-        0,
-        "",
-        || {
-            let f = module
-                .function(kernel)
-                .ok_or_else(|| SimError(format!("kernel {kernel} not found in module")))?;
-            Ok(LaunchPlan::from_function(f))
-        },
-    )
+    let f = module
+        .function(kernel)
+        .ok_or_else(|| SimError(format!("kernel {kernel} not found in module")))?;
+    let plan = LaunchPlan::from_function(f);
+    launch_planned(state, &module.textures, &plan, dims, args, opts, 0, "")
 }
 
-/// [`launch`] through a plan built earlier (by `ks_core::Binary`, once
-/// per kernel). `textures` is the texture-reference table of the module
-/// the plan's kernel came from. The bound binary is identified by its
-/// specialization cache key and rendered `-D` command line so an active
-/// [`ks_fault::FaultPlan`] can scope launch faults to one exact variant
-/// (`Target::Key` / `Target::Define`). Key 0 and an empty `-D` line
-/// mean "unidentified" and match only un-keyed selectors.
+/// Launch a decoded kernel on the simulated device: span, fault
+/// injection, execution, telemetry. `textures` is the texture-reference
+/// table of the module the plan's kernel came from. The bound binary is
+/// identified by its specialization cache key and rendered `-D` command
+/// line so an active [`ks_fault::FaultPlan`] can scope launch faults to
+/// one exact variant (`Target::Key` / `Target::Define`). Key 0 and an
+/// empty `-D` line mean "unidentified" and match only un-keyed
+/// selectors.
 #[allow(clippy::too_many_arguments)]
 pub fn launch_planned(
     state: &mut DeviceState,
@@ -305,37 +287,8 @@ pub fn launch_planned(
     key: u64,
     defines: &str,
 ) -> Result<LaunchReport, SimError> {
-    let kernel = plan.kernel();
-    launch_with(
-        state,
-        textures,
-        kernel,
-        dims,
-        args,
-        opts,
-        key,
-        defines,
-        || Ok(plan),
-    )
-}
-
-/// The launch proper: span, fault injection, `get_plan`, execution,
-/// telemetry. The plan is fetched after the fault check so an injected
-/// fault costs nothing, and inside the span and the host-time clock so a
-/// throw-away plan's decode is accounted to the launch that paid it.
-#[allow(clippy::too_many_arguments)]
-fn launch_with<P: Borrow<LaunchPlan>>(
-    state: &mut DeviceState,
-    textures: &[String],
-    kernel: &str,
-    dims: LaunchDims,
-    args: &[KArg],
-    opts: LaunchOptions,
-    key: u64,
-    defines: &str,
-    get_plan: impl FnOnce() -> Result<P, SimError>,
-) -> Result<LaunchReport, SimError> {
     let started = Instant::now();
+    let kernel = plan.kernel.as_str();
     let _span = ks_trace::span_fields("launch", || {
         vec![
             ("kernel".to_string(), kernel.to_string()),
@@ -360,8 +313,7 @@ fn launch_with<P: Borrow<LaunchPlan>>(
             }
         }
     }
-    let plan = get_plan()?;
-    let (report, memo) = launch_inner(state, textures, plan.borrow(), dims, args, opts, started)?;
+    let (report, memo) = launch_inner(state, textures, plan, dims, args, opts, started)?;
     if let Some(fault) = pending_flip {
         if apply_silent_flip(state, &report, fault.entropy) {
             ks_trace::registry()
@@ -528,30 +480,24 @@ fn launch_inner(
         block_dim: dims.block,
         grid_dim: dims.grid,
         dynamic_shared: dims.dynamic_shared,
-        trace: trace_enabled(),
         racecheck: opts.racecheck,
         strict_barriers: opts.strict_barriers,
         costs: Costs::new(dev),
     };
     let planned = Instant::now();
 
-    // Under `KS_SIM_TRACE` the timed blocks print the trace: no memo.
-    let memo_key = plan
-        .timing_memo
-        .as_ref()
-        .filter(|_| !trace_enabled())
-        .map(|memo| {
-            let key = memo::Key::new(
-                dev,
-                dims,
-                opts.timing_sample_blocks,
-                &params,
-                &tex_bindings,
-                &plan.const_reads,
-                const_mem,
-            );
-            (memo, key)
-        });
+    let memo_key = plan.timing_memo.as_ref().map(|memo| {
+        let key = memo::Key::new(
+            dev,
+            dims,
+            opts.timing_sample_blocks,
+            &params,
+            &tex_bindings,
+            &plan.const_reads,
+            const_mem,
+        );
+        (memo, key)
+    });
 
     // --- timing sample: every `stride`-th block, scoreboard-timed ---
     let sample_n = (opts.timing_sample_blocks as u64).min(nblocks).max(1);
@@ -696,7 +642,6 @@ fn launch_inner(
             memo.insert(key, per_block_samples);
             memo::Outcome::Miss
         }
-        None if plan.timing_memo.is_some() => memo::Outcome::Miss,
         None => memo::Outcome::Ineligible,
     };
 

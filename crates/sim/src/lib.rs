@@ -25,30 +25,35 @@
 //! ).unwrap();
 //! let module = ks_codegen::compile(&prog, &Default::default()).unwrap();
 //!
+//! // Decode the kernel once; every launch of the plan reuses the decode
+//! // (`ks_core::Binary::plan` keeps one per compiled kernel).
+//! let plan = LaunchPlan::from_function(module.function("dbl").unwrap());
+//!
 //! let mut st = DeviceState::new(DeviceConfig::tesla_c2070(), 1 << 20);
 //! let p = st.global.alloc(32 * 4).unwrap();
 //! st.global.write_f32_slice(p, &[1.5; 32]).unwrap();
-//! let report = launch(
-//!     &mut st, &module, "dbl",
+//! let report = launch_planned(
+//!     &mut st, &module.textures, &plan,
 //!     LaunchDims::linear(1, 32),
 //!     &[KArg::Ptr(p)],
 //!     LaunchOptions::default(),
+//!     0, "", // no fault-plan identity
 //! ).unwrap();
 //! assert_eq!(st.global.read_f32_slice(p, 32).unwrap(), vec![3.0; 32]);
 //! assert!(report.time_ms > 0.0);
 //! ```
 
 pub mod device;
-pub mod event;
+mod event;
 pub mod interp;
-pub mod launch;
+mod launch;
 pub mod mem;
 mod memo;
-pub mod occupancy;
+mod occupancy;
 pub mod plan;
 pub mod racecheck;
-pub mod regalloc;
-pub mod report;
+mod regalloc;
+mod report;
 pub mod simt;
 
 pub use device::DeviceConfig;

@@ -86,10 +86,6 @@ impl GlobalMem {
         }
     }
 
-    pub fn capacity(&self) -> u64 {
-        self.data.len() as u64
-    }
-
     fn offset(&self, addr: u64, len: u64, align: u64) -> Result<usize, MemError> {
         let end = addr.checked_add(len);
         if addr < GLOBAL_BASE || end.is_none_or(|end| end > GLOBAL_BASE + self.data.len() as u64) {

@@ -27,8 +27,7 @@ const CAPACITY: usize = 8;
 pub(crate) enum Outcome {
     /// The sample came from the memo; every block ran untimed.
     Hit,
-    /// The sample blocks ran timed (and, outside `KS_SIM_TRACE`, the
-    /// sample was remembered).
+    /// The sample blocks ran timed and the sample was remembered.
     Miss,
     /// The plan's timing can depend on data; there is no memo.
     Ineligible,

@@ -27,7 +27,7 @@ use ks_ir::cfg::{ipdoms, Cfg};
 use ks_ir::fxhash::FxHashMap;
 use ks_ir::{
     BinOp, BlockId, CmpOp, Function, Inst, KernelParam, Operand, Space, SpecialReg, Terminator, Ty,
-    UnOp, VReg,
+    UnOp,
 };
 use BinKind::*;
 
@@ -284,8 +284,6 @@ pub struct LaunchPlan {
     /// the 64-bit bank `wide_from..num_vregs`.
     pub(crate) signed_from: u32,
     pub(crate) wide_from: u32,
-    /// IR register number → register row.
-    pub(crate) rows: Vec<u32>,
     /// Each register row's IR type.
     pub(crate) row_tys: Vec<Ty>,
     /// Targets of the [`Kind::CondBr`] ops.
@@ -297,8 +295,6 @@ pub struct LaunchPlan {
     /// entry; every other register is written by each lane before that
     /// lane reads it.
     pub(crate) entry_live: Vec<u32>,
-    /// Printed instruction per pc, filled only under `KS_SIM_TRACE`.
-    pub(crate) trace_text: Vec<String>,
     /// The constant bytes the kernel can read: part of the memo key.
     pub(crate) const_reads: ConstReads,
     /// The launches' remembered timing samples; present exactly when the
@@ -326,7 +322,6 @@ impl LaunchPlan {
         }
         let start = |b: BlockId| block_pc[b.0 as usize];
 
-        let trace = crate::launch::trace_enabled();
         let mut d = Decoder {
             num_vregs: f.num_vregs() as u32,
             imm_index: FxHashMap::default(),
@@ -335,13 +330,9 @@ impl LaunchPlan {
         };
         let mut ops = Vec::with_capacity(pc as usize);
         let mut branches = Vec::new();
-        let mut trace_text = Vec::new();
         for b in &f.blocks {
             for inst in &b.insts {
                 ops.push(d.inst(inst));
-                if trace {
-                    trace_text.push(ks_ir::printer::print_inst(inst));
-                }
             }
             let mut op = Op::new(Kind::Ret, Unit::Other);
             match &b.term {
@@ -367,9 +358,6 @@ impl LaunchPlan {
                 }
             }
             ops.push(op);
-            if trace {
-                trace_text.push(String::new());
-            }
         }
 
         let banks = Banks::place(&mut ops, f, &d.imm_rows);
@@ -396,20 +384,13 @@ impl LaunchPlan {
             imm32_rows,
             signed_from: banks.signed_from,
             wide_from: banks.wide_from,
-            rows: banks.rows,
             row_tys: banks.row_tys,
             branches,
             traps: d.traps,
             entry_live,
-            trace_text,
             const_reads,
             timing_memo,
         }
-    }
-
-    /// Name of the decoded kernel.
-    pub fn kernel(&self) -> &str {
-        &self.kernel
     }
 
     /// Whether no value the kernel loads from global, shared or local
@@ -444,11 +425,6 @@ impl LaunchPlan {
         Some(self.imm_rows[i][0])
     }
 
-    /// The register row of IR register `v`.
-    pub fn row(&self, v: VReg) -> u32 {
-        self.rows[v.0 as usize]
-    }
-
     /// The IR type of the register in row `row`; `None` for an immediate.
     pub fn row_ty(&self, row: u32) -> Option<Ty> {
         self.row_tys.get(row as usize).copied()
@@ -481,7 +457,7 @@ pub struct BankCensus {
     pub regs64: usize,
     /// Ops that read a 32-bit register as 64 bits: pointer offsets,
     /// conversions to a pointer, address bases.
-    pub widened: usize,
+    pub(crate) widened: usize,
     /// Ops whose operands sit in banks their kind does not read, which
     /// run lane by lane ([`Form::Mixed`]).
     pub mixed: usize,

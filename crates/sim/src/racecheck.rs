@@ -18,9 +18,9 @@ pub struct RaceHazard {
     /// Byte address of the conflicting word in the shared window.
     pub word_addr: u64,
     /// The warp performing the access that exposed the hazard.
-    pub warp: u32,
+    pub(crate) warp: u32,
     /// A warp that touched the word earlier in the same barrier interval.
-    pub other_warp: u32,
+    pub(crate) other_warp: u32,
     /// Pc of the word's last access of the conflicting sort: its last
     /// write, or for a write after reads, its last read.
     pub other_pc: u32,

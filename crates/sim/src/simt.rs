@@ -91,7 +91,7 @@ pub struct Warp<S> {
     stack: Vec<Frame>,
     pub(crate) done: bool,
     pub(crate) at_barrier: bool,
-    pub state: S,
+    pub(crate) state: S,
 }
 
 impl<S> Warp<S> {

@@ -35,8 +35,8 @@ fn host_time_fields_account_for_the_launch_span() {
     let dims = LaunchDims::linear(64, 128);
 
     ks_trace::set_enabled(true);
-    // Both entry points: a throw-away plan (decode on the clock) and a
-    // kept one.
+    // Both entry points: `launch` decodes a plan of its own before the
+    // clock starts, `launch_planned` takes a kept one.
     let plan = LaunchPlan::from_function(m.function("saxpy").unwrap());
     let reports = [
         launch(&mut st, &m, "saxpy", dims, &args, LaunchOptions::default()).unwrap(),
@@ -72,6 +72,4 @@ fn host_time_fields_account_for_the_launch_span() {
             "host parts {parts:?} sum to {sum:.1} us of a {span_us:.1} us launch span"
         );
     }
-    // Only the throw-away launch decodes on the clock.
-    assert!(reports[0].host_plan_us > reports[1].host_plan_us);
 }

@@ -118,7 +118,7 @@ pub mod names {
     /// SIM_LAUNCHES`.
     pub const SIM_MEMO_HITS: &str = "ks_sim.memo.hits";
     /// Completed launches of a data-independent plan that timed their
-    /// sample blocks (first sight of the key, or `KS_SIM_TRACE`).
+    /// sample blocks (first sight of the key).
     pub const SIM_MEMO_MISSES: &str = "ks_sim.memo.misses";
     /// Completed launches of a plan whose timing can depend on data.
     pub const SIM_MEMO_INELIGIBLE: &str = "ks_sim.memo.ineligible";

@@ -10,8 +10,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use ks_apps::launch_binary;
 use ks_core::{Compiler, Defines};
-use ks_sim::{launch, DeviceConfig, DeviceState, KArg, LaunchDims, LaunchOptions};
+use ks_sim::{DeviceConfig, DeviceState, KArg, LaunchDims, LaunchOptions};
 
 /// Appendix-B-style flexibly specializable kernel: every `#ifndef` gives a
 /// parameter a run-time-evaluated fallback, so the same source compiles
@@ -96,18 +97,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let dims = LaunchDims::linear(blocks, threads);
 
-    let rep_re = launch(
+    let rep_re = launch_binary(
         &mut st,
-        &re.module,
+        &re,
         "mathTest",
         dims,
         &args,
         LaunchOptions::default(),
     )?;
     let out_re = st.global.read_i32_slice(p_out, n)?;
-    let rep_sk = launch(
+    let rep_sk = launch_binary(
         &mut st,
-        &sk.module,
+        &sk,
         "mathTest",
         dims,
         &args,

@@ -13,8 +13,9 @@
 //!
 //! Run with: `cargo run --release --example row_filter`
 
+use ks_apps::launch_binary;
 use ks_core::{Compiler, Defines};
-use ks_sim::{launch, DeviceConfig, DeviceState, KArg, LaunchDims, LaunchOptions};
+use ks_sim::{DeviceConfig, DeviceState, KArg, LaunchDims, LaunchOptions};
 
 const ROW_FILTER: &str = r#"
 // Separable row filter with replicate borders (OpenCV linearRowFilter).
@@ -109,9 +110,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 block: (32, 8, 1),
                 dynamic_shared: 0,
             };
-            let rep = launch(
+            let rep = launch_binary(
                 &mut st,
-                &bin.module,
+                &bin,
                 "linearRowFilter",
                 dims,
                 &[

@@ -249,12 +249,23 @@ fn main() {
         ks_trace::names::PF_PROMOTIONS,
         ks_trace::names::PF_PROMOTIONS_FAILED,
         ks_trace::names::PF_PROMOTIONS_SUPERSEDED,
-        ks_trace::names::ASYNC_SPAWNED,
-        ks_trace::names::ASYNC_COMPLETED,
-        ks_trace::names::ASYNC_CANCELLED,
     ] {
         println!("{name} = {}", reg.counter_value(name));
     }
+    // How a background compile ends (completed, or cancelled before it
+    // ran) depends on timing; that every one ended does not.
+    let [spawned, completed, failed, cancelled] = [
+        ks_trace::names::ASYNC_SPAWNED,
+        ks_trace::names::ASYNC_COMPLETED,
+        ks_trace::names::ASYNC_FAILED,
+        ks_trace::names::ASYNC_CANCELLED,
+    ]
+    .map(|name| reg.counter_value(name));
+    let balanced = spawned == completed + failed + cancelled;
+    println!(
+        "async balance (spawned == completed + failed + cancelled): {}",
+        if balanced { "ok" } else { "BROKEN" }
+    );
 
     println!(
         "\ntiered execution: modules specialized: {specialized}/3, \
@@ -270,6 +281,7 @@ fn main() {
         || !on_generic
         || !current
         || stats.superseded != 1
+        || !balanced
     {
         std::process::exit(1);
     }
