@@ -76,6 +76,11 @@ cargo test --offline --release -q -p ks-apps --test constfold_vs_executor
 # an address computed out of range panics instead of wrapping.
 echo "== cargo test --profile checked -p ks-sim (overflow-checked executor)"
 cargo test --offline --profile checked -q -p ks-sim
+# The front end's one constant evaluator, on the same profile: it masks
+# and shifts values the kernel source supplies (`#if` at 64 bits, array
+# sizes at 32), so an operation that is not written to wrap panics here.
+echo "== cargo test --profile checked -p ks-lang (overflow-checked front end)"
+cargo test --offline --profile checked -q -p ks-lang
 # The record checksum's word loop is only vectorised at opt-level 3:
 # its pinned vectors and exhaustive bit-flip test run on that build too,
 # and so do ks-core's store round trips (warm starts, corrupt and torn

@@ -265,9 +265,9 @@ impl Binary {
         self.defines.items().iter().all(|d| wanted.contains(d))
     }
 
-    /// The decode-once launch plan of `kernel`, built on the first call —
-    /// a binary that is resolved but never launched pays nothing, not even
-    /// for its module IR. `Ok(None)`: the module has no such kernel;
+    /// The decode-once launch plan of `kernel`, built on the first call
+    /// inside a `plan-decode` span — a binary that is resolved but never
+    /// launched pays nothing, not even for its module IR. `Ok(None)`: the module has no such kernel;
     /// `Err`: the module section of a loaded record failed to decode.
     /// Launch through it with [`ks_sim::launch_planned`] and
     /// `module.textures`.
@@ -280,12 +280,13 @@ impl Binary {
             .plans
             .get_or_init(|| module.functions.iter().map(|_| OnceLock::new()).collect());
         let f = &module.functions[i];
-        Ok(Some(slots[i].get_or_init(
-            || match self.regalloc.get(kernel) {
+        Ok(Some(slots[i].get_or_init(|| {
+            let _decode = ks_trace::span("plan-decode");
+            match self.regalloc.get(kernel) {
                 Some(regalloc) => LaunchPlan::new(f, regalloc),
                 None => LaunchPlan::from_function(f),
-            },
-        )))
+            }
+        })))
     }
 
     /// Physical registers per thread for a kernel.

@@ -230,3 +230,25 @@ fn two_compilers_on_one_label_keep_separate_cells_and_one_aggregate() {
     assert_eq!(labeled(ks_trace::names::CACHE_HITS), 1);
     assert_eq!(labeled(ks_trace::names::COMPILE_REQUESTS), 5);
 }
+
+/// A kernel's launch plan is decoded on its first `plan()` call, inside
+/// one `plan-decode` span; a second call reuses the plan and records none.
+#[test]
+fn the_first_plan_call_records_one_decode_span() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    let compiler = Compiler::new(DeviceConfig::tesla_c1060());
+    let bin = compiler
+        .compile(SRC, Defines::new().def("GAIN", 5))
+        .unwrap();
+    let decodes = |f: &dyn Fn()| {
+        ks_trace::drain_spans();
+        f();
+        let spans = ks_trace::drain_spans();
+        spans.iter().filter(|s| s.name == "plan-decode").count()
+    };
+    ks_trace::set_enabled(true);
+    let first = decodes(&|| assert!(bin.plan("amp").unwrap().is_some()));
+    let second = decodes(&|| assert!(bin.plan("amp").unwrap().is_some()));
+    ks_trace::set_enabled(false);
+    assert_eq!((first, second), (1, 0));
+}

@@ -22,9 +22,9 @@
 //!
 //! * ks-core calls [`FaultPlan::check_compile`] before running the real
 //!   compile pipeline (per attempt, so retries re-roll the dice);
-//! * ks-sim calls [`FaultPlan::check_device`] at the top of `launch`,
-//!   before any device state is touched, so injected device faults are
-//!   always retry-safe.
+//! * ks-sim calls [`FaultPlan::check_device_keyed`] at the top of
+//!   `launch`, before any device state is touched, so injected device
+//!   faults are always retry-safe.
 //!
 //! Plans are attached per-compiler (`Compiler::with_fault_plan`) or
 //! process-wide via [`install`]; [`active`] is a lock-free no-op when
@@ -118,10 +118,7 @@ pub enum Target {
     /// Checks whose `-D` command line contains this substring. This is
     /// how a plan faults *specialized* variants of a kernel while
     /// letting the generic (define-free) build through — the fallback
-    /// path gpu-pf degrades onto. Like [`Target::Key`], launch-site
-    /// matching requires a keyed check; the legacy unkeyed
-    /// [`FaultPlan::check_device`] carries an empty `-D` line and so
-    /// never matches a non-empty substring.
+    /// path gpu-pf degrades onto. An empty `-D` line never matches.
     Define(String),
 }
 
@@ -130,9 +127,6 @@ impl Target {
         match self {
             Target::Any => true,
             Target::Kernel(name) => name == identity,
-            // Key 0 / an empty `-D` line mean "caller did not identify
-            // the binary" (legacy unkeyed launch checks), so keyed
-            // selectors simply never fire there — no site guard needed.
             Target::Key(k) => *k == key,
             Target::Define(s) => !defines.is_empty() && defines.contains(s.as_str()),
         }
@@ -363,19 +357,12 @@ impl FaultPlan {
 
     /// Should this kernel launch fault? Called before any device state
     /// is modified, so injected device faults are always retry-safe.
-    /// Carries no binary identity: [`Target::Key`]/[`Target::Define`]
-    /// rules never match here — use [`FaultPlan::check_device_keyed`]
-    /// when the bound binary's cache key and `-D` line are known.
-    pub fn check_device(&self, kernel: &str) -> Option<InjectedFault> {
-        self.check(Site::Launch, kernel, 0, "")
-    }
-
-    /// Like [`FaultPlan::check_device`], but identifies the bound binary
-    /// by its canonical specialization cache key and rendered `-D`
-    /// command line, so launch faults can be scoped to one exact variant
-    /// (`Target::Key` / `Target::Define`). gpu-pf calls this for every
-    /// pipeline launch with the key of whichever binary is bound —
-    /// generic, specialized, or last-known-good.
+    /// The bound binary is identified by its canonical specialization
+    /// cache key and rendered `-D` command line, so launch faults can be
+    /// scoped to one exact variant (`Target::Key` / `Target::Define`).
+    /// gpu-pf calls this for every pipeline launch with the key of
+    /// whichever binary is bound — generic, specialized, or
+    /// last-known-good.
     pub fn check_device_keyed(
         &self,
         kernel: &str,
@@ -611,7 +598,7 @@ mod tests {
         let plan = FaultPlan::new(3)
             .rule(FaultRule::new(FaultKind::CompileError, Target::Any))
             .rule(FaultRule::new(FaultKind::LaunchTimeout, Target::Kernel("k".into())).nth(1));
-        let d = plan.check_device("k").expect("launch rule");
+        let d = plan.check_device_keyed("k", 0, "").expect("launch rule");
         assert_eq!(d.kind, FaultKind::LaunchTimeout);
         assert!(d.message().contains("(transient"), "{}", d.message());
         let c = plan.check_compile("k", 0, "").expect("compile rule");
@@ -624,7 +611,7 @@ mod tests {
             .rule(FaultRule::new(FaultKind::WorkerDrop, Target::Define("-D F=".into())).limit(1));
         // Compile and launch sites never see worker rules.
         assert!(plan.check_compile("k", 0, "-D F=3").is_none());
-        assert!(plan.check_device("k").is_none());
+        assert!(plan.check_device_keyed("k", 0, "").is_none());
         // Generic (define-free) jobs are spared by the Define target.
         assert!(plan.check_worker("k", 0, "").is_none());
         let f = plan.check_worker("k", 0, "-D F=3").expect("worker drop");
@@ -653,8 +640,8 @@ mod tests {
                 )
                 .nth(1),
             );
-        // Unkeyed checks (key 0, empty -D line) still never match.
-        assert!(plan.check_device("k").is_none());
+        // Key 0 and an empty -D line match neither selector.
+        assert!(plan.check_device_keyed("k", 0, "").is_none());
         // Wrong key / non-matching defines: spared.
         assert!(plan.check_device_keyed("k", 0xF00D, "-D OTHER=1").is_none());
         // The exact variant: both selectors now fire at the launch site.
@@ -684,8 +671,8 @@ mod tests {
         // Distinct occurrences draw distinct placement entropy.
         let plan = FaultPlan::new(21)
             .rule(FaultRule::new(FaultKind::SilentFlip, Target::Kernel("k".into())).limit(2));
-        let e1 = plan.check_device("k").unwrap().entropy;
-        let e2 = plan.check_device("k").unwrap().entropy;
+        let e1 = plan.check_device_keyed("k", 0, "").unwrap().entropy;
+        let e2 = plan.check_device_keyed("k", 0, "").unwrap().entropy;
         assert_ne!(e1, e2);
     }
 

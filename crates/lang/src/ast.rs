@@ -88,7 +88,7 @@ pub enum AssignOp {
 
 impl AssignOp {
     /// The underlying binary op for a compound assignment.
-    pub fn binary(self) -> Option<BinaryOp> {
+    pub(crate) fn binary(self) -> Option<BinaryOp> {
         Some(match self {
             AssignOp::Assign => return None,
             AssignOp::Add => BinaryOp::Add,
@@ -108,7 +108,12 @@ impl AssignOp {
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    IntLit { value: i64, unsigned: bool },
+    /// `unsigned`: written with a `u` suffix. The literal's type also
+    /// depends on the width it is read at (`constexpr::literal_unsigned`).
+    IntLit {
+        value: i64,
+        unsigned: bool,
+    },
     FloatLit(f32),
     Ident(String),
     Builtin(BuiltinVar, Dim3),

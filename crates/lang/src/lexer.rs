@@ -112,7 +112,7 @@ impl<'a> Lexer<'a> {
             let text = std::str::from_utf8(&self.src[hstart..self.pos]).unwrap();
             let value = u64::from_str_radix(text, 16)
                 .map_err(|_| self.err("hex literal out of range"))? as i64;
-            let unsigned = self.consume_int_suffix() || value > i32::MAX as i64;
+            let unsigned = self.consume_int_suffix();
             return Ok(Tok::Int { value, unsigned });
         }
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
@@ -159,15 +159,16 @@ impl<'a> Lexer<'a> {
             let value: i64 = text
                 .parse()
                 .map_err(|_| self.err("integer literal out of range"))?;
-            let unsigned = self.consume_int_suffix() || value > i32::MAX as i64;
+            let unsigned = self.consume_int_suffix();
             Ok(Tok::Int { value, unsigned })
         }
     }
 
+    /// Whether the suffix has a `u`. A literal's type is decided where its
+    /// width is known (`constexpr::literal_unsigned`); `l` is accepted and
+    /// ignored.
     fn consume_int_suffix(&mut self) -> bool {
         let mut unsigned = false;
-        // Accept any combination of u/U/l/L suffixes; we model only 32-bit
-        // kernels so `l` is accepted and ignored.
         while matches!(
             self.peek(),
             Some(b'u') | Some(b'U') | Some(b'l') | Some(b'L')
@@ -421,13 +422,15 @@ mod tests {
 
     #[test]
     fn large_unsigned_hex() {
-        // Pointer-style values used for specialized PTR_IN constants.
+        // Pointer-style values used for specialized PTR_IN constants: no
+        // suffix, and unsigned in a kernel because no `int` holds them.
         assert_eq!(
             toks("0x200ca0200"),
             vec![Tok::Int {
                 value: 0x200ca0200,
-                unsigned: true
+                unsigned: false
             }]
         );
+        assert!(crate::constexpr::literal_unsigned(0x200ca0200, false, 32));
     }
 }

@@ -11,19 +11,22 @@
 //! Pipeline: [`lexer`] → [`preproc`] (a real token-level C preprocessor:
 //! object- and function-like macros, `#if/#ifdef/#elif/#else/#endif`,
 //! `defined()`, command-line defines) → [`parser`] → [`sema`] (name
-//! resolution + type checking producing a typed HIR).
+//! resolution + type checking producing a typed HIR). One evaluator
+//! (`constexpr`) folds integer constant expressions for both `#if` and
+//! array sizes.
 
 pub mod ast;
+mod constexpr;
 pub mod lexer;
 pub mod parser;
 pub mod preproc;
 pub mod pretty;
 pub mod sema;
-pub mod token;
+mod token;
 
 pub use ast::*;
 pub use sema::hir;
-pub use token::{LangError, Tok, Token};
+pub use token::{LangError, Token};
 
 /// Convenience: run the full front end.
 ///

@@ -1,10 +1,11 @@
-//! Recursive-descent parser: preprocessed tokens → AST.
+//! Recursive-descent parser: preprocessed tokens → AST. Its expression
+//! grammar is ks-lang's only one: `#if` parses with it too.
 
 use crate::ast::*;
 use crate::preproc::PRAGMA_UNROLL;
 use crate::token::{LangError, Punct, Tok, Token};
 
-pub struct Parser {
+struct Parser {
     toks: Vec<Token>,
     pos: usize,
 }
@@ -17,6 +18,17 @@ pub fn parse(toks: Vec<Token>) -> Result<TranslationUnit, LangError> {
         items.push(p.item()?);
     }
     Ok(TranslationUnit { items })
+}
+
+/// Parse `toks`, all of them, as one constant-expression (C11 6.6, a
+/// conditional-expression): the controlling expression of `#if`.
+pub(crate) fn parse_constant_expr(toks: Vec<Token>) -> Result<Expr, LangError> {
+    let mut p = Parser { toks, pos: 0 };
+    let e = p.conditional()?;
+    match p.peek() {
+        None => Ok(e),
+        Some(t) => Err(p.err(format!("unexpected {t:?} after the expression"))),
+    }
 }
 
 impl Parser {
@@ -385,7 +397,7 @@ impl Parser {
 
     // ---- expressions (C precedence) ----
 
-    pub fn expr(&mut self) -> Result<Expr, LangError> {
+    fn expr(&mut self) -> Result<Expr, LangError> {
         self.assignment()
     }
 

@@ -7,16 +7,19 @@
 //! * command-line defines (`-D NAME=value`, `-D FLAG` ⇒ `1`),
 //! * object-like and function-like `#define` / `#undef`,
 //! * conditional compilation: `#if`, `#ifdef`, `#ifndef`, `#elif`, `#else`,
-//!   `#endif`, with full constant-expression evaluation and `defined()`,
+//!   `#endif`, with `defined()`; a condition parses with the C parser's
+//!   expression grammar and folds in `intmax_t` / `uintmax_t` with the
+//!   evaluator array sizes use ([`crate::constexpr`]),
 //! * recursive macro expansion with self-reference protection (hide sets),
 //! * `#pragma unroll [N]`, forwarded to the parser as a synthetic token,
 //! * `#error`.
 
+use crate::constexpr::{self, Undefined};
 use crate::token::{LangError, Punct, Tok, Token};
 use std::collections::{BTreeMap, HashSet};
 
 /// Synthetic identifier the parser recognizes for `#pragma unroll`.
-pub const PRAGMA_UNROLL: &str = "__pragma_unroll";
+pub(crate) const PRAGMA_UNROLL: &str = "__pragma_unroll";
 
 #[derive(Debug, Clone)]
 struct MacroDef {
@@ -139,7 +142,7 @@ impl Pp {
             }
             "if" => {
                 let cond = if active {
-                    self.eval_condition(rest)? != 0
+                    self.eval_condition(line, rest)?
                 } else {
                     false
                 };
@@ -152,7 +155,7 @@ impl Pp {
                 };
                 let parent_active = conds[..conds.len() - 1].iter().all(|&(a, _)| a);
                 let cond = if parent_active && !taken {
-                    self.eval_condition(rest)? != 0
+                    self.eval_condition(line, rest)?
                 } else {
                     false
                 };
@@ -362,8 +365,11 @@ impl Pp {
         Ok(())
     }
 
-    /// Evaluate a `#if`/`#elif` controlling expression.
-    fn eval_condition(&self, toks: &[Token]) -> Result<i64, LangError> {
+    /// Evaluate the controlling expression `toks` of the directive `line`
+    /// (C11 6.10.1): resolve `defined`, expand macros, make every
+    /// identifier left `0` (keywords too, so no cast parses), then parse
+    /// one constant-expression and fold it at 64 bits.
+    fn eval_condition(&self, line: &[Token], toks: &[Token]) -> Result<bool, LangError> {
         // First pass: resolve `defined(X)` / `defined X` before expansion.
         let mut resolved: Vec<Token> = Vec::new();
         let mut i = 0;
@@ -396,16 +402,25 @@ impl Pp {
         }
         let mut expanded = Vec::new();
         self.expand(&resolved, &HashSet::new(), &mut expanded)?;
-        // Remaining identifiers evaluate to 0, per C semantics.
-        let mut p = CondParser {
-            toks: &expanded,
-            pos: 0,
-        };
-        let v = p.ternary()?;
-        if p.pos != p.toks.len() {
-            return Err(err(p.toks.get(p.pos), "trailing tokens in #if expression"));
+        for t in &mut expanded {
+            if let Tok::Ident(_) = t.tok {
+                t.tok = Tok::Int {
+                    value: 0,
+                    unsigned: false,
+                };
+            }
         }
-        Ok(v)
+        let e = crate::parser::parse_constant_expr(expanded).map_err(|e| LangError {
+            stage: "preprocess",
+            ..e
+        })?;
+        let msg = match constexpr::eval(&e, 64) {
+            Some(Ok(v)) => return Ok(v != 0),
+            Some(Err(Undefined::DivisionByZero)) => "division by zero in #if",
+            Some(Err(Undefined::Overflow)) => "integer overflow in #if division",
+            None => "#if needs an integer constant expression",
+        };
+        Err(err(line.first(), msg))
     }
 }
 
@@ -435,109 +450,6 @@ fn collect_args(toks: &[Token]) -> Option<(Vec<Vec<Token>>, usize)> {
         i += 1;
     }
     None
-}
-
-/// Minimal Pratt parser for `#if` constant expressions.
-struct CondParser<'a> {
-    toks: &'a [Token],
-    pos: usize,
-}
-
-impl<'a> CondParser<'a> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
-    }
-
-    fn bump(&mut self) -> Option<&Tok> {
-        let t = self.toks.get(self.pos).map(|t| &t.tok);
-        self.pos += 1;
-        t
-    }
-
-    fn eat(&mut self, p: Punct) -> bool {
-        if self.peek() == Some(&Tok::Punct(p)) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn primary(&mut self) -> Result<i64, LangError> {
-        let here = self.pos;
-        match self.bump() {
-            Some(Tok::Int { value, .. }) => Ok(*value),
-            Some(Tok::Ident(_)) => Ok(0), // undefined identifiers are 0
-            Some(Tok::Punct(Punct::LParen)) => {
-                let v = self.ternary()?;
-                if !self.eat(Punct::RParen) {
-                    return Err(err(self.toks.get(self.pos), "expected ')'"));
-                }
-                Ok(v)
-            }
-            Some(Tok::Punct(Punct::Minus)) => Ok(self.primary()?.wrapping_neg()),
-            Some(Tok::Punct(Punct::Plus)) => self.primary(),
-            Some(Tok::Punct(Punct::Not)) => Ok(i64::from(self.primary()? == 0)),
-            Some(Tok::Punct(Punct::Tilde)) => Ok(!self.primary()?),
-            t => {
-                let msg = format!("unexpected token {t:?} in #if expression");
-                Err(err(self.toks.get(here), msg))
-            }
-        }
-    }
-
-    fn binary(&mut self, min_prec: u8) -> Result<i64, LangError> {
-        let mut lhs = self.primary()?;
-        while let Some(&Tok::Punct(p)) = self.peek() {
-            let (prec, f): (u8, fn(i64, i64) -> i64) = match p {
-                Punct::Star => (10, |a, b| a.wrapping_mul(b)),
-                Punct::Slash => (10, |a, b| if b == 0 { 0 } else { a / b }),
-                Punct::Percent => (10, |a, b| if b == 0 { 0 } else { a % b }),
-                Punct::Plus => (9, |a, b| a.wrapping_add(b)),
-                Punct::Minus => (9, |a, b| a.wrapping_sub(b)),
-                Punct::Shl => (8, |a, b| a.wrapping_shl(b as u32)),
-                Punct::Shr => (8, |a, b| a.wrapping_shr(b as u32)),
-                Punct::Lt => (7, |a, b| i64::from(a < b)),
-                Punct::Le => (7, |a, b| i64::from(a <= b)),
-                Punct::Gt => (7, |a, b| i64::from(a > b)),
-                Punct::Ge => (7, |a, b| i64::from(a >= b)),
-                Punct::EqEq => (6, |a, b| i64::from(a == b)),
-                Punct::NotEq => (6, |a, b| i64::from(a != b)),
-                Punct::Amp => (5, |a, b| a & b),
-                Punct::Caret => (4, |a, b| a ^ b),
-                Punct::Pipe => (3, |a, b| a | b),
-                Punct::AndAnd => (2, |a, b| i64::from(a != 0 && b != 0)),
-                Punct::OrOr => (1, |a, b| i64::from(a != 0 || b != 0)),
-                _ => break,
-            };
-            if prec < min_prec {
-                break;
-            }
-            let op = self.pos;
-            self.pos += 1;
-            let rhs = self.binary(prec + 1)?;
-            // The one quotient an `intmax_t` cannot hold.
-            if matches!(p, Punct::Slash | Punct::Percent) && (lhs, rhs) == (i64::MIN, -1) {
-                return Err(err(self.toks.get(op), "integer overflow in #if division"));
-            }
-            lhs = f(lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn ternary(&mut self) -> Result<i64, LangError> {
-        let c = self.binary(1)?;
-        if self.eat(Punct::Question) {
-            let a = self.ternary()?;
-            if !self.eat(Punct::Colon) {
-                return Err(err(self.toks.get(self.pos), "expected ':'"));
-            }
-            let b = self.ternary()?;
-            Ok(if c != 0 { a } else { b })
-        } else {
-            Ok(c)
-        }
-    }
 }
 
 #[cfg(test)]

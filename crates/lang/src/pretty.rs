@@ -52,7 +52,7 @@ fn print_func(out: &mut String, f: &FuncDef) {
 }
 
 /// Render a type specifier, e.g. `unsigned int**`.
-pub fn ty(t: &TypeSpec) -> String {
+fn ty(t: &TypeSpec) -> String {
     match t {
         TypeSpec::Void => "void".into(),
         TypeSpec::Int => "int".into(),
@@ -93,7 +93,7 @@ fn decl_qualifiers(d: &Decl) -> String {
 }
 
 /// Render a statement at `indent` levels, including the trailing newline.
-pub fn stmt(out: &mut String, s: &Stmt, indent: usize) {
+fn stmt(out: &mut String, s: &Stmt, indent: usize) {
     let pad = "    ".repeat(indent);
     match s {
         Stmt::Decl(d) => {
@@ -217,7 +217,7 @@ pub fn stmt(out: &mut String, s: &Stmt, indent: usize) {
 }
 
 /// Render an expression, parenthesizing every composite node.
-pub fn expr(e: &Expr) -> String {
+fn expr(e: &Expr) -> String {
     match e {
         Expr::IntLit { value, unsigned } => {
             if *unsigned {

@@ -4,9 +4,12 @@
 //!
 //! The HIR keeps structured control flow (needed for AST-level loop
 //! unrolling in `ks-codegen`) but resolves every name to a symbol id and
-//! annotates every expression with a type.
+//! annotates every expression with a type. Array dimensions fold through
+//! the front end's one constant evaluator (`constexpr`) at 32 bits, which
+//! also decides an integer literal's type.
 
 use crate::ast::{self, BinaryOp, Expr, FnKind, Item, Stmt, TranslationUnit, TypeSpec, UnaryOp};
+use crate::constexpr;
 use crate::token::LangError;
 use std::collections::HashMap;
 
@@ -47,7 +50,7 @@ pub mod hir {
             }
         }
 
-        pub fn as_elem(self) -> Option<Elem> {
+        pub(crate) fn as_elem(self) -> Option<Elem> {
             match self {
                 HTy::Int => Some(Elem::Int),
                 HTy::UInt => Some(Elem::UInt),
@@ -193,7 +196,7 @@ pub mod hir {
             }
         }
 
-        pub fn int(v: i64) -> HExpr {
+        pub(crate) fn int(v: i64) -> HExpr {
             HExpr::IntLit {
                 value: v,
                 ty: HTy::Int,
@@ -320,129 +323,24 @@ fn lower_type(t: &TypeSpec) -> Result<HTy, LangError> {
     })
 }
 
-/// Compile-time constant evaluation of an AST expression (integers only)
-/// in C's 32-bit `int` / `unsigned int` arithmetic: the value the HIR
-/// folder computes for the same expression in a kernel body, read as an
-/// `int` or an `unsigned` by the expression's type. After preprocessing,
-/// specialized parameters are literals, so array sizes and similar
-/// compile-time-required values fold here. `None` when an operand is not
-/// an integer constant, a literal does not fit 32 bits (C would make it a
-/// `long`), or a division is by zero.
-pub fn const_eval_ast(e: &Expr) -> Option<i64> {
-    let (bits, unsigned) = eval32(e)?;
-    let bits = bits?;
-    Some(if unsigned {
-        bits.into()
-    } else {
-        (bits as i32).into()
-    })
-}
-
-/// Whether `e` is `unsigned`, typed as the checker types it (usual
-/// arithmetic conversions, a shift in its left operand's type, a
-/// comparison or logical operator an `int` 0 or 1), and its 32 bits
-/// unless they are undefined (a division by zero). `None` when `e` is
-/// not an integer expression of literals. `&&`, `||` and `?:` decide
-/// from an operand whose value settles them, as the HIR folder does, so
-/// `0 && 1 / 0` is 0.
-fn eval32(e: &Expr) -> Option<(Option<u32>, bool)> {
-    Some(match e {
-        Expr::IntLit { value, unsigned } => (Some(u32::try_from(*value).ok()?), *unsigned),
-        Expr::Unary(UnaryOp::Neg, x) => (eval32(x)?.0.map(u32::wrapping_neg), false),
-        Expr::Unary(UnaryOp::BitNot, x) => {
-            let (v, unsigned) = eval32(x)?;
-            (v.map(|v| !v), unsigned)
-        }
-        Expr::Unary(UnaryOp::LogicalNot, x) => (eval32(x)?.0.map(|v| u32::from(v == 0)), false),
-        Expr::Binary(op, a, b) => {
-            let (a, ua) = eval32(a)?;
-            let (b, ub) = eval32(b)?;
-            let unsigned = ua || ub;
-            let ty = match op {
-                BinaryOp::Shl | BinaryOp::Shr => ua,
-                BinaryOp::Add
-                | BinaryOp::Sub
-                | BinaryOp::Mul
-                | BinaryOp::Div
-                | BinaryOp::Rem
-                | BinaryOp::BitAnd
-                | BinaryOp::BitXor
-                | BinaryOp::BitOr => unsigned,
-                _ => false,
-            };
-            let v = match (op, a, b) {
-                (BinaryOp::LogicalAnd, Some(0), _) | (BinaryOp::LogicalAnd, _, Some(0)) => Some(0),
-                (BinaryOp::LogicalOr, Some(x), _) | (BinaryOp::LogicalOr, _, Some(x)) if x != 0 => {
-                    Some(1)
-                }
-                (_, Some(a), Some(b)) => binary32(*op, a, b, ua, unsigned),
-                _ => None,
-            };
-            (v, ty)
-        }
-        Expr::Cond(c, a, b) => {
-            let c = eval32(c)?.0;
-            let (a, ua) = eval32(a)?;
-            let (b, ub) = eval32(b)?;
-            (c.and_then(|c| if c != 0 { a } else { b }), ua || ub)
-        }
-        Expr::Cast(TypeSpec::Int, x) => (eval32(x)?.0, false),
-        Expr::Cast(TypeSpec::UInt, x) => (eval32(x)?.0, true),
-        _ => return None,
-    })
-}
-
-/// `a op b` on two known 32-bit operands; `ua` is whether `a` is
-/// `unsigned`, `unsigned` whether the operands convert to `unsigned`.
-/// `None` for a division by zero.
-fn binary32(op: BinaryOp, a: u32, b: u32, ua: bool, unsigned: bool) -> Option<u32> {
-    let (sa, sb) = (a as i32, b as i32);
-    // Both operands in the comparison's type, ordered as such.
-    let (x, y) = match unsigned {
-        true => (i64::from(a), i64::from(b)),
-        false => (i64::from(sa), i64::from(sb)),
-    };
-    Some(match op {
-        BinaryOp::Add => a.wrapping_add(b),
-        BinaryOp::Sub => a.wrapping_sub(b),
-        BinaryOp::Mul => a.wrapping_mul(b),
-        BinaryOp::Div | BinaryOp::Rem if b == 0 => return None,
-        BinaryOp::Div if unsigned => a / b,
-        BinaryOp::Div => sa.wrapping_div(sb) as u32,
-        BinaryOp::Rem if unsigned => a % b,
-        BinaryOp::Rem => sa.wrapping_rem(sb) as u32,
-        BinaryOp::Shl => a.wrapping_shl(b),
-        BinaryOp::Shr if ua => a.wrapping_shr(b),
-        BinaryOp::Shr => sa.wrapping_shr(b) as u32,
-        BinaryOp::BitAnd => a & b,
-        BinaryOp::BitXor => a ^ b,
-        BinaryOp::BitOr => a | b,
-        BinaryOp::LogicalAnd => u32::from(a != 0 && b != 0),
-        BinaryOp::LogicalOr => u32::from(a != 0 || b != 0),
-        BinaryOp::Lt => u32::from(x < y),
-        BinaryOp::Le => u32::from(x <= y),
-        BinaryOp::Gt => u32::from(x > y),
-        BinaryOp::Ge => u32::from(x >= y),
-        BinaryOp::Eq => u32::from(x == y),
-        BinaryOp::Ne => u32::from(x != y),
-    })
-}
-
-/// The dimensions of an array declaration, each evaluated once, and its
-/// element count. Every dimension must be a positive compile-time
-/// constant and the count must fit 32 bits; `what` names the array.
+/// The dimensions of an array declaration, each folded once at 32 bits
+/// ([`constexpr::eval`]), and its element count. Every dimension must be
+/// a positive integer constant and the count must fit 32 bits; `what`
+/// names the array.
 fn array_dims(dims: &[Expr], what: &str) -> Result<(Vec<u32>, u32), LangError> {
     let mut sizes = Vec::with_capacity(dims.len());
     let mut len = 1u32;
     let too_big = || serr(format!("{what}: more than {} elements", u32::MAX));
     for dim in dims {
-        let v = const_eval_ast(dim).ok_or_else(|| match dim {
-            Expr::IntLit { .. } => too_big(),
-            _ => serr(format!(
-                "{what}: array size must be a compile-time constant \
-                 (specialize the controlling parameter)"
-            )),
-        })?;
+        let v = constexpr::eval(dim, 32)
+            .and_then(Result::ok)
+            .ok_or_else(|| match dim {
+                Expr::IntLit { .. } => too_big(),
+                _ => serr(format!(
+                    "{what}: array size must be a compile-time constant \
+                     (specialize the controlling parameter)"
+                )),
+            })?;
         if v <= 0 {
             return Err(serr(format!("{what}: non-positive dimension")));
         }
@@ -561,20 +459,15 @@ impl<'a> FnCtx<'a> {
                 else_s,
             } => {
                 let cond = self.condition(cond, out)?;
-                let mut t = Vec::new();
-                self.scopes.push(HashMap::new());
-                self.stmt(then_s, &mut t)?;
-                self.scopes.pop();
-                let mut e = Vec::new();
-                if let Some(es) = else_s {
-                    self.scopes.push(HashMap::new());
-                    self.stmt(es, &mut e)?;
-                    self.scopes.pop();
-                }
+                let then_s = self.scoped(then_s)?;
+                let else_s = match else_s {
+                    Some(s) => self.scoped(s)?,
+                    None => Vec::new(),
+                };
                 out.push(HStmt::If {
                     cond,
-                    then_s: t,
-                    else_s: e,
+                    then_s,
+                    else_s,
                 });
                 Ok(())
             }
@@ -590,20 +483,10 @@ impl<'a> FnCtx<'a> {
                 if let Some(s) = init {
                     self.stmt(s, &mut i)?;
                 }
-                // The loop condition/step cannot emit pre-statements (the
-                // device-inline buffer), because they re-execute per
-                // iteration; require them to be simple.
-                let mut pre = Vec::new();
-                let c = match cond {
-                    Some(c) => Some(self.condition(c, &mut pre)?),
-                    None => None,
-                };
+                let c = cond.as_ref().map(|c| self.loop_condition(c)).transpose()?;
                 let mut st = Vec::new();
                 if let Some(s) = step {
                     self.expr_stmt(s, &mut st)?;
-                }
-                if !pre.is_empty() {
-                    return Err(serr("loop conditions may not call device functions"));
                 }
                 let mut b = Vec::new();
                 self.stmt(body, &mut b)?;
@@ -618,31 +501,37 @@ impl<'a> FnCtx<'a> {
                 Ok(())
             }
             Stmt::While { cond, body } => {
-                let mut pre = Vec::new();
-                let c = self.condition(cond, &mut pre)?;
-                if !pre.is_empty() {
-                    return Err(serr("loop conditions may not call device functions"));
-                }
-                let mut b = Vec::new();
-                self.scopes.push(HashMap::new());
-                self.stmt(body, &mut b)?;
-                self.scopes.pop();
-                out.push(HStmt::While { cond: c, body: b });
+                let cond = self.loop_condition(cond)?;
+                let body = self.scoped(body)?;
+                out.push(HStmt::While { cond, body });
                 Ok(())
             }
             Stmt::DoWhile { body, cond } => {
-                let mut b = Vec::new();
-                self.scopes.push(HashMap::new());
-                self.stmt(body, &mut b)?;
-                self.scopes.pop();
-                let mut pre = Vec::new();
-                let c = self.condition(cond, &mut pre)?;
-                if !pre.is_empty() {
-                    return Err(serr("loop conditions may not call device functions"));
-                }
-                out.push(HStmt::DoWhile { body: b, cond: c });
+                let body = self.scoped(body)?;
+                let cond = self.loop_condition(cond)?;
+                out.push(HStmt::DoWhile { body, cond });
                 Ok(())
             }
+        }
+    }
+
+    /// `s` in a scope of its own.
+    fn scoped(&mut self, s: &Stmt) -> Result<Vec<HStmt>, LangError> {
+        let mut out = Vec::new();
+        self.scopes.push(HashMap::new());
+        self.stmt(s, &mut out)?;
+        self.scopes.pop();
+        Ok(out)
+    }
+
+    /// A loop condition: it re-executes every iteration, so it cannot emit
+    /// pre-statements (the device-inline buffer).
+    fn loop_condition(&mut self, e: &Expr) -> Result<HExpr, LangError> {
+        let mut pre = Vec::new();
+        let c = self.condition(e, &mut pre)?;
+        match pre.is_empty() {
+            true => Ok(c),
+            false => Err(serr("loop conditions may not call device functions")),
         }
     }
 
@@ -1020,7 +909,10 @@ impl<'a> FnCtx<'a> {
         match e {
             Expr::IntLit { value, unsigned } => Ok(HExpr::IntLit {
                 value: *value,
-                ty: if *unsigned { HTy::UInt } else { HTy::Int },
+                ty: match constexpr::literal_unsigned(*value, *unsigned, 32) {
+                    true => HTy::UInt,
+                    false => HTy::Int,
+                },
             }),
             Expr::FloatLit(v) => Ok(HExpr::FloatLit(*v)),
             Expr::Builtin(b, d) => Ok(HExpr::Builtin(*b, *d)),
@@ -1114,18 +1006,25 @@ impl<'a> FnCtx<'a> {
                 }
                 let va = self.expr(a, out)?;
                 let vb = self.expr(b, out)?;
-                // Pointer arithmetic: ptr ± int (comparisons are handled
-                // by the comparison arm below).
-                let is_cmp = matches!(
-                    op,
-                    BinaryOp::Lt
-                        | BinaryOp::Le
-                        | BinaryOp::Gt
-                        | BinaryOp::Ge
-                        | BinaryOp::Eq
-                        | BinaryOp::Ne
-                );
-                if let (HTy::Ptr(elem), false) = (va.ty(), is_cmp) {
+                let cmp = match op {
+                    BinaryOp::Lt => Some(HCmp::Lt),
+                    BinaryOp::Le => Some(HCmp::Le),
+                    BinaryOp::Gt => Some(HCmp::Gt),
+                    BinaryOp::Ge => Some(HCmp::Ge),
+                    BinaryOp::Eq => Some(HCmp::Eq),
+                    BinaryOp::Ne => Some(HCmp::Ne),
+                    _ => None,
+                };
+                if let Some(c) = cmp {
+                    // Pointer comparisons compare the addresses.
+                    if let (HTy::Ptr(e), HTy::Ptr(_)) = (va.ty(), vb.ty()) {
+                        return Ok(HExpr::Cmp(c, HTy::Ptr(e), Box::new(va), Box::new(vb)));
+                    }
+                    let (a, b, ty) = self.usual_conversions(va, vb)?;
+                    return Ok(HExpr::Cmp(c, ty, Box::new(a), Box::new(b)));
+                }
+                // Pointer arithmetic: ptr ± int.
+                if let HTy::Ptr(elem) = va.ty() {
                     return match op {
                         BinaryOp::Add => Ok(HExpr::PtrAdd {
                             ptr: Box::new(va),
@@ -1147,7 +1046,7 @@ impl<'a> FnCtx<'a> {
                         _ => Err(serr("only + and - are defined on pointers")),
                     };
                 }
-                if let (HTy::Ptr(elem), false) = (vb.ty(), is_cmp) {
+                if let HTy::Ptr(elem) = vb.ty() {
                     if *op == BinaryOp::Add {
                         return Ok(HExpr::PtrAdd {
                             ptr: Box::new(vb),
@@ -1158,37 +1057,6 @@ impl<'a> FnCtx<'a> {
                     return Err(serr("invalid pointer operation"));
                 }
                 match op {
-                    BinaryOp::Lt
-                    | BinaryOp::Le
-                    | BinaryOp::Gt
-                    | BinaryOp::Ge
-                    | BinaryOp::Eq
-                    | BinaryOp::Ne => {
-                        // Pointer comparisons compare the addresses.
-                        if let (HTy::Ptr(e), HTy::Ptr(_)) = (va.ty(), vb.ty()) {
-                            let c = match op {
-                                BinaryOp::Lt => HCmp::Lt,
-                                BinaryOp::Le => HCmp::Le,
-                                BinaryOp::Gt => HCmp::Gt,
-                                BinaryOp::Ge => HCmp::Ge,
-                                BinaryOp::Eq => HCmp::Eq,
-                                BinaryOp::Ne => HCmp::Ne,
-                                _ => unreachable!(),
-                            };
-                            return Ok(HExpr::Cmp(c, HTy::Ptr(e), Box::new(va), Box::new(vb)));
-                        }
-                        let (a, b, ty) = self.usual_conversions(va, vb)?;
-                        let c = match op {
-                            BinaryOp::Lt => HCmp::Lt,
-                            BinaryOp::Le => HCmp::Le,
-                            BinaryOp::Gt => HCmp::Gt,
-                            BinaryOp::Ge => HCmp::Ge,
-                            BinaryOp::Eq => HCmp::Eq,
-                            BinaryOp::Ne => HCmp::Ne,
-                            _ => unreachable!(),
-                        };
-                        Ok(HExpr::Cmp(c, ty, Box::new(a), Box::new(b)))
-                    }
                     BinaryOp::Shl | BinaryOp::Shr => {
                         // Shift result type follows the left operand.
                         let t = va.ty();
@@ -1279,37 +1147,19 @@ impl<'a> FnCtx<'a> {
             if args.len() != arity {
                 return Err(serr(format!("{name} expects {arity} argument(s)")));
             }
+            // Every argument and the result have one type: `float` for
+            // the math functions.
+            let ty = match f {
+                BuiltinFn::MinI | BuiltinFn::MaxI | BuiltinFn::AbsI | BuiltinFn::Mul24 => HTy::Int,
+                BuiltinFn::MinU | BuiltinFn::MaxU | BuiltinFn::UMul24 => HTy::UInt,
+                _ => HTy::Float,
+            };
             let mut vals = Vec::new();
             for a in args {
-                vals.push(self.expr(a, out)?);
+                let v = self.expr(a, out)?;
+                vals.push(self.coerce(v, ty)?);
             }
-            let (vals, ret) = match f {
-                BuiltinFn::Sqrtf
-                | BuiltinFn::Rsqrtf
-                | BuiltinFn::Fabsf
-                | BuiltinFn::Floorf
-                | BuiltinFn::Fminf
-                | BuiltinFn::Fmaxf => {
-                    let vals: Result<Vec<_>, _> = vals
-                        .into_iter()
-                        .map(|v| self.coerce(v, HTy::Float))
-                        .collect();
-                    (vals?, HTy::Float)
-                }
-                BuiltinFn::MinI | BuiltinFn::MaxI | BuiltinFn::AbsI | BuiltinFn::Mul24 => {
-                    let vals: Result<Vec<_>, _> =
-                        vals.into_iter().map(|v| self.coerce(v, HTy::Int)).collect();
-                    (vals?, HTy::Int)
-                }
-                BuiltinFn::MinU | BuiltinFn::MaxU | BuiltinFn::UMul24 => {
-                    let vals: Result<Vec<_>, _> = vals
-                        .into_iter()
-                        .map(|v| self.coerce(v, HTy::UInt))
-                        .collect();
-                    (vals?, HTy::UInt)
-                }
-            };
-            return Ok(HExpr::Call(f, vals, ret));
+            return Ok(HExpr::Call(f, vals, ty));
         }
         // Device-function inlining.
         let Some(def) = self.devices.get(name).copied() else {
@@ -1549,6 +1399,28 @@ mod tests {
             len("-1 < 0u").unwrap_err().to_string(),
             len("0").unwrap_err().to_string()
         );
+    }
+
+    #[test]
+    fn literals_are_unsigned_when_no_int_holds_them() {
+        for (lit, ty) in [
+            ("2147483647", HTy::Int),
+            ("2147483648", HTy::UInt),
+            ("0x80000000", HTy::UInt),
+            ("0xFFFFFFFF", HTy::UInt),
+            ("7u", HTy::UInt),
+        ] {
+            let src = format!("__global__ void k(int* o) {{ o[0] = {lit}; }}");
+            let p = check_src(&src, &[]).unwrap();
+            let HStmt::Assign { value, .. } = &p.kernels[0].body[0] else {
+                panic!()
+            };
+            let lit_ty = match value {
+                HExpr::Cast { val, .. } => val.ty(),
+                v => v.ty(),
+            };
+            assert_eq!(lit_ty, ty, "{lit}");
+        }
     }
 
     #[test]

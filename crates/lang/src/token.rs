@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Punctuators and operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Punct {
+pub(crate) enum Punct {
     Plus,
     Minus,
     Star,
@@ -53,7 +53,7 @@ pub enum Punct {
 }
 
 impl Punct {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         use Punct::*;
         match self {
             Plus => "+",
@@ -107,10 +107,9 @@ impl Punct {
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     Ident(String),
-    /// Integer literal; `unsigned` reflects a `u`/`U` suffix or a value
-    /// that only fits unsigned.
+    /// Integer literal: its bits, and whether it has a `u`/`U` suffix.
     Int {
         value: i64,
         unsigned: bool,
@@ -120,11 +119,11 @@ pub enum Tok {
 }
 
 impl Tok {
-    pub fn ident(s: &str) -> Tok {
+    pub(crate) fn ident(s: &str) -> Tok {
         Tok::Ident(s.to_string())
     }
 
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         matches!(self, Tok::Ident(i) if i == s)
     }
 }
@@ -145,12 +144,12 @@ impl fmt::Display for Tok {
 /// A token with source position (1-based line/column).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
-    pub tok: Tok,
-    pub line: u32,
-    pub col: u32,
+    pub(crate) tok: Tok,
+    pub(crate) line: u32,
+    pub(crate) col: u32,
     /// True if this token is the first on its (physical) line — used by the
     /// preprocessor to recognize directives.
-    pub line_start: bool,
+    pub(crate) line_start: bool,
 }
 
 /// Front-end error: lexing, preprocessing, parsing, or semantic.
@@ -163,12 +162,12 @@ pub struct LangError {
 }
 
 impl LangError {
-    pub fn new(stage: &'static str, line: u32, col: u32, message: impl Into<String>) -> Self {
+    pub(crate) fn new(stage: &'static str, line: u32, col: u32, msg: impl Into<String>) -> Self {
         LangError {
             stage,
             line,
             col,
-            message: message.into(),
+            message: msg.into(),
         }
     }
 }

@@ -144,6 +144,55 @@ fn if_arithmetic_overflow_is_an_error_not_a_panic() {
     assert!(check(src, &[]).is_ok());
 }
 
+/// `#if` against C: each row is a controlling expression and the value
+/// gcc's preprocessor gives it, or `None` where gcc reports an error.
+/// (`INTMAX_MIN / -1`, which gcc only warns about, is an error here:
+/// `if_arithmetic_overflow_is_an_error_not_a_panic`.)
+const IF_TABLE: &[(&str, Option<i64>)] = &[
+    ("-1 > 0u", Some(1)),
+    ("1 / 0", None),
+    ("1 % 0", None),
+    ("0 && (-9223372036854775807 - 1) / -1", Some(0)),
+    ("1 ? 2 : (-9223372036854775807 - 1) / -1", Some(2)),
+    ("3000000000 > -1", Some(1)),
+    ("0xFFFFFFFFFFFFFFFF > 0", Some(1)),
+    ("-(-9223372036854775807 - 1) < 0", Some(1)),
+    ("1 || 1 / 0", Some(1)),
+    ("0 ? 1 / 0 : 3", Some(3)),
+    ("1 / 0 && 0", None),
+    ("-1 / 2u > 0", Some(1)),
+    ("4294967295u + 1 > 4294967295u", Some(1)),
+    ("(1 ? -1 : 0u) > 0", Some(1)),
+    ("~0u == 0xFFFFFFFFFFFFFFFF", Some(1)),
+    ("-2147483648 < 0", Some(1)),
+    ("0x80000000 > 0", Some(1)),
+    ("7 >> 1 << 2", Some(12)),
+    ("-7 / 2", Some(-3)),
+    ("-7 % 3", Some(-1)),
+    ("(0 - 1) >> 62", Some(-1)),
+    ("UNDEFINED + 2", Some(2)),
+    ("int + 2", Some(2)),
+    ("defined(X) + defined Y", Some(0)),
+    ("(int)1", None),
+    ("1.5", None),
+    ("1 = 1", None),
+];
+
+#[test]
+fn if_conditions_evaluate_as_gcc_does() {
+    for &(expr, want) in IF_TABLE {
+        let src = match want {
+            Some(v) => format!("#if ({expr}) == {v}\n#define R 1\n#endif\n"),
+            None => format!("#if {expr}\n#endif\n#define R 1\n"),
+        } + "__global__ void k(int* o) { o[0] = R; }";
+        match (want, check(&src, &[])) {
+            (Some(_), Ok(_)) => {}
+            (None, Err(e)) => assert_eq!(e.stage, "preprocess", "{expr}: {e}"),
+            (want, got) => panic!("{expr}: want {want:?}, got {got:?}"),
+        }
+    }
+}
+
 #[test]
 fn array_sizes_that_do_not_fit_32_bits_are_errors() {
     for decl in [
