@@ -23,6 +23,17 @@ if perl -0777 -ne 'print "$ARGV\n" if /ks_sim::(launch\b(?![_:])|\*)|use ks_sim:
     exit 1
 fi
 
+# Every example is a checked step below: one that no step runs is only
+# ever built (by clippy), and its output can rot unnoticed.
+echo "== every example is run by a --example step"
+for f in examples/*.rs crates/*/examples/*.rs; do
+    [ -e "$f" ] || continue
+    if ! grep -Eq "^cargo run .*--example $(basename "$f" .rs)( |$)" ci.sh; then
+        echo "$f: no ci.sh step runs it (cargo run ... --example)" >&2
+        exit 1
+    fi
+done
+
 echo "== cargo build --release"
 cargo build --offline --release
 # benchmark/ is its own package outside the workspace and links gpu-pf's

@@ -85,3 +85,15 @@ fn dimensions_equal_the_hir_folder() {
         }
     }
 }
+
+/// Rows whose value C fixes (checked with gcc): the checker's dimension
+/// and the HIR folder's value must both be it.
+const C_VALUES: &[(&str, u32)] = &[("(-1u / 2) > 4 ? 8 : 2", 8)];
+
+#[test]
+fn dimensions_take_the_values_c_gives() {
+    for &(expr, want) in C_VALUES {
+        assert_eq!(dimension(expr), Ok(want), "{expr}");
+        assert_eq!(folded(expr), Some(i64::from(want)), "{expr}");
+    }
+}

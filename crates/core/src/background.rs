@@ -24,9 +24,9 @@
 //! per-compiler cell under the `ks_core.async.*` registry counter of the
 //! same name; [`AsyncStats`] is a snapshot of the cells.
 
+use crate::cache::{catch_panic, CompileResult, OneShot};
 use crate::{Binary, CompileError, Compiler, Defines};
 use ks_store::Fingerprint;
-use parking_lot::{Condvar, Mutex};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
@@ -95,53 +95,12 @@ impl AsyncCells {
     }
 }
 
-enum TicketOutcome {
-    Completed,
-    Failed,
-    Cancelled,
-}
-
-struct TicketState {
-    result: Option<Result<Arc<Binary>, CompileError>>,
-}
-
-struct TicketInner {
-    key: Fingerprint,
-    state: Mutex<TicketState>,
-    ready: Condvar,
-}
-
-impl TicketInner {
-    /// Resolve the ticket exactly once; later fulfills are no-ops
-    /// (a job can race its own cancellation). Returns whether this call
-    /// was the one that resolved it.
-    fn fulfill(
-        &self,
-        stats: &AsyncCells,
-        outcome: TicketOutcome,
-        result: Result<Arc<Binary>, CompileError>,
-    ) -> bool {
-        let mut st = self.state.lock();
-        if st.result.is_some() {
-            return false;
-        }
-        st.result = Some(result);
-        drop(st);
-        match outcome {
-            TicketOutcome::Completed => stats.completed.inc(),
-            TicketOutcome::Failed => stats.failed.inc(),
-            TicketOutcome::Cancelled => stats.cancelled.inc(),
-        }
-        self.ready.notify_all();
-        true
-    }
-}
-
 /// Handle to one background compilation. Cheap to clone; all clones
 /// observe the same resolution.
 #[derive(Clone)]
 pub struct CompileTicket {
-    inner: Arc<TicketInner>,
+    key: Fingerprint,
+    slot: Arc<OneShot>,
     stats: Arc<AsyncCells>,
     resolved_at_spawn: bool,
 }
@@ -150,7 +109,7 @@ impl CompileTicket {
     /// The canonical cache key the job compiles under — the same key a
     /// blocking [`Compiler::compile`] of identical inputs would use.
     pub fn key(&self) -> Fingerprint {
-        self.inner.key
+        self.key
     }
 
     /// True when [`Compiler::spawn_compile`] resolved this ticket before
@@ -164,7 +123,7 @@ impl CompileTicket {
 
     /// True once a result (success, failure, or cancellation) is in.
     pub fn is_done(&self) -> bool {
-        self.inner.state.lock().result.is_some()
+        self.slot.try_get().is_some()
     }
 
     /// Cancel the ticket: it resolves *immediately* with a "cancelled"
@@ -174,48 +133,44 @@ impl CompileTicket {
     /// resolution stays "cancelled". Returns false if a result had
     /// already landed (too late to cancel).
     pub fn cancel(&self) -> bool {
-        self.inner.fulfill(
-            &self.stats,
-            TicketOutcome::Cancelled,
-            Err(CompileError {
-                message: "async compile cancelled".to_string(),
-                command_line: String::new(),
-            }),
-        )
+        let cancelled = Err(CompileError {
+            message: "async compile cancelled".to_string(),
+            command_line: String::new(),
+        });
+        self.slot.set(cancelled, || self.stats.cancelled.inc())
     }
 
     /// The result, if the job has resolved (non-blocking).
     pub fn try_result(&self) -> Option<Result<Arc<Binary>, CompileError>> {
-        self.inner.state.lock().result.clone()
+        self.slot.try_get()
     }
 
-    /// Block until the job resolves and return its result. A ticket
-    /// whose result slot is somehow absent after wakeup (a resolution
-    /// bug, not a normal outcome) surfaces as a `CompileError` rather
-    /// than unwinding into the waiting thread.
+    /// Block until the job resolves and return its result.
     pub fn wait(&self) -> Result<Arc<Binary>, CompileError> {
-        let mut st = self.inner.state.lock();
-        while st.result.is_none() {
-            st = self.inner.ready.wait(st);
-        }
-        st.result.clone().unwrap_or_else(|| {
-            Err(CompileError {
-                message: "async compile ticket woke without a result".to_string(),
-                command_line: String::new(),
-            })
-        })
+        self.slot.wait()
+    }
+
+    /// Resolve with `result`, counted as completed or failed. Only the
+    /// first resolution counts: a job can race its own cancellation.
+    fn resolve(&self, result: CompileResult) {
+        let outcome = if result.is_ok() {
+            &self.stats.completed
+        } else {
+            &self.stats.failed
+        };
+        self.slot.set(result, || outcome.inc());
     }
 }
 
 struct Job {
     /// Weak: a queued job must not keep a dropped compiler (and its
-    /// cache) alive. Stats are held strongly so accounting survives.
+    /// cache) alive. The ticket holds the stats strongly, so accounting
+    /// survives.
     compiler: Weak<Compiler>,
-    stats: Arc<AsyncCells>,
+    ticket: CompileTicket,
     source: String,
     defines: Defines,
     identity: String,
-    ticket: Arc<TicketInner>,
     enqueued: Instant,
 }
 
@@ -223,18 +178,14 @@ fn run_job(job: Job) {
     queue_wait_us().record_duration_us(job.enqueued.elapsed());
     // A cancelled (or otherwise already-resolved) ticket's job is
     // dropped here without compiling; cancel() did the accounting.
-    if job.ticket.state.lock().result.is_some() {
+    if job.ticket.is_done() {
         return;
     }
     let Some(compiler) = job.compiler.upgrade() else {
-        job.ticket.fulfill(
-            &job.stats,
-            TicketOutcome::Failed,
-            Err(CompileError {
-                message: "async compile abandoned: compiler dropped".to_string(),
-                command_line: job.defines.command_line(),
-            }),
-        );
+        job.ticket.resolve(Err(CompileError {
+            message: "async compile abandoned: compiler dropped".to_string(),
+            command_line: job.defines.command_line(),
+        }));
         return;
     };
     // Worker-site fault point: a plan can kill the job here (dropped
@@ -246,14 +197,10 @@ fn run_job(job: Job) {
             job.ticket.key.lo64(),
             &job.defines.command_line(),
         ) {
-            job.ticket.fulfill(
-                &job.stats,
-                TicketOutcome::Failed,
-                Err(CompileError {
-                    message: fault.message(),
-                    command_line: job.defines.command_line(),
-                }),
-            );
+            job.ticket.resolve(Err(CompileError {
+                message: fault.message(),
+                command_line: job.defines.command_line(),
+            }));
             return;
         }
     }
@@ -261,91 +208,57 @@ fn run_job(job: Job) {
     // dedups against blocking callers and other tickets for the key.
     // Panics (worker-site injected or genuine) become failed tickets
     // through the normal accounting instead of unwinding the worker.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        compiler.compile(&job.source, &job.defines)
-    }))
-    .unwrap_or_else(|payload| {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "unknown panic payload".to_string());
-        Err(CompileError {
-            message: format!("async compile panicked: {msg}"),
-            command_line: job.defines.command_line(),
-        })
-    });
-    let outcome = if result.is_ok() {
-        TicketOutcome::Completed
-    } else {
-        TicketOutcome::Failed
-    };
-    job.ticket.fulfill(&job.stats, outcome, result);
+    job.ticket.resolve(catch_panic(
+        "async compile",
+        || job.defines.command_line(),
+        || compiler.compile(&job.source, &job.defines),
+    ));
 }
 
 /// Queue a background compile for `compiler`. Called from
 /// [`Compiler::spawn_compile`].
 pub(crate) fn spawn(
     compiler: &Arc<Compiler>,
-    stats: Arc<AsyncCells>,
     key: Fingerprint,
     source: &str,
     defines: &Defines,
 ) -> CompileTicket {
-    let inner = Arc::new(TicketInner {
+    let mut ticket = CompileTicket {
         key,
-        state: Mutex::new(TicketState { result: None }),
-        ready: Condvar::new(),
-    });
-    stats.spawned.inc();
+        slot: Arc::default(),
+        stats: compiler.async_stats.clone(),
+        resolved_at_spawn: true,
+    };
+    ticket.stats.spawned.inc();
     // Invalid defines resolve immediately: they would never reach the
     // cache on the blocking path either.
     if let Some(msg) = defines.invalid() {
-        inner.fulfill(
-            &stats,
-            TicketOutcome::Failed,
-            Err(CompileError {
-                message: msg.to_string(),
-                command_line: defines.command_line(),
-            }),
-        );
-        return CompileTicket {
-            inner,
-            stats,
-            resolved_at_spawn: true,
-        };
+        ticket.resolve(Err(CompileError {
+            message: msg.to_string(),
+            command_line: defines.command_line(),
+        }));
+        return ticket;
     }
     // Fast path: a committed result — in memory or in the persistent
     // store — resolves the ticket immediately, without occupying a
     // worker slot. Counted as a normal request + cache hit, so the
     // `hits + misses == requests` registry parity holds exactly as it
     // does for the blocking path.
-    if let Some(bin) = compiler.cache.try_get(key, compiler.store.as_ref()) {
+    let store = compiler.store.as_ref();
+    if let Some(bin) = compiler.cache.try_get(key, &compiler.resilience, store) {
         compiler.metrics.requests.inc();
-        inner.fulfill(&stats, TicketOutcome::Completed, Ok(bin));
-        return CompileTicket {
-            inner,
-            stats,
-            resolved_at_spawn: true,
-        };
+        ticket.resolve(Ok(bin));
+        return ticket;
     }
-    let identity = ks_fault::kernel_names(source)
-        .into_iter()
-        .next()
-        .unwrap_or_else(|| "?".to_string());
+    ticket.resolved_at_spawn = false;
     let job = Job {
         compiler: Arc::downgrade(compiler),
-        stats: stats.clone(),
+        ticket: ticket.clone(),
         source: source.to_string(),
         defines: defines.clone(),
-        identity,
-        ticket: inner.clone(),
+        identity: crate::fault_identity(source),
         enqueued: Instant::now(),
     };
     rayon::spawn(move || run_job(job));
-    CompileTicket {
-        inner,
-        stats,
-        resolved_at_spawn: false,
-    }
+    ticket
 }

@@ -75,29 +75,44 @@ pub(crate) type CompileResult = Result<Arc<Binary>, CompileError>;
 /// per-shard capacity slices stay ≥ 1 and the global bound is exact).
 const DEFAULT_SHARDS: usize = 16;
 
-/// One in-flight compilation. The leader fulfills the slot; followers
-/// block on the condvar and clone the result.
-struct InFlight {
+/// A result that is written once and read by any number of threads: a
+/// compile flight's (the leader writes it, followers wait on it) and a
+/// [`crate::CompileTicket`]'s (its job or its cancellation writes it).
+#[derive(Default)]
+pub(crate) struct OneShot {
     slot: Mutex<Option<CompileResult>>,
     ready: Condvar,
 }
 
-impl InFlight {
-    fn new() -> InFlight {
-        InFlight {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
+impl OneShot {
+    /// Store `result` unless one is already in: the first write wins and
+    /// runs `won` under the slot's lock, so whoever reads the result also
+    /// sees what `won` did. Returns whether this write was the first.
+    pub(crate) fn set(&self, result: CompileResult, won: impl FnOnce()) -> bool {
+        let mut slot = self.slot.lock();
+        if slot.is_some() {
+            return false;
         }
-    }
-
-    fn wait(&self) -> CompileResult {
-        let guard = self.ready.wait_while(self.slot.lock(), |r| r.is_none());
-        guard.clone().expect("in-flight slot fulfilled")
-    }
-
-    fn fulfill(&self, result: CompileResult) {
-        *self.slot.lock() = Some(result);
+        won();
+        *slot = Some(result);
         self.ready.notify_all();
+        true
+    }
+
+    /// The result, if one is in (non-blocking).
+    pub(crate) fn try_get(&self) -> Option<CompileResult> {
+        self.slot.lock().clone()
+    }
+
+    /// Block until a result is in and return it.
+    pub(crate) fn wait(&self) -> CompileResult {
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(result) = &*slot {
+                return result.clone();
+            }
+            slot = self.ready.wait(slot);
+        }
     }
 }
 
@@ -124,7 +139,7 @@ struct FailedEntry {
 #[derive(Default)]
 struct Shard {
     entries: HashMap<Fingerprint, Entry>,
-    inflight: HashMap<Fingerprint, Arc<InFlight>>,
+    inflight: HashMap<Fingerprint, Arc<OneShot>>,
     failed: HashMap<Fingerprint, FailedEntry>,
     /// This shard's slice of the global capacity (None = unbounded).
     capacity: Option<usize>,
@@ -164,16 +179,18 @@ pub(crate) struct BinaryCache {
     dedup_wait_micros: AtomicU64,
 }
 
-/// What the probe decided this call is.
-enum Claim {
+/// What the memory tier holds for a key ([`BinaryCache::probe_locked`]).
+enum Probe {
+    /// A committed binary, already stamped and counted as a hit.
     Hit(Arc<Binary>),
     /// Another thread is compiling this key; wait for it.
-    Follow(Arc<InFlight>),
-    /// This thread registered the in-flight slot and must compile.
-    Lead(Arc<InFlight>),
+    Follow(Arc<OneShot>),
     /// The key is quarantined (recent failure / open breaker): serve
     /// the recorded error without compiling.
     FastFail(CompileError),
+    /// Nothing committed, in flight or quarantined. `failed`: a failure
+    /// record exists all the same (its window lapsed).
+    Vacant { failed: bool },
 }
 
 impl BinaryCache {
@@ -267,58 +284,79 @@ impl BinaryCache {
         }
     }
 
+    /// The one memory probe, under the shard lock the caller holds: a
+    /// committed entry (stamped and counted as a hit here), a flight to
+    /// join, a quarantined error, or a vacancy.
+    fn probe_locked(&self, shard: &mut Shard, key: Fingerprint, res: &ResilienceConfig) -> Probe {
+        if let Some(e) = shard.entries.get_mut(&key) {
+            Probe::Hit(self.hit(e))
+        } else if let Some(f) = shard.inflight.get(&key) {
+            Probe::Follow(f.clone())
+        } else if let Some(err) = shard.quarantined_error(key, res) {
+            Probe::FastFail(err)
+        } else {
+            Probe::Vacant {
+                failed: shard.failed.contains_key(&key),
+            }
+        }
+    }
+
+    /// Serve a committed entry: stamp it and count a hit.
+    fn hit(&self, e: &mut Entry) -> Arc<Binary> {
+        e.last_used = self.stamp();
+        self.cells.hits.inc();
+        e.bin.clone()
+    }
+
+    /// Commit a binary read from the persistent tier and count it as a
+    /// disk hit — unless another caller committed `key` while the disk
+    /// was read: then its entry is served (a memory hit), so `Arc`
+    /// identity stays canonical. Caller holds the shard lock.
+    fn commit_disk_locked(
+        &self,
+        shard: &mut Shard,
+        key: Fingerprint,
+        bin: Arc<Binary>,
+    ) -> Arc<Binary> {
+        if let Some(e) = shard.entries.get_mut(&key) {
+            return self.hit(e);
+        }
+        shard.failed.remove(&key);
+        self.insert_entry_locked(shard, key, bin.clone());
+        self.cells.hits.inc();
+        self.cells.disk_hits.inc();
+        bin
+    }
+
     /// Probe for an already-committed result — memory first, then the
     /// persistent tier — without joining or creating a flight. Used by
     /// the async tier's spawn fast path so tickets resolve from disk
     /// hits without occupying a worker slot. Returns `None` when the key
-    /// is uncompiled, in flight, or quarantined; those paths keep their
-    /// normal worker accounting. A probe miss moves no counters (the
-    /// eventual leader records its own `disk_misses`).
+    /// is uncompiled, in flight, or has a failure record (expired or
+    /// not); those paths keep their normal worker accounting. A probe
+    /// miss moves no counters (the eventual leader records its own
+    /// `disk_misses`).
     pub(crate) fn try_get(
         &self,
         key: Fingerprint,
+        res: &ResilienceConfig,
         store: Option<&StoreTier>,
     ) -> Option<Arc<Binary>> {
-        {
-            let mut shard = self.shard(key).lock();
-            if let Some(e) = shard.entries.get_mut(&key) {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                let bin = e.bin.clone();
-                drop(shard);
-                self.cells.hits.inc();
-                return Some(bin);
-            }
-            if shard.inflight.contains_key(&key) || shard.failed.contains_key(&key) {
-                return None;
-            }
+        match self.probe_locked(&mut self.shard(key).lock(), key, res) {
+            Probe::Hit(bin) => return Some(bin),
+            Probe::Vacant { failed: false } => {}
+            _ => return None,
         }
         // Disk probe outside the shard lock: a racing leader at worst
         // duplicates the read, never the compile.
-        match store?.load(key) {
-            Ok(Some(bin)) => {
-                let mut shard = self.shard(key).lock();
-                if let Some(e) = shard.entries.get_mut(&key) {
-                    // A leader committed while we read the disk; serve
-                    // its entry so `Arc` identity stays canonical.
-                    e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                    let cached = e.bin.clone();
-                    drop(shard);
-                    self.cells.hits.inc();
-                    return Some(cached);
-                }
-                shard.failed.remove(&key);
-                self.insert_entry_locked(&mut shard, key, bin.clone());
-                drop(shard);
-                self.cells.hits.inc();
-                self.cells.disk_hits.inc();
-                Some(bin)
-            }
-            Ok(None) => None,
+        let bin = match store?.load(key) {
+            Ok(bin) => bin?,
             Err(_) => {
                 self.cells.store_errors.inc();
-                None
+                return None;
             }
-        }
+        };
+        Some(self.commit_disk_locked(&mut self.shard(key).lock(), key, bin))
     }
 
     /// The single-flight fast path: return the cached binary for `key`,
@@ -348,133 +386,129 @@ impl BinaryCache {
         store: Option<&StoreTier>,
         compile: impl Fn() -> CompileResult,
     ) -> CompileResult {
-        let claim = {
+        let (flight, lead) = {
             let mut shard = self.shard(key).lock();
-            if let Some(e) = shard.entries.get_mut(&key) {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                Claim::Hit(e.bin.clone())
-            } else if let Some(f) = shard.inflight.get(&key) {
-                Claim::Follow(f.clone())
-            } else if let Some(err) = shard.quarantined_error(key, res) {
-                Claim::FastFail(err)
-            } else {
-                let f = Arc::new(InFlight::new());
-                shard.inflight.insert(key, f.clone());
-                Claim::Lead(f)
+            match self.probe_locked(&mut shard, key, res) {
+                Probe::Hit(bin) => return Ok(bin),
+                Probe::FastFail(err) => {
+                    self.cells.failures.inc();
+                    self.cells.quarantined.inc();
+                    return Err(err);
+                }
+                Probe::Follow(flight) => (flight, false),
+                Probe::Vacant { .. } => (shard.inflight.entry(key).or_default().clone(), true),
             }
         };
-        match claim {
-            Claim::Hit(bin) => {
-                self.cells.hits.inc();
-                Ok(bin)
+        if lead {
+            self.lead(key, &flight, res, store, compile)
+        } else {
+            self.follow(&flight)
+        }
+    }
+
+    /// Wait for another thread's flight of the same key.
+    fn follow(&self, flight: &OneShot) -> CompileResult {
+        let t0 = Instant::now();
+        let result = flight.wait();
+        self.cells.dedup_waits.inc();
+        self.dedup_wait_micros
+            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        // Duplicate-compile suppression is a hit, not a miss: the §4.3
+        // overhead was paid once, by the leader. A failed flight fails
+        // every follower, itemized per caller.
+        if result.is_ok() {
+            self.cells.hits.inc();
+        } else {
+            self.cells.failures.inc();
+        }
+        result
+    }
+
+    /// Fill the flight this thread registered for `key`: from the
+    /// persistent tier, else by compiling (with retries), then commit
+    /// the result and wake the followers.
+    fn lead(
+        &self,
+        key: Fingerprint,
+        flight: &OneShot,
+        res: &ResilienceConfig,
+        store: Option<&StoreTier>,
+        compile: impl Fn() -> CompileResult,
+    ) -> CompileResult {
+        // If an attempt panics (and `catch_panics` is off), the guard
+        // removes the in-flight slot, quarantines the key, and feeds
+        // followers an error instead of deadlock.
+        let guard = FlightGuard {
+            cache: self,
+            key,
+            flight,
+            res,
+        };
+        // Read-through: probe the persistent tier before paying for a
+        // compile. Any store error degrades to compiling.
+        let loaded = match store.map(|s| s.load(key)) {
+            Some(Ok(Some(bin))) => Some(bin),
+            Some(Ok(None)) => {
+                self.cells.disk_misses.inc();
+                None
             }
-            Claim::FastFail(err) => {
-                self.cells.failures.inc();
-                self.cells.quarantined.inc();
-                Err(err)
+            Some(Err(_)) => {
+                self.cells.store_errors.inc();
+                None
             }
-            Claim::Follow(flight) => {
-                let t0 = Instant::now();
-                let result = flight.wait();
-                self.cells.dedup_waits.inc();
-                self.dedup_wait_micros
-                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                // Duplicate-compile suppression is a hit, not a miss: the
-                // §4.3 overhead was paid once, by the leader. A failed
-                // flight fails every follower, itemized per caller.
-                if result.is_ok() {
-                    self.cells.hits.inc();
-                } else {
+            None => None,
+        };
+        let fresh = loaded.is_none();
+        let mut result = loaded.map_or_else(|| run_attempt(&compile, res), Ok);
+        let mut attempt = 0u32;
+        while result.is_err() && attempt < res.max_retries {
+            attempt += 1;
+            let _retry = ks_trace::span_fields("compile-retry", || {
+                vec![
+                    ("attempt".to_string(), attempt.to_string()),
+                    ("key".to_string(), key.to_string()),
+                ]
+            });
+            let delay = res.backoff(key.lo64(), attempt);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            self.cells.retries.inc();
+            result = run_attempt(&compile, res);
+        }
+        std::mem::forget(guard);
+        let result = {
+            let mut shard = self.shard(key).lock();
+            shard.inflight.remove(&key);
+            match result {
+                // The §4.3 overhead was avoided: a disk hit is a hit, not
+                // a miss, and adds no compile time.
+                Ok(bin) if !fresh => Ok(self.commit_disk_locked(&mut shard, key, bin)),
+                Ok(bin) => {
+                    shard.failed.remove(&key);
+                    self.cells.misses.inc();
+                    self.compile_micros
+                        .fetch_add(bin.compile_time.as_micros() as u64, Ordering::Relaxed);
+                    self.insert_entry_locked(&mut shard, key, bin.clone());
+                    Ok(bin)
+                }
+                Err(e) => {
                     self.cells.failures.inc();
+                    self.record_failure_locked(&mut shard, key, &e, res);
+                    Err(e)
                 }
-                result
             }
-            Claim::Lead(flight) => {
-                // If an attempt panics (and `catch_panics` is off), the
-                // guard removes the in-flight slot, quarantines the key,
-                // and feeds followers an error instead of deadlock.
-                let guard = FlightGuard {
-                    cache: self,
-                    key,
-                    flight: &flight,
-                    res,
-                };
-                // Read-through: probe the persistent tier before paying
-                // for a compile. Any store error degrades to compiling.
-                let mut from_disk = false;
-                let mut result = match store.map(|s| s.load(key)) {
-                    Some(Ok(Some(bin))) => {
-                        from_disk = true;
-                        Ok(bin)
-                    }
-                    Some(Ok(None)) => {
-                        self.cells.disk_misses.inc();
-                        run_attempt(&compile, res)
-                    }
-                    Some(Err(_)) => {
-                        self.cells.store_errors.inc();
-                        run_attempt(&compile, res)
-                    }
-                    None => run_attempt(&compile, res),
-                };
-                let mut attempt = 0u32;
-                while result.is_err() && attempt < res.max_retries {
-                    attempt += 1;
-                    let _retry = ks_trace::span_fields("compile-retry", || {
-                        vec![
-                            ("attempt".to_string(), attempt.to_string()),
-                            ("key".to_string(), key.to_string()),
-                        ]
-                    });
-                    let delay = res.backoff(key.lo64(), attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    self.cells.retries.inc();
-                    result = run_attempt(&compile, res);
-                }
-                std::mem::forget(guard);
-                {
-                    let mut shard = self.shard(key).lock();
-                    shard.inflight.remove(&key);
-                    match &result {
-                        Ok(bin) => {
-                            shard.failed.remove(&key);
-                            if from_disk {
-                                // The §4.3 overhead was avoided: a disk
-                                // hit is a hit, not a miss, and adds no
-                                // compile time.
-                                self.cells.hits.inc();
-                                self.cells.disk_hits.inc();
-                            } else {
-                                self.cells.misses.inc();
-                                self.compile_micros.fetch_add(
-                                    bin.compile_time.as_micros() as u64,
-                                    Ordering::Relaxed,
-                                );
-                            }
-                            self.insert_entry_locked(&mut shard, key, bin.clone());
-                        }
-                        Err(e) => {
-                            self.cells.failures.inc();
-                            self.record_failure_locked(&mut shard, key, e, res);
-                        }
-                    }
-                }
-                flight.fulfill(result.clone());
-                // Write-through: persist fresh compiles after followers
-                // are unblocked. A failed write is counted and ignored —
-                // the in-memory result is already committed.
-                if !from_disk {
-                    if let (Ok(bin), Some(s)) = (&result, store) {
-                        if s.save(key, bin).is_err() {
-                            self.cells.store_errors.inc();
-                        }
-                    }
-                }
-                result
+        };
+        flight.set(result.clone(), || {});
+        // Write-through: persist fresh compiles after followers are
+        // unblocked. A failed write is counted and ignored — the
+        // in-memory result is already committed.
+        if let (true, Ok(bin), Some(s)) = (fresh, &result, store) {
+            if s.save(key, bin).is_err() {
+                self.cells.store_errors.inc();
             }
         }
+        result
     }
 
     /// Record a failed flight: refresh the quarantine record, bump the
@@ -511,20 +545,27 @@ fn run_attempt(compile: &impl Fn() -> CompileResult, res: &ResilienceConfig) -> 
     if !res.catch_panics {
         return compile();
     }
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)) {
-        Ok(result) => result,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic payload".to_string());
-            Err(CompileError {
-                message: format!("compilation panicked: {msg}"),
-                command_line: String::new(),
-            })
-        }
-    }
+    catch_panic("compilation", String::new, compile)
+}
+
+/// Run `compile`, turning a panic into the `CompileError`
+/// "`{what}` panicked: `{payload}`" with `command_line()`.
+pub(crate) fn catch_panic(
+    what: &str,
+    command_line: impl FnOnce() -> String,
+    compile: impl FnOnce() -> CompileResult,
+) -> CompileResult {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(compile)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic payload".to_string());
+        Err(CompileError {
+            message: format!("{what} panicked: {msg}"),
+            command_line: command_line(),
+        })
+    })
 }
 
 /// Panic guard for the leader path: on unwind, unregister the in-flight
@@ -533,7 +574,7 @@ fn run_attempt(compile: &impl Fn() -> CompileResult, res: &ResilienceConfig) -> 
 struct FlightGuard<'a> {
     cache: &'a BinaryCache,
     key: Fingerprint,
-    flight: &'a Arc<InFlight>,
+    flight: &'a OneShot,
     res: &'a ResilienceConfig,
 }
 
@@ -550,7 +591,7 @@ impl Drop for FlightGuard<'_> {
             self.cache
                 .record_failure_locked(&mut shard, self.key, &err, self.res);
         }
-        self.flight.fulfill(Err(err));
+        self.flight.set(Err(err), || {});
     }
 }
 

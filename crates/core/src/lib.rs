@@ -43,7 +43,7 @@
 //! canonicalizes the define set, so `.def("A",1).def("B",2)` and
 //! `.def("B",2).def("A",1)` share a slot.
 
-pub use ks_analysis::{AnalysisConfig, Diagnostic};
+pub use ks_analysis::AnalysisConfig;
 use ks_codegen::CodegenOptions;
 use ks_sim::{DeviceConfig, LaunchPlan, RegAlloc};
 use std::collections::HashMap;
@@ -55,10 +55,12 @@ mod cache;
 mod metrics;
 mod store;
 
+use store::Tag;
+
 pub use background::{AsyncStats, CompileTicket};
-pub use ks_store::{Fingerprint, ScrubReport, StableHasher, StoreError};
+pub use ks_store::{Fingerprint, StableHasher, StoreError};
 pub use metrics::CompileMetrics;
-pub use store::{LazyModule, Listing, BINARY_SCHEMA_VERSION, PASS_PIPELINE};
+pub use store::{LazyModule, Listing};
 
 /// Pre-resolved ks-trace registry handles for the compile pipeline.
 /// Counters and histograms are always on (atomic updates only); spans
@@ -69,7 +71,8 @@ pub use store::{LazyModule, Listing, BINARY_SCHEMA_VERSION, PASS_PIPELINE};
 /// wide `hits + misses == requests` style invariants stay exact.
 struct TraceMetrics {
     requests: ks_trace::Counter,
-    phases: [(&'static str, ks_trace::Histogram); 8],
+    /// One per [`CompileMetrics::PHASES`] entry, in its order.
+    phases: Vec<ks_trace::Histogram>,
     verify_checks: ks_trace::Counter,
     verify_diffs: ks_trace::Counter,
     verify_inconclusive: ks_trace::Counter,
@@ -78,40 +81,34 @@ struct TraceMetrics {
 
 impl TraceMetrics {
     fn from_scope(scope: &ks_trace::Scope<'_>) -> TraceMetrics {
-        let phase = |name| scope.histogram(&ks_trace::names::compile_phase_us(name));
+        use ks_trace::names;
         TraceMetrics {
-            requests: scope.counter(ks_trace::names::COMPILE_REQUESTS),
-            phases: [
-                ("preproc", phase("preproc")),
-                ("parse", phase("parse")),
-                ("sema", phase("sema")),
-                ("lower", phase("lower")),
-                ("opt", phase("opt")),
-                ("analysis", phase("analysis")),
-                ("verify", phase("verify")),
-                ("regalloc", phase("regalloc")),
-            ],
-            verify_checks: scope.counter(ks_trace::names::VERIFY_CHECKS),
-            verify_diffs: scope.counter(ks_trace::names::VERIFY_DIFFS),
-            verify_inconclusive: scope.counter(ks_trace::names::VERIFY_INCONCLUSIVE),
-            verify_block_fallbacks: scope.counter(ks_trace::names::VERIFY_BLOCK_FALLBACKS),
+            requests: scope.counter(names::COMPILE_REQUESTS),
+            phases: CompileMetrics::PHASES
+                .iter()
+                .map(|phase| scope.histogram(&names::compile_phase_us(phase)))
+                .collect(),
+            verify_checks: scope.counter(names::VERIFY_CHECKS),
+            verify_diffs: scope.counter(names::VERIFY_DIFFS),
+            verify_inconclusive: scope.counter(names::VERIFY_INCONCLUSIVE),
+            verify_block_fallbacks: scope.counter(names::VERIFY_BLOCK_FALLBACKS),
         }
     }
+
     /// Publish one successful (miss-path) compilation's phase breakdown.
     fn record_phases(&self, m: &CompileMetrics) {
-        for (name, hist) in &self.phases {
-            let d = match *name {
-                "preproc" => m.preproc,
-                "parse" => m.parse,
-                "sema" => m.sema,
-                "lower" => m.lower,
-                "opt" => m.opt,
-                "analysis" => m.analysis,
-                "verify" => m.verify,
-                _ => m.regalloc,
-            };
+        for (hist, d) in self.phases.iter().zip(m.phase_times()) {
             hist.record_duration_us(d);
         }
+    }
+
+    /// Publish a translation-validation report's counts.
+    fn record_verify(&self, report: &ks_verify::VerifyReport) {
+        self.verify_checks.add(report.checks as u64);
+        self.verify_diffs.add(report.error_count() as u64);
+        self.verify_inconclusive.add(report.warning_count() as u64);
+        self.verify_block_fallbacks
+            .add(report.block_fallbacks as u64);
     }
 }
 
@@ -143,14 +140,6 @@ impl Defines {
         self.items.retain(|(n, _)| n != name);
         self.invalid.retain(|(n, _)| n != name);
         self.items.push((name.to_string(), value.to_string()));
-        self
-    }
-
-    /// `-D NAME` (defined as 1, like nvcc).
-    pub fn flag(mut self, name: &str) -> Defines {
-        self.items.retain(|(n, _)| n != name);
-        self.invalid.retain(|(n, _)| n != name);
-        self.items.push((name.to_string(), String::new()));
         self
     }
 
@@ -194,7 +183,7 @@ impl Defines {
     /// The first invalid definition still in effect, if any. A marker is
     /// cleared when its name is later redefined with a valid value (the
     /// offending entry no longer exists); markers for other names stand.
-    pub fn invalid(&self) -> Option<&str> {
+    pub(crate) fn invalid(&self) -> Option<&str> {
         self.invalid.first().map(|(_, msg)| msg.as_str())
     }
 
@@ -488,9 +477,10 @@ impl ResilienceConfig {
 
 /// Feed every [`AnalysisConfig`] field that affects analysis results
 /// into the stable hasher, mirroring `AnalysisConfig::hash_into`'s field
-/// list but with explicit tags and widths (the generic `hash_into` goes
-/// through `std::hash::Hasher`, whose compound-type encodings make no
-/// cross-release stability promise).
+/// list but with explicit tags (a severity's is its store tag) and
+/// widths (the generic `hash_into` goes through `std::hash::Hasher`,
+/// whose compound-type encodings make no cross-release stability
+/// promise).
 fn feed_analysis(h: &mut StableHasher, a: &AnalysisConfig) {
     match a.block_dim {
         None => {
@@ -519,14 +509,18 @@ fn feed_analysis(h: &mut StableHasher, a: &AnalysisConfig) {
     h.usize(a.levels.len());
     for (code, severity) in &a.levels {
         h.str(code.code());
-        h.u8(match severity {
-            ks_analysis::Severity::Allow => 0,
-            ks_analysis::Severity::Warn => 1,
-            ks_analysis::Severity::Deny => 2,
-        });
+        h.u8(severity.tag());
     }
     h.u64(a.bank_conflict_threshold.to_bits());
     h.u64(a.coalescing_slack.to_bits());
+}
+
+/// The name a fault plan knows `source` by: its first kernel, or `"?"`.
+fn fault_identity(source: &str) -> String {
+    ks_fault::kernel_names(source)
+        .into_iter()
+        .next()
+        .unwrap_or_else(|| "?".to_string())
 }
 
 /// SplitMix64 finalizer (same mixer ks-fault uses): deterministic jitter
@@ -623,11 +617,6 @@ impl Compiler {
         self.metrics = TraceMetrics::from_scope(&scope);
         self.cache.set_metric_scope(&scope);
         self
-    }
-
-    /// The label set metrics are published under (empty = unlabeled).
-    pub fn metric_labels(&self) -> &[(String, String)] {
-        &self.metric_labels
     }
 
     /// The ks-trace scope this compiler publishes into.
@@ -731,8 +720,8 @@ impl Compiler {
     /// bit-rotted record becomes a clean recompile instead of a
     /// `store_errors` hit on the warm-start path. The walk publishes
     /// `ks_store.scrub.*` counters under this compiler's metric labels
-    /// and returns the typed [`ScrubReport`] alongside the compiler.
-    /// The offline equivalent is the `ks-store-scrub` binary.
+    /// and returns the typed [`ks_store::ScrubReport`] alongside the
+    /// compiler. The offline equivalent is the `ks-store-scrub` binary.
     pub fn with_store_scrubbed(
         self,
         dir: impl Into<std::path::PathBuf>,
@@ -784,11 +773,6 @@ impl Compiler {
         self
     }
 
-    /// The active resilience policy.
-    pub fn resilience(&self) -> &ResilienceConfig {
-        &self.resilience
-    }
-
     pub fn device(&self) -> &DeviceConfig {
         &self.device
     }
@@ -802,13 +786,13 @@ impl Compiler {
         self.cache.len()
     }
 
-    fn nvcc_line(&self, defines: &Defines) -> String {
-        format!(
-            "nvcc -arch=sm_{}{} {}",
-            self.device.cc_major,
-            self.device.cc_minor,
-            defines.command_line()
-        )
+    /// A compile error under `defines`, annotated with the nvcc line.
+    fn error(&self, defines: &Defines, message: String) -> CompileError {
+        let (major, minor) = (self.device.cc_major, self.device.cc_minor);
+        CompileError {
+            message,
+            command_line: format!("nvcc -arch=sm_{major}{minor} {}", defines.command_line()),
+        }
     }
 
     /// The stable 128-bit cache key: a fingerprint over the canonical
@@ -895,10 +879,7 @@ impl Compiler {
     ) -> Result<Arc<Binary>, CompileError> {
         let defines = defines.borrow();
         if let Some(msg) = defines.invalid() {
-            return Err(CompileError {
-                message: msg.to_string(),
-                command_line: self.nvcc_line(defines),
-            });
+            return Err(self.error(defines, msg.to_string()));
         }
         let key = self.cache_key(source, defines);
         let _lookup = ks_trace::span_fields("cache-lookup", || {
@@ -911,12 +892,7 @@ impl Compiler {
         // loop), so transient injected faults clear under retry. The
         // compiler-local plan wins over the process-wide one.
         let plan = self.fault_plan.clone().or_else(ks_fault::active);
-        let identity = plan.as_ref().map(|_| {
-            ks_fault::kernel_names(source)
-                .into_iter()
-                .next()
-                .unwrap_or_else(|| "?".to_string())
-        });
+        let identity = plan.as_ref().map(|_| fault_identity(source));
         let store = self.store.as_ref();
         let result = self.cache.get_or_compile(key, &self.resilience, store, || {
             if let (Some(plan), Some(id)) = (&plan, &identity) {
@@ -924,10 +900,7 @@ impl Compiler {
                     if fault.kind == ks_fault::FaultKind::CompilePanic {
                         panic!("{}", fault.message());
                     }
-                    return Err(CompileError {
-                        message: fault.message(),
-                        command_line: self.nvcc_line(defines),
-                    });
+                    return Err(self.error(defines, fault.message()));
                 }
             }
             // The miss path: this span's children are the per-phase
@@ -960,12 +933,9 @@ impl Compiler {
             if let (Ok(_), Some(budget)) = (&result, self.resilience.compile_timeout) {
                 let elapsed = start.elapsed();
                 if elapsed > budget {
-                    return Err(CompileError {
-                        message: format!(
-                            "compile deadline exceeded: {elapsed:.1?} > budget {budget:.1?}"
-                        ),
-                        command_line: self.nvcc_line(defines),
-                    });
+                    let msg =
+                        format!("compile deadline exceeded: {elapsed:.1?} > budget {budget:.1?}");
+                    return Err(self.error(defines, msg));
                 }
             }
             result
@@ -1018,7 +988,7 @@ impl Compiler {
     ) -> CompileTicket {
         let defines = defines.borrow();
         let key = self.cache_key(source, defines);
-        background::spawn(self, self.async_stats.clone(), key, source, defines)
+        background::spawn(self, key, source, defines)
     }
 
     /// Async-tier counters for this compiler (exact; see [`AsyncStats`]).
@@ -1027,10 +997,7 @@ impl Compiler {
     }
 
     fn compile_uncached(&self, source: &str, defines: &Defines) -> Result<Binary, CompileError> {
-        let err = |message: String| CompileError {
-            message,
-            command_line: self.nvcc_line(defines),
-        };
+        let err = |message: String| self.error(defines, message);
         let mut metrics = CompileMetrics::default();
         // Built-in architecture macro, so kernels can `#if __CUDA_ARCH__ >= 200`
         // exactly like the OpenCV example (§2.6).
@@ -1128,12 +1095,7 @@ impl Compiler {
         // Finalize translation validation: publish counters, then fail the
         // compile on any diff when the policy denies.
         if let Some(vcfg) = &self.validation {
-            let tm = &self.metrics;
-            tm.verify_checks.add(vreport.checks as u64);
-            tm.verify_diffs.add(vreport.error_count() as u64);
-            tm.verify_inconclusive.add(vreport.warning_count() as u64);
-            tm.verify_block_fallbacks
-                .add(vreport.block_fallbacks as u64);
+            self.metrics.record_verify(&vreport);
             if vcfg.deny {
                 if let Some(f) = vreport.findings.iter().find(|f| f.is_error()) {
                     return Err(err(format!("translation validation failed: {f}")));
@@ -1207,10 +1169,7 @@ impl Compiler {
             defines.items(),
             limits,
         );
-        let tm = &self.metrics;
-        tm.verify_checks.add(report.checks as u64);
-        tm.verify_diffs.add(report.error_count() as u64);
-        tm.verify_inconclusive.add(report.warning_count() as u64);
+        self.metrics.record_verify(&report);
         Ok(report)
     }
 }
@@ -1410,7 +1369,7 @@ mod tests {
     fn defines_builder_and_command_line() {
         let d = Defines::new()
             .def("A", 3)
-            .flag("FAST")
+            .def("FAST", "")
             .ptr("PTR_IN", 0x200ca0200);
         assert_eq!(d.command_line(), "-D A=3 -D FAST -D PTR_IN=0x200ca0200");
         // Redefinition replaces.
@@ -1501,15 +1460,10 @@ mod tests {
         let d = d.f32("S", 2.0);
         assert!(d.invalid().is_none());
         assert!(d.command_line().contains("S=2"));
-        // def() and flag() replacements clear a marker too.
+        // A def() replacement clears a marker too.
         assert!(Defines::new()
             .f32("S", f32::INFINITY)
             .def("S", 3)
-            .invalid()
-            .is_none());
-        assert!(Defines::new()
-            .f32("S", f32::NEG_INFINITY)
-            .flag("S")
             .invalid()
             .is_none());
         // Distinct names track independently: clearing one does not

@@ -35,22 +35,33 @@ pub struct CompileMetrics {
 }
 
 impl CompileMetrics {
+    /// The phases in pipeline order: [`CompileMetrics::phase_times`], the
+    /// `ks_core.compile.phase_us.*` histograms and the summary read it.
+    pub(crate) const PHASES: [&'static str; 8] = [
+        "preproc", "parse", "sema", "lower", "opt", "analysis", "verify", "regalloc",
+    ];
+
+    /// Each phase's time, in [`CompileMetrics::PHASES`] order.
+    pub(crate) fn phase_times(&self) -> [Duration; 8] {
+        [
+            self.preproc,
+            self.parse,
+            self.sema,
+            self.lower,
+            self.opt,
+            self.analysis,
+            self.verify,
+            self.regalloc,
+        ]
+    }
+
     /// One-line breakdown for logs, e.g.
     /// `preproc 12.3µs · parse 40.1µs · … · total 139.0µs`.
     pub fn summary(&self) -> String {
-        let phases = [
-            ("preproc", self.preproc),
-            ("parse", self.parse),
-            ("sema", self.sema),
-            ("lower", self.lower),
-            ("opt", self.opt),
-            ("analysis", self.analysis),
-            ("verify", self.verify),
-            ("regalloc", self.regalloc),
-            ("total", self.total),
-        ];
-        phases
-            .iter()
+        Self::PHASES
+            .into_iter()
+            .zip(self.phase_times())
+            .chain([("total", self.total)])
             .map(|(name, d)| format!("{name} {d:.1?}"))
             .collect::<Vec<_>>()
             .join(" · ")

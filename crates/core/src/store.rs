@@ -16,6 +16,8 @@
 //! a section that fails to decode on first access fails typed there.
 
 use crate::{Binary, CompileMetrics, Defines};
+use ks_analysis::Severity;
+use ks_ir::{BinOp, CmpOp, Space, SpecialReg, UnOp};
 use ks_sim::RegAlloc;
 use ks_store::{ByteReader, ByteWriter, Fingerprint, Store, StoreError};
 use std::collections::HashMap;
@@ -30,7 +32,7 @@ use std::time::Duration;
 /// which a load keeps encoded until first access; version 3 drops the
 /// printed PTX (a [`Listing`] prints it from the module on first read)
 /// and the device name (the compiler that loads a record knows it).
-pub const BINARY_SCHEMA_VERSION: u32 = 3;
+pub(crate) const BINARY_SCHEMA_VERSION: u32 = 3;
 
 /// A [`Binary`]'s module IR. A compile fills it directly; a disk hit
 /// keeps the record's encoded module section and decodes it once, on
@@ -174,7 +176,7 @@ impl PartialEq<Listing> for String {
 /// stage must change this string so stale artifacts are invalidated.
 /// (Per-pass *toggles* are fingerprinted separately via `OptConfig` /
 /// `CodegenOptions`.)
-pub const PASS_PIPELINE: &str =
+pub(crate) const PASS_PIPELINE: &str =
     "hir:consteval,unroll,consteval,scalarize,consteval;ir:constfold,strength,addrfold,cse,dce";
 
 /// The persistent tier a [`crate::Compiler`] consults between its
@@ -218,6 +220,52 @@ impl StoreTier {
     }
 }
 
+/// A fieldless enum the record stores as a one-byte tag. Its one tag
+/// table, [`Tag::ALL`], is read both ways: a variant encodes as its index
+/// there and a tag decodes to the variant at that index
+/// ([`get_tag`]). The cache key's analysis config reads the Severity one.
+pub(crate) trait Tag: Copy + PartialEq + 'static {
+    /// How a tag outside the table is reported (`bad {WHAT} {tag}`).
+    const WHAT: &'static str;
+    /// Every variant, in tag order.
+    const ALL: &'static [Self];
+
+    fn tag(self) -> u8 {
+        let i = Self::ALL.iter().position(|&v| v == self);
+        i.expect("tag_table! lists every variant") as u8
+    }
+}
+
+/// `tag_table!(Enum, "what", [A, B, ..])`: `Enum`'s [`Tag`] table. The
+/// exhaustive match beside it makes a variant left out of the list a
+/// compile error, and a variant listed twice an unreachable pattern.
+macro_rules! tag_table {
+    ($ty:ident, $what:literal, [$($v:ident),+ $(,)?]) => {
+        impl Tag for $ty {
+            const WHAT: &'static str = $what;
+            const ALL: &'static [Self] = &[$($ty::$v),+];
+        }
+        const _: fn($ty) = |v| match v {
+            $($ty::$v)|+ => {}
+        };
+    };
+}
+
+tag_table!(Space, "space tag", [Global, Shared, Const, Local, Param]);
+tag_table!(
+    BinOp,
+    "binop tag",
+    [Add, Sub, Mul, Mul24, Div, Rem, Min, Max, And, Or, Xor, Shl, Shr]
+);
+tag_table!(UnOp, "unop tag", [Neg, Not, Abs, Sqrt, Rsqrt, Floor]);
+tag_table!(CmpOp, "cmpop tag", [Eq, Ne, Lt, Le, Gt, Ge]);
+tag_table!(
+    SpecialReg,
+    "special-reg tag",
+    [TidX, TidY, TidZ, CtaIdX, CtaIdY, CtaIdZ, NtidX, NtidY, NtidZ, NctaIdX, NctaIdY, NctaIdZ]
+);
+tag_table!(Severity, "severity tag", [Allow, Warn, Deny]);
+
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
@@ -234,19 +282,9 @@ fn put_ty(w: &mut ByteWriter, ty: ks_ir::Ty) {
         ks_ir::Ty::Pred => w.u8(3),
         ks_ir::Ty::Ptr(s) => {
             w.u8(4);
-            put_space(w, s);
+            w.u8(s.tag());
         }
     }
-}
-
-fn put_space(w: &mut ByteWriter, s: ks_ir::Space) {
-    w.u8(match s {
-        ks_ir::Space::Global => 0,
-        ks_ir::Space::Shared => 1,
-        ks_ir::Space::Const => 2,
-        ks_ir::Space::Local => 3,
-        ks_ir::Space::Param => 4,
-    });
 }
 
 fn put_operand(w: &mut ByteWriter, o: ks_ir::Operand) {
@@ -277,67 +315,6 @@ fn put_address(w: &mut ByteWriter, a: ks_ir::Address) {
     w.i64(a.offset);
 }
 
-fn bin_op_tag(op: ks_ir::BinOp) -> u8 {
-    use ks_ir::BinOp::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Mul24 => 3,
-        Div => 4,
-        Rem => 5,
-        Min => 6,
-        Max => 7,
-        And => 8,
-        Or => 9,
-        Xor => 10,
-        Shl => 11,
-        Shr => 12,
-    }
-}
-
-fn un_op_tag(op: ks_ir::UnOp) -> u8 {
-    use ks_ir::UnOp::*;
-    match op {
-        Neg => 0,
-        Not => 1,
-        Abs => 2,
-        Sqrt => 3,
-        Rsqrt => 4,
-        Floor => 5,
-    }
-}
-
-fn cmp_op_tag(op: ks_ir::CmpOp) -> u8 {
-    use ks_ir::CmpOp::*;
-    match op {
-        Eq => 0,
-        Ne => 1,
-        Lt => 2,
-        Le => 3,
-        Gt => 4,
-        Ge => 5,
-    }
-}
-
-fn special_reg_tag(r: ks_ir::SpecialReg) -> u8 {
-    use ks_ir::SpecialReg::*;
-    match r {
-        TidX => 0,
-        TidY => 1,
-        TidZ => 2,
-        CtaIdX => 3,
-        CtaIdY => 4,
-        CtaIdZ => 5,
-        NtidX => 6,
-        NtidY => 7,
-        NtidZ => 8,
-        NctaIdX => 9,
-        NctaIdY => 10,
-        NctaIdZ => 11,
-    }
-}
-
 fn put_inst(w: &mut ByteWriter, inst: &ks_ir::Inst) {
     use ks_ir::Inst;
     match inst {
@@ -349,7 +326,7 @@ fn put_inst(w: &mut ByteWriter, inst: &ks_ir::Inst) {
         }
         Inst::Bin { op, ty, dst, a, b } => {
             w.u8(1);
-            w.u8(bin_op_tag(*op));
+            w.u8(op.tag());
             put_ty(w, *ty);
             w.u32(dst.0);
             put_operand(w, *a);
@@ -357,7 +334,7 @@ fn put_inst(w: &mut ByteWriter, inst: &ks_ir::Inst) {
         }
         Inst::Un { op, ty, dst, a } => {
             w.u8(2);
-            w.u8(un_op_tag(*op));
+            w.u8(op.tag());
             put_ty(w, *ty);
             w.u32(dst.0);
             put_operand(w, *a);
@@ -372,7 +349,7 @@ fn put_inst(w: &mut ByteWriter, inst: &ks_ir::Inst) {
         }
         Inst::Setp { cmp, ty, dst, a, b } => {
             w.u8(4);
-            w.u8(cmp_op_tag(*cmp));
+            w.u8(cmp.tag());
             put_ty(w, *ty);
             w.u32(dst.0);
             put_operand(w, *a);
@@ -411,7 +388,7 @@ fn put_inst(w: &mut ByteWriter, inst: &ks_ir::Inst) {
             addr,
         } => {
             w.u8(7);
-            put_space(w, *space);
+            w.u8(space.tag());
             put_ty(w, *ty);
             w.u32(dst.0);
             put_address(w, *addr);
@@ -423,7 +400,7 @@ fn put_inst(w: &mut ByteWriter, inst: &ks_ir::Inst) {
             src,
         } => {
             w.u8(8);
-            put_space(w, *space);
+            w.u8(space.tag());
             put_ty(w, *ty);
             put_address(w, *addr);
             put_operand(w, *src);
@@ -432,7 +409,7 @@ fn put_inst(w: &mut ByteWriter, inst: &ks_ir::Inst) {
         Inst::Special { dst, reg } => {
             w.u8(10);
             w.u32(dst.0);
-            w.u8(special_reg_tag(*reg));
+            w.u8(reg.tag());
         }
         Inst::Tex { ty, dst, tex, idx } => {
             w.u8(11);
@@ -536,14 +513,6 @@ fn put_metrics(w: &mut ByteWriter, m: &CompileMetrics) {
     put_duration(w, m.total);
 }
 
-fn severity_tag(s: ks_analysis::Severity) -> u8 {
-    match s {
-        ks_analysis::Severity::Allow => 0,
-        ks_analysis::Severity::Warn => 1,
-        ks_analysis::Severity::Deny => 2,
-    }
-}
-
 /// Serialize a compiled binary into a store payload.
 pub(crate) fn serialize_binary(bin: &Binary) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -569,7 +538,7 @@ pub(crate) fn serialize_binary(bin: &Binary) -> Vec<u8> {
     w.usize(bin.diagnostics.len());
     for d in &bin.diagnostics {
         w.str(d.code.code());
-        w.u8(severity_tag(d.severity));
+        w.u8(d.severity.tag());
         w.str(&d.function);
         match d.block {
             None => w.u8(0),
@@ -624,6 +593,16 @@ fn get_seq<'a, T>(
     Ok(items)
 }
 
+/// A [`Tag`]: the variant at the byte's index in the table.
+#[inline]
+fn get_tag<T: Tag>(r: &mut ByteReader) -> Result<T, StoreError> {
+    let t = r.u8()?;
+    T::ALL
+        .get(usize::from(t))
+        .copied()
+        .ok_or_else(|| corrupt(T::WHAT, t))
+}
+
 #[inline]
 fn get_duration(r: &mut ByteReader) -> Result<Duration, StoreError> {
     Ok(Duration::from_nanos(r.u64()?))
@@ -636,20 +615,8 @@ fn get_ty(r: &mut ByteReader) -> Result<ks_ir::Ty, StoreError> {
         1 => ks_ir::Ty::U32,
         2 => ks_ir::Ty::F32,
         3 => ks_ir::Ty::Pred,
-        4 => ks_ir::Ty::Ptr(get_space(r)?),
+        4 => ks_ir::Ty::Ptr(get_tag(r)?),
         t => return Err(corrupt("type tag", t)),
-    })
-}
-
-#[inline]
-fn get_space(r: &mut ByteReader) -> Result<ks_ir::Space, StoreError> {
-    Ok(match r.u8()? {
-        0 => ks_ir::Space::Global,
-        1 => ks_ir::Space::Shared,
-        2 => ks_ir::Space::Const,
-        3 => ks_ir::Space::Local,
-        4 => ks_ir::Space::Param,
-        t => return Err(corrupt("space tag", t)),
     })
 }
 
@@ -682,75 +649,6 @@ fn get_address(r: &mut ByteReader) -> Result<ks_ir::Address, StoreError> {
 }
 
 #[inline]
-fn get_bin_op(r: &mut ByteReader) -> Result<ks_ir::BinOp, StoreError> {
-    use ks_ir::BinOp::*;
-    Ok(match r.u8()? {
-        0 => Add,
-        1 => Sub,
-        2 => Mul,
-        3 => Mul24,
-        4 => Div,
-        5 => Rem,
-        6 => Min,
-        7 => Max,
-        8 => And,
-        9 => Or,
-        10 => Xor,
-        11 => Shl,
-        12 => Shr,
-        t => return Err(corrupt("binop tag", t)),
-    })
-}
-
-#[inline]
-fn get_un_op(r: &mut ByteReader) -> Result<ks_ir::UnOp, StoreError> {
-    use ks_ir::UnOp::*;
-    Ok(match r.u8()? {
-        0 => Neg,
-        1 => Not,
-        2 => Abs,
-        3 => Sqrt,
-        4 => Rsqrt,
-        5 => Floor,
-        t => return Err(corrupt("unop tag", t)),
-    })
-}
-
-#[inline]
-fn get_cmp_op(r: &mut ByteReader) -> Result<ks_ir::CmpOp, StoreError> {
-    use ks_ir::CmpOp::*;
-    Ok(match r.u8()? {
-        0 => Eq,
-        1 => Ne,
-        2 => Lt,
-        3 => Le,
-        4 => Gt,
-        5 => Ge,
-        t => return Err(corrupt("cmpop tag", t)),
-    })
-}
-
-#[inline]
-fn get_special_reg(r: &mut ByteReader) -> Result<ks_ir::SpecialReg, StoreError> {
-    use ks_ir::SpecialReg::*;
-    Ok(match r.u8()? {
-        0 => TidX,
-        1 => TidY,
-        2 => TidZ,
-        3 => CtaIdX,
-        4 => CtaIdY,
-        5 => CtaIdZ,
-        6 => NtidX,
-        7 => NtidY,
-        8 => NtidZ,
-        9 => NctaIdX,
-        10 => NctaIdY,
-        11 => NctaIdZ,
-        t => return Err(corrupt("special-reg tag", t)),
-    })
-}
-
-#[inline]
 fn get_inst(r: &mut ByteReader) -> Result<ks_ir::Inst, StoreError> {
     use ks_ir::Inst;
     Ok(match r.u8()? {
@@ -760,14 +658,14 @@ fn get_inst(r: &mut ByteReader) -> Result<ks_ir::Inst, StoreError> {
             src: get_operand(r)?,
         },
         1 => Inst::Bin {
-            op: get_bin_op(r)?,
+            op: get_tag(r)?,
             ty: get_ty(r)?,
             dst: get_vreg(r)?,
             a: get_operand(r)?,
             b: get_operand(r)?,
         },
         2 => Inst::Un {
-            op: get_un_op(r)?,
+            op: get_tag(r)?,
             ty: get_ty(r)?,
             dst: get_vreg(r)?,
             a: get_operand(r)?,
@@ -780,7 +678,7 @@ fn get_inst(r: &mut ByteReader) -> Result<ks_ir::Inst, StoreError> {
             c: get_operand(r)?,
         },
         4 => Inst::Setp {
-            cmp: get_cmp_op(r)?,
+            cmp: get_tag(r)?,
             ty: get_ty(r)?,
             dst: get_vreg(r)?,
             a: get_operand(r)?,
@@ -800,13 +698,13 @@ fn get_inst(r: &mut ByteReader) -> Result<ks_ir::Inst, StoreError> {
             src: get_operand(r)?,
         },
         7 => Inst::Ld {
-            space: get_space(r)?,
+            space: get_tag(r)?,
             ty: get_ty(r)?,
             dst: get_vreg(r)?,
             addr: get_address(r)?,
         },
         8 => Inst::St {
-            space: get_space(r)?,
+            space: get_tag(r)?,
             ty: get_ty(r)?,
             addr: get_address(r)?,
             src: get_operand(r)?,
@@ -814,7 +712,7 @@ fn get_inst(r: &mut ByteReader) -> Result<ks_ir::Inst, StoreError> {
         9 => Inst::Bar,
         10 => Inst::Special {
             dst: get_vreg(r)?,
-            reg: get_special_reg(r)?,
+            reg: get_tag(r)?,
         },
         11 => Inst::Tex {
             ty: get_ty(r)?,
@@ -917,25 +815,13 @@ fn get_metrics(r: &mut ByteReader) -> Result<CompileMetrics, StoreError> {
     })
 }
 
-#[inline]
-fn get_severity(r: &mut ByteReader) -> Result<ks_analysis::Severity, StoreError> {
-    Ok(match r.u8()? {
-        0 => ks_analysis::Severity::Allow,
-        1 => ks_analysis::Severity::Warn,
-        2 => ks_analysis::Severity::Deny,
-        t => return Err(corrupt("severity tag", t)),
-    })
-}
-
 /// Re-intern a persisted KSV code to its `&'static str`; an unknown
 /// code means the record was written by something we don't understand.
 fn intern_ksv_code(code: &str) -> Result<&'static str, StoreError> {
-    for known in ["KSV001", "KSV002", "KSV003", "KSV101"] {
-        if code == known {
-            return Ok(known);
-        }
-    }
-    Err(corrupt("verification code", code))
+    let known = ks_verify::CODES.iter().find(|&&known| known == code);
+    known
+        .copied()
+        .ok_or_else(|| corrupt("verification code", code))
 }
 
 /// Decode a store payload back into a [`Binary`]: everything but the
@@ -976,7 +862,7 @@ pub(crate) fn deserialize_binary(payload: &[u8]) -> Result<Binary, StoreError> {
         let code_str = r.str()?;
         let code = ks_analysis::LintCode::parse(&code_str)
             .ok_or_else(|| corrupt("lint code", &code_str))?;
-        let severity = get_severity(r)?;
+        let severity = get_tag(r)?;
         let function = r.str()?;
         let block = match r.u8()? {
             0 => None,
@@ -1027,6 +913,7 @@ mod tests {
     use super::*;
     use crate::Compiler;
     use ks_sim::DeviceConfig;
+    use ks_store::StableHasher;
 
     const KERNEL: &str = r#"
         #ifndef LOOP_COUNT
@@ -1306,5 +1193,75 @@ mod tests {
         assert!(bin.plan("k").unwrap().is_some());
         assert!(matches!(bin.plan("absent"), Ok(None)), "no such kernel");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The module section of each app kernel's RE and SK record on the
+    /// C2070 (SK with the `-D` sets `ci.sh` lints), pinned by its
+    /// `StableHasher` fingerprint. The section holds no duration, so its
+    /// bytes move only when the IR or its encoding does.
+    #[test]
+    fn app_module_sections_are_pinned() {
+        const APPS: [(&str, &str, &str); 3] = [
+            (
+                "template_match",
+                include_str!("../../apps/src/kernels/template_match.cu"),
+                "TILE_W=16 TILE_H=16 SHIFT_W=16 NUM_TILES=16 TEMPL_W=64 TEMPL_H=56 THREADS=128",
+            ),
+            (
+                "piv",
+                include_str!("../../apps/src/kernels/piv.cu"),
+                "RB=4 THREADS=64 MASK_W=16 MASK_H=16 OFFS_W=9",
+            ),
+            (
+                "backproj",
+                include_str!("../../apps/src/kernels/backproj.cu"),
+                "PPL=8 ZB=4 VOL_N=32",
+            ),
+        ];
+        let c = Compiler::new(DeviceConfig::tesla_c2070());
+        let mut got = Vec::new();
+        for (app, src, defs) in APPS {
+            let sk = defs.split(' ').filter_map(|d| d.split_once('='));
+            let sk = sk.fold(Defines::new(), |d, (n, v)| d.def(n, v));
+            for (variant, d) in [("RE", Defines::new()), ("SK", sk)] {
+                let payload = serialize_binary(&c.compile(src, &d).unwrap());
+                let fp = StableHasher::new().bytes(module_section(&payload)).finish();
+                got.push(format!("{app} {variant} {}", fp.to_hex()));
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                "template_match RE d513fba65a9a8f31bce2b913d5491014",
+                "template_match SK 3de300a1bd147c6977033ada68c2e90c",
+                "piv RE 5d7243a71152a1289c7850d141fdb850",
+                "piv SK 857639f9fc6dd6497d22ab839ec88575",
+                "backproj RE 1f40aa2d3ef874ddc97ccfe8e2412657",
+                "backproj SK 3285edaada68d11fb3778c3ed7786192",
+            ]
+        );
+    }
+
+    /// Every variant of every tag table decodes from its own tag, in the
+    /// order the tables have always written; 0xff is no table's tag.
+    #[test]
+    fn every_tag_table_round_trips() {
+        fn check<T: Tag + std::fmt::Debug>(order: &str) {
+            assert_eq!(format!("{:?}", T::ALL), order);
+            for &v in T::ALL {
+                assert_eq!(get_tag::<T>(&mut ByteReader::new(&[v.tag()])).unwrap(), v);
+            }
+            let e = get_tag::<T>(&mut ByteReader::new(&[0xff])).unwrap_err();
+            let want = format!("bad {} 255", T::WHAT);
+            assert!(matches!(&e, StoreError::Corrupt(m) if *m == want), "{e:?}");
+        }
+        check::<Space>("[Global, Shared, Const, Local, Param]");
+        check::<BinOp>("[Add, Sub, Mul, Mul24, Div, Rem, Min, Max, And, Or, Xor, Shl, Shr]");
+        check::<UnOp>("[Neg, Not, Abs, Sqrt, Rsqrt, Floor]");
+        check::<CmpOp>("[Eq, Ne, Lt, Le, Gt, Ge]");
+        check::<SpecialReg>(
+            "[TidX, TidY, TidZ, CtaIdX, CtaIdY, CtaIdZ, NtidX, NtidY, NtidZ, NctaIdX, NctaIdY, NctaIdZ]",
+        );
+        check::<Severity>("[Allow, Warn, Deny]");
     }
 }

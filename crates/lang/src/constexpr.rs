@@ -61,8 +61,8 @@ fn sext(v: u64, bits: u32) -> i64 {
     ((v << (64 - bits)) as i64) >> (64 - bits)
 }
 
-/// The checker's typing: the usual arithmetic conversions, `-` gives an
-/// `int`, `~` keeps its operand's type, a shift takes its left operand's
+/// The checker's typing: the usual arithmetic conversions, `-` and `~`
+/// keep their operand's type, a shift takes its left operand's
 /// type, and a comparison or logical operator gives an `int` 0 or 1.
 fn fold(e: &Expr, bits: u32) -> Option<Const> {
     Some(match e {
@@ -77,7 +77,11 @@ fn fold(e: &Expr, bits: u32) -> Option<Const> {
             }
         }
         Expr::Unary(UnaryOp::Neg, x) => {
-            int(fold(x, bits)?.value.map(|v| mask(v.wrapping_neg(), bits)))
+            let c = fold(x, bits)?;
+            Const {
+                value: c.value.map(|v| mask(v.wrapping_neg(), bits)),
+                ..c
+            }
         }
         Expr::Unary(UnaryOp::BitNot, x) => {
             let c = fold(x, bits)?;

@@ -375,15 +375,20 @@ impl Pp {
         let mut i = 0;
         while i < toks.len() {
             if toks[i].tok.is_ident("defined") {
-                let (name_tok, consumed) =
-                    if toks.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(Punct::LParen)) {
-                        (toks.get(i + 2), 4)
-                    } else {
-                        (toks.get(i + 1), 2)
-                    };
+                let punct =
+                    |at: usize, p: Punct| toks.get(at).map(|t| &t.tok) == Some(&Tok::Punct(p));
+                let paren = punct(i + 1, Punct::LParen);
+                let (name_tok, consumed) = if paren {
+                    (toks.get(i + 2), 4)
+                } else {
+                    (toks.get(i + 1), 2)
+                };
                 let Some(Tok::Ident(n)) = name_tok.map(|t| &t.tok) else {
                     return Err(err(toks.get(i), "expected name after defined"));
                 };
+                if paren && !punct(i + 3, Punct::RParen) {
+                    return Err(err(toks.get(i), "missing ')' after defined"));
+                }
                 let v = i64::from(self.macros.contains_key(n));
                 resolved.push(Token {
                     tok: Tok::Int {

@@ -966,12 +966,11 @@ impl<'a> FnCtx<'a> {
             Expr::Unary(UnaryOp::Neg, x) => {
                 let v = self.expr(x, out)?;
                 match v.ty() {
-                    HTy::Float => Ok(HExpr::Unary(HUnOp::Neg, HTy::Float, Box::new(v))),
-                    HTy::Int | HTy::UInt => Ok(HExpr::Unary(
-                        HUnOp::Neg,
-                        HTy::Int,
-                        Box::new(self.coerce(v, HTy::Int)?),
-                    )),
+                    // C keeps the operand's type: `-x` of an `unsigned`
+                    // is `unsigned` (it wraps, 2^32 - x).
+                    t @ (HTy::Float | HTy::Int | HTy::UInt) => {
+                        Ok(HExpr::Unary(HUnOp::Neg, t, Box::new(v)))
+                    }
                     t => Err(serr(format!("cannot negate {t:?}"))),
                 }
             }

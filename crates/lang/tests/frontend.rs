@@ -173,6 +173,8 @@ const IF_TABLE: &[(&str, Option<i64>)] = &[
     ("UNDEFINED + 2", Some(2)),
     ("int + 2", Some(2)),
     ("defined(X) + defined Y", Some(0)),
+    ("defined(X 0", None),
+    ("-1u > 0", Some(1)),
     ("(int)1", None),
     ("1.5", None),
     ("1 = 1", None),

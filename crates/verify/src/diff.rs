@@ -11,8 +11,6 @@ use std::fmt;
 pub enum DiffKind {
     /// Control-path sets differ (a path exists on one side only).
     PathCount { a: usize, b: usize },
-    /// The `index`-th branch condition of a path differs.
-    Cond { path: usize, index: usize },
     /// A path's effect traces differ in length.
     EffectCount { path: usize, a: usize, b: usize },
     /// Effect `index` differs in kind (store vs barrier) or store shape.

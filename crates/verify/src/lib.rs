@@ -6,10 +6,10 @@
 //! 1. **Pass-by-pass translation validation** — after each ks-opt pass and
 //!    each ks-codegen HIR transform, the function must still mean the same
 //!    thing. For a codegen stage, both versions are evaluated symbolically
-//!    into canonical value-graph summaries ([`summary::FnSummary`]) along
-//!    every explored path and compared ([`diff::compare`]); the first
-//!    divergence comes back as a typed [`VerifyDiff`]. An optimizer pass
-//!    step is checked block by block ([`blockwise`], [`check_opt_step`]):
+//!    into canonical value-graph summaries (`summary::FnSummary`) along
+//!    every explored path and compared (`diff::compare`); the first
+//!    divergence comes back as a typed `VerifyDiff`. An optimizer pass
+//!    step is checked block by block (`blockwise`, [`check_opt_step`]):
 //!    each block pair runs once from one symbolic entry state, with entry
 //!    facts derived from single definitions of *before* that dominate the
 //!    block, and must agree on effects, exit and the registers live out of
@@ -21,7 +21,7 @@
 //!    defines (SK) must match the runtime-evaluated kernel (RE) once the
 //!    RE summary is evaluated *under those bindings*: defines that replace
 //!    parameter reads become parameter bindings, defines that replace
-//!    `blockDim.x` reads become `ntid` bindings ([`bindings`]).
+//!    `blockDim.x` reads become `ntid` bindings (`bindings`).
 //!
 //! Both sides of a comparison are summarized into one hash-consed
 //! expression arena, so summary equality is plain `ExprId` equality; a
@@ -40,22 +40,23 @@
 //! * `KSV101` — *warning*: the path check's budgets stopped evaluation
 //!   before a verdict (inconclusive, not a miscompile).
 
-pub mod bindings;
-pub mod blockwise;
-pub mod diff;
-pub mod expr;
+mod bindings;
+mod blockwise;
+mod diff;
+mod expr;
 pub mod mutate;
 pub mod pipeline;
-pub mod summary;
+mod summary;
 
-pub use bindings::{derive_bindings, Binding, DerivedBindings};
-pub use diff::{DiffKind, Outcome, VerifyDiff};
-pub use expr::Arena;
 pub use pipeline::{build_optimized, codegen_checked, optimize_checked, validate_pipeline};
-pub use summary::{Env, FnSummary, Limits, Summarizer, Val};
+pub use summary::Limits;
 
+use bindings::derive_bindings;
+use diff::Outcome;
+use expr::Arena;
 use ks_ir::{Function, Module};
 use std::fmt;
+use summary::{Env, FnSummary, Summarizer};
 
 /// One verification finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,6 +118,9 @@ impl fmt::Display for Finding {
         )
     }
 }
+
+/// Every code a [`Finding`] carries, errors first.
+pub const CODES: [&str; 4] = ["KSV001", "KSV002", "KSV003", "KSV101"];
 
 /// Version of the validator's verdicts: bumped whenever the same input
 /// can come back with different findings, so a compile cache keyed on it
@@ -196,7 +200,7 @@ pub fn spec_envs(ntid: [Option<i64>; 3]) -> Vec<Env> {
 /// snapshot before it, and carried forward as the next comparison's
 /// "pre" — N transforms cost N+1 summaries per environment, not 2N.
 ///
-/// Each environment keeps one [`Arena`] for the whole chain. That cannot
+/// Each environment keeps one `Arena` for the whole chain. That cannot
 /// change a verdict: canonical forms and `ExprId` equality depend only on
 /// which expressions are equal, not on what else the arena holds;
 /// [`Limits`] bound paths, steps and forks, never arena size; and an
@@ -326,7 +330,7 @@ pub fn check_function_pair(
 }
 
 /// Check one optimizer pass step of one function: the block check
-/// ([`blockwise`]), and when a block does not match, the whole-function
+/// (`blockwise`), and when a block does not match, the whole-function
 /// path check under [`default_envs`] with its own verdicts. A finding can
 /// only come from that fallback.
 pub fn check_opt_step(

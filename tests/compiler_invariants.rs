@@ -228,3 +228,28 @@ fn data_type_specialization_via_macro() {
         assert_eq!(*v, i as i32 * 6);
     }
 }
+
+/// Unary minus keeps an `unsigned` operand `unsigned`, as C does: with
+/// `n = 1`, `-x` is `0xFFFFFFFF` and its shift right by 28 is 15 (an
+/// `int` -1 would shift to -1).
+#[test]
+fn unary_minus_of_unsigned_stays_unsigned() {
+    let src = "__global__ void k(int* o, unsigned int n) {\n\
+                   unsigned int x = n;\n\
+                   o[3] = (int)(-x >> 28);\n\
+               }";
+    let compiler = Compiler::new(DeviceConfig::tesla_c2070());
+    let bin = compiler.compile(src, Defines::new()).unwrap();
+    let mut st = DeviceState::new(DeviceConfig::tesla_c2070(), 4 << 20);
+    let out = st.global.alloc(4 * 4).unwrap();
+    launch(
+        &mut st,
+        &bin.module,
+        "k",
+        LaunchDims::linear(1, 1),
+        &[KArg::Ptr(out), KArg::U32(1)],
+        LaunchOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(st.global.read_i32_slice(out, 4).unwrap()[3], 15);
+}
