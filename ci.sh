@@ -275,6 +275,18 @@ for k in template_match piv backproj; do
     echo "== ks-verify --kernel $k --mutation-smoke"
     verify --kernel "$k" --mutation-smoke > /dev/null
 done
+# The findings' JSONL export: one object per line, each with its six
+# fields (ks-apps' verify_export test parses them back).
+echo "== ks-verify --kernel piv --check all --export jsonl"
+VERIFY_OUT=$(mktemp)
+verify --kernel piv --check all --export jsonl > "$VERIFY_OUT"
+test -s "$VERIFY_OUT"
+if grep -Ev '^\{"code":"KSV[0-9]{3}","severity":"(error|warning)","context":.*,"message":".*"\}$' \
+    "$VERIFY_OUT"; then
+    echo "the lines above are not findings" >&2
+    exit 1
+fi
+rm -f "$VERIFY_OUT"
 
 lint() {
     cargo run --offline --release -q -p ks-analysis --bin ks-lint -- \
@@ -312,6 +324,15 @@ lint crates/apps/src/kernels/backproj.cu \
 # keep distinct windowed p95s. (3) The drill records one violation at
 # tick 4 of 8: exactly one typed SLO-breach event, and one recovery
 # once it leaves the 4-tick window at tick 8; a clean run fires zero.
+echo "== ks-prof --kernel piv --export text"
+TEXT_OUT=$(mktemp)
+cargo run --offline --release -q -p ks-apps --bin ks-prof -- \
+    --kernel piv --export text --quick > "$TEXT_OUT" 2> /dev/null
+grep -q '^kernel profile: piv ' "$TEXT_OUT"
+grep -Eq '^  cache: [0-9]+ hits / [0-9]+ misses' "$TEXT_OUT"
+grep -q '^  spans:$' "$TEXT_OUT"
+rm -f "$TEXT_OUT"
+
 echo "== ks-prof --export prom (exposition schema)"
 PROM_OUT=$(mktemp)
 cargo run --offline --release -q -p ks-apps --bin ks-prof -- \

@@ -55,7 +55,7 @@ impl LintCode {
     }
 
     /// Correctness lints deny by default; performance lints warn.
-    pub fn default_severity(self) -> Severity {
+    pub(crate) fn default_severity(self) -> Severity {
         match self {
             LintCode::SharedRace | LintCode::BarrierDivergence | LintCode::OutOfBounds => {
                 Severity::Deny
@@ -186,7 +186,7 @@ impl Default for AnalysisConfig {
 
 impl AnalysisConfig {
     /// Effective severity of a lint under this config.
-    pub fn severity(&self, code: LintCode) -> Severity {
+    pub(crate) fn severity(&self, code: LintCode) -> Severity {
         self.levels
             .iter()
             .rev()
@@ -200,7 +200,7 @@ impl AnalysisConfig {
         self
     }
 
-    pub fn assumed(&self, name: &str) -> Option<ParamValue> {
+    pub(crate) fn assumed(&self, name: &str) -> Option<ParamValue> {
         self.param_assumptions
             .iter()
             .rev()

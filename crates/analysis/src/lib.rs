@@ -11,7 +11,7 @@
 //! | KSA004 | shared bank conflicts    | warn     |
 //! | KSA005 | uncoalesced global access| warn     |
 //!
-//! The precise engine ([`exec`]) runs one thread block through
+//! The precise engine (`exec`) runs one thread block through
 //! `ks_sim::simt`, the SIMT control core the simulator's executor runs on
 //! (the same `LaunchPlan`, reconvergence stack, scheduling and barriers),
 //! with abstract lanes over a concrete/symbolic value domain whose
@@ -26,16 +26,16 @@
 //! an *analyzability* contrast.
 //!
 //! When no launch geometry is available the suite falls back to the
-//! flow-insensitive barrier-divergence checker ([`barrier`]), which
+//! flow-insensitive barrier-divergence checker (`barrier`), which
 //! taints thread-varying values and flags barriers control-dependent on
 //! them.
 
-pub mod barrier;
-pub mod bounds;
-pub mod diag;
-pub mod exec;
-pub mod memlint;
-pub mod race;
+mod barrier;
+mod bounds;
+mod diag;
+mod exec;
+mod memlint;
+mod race;
 
 pub use diag::{
     AnalysisConfig, AnalysisReport, Diagnostic, LintCode, MemPrediction, ParamValue, Severity,
@@ -76,7 +76,7 @@ fn push(
 }
 
 /// Analyze one function of a module.
-pub fn analyze_function(
+fn analyze_function(
     m: &Module,
     f: &Function,
     dev: &DeviceConfig,

@@ -15,6 +15,10 @@
 //! inconclusive note: the arguments decide its branches) and with the
 //! arguments of the grid's problem assumed (mostly a full run).
 
+#[path = "../../../tests/support/churn_grid.rs"]
+mod churn_grid;
+
+use churn_grid::{Arg, BACKPROJ, PIV, TEMPLATE_MATCH};
 use ks_analysis::{analyze_module, AnalysisConfig, LintCode, ParamValue, Severity};
 use ks_sim::device::DeviceConfig;
 use std::fmt::Write;
@@ -23,12 +27,6 @@ const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/analysis_golden.txt"
 );
-
-const TEMPLATE_MATCH: &str = include_str!("../../apps/src/kernels/template_match.cu");
-const PIV: &str = include_str!("../../apps/src/kernels/piv.cu");
-const BACKPROJ: &str = include_str!("../../apps/src/kernels/backproj.cu");
-
-type Defines = Vec<(&'static str, u32)>;
 
 /// One analysis input: which source, under which defines, analyzed with
 /// which configuration.
@@ -151,113 +149,6 @@ fn ci_inputs() -> Vec<Input> {
     ]
 }
 
-/// A grid build: application, source, defines, the thread-block shape
-/// the application launches it with, and the run-time arguments of its
-/// problem.
-type GridBuild = (
-    &'static str,
-    &'static str,
-    Defines,
-    (u32, u32, u32),
-    Vec<(String, ParamValue)>,
-);
-
-/// The churn grid's `-D` sets in the ledger's order.
-fn grid() -> Vec<GridBuild> {
-    let int = |n: &str, v: u32| (n.to_string(), ParamValue::Int(v as i64));
-    let float = |n: &str, v: f32| (n.to_string(), ParamValue::F32(v));
-    let mut out = Vec::new();
-    let mut tm = |templ: (u32, u32), tile: (u32, u32), threads: u32| {
-        let tiles = (templ.0 / tile.0) * (templ.1 / tile.1);
-        let d = vec![
-            ("TILE_W", tile.0),
-            ("TILE_H", tile.1),
-            ("SHIFT_W", 8),
-            ("NUM_TILES", tiles),
-            ("TEMPL_W", templ.0),
-            ("TEMPL_H", templ.1),
-            ("THREADS", threads),
-        ];
-        // A 48-wide frame searched over 8 × 4 offsets.
-        let args = vec![
-            int("frameW", 48),
-            int("numOffsets", 32),
-            int("templW", templ.0),
-            int("templH", templ.1),
-            int("tilesX", templ.0 / tile.0),
-            int("tileX0", 0),
-            int("tileY0", 0),
-            int("tileBase", 0),
-            float("invN", 1.0 / (templ.0 * templ.1) as f32),
-            float("denomA", 1.0),
-        ];
-        out.push(("tm", TEMPLATE_MATCH, d, (threads, 1, 1), args));
-    };
-    for tile in [
-        (4, 3),
-        (4, 4),
-        (8, 4),
-        (8, 6),
-        (16, 4),
-        (16, 6),
-        (8, 12),
-        (16, 12),
-    ] {
-        for threads in [32, 64] {
-            tm((16, 12), tile, threads);
-        }
-    }
-    for tile in [(4, 4), (8, 4), (6, 8), (8, 8), (12, 8), (24, 4)] {
-        tm((24, 16), tile, 64);
-    }
-    for (img, mask, rbs) in [(32, 16, &[1, 2, 4, 8][..]), (48, 32, &[1, 2, 4][..])] {
-        for &rb in rbs {
-            for threads in [32, 64, 128] {
-                let d = vec![
-                    ("RB", rb),
-                    ("THREADS", threads),
-                    ("MASK_W", mask),
-                    ("MASK_H", mask),
-                    ("OFFS_W", 5),
-                ];
-                // Search radius 2 around non-overlapping masks.
-                let args = vec![
-                    int("imgW", img),
-                    int("numOffsets", 25),
-                    int("masksX", 1),
-                    int("stepX", mask),
-                    int("stepY", mask),
-                    int("marginX", 2),
-                    int("marginY", 2),
-                    int("rb", rb),
-                ];
-                out.push(("piv", PIV, d, (threads, 1, 1), args));
-            }
-        }
-    }
-    for (n, ppl) in [(12, 1), (12, 2), (12, 4), (12, 8), (8, 2), (8, 4), (8, 8)] {
-        for zb in [1, 2, 4] {
-            let d = vec![("PPL", ppl), ("ZB", zb), ("VOL_N", n)];
-            let det = n * 3 / 2;
-            let args = vec![
-                int("detU", det),
-                int("detV", det),
-                int("ppl", ppl),
-                int("zb", zb),
-                int("z0", 0),
-                float("sid", 100.0),
-                float("sdd", 150.0),
-                float("halfN", n as f32 / 2.0),
-                float("halfU", det as f32 / 2.0),
-                float("halfV", det as f32 / 2.0),
-            ];
-            out.push(("bp", BACKPROJ, d, (8, 8, 1), args));
-        }
-    }
-    assert_eq!(out.len(), 64);
-    out
-}
-
 fn fnv64(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
@@ -298,7 +189,24 @@ fn render() -> String {
         writeln!(out, "{} {} {s}", device(&c2070), input.label).unwrap();
     }
     for dev in [DeviceConfig::tesla_c1060(), DeviceConfig::tesla_c2070()] {
-        for (app, source, defines, block, args) in grid() {
+        for churn_grid::Build {
+            app,
+            source,
+            defines,
+            block,
+            args,
+        } in churn_grid::grid()
+        {
+            let args = args
+                .iter()
+                .map(|&(n, v)| {
+                    let v = match v {
+                        Arg::Int(i) => ParamValue::Int(i64::from(i)),
+                        Arg::F32(f) => ParamValue::F32(f),
+                    };
+                    (n.to_string(), v)
+                })
+                .collect();
             let input = Input {
                 label: format!(
                     "{app} {}",

@@ -77,13 +77,6 @@ impl GpuRunResult {
             .unwrap_or(0.0)
     }
 
-    pub fn active_warps(&self) -> u32 {
-        self.reports
-            .first()
-            .map(|r| r.occupancy.active_warps)
-            .unwrap_or(0)
-    }
-
     pub fn dyn_insts(&self) -> u64 {
         self.reports.iter().map(|r| r.stats.dyn_insts).sum()
     }
@@ -151,7 +144,6 @@ mod tests {
             compile_ms: 0.5,
         };
         assert_eq!(r.regs_per_thread(), 20, "max over launches");
-        assert_eq!(r.active_warps(), 8, "first launch");
         assert_eq!(r.dyn_insts(), 200);
         assert!((r.occupancy() - 0.25).abs() < 1e-9);
     }

@@ -78,7 +78,7 @@ impl PivProblem {
     }
 
     /// Mask origin (top-left in image A) of mask `m`.
-    pub fn mask_origin(&self, m: usize) -> (usize, usize) {
+    fn mask_origin(&self, m: usize) -> (usize, usize) {
         let (gx, _) = self.mask_grid();
         let mx = (m % gx) * self.step_x + self.offs_w / 2;
         let my = (m / gx) * self.step_y + self.offs_h / 2;

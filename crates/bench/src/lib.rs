@@ -27,7 +27,7 @@ use std::fmt::{Debug, Display};
 use std::path::{Path, PathBuf};
 
 /// The two simulated devices of the dissertation's testbed.
-pub fn devices() -> Vec<DeviceConfig> {
+fn devices() -> Vec<DeviceConfig> {
     DeviceConfig::presets()
 }
 
@@ -47,11 +47,7 @@ impl Ctx {
     /// Every compiler an experiment uses: the given (codegen, optimizer)
     /// passes — `Default::default()` for the shipped pipeline —
     /// store-backed when `--store` is set.
-    pub fn compiler(
-        &self,
-        dev: DeviceConfig,
-        (codegen, opt): (CodegenOptions, OptConfig),
-    ) -> Compiler {
+    fn compiler(&self, dev: DeviceConfig, (codegen, opt): (CodegenOptions, OptConfig)) -> Compiler {
         let c = Compiler::with_passes(dev, codegen, opt);
         match &self.store {
             Some(dir) => c
@@ -70,7 +66,7 @@ impl Ctx {
     }
 
     /// Template-matching patients (Table 5.1), optionally shrunk.
-    pub fn match_patients(&self) -> Vec<(&'static str, MatchProblem)> {
+    fn match_patients(&self) -> Vec<(&'static str, MatchProblem)> {
         let mut p = ks_apps::template_match::patients();
         if self.quick {
             p.truncate(2);
@@ -83,7 +79,7 @@ impl Ctx {
 
     /// The PIV "FPGA benchmark set" (Tables 6.2/6.3): window/image dims
     /// and the resulting mask/offset counts.
-    pub fn piv_fpga_sets(&self) -> Vec<(String, PivProblem)> {
+    fn piv_fpga_sets(&self) -> Vec<(String, PivProblem)> {
         [
             ("V1", PivProblem::standard(256, 16, 50, 4)),
             ("V2", PivProblem::standard(512, 32, 50, 8)),
@@ -98,7 +94,7 @@ impl Ctx {
     }
 
     /// Mask-size sweep (Table 6.4).
-    pub fn piv_mask_sets(&self) -> Vec<(String, PivProblem)> {
+    fn piv_mask_sets(&self) -> Vec<(String, PivProblem)> {
         self.pick(&[16, 24, 32, 48, 64][..], &[16, 32])
             .iter()
             .map(|&m| (format!("{m}x{m}"), PivProblem::standard(512, m, 50, 8)))
@@ -106,7 +102,7 @@ impl Ctx {
     }
 
     /// Search-offset sweep (Table 6.5).
-    pub fn piv_search_sets(&self) -> Vec<(String, PivProblem)> {
+    fn piv_search_sets(&self) -> Vec<(String, PivProblem)> {
         self.pick(&[2, 4, 6, 8, 12][..], &[4, 8])
             .iter()
             .map(|&r| {
@@ -119,7 +115,7 @@ impl Ctx {
     }
 
     /// Overlap sweep (Table 6.6).
-    pub fn piv_overlap_sets(&self) -> Vec<(String, PivProblem)> {
+    fn piv_overlap_sets(&self) -> Vec<(String, PivProblem)> {
         self.pick(&[0, 25, 50, 75][..], &[0, 50])
             .iter()
             .map(|&o| (format!("{o}%"), PivProblem::standard(512, 32, o, 8)))
@@ -127,7 +123,7 @@ impl Ctx {
     }
 
     /// The cone-beam problem (Tables 6.8, 6.12, 6.19).
-    pub fn backproj_problem(&self) -> BackprojProblem {
+    fn backproj_problem(&self) -> BackprojProblem {
         let (n, num_proj, det) = self.pick((64, 32, 96), (32, 16, 48));
         BackprojProblem {
             n,
@@ -138,22 +134,22 @@ impl Ctx {
     }
 
     /// Implementation parameter grids (Tables 6.1 / 6.7).
-    pub fn match_tile_options(&self) -> Vec<(u32, u32)> {
+    fn match_tile_options(&self) -> Vec<(u32, u32)> {
         self.pick(
             vec![(8, 8), (8, 16), (16, 8), (16, 16), (16, 32), (32, 16)],
             vec![(8, 8), (16, 16)],
         )
     }
 
-    pub fn thread_options(&self) -> Vec<u32> {
+    fn thread_options(&self) -> Vec<u32> {
         self.pick(vec![64, 128, 256], vec![64, 128])
     }
 
-    pub fn piv_rb_options(&self) -> Vec<u32> {
+    fn piv_rb_options(&self) -> Vec<u32> {
         self.pick(vec![1, 2, 4, 6, 8], vec![2, 4])
     }
 
-    pub fn piv_thread_options(&self) -> Vec<u32> {
+    fn piv_thread_options(&self) -> Vec<u32> {
         self.pick(vec![32, 64, 128, 256], vec![64, 128])
     }
 
@@ -185,7 +181,7 @@ impl Ctx {
 
 /// An aligned ASCII table on stdout that also lands in
 /// `<out_dir>/<name>.csv`.
-pub struct Table {
+struct Table {
     name: String,
     title: String,
     headers: Vec<String>,
@@ -193,7 +189,7 @@ pub struct Table {
 }
 
 impl Table {
-    pub fn new<S: AsRef<str>>(name: &str, title: &str, headers: &[S]) -> Table {
+    fn new<S: AsRef<str>>(name: &str, title: &str, headers: &[S]) -> Table {
         Table {
             name: name.to_string(),
             title: title.to_string(),
@@ -202,14 +198,14 @@ impl Table {
         }
     }
 
-    pub fn row(&mut self, cells: Vec<String>) {
+    fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
     }
 
     /// Print the table and write `<out_dir>/<name>.csv`. Returns the CSV
     /// path.
-    pub fn finish(&self, out_dir: &Path) -> PathBuf {
+    fn finish(&self, out_dir: &Path) -> PathBuf {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for r in &self.rows {
             for (i, c) in r.iter().enumerate() {
@@ -257,7 +253,7 @@ impl Table {
     }
 }
 
-pub fn fmt_ms(v: f64) -> String {
+fn fmt_ms(v: f64) -> String {
     if v >= 100.0 {
         format!("{v:.1}")
     } else if v >= 1.0 {
@@ -267,12 +263,12 @@ pub fn fmt_ms(v: f64) -> String {
     }
 }
 
-pub fn fmt<T: Display>(v: T) -> String {
+fn fmt<T: Display>(v: T) -> String {
     v.to_string()
 }
 
 /// Wall-clock a closure (best of `reps`), in milliseconds.
-pub fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = std::time::Instant::now();
@@ -286,7 +282,7 @@ pub fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 
 /// Measurement of one (problem, configuration) point.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Sample {
+struct Sample {
     pub sim_ms: f64,
     pub regs: u32,
     pub occupancy: f64,
@@ -464,7 +460,7 @@ impl<A: App> Sweep<A> {
 /// Render a (threads × rb) relative-performance grid as an ASCII contour
 /// (Figures 6.1/6.2). `grid[i][j]` is performance relative to peak in
 /// [0, 1]; the peak cell is marked `#`.
-pub fn ascii_contour(
+fn ascii_contour(
     rows: &[u32],
     cols: &[u32],
     grid: &[Vec<f64>],

@@ -15,7 +15,7 @@ use ks_ir::{eval, BinOp, CmpOp, Ty};
 use ks_lang::hir::*;
 
 /// Extract a constant integer (Int/UInt/Bool literal).
-pub fn const_int(e: &HExpr) -> Option<i64> {
+pub(crate) fn const_int(e: &HExpr) -> Option<i64> {
     match e {
         HExpr::IntLit { value, .. } => Some(*value),
         _ => None,
@@ -42,18 +42,13 @@ fn is_float(e: &HExpr, v: f32) -> bool {
 }
 
 /// Known-constant values of scalar locals at a program point.
-pub type ConstEnv = FxHashMap<LocalId, HExpr>;
-
-/// Fold one expression bottom-up (no propagation environment).
-pub fn fold_expr(e: &HExpr) -> HExpr {
-    fold_expr_env(e, &ConstEnv::default())
-}
+pub(crate) type ConstEnv = FxHashMap<LocalId, HExpr>;
 
 /// Fold one expression bottom-up, substituting locals with known constant
 /// values. This is constant *propagation*: `const uint stride = ARG_A *
 /// ARG_B;` followed by uses of `stride` folds completely when the `ARG_*`
 /// macros were specialized.
-pub fn fold_expr_env(e: &HExpr, env: &ConstEnv) -> HExpr {
+pub(crate) fn fold_expr_env(e: &HExpr, env: &ConstEnv) -> HExpr {
     match e {
         HExpr::Local(id, _) => match env.get(id) {
             Some(lit) => lit.clone(),
@@ -284,14 +279,14 @@ fn is_literal(e: &HExpr) -> bool {
 
 /// Fold a statement list; `if`s with constant conditions are resolved
 /// (static guard elimination), constant-false loops drop away.
-pub fn fold_stmts(stmts: &[HStmt]) -> Vec<HStmt> {
+pub(crate) fn fold_stmts(stmts: &[HStmt]) -> Vec<HStmt> {
     let mut env = ConstEnv::default();
     fold_stmts_env(stmts, &mut env)
 }
 
 /// Env-threading fold: `env` tracks scalar locals whose value is a known
 /// literal at the current program point.
-pub fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
+pub(crate) fn fold_stmts_env(stmts: &[HStmt], env: &mut ConstEnv) -> Vec<HStmt> {
     let mut out = Vec::with_capacity(stmts.len());
     for s in stmts {
         match s {
@@ -391,6 +386,11 @@ pub fn fold_func(f: &mut HFunc) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fold one expression bottom-up (no propagation environment).
+    fn fold_expr(e: &HExpr) -> HExpr {
+        fold_expr_env(e, &ConstEnv::default())
+    }
 
     fn ii(v: i64) -> HExpr {
         HExpr::IntLit {

@@ -27,8 +27,8 @@
 pub mod consteval;
 pub mod lower;
 mod mapping;
-pub mod scalarize;
-pub mod unroll;
+mod scalarize;
+mod unroll;
 
 use ks_lang::hir::Program;
 

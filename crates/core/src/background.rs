@@ -170,7 +170,6 @@ struct Job {
     ticket: CompileTicket,
     source: String,
     defines: Defines,
-    identity: String,
     enqueued: Instant,
 }
 
@@ -193,7 +192,7 @@ fn run_job(job: Job) {
     let plan = compiler.fault_plan.clone().or_else(ks_fault::active);
     if let Some(plan) = plan {
         if let Some(fault) = plan.check_worker(
-            &job.identity,
+            &crate::fault_identity(&job.source),
             job.ticket.key.lo64(),
             &job.defines.command_line(),
         ) {
@@ -256,7 +255,6 @@ pub(crate) fn spawn(
         ticket: ticket.clone(),
         source: source.to_string(),
         defines: defines.clone(),
-        identity: crate::fault_identity(source),
         enqueued: Instant::now(),
     };
     rayon::spawn(move || run_job(job));

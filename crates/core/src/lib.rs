@@ -515,11 +515,17 @@ fn feed_analysis(h: &mut StableHasher, a: &AnalysisConfig) {
     h.u64(a.coalescing_slack.to_bits());
 }
 
-/// The name a fault plan knows `source` by: its first kernel, or `"?"`.
+/// The name a fault plan knows `source` by: its first kernel — the
+/// identifier after the first `__global__ void` the lexer sees, so a
+/// kernel in a comment does not count — or `"?"`.
 fn fault_identity(source: &str) -> String {
-    ks_fault::kernel_names(source)
-        .into_iter()
-        .next()
+    let tokens = ks_lang::lexer::lex(source).unwrap_or_default();
+    tokens
+        .windows(3)
+        .find_map(|w| match (w[0].ident(), w[1].ident(), w[2].ident()) {
+            (Some("__global__"), Some("void"), Some(name)) => Some(name.to_string()),
+            _ => None,
+        })
         .unwrap_or_else(|| "?".to_string())
 }
 
@@ -1690,5 +1696,21 @@ mod tests {
         assert_eq!(big.module.const_bytes(), 16384);
         // Exceeding the 64 KB limit is a compile error, as on real CUDA.
         assert!(c.compile(src, Defines::new().def("KSIZE", 20000)).is_err());
+    }
+
+    /// A fault plan knows a source by its first kernel: the name after
+    /// the first `__global__ void` outside a comment, `__device__`
+    /// helpers skipped, whitespace free.
+    #[test]
+    fn extracts_kernel_names() {
+        let src = r#"
+            /* __global__ void retired(float* a) {} */
+            // __global__ void old(float* a) {}
+            __device__ int helper(int x) { return x; }
+            __global__   void scale (float* a, int n) {}
+            __global__ void add_two(float* a) {}
+        "#;
+        assert_eq!(fault_identity(src), "scale");
+        assert_eq!(fault_identity("__device__ int f(int x) { return x; }"), "?");
     }
 }

@@ -23,6 +23,9 @@
 //! decoded on first access — must equal the compiled one, kernel by
 //! kernel, with a plan for each.
 
+#[path = "../../../tests/support/churn_grid.rs"]
+mod churn_grid;
+
 use ks_core::{AnalysisConfig, Binary, Compiler, Defines, StableHasher, ValidationConfig};
 use ks_sim::DeviceConfig;
 use std::fmt::Write;
@@ -33,66 +36,18 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/compile_golden.txt"
 );
 
-const TEMPLATE_MATCH: &str = include_str!("../../apps/src/kernels/template_match.cu");
-const PIV: &str = include_str!("../../apps/src/kernels/piv.cu");
-const BACKPROJ: &str = include_str!("../../apps/src/kernels/backproj.cu");
-
 /// The churn grid's `-D` sets, in the ledger's canonical order.
 fn grid() -> Vec<(&'static str, &'static str, Defines)> {
-    let mut out = Vec::new();
-    // template_match: (templ_w, templ_h) problems, shift_w 8.
-    let mut tm = |templ: (u32, u32), tile: (u32, u32), threads: u32| {
-        let tiles = (templ.0 / tile.0) * (templ.1 / tile.1);
-        let d = Defines::new()
-            .def("TILE_W", tile.0)
-            .def("TILE_H", tile.1)
-            .def("SHIFT_W", 8)
-            .def("NUM_TILES", tiles)
-            .def("TEMPL_W", templ.0)
-            .def("TEMPL_H", templ.1)
-            .def("THREADS", threads);
-        out.push(("tm", TEMPLATE_MATCH, d));
-    };
-    for tile in [
-        (4, 3),
-        (4, 4),
-        (8, 4),
-        (8, 6),
-        (16, 4),
-        (16, 6),
-        (8, 12),
-        (16, 12),
-    ] {
-        for threads in [32, 64] {
-            tm((16, 12), tile, threads);
-        }
-    }
-    for tile in [(4, 4), (8, 4), (6, 8), (8, 8), (12, 8), (24, 4)] {
-        tm((24, 16), tile, 64);
-    }
-    // piv: mask 16 / 32, search radius 2 (OFFS_W 5).
-    for (mask, rbs) in [(16, &[1, 2, 4, 8][..]), (32, &[1, 2, 4][..])] {
-        for &rb in rbs {
-            for threads in [32, 64, 128] {
-                let d = Defines::new()
-                    .def("RB", rb)
-                    .def("THREADS", threads)
-                    .def("MASK_W", mask)
-                    .def("MASK_H", mask)
-                    .def("OFFS_W", 5);
-                out.push(("piv", PIV, d));
-            }
-        }
-    }
-    // backproj: (VOL_N, PPL) problems.
-    for (n, ppl) in [(12, 1), (12, 2), (12, 4), (12, 8), (8, 2), (8, 4), (8, 8)] {
-        for zb in [1, 2, 4] {
-            let d = Defines::new().def("PPL", ppl).def("ZB", zb).def("VOL_N", n);
-            out.push(("bp", BACKPROJ, d));
-        }
-    }
-    assert_eq!(out.len(), 64);
-    out
+    churn_grid::grid()
+        .into_iter()
+        .map(|b| {
+            let d = b
+                .defines
+                .iter()
+                .fold(Defines::new(), |d, &(n, v)| d.def(n, v));
+            (b.app, b.source, d)
+        })
+        .collect()
 }
 
 fn fnv128(s: &str) -> String {
@@ -209,7 +164,7 @@ fn render() -> String {
         for (app, source, defines) in grid() {
             writeln!(out, "{}", line(&device, &store, app, source, &defines)).unwrap();
         }
-        for (app, source) in [("tm", TEMPLATE_MATCH), ("piv", PIV), ("bp", BACKPROJ)] {
+        for (app, source) in churn_grid::APPS {
             let generic = line(&device, &store, app, source, &Defines::new());
             writeln!(out, "{generic}").unwrap();
         }

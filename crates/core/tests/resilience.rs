@@ -271,3 +271,24 @@ fn same_seed_plans_replay_identical_event_logs() {
         "seed 1234 must inject something"
     );
 }
+
+/// A `Target::Kernel` rule matches a compile by the kernel its source
+/// defines, as the launches are named, and not by one in a comment
+/// ahead of it.
+#[test]
+fn kernel_target_names_the_real_kernel_not_a_commented_one() {
+    let source = format!("// __global__ void old(int* in, int* out, int loopCount);\n{KERNEL}");
+    let failing = |kernel: &str| {
+        let rule = FaultRule::new(FaultKind::CompileError, Target::Kernel(kernel.into()));
+        Compiler::new(DeviceConfig::tesla_c1060())
+            .with_fault_plan(Arc::new(FaultPlan::new(3).rule(rule.persistent())))
+    };
+    assert!(
+        failing("stress").compile(&source, defines(4)).is_err(),
+        "a rule on the kernel the source defines fires at its compile"
+    );
+    assert!(
+        failing("old").compile(&source, defines(4)).is_ok(),
+        "a kernel named only in a comment is not the source's"
+    );
+}

@@ -246,8 +246,8 @@ impl InjectedFault {
 }
 
 /// One line of the deterministic event log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultEvent {
+#[derive(Debug)]
+struct FaultEvent {
     /// `"compile"` or `"launch"`.
     pub site: &'static str,
     pub kind: FaultKind,
@@ -442,11 +442,6 @@ impl FaultPlan {
         self.state.lock().injected.iter().sum()
     }
 
-    /// Snapshot of every injection, in firing order.
-    pub fn events(&self) -> Vec<FaultEvent> {
-        self.state.lock().events.clone()
-    }
-
     /// The deterministic event log: one line per injection, no
     /// timestamps, byte-identical across runs with the same seed and
     /// call sequence.
@@ -478,30 +473,6 @@ fn fnv1a(s: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01B3);
     }
     h
-}
-
-/// Extract `__global__ void <name>` kernel names from a CUDA-dialect
-/// source, in declaration order. Used by call sites to derive the
-/// identity a [`Target::Kernel`] rule matches against.
-pub fn kernel_names(source: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    let mut rest = source;
-    while let Some(pos) = rest.find("__global__") {
-        rest = &rest[pos + "__global__".len()..];
-        let after_void = match rest.trim_start().strip_prefix("void") {
-            Some(r) => r,
-            None => continue,
-        };
-        let ident: String = after_void
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !ident.is_empty() {
-            names.push(ident);
-        }
-    }
-    names
 }
 
 static INSTALLED: AtomicBool = AtomicBool::new(false);
@@ -674,16 +645,6 @@ mod tests {
         let e1 = plan.check_device_keyed("k", 0, "").unwrap().entropy;
         let e2 = plan.check_device_keyed("k", 0, "").unwrap().entropy;
         assert_ne!(e1, e2);
-    }
-
-    #[test]
-    fn extracts_kernel_names() {
-        let src = r#"
-            __device__ int helper(int x) { return x; }
-            __global__ void scale(float* a, int n) {}
-            extern "C" __global__   void add_two (float* a) {}
-        "#;
-        assert_eq!(kernel_names(src), vec!["scale", "add_two"]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! reason a module cannot serve its exact binary.
 
 use crate::select::bound_key;
-use crate::{Arg, Launch, ParamValue, PfError, Pipeline, ResId, Resource};
+use crate::{Arg, Launch, NoDeviceMem, PfError, Pipeline, Resource};
 use ks_core::{Defines, Fingerprint};
 use ks_sim::LaunchReport;
 
@@ -124,10 +124,6 @@ impl Pipeline {
         self.integrity = cfg;
     }
 
-    pub fn integrity(&self) -> Option<IntegrityConfig> {
-        self.integrity
-    }
-
     /// Per-pipeline integrity accounting.
     pub fn integrity_stats(&self) -> IntegrityStats {
         let m = &self.metrics;
@@ -182,34 +178,9 @@ impl Pipeline {
         let mut bufs = Vec::new();
         for a in args {
             let Arg::Mem(r) = a else { continue };
-            bufs.push((self.try_device_addr(*r)?, self.mem_bytes(*r)?));
+            bufs.push(self.device_mem(*r).map_err(NoDeviceMem::bind_error)?);
         }
         Ok(bufs)
-    }
-
-    /// Byte length of a device-memory resource (full buffer, or the
-    /// current window of a subset).
-    fn mem_bytes(&self, id: ResId) -> Result<u64, PfError> {
-        match &self.resources[id.0] {
-            Resource::GlobalMem { bytes, .. } => Ok(*bytes),
-            Resource::Subset { of, subset } => {
-                let elem = match &self.resources[of.0] {
-                    Resource::GlobalMem { extent, .. } => self.extent_elem(*extent)?,
-                    _ => {
-                        return Err(PfError::Bind(
-                            "subset of non-global memory has no device buffer".to_string(),
-                        ))
-                    }
-                };
-                match &self.params[subset.0].value {
-                    ParamValue::Subset { len, .. } => Ok(len * elem as u64),
-                    _ => Err(PfError::Bind(
-                        "subset resource bound to non-subset parameter".to_string(),
-                    )),
-                }
-            }
-            _ => Err(PfError::Bind("argument has no device buffer".to_string())),
-        }
     }
 
     pub(crate) fn read_bufs(&self, bufs: &[(u64, u64)]) -> Result<Vec<Vec<u8>>, PfError> {

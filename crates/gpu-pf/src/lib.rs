@@ -63,7 +63,7 @@
 //! ```
 
 mod integrity;
-pub mod log;
+mod log;
 pub mod param;
 mod select;
 
@@ -75,7 +75,7 @@ use ks_sim::{
     launch_planned, DeviceState, KArg, LaunchDims, LaunchOptions, LaunchReport, SimError,
 };
 use param::{ParamValue, StepParam};
-use select::{tier_label, Books, Module};
+use select::{Books, Module};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -252,6 +252,41 @@ enum Resource {
     },
 }
 
+/// Why a memory reference does not resolve to device bytes.
+#[derive(Debug, Clone, Copy)]
+enum NoDeviceMem {
+    /// Global memory no refresh has allocated yet.
+    Unallocated,
+    /// A subset whose global memory's extent parameter is not an extent.
+    NotExtent,
+    /// A subset bound to a parameter that is not a subset.
+    NotSubset,
+    /// A subset of host memory.
+    HostSubset,
+    /// A subset of anything else that is not global memory.
+    OtherSubset,
+    /// Neither global memory nor a subset of it.
+    NotDevice,
+}
+
+impl NoDeviceMem {
+    /// The binding error an accessor or a kernel argument reports.
+    fn bind_error(self) -> PfError {
+        PfError::Bind(
+            match self {
+                NoDeviceMem::Unallocated => "refresh() first",
+                NoDeviceMem::NotExtent => "not an extent",
+                NoDeviceMem::NotSubset => "subset resource bound to non-subset parameter",
+                NoDeviceMem::HostSubset | NoDeviceMem::OtherSubset => {
+                    "subset of non-global memory has no device address"
+                }
+                NoDeviceMem::NotDevice => "resource has no device address",
+            }
+            .to_string(),
+        )
+    }
+}
+
 /// A kernel-execution argument.
 #[derive(Debug, Clone, Copy)]
 pub enum Arg {
@@ -422,23 +457,6 @@ impl Pipeline {
         self.label.as_deref()
     }
 
-    /// The registry name `base` resolves to under this pipeline's
-    /// scope (e.g. `gpu_pf.iteration_us{pipeline=p0}`), for readers
-    /// that want this pipeline's cells out of a snapshot or window.
-    pub fn metric_name(&self, base: &str) -> String {
-        ks_trace::scoped_name(base, self.scope.labels())
-    }
-
-    /// Cumulative time-in-tier dwell histogram for `tier`, under this
-    /// pipeline's scope: how long modules sat on that tier before
-    /// transitioning off it. Derived from the same transitions the
-    /// `tier_swap` spans mark, but always-on.
-    pub fn tier_dwell(&self, tier: Tier) -> ks_trace::HistogramSnapshot {
-        self.scope
-            .histogram(&ks_trace::names::pf_tier_dwell_us(tier_label(tier)))
-            .snapshot()
-    }
-
     /// The resources next to the pipeline's side of a bind, so a module
     /// can be borrowed mutably while it writes the books.
     fn split(&mut self) -> (&mut [Resource], Books<'_>) {
@@ -477,10 +495,6 @@ impl Pipeline {
         self.refresh_mode = mode;
     }
 
-    pub fn refresh_mode(&self) -> RefreshMode {
-        self.refresh_mode
-    }
-
     /// The tier a module resource is currently serving from, or `None`
     /// if `id` is not a module.
     pub fn module_tier(&self, id: ResId) -> Option<Tier> {
@@ -503,15 +517,10 @@ impl Pipeline {
         }
     }
 
-    /// Route Appendix-G-style log output to a writer.
+    /// Route Appendix-G-style log output to a writer: one `[gpu-pf] `
+    /// line per event, flushed as it is written.
     pub fn set_logger(&mut self, w: Box<dyn std::io::Write + Send>) {
         self.log = log::Logger::new(w);
-    }
-
-    /// Route Appendix-G-style log output to a [`ks_trace::Subscriber`],
-    /// sharing a sink with trace/metric exports.
-    pub fn set_subscriber(&mut self, s: Arc<dyn ks_trace::Subscriber>) {
-        self.log = log::Logger::subscriber(s);
     }
 
     // ---- parameters (Table 4.1) ----
@@ -589,13 +598,13 @@ impl Pipeline {
         )
     }
 
-    /// Update an integer parameter (marks dependents dirty; takes effect at
-    /// the next refresh).
     /// The compiler backing this pipeline (shared, cache and all).
     pub fn compiler(&self) -> &Compiler {
         &self.compiler
     }
 
+    /// Update an integer parameter (marks dependents dirty; takes effect at
+    /// the next refresh).
     pub fn set_int(&mut self, id: ParamId, v: i64) {
         let slot = &mut self.params[id.0];
         slot.value = ParamValue::Int(v);
@@ -619,7 +628,7 @@ impl Pipeline {
 
     /// Integer value of a parameter, or [`PfError::Bind`] if the
     /// parameter is not integer-valued.
-    pub fn try_int_value(&self, id: ParamId) -> Result<i64, PfError> {
+    pub(crate) fn try_int_value(&self, id: ParamId) -> Result<i64, PfError> {
         match &self.params[id.0].value {
             ParamValue::Int(v) => Ok(*v),
             ParamValue::Step(s) => Ok(s.current),
@@ -631,7 +640,8 @@ impl Pipeline {
         }
     }
 
-    /// Panicking form of [`Pipeline::try_int_value`] (same message).
+    /// Integer value of a parameter; panics with `try_int_value`'s
+    /// message if the parameter is not integer-valued.
     pub fn int_value(&self, id: ParamId) -> i64 {
         self.try_int_value(id).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -728,23 +738,16 @@ impl Pipeline {
         })
     }
 
-    /// Fill a host memory resource (before or between runs), or
-    /// [`PfError::Bind`] if `id` is not host memory.
-    pub fn try_set_host_data(&mut self, id: ResId, bytes: &[u8]) -> Result<(), PfError> {
+    /// Fill a host memory resource (before or between runs); panics
+    /// with "resource is not host memory" if `id` is not host memory.
+    pub fn set_host_data(&mut self, id: ResId, bytes: &[u8]) {
         match &mut self.resources[id.0] {
             Resource::HostMem { data, .. } => {
                 data.clear();
                 data.extend_from_slice(bytes);
-                Ok(())
             }
-            _ => Err(PfError::Bind("resource is not host memory".to_string())),
+            _ => panic!("resource is not host memory"),
         }
-    }
-
-    /// Panicking form of [`Pipeline::try_set_host_data`] (same message).
-    pub fn set_host_data(&mut self, id: ResId, bytes: &[u8]) {
-        self.try_set_host_data(id, bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     pub fn set_host_f32(&mut self, id: ResId, vals: &[f32]) {
@@ -752,18 +755,13 @@ impl Pipeline {
         self.set_host_data(id, &bytes);
     }
 
-    /// Contents of a host memory resource, or [`PfError::Bind`] if `id`
-    /// is not host memory.
-    pub fn try_host_data(&self, id: ResId) -> Result<&[u8], PfError> {
-        match &self.resources[id.0] {
-            Resource::HostMem { data, .. } => Ok(data),
-            _ => Err(PfError::Bind("resource is not host memory".to_string())),
-        }
-    }
-
-    /// Panicking form of [`Pipeline::try_host_data`] (same message).
+    /// Contents of a host memory resource; panics with "resource is not
+    /// host memory" if `id` is not host memory.
     pub fn host_data(&self, id: ResId) -> &[u8] {
-        self.try_host_data(id).unwrap_or_else(|e| panic!("{e}"))
+        match &self.resources[id.0] {
+            Resource::HostMem { data, .. } => data,
+            _ => panic!("resource is not host memory"),
+        }
     }
 
     pub fn host_f32(&self, id: ResId) -> Vec<f32> {
@@ -773,49 +771,51 @@ impl Pipeline {
             .collect()
     }
 
-    /// Device address of a global memory resource (after refresh), or
-    /// [`PfError::Bind`] if unresolvable.
-    pub fn try_device_addr(&self, id: ResId) -> Result<u64, PfError> {
-        let unallocated = || PfError::Bind("refresh() first".to_string());
+    /// The one resolver of a device-memory reference: its device address
+    /// and byte length (a subset's current window).
+    fn device_mem(&self, id: ResId) -> Result<(u64, u64), NoDeviceMem> {
         match &self.resources[id.0] {
-            Resource::GlobalMem { addr, .. } => addr.ok_or_else(unallocated),
-            Resource::Subset { of, subset } => {
-                let (base_addr, elem) = match &self.resources[of.0] {
-                    Resource::GlobalMem { addr, extent, .. } => {
-                        (addr.ok_or_else(unallocated)?, self.extent_elem(*extent)?)
-                    }
-                    _ => {
-                        return Err(PfError::Bind(
-                            "subset of non-global memory has no device address".to_string(),
-                        ))
-                    }
-                };
-                match &self.params[subset.0].value {
-                    ParamValue::Subset { offset, .. } => Ok(base_addr + offset * elem as u64),
-                    _ => Err(PfError::Bind(
-                        "subset resource bound to non-subset parameter".to_string(),
-                    )),
-                }
+            Resource::GlobalMem { addr, bytes, .. } => {
+                Ok((addr.ok_or(NoDeviceMem::Unallocated)?, *bytes))
             }
-            _ => Err(PfError::Bind("resource has no device address".to_string())),
+            Resource::Subset { of, subset } => {
+                let (base, extent) = match &self.resources[of.0] {
+                    Resource::GlobalMem { addr, extent, .. } => {
+                        (addr.ok_or(NoDeviceMem::Unallocated)?, extent)
+                    }
+                    Resource::HostMem { .. } => return Err(NoDeviceMem::HostSubset),
+                    _ => return Err(NoDeviceMem::OtherSubset),
+                };
+                let ParamValue::Extent { elem_bytes, .. } = self.params[extent.0].value else {
+                    return Err(NoDeviceMem::NotExtent);
+                };
+                let ParamValue::Subset { offset, len, .. } = self.params[subset.0].value else {
+                    return Err(NoDeviceMem::NotSubset);
+                };
+                let elem = u64::from(elem_bytes);
+                Ok((base + offset * elem, len * elem))
+            }
+            _ => Err(NoDeviceMem::NotDevice),
         }
     }
 
-    /// Panicking form of [`Pipeline::try_device_addr`] (same messages).
+    /// Device address of a global memory resource (after refresh), or
+    /// [`PfError::Bind`] if unresolvable.
+    pub(crate) fn try_device_addr(&self, id: ResId) -> Result<u64, PfError> {
+        let (addr, _) = self.device_mem(id).map_err(NoDeviceMem::bind_error)?;
+        Ok(addr)
+    }
+
+    /// Device address of a global memory resource or a subset of one
+    /// (after refresh); panics with `try_device_addr`'s message if
+    /// unresolvable.
     pub fn device_addr(&self, id: ResId) -> u64 {
         self.try_device_addr(id).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn extent_elem(&self, id: ParamId) -> Result<u32, PfError> {
-        match &self.params[id.0].value {
-            ParamValue::Extent { elem_bytes, .. } => Ok(*elem_bytes),
-            _ => Err(PfError::Bind("not an extent".to_string())),
-        }
-    }
-
     /// The compiled binary backing a kernel (after refresh), or
     /// [`PfError::Launch`] if the resource isn't a compiled kernel.
-    pub fn try_kernel_binary(&self, kernel: ResId) -> Result<&Arc<Binary>, PfError> {
+    pub(crate) fn try_kernel_binary(&self, kernel: ResId) -> Result<&Arc<Binary>, PfError> {
         let Resource::Kernel { module, .. } = &self.resources[kernel.0] else {
             return Err(PfError::Launch("not a kernel resource".to_string()));
         };
@@ -824,7 +824,8 @@ impl Pipeline {
             .ok_or_else(|| PfError::Launch("module not compiled; refresh() first".to_string()))
     }
 
-    /// Panicking form of [`Pipeline::try_kernel_binary`] (same messages).
+    /// The compiled binary backing a kernel (after refresh); panics with
+    /// `try_kernel_binary`'s messages if there is none.
     pub fn kernel_binary(&self, kernel: ResId) -> &Arc<Binary> {
         self.try_kernel_binary(kernel)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -1463,29 +1464,26 @@ impl Pipeline {
         }
         let classify = |p: &Pipeline, r: ResId| -> Result<(End, u64), PfError> {
             match &p.resources[r.0] {
-                Resource::HostMem { data, .. } => Ok((End::Host(r), data.len() as u64)),
-                Resource::GlobalMem { addr, bytes, .. } => Ok((
-                    End::Dev(addr.ok_or_else(|| PfError::Spec("unallocated global".into()))?),
-                    *bytes,
-                )),
-                Resource::Subset { of, subset } => {
-                    let ParamValue::Subset { len, .. } = &p.params[subset.0].value else {
-                        return Err(PfError::Spec("bad subset parameter".into()));
-                    };
-                    match &p.resources[of.0] {
-                        Resource::GlobalMem { extent, .. } => {
-                            let elem = p.extent_elem(*extent)? as u64;
-                            Ok((End::Dev(p.try_device_addr(r)?), len * elem))
-                        }
-                        Resource::HostMem { .. } => Err(PfError::Spec(
-                            "host subsets not supported; copy the full buffer".into(),
-                        )),
-                        _ => Err(PfError::Spec("subset of unsupported memory".into())),
-                    }
+                Resource::HostMem { data, .. } => return Ok((End::Host(r), data.len() as u64)),
+                Resource::ConstMem { module, name } => {
+                    return Ok((End::Const(*module, name.clone()), 0))
                 }
-                Resource::ConstMem { module, name } => Ok((End::Const(*module, name.clone()), 0)),
-                _ => Err(PfError::Spec("not a memory resource".into())),
+                _ => {}
             }
+            let spec = |msg: &str| PfError::Spec(msg.to_string());
+            let (addr, bytes) = p.device_mem(r).map_err(|e| match e {
+                NoDeviceMem::Unallocated
+                    if matches!(p.resources[r.0], Resource::GlobalMem { .. }) =>
+                {
+                    spec("unallocated global")
+                }
+                NoDeviceMem::NotSubset => spec("bad subset parameter"),
+                NoDeviceMem::HostSubset => spec("host subsets not supported; copy the full buffer"),
+                NoDeviceMem::OtherSubset => spec("subset of unsupported memory"),
+                NoDeviceMem::NotDevice => spec("not a memory resource"),
+                e => e.bind_error(),
+            })?;
+            Ok((End::Dev(addr), bytes))
         };
         let (se, sb) = classify(self, src)?;
         let (de, db) = classify(self, dst)?;

@@ -1,18 +1,15 @@
 //! Appendix-G-style log output: refresh reports, pipeline iterations, and
 //! per-operation timing lines.
 //!
-//! Lines are routed through a [`ks_trace::Subscriber`], so tests and tools
-//! can substitute counting or capturing sinks, while the formatted output
-//! stays byte-identical to the historical writer-based logger: every line
-//! is prefixed with `[gpu-pf] ` and terminated with `\n`.
+//! Every line is prefixed with `[gpu-pf] `, terminated with `\n` and
+//! flushed, on the one writer [`crate::Pipeline::set_logger`] attaches.
 
-use ks_trace::{Subscriber, WriterSink};
+use parking_lot::Mutex;
 use std::io::Write;
-use std::sync::Arc;
 
 /// A line-oriented logger; disabled by default (zero cost).
 pub struct Logger {
-    sink: Option<Arc<dyn Subscriber>>,
+    sink: Option<Mutex<Box<dyn Write + Send>>>,
 }
 
 impl Logger {
@@ -21,25 +18,10 @@ impl Logger {
         Logger { sink: None }
     }
 
-    /// Route lines to a writer (wrapped in a [`WriterSink`]).
+    /// Route lines to a writer.
     pub fn new(w: Box<dyn Write + Send>) -> Logger {
         Logger {
-            sink: Some(Arc::new(WriterSink::new(w))),
-        }
-    }
-
-    /// Route lines to an existing subscriber.
-    pub fn subscriber(s: Arc<dyn Subscriber>) -> Logger {
-        Logger { sink: Some(s) }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    pub fn line(&self, s: &str) {
-        if let Some(sink) = &self.sink {
-            sink.line(&format!("[gpu-pf] {s}"));
+            sink: Some(Mutex::new(w)),
         }
     }
 
@@ -47,7 +29,10 @@ impl Logger {
     /// attached, so a disabled logger costs one branch and nothing else.
     pub fn line_with(&self, f: impl FnOnce() -> String) {
         if let Some(sink) = &self.sink {
-            sink.line(&format!("[gpu-pf] {}", f()));
+            let line = format!("[gpu-pf] {}", f());
+            let mut w = sink.lock();
+            let _ = writeln!(w, "{line}");
+            let _ = w.flush();
         }
     }
 }
@@ -55,13 +40,13 @@ impl Logger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use std::sync::Arc;
 
     #[test]
     fn disabled_logger_is_silent() {
         let l = Logger::disabled();
-        assert!(!l.enabled());
-        l.line("nothing happens");
+        assert!(l.sink.is_none());
+        l.line_with(|| "nothing happens".to_string());
     }
 
     #[test]
@@ -84,27 +69,11 @@ mod tests {
             }
         }
         let l = Logger::new(Box::new(W(buf.clone())));
-        l.line("hello");
+        l.line_with(|| "hello".to_string());
         l.line_with(|| "lazy".to_string());
         assert_eq!(
             String::from_utf8(buf.lock().clone()).unwrap(),
             "[gpu-pf] hello\n[gpu-pf] lazy\n"
         );
-    }
-
-    #[test]
-    fn subscriber_logger_receives_prefixed_lines() {
-        #[derive(Default)]
-        struct Capture(Mutex<Vec<String>>);
-        impl Subscriber for Capture {
-            fn line(&self, text: &str) {
-                self.0.lock().push(text.to_string());
-            }
-        }
-        let cap = Arc::new(Capture::default());
-        let l = Logger::subscriber(cap.clone());
-        l.line("one");
-        l.line_with(|| "two".to_string());
-        assert_eq!(*cap.0.lock(), vec!["[gpu-pf] one", "[gpu-pf] two"]);
     }
 }

@@ -639,7 +639,7 @@ mod tests {
                 c.compile(SCALE_SRC, &want).unwrap();
             }
             let counter = |p: &crate::Pipeline, base: &str| {
-                ks_trace::registry().counter_value(&p.metric_name(base))
+                ks_trace::registry().counter_value(&ks_trace::scoped_name(base, p.scope.labels()))
             };
             let books = |p: &crate::Pipeline| {
                 (

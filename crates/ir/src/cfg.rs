@@ -2,9 +2,10 @@
 //!
 //! The simulator needs immediate *post*-dominators to place SIMT
 //! reconvergence points (the classic post-dominator stack used by real
-//! hardware and by GPGPU-Sim); the optimizer needs predecessor lists and
-//! reverse post-order for dataflow; register allocation and the
-//! validator's block check need register liveness.
+//! hardware and by GPGPU-Sim); the validator's block check needs
+//! immediate dominators, from the same core; the optimizer needs
+//! predecessor lists and reverse post-order for dataflow; register
+//! allocation and the block check need register liveness.
 
 use crate::inst::VReg;
 use crate::module::{BlockId, Function};
@@ -31,149 +32,125 @@ impl Cfg {
                 preds[s.0 as usize].push(b.id);
             }
         }
-        // Iterative DFS post-order.
-        let mut visited = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        // Stack entries: (block, next successor index to visit).
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-        visited[0] = true;
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succs[b].len() {
-                let s = succs[b][*i].0 as usize;
-                *i += 1;
-                if !visited[s] {
-                    visited[s] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(BlockId(b as u32));
-                stack.pop();
-            }
-        }
-        post.reverse();
-        let mut rpo_pos = vec![usize::MAX; n];
-        for (i, b) in post.iter().enumerate() {
-            rpo_pos[b.0 as usize] = i;
-        }
+        let (rpo, rpo_pos) = reverse_post_order(&succs, 0);
         Cfg {
             succs,
             preds,
-            rpo: post,
+            rpo,
             rpo_pos,
         }
     }
-
-    pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_pos[b.0 as usize] != usize::MAX
-    }
 }
 
-/// Immediate post-dominators, computed by the Cooper–Harvey–Kennedy
-/// algorithm on the reverse CFG with a virtual exit node. `ipdom[b]` is
-/// `None` when the block's immediate post-dominator is the virtual exit
-/// itself (i.e. paths from `b` diverge all the way to function return) or
-/// when `b` cannot reach an exit.
-pub fn ipdoms(f: &Function, cfg: &Cfg) -> Vec<Option<BlockId>> {
-    let n = f.blocks.len();
-    let exit = n; // virtual exit node
-
-    // Reverse-graph successors: rsucc(exit) = every Ret block;
-    // rsucc(b) = forward predecessors of b.
-    let ret_blocks: Vec<usize> = f
-        .blocks
-        .iter()
-        .filter(|b| matches!(b.term, crate::inst::Terminator::Ret))
-        .map(|b| b.id.0 as usize)
-        .collect();
-    let rsucc = |v: usize| -> Vec<usize> {
-        if v == exit {
-            ret_blocks.clone()
-        } else {
-            cfg.preds[v].iter().map(|p| p.0 as usize).collect()
-        }
-    };
-
-    // RPO of the reverse graph from the virtual exit (iterative DFS).
-    let mut visited = vec![false; n + 1];
-    let mut post: Vec<usize> = Vec::with_capacity(n + 1);
-    let mut stack: Vec<(usize, usize)> = vec![(exit, 0)];
-    visited[exit] = true;
+/// Reverse post-order of the nodes `root` reaches along `succs`
+/// (iterative DFS), and each node's position in it (`usize::MAX` when
+/// `root` does not reach it).
+fn reverse_post_order(succs: &[Vec<BlockId>], root: usize) -> (Vec<BlockId>, Vec<usize>) {
+    let n = succs.len();
+    let mut visited = vec![false; n];
+    let mut post = Vec::with_capacity(n);
+    // Stack entries: (node, next successor index to visit).
+    let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+    visited[root] = true;
     while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        let succs = rsucc(v);
-        if *i < succs.len() {
-            let s = succs[*i];
+        if *i < succs[v].len() {
+            let s = succs[v][*i].0 as usize;
             *i += 1;
             if !visited[s] {
                 visited[s] = true;
                 stack.push((s, 0));
             }
         } else {
-            post.push(v);
+            post.push(BlockId(v as u32));
             stack.pop();
         }
     }
-    post.reverse(); // reverse-graph RPO, exit first
-    let mut pos = vec![usize::MAX; n + 1];
-    for (i, &v) in post.iter().enumerate() {
-        pos[v] = i;
+    post.reverse();
+    let mut pos = vec![usize::MAX; n];
+    for (i, b) in post.iter().enumerate() {
+        pos[b.0 as usize] = i;
     }
+    (post, pos)
+}
 
-    // rev_preds(b) in the reverse graph = forward successors (+ exit for
-    // Ret blocks).
-    let rev_preds = |b: usize| -> Vec<usize> {
-        let blk = &f.blocks[b];
-        let mut v: Vec<usize> = blk.term.successors().iter().map(|s| s.0 as usize).collect();
-        if matches!(blk.term, crate::inst::Terminator::Ret) {
-            v.push(exit);
-        }
-        v
-    };
-
-    let mut idom: Vec<Option<usize>> = vec![None; n + 1];
-    idom[exit] = Some(exit);
-    let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| -> usize {
-        while a != b {
-            while pos[a] > pos[b] {
-                a = idom[a].expect("processed");
-            }
-            while pos[b] > pos[a] {
-                b = idom[b].expect("processed");
-            }
-        }
-        a
-    };
-
+/// The one dominator core: immediate dominators by the iteration of
+/// Cooper, Harvey and Kennedy ("A Simple, Fast Dominance Algorithm"),
+/// over a graph given by `preds` and its reverse post-order from the
+/// root (`rpo[0]`, with `pos` as [`reverse_post_order`] returns it). The
+/// root is its own immediate dominator; a node the root does not reach
+/// has none.
+fn dominators(preds: &[Vec<BlockId>], rpo: &[BlockId], pos: &[usize]) -> Vec<Option<BlockId>> {
+    const NONE: usize = usize::MAX;
+    let mut idom = vec![NONE; preds.len()];
+    idom[rpo[0].0 as usize] = rpo[0].0 as usize;
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in post.iter() {
-            if b == exit {
-                continue;
-            }
-            let mut new_idom: Option<usize> = None;
-            for p in rev_preds(b) {
-                if pos[p] == usize::MAX {
-                    continue; // cannot reach exit
+        for b in rpo.iter().skip(1).map(|b| b.0 as usize) {
+            let mut new = NONE;
+            for p in preds[b].iter().map(|p| p.0 as usize) {
+                if idom[p] == NONE {
+                    continue; // unreached, or not processed yet
                 }
-                if idom[p].is_some() {
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
-                }
+                new = if new == NONE {
+                    p
+                } else {
+                    let (mut x, mut y) = (p, new);
+                    while x != y {
+                        while pos[x] > pos[y] {
+                            x = idom[x];
+                        }
+                        while pos[y] > pos[x] {
+                            y = idom[y];
+                        }
+                    }
+                    x
+                };
             }
-            if new_idom.is_some() && idom[b] != new_idom {
-                idom[b] = new_idom;
+            if idom[b] != new {
+                idom[b] = new;
                 changed = true;
             }
         }
     }
+    idom.into_iter()
+        .map(|d| (d != NONE).then_some(BlockId(d as u32)))
+        .collect()
+}
 
-    (0..n)
-        .map(|b| match idom[b] {
-            Some(d) if d != exit && d != b => Some(BlockId(d as u32)),
-            _ => None,
-        })
+/// Immediate dominators: `idom[b]` is the block every path from the
+/// entry to `b` passes through last before `b`. The entry is its own;
+/// a block the entry does not reach has none.
+pub fn idoms(cfg: &Cfg) -> Vec<Option<BlockId>> {
+    dominators(&cfg.preds, &cfg.rpo, &cfg.rpo_pos)
+}
+
+/// Immediate post-dominators: the dominator core on the reverse CFG
+/// with a virtual exit node. `ipdom[b]` is `None` when the block's
+/// immediate post-dominator is the virtual exit itself (i.e. paths from
+/// `b` diverge all the way to function return) or when `b` cannot reach
+/// an exit.
+pub fn ipdoms(f: &Function, cfg: &Cfg) -> Vec<Option<BlockId>> {
+    let n = f.blocks.len();
+    let exit = BlockId(n as u32); // virtual exit node
+                                  // The reverse graph: its successors are the forward predecessors
+                                  // (the exit's are the Ret blocks), its predecessors the forward
+                                  // successors (plus the exit for a Ret block).
+    let mut rsuccs = cfg.preds.clone();
+    let mut rpreds = cfg.succs.clone();
+    rsuccs.push(Vec::new());
+    rpreds.push(Vec::new());
+    for b in &f.blocks {
+        if matches!(b.term, crate::inst::Terminator::Ret) {
+            rsuccs[n].push(b.id);
+            rpreds[b.id.0 as usize].push(exit);
+        }
+    }
+    let (rpo, pos) = reverse_post_order(&rsuccs, n);
+    dominators(&rpreds, &rpo, &pos)[..n]
+        .iter()
+        .enumerate()
+        .map(|(b, d)| d.filter(|&d| d != exit && d.0 as usize != b))
         .collect()
 }
 
@@ -352,8 +329,8 @@ mod tests {
         ]);
         let cfg = Cfg::build(&f);
         assert_eq!(cfg.rpo[0], BlockId(0));
-        assert!(cfg.is_reachable(BlockId(2)));
-        assert!(!cfg.is_reachable(BlockId(1)));
+        assert_eq!(cfg.rpo_pos[2], 1);
+        assert_eq!(cfg.rpo_pos[1], usize::MAX);
         assert_eq!(cfg.rpo.len(), 2);
     }
 

@@ -59,7 +59,7 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             BinOp::Add => "add",
             BinOp::Sub => "sub",
@@ -92,7 +92,7 @@ pub enum UnOp {
 }
 
 impl UnOp {
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             UnOp::Neg => "neg",
             UnOp::Not => "not",
@@ -116,7 +116,7 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         match self {
             CmpOp::Eq => "eq",
             CmpOp::Ne => "ne",
@@ -443,13 +443,15 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor block ids.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br { target } => vec![*target],
-            Terminator::CondBr { then_t, else_t, .. } => vec![*then_t, *else_t],
-            Terminator::Ret => vec![],
-        }
+    /// Successor block ids, in branch order (a `CondBr` whose targets
+    /// are equal yields its one target twice).
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (a, b) = match *self {
+            Terminator::Ret => (None, None),
+            Terminator::Br { target } => (Some(target), None),
+            Terminator::CondBr { then_t, else_t, .. } => (Some(then_t), Some(else_t)),
+        };
+        a.into_iter().chain(b)
     }
 
     /// Register used by the terminator, if any.
@@ -531,8 +533,8 @@ mod tests {
             then_t: BlockId(1),
             else_t: BlockId(2),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(Terminator::Ret.successors(), vec![]);
+        assert!(t.successors().eq([BlockId(1), BlockId(2)]));
+        assert_eq!(Terminator::Ret.successors().count(), 0);
         assert_eq!(t.use_reg(), Some(VReg(0)));
     }
 }

@@ -21,11 +21,11 @@
 pub mod cfg;
 pub mod eval;
 pub mod fxhash;
-pub mod inst;
-pub mod module;
+mod inst;
+mod module;
 pub mod printer;
-pub mod types;
-pub mod verify;
+mod types;
+mod verify;
 
 pub use inst::{Address, BinOp, CmpOp, Inst, Operand, SpecialReg, Terminator, UnOp, VReg};
 pub use module::{BasicBlock, BlockId, ConstDecl, Function, KernelParam, Module, SharedDecl};

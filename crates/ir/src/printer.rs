@@ -14,7 +14,7 @@ fn op(o: &Operand) -> String {
 }
 
 /// Render a single instruction as a PTX-flavoured line.
-pub fn print_inst(i: &Inst) -> String {
+fn print_inst(i: &Inst) -> String {
     match i {
         Inst::Mov { ty, dst, src } => format!("mov.{ty} \t{dst}, {};", op(src)),
         Inst::Bin {
@@ -92,7 +92,7 @@ fn print_term(t: &Terminator) -> String {
 }
 
 /// Render a function in PTX-like syntax.
-pub fn print_function(f: &Function) -> String {
+fn print_function(f: &Function) -> String {
     let mut s = String::new();
     let params: Vec<String> = f
         .params

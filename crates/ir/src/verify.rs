@@ -68,31 +68,6 @@ pub struct VerifyError {
     pub message: String,
 }
 
-impl VerifyError {
-    /// One-line JSON export, matching the shape ks-analysis and ks-verify
-    /// diagnostics use in `--export jsonl` outputs.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"code\":\"{}\"", self.code));
-        s.push_str(&format!(
-            ",\"function\":\"{}\"",
-            self.function.replace('"', "\\\"")
-        ));
-        if let Some(b) = self.block {
-            s.push_str(&format!(",\"block\":{}", b.0));
-        }
-        if let Some(i) = self.inst {
-            s.push_str(&format!(",\"inst\":{i}"));
-        }
-        s.push_str(&format!(
-            ",\"message\":\"{}\"",
-            self.message.replace('\\', "\\\\").replace('"', "\\\"")
-        ));
-        s.push('}');
-        s
-    }
-}
-
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Same rendering shape as ks-analysis lints:
@@ -514,9 +489,6 @@ mod tests {
             rendered.starts_with("error[KSI002]: t/BB0#0:"),
             "got: {rendered}"
         );
-        let json = errs[0].to_json();
-        assert!(json.contains("\"code\":\"KSI002\""), "got: {json}");
-        assert!(json.contains("\"inst\":0"), "got: {json}");
     }
 
     #[test]

@@ -152,6 +152,16 @@ pub struct Token {
     pub(crate) line_start: bool,
 }
 
+impl Token {
+    /// The identifier (or keyword) this token spells, if it is one.
+    pub fn ident(&self) -> Option<&str> {
+        match &self.tok {
+            Tok::Ident(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
 /// Front-end error: lexing, preprocessing, parsing, or semantic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LangError {

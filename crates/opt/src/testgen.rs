@@ -170,3 +170,27 @@ pub fn function(regs: u32) -> impl Strategy<Value = Function> {
         }
     })
 }
+
+mod tests {
+    use super::*;
+    use ks_ir::cfg::{idoms, ipdoms, Cfg};
+
+    proptest! {
+        /// The dominator trees of a generated chain: a middle block's
+        /// immediate dominator is the block before it, the last block's
+        /// is the entry (which branches to it), and every block but the
+        /// last is post-dominated by the last.
+        #[test]
+        fn dominator_trees_of_generated_chains(f in function(4)) {
+            let n = f.blocks.len();
+            let cfg = Cfg::build(&f);
+            let idom: Vec<Option<BlockId>> = (0..n)
+                .map(|b| Some(BlockId(if b == 0 || b + 1 == n { 0 } else { b as u32 - 1 })))
+                .collect();
+            let ipdom: Vec<Option<BlockId>> =
+                (0..n).map(|b| (b + 1 < n).then(|| BlockId(n as u32 - 1))).collect();
+            prop_assert_eq!(idoms(&cfg), idom);
+            prop_assert_eq!(ipdoms(&f, &cfg), ipdom);
+        }
+    }
+}

@@ -26,8 +26,8 @@
 //! ks-core layers `Binary` serialization and the read-through /
 //! write-through cache tier on top.
 
-pub mod bytes;
-pub mod fp;
+mod bytes;
+mod fp;
 
 pub use bytes::{ByteReader, ByteWriter};
 pub use fp::{checksum, Fingerprint, StableHasher};
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Record magic: the first four bytes of every valid record file.
-pub const MAGIC: [u8; 4] = *b"KSST";
+const MAGIC: [u8; 4] = *b"KSST";
 
 /// Fixed header size: magic (4) + version (4) + fingerprint (16) +
 /// payload length (8) + payload checksum (8).
@@ -58,7 +58,7 @@ pub const RECORD_EXT: &str = "ksb";
 /// postmortem can inspect exactly what rotted; they are invisible to
 /// [`Store::load`] (which resolves only fan-out paths), so a
 /// quarantined key simply misses and recompiles.
-pub const QUARANTINE_DIR: &str = "quarantine";
+const QUARANTINE_DIR: &str = "quarantine";
 
 /// Everything that can go wrong talking to the store. Every variant is
 /// recoverable: callers treat any error as "no usable record" and
@@ -193,24 +193,6 @@ impl Store {
         self.record_path(fp).exists()
     }
 
-    /// Count record files currently in the store (any validity).
-    pub fn record_count(&self) -> usize {
-        let mut n = 0;
-        let Ok(fanout) = fs::read_dir(&self.root) else {
-            return 0;
-        };
-        for dir in fanout.flatten() {
-            let Ok(entries) = fs::read_dir(dir.path()) else {
-                continue;
-            };
-            n += entries
-                .flatten()
-                .filter(|e| e.path().extension().is_some_and(|x| x == RECORD_EXT))
-                .count();
-        }
-        n
-    }
-
     /// Persist `payload` under `fp`. Returns `Ok(true)` if this call
     /// wrote the record, `Ok(false)` if a record was already present
     /// (the common outcome for the losers of a same-key race).
@@ -284,17 +266,10 @@ impl Store {
 
     /// Validate only a record image's *header*: magic, version,
     /// fingerprint, and that the file is long enough for the declared
-    /// payload. This is the fast check the read path effectively gets
-    /// for free — and it is deliberately **not** sufficient: a bit flip
-    /// inside the payload leaves every header field intact and passes
-    /// here. Only [`Store::decode_record`]'s full payload-checksum walk
-    /// (what [`Store::scrub`] runs) catches it.
-    pub fn check_header(fp: Fingerprint, data: &[u8]) -> Result<(), StoreError> {
-        Self::parse_header(fp, data).map(drop)
-    }
-
-    /// The header checks [`Store::check_header`] documents; returns the
-    /// declared payload length (known to fit in `data`) and checksum.
+    /// payload; returns the declared payload length (known to fit in
+    /// `data`) and checksum. A bit flip inside the payload leaves every
+    /// header field intact and passes here: only [`Store::decode_record`]'s
+    /// full payload-checksum walk (what [`Store::scrub`] runs) catches it.
     fn parse_header(fp: Fingerprint, data: &[u8]) -> Result<(usize, u64), StoreError> {
         if data.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
@@ -332,19 +307,8 @@ impl Store {
         Ok((payload_len, declared_sum))
     }
 
-    /// Header-only validation of the record stored under `fp`.
-    /// `Ok(false)` means no record; see [`Store::check_header`] for
-    /// what this does *not* catch.
-    pub fn verify_header(&self, fp: Fingerprint) -> Result<bool, StoreError> {
-        match fs::read(self.record_path(fp)) {
-            Ok(data) => Self::check_header(fp, &data).map(|()| true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(StoreError::Io(e)),
-        }
-    }
-
     /// The directory [`Store::scrub`] moves corrupt records into.
-    pub fn quarantine_dir(&self) -> PathBuf {
+    fn quarantine_dir(&self) -> PathBuf {
         self.root.join(QUARANTINE_DIR)
     }
 
@@ -487,7 +451,6 @@ mod tests {
         assert!(store.save(fp, &payload).unwrap(), "first save writes");
         assert!(!store.save(fp, &payload).unwrap(), "second save is a no-op");
         assert_eq!(store.load(fp).unwrap(), Some(payload));
-        assert_eq!(store.record_count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -629,8 +592,8 @@ mod tests {
         let mut data = fs::read(&path).unwrap();
         data[HEADER_LEN + 5] ^= 0x10;
         fs::write(&path, &data).unwrap();
-        // The fast header check is blind to it...
-        assert!(store.verify_header(bad).unwrap());
+        // The header check is blind to it...
+        assert!(Store::parse_header(bad, &data).is_ok());
         // ...the full-payload walk is not.
         let report = store.scrub().unwrap();
         assert_eq!(report.scanned, 2);

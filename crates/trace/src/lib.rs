@@ -27,8 +27,6 @@
 //!   [`validate_prometheus`]) and surfaced by the `ks-prof` CLI (in
 //!   ks-apps). [`spans_to_text`] and [`metrics_to_text`] render a span
 //!   list and a registry snapshot for humans.
-//! * **[`Subscriber`]** — the line-event sink interface the gpu-pf
-//!   `Logger` routes through.
 //! * **Live telemetry** ([`History`], [`WindowView`], [`Watchdog`],
 //!   [`StreamSink`]) — rolling windows over the registry, the
 //!   edge-triggered SDC-rate SLO rule, and a bounded never-blocking JSONL
@@ -69,7 +67,7 @@ pub use scope::{scoped_counter_sum, scoped_name, Scope};
 pub use span::{
     complete_span, drain_spans, enabled, set_enabled, span, span_fields, SpanGuard, SpanRecord,
 };
-pub use subscriber::{StreamSink, Subscriber, WriterSink};
+pub use subscriber::StreamSink;
 pub use watchdog::{CounterRule, SloEvent, Watchdog};
 pub use window::{History, WindowSummary, WindowView};
 

@@ -1,40 +1,6 @@
-//! Line-event subscriber interface.
-//!
-//! Subsystems that emit human-readable log lines (gpu-pf's refresh
-//! logger, most prominently) publish through [`Subscriber`] instead of
-//! holding a raw writer. This keeps the formatting contract (gpu-pf's
-//! Appendix-G output is byte-compatible) while letting tests and tools
-//! substitute counting or capturing sinks.
+//! The bounded streaming sink for JSONL lines.
 
 use parking_lot::Mutex;
-use std::io::Write;
-
-/// A sink for complete log lines (no trailing newline in `text`).
-pub trait Subscriber: Send + Sync {
-    fn line(&self, text: &str);
-}
-
-/// A [`Subscriber`] that appends each line (plus `\n`) to a writer and
-/// flushes, preserving the behaviour of a plain `Box<dyn Write>` sink.
-pub struct WriterSink {
-    writer: Mutex<Box<dyn Write + Send>>,
-}
-
-impl WriterSink {
-    pub fn new(writer: Box<dyn Write + Send>) -> Self {
-        WriterSink {
-            writer: Mutex::new(writer),
-        }
-    }
-}
-
-impl Subscriber for WriterSink {
-    fn line(&self, text: &str) {
-        let mut w = self.writer.lock();
-        let _ = writeln!(w, "{text}");
-        let _ = w.flush();
-    }
-}
 
 /// Bounded, never-blocking streaming JSONL sink.
 ///
@@ -100,30 +66,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn writer_sink_appends_newline_per_line() {
-        let buf = SharedBuf::default();
-        let sink = WriterSink::new(Box::new(buf.clone()));
-        sink.line("[gpu-pf] hello");
-        sink.line("[gpu-pf] world");
-        let text = String::from_utf8(buf.0.lock().clone()).unwrap();
-        assert_eq!(text, "[gpu-pf] hello\n[gpu-pf] world\n");
-    }
-
     #[test]
     fn stream_sink_bounds_drops_and_accounts_them() {
         let r = crate::Registry::new();
@@ -167,22 +109,5 @@ mod tests {
         let pending = sink.drain().len();
         assert_eq!(pending as u64 + sink.dropped(), 800);
         assert_eq!(pending, 16);
-    }
-
-    #[test]
-    fn writer_sink_is_shareable_across_threads() {
-        let buf = SharedBuf::default();
-        let sink = Arc::new(WriterSink::new(Box::new(buf.clone())));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let sink = sink.clone();
-                std::thread::spawn(move || sink.line(&format!("line {i}")))
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let text = String::from_utf8(buf.0.lock().clone()).unwrap();
-        assert_eq!(text.lines().count(), 4);
     }
 }

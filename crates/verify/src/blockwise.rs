@@ -53,7 +53,7 @@
 
 use crate::expr::{Arena, ExprId};
 use crate::summary::{Limits, Regs, StraightRun, Summarizer};
-use ks_ir::cfg::{liveness, Cfg};
+use ks_ir::cfg::{idoms, liveness, Cfg};
 use ks_ir::fxhash::FxHashMap;
 use ks_ir::{BasicBlock, BlockId, Function, Inst, Module, Space, Terminator, VReg};
 
@@ -121,7 +121,7 @@ fn match_blocks(before: &Function, after: &Function, ctx: &Module, memo: &mut Me
             // Its run, if kept, is still this block's.
             continue;
         }
-        if facts.idom[b] == UNREACHABLE {
+        if facts.idom[b].is_none() {
             memo.runs[b] = None;
             continue;
         }
@@ -151,7 +151,7 @@ fn same_frame(before: &Function, after: &Function) -> bool {
         f.blocks
             .iter()
             .enumerate()
-            .all(|(i, b)| b.id.0 as usize == i && successors(&b.term).all(|s| s < n))
+            .all(|(i, b)| b.id.0 as usize == i && b.term.successors().all(|s| (s.0 as usize) < n))
     };
     n > 0
         && after.blocks.len() == n
@@ -298,57 +298,6 @@ fn exit(term: &Terminator, pred: Option<ExprId>, arena: &Arena) -> Exit {
     }
 }
 
-/// The blocks `term` may go to.
-fn successors(term: &Terminator) -> impl Iterator<Item = usize> {
-    let (a, b) = match *term {
-        Terminator::Ret => (None, None),
-        Terminator::Br { target } => (Some(target), None),
-        Terminator::CondBr { then_t, else_t, .. } => (Some(then_t), Some(else_t)),
-    };
-    a.into_iter().chain(b).map(|t| t.0 as usize)
-}
-
-/// `idom` of a block *before* cannot reach from its entry.
-const UNREACHABLE: usize = usize::MAX;
-
-/// Immediate dominators over the reachable blocks (Cooper–Harvey–
-/// Kennedy); the entry is its own.
-fn idoms(cfg: &Cfg) -> Vec<usize> {
-    let mut idom = vec![UNREACHABLE; cfg.preds.len()];
-    idom[0] = 0;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in cfg.rpo.iter().skip(1).map(|b| b.0 as usize) {
-            let mut new = UNREACHABLE;
-            for p in cfg.preds[b].iter().map(|p| p.0 as usize) {
-                if idom[p] == UNREACHABLE {
-                    continue;
-                }
-                new = if new == UNREACHABLE {
-                    p
-                } else {
-                    let (mut x, mut y) = (p, new);
-                    while x != y {
-                        while cfg.rpo_pos[x] > cfg.rpo_pos[y] {
-                            x = idom[x];
-                        }
-                        while cfg.rpo_pos[y] > cfg.rpo_pos[x] {
-                            y = idom[y];
-                        }
-                    }
-                    x
-                };
-            }
-            if idom[b] != new {
-                idom[b] = new;
-                changed = true;
-            }
-        }
-    }
-    idom
-}
-
 /// Where each register is defined.
 struct Defs {
     /// 0, 1, or 2 for "two or more".
@@ -398,7 +347,8 @@ fn registers_in_range(f: &Function) -> bool {
 struct Facts<'a> {
     f: &'a Function,
     ctx: &'a Module,
-    idom: Vec<usize>,
+    /// `None`: a block *before* cannot reach from its entry.
+    idom: Vec<Option<BlockId>>,
     defs: Defs,
     /// Per register: what its fact-giving definition computes, if it
     /// has one.
@@ -415,10 +365,10 @@ impl Facts<'_> {
             if a == b {
                 return true;
             }
-            if b == 0 || self.idom[b] == UNREACHABLE {
-                return false;
+            match self.idom[b] {
+                Some(d) if d.0 as usize != b => b = d.0 as usize,
+                _ => return false,
             }
-            b = self.idom[b];
         }
     }
 
@@ -548,7 +498,11 @@ mod tests {
             ],
             &[Ty::Pred],
         );
-        assert_eq!(idoms(&Cfg::build(&f)), vec![0, 0, 0, 0, UNREACHABLE]);
+        let dom = |b| Some(BlockId(b));
+        assert_eq!(
+            idoms(&Cfg::build(&f)),
+            [dom(0), dom(0), dom(0), dom(0), None]
+        );
     }
 
     #[test]

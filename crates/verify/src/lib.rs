@@ -26,7 +26,7 @@
 //! Both sides of a comparison are summarized into one hash-consed
 //! expression arena, so summary equality is plain `ExprId` equality; a
 //! function followed through a sequence of transforms keeps one arena
-//! per environment for the whole sequence ([`SnapshotChain`]) and is
+//! per environment for the whole sequence (`SnapshotChain`) and is
 //! summarized once per snapshot, not twice per comparison. Through the
 //! optimizer, [`OptChain`] keeps each block's run from one step to the
 //! next ([`optimize_checked`] drives it). Findings carry
@@ -45,7 +45,7 @@ mod blockwise;
 mod diff;
 mod expr;
 pub mod mutate;
-pub mod pipeline;
+mod pipeline;
 mod summary;
 
 pub use pipeline::{build_optimized, codegen_checked, optimize_checked, validate_pipeline};
@@ -55,6 +55,7 @@ use bindings::derive_bindings;
 use diff::Outcome;
 use expr::Arena;
 use ks_ir::{Function, Module};
+use ks_trace::Json;
 use std::fmt;
 use summary::{Env, FnSummary, Summarizer};
 
@@ -73,34 +74,49 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// What a comparison's outcome reports, if anything: `diff_code` for
+    /// a divergence, `KSV101` when the budgets stopped it.
+    fn of(
+        outcome: Outcome,
+        diff_code: &'static str,
+        context: &str,
+        env: &str,
+        function: &str,
+    ) -> Option<Finding> {
+        let (code, message) = match outcome {
+            Outcome::Equal => return None,
+            Outcome::Inconclusive(msg) => ("KSV101", msg),
+            Outcome::Diff(d) => (diff_code, format!("{:?}: {}", d.kind, d.detail)),
+        };
+        Some(Finding {
+            code,
+            context: context.to_string(),
+            env: env.to_string(),
+            function: function.to_string(),
+            message,
+        })
+    }
+
     /// Errors deny compilation; warnings are informational.
     pub fn is_error(&self) -> bool {
         self.code.starts_with("KSV0")
     }
 
-    /// Single-line JSON export (JSONL-friendly, mirrors ks-ir's
-    /// `VerifyError::to_json`).
+    /// Single-line JSON export (JSONL-friendly), rendered by
+    /// [`ks_trace::Json`].
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    '\n' => "\\n".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        format!(
-            "{{\"code\":\"{}\",\"severity\":\"{}\",\"context\":\"{}\",\"env\":\"{}\",\"function\":\"{}\",\"message\":\"{}\"}}",
-            self.code,
-            if self.is_error() { "error" } else { "warning" },
-            esc(&self.context),
-            esc(&self.env),
-            esc(&self.function),
-            esc(&self.message)
-        )
+        Json::obj(vec![
+            ("code", Json::str(self.code)),
+            (
+                "severity",
+                Json::str(if self.is_error() { "error" } else { "warning" }),
+            ),
+            ("context", Json::str(&self.context)),
+            ("env", Json::str(&self.env)),
+            ("function", Json::str(&self.function)),
+            ("message", Json::str(&self.message)),
+        ])
+        .render()
     }
 }
 
@@ -175,7 +191,7 @@ pub fn default_envs() -> Vec<Env> {
 
 /// Environment set for specialization checks. Thread samples are clamped
 /// to the block shape the defines fix, so samples stay in-range.
-pub fn spec_envs(ntid: [Option<i64>; 3]) -> Vec<Env> {
+fn spec_envs(ntid: [Option<i64>; 3]) -> Vec<Env> {
     let clamp = |v: i64, axis: usize| match ntid[axis] {
         Some(n) if n > 0 => v.min(n - 1),
         _ => v,
@@ -205,7 +221,7 @@ pub fn spec_envs(ntid: [Option<i64>; 3]) -> Vec<Env> {
 /// which expressions are equal, not on what else the arena holds;
 /// [`Limits`] bound paths, steps and forks, never arena size; and an
 /// inconclusive message renders no expression.
-pub struct SnapshotChain<'e> {
+struct SnapshotChain<'e> {
     envs: &'e [Env],
     limits: Limits,
     function: String,
@@ -215,7 +231,7 @@ pub struct SnapshotChain<'e> {
 
 impl<'e> SnapshotChain<'e> {
     /// Start a chain at `f` (module `ctx` names its consts and textures).
-    pub fn new(f: &Function, ctx: &Module, envs: &'e [Env], limits: Limits) -> Self {
+    fn new(f: &Function, ctx: &Module, envs: &'e [Env], limits: Limits) -> Self {
         let latest = envs
             .iter()
             .map(|env| {
@@ -233,34 +249,23 @@ impl<'e> SnapshotChain<'e> {
     }
 
     /// Name of the function this chain follows.
-    pub fn function(&self) -> &str {
+    fn function(&self) -> &str {
         &self.function
     }
 
     /// Compare `f`, the function after the transform `context` names,
     /// with the previous snapshot under every environment; `f` becomes
     /// the previous snapshot.
-    pub fn step(&mut self, f: &Function, ctx: &Module, context: &str) -> VerifyReport {
+    fn step(&mut self, f: &Function, ctx: &Module, context: &str) -> VerifyReport {
         let mut report = VerifyReport::default();
         for (env, (arena, pre)) in self.envs.iter().zip(&mut self.latest) {
             report.checks += 1;
             let post = Summarizer::new(arena, self.limits).summarize(f, ctx, env);
-            let finding = |code, message| Finding {
-                code,
-                context: context.to_string(),
-                env: env.label.clone(),
-                function: self.function.clone(),
-                message,
-            };
-            match diff::compare(arena, pre, &post) {
-                Outcome::Equal => {}
-                Outcome::Inconclusive(msg) => report.findings.push(finding("KSV101", msg)),
-                // One diff per (function, env) is enough: later envs often
-                // repeat the same first divergence.
-                Outcome::Diff(d) => report
-                    .findings
-                    .push(finding("KSV001", format!("{:?}: {}", d.kind, d.detail))),
-            }
+            // One diff per (function, env) is enough: later envs often
+            // repeat the same first divergence.
+            let outcome = diff::compare(arena, pre, &post);
+            let finding = Finding::of(outcome, "KSV001", context, &env.label, &self.function);
+            report.findings.extend(finding);
             *pre = post;
         }
         report
@@ -268,7 +273,7 @@ impl<'e> SnapshotChain<'e> {
 }
 
 /// A module followed through a sequence of whole-module transforms (the
-/// codegen stages): one [`SnapshotChain`] per function.
+/// codegen stages): one `SnapshotChain` per function.
 pub struct ModuleChain<'e> {
     envs: &'e [Env],
     limits: Limits,
@@ -316,7 +321,7 @@ impl<'e> ModuleChain<'e> {
 }
 
 /// Compare one function before/after a transform under `envs`: the
-/// two-snapshot [`SnapshotChain`].
+/// two-snapshot `SnapshotChain`.
 pub fn check_function_pair(
     pre_f: &Function,
     pre_m: &Module,
@@ -482,24 +487,47 @@ pub fn check_specialization(
             let mut s = Summarizer::new(&mut arena, limits);
             let re_sum = s.summarize(rf, re, &bound);
             let sk_sum = s.summarize(sf, sk, &bound);
-            match diff::compare(&arena, &re_sum, &sk_sum) {
-                Outcome::Equal => {}
-                Outcome::Inconclusive(msg) => report.findings.push(Finding {
-                    code: "KSV101",
-                    context: context.clone(),
-                    env: bound.label.clone(),
-                    function: sf.name.clone(),
-                    message: msg,
-                }),
-                Outcome::Diff(d) => report.findings.push(Finding {
-                    code: "KSV002",
-                    context: context.clone(),
-                    env: bound.label.clone(),
-                    function: sf.name.clone(),
-                    message: format!("{:?}: {}", d.kind, d.detail),
-                }),
-            }
+            let outcome = diff::compare(&arena, &re_sum, &sk_sum);
+            let finding = Finding::of(outcome, "KSV002", &context, &bound.label, &sf.name);
+            report.findings.extend(finding);
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_finding_round_trips_through_its_json_line() {
+        let nasty = "quote\" backslash\\ newline\n tab\t one\u{1}";
+        let f = Finding {
+            code: "KSV101",
+            context: format!("pass {nasty}"),
+            env: format!("env {nasty}"),
+            function: format!("fn {nasty}"),
+            message: format!("message {nasty}"),
+        };
+        let line = f.to_json();
+        assert!(!line.contains(['\n', '\t', '\u{1}']), "{line}");
+        let Ok(Json::Obj(fields)) = Json::parse(&line) else {
+            panic!("not a JSON object: {line}");
+        };
+        let got: Vec<(&str, &str)> = fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str().expect("a string field")))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("code", f.code),
+                ("severity", "warning"),
+                ("context", f.context.as_str()),
+                ("env", f.env.as_str()),
+                ("function", f.function.as_str()),
+                ("message", f.message.as_str()),
+            ]
+        );
+    }
 }

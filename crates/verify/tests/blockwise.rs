@@ -11,88 +11,22 @@
 //! check finds Equal or inconclusive, never a miscompile. On this
 //! traffic it never falls back.
 
+#[path = "../../../tests/support/churn_grid.rs"]
+mod churn_grid;
+
 use ks_ir::Module;
 use ks_verify::{check_function_pair, check_opt_step, default_envs, Finding, Limits};
 
-const TEMPLATE_MATCH: &str = include_str!("../../apps/src/kernels/template_match.cu");
-const PIV: &str = include_str!("../../apps/src/kernels/piv.cu");
-const BACKPROJ: &str = include_str!("../../apps/src/kernels/backproj.cu");
-
 type Defines = Vec<(String, String)>;
-
-fn defs(pairs: &[(&str, u32)]) -> Defines {
-    pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-}
 
 /// The RE builds, then the churn grid's `-D` sets in the ledger's order.
 fn traffic() -> Vec<(&'static str, &'static str, Defines)> {
-    let mut out = vec![
-        ("tm", TEMPLATE_MATCH, vec![]),
-        ("piv", PIV, vec![]),
-        ("bp", BACKPROJ, vec![]),
-    ];
-    let mut tm = |templ: (u32, u32), tile: (u32, u32), threads: u32| {
-        let tiles = (templ.0 / tile.0) * (templ.1 / tile.1);
-        out.push((
-            "tm",
-            TEMPLATE_MATCH,
-            defs(&[
-                ("TILE_W", tile.0),
-                ("TILE_H", tile.1),
-                ("SHIFT_W", 8),
-                ("NUM_TILES", tiles),
-                ("TEMPL_W", templ.0),
-                ("TEMPL_H", templ.1),
-                ("THREADS", threads),
-            ]),
-        ));
-    };
-    for tile in [
-        (4, 3),
-        (4, 4),
-        (8, 4),
-        (8, 6),
-        (16, 4),
-        (16, 6),
-        (8, 12),
-        (16, 12),
-    ] {
-        for threads in [32, 64] {
-            tm((16, 12), tile, threads);
-        }
-    }
-    for tile in [(4, 4), (8, 4), (6, 8), (8, 8), (12, 8), (24, 4)] {
-        tm((24, 16), tile, 64);
-    }
-    for (mask, rbs) in [(16, &[1, 2, 4, 8][..]), (32, &[1, 2, 4][..])] {
-        for &rb in rbs {
-            for threads in [32, 64, 128] {
-                out.push((
-                    "piv",
-                    PIV,
-                    defs(&[
-                        ("RB", rb),
-                        ("THREADS", threads),
-                        ("MASK_W", mask),
-                        ("MASK_H", mask),
-                        ("OFFS_W", 5),
-                    ]),
-                ));
-            }
-        }
-    }
-    for (n, ppl) in [(12, 1), (12, 2), (12, 4), (12, 8), (8, 2), (8, 4), (8, 8)] {
-        for zb in [1, 2, 4] {
-            out.push((
-                "bp",
-                BACKPROJ,
-                defs(&[("PPL", ppl), ("ZB", zb), ("VOL_N", n)]),
-            ));
-        }
-    }
+    let generic = churn_grid::APPS.map(|(app, source)| (app, source, vec![]));
+    let grid = churn_grid::grid().into_iter();
+    let out: Vec<_> = generic
+        .into_iter()
+        .chain(grid.map(|b| (b.app, b.source, b.define_strings())))
+        .collect();
     assert_eq!(out.len(), 3 + 64);
     out
 }

@@ -127,10 +127,10 @@ fn run_pipeline(
     for &v in &values {
         p.set_int(fac, v);
         p.refresh()?;
-        p.try_set_host_data(hx, &bytes)?;
+        p.set_host_data(hx, &bytes);
         p.run(ITERS)?;
         let out: Vec<i32> = p
-            .try_host_data(hy)?
+            .host_data(hy)
             .chunks_exact(4)
             .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect();

@@ -123,8 +123,7 @@ fn build(
 
 fn output(b: &Built) -> Vec<i32> {
     b.pipeline
-        .try_host_data(b.hy)
-        .expect("host data")
+        .host_data(b.hy)
         .chunks_exact(4)
         .map(|c| i32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect()
@@ -162,7 +161,7 @@ fn main() {
         if tier_at_first_launch == Tier::Promoting {
             first_launch_on_generic += 1;
         }
-        t.pipeline.try_set_host_data(t.hx, &bytes).expect("upload");
+        t.pipeline.set_host_data(t.hx, &bytes);
         t.pipeline.run(2).expect("tiered run");
         let tiered_first = output(&t);
 
@@ -184,7 +183,7 @@ fn main() {
             value,
         );
         b.pipeline.refresh().expect("blocking refresh");
-        b.pipeline.try_set_host_data(b.hx, &bytes).expect("upload");
+        b.pipeline.set_host_data(b.hx, &bytes);
         b.pipeline.run(1).expect("blocking run");
         let blocking = output(&b);
 
@@ -213,7 +212,7 @@ fn main() {
     s.pipeline.set_int(s.param, 2000);
     s.pipeline.refresh().expect("re-dirtied refresh");
     s.pipeline.wait_promotions();
-    s.pipeline.try_set_host_data(s.hx, &bytes).expect("upload");
+    s.pipeline.set_host_data(s.hx, &bytes);
     s.pipeline.run(1).expect("superseded run");
     let out = output(&s);
     let fresh = out.iter().zip(&xs).all(|(&y, &x)| y == x * 2000);
