@@ -70,15 +70,18 @@ cargo test --offline --release -q -p ks-core --test async_tier
 # only exist there. Its row kernels against the scalar definition in
 # ks_ir::eval, every (op, type) lane by lane; the portable copy against
 # the x86-64-v3 one (the unit tests); the 55 golden launches; the timing
-# memo; the worker grain; and the bad-address traps, whose address
-# arithmetic only wraps silently (rather than panicking) here. Then
+# memo; the launch cut with the benchmark's chunk sizes (a launch over
+# the share threshold split between threads, one under it kept off the
+# pool); and the bad-address traps, whose address arithmetic only wraps
+# silently (rather than panicking) here. Then
 # ks-analysis, whose abstract lanes run through the same SIMT control
 # core, with its golden, at that opt-level too. And both constant
 # folders — ks-opt's on IR, ks-codegen's on the HIR — against the
 # executor built the way the benchmark runs it.
 echo "== cargo test --release (the executor at opt-level 3)"
 cargo test --offline --release -q -p ks-sim --lib --test rows_vs_eval \
-    --test plan_equiv --test timing_memo --test worker_grain --test bad_address
+    --test plan_equiv --test timing_memo --test worker_grain --test sub_grain_launch \
+    --test bad_address
 cargo test --offline --release -q -p ks-analysis
 cargo test --offline --release -q -p ks-apps --test constfold_vs_executor
 # The same executor with overflow checks and debug assertions on

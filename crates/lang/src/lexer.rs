@@ -2,8 +2,9 @@
 //!
 //! Handles line (`//`) and block (`/* */`) comments, line continuations
 //! (`\` before newline, needed for multi-line `#define`s), decimal and hex
-//! integer literals with `u`/`U` suffix, and float literals with optional
-//! `f`/`F` suffix and exponents.
+//! integer literals with `u`/`U` suffix, float literals with optional
+//! `f`/`F` suffix and exponents, and string literals (kept as written,
+//! for `extern "C"`).
 
 use crate::token::{LangError, Punct, Tok, Token};
 
@@ -164,6 +165,31 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The text of a string literal whose opening quote is next, up to
+    /// the closing one; a backslash keeps the character after it. It
+    /// must close on its line.
+    fn lex_string(&mut self) -> Result<Tok, LangError> {
+        let open = self.err("unterminated string literal");
+        self.bump();
+        let start = self.pos;
+        loop {
+            match self.peek() {
+                Some(b'"') => break,
+                Some(b'\\') if !matches!(self.peek2(), None | Some(b'\n')) => {
+                    self.bump();
+                    self.bump();
+                }
+                None | Some(b'\n') | Some(b'\\') => return Err(open),
+                Some(_) => {
+                    self.bump();
+                }
+            }
+        }
+        let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+        self.bump();
+        Ok(Tok::Str(text))
+    }
+
     /// Whether the suffix has a `u`. A literal's type is decided where its
     /// width is known (`constexpr::literal_unsigned`); `l` is accepted and
     /// ignored.
@@ -303,6 +329,8 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
             || (c == b'.' && matches!(lx.peek2(), Some(d) if d.is_ascii_digit()))
         {
             lx.lex_number()?
+        } else if c == b'"' {
+            lx.lex_string()?
         } else {
             Tok::Punct(lx.lex_punct()?)
         };
@@ -413,6 +441,21 @@ mod tests {
                 Tok::ident("x")
             ]
         );
+    }
+
+    #[test]
+    fn string_literals_keep_their_text() {
+        assert_eq!(
+            toks(r#"extern "C" "a\"b" "#),
+            vec![
+                Tok::ident("extern"),
+                Tok::Str("C".into()),
+                Tok::Str(r#"a\"b"#.into()),
+            ]
+        );
+        let e = lex("a \"open\nb").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 3));
+        assert!(e.message.contains("unterminated string"), "{e}");
     }
 
     #[test]

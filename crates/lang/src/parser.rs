@@ -136,11 +136,28 @@ impl Parser {
             return Ok(Item::Texture(TextureDecl { name, elem }));
         }
         // Qualifiers can appear in any order: __global__, __device__,
-        // __constant__, __forceinline__, static, const.
+        // __constant__, __forceinline__, static, const, and the linkage
+        // `extern "C"`, which only a function definition takes.
         let mut kind: Option<FnKind> = None;
         let mut constant = false;
+        let mut linkage = None;
         loop {
-            if self.eat_ident("__global__") {
+            if self.eat_ident("extern") {
+                linkage = Some(self.pos - 1);
+                match self.bump() {
+                    Some(Tok::Str(s)) if s == "C" => {}
+                    Some(Tok::Str(s)) => {
+                        self.pos -= 1;
+                        return Err(self.err(format!(
+                            "unsupported linkage \"{s}\" (only extern \"C\" is accepted)"
+                        )));
+                    }
+                    _ => {
+                        self.pos -= 1;
+                        return Err(self.err("expected \"C\" after extern"));
+                    }
+                }
+            } else if self.eat_ident("__global__") {
                 kind = Some(FnKind::Kernel);
             } else if self.eat_ident("__device__") {
                 kind = Some(FnKind::Device);
@@ -160,6 +177,10 @@ impl Parser {
         let ty = self.try_type().ok_or_else(|| self.err("expected type"))?;
         let name = self.expect_ident()?;
         if constant {
+            if let Some(at) = linkage {
+                self.pos = at;
+                return Err(self.err("extern \"C\" applies to function definitions only"));
+            }
             let mut dims = Vec::new();
             while self.eat_punct(Punct::LBracket) {
                 dims.push(self.expr()?);

@@ -115,6 +115,8 @@ pub(crate) enum Tok {
         unsigned: bool,
     },
     Float(f32),
+    /// String literal: the text between the quotes, escapes as written.
+    Str(String),
     Punct(Punct),
 }
 
@@ -136,6 +138,7 @@ impl fmt::Display for Tok {
                 write!(f, "{value}{}", if *unsigned { "u" } else { "" })
             }
             Tok::Float(v) => write!(f, "{v}f"),
+            Tok::Str(s) => write!(f, "\"{s}\""),
             Tok::Punct(p) => f.write_str(p.as_str()),
         }
     }

@@ -98,6 +98,30 @@ fn errors_have_positions_and_stages() {
 }
 
 #[test]
+fn extern_c_linkage_is_accepted_and_changes_nothing() {
+    let body = "__global__ void k(float* y, float a) { y[threadIdx.x] = y[threadIdx.x] * a; }";
+    let ptx = |src: &str| {
+        let prog = check(src, &[]).unwrap();
+        let m = ks_codegen::compile(&prog, &ks_codegen::CodegenOptions::default()).unwrap();
+        ks_ir::printer::print_module(&m)
+    };
+    let plain = ptx(body);
+    assert!(plain.contains(".entry k"), "{plain}");
+    assert_eq!(ptx(&format!("extern \"C\" {body}")), plain);
+    assert_eq!(ptx(&format!("extern \"C\"\n{body}")), plain);
+
+    let e = check(&format!("extern \"C++\" {body}"), &[]).unwrap_err();
+    assert_eq!((e.stage, e.line, e.col), ("parse", 1, 8), "{e}");
+    assert!(e.message.contains("\"C++\""), "{e}");
+    let e = check(&format!("extern {body}"), &[]).unwrap_err();
+    assert_eq!((e.stage, e.line, e.col), ("parse", 1, 8), "{e}");
+    let e = check("extern \"C\" __constant__ float c[4];", &[]).unwrap_err();
+    assert_eq!((e.stage, e.line, e.col), ("parse", 1, 1), "{e}");
+    let e = check("extern \"C", &[]).unwrap_err();
+    assert_eq!((e.stage, e.line, e.col), ("lex", 1, 8), "{e}");
+}
+
+#[test]
 fn unsigned_literals_and_hex_pointers() {
     let src = r#"
         __global__ void k(float* o) {

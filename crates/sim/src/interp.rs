@@ -561,6 +561,27 @@ impl<const TIMING: bool> Domain for Block<'_, '_, TIMING> {
         )
     }
 
+    /// One loop over [`exec_op`]: the control core matches an op's kind
+    /// only where a run ends, so each warp-instruction is dispatched once.
+    #[inline(always)]
+    fn exec_run(
+        &mut self,
+        w: &mut WarpState,
+        ops: &[Op],
+        first_pc: u32,
+        mask: u32,
+    ) -> Result<(), SimError> {
+        let (env, block_idx) = (self.env, self.block_idx);
+        for (pc, op) in (first_pc..).zip(ops) {
+            // Opaque per op: otherwise every mask-derived value of every
+            // row kernel is hoisted to the run's entry and spilled, which
+            // costs more than it saves on runs of a few ops.
+            let mask = std::hint::black_box(mask);
+            exec_op::<TIMING>(env, block_idx, w, op, pc, mask, self.shared, self.state)?;
+        }
+        Ok(())
+    }
+
     #[inline(always)]
     fn taken(&mut self, w: &mut WarpState, op: &Op, _pc: u32, mask: u32) -> Result<u32, SimError> {
         if TIMING {

@@ -361,16 +361,31 @@ fn apply_silent_flip(state: &mut DeviceState, report: &LaunchReport, entropy: u6
     }
 }
 
-/// Fewest warp-instructions a launch cuts off as a chunk another thread
-/// may take: about a millisecond of one core, against the tens of
-/// microseconds a parked pool worker takes to wake. A launch under twice
-/// this is one chunk and never leaves the calling thread: no wake-up, no
-/// second register file.
-const WORKER_GRAIN_WARP_INSTS: u64 = 1 << 15;
+/// Fewest warp-instructions one call of [`run_blocks`] must hold before
+/// it is shared with a pool worker: about a third of a millisecond of one
+/// core, against the 10–50 µs a parked worker takes to wake. A call under
+/// it is one chunk on the calling thread: no wake-up, no second register
+/// file, and a process whose launches all stay under it never starts the
+/// pool.
+const SHARE_WARP_INSTS: u64 = 1 << 15;
 
-/// How many blocks of `warp_insts_per_block` make up the worker grain.
-fn blocks_per_worker(warp_insts_per_block: u64) -> usize {
-    WORKER_GRAIN_WARP_INSTS.div_ceil(warp_insts_per_block.max(1)) as usize
+/// Fewest warp-instructions in one chunk of a shared call. Fine chunks
+/// let the participants finish together (a worker's chunks run slower
+/// than the caller's, and it enters late); the shim's cap of a few chunks
+/// per participant keeps their claims cheap.
+const CHUNK_WARP_INSTS: u64 = 1 << 12;
+
+/// The fewest blocks in one chunk of a call that runs `blocks` blocks of
+/// about `warp_insts_per_block` each: all of them (one chunk) when the
+/// call is under [`SHARE_WARP_INSTS`], otherwise [`CHUNK_WARP_INSTS`]'
+/// worth. Counts, not clocks, so a launch is always cut the same way.
+fn min_chunk_blocks(warp_insts_per_block: u64, blocks: usize) -> usize {
+    let per_block = warp_insts_per_block.max(1);
+    if per_block.saturating_mul(blocks as u64) < SHARE_WARP_INSTS {
+        blocks.max(1)
+    } else {
+        CHUNK_WARP_INSTS.div_ceil(per_block) as usize
+    }
 }
 
 /// A launch's block scratches that no worker is using. A worker takes
@@ -402,21 +417,23 @@ impl Drop for Lent<'_> {
     }
 }
 
-/// Run `blocks` through the parallel iterator in chunks of no fewer than
-/// `min_blocks`, each participating thread running all of its blocks on
-/// one scratch. Returns the per-block stats in `blocks` order when `TIMING`,
-/// nothing otherwise (there are none to keep).
+/// Run `blocks`, of about `warp_insts_per_block` each, through the
+/// parallel iterator in chunks cut by [`min_chunk_blocks`], each
+/// participating thread running all of its blocks on one scratch. Returns
+/// the per-block stats in `blocks` order when `TIMING`, nothing otherwise
+/// (there are none to keep).
 fn run_blocks<const TIMING: bool>(
     env: &LaunchEnv<'_>,
     idle: &IdleScratches,
     blocks: &[u64],
-    min_blocks: usize,
+    warp_insts_per_block: u64,
 ) -> Result<Vec<ExecStats>, SimError> {
     let borrow = || Lent::new(env, idle);
     let run = |lent: &mut Lent<'_>, &b: &u64| {
         let scratch = lent.scratch.as_mut().expect("held until drop");
         run_block::<TIMING>(env, block_index(b, env.grid_dim), scratch)
     };
+    let min_blocks = min_chunk_blocks(warp_insts_per_block, blocks.len());
     let blocks = blocks.par_iter().with_min_len(min_blocks);
     if TIMING {
         blocks.map_init(borrow, run).collect()
@@ -512,13 +529,13 @@ fn launch_inner(
         None => {
             // The first block runs alone; its instruction count says
             // whether the others are worth a worker thread.
-            let mut samples = run_blocks::<true>(&env, &idle, &sample_ids[..1], 1)?;
-            let min_blocks = blocks_per_worker(samples[0].dyn_insts);
+            let mut samples = run_blocks::<true>(&env, &idle, &sample_ids[..1], 0)?;
+            let per_block = samples[0].dyn_insts;
             samples.extend(run_blocks::<true>(
                 &env,
                 &idle,
                 &sample_ids[1..],
-                min_blocks,
+                per_block,
             )?);
             Arc::from(samples)
         }
@@ -536,12 +553,7 @@ fn launch_inner(
         blocks.extend((0..nblocks).filter(|&b| !is_sample(b)));
     }
     let sample_insts: u64 = per_block_samples.iter().map(|s| s.dyn_insts).sum();
-    run_blocks::<false>(
-        &env,
-        &idle,
-        &blocks,
-        blocks_per_worker(sample_insts / sample_n),
-    )?;
+    run_blocks::<false>(&env, &idle, &blocks, sample_insts / sample_n)?;
     let functional_time = sampled.elapsed();
     let mut sample_time = sampled - planned;
     let mut sample_stats = ExecStats::default();
@@ -664,4 +676,45 @@ fn launch_inner(
         host_functional_us: us(functional_time),
     };
     Ok((report, outcome))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Whether the shim shares a call of `blocks` blocks cut at `min`:
+    /// it opens a job only when two chunks of `min` fit.
+    fn shared(blocks: usize, min: usize) -> bool {
+        blocks / min >= 2
+    }
+
+    #[test]
+    fn stream_launches_are_shared_in_chunks_of_the_chunk_grain() {
+        // (blocks, warp-instructions per block) of one `stream` round:
+        // piv_ssd, backproject, window_stats, numerator_tiles; then
+        // `churn`'s largest backproject.
+        for (blocks, per_block) in [(189, 1214), (108, 1980), (144, 566), (36, 1700), (48, 922)] {
+            let min = min_chunk_blocks(per_block, blocks);
+            assert!(shared(blocks, min), "{blocks} x {per_block}: {min}");
+            assert!(
+                min as u64 * per_block >= CHUNK_WARP_INSTS,
+                "{blocks} x {per_block}"
+            );
+        }
+    }
+
+    #[test]
+    fn calls_under_the_share_threshold_are_one_chunk() {
+        // The largest `adapt` and `restart` launches (piv_ssd), a 23 k
+        // `churn` backproject, a call just under the threshold, and a
+        // degenerate one.
+        for (blocks, per_block) in [(4, 3081), (25, 352), (48, 496), (32, 1023), (1, 0)] {
+            let min = min_chunk_blocks(per_block, blocks);
+            assert!(per_block * (blocks as u64) < SHARE_WARP_INSTS);
+            assert!(!shared(blocks, min), "{blocks} x {per_block}: {min}");
+            assert!(min >= blocks, "{blocks} x {per_block}: {min}");
+        }
+        // From the threshold on, a call is shared.
+        assert!(shared(32, min_chunk_blocks(1024, 32)));
+    }
 }

@@ -189,6 +189,14 @@ pub enum Kind {
     Ret,
 }
 
+impl Kind {
+    /// Whether the control core acts on the op (`crate::simt`): a `Bar`,
+    /// `Ret`, `Br` or `CondBr`. Every other op goes to the domain.
+    pub(crate) fn is_control(self) -> bool {
+        matches!(self, Kind::Bar | Kind::Ret | Kind::Br | Kind::CondBr { .. })
+    }
+}
+
 /// Where a conditional branch goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Branch {
@@ -272,6 +280,11 @@ pub struct LaunchPlan {
     pub(crate) num_vregs: usize,
     /// Instructions and terminators in block-layout order.
     pub(crate) ops: Vec<Op>,
+    /// Per pc, the length of its straight-line run: how many ops from it
+    /// on come before the first `Bar`, `Ret`, `Br` or `CondBr` (the ops
+    /// the control core acts on, `crate::simt`), at most `u8::MAX`. A
+    /// byte per op, a thirty-second of the op itself.
+    pub(crate) run_len: Vec<u8>,
     /// First pc of each basic block.
     pub(crate) block_pc: Vec<u32>,
     /// Broadcast rows of the distinct immediates, addressed after the
@@ -361,6 +374,16 @@ impl LaunchPlan {
         }
 
         let banks = Banks::place(&mut ops, f, &d.imm_rows);
+        let mut run_len = vec![0; ops.len()];
+        let mut len = 0u8;
+        for (pc, op) in ops.iter().enumerate().rev() {
+            len = if op.kind.is_control() {
+                0
+            } else {
+                len.saturating_add(1)
+            };
+            run_len[pc] = len;
+        }
         let timing_memo = timing_is_data_independent(&ops, f.num_vregs()).then(TimingMemo::default);
         let const_reads = ConstReads::of(&ops);
         let entry_live = ks_ir::cfg::liveness(f, &cfg)
@@ -379,6 +402,7 @@ impl LaunchPlan {
             static_insts: f.static_inst_count(),
             num_vregs: f.num_vregs(),
             ops,
+            run_len,
             block_pc,
             imm_rows: d.imm_rows,
             imm32_rows,
@@ -1073,6 +1097,26 @@ mod tests {
         assert_eq!(p.block_of(2), BlockId(0));
         assert_eq!(p.block_of(3), BlockId(1));
         assert!(p.entry_live.is_empty());
+    }
+
+    #[test]
+    fn run_lengths_count_up_to_the_next_control_op_and_saturate() {
+        // BB0: 300 movs; br BB1   BB1: ret
+        let f = func(
+            vec![
+                (
+                    (0..300).map(|i| mov(0, Operand::ImmI(i))).collect(),
+                    Terminator::Br { target: BlockId(1) },
+                ),
+                (vec![], Terminator::Ret),
+            ],
+            1,
+        );
+        let p = LaunchPlan::from_function(&f);
+        assert_eq!(p.run_len.len(), 302);
+        assert_eq!(&p.run_len[..46], &[255; 46][..]);
+        assert_eq!((p.run_len[46], p.run_len[299]), (254, 1));
+        assert_eq!((p.run_len[300], p.run_len[301]), (0, 0));
     }
 
     #[test]

@@ -31,6 +31,24 @@ pub trait Domain {
     fn exec(&mut self, w: &mut Self::Lanes, op: &Op, pc: u32, mask: u32)
         -> Result<(), Self::Error>;
 
+    /// Execute `ops`, a straight-line run whose first op is at `first_pc`
+    /// (none of them a `Bar`, `Ret`, `Br` or `CondBr`), in order for the
+    /// lanes in `mask`, stopping at the first error. One [`Domain::exec`]
+    /// per op by default.
+    #[inline(always)]
+    fn exec_run(
+        &mut self,
+        w: &mut Self::Lanes,
+        ops: &[Op],
+        first_pc: u32,
+        mask: u32,
+    ) -> Result<(), Self::Error> {
+        for (pc, op) in (first_pc..).zip(ops) {
+            self.exec(w, op, pc, mask)?;
+        }
+        Ok(())
+    }
+
     /// The lanes of `mask` that take the conditional branch `op`.
     fn taken(
         &mut self,
@@ -176,7 +194,10 @@ pub(crate) fn release<D: Domain>(d: &mut D, warps: &mut [Warp<D::Lanes>]) -> Res
 }
 
 /// Execute a warp until it finishes, parks at a barrier, or has spent
-/// `budget` (terminators count, reconvergence pops do not). The event
+/// `budget` (terminators count, reconvergence pops do not). The ops
+/// between two control ops go to the domain as one run
+/// ([`Domain::exec_run`], cut short where the budget ends), so the core
+/// matches only the `Bar`, `Ret`, `Br` and `CondBr` it acts on. The event
 /// scheduler interleaves warps with a budget of one.
 #[inline(always)]
 pub(crate) fn run_warp<D: Domain>(
@@ -204,80 +225,87 @@ pub(crate) fn run_warp<D: Domain>(
             w.stack.pop();
             continue;
         }
-        // Straight-line ops of this frame. Only a branch can land on a
-        // reconvergence pc, so the frame is re-examined after each.
-        loop {
-            let op = &ops[pc as usize];
-            pc += 1;
-            *budget -= 1;
-            match op.kind {
-                Kind::Bar => {
-                    w.stack.last_mut().expect("frame").pc = pc;
-                    d.charge(&mut w.state, Kind::Bar);
-                    if w.stack.len() > 1 {
-                        return Err(d.divergent_barrier(&w.state, pc - 1, mask));
+        // The straight-line run from `pc`, as far as the budget reaches,
+        // in one call; then the op that ends it. Only a branch can land
+        // on a reconvergence pc, so the frame is re-examined after it.
+        let len = u64::from(plan.run_len[pc as usize]).min(*budget) as u32;
+        if len > 0 {
+            let end = pc + len;
+            d.exec_run(&mut w.state, &ops[pc as usize..end as usize], pc, mask)?;
+            *budget -= u64::from(len);
+            pc = end;
+            if *budget == 0 {
+                w.stack.last_mut().expect("frame").pc = pc;
+                return Ok(WarpStop::Budget);
+            }
+        }
+        let op = &ops[pc as usize];
+        if !op.kind.is_control() {
+            // A run longer than the plan records goes on as the next.
+            w.stack.last_mut().expect("frame").pc = pc;
+            continue;
+        }
+        pc += 1;
+        *budget -= 1;
+        match op.kind {
+            Kind::Bar => {
+                w.stack.last_mut().expect("frame").pc = pc;
+                d.charge(&mut w.state, Kind::Bar);
+                if w.stack.len() > 1 {
+                    return Err(d.divergent_barrier(&w.state, pc - 1, mask));
+                }
+                w.at_barrier = true;
+                return Ok(WarpStop::Barrier);
+            }
+            Kind::Ret => {
+                if w.stack.len() > 1 {
+                    return Err(d.divergent_return(pc - 1));
+                }
+                d.charge(&mut w.state, Kind::Ret);
+                w.done = true;
+                return Ok(WarpStop::Done);
+            }
+            Kind::Br => {
+                d.charge(&mut w.state, Kind::Br);
+                w.stack.last_mut().expect("frame").pc = op.imm as u32;
+            }
+            Kind::CondBr { .. } => {
+                let Branch {
+                    then_pc,
+                    else_pc,
+                    reconv: join,
+                } = plan.branches[op.imm as usize];
+                let taken = d.taken(&mut w.state, op, pc - 1, mask)?;
+                let not_taken = mask & !taken;
+                let fr = w.stack.last_mut().expect("frame");
+                if not_taken == 0 {
+                    fr.pc = then_pc;
+                } else if taken == 0 {
+                    fr.pc = else_pc;
+                } else {
+                    // Divergence: the current frame becomes the
+                    // reconvergence continuation; push else then then
+                    // (then runs first).
+                    if join == NONE {
+                        return Err(d.fault(format!(
+                            "divergent branch in {} without a reconvergence point",
+                            plan.block_of(pc - 1)
+                        )));
                     }
-                    w.at_barrier = true;
-                    return Ok(WarpStop::Barrier);
-                }
-                Kind::Ret => {
-                    if w.stack.len() > 1 {
-                        return Err(d.divergent_return(pc - 1));
-                    }
-                    d.charge(&mut w.state, Kind::Ret);
-                    w.done = true;
-                    return Ok(WarpStop::Done);
-                }
-                Kind::Br => {
-                    d.charge(&mut w.state, Kind::Br);
-                    w.stack.last_mut().expect("frame").pc = op.imm as u32;
-                    break;
-                }
-                Kind::CondBr { .. } => {
-                    let Branch {
-                        then_pc,
-                        else_pc,
+                    fr.pc = join;
+                    w.stack.push(Frame {
+                        pc: else_pc,
                         reconv: join,
-                    } = plan.branches[op.imm as usize];
-                    let taken = d.taken(&mut w.state, op, pc - 1, mask)?;
-                    let not_taken = mask & !taken;
-                    let fr = w.stack.last_mut().expect("frame");
-                    if not_taken == 0 {
-                        fr.pc = then_pc;
-                    } else if taken == 0 {
-                        fr.pc = else_pc;
-                    } else {
-                        // Divergence: the current frame becomes the
-                        // reconvergence continuation; push else then then
-                        // (then runs first).
-                        if join == NONE {
-                            return Err(d.fault(format!(
-                                "divergent branch in {} without a reconvergence point",
-                                plan.block_of(pc - 1)
-                            )));
-                        }
-                        fr.pc = join;
-                        w.stack.push(Frame {
-                            pc: else_pc,
-                            reconv: join,
-                            mask: not_taken,
-                        });
-                        w.stack.push(Frame {
-                            pc: then_pc,
-                            reconv: join,
-                            mask: taken,
-                        });
-                    }
-                    break;
-                }
-                _ => {
-                    d.exec(&mut w.state, op, pc - 1, mask)?;
-                    if *budget == 0 {
-                        w.stack.last_mut().expect("frame").pc = pc;
-                        return Ok(WarpStop::Budget);
-                    }
+                        mask: not_taken,
+                    });
+                    w.stack.push(Frame {
+                        pc: then_pc,
+                        reconv: join,
+                        mask: taken,
+                    });
                 }
             }
+            _ => unreachable!("matched as a control op above"),
         }
     }
 }

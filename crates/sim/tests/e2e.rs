@@ -1025,3 +1025,38 @@ fn keyed_launch_scopes_flips_to_one_variant() {
     assert_eq!(plan.injected_count(), 1);
     assert_ne!(st.global.read_i32_slice(p, 32).unwrap(), clean);
 }
+
+#[test]
+fn straight_line_runs_longer_than_the_plan_records_run_whole() {
+    // Over 255 straight-line ops in one block: the control core hands
+    // them to the domain in pieces. Event timing steps one op at a time.
+    let src = r#"
+        __global__ void chain(int* o, int a) {
+            int x = a + (int)threadIdx.x;
+            #pragma unroll
+            for (int k = 0; k < 200; k++) { x = x * 3 + k; }
+            o[threadIdx.x] = x;
+        }
+    "#;
+    let m = module(src, &[]);
+    let expect: Vec<i32> = (0..64)
+        .map(|t| (0..200).fold(5 + t, |x: i32, k| x.wrapping_mul(3).wrapping_add(k)))
+        .collect();
+    for event_timing in [false, true] {
+        let mut st = state();
+        let o = st.global.alloc(64 * 4).unwrap();
+        let opts = LaunchOptions {
+            event_timing,
+            ..LaunchOptions::default()
+        };
+        let (dims, args) = (LaunchDims::linear(1, 64), [KArg::Ptr(o), KArg::I32(5)]);
+        let report = launch(&mut st, &m, "chain", dims, &args, opts).unwrap();
+        assert!(report.static_insts > 400, "{}", report.static_insts);
+        let raw = st.global.read_bytes(o, 64 * 4).unwrap();
+        let got: Vec<i32> = raw
+            .chunks_exact(4)
+            .map(|b| i32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        assert_eq!(got, expect);
+    }
+}
