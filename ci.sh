@@ -23,6 +23,17 @@ if perl -0777 -ne 'print "$ARGV\n" if /ks_sim::(launch\b(?![_:])|\*)|use ks_sim:
     exit 1
 fi
 
+# The architecture macro is defined in one place, ks-core's compile:
+# a tool that defined it itself would build a module the device's
+# compile does not (ks-lint, ks-verify and ks-prof compile through
+# ks_core::Compiler). Tests may spell it to rebuild a compile by hand.
+echo "== __CUDA_ARCH__ is defined only by ks-core"
+if grep -rlF '"__CUDA_ARCH__"' --include='*.rs' crates/*/src examples \
+    | grep -v '^crates/core/src/'; then
+    echo "the files above define __CUDA_ARCH__; compile through ks_core::Compiler" >&2
+    exit 1
+fi
+
 # Every example is a checked step below: one that no step runs is only
 # ever built (by clippy), and its output can rot unnoticed.
 echo "== every example is run by a --example step"
@@ -292,7 +303,7 @@ fi
 rm -f "$VERIFY_OUT"
 
 lint() {
-    cargo run --offline --release -q -p ks-analysis --bin ks-lint -- \
+    cargo run --offline --release -q -p ks-apps --bin ks-lint -- \
         --deny KSA004 --deny KSA005 "$@"
 }
 

@@ -122,61 +122,3 @@ fn clean_kernel_is_clean_and_re_needs_an_assumption() {
     assert!(r.diagnostics.is_empty(), "{}", r.render());
     assert!(r.inconclusive.is_empty(), "{:?}", r.inconclusive);
 }
-
-#[test]
-fn ks_lint_cli_exit_codes_and_report() {
-    let lint = env!("CARGO_BIN_EXE_ks-lint");
-    let fixture = |name: &str| format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-
-    let out = std::process::Command::new(lint)
-        .args([&fixture("shared_race.cu"), "--block", "64"])
-        .output()
-        .expect("run ks-lint");
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "race fixture must fail the lint"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("KSA001"), "stderr: {stderr}");
-
-    let out = std::process::Command::new(lint)
-        .args([
-            &fixture("clean.cu"),
-            "--block",
-            "64",
-            "-A",
-            "n=128",
-            "--device",
-            "tesla_c1060",
-            "-v",
-        ])
-        .output()
-        .expect("run ks-lint");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "clean fixture must pass: {stderr}"
-    );
-
-    // Allowing the lint turns failure into success.
-    let out = std::process::Command::new(lint)
-        .args([
-            &fixture("shared_race.cu"),
-            "--block",
-            "64",
-            "--allow",
-            "KSA001",
-        ])
-        .output()
-        .expect("run ks-lint");
-    assert_eq!(out.status.code(), Some(0));
-
-    // Unknown files and bad flags are usage errors, not lint failures.
-    let out = std::process::Command::new(lint)
-        .args(["does_not_exist.cu"])
-        .output()
-        .expect("run ks-lint");
-    assert_eq!(out.status.code(), Some(2));
-}

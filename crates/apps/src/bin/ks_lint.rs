@@ -1,13 +1,17 @@
 //! `ks-lint` — compile a kernel source and run the KSA analysis suite.
 //!
 //! ```text
-//! cargo run -p ks-analysis --bin ks-lint -- kernel.cu -D N=64 --block 64
+//! cargo run -p ks-apps --bin ks-lint -- kernel.cu -D N=64 --block 64
 //! ```
+//!
+//! The kernel is compiled by `ks_core::Compiler` for the chosen device,
+//! so the module analyzed is the one that device would run.
 //!
 //! Exit status: 0 when no deny-level diagnostics fired, 1 when at least
 //! one did, 2 on usage or compile errors.
 
 use ks_analysis::{analyze_module, AnalysisConfig, LintCode, ParamValue, Severity};
+use ks_core::{Compiler, Defines};
 use ks_sim::device::DeviceConfig;
 use std::process::ExitCode;
 
@@ -165,21 +169,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 fn run(args: &Args) -> Result<bool, String> {
     let source = std::fs::read_to_string(&args.source_path)
         .map_err(|e| format!("cannot read {}: {e}", args.source_path))?;
-
-    // Mirror ks-core: inject the architecture macro for the target device.
-    let mut defines = vec![(
-        "__CUDA_ARCH__".to_string(),
-        format!("{}{}0", args.device.cc_major, args.device.cc_minor),
-    )];
-    defines.extend(args.defines.iter().cloned());
-
-    let program = ks_lang::frontend(&source, &defines).map_err(|e| e.to_string())?;
-    let mut module = ks_codegen::compile(&program, &ks_codegen::CodegenOptions::default())?;
-    ks_opt::optimize_module_with(&mut module, &ks_opt::OptConfig::default());
-    let verify = ks_ir::verify_module(&module);
-    if let Some(e) = verify.first() {
-        return Err(format!("IR verification failed: {e}"));
-    }
+    let defines = args
+        .defines
+        .iter()
+        .fold(Defines::new(), |d, (n, v)| d.def(n, v));
+    let bin = Compiler::new(args.device.clone())
+        .compile(&source, &defines)
+        .map_err(|e| e.message)?;
+    let mut module = ks_ir::Module::clone(&bin.module);
 
     if let Some(k) = &args.kernel {
         module.functions.retain(|f| &f.name == k);

@@ -1,9 +1,10 @@
 //! ks-verify: translation validation from the command line.
 //!
 //! Validates the real compilation pipeline for one kernel — every
-//! codegen stage and optimization pass must preserve the kernel's
-//! symbolic summary — and checks that the specialized (SK) build is
-//! equivalent to the generic (RE) build under its `-D` bindings.
+//! codegen stage and optimization pass of the Tesla C2070 compile must
+//! preserve the kernel's symbolic summary — and checks that the
+//! specialized (SK) build is equivalent to the generic (RE) build under
+//! its `-D` bindings.
 //!
 //! ```text
 //! ks-verify --kernel template_match --check all
@@ -17,6 +18,11 @@
 //! or any escaped mutation.
 
 use ks_apps::{backproj, piv, template_match};
+use ks_codegen::CodegenOptions;
+use ks_core::{Compiler, Defines, ValidationConfig};
+use ks_opt::OptConfig;
+use ks_sim::DeviceConfig;
+use ks_trace::names;
 use ks_verify::{check_specialization, mutate, Limits, VerifyReport};
 
 fn usage() -> ! {
@@ -34,9 +40,10 @@ fn arg_value(args: &[String], name: &str) -> Option<String> {
         .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
 }
 
-/// All `-D NAME=VALUE` pairs, in order.
-fn arg_defines(args: &[String]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
+/// The `-D NAME=VALUE` pairs, in order; a later one replaces an earlier
+/// one of the same name, as in `Defines::def`.
+fn arg_defines(args: &[String]) -> Defines {
+    let mut out = Defines::new();
     let mut i = 0;
     while i < args.len() {
         if args[i] == "-D" {
@@ -45,7 +52,7 @@ fn arg_defines(args: &[String]) -> Vec<(String, String)> {
                 eprintln!("ks-verify: -D expects NAME=VALUE, got {kv:?}");
                 usage();
             };
-            out.push((k.to_string(), v.to_string()));
+            out = out.def(k, v);
             i += 2;
         } else {
             i += 1;
@@ -128,8 +135,7 @@ fn main() {
     if defines.is_empty() {
         defines = canonical_defines(&kernel)
             .into_iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
+            .fold(Defines::new(), |d, (k, v)| d.def(k, v));
     }
     let check = arg_value(&args, "--check").unwrap_or_else(|| "all".into());
     if !matches!(check.as_str(), "pipeline" | "spec" | "all") {
@@ -169,20 +175,41 @@ fn main() {
         }
     } else {
         if check == "pipeline" || check == "all" {
-            // Validate both the specialized and the generic build.
-            for (label, defs) in [("sk", defines.clone()), ("re", vec![])] {
+            // Validate both the specialized and the generic build, each
+            // as the C2070 compiler builds it, with every stage and pass
+            // checked. The check counts are the compile's own counters.
+            let validated =
+                Compiler::new(DeviceConfig::tesla_c2070()).with_validation(ValidationConfig {
+                    limits,
+                    deny: false,
+                });
+            let reg = ks_trace::registry();
+            let counts = || {
+                (
+                    reg.counter_value(names::VERIFY_CHECKS) as usize,
+                    reg.counter_value(names::VERIFY_BLOCK_FALLBACKS) as usize,
+                )
+            };
+            for (label, defs) in [("sk", &defines), ("re", &Defines::new())] {
                 let run = if defs.is_empty() && !defines.is_empty() {
                     format!("{kernel} {label}")
                 } else {
-                    format!("{kernel} {label} [{}]", render_defs(&defs))
+                    format!("{kernel} {label} [{}]", render_defs(defs.items()))
                 };
-                match ks_verify::validate_pipeline(&source, &defs, limits) {
-                    Ok(report) => {
+                let (checks, fallbacks) = counts();
+                match validated.compile(&source, defs) {
+                    Ok(bin) => {
+                        let (checks_after, fallbacks_after) = counts();
+                        let report = VerifyReport {
+                            checks: checks_after - checks,
+                            block_fallbacks: fallbacks_after - fallbacks,
+                            findings: bin.verification.clone(),
+                        };
                         failed |= report.error_count() > 0;
                         emit(&report, jsonl, &format!("pipeline {run}"));
                     }
                     Err(e) => {
-                        eprintln!("ks-verify: {run}: {e}");
+                        eprintln!("ks-verify: {run}: {}", e.message);
                         std::process::exit(1);
                     }
                 }
@@ -192,19 +219,29 @@ fn main() {
             }
         }
         if (check == "spec" || check == "all") && !defines.is_empty() {
-            let build = |defs: &[(String, String)]| {
-                let prog = ks_lang::frontend(&source, defs).map_err(|e| e.to_string())?;
-                ks_codegen::compile(&prog, &ks_codegen::CodegenOptions::default())
-                    .map_err(|e| e.to_string())
-            };
-            match (build(&[]), build(&defines)) {
+            // RE and SK as the HIR stages leave them, unoptimized.
+            let staged = Compiler::with_passes(
+                DeviceConfig::tesla_c2070(),
+                CodegenOptions::default(),
+                OptConfig::none(),
+            );
+            match (
+                staged.compile(&source, Defines::new()),
+                staged.compile(&source, &defines),
+            ) {
                 (Ok(re), Ok(sk)) => {
-                    let report = check_specialization(&re, &sk, &source, &defines, limits);
+                    let report = check_specialization(
+                        &re.module,
+                        &sk.module,
+                        &source,
+                        defines.items(),
+                        limits,
+                    );
                     failed |= report.error_count() > 0;
                     emit(&report, jsonl, &format!("spec {kernel}"));
                 }
                 (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("ks-verify: {kernel}: {e}");
+                    eprintln!("ks-verify: {kernel}: {}", e.message);
                     std::process::exit(1);
                 }
             }
@@ -221,15 +258,18 @@ fn render_defs(defs: &[(String, String)]) -> String {
         .join(" ")
 }
 
-/// Build the optimized module, seed mutations into every function, and
+/// Compile the optimized module, seed mutations into every function, and
 /// require the opt-step checker to flag each one. Returns (caught, total).
 fn mutation_smoke(
     source: &str,
-    defines: &[(String, String)],
+    defines: &Defines,
     seed: u64,
     limits: Limits,
 ) -> Result<(usize, usize), String> {
-    let m = ks_verify::build_optimized(source, defines)?;
+    let bin = Compiler::new(DeviceConfig::tesla_c2070())
+        .compile(source, defines)
+        .map_err(|e| e.message)?;
+    let m = &*bin.module;
     let ctx = ks_ir::Module {
         functions: vec![],
         consts: m.consts.clone(),

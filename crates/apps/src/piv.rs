@@ -281,56 +281,6 @@ pub fn run_gpu_with(
     })
 }
 
-/// Sub-pixel displacement refinement: a three-point parabolic fit through
-/// the SSD minimum and its axis neighbours (standard PIV peak
-/// interpolation). Returns per-mask displacements with fractional parts.
-pub fn subpixel_displacements(prob: &PivProblem, scores: &[f32]) -> Vec<(f32, f32)> {
-    let no = prob.num_offsets();
-    let (ow, oh) = (prob.offs_w, prob.offs_h);
-    (0..prob.num_masks())
-        .map(|m| {
-            let row = &scores[m * no..(m + 1) * no];
-            let best = row
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let (bx, by) = (best % ow, best / ow);
-            let parabolic = |l: f32, c: f32, r: f32| -> f32 {
-                let denom = l - 2.0 * c + r;
-                if denom.abs() < 1e-12 {
-                    0.0
-                } else {
-                    (0.5 * (l - r) / denom).clamp(-0.5, 0.5)
-                }
-            };
-            let fx = if bx > 0 && bx + 1 < ow {
-                parabolic(
-                    row[by * ow + bx - 1],
-                    row[by * ow + bx],
-                    row[by * ow + bx + 1],
-                )
-            } else {
-                0.0
-            };
-            let fy = if by > 0 && by + 1 < oh {
-                parabolic(
-                    row[(by - 1) * ow + bx],
-                    row[by * ow + bx],
-                    row[(by + 1) * ow + bx],
-                )
-            } else {
-                0.0
-            };
-            (
-                bx as f32 - (ow / 2) as f32 + fx,
-                by as f32 - (oh / 2) as f32 + fy,
-            )
-        })
-        .collect()
-}
-
 /// Multi-threaded CPU reference: direct SSD evaluation.
 pub fn cpu_ssd(prob: &PivProblem, scen: &PivScenario, threads: usize) -> Vec<f32> {
     let no = prob.num_offsets();
@@ -570,30 +520,6 @@ mod tests {
         // RE keeps the accumulator array in local memory; SK scalarizes it.
         assert!(re.run.reports[0].local_bytes_per_thread > 0);
         assert_eq!(sk.run.reports[0].local_bytes_per_thread, 0);
-    }
-
-    #[test]
-    fn subpixel_refinement_tracks_fractional_flow() {
-        // Integer SSD scores from a synthetic quadratic bowl centred at a
-        // fractional offset: the parabolic fit must recover the fraction.
-        let prob = small_problem();
-        let no = prob.num_offsets();
-        let (cx, cy) = (1.4f32, -0.7f32); // true displacement
-        let mut scores = vec![0.0f32; prob.num_masks() * no];
-        for m in 0..prob.num_masks() {
-            for o in 0..no {
-                let dx = (o % prob.offs_w) as f32 - (prob.offs_w / 2) as f32;
-                let dy = (o / prob.offs_w) as f32 - (prob.offs_h / 2) as f32;
-                scores[m * no + o] = (dx - cx).powi(2) + (dy - cy).powi(2);
-            }
-        }
-        for (fx, fy) in subpixel_displacements(&prob, &scores) {
-            assert!((fx - cx).abs() < 0.05, "x: {fx} vs {cx}");
-            assert!((fy - cy).abs() < 0.05, "y: {fy} vs {cy}");
-        }
-        // Integer argmin alone cannot do this.
-        let ints = displacements(&prob, &scores);
-        assert!(ints.iter().all(|d| *d == (1, -1)));
     }
 
     #[test]

@@ -419,32 +419,6 @@ pub fn run_gpu(
     })
 }
 
-/// Match several templates against the same frame (Table 5.1's "template
-/// number" column: each patient tracks multiple templates per frame). The
-/// per-region specialized binaries are shared across templates via the
-/// compiler cache, so only the first template pays compilation.
-pub fn run_gpu_multi(
-    compiler: &Compiler,
-    variant: Variant,
-    prob: &MatchProblem,
-    imp: &MatchImpl,
-    frame: &Image,
-    templates: &[Image],
-    functional: bool,
-) -> Result<Vec<MatchOutput>, Box<dyn std::error::Error>> {
-    templates
-        .iter()
-        .map(|t| {
-            let scen = MatchScenario {
-                frame: frame.clone(),
-                template: t.clone(),
-                truth: (0, 0), // unknown here; caller scores via NCC
-            };
-            run_gpu(compiler, variant, prob, imp, &scen, functional)
-        })
-        .collect()
-}
-
 /// Multi-threaded CPU reference (Figure 5.7): each thread computes the
 /// full correlation for a stripe of shift offsets.
 pub fn cpu_ncc(prob: &MatchProblem, frame: &Image, template: &Image, threads: usize) -> Vec<f32> {
@@ -582,50 +556,6 @@ mod tests {
             sk.run.sim_ms,
             re.run.sim_ms
         );
-    }
-
-    #[test]
-    fn multi_template_tracking_shares_compiled_binaries() {
-        let prob = small_problem();
-        // One frame containing template A at its truth spot; template B is
-        // unrelated and must score lower at every offset.
-        let scen = match_scenario(
-            prob.frame_w,
-            prob.frame_h,
-            prob.templ_w,
-            prob.templ_h,
-            prob.shift_w,
-            prob.shift_h,
-            21,
-        );
-        let other = crate::synth::textured_image(prob.templ_w, prob.templ_h, 999);
-        let compiler = Compiler::new(DeviceConfig::tesla_c1060());
-        let imp = MatchImpl {
-            tile_w: 8,
-            tile_h: 8,
-            threads: 64,
-        };
-        let outs = run_gpu_multi(
-            &compiler,
-            Variant::Sk,
-            &prob,
-            &imp,
-            &scen.frame,
-            &[scen.template.clone(), other],
-            true,
-        )
-        .unwrap();
-        assert_eq!(outs.len(), 2);
-        assert_eq!(outs[0].best(prob.shift_w), scen.truth);
-        let best_a = outs[0].ncc.iter().cloned().fold(f32::MIN, f32::max);
-        let best_b = outs[1].ncc.iter().cloned().fold(f32::MIN, f32::max);
-        assert!(
-            best_a > 0.9 && best_a > best_b + 0.2,
-            "A {best_a} vs B {best_b}"
-        );
-        // Second template re-used every compiled module.
-        let stats = compiler.cache_stats();
-        assert!(stats.hits >= stats.misses, "{stats:?}");
     }
 
     #[test]

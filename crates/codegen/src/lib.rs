@@ -30,7 +30,7 @@ mod mapping;
 mod scalarize;
 mod unroll;
 
-use ks_lang::hir::Program;
+use ks_lang::hir::{HFunc, Program};
 
 /// Codegen options.
 #[derive(Debug, Clone)]
@@ -59,11 +59,32 @@ pub fn compile(program: &Program, opts: &CodegenOptions) -> Result<ks_ir::Module
     lower::lower_program(&run_stages(program, opts, &mut |_, _| Ok(()))?)
 }
 
-/// Run the HIR pipeline (fold → unroll → fold → scalarize → fold) on a
-/// copy of `program` and return it. The observer first sees
-/// `("baseline", program)`, then each stage's output; its first error
-/// stops the pipeline. With `opts.optimize` off no stage runs and the
-/// observer sees nothing.
+/// One HIR stage: its name and how it rewrites one kernel.
+pub struct Stage {
+    pub name: &'static str,
+    run: fn(&mut HFunc, &CodegenOptions),
+}
+
+const FOLD: Stage = Stage {
+    name: "consteval",
+    run: |k, _| consteval::fold_func(k),
+};
+const UNROLL: Stage = Stage {
+    name: "unroll",
+    run: |k, o| unroll::unroll_func(k, o.unroll_limit),
+};
+const SCALARIZE: Stage = Stage {
+    name: "scalarize",
+    run: |k, o| scalarize::scalarize_func(k, o.scalarize_cap),
+};
+
+/// The HIR pipeline, in the order [`run_stages`] runs it.
+pub const STAGES: [Stage; 5] = [FOLD, UNROLL, FOLD, SCALARIZE, FOLD];
+
+/// Run the HIR pipeline ([`STAGES`]) on a copy of `program` and return
+/// it. The observer first sees `("baseline", program)`, then each
+/// stage's output; its first error stops the pipeline. With
+/// `opts.optimize` off no stage runs and the observer sees nothing.
 pub fn run_stages(
     program: &Program,
     opts: &CodegenOptions,
@@ -74,15 +95,11 @@ pub fn run_stages(
         return Ok(prog);
     }
     obs("baseline", &prog)?;
-    for stage in ["consteval", "unroll", "consteval", "scalarize", "consteval"] {
+    for stage in &STAGES {
         for k in &mut prog.kernels {
-            match stage {
-                "unroll" => unroll::unroll_func(k, opts.unroll_limit),
-                "scalarize" => scalarize::scalarize_func(k, opts.scalarize_cap),
-                _ => consteval::fold_func(k),
-            }
+            (stage.run)(k, opts);
         }
-        obs(stage, &prog)?;
+        obs(stage.name, &prog)?;
     }
     Ok(prog)
 }

@@ -652,13 +652,6 @@ impl Compiler {
             .histogram(ks_trace::names::COMPILE_TOTAL_US)
     }
 
-    pub fn with_options(device: DeviceConfig, options: CodegenOptions) -> Compiler {
-        Compiler {
-            options,
-            ..Compiler::new(device)
-        }
-    }
-
     /// Full control over HIR-level and IR-level passes (ablation studies).
     pub fn with_passes(
         device: DeviceConfig,
@@ -823,7 +816,7 @@ impl Compiler {
         h.str("ks-core.cache-key.v1");
         h.u32(ks_store::FORMAT_VERSION);
         h.u32(store::BINARY_SCHEMA_VERSION);
-        h.str(store::PASS_PIPELINE);
+        h.str(&store::PASS_PIPELINE);
         h.str(source);
         // Canonicalize: hash the define set sorted by name (names are
         // unique, so the order is total), never the insertion order —

@@ -22,7 +22,7 @@ use ks_sim::RegAlloc;
 use ks_store::{ByteReader, ByteWriter, Fingerprint, Store, StoreError};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 use std::time::Duration;
 
 /// Version of the `Binary` payload encoding below. Folded into both the
@@ -170,14 +170,17 @@ impl PartialEq<Listing> for String {
 }
 
 /// Canonical description of the fixed pass pipeline, folded into every
-/// cache-key fingerprint. The HIR stage list mirrors
-/// `ks_codegen::run_stages` and the IR pass list mirrors
-/// `ks_opt::optimize_with_observer`; reordering, adding, or removing a
-/// stage must change this string so stale artifacts are invalidated.
+/// cache-key fingerprint: the names of `ks_codegen::STAGES`, then those
+/// of `ks_opt::PASSES`, in the order the drivers run them
+/// (`hir:consteval,unroll,…;ir:constfold,…`). Reordering, adding, or
+/// removing a stage changes it, so stale artifacts are invalidated.
 /// (Per-pass *toggles* are fingerprinted separately via `OptConfig` /
 /// `CodegenOptions`.)
-pub(crate) const PASS_PIPELINE: &str =
-    "hir:consteval,unroll,consteval,scalarize,consteval;ir:constfold,strength,addrfold,cse,dce";
+pub(crate) static PASS_PIPELINE: LazyLock<String> = LazyLock::new(|| {
+    let hir: Vec<&str> = ks_codegen::STAGES.iter().map(|s| s.name).collect();
+    let ir: Vec<&str> = ks_opt::PASSES.iter().map(|p| p.name).collect();
+    format!("hir:{};ir:{}", hir.join(","), ir.join(","))
+});
 
 /// The persistent tier a [`crate::Compiler`] consults between its
 /// in-memory cache and a real compile.

@@ -100,8 +100,12 @@ fn passes_are_validated_when_no_codegen_stage_is_observed() {
         optimize: false,
         ..Default::default()
     };
-    let compiler = Compiler::with_options(DeviceConfig::tesla_c1060(), options.clone())
-        .with_validation(ValidationConfig::default());
+    let compiler = Compiler::with_passes(
+        DeviceConfig::tesla_c1060(),
+        options.clone(),
+        ks_opt::OptConfig::default(),
+    )
+    .with_validation(ValidationConfig::default());
     let reg = ks_trace::registry();
     let before = reg.counter_value(ks_trace::names::VERIFY_CHECKS);
     let fallbacks_before = reg.counter_value(ks_trace::names::VERIFY_BLOCK_FALLBACKS);

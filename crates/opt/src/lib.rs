@@ -74,6 +74,51 @@ pub fn optimize(f: &mut Function) -> OptStats {
     optimize_with_observer(f, &OptConfig::default(), &mut |_, _| {})
 }
 
+/// One optimizer pass: its name, its [`OptConfig`] switch, its entry
+/// point (returning how many rewrites it made) and the [`OptStats`]
+/// count those rewrites add to.
+pub struct Pass {
+    pub name: &'static str,
+    enabled: fn(&OptConfig) -> bool,
+    run: fn(&mut Function) -> usize,
+    count: fn(&mut OptStats) -> &mut usize,
+}
+
+/// The pass pipeline, in the order one round of
+/// [`optimize_with_observer`] runs it.
+pub const PASSES: [Pass; 5] = [
+    Pass {
+        name: "constfold",
+        enabled: |c| c.constfold,
+        run: constfold::run,
+        count: |s| &mut s.folded,
+    },
+    Pass {
+        name: "strength",
+        enabled: |c| c.strength,
+        run: strength::run,
+        count: |s| &mut s.strength_reduced,
+    },
+    Pass {
+        name: "addrfold",
+        enabled: |c| c.addrfold,
+        run: addrfold::run,
+        count: |s| &mut s.addresses_folded,
+    },
+    Pass {
+        name: "cse",
+        enabled: |c| c.cse,
+        run: cse::run,
+        count: |s| &mut s.cse_replaced,
+    },
+    Pass {
+        name: "dce",
+        enabled: |c| c.dce,
+        run: dce::run,
+        count: |s| &mut s.dead_removed,
+    },
+];
+
 /// Run the pipeline with per-pass toggles, invoking `obs(pass_name, f)`
 /// after every pass application that changed the function. This is the
 /// hook the ks-core sanitizer uses to verify intermediate IR with pass
@@ -89,45 +134,13 @@ pub fn optimize_with_observer(
     };
     loop {
         let mut changed = 0;
-        if cfg.constfold {
-            let c = constfold::run(f);
-            if c > 0 {
-                obs("constfold", f);
+        for pass in PASSES.iter().filter(|p| (p.enabled)(cfg)) {
+            let n = (pass.run)(f);
+            if n > 0 {
+                obs(pass.name, f);
             }
-            stats.folded += c;
-            changed += c;
-        }
-        if cfg.strength {
-            let s = strength::run(f);
-            if s > 0 {
-                obs("strength", f);
-            }
-            stats.strength_reduced += s;
-            changed += s;
-        }
-        if cfg.addrfold {
-            let a = addrfold::run(f);
-            if a > 0 {
-                obs("addrfold", f);
-            }
-            stats.addresses_folded += a;
-            changed += a;
-        }
-        if cfg.cse {
-            let c = cse::run(f);
-            if c > 0 {
-                obs("cse", f);
-            }
-            stats.cse_replaced += c;
-            changed += c;
-        }
-        if cfg.dce {
-            let d = dce::run(f);
-            if d > 0 {
-                obs("dce", f);
-            }
-            stats.dead_removed += d;
-            changed += d;
+            *(pass.count)(&mut stats) += n;
+            changed += n;
         }
         if changed == 0 {
             break;

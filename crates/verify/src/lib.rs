@@ -48,7 +48,7 @@ pub mod mutate;
 mod pipeline;
 mod summary;
 
-pub use pipeline::{build_optimized, codegen_checked, optimize_checked, validate_pipeline};
+pub use pipeline::{codegen_checked, optimize_checked};
 pub use summary::Limits;
 
 use bindings::derive_bindings;

@@ -1,8 +1,8 @@
-//! Whole-pipeline translation validation: drive the real frontend,
-//! codegen, and optimizer for one source+define set and check every
-//! transform along the way. This is the engine behind the `ks-verify`
-//! CLI and the ci.sh verification tier; the ks-core `Compiler` performs
-//! the same checks inline when built `with_validation`.
+//! Whole-pipeline translation validation: drive the real codegen stages
+//! and optimizer passes and check every transform along the way. The
+//! ks-core `Compiler` runs both when built `with_validation`; that
+//! compile is what the `ks-verify` CLI and the ci.sh verification tier
+//! report.
 
 use crate::{default_envs, Limits, ModuleChain, OptChain, VerifyReport};
 use ks_codegen::CodegenOptions;
@@ -10,27 +10,6 @@ use ks_ir::{Function, Module};
 use ks_lang::hir::Program;
 use ks_opt::OptConfig;
 use std::time::{Duration, Instant};
-
-/// Validate every HIR codegen stage and every IR optimization pass for
-/// one compilation of `source` under `defines`. Returns the merged
-/// report, or the frontend/codegen error message if the program does not
-/// compile at all.
-pub fn validate_pipeline(
-    source: &str,
-    defines: &[(String, String)],
-    limits: Limits,
-) -> Result<VerifyReport, String> {
-    let prog = ks_lang::frontend(source, defines).map_err(|e| e.to_string())?;
-    let (mut module, mut report, _) = codegen_checked(&prog, &CodegenOptions::default(), limits)?;
-    let (passes, _) = optimize_checked(
-        &mut module,
-        &OptConfig::default(),
-        limits,
-        &mut |_, _, _| {},
-    );
-    report.merge(passes);
-    Ok(report)
-}
 
 /// Lower `program` through ks-codegen's HIR stages, lowering the input
 /// and each stage's output: the first lowering starts a [`ModuleChain`]
@@ -104,14 +83,4 @@ pub fn optimize_checked(
         });
     }
     (report, spent)
-}
-
-/// Build the fully optimized module for `source` under `defines` — the
-/// input the mutation harness and specialization checks start from.
-pub fn build_optimized(source: &str, defines: &[(String, String)]) -> Result<Module, String> {
-    let prog = ks_lang::frontend(source, defines).map_err(|e| e.to_string())?;
-    let mut m = ks_codegen::compile(&prog, &ks_codegen::CodegenOptions::default())
-        .map_err(|e| e.to_string())?;
-    ks_opt::optimize_module(&mut m);
-    Ok(m)
 }

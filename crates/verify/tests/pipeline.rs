@@ -23,8 +23,16 @@ fn lower(source: &str, defines: &[(String, String)]) -> Module {
     ks_codegen::compile(&prog, &CodegenOptions::default()).expect("codegen")
 }
 
+/// Every HIR stage and every applied IR pass of one compile, checked.
 fn validate_pipeline(source: &str, defines: &[(String, String)]) -> VerifyReport {
-    ks_verify::validate_pipeline(source, defines, Limits::default()).expect("pipeline")
+    let prog = ks_lang::frontend(source, defines).expect("frontend");
+    let limits = Limits::default();
+    let (mut module, mut report, _) =
+        ks_verify::codegen_checked(&prog, &CodegenOptions::default(), limits).expect("codegen");
+    let (passes, _) =
+        ks_verify::optimize_checked(&mut module, &Default::default(), limits, &mut |_, _, _| {});
+    report.merge(passes);
+    report
 }
 
 fn assert_clean(name: &str, report: &VerifyReport) {
